@@ -26,13 +26,12 @@
 //!     --classes 64,256,1024 --grow --reclaim --magazine --json]
 //! ```
 
-use std::sync::Arc;
-
-use bench::drivers::{fmt_class_curve, run_mixed_size, run_mixed_size_lfrc, ClassCurve};
+use bench::drivers::{fmt_class_curve, run_mixed_size, Elastic};
 use bench::Args;
 use wfrc_baselines::LfrcDomain;
 use wfrc_core::{ClassConfig, DomainConfig, Growth, WfrcDomain};
 use wfrc_sim::stats::{fmt_ops, Table};
+use wfrc_structures::{ByteMm, RcMmDomain};
 
 /// Tokens held live per thread (the sliding window).
 const WINDOW: usize = 32;
@@ -62,17 +61,53 @@ fn sum(a: &[u64]) -> u64 {
     a.iter().sum()
 }
 
-/// `--grow --reclaim` acceptance bar: every class's resident-segment count
-/// returns to at most one segment above its floor.
-fn assert_classes_returned(scheme: &str, curve: &[ClassCurve], floors: &[usize]) {
-    for (c, &floor) in curve.iter().zip(floors) {
-        assert!(
-            c.resident_after <= floor + 1,
-            "{scheme} class {}B: resident {} > floor {floor}+1",
-            c.size,
-            c.resident_after
-        );
+/// One cell: the mixed-size run on `d`, the `--grow --reclaim` acceptance
+/// bar (every class's resident-segment count returns to at most one segment
+/// above its floor), the per-class leak audit, one table row.
+fn cell<D>(table: &mut Table, d: &mut D, t: usize, args: &Args)
+where
+    D: RcMmDomain<u64> + Elastic,
+    for<'d> D::Handle<'d>: ByteMm,
+{
+    let scheme = d.scheme_name();
+    let classes = d.class_sizes().len();
+    let floors: Vec<usize> = (0..classes).map(|i| d.segments(Some(i))).collect();
+    let (r, curve) = run_mixed_size(d, t, args.ops, WINDOW, args.reclaim);
+    if args.grow && args.reclaim {
+        for (c, &floor) in curve.iter().zip(&floors) {
+            assert!(
+                c.cycle.resident_after <= floor + 1,
+                "{scheme} class {}B: resident {} > floor {floor}+1",
+                c.size,
+                c.cycle.resident_after
+            );
+        }
     }
+    let leak = d.leak_check_mm();
+    assert!(
+        leak.is_clean(),
+        "{scheme} mixed-size run must end clean: {leak}"
+    );
+    assert_eq!(leak.classes.len(), classes, "every class audited");
+    table.row(&[
+        t.to_string(),
+        scheme.into(),
+        fmt_ops(r.ops_per_sec()),
+        sum(&r.counters.class_allocs).to_string(),
+        sum(&r.counters.class_frees).to_string(),
+        r.counters.segments_grown.to_string(),
+        fmt_class_curve(&curve),
+        curve
+            .iter()
+            .map(|c| c.cycle.retired)
+            .sum::<u64>()
+            .to_string(),
+        curve
+            .iter()
+            .map(|c| c.cycle.aborted)
+            .sum::<u64>()
+            .to_string(),
+    ]);
 }
 
 fn main() {
@@ -101,61 +136,15 @@ fn main() {
         ],
     );
     for &t in &args.threads {
-        {
-            let configs = class_configs(&sizes, t, args.grow, args.magazine);
-            // +1 thread slot for the reclaimer; tiny node pool — E11 moves
-            // raw bytes, not nodes.
-            let d = Arc::new(WfrcDomain::<u64>::new(
-                DomainConfig::new(t + 1, 64).with_classes(configs),
-            ));
-            let floors: Vec<usize> = (0..d.class_count()).map(|i| d.class_segments(i)).collect();
-            let (r, curve) = run_mixed_size(Arc::clone(&d), t, args.ops, WINDOW, args.reclaim);
-            if args.grow && args.reclaim {
-                assert_classes_returned("wfrc", &curve, &floors);
-            }
-            let leak = d.leak_check();
-            assert!(
-                leak.is_clean(),
-                "wfrc mixed-size run must end clean: {leak}"
-            );
-            assert_eq!(leak.classes.len(), sizes.len(), "every class audited");
-            table.row(&[
-                t.to_string(),
-                "wfrc".into(),
-                fmt_ops(r.ops_per_sec()),
-                sum(&r.counters.class_allocs).to_string(),
-                sum(&r.counters.class_frees).to_string(),
-                r.counters.segments_grown.to_string(),
-                fmt_class_curve(&curve),
-                curve.iter().map(|c| c.retired).sum::<u64>().to_string(),
-                curve.iter().map(|c| c.aborted).sum::<u64>().to_string(),
-            ]);
-        }
-        {
-            let configs = class_configs(&sizes, t, args.grow, args.magazine);
-            let mut d = LfrcDomain::<u64>::new(t, 64);
-            d.set_backoff(false);
-            d.set_classes(configs);
-            let floors: Vec<usize> = (0..d.class_count()).map(|i| d.class_segments(i)).collect();
-            let (r, curve) = run_mixed_size_lfrc(&mut d, t, args.ops, WINDOW, args.reclaim);
-            if args.grow && args.reclaim {
-                assert_classes_returned("lfrc", &curve, &floors);
-            }
-            let leak = d.leak_check();
-            assert!(leak.is_clean(), "lfrc mixed-size run must end clean");
-            assert_eq!(leak.classes.len(), sizes.len(), "every class audited");
-            table.row(&[
-                t.to_string(),
-                "lfrc".into(),
-                fmt_ops(r.ops_per_sec()),
-                sum(&r.counters.class_allocs).to_string(),
-                sum(&r.counters.class_frees).to_string(),
-                r.counters.segments_grown.to_string(),
-                fmt_class_curve(&curve),
-                curve.iter().map(|c| c.retired).sum::<u64>().to_string(),
-                curve.iter().map(|c| c.aborted).sum::<u64>().to_string(),
-            ]);
-        }
+        let configs = || class_configs(&sizes, t, args.grow, args.magazine);
+        // +1 thread slot for the reclaimer; tiny node pool — E11 moves raw
+        // bytes, not nodes.
+        let mut wf = WfrcDomain::<u64>::new(DomainConfig::new(t + 1, 64).with_classes(configs()));
+        cell(&mut table, &mut wf, t, &args);
+        let mut lf = LfrcDomain::<u64>::new(t, 64);
+        lf.set_backoff(false);
+        lf.set_classes(configs());
+        cell(&mut table, &mut lf, t, &args);
     }
     println!("{}", table.render());
     if args.json {

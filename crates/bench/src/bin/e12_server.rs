@@ -39,12 +39,12 @@
 //!     --kill 32 --admission-ms 100 --sentinel --json]
 //! ```
 
-use bench::drivers::{run_server, run_server_lfrc, ServerCfg};
+use bench::drivers::{run_server, Elastic, ServerCfg};
 use bench::Args;
 use wfrc_baselines::LfrcDomain;
-use wfrc_core::{ClassConfig, DomainConfig, Growth, RawBytes, WfrcDomain};
+use wfrc_core::{ClassConfig, DomainConfig, Growth, LeaseRegistry, RawBytes, WfrcDomain};
 use wfrc_sim::stats::{fmt_ns, fmt_ops, Summary, Table};
-use wfrc_structures::ListCell;
+use wfrc_structures::{ListCell, RcMmDomain, SessionMm};
 
 /// Key range shared by all tasks (small enough for real contention).
 const KEYSPACE: u64 = 4096;
@@ -104,6 +104,13 @@ fn audit(scheme: &str, r: &bench::drivers::ServerResult, tasks: usize) {
 fn row(table: &mut Table, slots: usize, scheme: &str, r: &bench::drivers::ServerResult) {
     let co = Summary::of(&r.checkout);
     let op = Summary::of(&r.op);
+    let mttr = |q| {
+        if r.mttr.is_empty() {
+            "-".into()
+        } else {
+            fmt_ns(r.mttr.quantile(q))
+        }
+    };
     table.row(&[
         slots.to_string(),
         scheme.into(),
@@ -123,17 +130,26 @@ fn row(table: &mut Table, slots: usize, scheme: &str, r: &bench::drivers::Server
         r.lease.backpressure.to_string(),
         r.lease.expired.to_string(),
         r.lease.recovered.to_string(),
-        if r.mttr.is_empty() {
-            "-".into()
-        } else {
-            fmt_ns(r.mttr.quantile(0.50))
-        },
-        if r.mttr.is_empty() {
-            "-".into()
-        } else {
-            fmt_ns(r.mttr.quantile(0.99))
-        },
+        mttr(0.50),
+        mttr(0.99),
     ]);
+}
+
+/// One cell: the server run on `d`, leak and lease audits, one table row.
+fn cell<D>(table: &mut Table, d: &mut D, cfg: &ServerCfg)
+where
+    D: RcMmDomain<ListCell<RawBytes>> + LeaseRegistry + Elastic,
+    for<'d> <D as LeaseRegistry>::Handle<'d>: SessionMm,
+{
+    let scheme = d.scheme_name();
+    let r = run_server(d, cfg);
+    let leak = d.leak_check_mm();
+    assert!(
+        leak.is_clean(),
+        "{scheme} server run must end clean: {leak}"
+    );
+    audit(scheme, &r, cfg.tasks);
+    row(table, cfg.slots, scheme, &r);
 }
 
 fn main() {
@@ -175,36 +191,16 @@ fn main() {
                 .then(|| std::time::Duration::from_millis(args.admission_ms)),
             sentinel: args.sentinel || args.kill > 0,
         };
-        {
-            // +1 registration slot for the concurrent reclaimer.
-            let d = WfrcDomain::<ListCell<RawBytes>>::new(
-                DomainConfig::new(slots + 1, node_capacity(slots))
-                    .with_classes(class_configs(&sizes, args.grow)),
-            );
-            let r = run_server(&d, &cfg);
-            let leak = d.leak_check();
-            assert!(leak.is_clean(), "wfrc server run must end clean: {leak}");
-            audit("wfrc", &r, cfg.tasks);
-            row(&mut table, slots, "wfrc", &r);
-        }
-        {
-            let mut d = LfrcDomain::<ListCell<RawBytes>>::new(slots + 1, node_capacity(slots));
-            d.set_backoff(false);
-            d.set_classes(class_configs(&sizes, args.grow));
-            let mut r = run_server_lfrc(&d, &cfg);
-            if args.reclaim {
-                // Stop-the-world: only possible after the tasks drained.
-                for ci in 0..d.class_count() {
-                    while d.reclaim_class_quiescent(ci) {
-                        r.retired += 1;
-                    }
-                }
-            }
-            let leak = d.leak_check();
-            assert!(leak.is_clean(), "lfrc server run must end clean");
-            audit("lfrc", &r, cfg.tasks);
-            row(&mut table, slots, "lfrc", &r);
-        }
+        // +1 registration slot for the concurrent reclaimer.
+        let mut wf = WfrcDomain::<ListCell<RawBytes>>::new(
+            DomainConfig::new(slots + 1, node_capacity(slots))
+                .with_classes(class_configs(&sizes, args.grow)),
+        );
+        cell(&mut table, &mut wf, &cfg);
+        let mut lf = LfrcDomain::<ListCell<RawBytes>>::new(slots + 1, node_capacity(slots));
+        lf.set_backoff(false);
+        lf.set_classes(class_configs(&sizes, args.grow));
+        cell(&mut table, &mut lf, &cfg);
     }
     println!("{}", table.render());
     if args.json {

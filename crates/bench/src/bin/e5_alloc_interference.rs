@@ -32,13 +32,39 @@
 use std::sync::Arc;
 
 use bench::drivers::{
-    fmt_curve, run_alloc_churn, run_alloc_growth, run_reclaim_oscillation,
-    run_reclaim_oscillation_lfrc,
+    fmt_curve, run_alloc_churn, run_alloc_growth, run_reclaim_oscillation, Elastic,
 };
 use bench::Args;
 use wfrc_baselines::LfrcDomain;
 use wfrc_core::{DomainConfig, Growth, WfrcDomain};
 use wfrc_sim::stats::{fmt_ns, fmt_ops, Table};
+use wfrc_structures::RcMmDomain;
+
+/// One `--grow` cell: alloc bursts on `d`, one table row, leak audit.
+fn growth_cell<D>(table: &mut Table, d: D, t: usize, bursts: u64, hold: usize)
+where
+    D: RcMmDomain<u64> + Send + Sync + 'static,
+{
+    let d = Arc::new(d);
+    let (r, hist) = run_alloc_growth(Arc::clone(&d), t, bursts, hold);
+    let leak = d.leak_check_mm();
+    assert!(
+        leak.is_clean(),
+        "{} growth run must end clean",
+        d.scheme_name()
+    );
+    table.row(&[
+        t.to_string(),
+        d.scheme_name().into(),
+        fmt_ops(r.ops_per_sec()),
+        r.counters.segments_grown.to_string(),
+        r.counters.nodes_seeded.to_string(),
+        r.counters.alloc_slow_path.to_string(),
+        leak.capacity.to_string(),
+        fmt_ns(hist.quantile(0.99)),
+        fmt_ns(hist.max()),
+    ]);
+}
 
 /// Growth mode: each thread holds 32 nodes per burst; pools start at 8
 /// nodes total and may double up to far beyond the peak.
@@ -61,42 +87,11 @@ fn run_growth_table(args: &Args) {
     for &t in &args.threads {
         let bursts = (args.ops / HOLD as u64).max(1);
         let growth = Growth::doubling_to(1 << 20);
-        {
-            let d = Arc::new(WfrcDomain::<u64>::new(
-                DomainConfig::new(t, 8).with_growth(growth),
-            ));
-            let (r, hist) = run_alloc_growth(Arc::clone(&d), t, bursts, HOLD);
-            table.row(&[
-                t.to_string(),
-                "wfrc".into(),
-                fmt_ops(r.ops_per_sec()),
-                r.counters.segments_grown.to_string(),
-                r.counters.nodes_seeded.to_string(),
-                r.counters.alloc_slow_path.to_string(),
-                d.capacity().to_string(),
-                fmt_ns(hist.quantile(0.99)),
-                fmt_ns(hist.max()),
-            ]);
-            assert!(d.leak_check().is_clean(), "wfrc growth run must end clean");
-        }
-        {
-            let mut d = LfrcDomain::<u64>::with_growth(t, 8, growth);
-            d.set_backoff(false);
-            let d = Arc::new(d);
-            let (r, hist) = run_alloc_growth(Arc::clone(&d), t, bursts, HOLD);
-            table.row(&[
-                t.to_string(),
-                "lfrc".into(),
-                fmt_ops(r.ops_per_sec()),
-                r.counters.segments_grown.to_string(),
-                r.counters.nodes_seeded.to_string(),
-                r.counters.alloc_slow_path.to_string(),
-                d.capacity().to_string(),
-                fmt_ns(hist.quantile(0.99)),
-                fmt_ns(hist.max()),
-            ]);
-            assert!(d.leak_check().is_clean(), "lfrc growth run must end clean");
-        }
+        let wf = WfrcDomain::<u64>::new(DomainConfig::new(t, 8).with_growth(growth));
+        growth_cell(&mut table, wf, t, bursts, HOLD);
+        let mut lf = LfrcDomain::<u64>::with_growth(t, 8, growth);
+        lf.set_backoff(false);
+        growth_cell(&mut table, lf, t, bursts, HOLD);
     }
     println!("{}", table.render());
     if args.json {
@@ -104,16 +99,56 @@ fn run_growth_table(args: &Args) {
     }
 }
 
+/// Grow → quiesce → shrink cycles per `--reclaim` cell.
+const CYCLES: usize = 20;
+
+/// One `--reclaim` cell: the oscillation on `d`, the acceptance bar (every
+/// quiescent phase returns the footprint to at most one segment above the
+/// floor), one table row, leak audit.
+fn reclaim_cell<D>(table: &mut Table, d: &mut D, t: usize, bursts: u64, hold: usize, reclaim: bool)
+where
+    D: RcMmDomain<u64> + Elastic,
+{
+    let floor = d.segments(None);
+    let (r, curve) = run_reclaim_oscillation(d, t, CYCLES, bursts, hold, reclaim);
+    if reclaim {
+        for (i, c) in curve.iter().enumerate() {
+            assert!(
+                c.resident_after <= floor + 1,
+                "{} cycle {i}: resident {} > floor {floor}+1",
+                d.scheme_name(),
+                c.resident_after
+            );
+        }
+    }
+    let leak = d.leak_check_mm();
+    assert!(
+        leak.is_clean(),
+        "{} reclaim run must end clean",
+        d.scheme_name()
+    );
+    table.row(&[
+        t.to_string(),
+        d.scheme_name().into(),
+        if reclaim { "on" } else { "off" }.into(),
+        fmt_ops(r.ops_per_sec()),
+        fmt_curve(&curve),
+        leak.segments_retired.to_string(),
+        r.counters.segments_revived.to_string(),
+        r.counters.reclaim_aborts.to_string(),
+        leak.capacity.to_string(),
+    ]);
+}
+
 /// Reclaim mode: oscillating load across ≥20 grow → quiesce → shrink
 /// cycles. Each scheme runs the identical workload twice — reclamation off
 /// (control) and on — so the ops/s delta is the price of elasticity, and
 /// the resident-segment curve shows capacity actually returning to the
-/// floor after every quiescent phase. WFRC shrinks concurrently (epoch
-/// grace + occupancy sweep); LFRC can only shrink stop-the-world between
-/// cycles (`reclaim_quiescent`), which is the asymmetry under test.
+/// floor after every quiescent phase. WFRC reclaims through a registered
+/// handle (epoch grace + occupancy sweep); LFRC can only shrink
+/// stop-the-world (`reclaim_quiescent`), which is the asymmetry under test.
 fn run_reclaim_table(args: &Args) {
     const HOLD: usize = 32;
-    const CYCLES: usize = 20;
     const INITIAL: usize = 16;
     let mut table = Table::new(
         "E5 (--reclaim): elastic capacity over grow/quiesce cycles",
@@ -135,52 +170,15 @@ fn run_reclaim_table(args: &Args) {
         let bursts = (args.ops / (HOLD as u64 * CYCLES as u64)).max(1);
         let growth = Growth::doubling_to(1 << 20);
         for reclaim in [false, true] {
-            let d = Arc::new(WfrcDomain::<u64>::new(
-                DomainConfig::new(t + 1, INITIAL).with_growth(growth),
-            ));
-            let initial_segments = d.segment_count();
-            let (r, curve) =
-                run_reclaim_oscillation(Arc::clone(&d), t, CYCLES, bursts, HOLD, reclaim);
-            if reclaim {
-                // The ISSUE acceptance bar: every quiescent phase returns
-                // the footprint to (at most one segment above) the floor.
-                for (i, c) in curve.iter().enumerate() {
-                    assert!(
-                        c.resident_after <= initial_segments + 1,
-                        "cycle {i}: resident {} > floor {initial_segments}+1",
-                        c.resident_after
-                    );
-                }
-            }
-            assert!(d.leak_check().is_clean(), "wfrc reclaim run must end clean");
-            table.row(&[
-                t.to_string(),
-                "wfrc".into(),
-                if reclaim { "on" } else { "off" }.into(),
-                fmt_ops(r.ops_per_sec()),
-                fmt_curve(&curve),
-                d.segments_retired().to_string(),
-                d.segments_revived().to_string(),
-                r.counters.reclaim_aborts.to_string(),
-                d.capacity().to_string(),
-            ]);
+            // +1 registration slot for the reclaimer.
+            let mut d =
+                WfrcDomain::<u64>::new(DomainConfig::new(t + 1, INITIAL).with_growth(growth));
+            reclaim_cell(&mut table, &mut d, t, bursts, HOLD, reclaim);
         }
         for reclaim in [false, true] {
             let mut d = LfrcDomain::<u64>::with_growth(t, INITIAL, growth);
             d.set_backoff(false);
-            let (r, curve) = run_reclaim_oscillation_lfrc(&mut d, t, CYCLES, bursts, HOLD, reclaim);
-            assert!(d.leak_check().is_clean(), "lfrc reclaim run must end clean");
-            table.row(&[
-                t.to_string(),
-                "lfrc".into(),
-                if reclaim { "on" } else { "off" }.into(),
-                fmt_ops(r.ops_per_sec()),
-                fmt_curve(&curve),
-                d.segments_retired().to_string(),
-                d.segments_revived().to_string(),
-                "0".into(),
-                d.capacity().to_string(),
-            ]);
+            reclaim_cell(&mut table, &mut d, t, bursts, HOLD, reclaim);
         }
     }
     println!("{}", table.render());

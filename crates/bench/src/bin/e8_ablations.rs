@@ -1,51 +1,22 @@
-//! E8 — ablations of the wait-free scheme's design choices.
+//! E8 — ablation of the read path: counted vs pinned plain-load.
 //!
-//! The three ablations are **compile-time** (they change the algorithms'
-//! data layout or code paths), so this binary reports the configuration it
-//! was built with and runs the standard E1/E5 cells; compare runs:
+//! A **runtime** ablation: the same reader workload with the counted
+//! dereference against the PR 9 pinned plain-load snapshot path, plus the
+//! deferred-list drain latency; see [`snapshot_table`].
 //!
 //! ```text
-//! cargo run --release --bin e8_ablations                                     # baseline
-//! cargo run --release --bin e8_ablations --features ablation-no-helping     # E8(a)
-//! cargo run --release --bin e8_ablations --features ablation-no-pad         # E8(b)
-//! cargo run --release --bin e8_ablations --features ablation-relaxed-mmref  # E8(c)
+//! cargo run --release --bin e8_ablations [-- --mode snapshot --threads 0,2 --ops 20000 --json]
 //! ```
-//!
-//! * (a) without alloc helping the free-list degenerates to lock-free:
-//!   `max alloc iters` loses its bound (and gifts drop to zero);
-//! * (b) without padding, false sharing on the announcement matrices and
-//!   free-list heads taxes every operation;
-//! * (c) `AcqRel` on `mm_ref` shaves fence cost off every count update —
-//!   the measurable price of the conservative `SeqCst` default.
-//!
-//! A fourth, **runtime** ablation — `--mode snapshot` — compares the
-//! counted dereference against the PR 9 pinned plain-load snapshot path
-//! and times the deferred-list drain; see [`snapshot_table`].
 
 use std::sync::Arc;
 
 use bench::drivers::{
-    capacity_for, run_alloc_churn, run_deferred_drain_micro, run_deref_interference,
-    run_deref_interference_snapshot, run_pq_rc,
+    run_deferred_drain_micro, run_deref_interference, run_deref_interference_snapshot,
 };
 use bench::Args;
 use wfrc_core::counters::CounterSnapshot;
 use wfrc_core::{DomainConfig, WfrcDomain};
 use wfrc_sim::stats::{fmt_ns, fmt_ops, Summary, Table};
-use wfrc_sim::workload::WorkloadCfg;
-use wfrc_structures::priority_queue::PqCell;
-
-fn config_name() -> &'static str {
-    if cfg!(feature = "ablation-no-helping") {
-        "no-alloc-helping (E8a)"
-    } else if cfg!(feature = "ablation-no-pad") {
-        "no-pad (E8b)"
-    } else if cfg!(feature = "ablation-relaxed-mmref") {
-        "relaxed-mmref (E8c)"
-    } else {
-        "baseline"
-    }
-}
 
 /// E8 (snapshot, PR 9): a **runtime** ablation — the same reader workload
 /// with the counted dereference vs. the pinned plain-load snapshot path,
@@ -134,62 +105,5 @@ fn snapshot_table(args: &Args) {
 }
 
 fn main() {
-    let args = Args::parse(&[1, 4], 20_000);
-    if args.mode == "snapshot" {
-        snapshot_table(&args);
-        return;
-    }
-    println!("build configuration: {}\n", config_name());
-    let cfg = WorkloadCfg::e1_default();
-    let mut table = Table::new(
-        format!("E8 [{}]: PQ throughput + free-list churn", config_name()),
-        &[
-            "threads",
-            "pq ops/s",
-            "churn ops/s",
-            "max alloc iters",
-            "gifts given",
-            "scan skips",
-            "skip rate",
-        ],
-    );
-    for &t in &args.threads {
-        let cap = capacity_for(&cfg, t, args.ops);
-        let pq = run_pq_rc(
-            Arc::new(WfrcDomain::<PqCell<u64>>::new(DomainConfig::new(
-                t + 1,
-                cap,
-            ))),
-            t,
-            args.ops,
-            cfg,
-        );
-        let churn = run_alloc_churn(
-            Arc::new(WfrcDomain::<u64>::new(DomainConfig::new(t, t * 4 + 8))),
-            t,
-            args.ops * 4,
-        );
-        // Announcement-summary effectiveness for the PQ workload (the churn
-        // workload never touches links, so its help scan is never entered).
-        let skips = pq.counters.help_scan_skips;
-        let full = pq.counters.help_scan_full;
-        let skip_rate = if skips + full == 0 {
-            "n/a".to_string()
-        } else {
-            format!("{:.4}", skips as f64 / (skips + full) as f64)
-        };
-        table.row(&[
-            t.to_string(),
-            fmt_ops(pq.ops_per_sec()),
-            fmt_ops(churn.ops_per_sec()),
-            churn.counters.max_alloc_iters.to_string(),
-            churn.counters.alloc_gave_gift.to_string(),
-            skips.to_string(),
-            skip_rate,
-        ]);
-    }
-    println!("{}", table.render());
-    if args.json {
-        println!("{}", table.to_json());
-    }
+    snapshot_table(&Args::parse(&[1, 4], 20_000));
 }

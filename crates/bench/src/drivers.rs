@@ -6,7 +6,7 @@ use wfrc_baselines::epoch::EbrDomain;
 use wfrc_baselines::hazard::HpDomain;
 use wfrc_baselines::LfrcDomain;
 use wfrc_core::counters::{CounterSnapshot, LeaseSnapshot};
-use wfrc_core::lease::{LeaseConfig, LeasePool};
+use wfrc_core::lease::{LeaseConfig, LeasePool, LeaseRegistry};
 use wfrc_core::sentinel::{AdmissionPolicy, Outcome, Sentinel, SentinelConfig};
 use wfrc_core::{RawBytes, ReclaimOutcome, WfrcDomain};
 use wfrc_sim::exec::{run_fixed_ops, PollLoop, StopFlag};
@@ -20,8 +20,7 @@ use wfrc_structures::hash_map::{SessionCache, SessionMm};
 use wfrc_structures::hp_queue::HpQueue;
 use wfrc_structures::hp_stack::HpStack;
 use wfrc_structures::lru_list::{LruCell, LruList};
-use wfrc_structures::manager::{RcMm, RcMmDomain};
-use wfrc_structures::ordered_list::ListCell;
+use wfrc_structures::manager::{ByteMm, RcMm, RcMmDomain};
 use wfrc_structures::priority_queue::{PqCell, PriorityQueue};
 use wfrc_structures::queue::{Queue, QueueCell};
 use wfrc_structures::stack::{Stack, StackCell};
@@ -34,6 +33,21 @@ fn merge_counters(parts: Vec<(u64, CounterSnapshot)>) -> (u64, CounterSnapshot) 
         .fold((0, CounterSnapshot::default()), |(ops, acc), (o, c)| {
             (ops + o, acc.merged(&c))
         })
+}
+
+/// The result of a run whose workers each returned `(ops, counters)`.
+fn run_result(
+    threads: usize,
+    parts: Vec<(u64, CounterSnapshot)>,
+    wall: std::time::Duration,
+) -> RunResult {
+    let (total_ops, counters) = merge_counters(parts);
+    RunResult {
+        threads,
+        total_ops,
+        wall,
+        counters,
+    }
 }
 
 /// Capacity heuristic: prefill plus headroom for transient imbalance and
@@ -85,7 +99,6 @@ where
             (done, h.counter_snapshot())
         }
     });
-    let (total_ops, counters) = merge_counters(parts);
     // Teardown outside the measured section.
     let h = domain.register_mm().expect("register");
     while pq.delete_min(&h).is_some() {}
@@ -94,12 +107,7 @@ where
         Err(_) => unreachable!("workers joined"),
     }
     drop(h);
-    RunResult {
-        threads,
-        total_ops,
-        wall,
-        counters,
-    }
+    run_result(threads, parts, wall)
 }
 
 /// E2 (refcounting schemes): Treiber stack, push/pop pairs.
@@ -127,16 +135,10 @@ where
             (done, h.counter_snapshot())
         }
     });
-    let (total_ops, counters) = merge_counters(parts);
     let h = domain.register_mm().expect("register");
     stack.clear(&h);
     drop(h);
-    RunResult {
-        threads,
-        total_ops,
-        wall,
-        counters,
-    }
+    run_result(threads, parts, wall)
 }
 
 /// E2 (hazard pointers): same pairs workload.
@@ -160,15 +162,10 @@ pub fn run_stack_hp(threads: usize, pairs: u64, prefill: usize) -> RunResult {
                 let _ = stack.pop(&mut h);
                 done += 2;
             }
-            done
+            (done, CounterSnapshot::default())
         }
     });
-    RunResult {
-        threads,
-        total_ops: parts.into_iter().sum(),
-        wall,
-        counters: CounterSnapshot::default(),
-    }
+    run_result(threads, parts, wall)
 }
 
 /// E2 (epochs): same pairs workload.
@@ -192,15 +189,10 @@ pub fn run_stack_ebr(threads: usize, pairs: u64, prefill: usize) -> RunResult {
                 let _ = stack.pop(&h);
                 done += 2;
             }
-            done
+            (done, CounterSnapshot::default())
         }
     });
-    RunResult {
-        threads,
-        total_ops: parts.into_iter().sum(),
-        wall,
-        counters: CounterSnapshot::default(),
-    }
+    run_result(threads, parts, wall)
 }
 
 /// E3 (refcounting schemes): M&S queue, enqueue/dequeue pairs.
@@ -228,19 +220,13 @@ where
             (done, h.counter_snapshot())
         }
     });
-    let (total_ops, counters) = merge_counters(parts);
     let h = domain.register_mm().expect("register");
     match Arc::try_unwrap(queue) {
         Ok(q) => q.dispose(&h),
         Err(_) => unreachable!("workers joined"),
     }
     drop(h);
-    RunResult {
-        threads,
-        total_ops,
-        wall,
-        counters,
-    }
+    run_result(threads, parts, wall)
 }
 
 /// E3 (hazard pointers).
@@ -264,15 +250,10 @@ pub fn run_queue_hp(threads: usize, pairs: u64, prefill: usize) -> RunResult {
                 let _ = queue.dequeue(&mut h);
                 done += 2;
             }
-            done
+            (done, CounterSnapshot::default())
         }
     });
-    RunResult {
-        threads,
-        total_ops: parts.into_iter().sum(),
-        wall,
-        counters: CounterSnapshot::default(),
-    }
+    run_result(threads, parts, wall)
 }
 
 /// E3 (epochs).
@@ -296,16 +277,56 @@ pub fn run_queue_ebr(threads: usize, pairs: u64, prefill: usize) -> RunResult {
                 let _ = queue.dequeue(&h);
                 done += 2;
             }
-            done
+            (done, CounterSnapshot::default())
         }
     });
-    RunResult {
-        threads,
-        total_ops: parts.into_iter().sum(),
-        wall,
-        counters: CounterSnapshot::default(),
+    run_result(threads, parts, wall)
+}
+
+/// The E4 fixture: a hot link flipping between two nodes. The experiment
+/// owns one *standing* count on each node for its whole duration, so
+/// neither can ever be reclaimed, a blind `add_refs` on the off-link node is
+/// always safe, and the unprotected baseline's plain load is sound.
+struct FlipFixture<T: wfrc_core::RcObject, M: RcMm<T>> {
+    setup: M,
+    link: Arc<wfrc_core::Link<T>>,
+    a: *mut wfrc_core::Node<T>,
+    b: *mut wfrc_core::Node<T>,
+}
+
+impl<T: wfrc_core::RcObject, M: RcMm<T>> FlipFixture<T, M> {
+    fn new(setup: M) -> Self {
+        let link = Arc::new(wfrc_core::Link::<T>::null());
+        let a = setup.alloc_node().expect("node a");
+        let b = setup.alloc_node().expect("node b");
+        // SAFETY: we own the alloc references; store transfers one count
+        // into the link, so `a` gets a second count first.
+        unsafe {
+            setup.add_refs(a, 1);
+            setup.store_link(&link, a);
+        }
+        Self { setup, link, a, b }
+    }
+
+    /// Clears the link (releasing its count on whichever node it ended on),
+    /// then drops the standing counts. Quiescent: all workers joined.
+    fn teardown(self) {
+        // SAFETY: quiescent per contract; the counts are the fixture's own.
+        unsafe {
+            let cur = self.link.swap_raw(std::ptr::null_mut());
+            if !cur.is_null() {
+                self.setup.release_node(cur);
+            }
+            self.setup.release_node(self.a);
+            self.setup.release_node(self.b);
+        }
     }
 }
+
+/// Ops between pin sessions on the snapshot read path: long enough that
+/// the per-session epoch bump and pin-bit write amortize to nothing, short
+/// enough that writers' deferred frees are never starved for a grace edge.
+pub const SNAPSHOT_REPIN: u64 = 1024;
 
 /// E4: one reader dereferencing a hot link while `writers` threads flip it
 /// between two nodes. Returns the run result (reader ops only), the
@@ -320,97 +341,15 @@ where
     T: wfrc_core::RcObject + Default,
     D: RcMmDomain<T> + Send + Sync + 'static,
 {
-    use wfrc_core::Link;
-    let setup = domain.register_mm().expect("register");
-    let link = Arc::new(Link::<T>::null());
-    let a = setup.alloc_node().expect("node a");
-    let b = setup.alloc_node().expect("node b");
-    // The experiment owns one *standing* count on each node for its whole
-    // duration, so neither can ever be reclaimed and the writers'
-    // `add_refs` on the off-link node is always safe.
-    // SAFETY: we own the alloc references; store transfers one count into
-    // the link, so `a` gets a second count first.
-    unsafe {
-        setup.add_refs(a, 1);
-        setup.store_link(&link, a);
-    }
-    let a_addr = a as usize;
-    let b_addr = b as usize;
-    let stop = Arc::new(wfrc_sim::exec::StopFlag::new());
-
-    // Writers flip the link between a and b for the reader's whole run.
-    let writer_handles: Vec<_> = (0..writers)
-        .map(|_| {
-            let domain = Arc::clone(&domain);
-            let link = Arc::clone(&link);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let h = domain.register_mm().expect("register");
-                while !stop.is_stopped() {
-                    flip(&h, &link, a_addr, b_addr);
-                }
-            })
-        })
-        .collect();
-
-    // Reader.
-    let reader = {
-        let domain = Arc::clone(&domain);
-        let link = Arc::clone(&link);
-        std::thread::spawn(move || {
-            let h = domain.register_mm().expect("register");
-            let mut hist = Histogram::new();
-            let start = std::time::Instant::now();
-            for _ in 0..reader_ops {
-                let t0 = std::time::Instant::now();
-                // SAFETY: link holds nodes of this domain.
-                unsafe {
-                    let p = h.deref_link(&link);
-                    if !p.is_null() {
-                        h.release_node(p);
-                    }
-                }
-                hist.record(t0.elapsed().as_nanos() as u64);
-            }
-            (start.elapsed(), hist, h.counter_snapshot())
-        })
-    };
-    let (wall, hist, reader_counters) = reader.join().unwrap();
-    stop.stop();
-    for w in writer_handles {
-        w.join().unwrap();
-    }
-    // Teardown: clear the link (releasing its count on whichever node it
-    // ended on), then drop our standing counts on both nodes.
-    // SAFETY: quiescent — all workers joined.
-    unsafe {
-        let cur = link.swap_raw(std::ptr::null_mut());
-        if !cur.is_null() {
-            setup.release_node(cur);
-        }
-        setup.release_node(a);
-        setup.release_node(b);
-    }
-    let result = RunResult {
-        threads: writers + 1,
-        total_ops: reader_ops,
-        wall,
-        counters: reader_counters,
-    };
-    (result, hist, reader_counters)
+    deref_interference::<D, T, false>(domain, writers, reader_ops)
 }
-
-/// Ops between pin sessions on the snapshot read path: long enough that
-/// the per-session epoch bump and pin-bit write amortize to nothing, short
-/// enough that writers' deferred frees are never starved for a grace edge.
-pub const SNAPSHOT_REPIN: u64 = 1024;
 
 /// E4 (snapshot variant): the same link-flipping interference as
 /// [`run_deref_interference`], but the reader uses the pinned plain-load
 /// snapshot path (DESIGN.md §4f) instead of counted dereferences — one pin
 /// per [`SNAPSHOT_REPIN`] ops, zero count FAAs and zero announcement-slot
 /// writes per read. For schemes without protected snapshots (the LFRC
-/// baseline's no-op guard, `SNAPSHOT_PROTECTED == false`) the plain load
+/// baseline's no-op pin, `SNAPSHOT_PROTECTED == false`) the plain load
 /// is safe only because the experiment's standing counts pin both nodes
 /// for the whole run — which is exactly the comparison E4 wants: the
 /// identical reader instruction sequence with and without the protection
@@ -424,28 +363,29 @@ where
     T: wfrc_core::RcObject + Default,
     D: RcMmDomain<T> + Send + Sync + 'static,
 {
-    use wfrc_core::Link;
-    let setup = domain.register_mm().expect("register");
-    let link = Arc::new(Link::<T>::null());
-    let a = setup.alloc_node().expect("node a");
-    let b = setup.alloc_node().expect("node b");
-    // Standing counts pin both nodes for the whole run (see
-    // `run_deref_interference`); they also make the unprotected baseline's
-    // plain load sound.
-    // SAFETY: we own the alloc references; store transfers one count into
-    // the link, so `a` gets a second count first.
-    unsafe {
-        setup.add_refs(a, 1);
-        setup.store_link(&link, a);
-    }
-    let a_addr = a as usize;
-    let b_addr = b as usize;
-    let stop = Arc::new(wfrc_sim::exec::StopFlag::new());
+    deref_interference::<D, T, true>(domain, writers, reader_ops)
+}
 
+/// Both E4 read modes; `SNAPSHOT` picks the reader's dereference at compile
+/// time, so neither timed loop carries the other's branch.
+fn deref_interference<D, T, const SNAPSHOT: bool>(
+    domain: Arc<D>,
+    writers: usize,
+    reader_ops: u64,
+) -> (RunResult, Histogram, CounterSnapshot)
+where
+    T: wfrc_core::RcObject + Default,
+    D: RcMmDomain<T> + Send + Sync + 'static,
+{
+    let fx = FlipFixture::new(domain.register_mm().expect("register"));
+    let (a_addr, b_addr) = (fx.a as usize, fx.b as usize);
+    let stop = Arc::new(StopFlag::new());
+
+    // Writers flip the link between a and b for the reader's whole run.
     let writer_handles: Vec<_> = (0..writers)
         .map(|_| {
             let domain = Arc::clone(&domain);
-            let link = Arc::clone(&link);
+            let link = Arc::clone(&fx.link);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let h = domain.register_mm().expect("register");
@@ -456,38 +396,48 @@ where
         })
         .collect();
 
-    // Reader: plain loads under a pin session, re-pinned periodically.
     let reader = {
         let domain = Arc::clone(&domain);
-        let link = Arc::clone(&link);
+        let link = Arc::clone(&fx.link);
         std::thread::spawn(move || {
             let h = domain.register_mm().expect("register");
             let mut hist = Histogram::new();
             let start = std::time::Instant::now();
             let mut since_pin = 0u64;
-            h.snapshot_enter();
+            if SNAPSHOT {
+                h.snapshot_enter();
+            }
             for _ in 0..reader_ops {
                 let t0 = std::time::Instant::now();
-                // SAFETY: the pin session protects the load under the
-                // wait-free scheme; the standing counts protect it under
-                // the baseline's no-op guard.
+                // SAFETY: the link holds nodes of this domain. A snapshot
+                // load is protected by the pin session under the wait-free
+                // scheme and by the standing counts under the baseline.
                 unsafe {
-                    let p = h.snapshot_load(&link);
-                    if !p.is_null() {
-                        std::hint::black_box(h.payload(p));
+                    if SNAPSHOT {
+                        let p = h.snapshot_load(&link);
+                        if !p.is_null() {
+                            std::hint::black_box(h.payload(p));
+                        }
+                    } else {
+                        let p = h.deref_link(&link);
+                        if !p.is_null() {
+                            h.release_node(p);
+                        }
                     }
                 }
                 hist.record(t0.elapsed().as_nanos() as u64);
                 since_pin += 1;
-                if since_pin == SNAPSHOT_REPIN {
+                if SNAPSHOT && since_pin == SNAPSHOT_REPIN {
                     // SAFETY: pairs the live session; re-entered at once.
                     unsafe { h.snapshot_exit() };
                     h.snapshot_enter();
                     since_pin = 0;
                 }
             }
-            // SAFETY: pairs the live session.
-            unsafe { h.snapshot_exit() };
+            if SNAPSHOT {
+                // SAFETY: pairs the live session.
+                unsafe { h.snapshot_exit() };
+            }
             (start.elapsed(), hist, h.counter_snapshot())
         })
     };
@@ -496,16 +446,7 @@ where
     for w in writer_handles {
         w.join().unwrap();
     }
-    // Teardown as in `run_deref_interference`.
-    // SAFETY: quiescent — all workers joined.
-    unsafe {
-        let cur = link.swap_raw(std::ptr::null_mut());
-        if !cur.is_null() {
-            setup.release_node(cur);
-        }
-        setup.release_node(a);
-        setup.release_node(b);
-    }
+    fx.teardown();
     let result = RunResult {
         threads: writers + 1,
         total_ops: reader_ops,
@@ -560,25 +501,12 @@ where
     T: wfrc_core::RcObject + Default,
     D: RcMmDomain<T> + Send + Sync + 'static,
 {
-    use wfrc_core::Link;
     assert!(writers >= 1, "write-path mode needs at least one writer");
-    let setup = domain.register_mm().expect("register");
-    let link = Arc::new(Link::<T>::null());
-    let a = setup.alloc_node().expect("node a");
-    let b = setup.alloc_node().expect("node b");
-    // As in `run_deref_interference`: one standing count pins each node for
-    // the whole run, so a blind `add_refs` on either is always safe.
-    // SAFETY: we own the alloc references; store transfers one count into
-    // the link, so `a` gets a second count first.
-    unsafe {
-        setup.add_refs(a, 1);
-        setup.store_link(&link, a);
-    }
-    let a_addr = a as usize;
-    let b_addr = b as usize;
+    let fx = FlipFixture::new(domain.register_mm().expect("register"));
+    let (a_addr, b_addr) = (fx.a as usize, fx.b as usize);
     let (parts, wall) = run_fixed_ops(writers, |w| {
         let domain = Arc::clone(&domain);
-        let link = Arc::clone(&link);
+        let link = Arc::clone(&fx.link);
         move || {
             let h = domain.register_mm().expect("register");
             let mut done = 0u64;
@@ -609,23 +537,8 @@ where
             (done, h.counter_snapshot())
         }
     });
-    let (total_ops, counters) = merge_counters(parts);
-    // Teardown: clear the link, then drop the standing counts.
-    // SAFETY: quiescent — all workers joined.
-    unsafe {
-        let cur = link.swap_raw(std::ptr::null_mut());
-        if !cur.is_null() {
-            setup.release_node(cur);
-        }
-        setup.release_node(a);
-        setup.release_node(b);
-    }
-    RunResult {
-        threads: writers,
-        total_ops,
-        wall,
-        counters,
-    }
+    fx.teardown();
+    run_result(writers, parts, wall)
 }
 
 /// One link flip with full §3.2 discipline: dereference the current node,
@@ -685,13 +598,7 @@ where
             (done, h.counter_snapshot())
         }
     });
-    let (total_ops, counters) = merge_counters(parts);
-    RunResult {
-        threads,
-        total_ops,
-        wall,
-        counters,
-    }
+    run_result(threads, parts, wall)
 }
 
 /// E5/E9 (growth mode): alloc-heavy bursts on an under-provisioned
@@ -752,6 +659,149 @@ where
     )
 }
 
+/// What one reclaim pass did (see [`Elastic`]).
+#[derive(Debug, Default, Clone)]
+pub struct ReclaimTally {
+    /// Segments retired.
+    pub retired: u64,
+    /// Aborted or contended attempts.
+    pub aborted: u64,
+    /// The reclaimer handle's counters (empty when no handle was involved).
+    pub counters: CounterSnapshot,
+}
+
+/// The one scheme-specific step of the elastic experiments (E5, E11, E12
+/// `--reclaim`): giving grown segments back. The wait-free scheme reclaims
+/// through a registered handle, beside live traffic if need be; the LFRC
+/// baseline has no epochs, so it can only reclaim stop-the-world, with
+/// `&mut self` as its quiescence proof. That asymmetry is what the
+/// experiments show — everything else in their drivers is written once.
+pub trait Elastic: Sync {
+    /// Block sizes of the configured byte classes, in class order.
+    fn class_sizes(&self) -> Vec<usize>;
+
+    /// Resident segments of the node pool (`None`) or byte class `Some(i)`.
+    fn segments(&self, pool: Option<usize>) -> usize;
+
+    /// Retires `pool`'s trailing segments until none is eligible. Called
+    /// with every worker gone, so both schemes can take it to the floor.
+    fn reclaim_to_floor(&mut self, pool: Option<usize>) -> ReclaimTally;
+
+    /// Reclaims every byte class over and over, beside live traffic, until
+    /// `stop` is raised. A scheme that cannot do that returns at once.
+    fn reclaim_beside_traffic(&self, stop: &StopFlag) -> ReclaimTally;
+}
+
+impl<T: wfrc_core::RcObject> Elastic for WfrcDomain<T> {
+    fn class_sizes(&self) -> Vec<usize> {
+        (0..self.class_count())
+            .map(|i| self.class_block_size(i))
+            .collect()
+    }
+
+    fn segments(&self, pool: Option<usize>) -> usize {
+        match pool {
+            None => self.resident_segments(),
+            Some(ci) => self.class_segments(ci),
+        }
+    }
+
+    fn reclaim_to_floor(&mut self, pool: Option<usize>) -> ReclaimTally {
+        let h = self.register().expect("a slot for the reclaimer");
+        let mut tally = ReclaimTally::default();
+        let mut stalls = 0u32;
+        loop {
+            let outcome = match pool {
+                None => h.reclaim(),
+                Some(ci) => h.reclaim_class(ci),
+            };
+            match outcome {
+                ReclaimOutcome::Retired { .. } => {
+                    tally.retired += 1;
+                    stalls = 0;
+                }
+                ReclaimOutcome::NoCandidate => break,
+                _ => {
+                    tally.aborted += 1;
+                    stalls += 1;
+                    if stalls > 1_000 {
+                        break; // report the stall via `aborted` rather than hang
+                    }
+                    std::thread::yield_now();
+                }
+            }
+        }
+        tally.counters = h.counters().snapshot();
+        tally
+    }
+
+    fn reclaim_beside_traffic(&self, stop: &StopFlag) -> ReclaimTally {
+        let h = self.register().expect("a slot for the reclaimer");
+        let mut tally = ReclaimTally::default();
+        while !stop.is_stopped() {
+            for ci in 0..self.class_count() {
+                match h.reclaim_class(ci) {
+                    ReclaimOutcome::Retired { .. } => tally.retired += 1,
+                    ReclaimOutcome::NoCandidate => {}
+                    _ => tally.aborted += 1,
+                }
+            }
+            std::thread::yield_now();
+        }
+        tally.counters = h.counters().snapshot();
+        tally
+    }
+}
+
+impl<T: wfrc_core::RcObject> Elastic for LfrcDomain<T> {
+    fn class_sizes(&self) -> Vec<usize> {
+        (0..self.class_count())
+            .map(|i| self.class_block_size(i))
+            .collect()
+    }
+
+    fn segments(&self, pool: Option<usize>) -> usize {
+        match pool {
+            None => self.segment_count(),
+            Some(ci) => self.class_segments(ci),
+        }
+    }
+
+    fn reclaim_to_floor(&mut self, pool: Option<usize>) -> ReclaimTally {
+        let mut tally = ReclaimTally::default();
+        while match pool {
+            None => self.reclaim_quiescent(),
+            Some(ci) => self.reclaim_class_quiescent(ci),
+        } {
+            tally.retired += 1;
+        }
+        tally
+    }
+
+    fn reclaim_beside_traffic(&self, _stop: &StopFlag) -> ReclaimTally {
+        ReclaimTally::default()
+    }
+}
+
+/// [`run_fixed_ops`] for workers that borrow the domain (the elastic
+/// drivers need it back as `&mut` afterwards): scoped threads, released
+/// together by a barrier.
+fn run_scoped<R: Send>(threads: usize, worker: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let barrier = std::sync::Barrier::new(threads);
+    std::thread::scope(|s| {
+        let joins: Vec<_> = (0..threads)
+            .map(|t| {
+                let (barrier, worker) = (&barrier, &worker);
+                s.spawn(move || {
+                    barrier.wait();
+                    worker(t)
+                })
+            })
+            .collect();
+        joins.into_iter().map(|j| j.join().unwrap()).collect()
+    })
+}
+
 /// One grow → quiesce → shrink cycle's telemetry (E5/E9 `--reclaim`).
 #[derive(Debug, Clone)]
 pub struct ReclaimCycle {
@@ -766,152 +816,74 @@ pub struct ReclaimCycle {
     pub aborted: u64,
 }
 
+/// The quiescent half of a cycle: samples `pool`'s resident segments, takes
+/// it to the floor when `reclaim` is on (folding the reclaimer's counters
+/// into `counters`), and samples again.
+fn reclaim_cycle<D: Elastic>(
+    domain: &mut D,
+    pool: Option<usize>,
+    reclaim: bool,
+    counters: &mut CounterSnapshot,
+) -> ReclaimCycle {
+    let peak = domain.segments(pool);
+    let tally = if reclaim {
+        domain.reclaim_to_floor(pool)
+    } else {
+        ReclaimTally::default()
+    };
+    *counters = counters.merged(&tally.counters);
+    ReclaimCycle {
+        peak_segments: peak,
+        resident_after: domain.segments(pool),
+        retired: tally.retired,
+        aborted: tally.aborted,
+    }
+}
+
 /// E5/E9 (`--reclaim`): oscillating load on a growable pool. Each cycle,
 /// `threads` workers burst-allocate (`bursts` bursts of `hold` held nodes
 /// each — forcing growth past the initial capacity), free everything, and
-/// exit; then, with `reclaim` on, one reclaimer drives
-/// [`wfrc_core::ThreadHandle::reclaim`] to quiescence and the resident-
-/// segment count is sampled. The control run (`reclaim == false`) executes
-/// the identical workload, so the throughput delta isolates the epoch
-/// bumps + occupancy FAAs + reclaim passes that the feature costs.
-pub fn run_reclaim_oscillation(
-    domain: Arc<WfrcDomain<u64>>,
+/// exit; then, with `reclaim` on, the scheme's [`Elastic::reclaim_to_floor`]
+/// runs and the resident-segment count is sampled. The control run
+/// (`reclaim == false`) executes the identical workload, so the throughput
+/// delta isolates what the feature costs.
+pub fn run_reclaim_oscillation<D>(
+    domain: &mut D,
     threads: usize,
     cycles: usize,
     bursts: u64,
     hold: usize,
     reclaim: bool,
-) -> (RunResult, Vec<ReclaimCycle>) {
+) -> (RunResult, Vec<ReclaimCycle>)
+where
+    D: RcMmDomain<u64> + Elastic,
+{
     let mut curve = Vec::with_capacity(cycles);
     let mut total_ops = 0u64;
     let mut counters = CounterSnapshot::default();
     let start = std::time::Instant::now();
     for _ in 0..cycles {
-        let (parts, _) = run_fixed_ops(threads, |_| {
-            let domain = Arc::clone(&domain);
-            move || {
-                let h = domain.register().expect("register");
-                let mut done = 0u64;
-                let mut held = Vec::with_capacity(hold);
-                for _ in 0..bursts {
-                    for _ in 0..hold {
-                        held.push(h.alloc_with(|v| *v = 1).expect("growth covers the peak"));
-                        done += 1;
-                    }
-                    held.clear();
-                }
-                (done, h.counters().snapshot())
-            }
-        });
-        let (ops, snap) = merge_counters(parts);
-        total_ops += ops;
-        counters = counters.merged(&snap);
-        let peak = domain.resident_segments();
-        let mut cyc = ReclaimCycle {
-            peak_segments: peak,
-            resident_after: peak,
-            retired: 0,
-            aborted: 0,
-        };
-        if reclaim {
-            let h = domain.register().expect("register reclaimer");
-            let mut stalls = 0u32;
-            loop {
-                match h.reclaim() {
-                    ReclaimOutcome::Retired { .. } => {
-                        cyc.retired += 1;
-                        stalls = 0;
-                    }
-                    ReclaimOutcome::NoCandidate => break,
-                    _ => {
-                        cyc.aborted += 1;
-                        stalls += 1;
-                        if stalls > 1_000 {
-                            break; // report the stall via `aborted` rather than hang
-                        }
-                        std::thread::yield_now();
-                    }
-                }
-            }
-            counters = counters.merged(&h.counters().snapshot());
-            cyc.resident_after = domain.resident_segments();
-        }
-        curve.push(cyc);
-    }
-    let wall = start.elapsed();
-    (
-        RunResult {
-            threads,
-            total_ops,
-            wall,
-            counters,
-        },
-        curve,
-    )
-}
-
-/// The LFRC counterpart of [`run_reclaim_oscillation`]: identical
-/// oscillating workload, but reclamation is the stop-the-world
-/// [`LfrcDomain::reclaim_quiescent`] between cycles (LFRC has no epochs,
-/// so it cannot shrink concurrently — that asymmetry is the point of the
-/// comparison).
-pub fn run_reclaim_oscillation_lfrc(
-    domain: &mut LfrcDomain<u64>,
-    threads: usize,
-    cycles: usize,
-    bursts: u64,
-    hold: usize,
-    reclaim: bool,
-) -> (RunResult, Vec<ReclaimCycle>) {
-    let mut curve = Vec::with_capacity(cycles);
-    let mut total_ops = 0u64;
-    let mut counters = CounterSnapshot::default();
-    let start = std::time::Instant::now();
-    for _ in 0..cycles {
-        let barrier = std::sync::Barrier::new(threads);
         let d = &*domain;
-        let parts: Vec<(u64, CounterSnapshot)> = std::thread::scope(|s| {
-            let barrier = &barrier;
-            let joins: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(move || {
-                        let h = d.register().expect("register");
-                        barrier.wait();
-                        let mut done = 0u64;
-                        let mut held = Vec::with_capacity(hold);
-                        for _ in 0..bursts {
-                            for _ in 0..hold {
-                                held.push(h.alloc_raw().expect("growth covers the peak"));
-                                done += 1;
-                            }
-                            for n in held.drain(..) {
-                                // SAFETY: we own the alloc reference.
-                                unsafe { h.release_raw(n) };
-                            }
-                        }
-                        (done, h.counters().snapshot())
-                    })
-                })
-                .collect();
-            joins.into_iter().map(|j| j.join().unwrap()).collect()
+        let parts = run_scoped(threads, |_| {
+            let h = d.register_mm().expect("register");
+            let mut done = 0u64;
+            let mut held = Vec::with_capacity(hold);
+            for _ in 0..bursts {
+                for _ in 0..hold {
+                    held.push(h.alloc_node().expect("growth covers the peak"));
+                    done += 1;
+                }
+                for n in held.drain(..) {
+                    // SAFETY: we own the alloc reference.
+                    unsafe { h.release_node(n) };
+                }
+            }
+            (done, h.counter_snapshot())
         });
         let (ops, snap) = merge_counters(parts);
         total_ops += ops;
         counters = counters.merged(&snap);
-        let peak = domain.segment_count();
-        let mut cyc = ReclaimCycle {
-            peak_segments: peak,
-            resident_after: peak,
-            retired: 0,
-            aborted: 0,
-        };
-        if reclaim {
-            while domain.reclaim_quiescent() {
-                cyc.retired += 1;
-            }
-            cyc.resident_after = domain.segment_count();
-        }
-        curve.push(cyc);
+        curve.push(reclaim_cycle(domain, None, reclaim, &mut counters));
     }
     let wall = start.elapsed();
     (
@@ -930,202 +902,90 @@ pub fn run_reclaim_oscillation_lfrc(
 pub struct ClassCurve {
     /// Block size of the class in bytes.
     pub size: usize,
-    /// Resident segments at the post-workload peak (segments do not shrink
-    /// while their blocks are merely free, so this is the run's peak).
-    pub peak_segments: usize,
-    /// Resident segments after the reclaim pass (== peak on control runs).
-    pub resident_after: usize,
-    /// Segments retired during the pass.
-    pub retired: u64,
-    /// Aborted or contended reclaim attempts during the pass.
-    pub aborted: u64,
+    /// Resident segments before and after the reclaim pass. Segments do
+    /// not shrink while their blocks are merely free, so the post-workload
+    /// sample is the run's peak.
+    pub cycle: ReclaimCycle,
 }
 
-/// The mixed-size worker loop shared by both schemes: each op allocates a
-/// buffer a few bytes under the rotating class's block size (so smallest-
-/// fit selection is exercised, not just exact fits), holds the last
-/// `window` tokens as a sliding window (forcing concurrent live blocks in
-/// every class, and growth when the classes start under-provisioned), and
-/// verifies the first payload byte on every free to catch cross-class
-/// block aliasing.
-macro_rules! mixed_size_worker {
-    ($h:expr, $t:expr, $ops:expr, $sizes:expr, $window:expr) => {{
-        let h = $h;
-        let max = *$sizes.iter().max().expect("at least one class");
-        let mut scratch = vec![0u8; max];
-        let mut held: std::collections::VecDeque<(wfrc_core::RawBytes, u8)> =
-            std::collections::VecDeque::with_capacity($window);
-        let mut done = 0u64;
-        for i in 0..$ops {
-            let ci = (i as usize + $t) % $sizes.len();
-            let len = $sizes[ci] - (i as usize % 8).min($sizes[ci] - 1);
-            let fill = (i as u8).wrapping_add($t as u8);
-            scratch[0] = fill;
-            let tok = h
-                .alloc_bytes(&scratch[..len])
-                .expect("class growth covers the window");
-            done += 1;
-            if held.len() == $window {
-                let (old, expect) = held.pop_front().expect("window is non-empty");
-                // SAFETY: the token is live and this thread owns it.
-                let got = unsafe { h.bytes(&old)[0] };
-                assert_eq!(got, expect, "mixed-size block corrupted");
-                // SAFETY: freed exactly once, token never used again.
-                unsafe { h.free_bytes(old) };
-            }
-            held.push_back((tok, fill));
+/// The mixed-size worker loop: each op allocates a buffer a few bytes under
+/// the rotating class's block size (so smallest-fit selection is exercised,
+/// not just exact fits), holds the last `window` tokens as a sliding window
+/// (forcing concurrent live blocks in every class, and growth when the
+/// classes start under-provisioned), and verifies the first payload byte on
+/// every free to catch cross-class block aliasing. Returns completed ops.
+fn mixed_size_worker<M: ByteMm>(h: &M, t: usize, ops: u64, sizes: &[usize], window: usize) -> u64 {
+    let max = *sizes.iter().max().expect("at least one class");
+    let mut scratch = vec![0u8; max];
+    let mut held: std::collections::VecDeque<(RawBytes, u8)> =
+        std::collections::VecDeque::with_capacity(window);
+    let verify_and_free = |tok: RawBytes, expect: u8| {
+        // SAFETY: the token is live, this thread owns it, and it is freed
+        // exactly once and never used again.
+        unsafe {
+            assert_eq!(h.value_bytes(&tok)[0], expect, "mixed-size block corrupted");
+            h.free_value(tok);
         }
-        for (tok, expect) in held {
-            // SAFETY: as above — live, owned, freed once.
-            let got = unsafe { h.bytes(&tok)[0] };
-            assert_eq!(got, expect, "mixed-size block corrupted");
-            unsafe { h.free_bytes(tok) };
+    };
+    for i in 0..ops {
+        let ci = (i as usize + t) % sizes.len();
+        let len = sizes[ci] - (i as usize % 8).min(sizes[ci] - 1);
+        let fill = (i as u8).wrapping_add(t as u8);
+        scratch[0] = fill;
+        let tok = h
+            .alloc_value(&scratch[..len])
+            .expect("class growth covers the window");
+        if held.len() == window {
+            let (old, expect) = held.pop_front().expect("window is non-empty");
+            verify_and_free(old, expect);
         }
-        (done, h.counters().snapshot())
-    }};
+        held.push_back((tok, fill));
+    }
+    for (tok, expect) in held {
+        verify_and_free(tok, expect);
+    }
+    ops
 }
 
 /// E11: mixed-size allocation across the domain's byte classes. Every
 /// worker cycles through all configured classes (offset by its thread id,
 /// so at any instant different threads hammer different classes and all
 /// classes are hit concurrently), holding a sliding window of `window`
-/// live tokens. With `reclaim` on, a reclaimer then drives
-/// [`wfrc_core::ThreadHandle::reclaim_class`] to quiescence per class and
-/// the per-class resident-segment counts are sampled.
-pub fn run_mixed_size(
-    domain: Arc<WfrcDomain<u64>>,
+/// live tokens. With `reclaim` on, every class is then taken to the floor
+/// ([`Elastic::reclaim_to_floor`]) and its resident segments sampled.
+pub fn run_mixed_size<D>(
+    domain: &mut D,
     threads: usize,
     ops: u64,
     window: usize,
     reclaim: bool,
-) -> (RunResult, Vec<ClassCurve>) {
-    let nclasses = domain.class_count();
+) -> (RunResult, Vec<ClassCurve>)
+where
+    D: RcMmDomain<u64> + Elastic,
+    for<'d> D::Handle<'d>: ByteMm,
+{
+    let sizes = domain.class_sizes();
     assert!(
-        nclasses >= 2,
+        sizes.len() >= 2,
         "mixed-size run needs at least two byte classes"
     );
     assert!(window >= 1, "window must hold at least one token");
-    let sizes: Vec<usize> = (0..nclasses).map(|i| domain.class_block_size(i)).collect();
     let start = std::time::Instant::now();
-    let (parts, _) = run_fixed_ops(threads, |t| {
-        let domain = Arc::clone(&domain);
-        let sizes = sizes.clone();
-        move || {
-            let h = domain.register().expect("register");
-            mixed_size_worker!(&h, t, ops, sizes, window)
-        }
+    let d = &*domain;
+    let parts = run_scoped(threads, |t| {
+        let h = d.register_mm().expect("register");
+        let done = mixed_size_worker(&h, t, ops, &sizes, window);
+        (done, h.counter_snapshot())
     });
     let (total_ops, mut counters) = merge_counters(parts);
-    let mut curve: Vec<ClassCurve> = sizes
+    let curve = sizes
         .iter()
         .enumerate()
-        .map(|(ci, &size)| {
-            let peak = domain.class_segments(ci);
-            ClassCurve {
-                size,
-                peak_segments: peak,
-                resident_after: peak,
-                retired: 0,
-                aborted: 0,
-            }
+        .map(|(ci, &size)| ClassCurve {
+            size,
+            cycle: reclaim_cycle(domain, Some(ci), reclaim, &mut counters),
         })
         .collect();
-    if reclaim {
-        let h = domain.register().expect("register reclaimer");
-        for (ci, c) in curve.iter_mut().enumerate() {
-            let mut stalls = 0u32;
-            loop {
-                match h.reclaim_class(ci) {
-                    ReclaimOutcome::Retired { .. } => {
-                        c.retired += 1;
-                        stalls = 0;
-                    }
-                    ReclaimOutcome::NoCandidate => break,
-                    _ => {
-                        c.aborted += 1;
-                        stalls += 1;
-                        if stalls > 1_000 {
-                            break; // report the stall via `aborted` rather than hang
-                        }
-                        std::thread::yield_now();
-                    }
-                }
-            }
-            c.resident_after = domain.class_segments(ci);
-        }
-        counters = counters.merged(&h.counters().snapshot());
-    }
-    let wall = start.elapsed();
-    (
-        RunResult {
-            threads,
-            total_ops,
-            wall,
-            counters,
-        },
-        curve,
-    )
-}
-
-/// The LFRC counterpart of [`run_mixed_size`]: identical worker loop over
-/// the baseline's single-head byte classes, with reclamation as the
-/// stop-the-world [`LfrcDomain::reclaim_class_quiescent`] after the
-/// workers exit (`&mut self` is the quiescence proof — the baseline
-/// cannot shrink a class concurrently, which is the asymmetry on show).
-pub fn run_mixed_size_lfrc(
-    domain: &mut LfrcDomain<u64>,
-    threads: usize,
-    ops: u64,
-    window: usize,
-    reclaim: bool,
-) -> (RunResult, Vec<ClassCurve>) {
-    let nclasses = domain.class_count();
-    assert!(
-        nclasses >= 2,
-        "mixed-size run needs at least two byte classes"
-    );
-    assert!(window >= 1, "window must hold at least one token");
-    let sizes: Vec<usize> = (0..nclasses).map(|i| domain.class_block_size(i)).collect();
-    let start = std::time::Instant::now();
-    let barrier = std::sync::Barrier::new(threads);
-    let d = &*domain;
-    let parts: Vec<(u64, CounterSnapshot)> = std::thread::scope(|s| {
-        let barrier = &barrier;
-        let sizes = &sizes;
-        let joins: Vec<_> = (0..threads)
-            .map(|t| {
-                s.spawn(move || {
-                    let h = d.register().expect("register");
-                    barrier.wait();
-                    mixed_size_worker!(&h, t, ops, sizes, window)
-                })
-            })
-            .collect();
-        joins.into_iter().map(|j| j.join().unwrap()).collect()
-    });
-    let (total_ops, counters) = merge_counters(parts);
-    let mut curve: Vec<ClassCurve> = sizes
-        .iter()
-        .enumerate()
-        .map(|(ci, &size)| {
-            let peak = domain.class_segments(ci);
-            ClassCurve {
-                size,
-                peak_segments: peak,
-                resident_after: peak,
-                retired: 0,
-                aborted: 0,
-            }
-        })
-        .collect();
-    if reclaim {
-        for (ci, c) in curve.iter_mut().enumerate() {
-            while domain.reclaim_class_quiescent(ci) {
-                c.retired += 1;
-            }
-            c.resident_after = domain.class_segments(ci);
-        }
-    }
     let wall = start.elapsed();
     (
         RunResult {
@@ -1146,7 +1006,12 @@ pub fn fmt_class_curve(curve: &[ClassCurve]) -> String {
     }
     curve
         .iter()
-        .map(|c| format!("{}B:{}→{}", c.size, c.peak_segments, c.resident_after))
+        .map(|c| {
+            format!(
+                "{}B:{}→{}",
+                c.size, c.cycle.peak_segments, c.cycle.resident_after
+            )
+        })
         .collect::<Vec<_>>()
         .join(",")
 }
@@ -1203,8 +1068,7 @@ where
     parts
 }
 
-/// Configuration for the E12 server drivers ([`run_server`] /
-/// [`run_server_lfrc`]): `tasks` concurrent async tasks multiplex over a
+/// Configuration for the E12 server driver ([`run_server`]): `tasks` concurrent async tasks multiplex over a
 /// [`LeasePool`] of `slots` registration leases, each performing
 /// `ops_per_task` mixed put/get/remove operations against one shared
 /// [`SessionCache`] with values drawn from the domain's byte classes.
@@ -1222,8 +1086,8 @@ pub struct ServerCfg {
     pub keyspace: u64,
     /// Lease TTL installed in the pool (None ⇒ leases never expire).
     pub ttl: Option<std::time::Duration>,
-    /// Run a concurrent segment reclaimer during the measured section
-    /// (wfrc only; the LFRC baseline can only reclaim stop-the-world).
+    /// Run [`Elastic::reclaim_beside_traffic`] during the measured section
+    /// and [`Elastic::reclaim_to_floor`] after it.
     pub reclaim: bool,
     /// Tasks (of `tasks`) that die holding a lease: each leaks its guard
     /// mid-session, leaving the slot checked out until the sentinel
@@ -1256,9 +1120,9 @@ pub struct ServerResult {
     pub op: Histogram,
     /// Lease-pool statistics at the end of the run.
     pub lease: LeaseSnapshot,
-    /// Segments retired by the concurrent reclaimer (wfrc only).
+    /// Segments retired, beside the traffic and in the teardown sweep.
     pub retired: u64,
-    /// Aborted/contended reclaim attempts (wfrc only).
+    /// Aborted/contended reclaim attempts beside the traffic.
     pub aborted: u64,
     /// Tasks that actually died holding a lease (≤ `cfg.kill`; a killer
     /// refused admission dies with nothing to leak).
@@ -1282,7 +1146,7 @@ impl ServerResult {
     }
 }
 
-/// The per-task op loop shared by both schemes: a 50/30/20 put/get/remove
+/// The per-task op loop: a 50/30/20 put/get/remove
 /// mix, value sizes rotating through the domain's byte classes (a few
 /// bytes under each block size, so smallest-fit selection is exercised),
 /// first payload byte verified on every hit.
@@ -1346,21 +1210,44 @@ fn server_session_ops<M: SessionMm>(
     done
 }
 
-/// E12: the server workload over the wait-free scheme. `cfg.tasks` async
-/// tasks on a [`PollLoop`] each check a [`wfrc_core::ThreadHandle`] out of
-/// a [`LeasePool`] (`cfg.slots` leases), hammer one shared
-/// [`SessionCache`], and check back in — so registration churn, magazine
-/// handoff, and checkout queueing are all on the measured path. With
-/// `cfg.reclaim`, a dedicated thread (its own registered handle — size the
-/// domain at `slots + 1`) concurrently drives
-/// [`wfrc_core::ThreadHandle::reclaim_class`] over every byte class for
-/// the whole run. The cache is disposed through a final lease before
-/// return, so the caller's [`WfrcDomain::leak_check`] must come back
-/// clean.
-pub fn run_server(domain: &WfrcDomain<ListCell<RawBytes>>, cfg: &ServerCfg) -> ServerResult {
-    let sizes: Vec<usize> = (0..domain.class_count())
-        .map(|i| domain.class_block_size(i))
-        .collect();
+/// E12: the server workload. `cfg.tasks` async tasks on a [`PollLoop`] each
+/// check a handle out of a [`LeasePool`] (`cfg.slots` leases), hammer one
+/// shared [`SessionCache`], and check back in — so registration churn,
+/// magazine handoff, and checkout queueing are all on the measured path.
+/// With `cfg.reclaim`, a dedicated thread runs the scheme's
+/// [`Elastic::reclaim_beside_traffic`] for the whole run (the wait-free
+/// scheme registers a handle for it — size the domain at `slots + 1`; the
+/// baseline cannot and returns at once), and once the pool is gone every
+/// class is swept with [`Elastic::reclaim_to_floor`]. The cache is disposed
+/// through a final lease before return, so the caller's leak check must
+/// come back clean.
+pub fn run_server<D>(domain: &mut D, cfg: &ServerCfg) -> ServerResult
+where
+    D: LeaseRegistry + Elastic,
+    for<'d> D::Handle<'d>: SessionMm,
+{
+    let mut result = serve(&*domain, cfg);
+    // Teardown reclamation: with every session gone and every leased
+    // handle dropped (which flushed its magazines — parked blocks pin their
+    // segments), the grown arena should come back: the server-shaped
+    // analogue of E11's drain phase. Mid-run retirement is rare by design:
+    // a live cache holds every segment partially occupied, so the elastic
+    // story is the logout/teardown drains.
+    if cfg.reclaim {
+        for ci in 0..domain.class_sizes().len() {
+            result.retired += domain.reclaim_to_floor(Some(ci)).retired;
+        }
+    }
+    result
+}
+
+/// [`run_server`] up to the point where the domain is quiescent again.
+fn serve<'d, D>(domain: &'d D, cfg: &ServerCfg) -> ServerResult
+where
+    D: LeaseRegistry + Elastic,
+    D::Handle<'d>: SessionMm,
+{
+    let sizes = domain.class_sizes();
     assert!(!sizes.is_empty(), "server bench needs byte classes");
     assert!(
         cfg.kill == 0 || (cfg.ttl.is_some() && cfg.sentinel),
@@ -1494,25 +1381,11 @@ pub fn run_server(domain: &WfrcDomain<ListCell<RawBytes>>, cfg: &ServerCfg) -> S
         }
         let reclaimer = cfg.reclaim.then(|| {
             let stop = &stop;
-            s.spawn(move || {
-                let h = domain.register().expect("domain sized for the reclaimer");
-                let (mut retired, mut aborted) = (0u64, 0u64);
-                while !stop.is_stopped() {
-                    for ci in 0..domain.class_count() {
-                        match h.reclaim_class(ci) {
-                            ReclaimOutcome::Retired { .. } => retired += 1,
-                            ReclaimOutcome::NoCandidate => {}
-                            _ => aborted += 1,
-                        }
-                    }
-                    std::thread::yield_now();
-                }
-                (retired, aborted)
-            })
+            s.spawn(move || domain.reclaim_beside_traffic(stop))
         });
         let wall = exec.run(cfg.workers);
         stop.stop();
-        let (retired, aborted) = reclaimer.map_or((0, 0), |j| j.join().unwrap());
+        let reclaimed = reclaimer.map_or_else(ReclaimTally::default, |j| j.join().unwrap());
         // Acceptance gate: every killed holder's slot must come back
         // through the sentinel alone, within a hard bound — the supervisor
         // keeps ticking until it has.
@@ -1531,41 +1404,12 @@ pub fn run_server(domain: &WfrcDomain<ListCell<RawBytes>>, cfg: &ServerCfg) -> S
         if let Some(sup) = &supervisor {
             sup.stop();
         }
-        (wall, retired, aborted)
+        (wall, reclaimed.retired, reclaimed.aborted)
     });
     drop(sentinel);
     let g = pool.acquire();
     cache.dispose(&*g);
     drop(g);
-    // Teardown reclamation: with every session gone, the grown arena
-    // should come back. Flush each slot's magazines (freed blocks parked
-    // there pin their segments), then sweep the classes to quiescence —
-    // the server-shaped analogue of E11's drain phase. Mid-run retirement
-    // is rare by design: a live cache holds every segment partially
-    // occupied, so the elastic story is the logout/teardown drains.
-    let retired = if cfg.reclaim {
-        let guards: Vec<_> = (0..cfg.slots).map(|_| pool.acquire()).collect();
-        for g in &guards {
-            g.flush_magazines();
-        }
-        let h = &guards[0];
-        let mut swept = retired;
-        loop {
-            let mut progressed = false;
-            for ci in 0..domain.class_count() {
-                if let ReclaimOutcome::Retired { .. } = h.reclaim_class(ci) {
-                    swept += 1;
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        swept
-    } else {
-        retired
-    };
     let lease = pool.stats();
     drop(pool);
     ServerResult {
@@ -1577,149 +1421,6 @@ pub fn run_server(domain: &WfrcDomain<ListCell<RawBytes>>, cfg: &ServerCfg) -> S
         lease,
         retired,
         aborted,
-        killed: killed.into_inner(),
-        shed: shed.into_inner(),
-        mttr: mttr.into_inner().unwrap(),
-    }
-}
-
-/// The LFRC counterpart of [`run_server`]: identical task set over the
-/// baseline's lease pool — including admission control, killer tasks, and
-/// the sentinel supervisor (the `Supervised` surface is scheme-agnostic).
-/// `cfg.reclaim` is ignored here — the baseline's byte-class reclamation
-/// is stop-the-world (`&mut self`), so the caller runs
-/// [`LfrcDomain::reclaim_class_quiescent`] after this returns; that
-/// asymmetry is part of what E12 shows.
-pub fn run_server_lfrc(domain: &LfrcDomain<ListCell<RawBytes>>, cfg: &ServerCfg) -> ServerResult {
-    let sizes: Vec<usize> = (0..domain.class_count())
-        .map(|i| domain.class_block_size(i))
-        .collect();
-    assert!(!sizes.is_empty(), "server bench needs byte classes");
-    assert!(
-        cfg.kill == 0 || (cfg.ttl.is_some() && cfg.sentinel),
-        "killed lease holders only heal through TTL expiry + the sentinel"
-    );
-    let mut lease_cfg = LeaseConfig::new(cfg.slots);
-    if let Some(ttl) = cfg.ttl {
-        lease_cfg = lease_cfg.with_ttl(ttl);
-    }
-    let pool = LeasePool::new(domain, lease_cfg).expect("domain sized for the pool");
-    let cache = SessionCache::new(1024);
-    let checkout = std::sync::Mutex::new(Histogram::new());
-    let op_hist = std::sync::Mutex::new(Histogram::new());
-    let total = std::sync::atomic::AtomicU64::new(0);
-    let shed = std::sync::atomic::AtomicU64::new(0);
-    let killed = std::sync::atomic::AtomicU64::new(0);
-    let kill_times = std::sync::Mutex::new(std::collections::VecDeque::new());
-    let mttr = std::sync::Mutex::new(Histogram::new());
-    let mut exec = PollLoop::new();
-    for task in 0..cfg.tasks {
-        let (pool, cache, sizes) = (&pool, &cache, &sizes);
-        let (checkout, op_hist, total) = (&checkout, &op_hist, &total);
-        let (shed, killed, kill_times) = (&shed, &killed, &kill_times);
-        let (ops, keyspace, stride) = (cfg.ops_per_task, cfg.keyspace, cfg.slots as u64);
-        let admission = cfg.admission;
-        let killer =
-            cfg.kill > 0 && (task * cfg.kill) / cfg.tasks != ((task + 1) * cfg.kill) / cfg.tasks;
-        exec.spawn(async move {
-            let mut rng = SmallRng::seed_from_u64(0xE12_0000 + task as u64);
-            let t0 = std::time::Instant::now();
-            let guard = match admission {
-                Some(deadline) => {
-                    let policy =
-                        AdmissionPolicy::within(deadline).with_seed(0xE12_AD31 ^ task as u64);
-                    match pool.acquire_async_admitted(&policy).await {
-                        Outcome::Admitted(g) => g,
-                        Outcome::Overloaded { .. } | Outcome::Backpressure { .. } => {
-                            shed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                }
-                None => pool.acquire_async().await,
-            };
-            let waited = t0.elapsed().as_nanos() as u64;
-            let stripe = guard.tid() as u64;
-            let mut local = Histogram::new();
-            let done = server_session_ops(
-                &*guard,
-                cache,
-                &mut rng,
-                sizes,
-                keyspace,
-                stripe,
-                stride,
-                if killer { ops / 2 } else { ops },
-                &mut local,
-            );
-            if killer {
-                kill_times
-                    .lock()
-                    .unwrap()
-                    .push_back(std::time::Instant::now());
-                killed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                core::mem::forget(guard);
-            } else {
-                drop(guard);
-            }
-            checkout.lock().unwrap().record(waited);
-            op_hist.lock().unwrap().merge(&local);
-            total.fetch_add(done, std::sync::atomic::Ordering::Relaxed);
-        });
-    }
-    let sentinel = cfg
-        .sentinel
-        .then(|| Sentinel::new(&pool, SentinelConfig::default().with_seed(0xE12_5EA1)));
-    let wall = std::thread::scope(|s| {
-        let supervisor = sentinel.as_ref().map(|sen| {
-            let (pool, kill_times, mttr) = (&pool, &kill_times, &mttr);
-            let recovered_seen = std::sync::atomic::AtomicU64::new(0);
-            Supervisor::spawn_scoped(s, std::time::Duration::from_millis(1), move || {
-                sen.tick();
-                let rec = pool.stats().recovered;
-                let mut seen = recovered_seen.load(std::sync::atomic::Ordering::Relaxed);
-                while seen < rec {
-                    if let Some(t0) = kill_times.lock().unwrap().pop_front() {
-                        mttr.lock().unwrap().record(t0.elapsed().as_nanos() as u64);
-                    }
-                    seen += 1;
-                }
-                recovered_seen.store(seen, std::sync::atomic::Ordering::Relaxed);
-            })
-        });
-        let wall = exec.run(cfg.workers);
-        let kills = killed.load(std::sync::atomic::Ordering::Relaxed);
-        if kills > 0 {
-            let t0 = std::time::Instant::now();
-            while pool.stats().recovered < kills {
-                assert!(
-                    t0.elapsed() < std::time::Duration::from_secs(10),
-                    "sentinel recovered only {} of {kills} killed leases within 10s",
-                    pool.stats().recovered
-                );
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-        }
-        if let Some(sup) = &supervisor {
-            sup.stop();
-        }
-        wall
-    });
-    drop(sentinel);
-    let g = pool.acquire();
-    cache.dispose(&*g);
-    drop(g);
-    let lease = pool.stats();
-    drop(pool);
-    ServerResult {
-        tasks: cfg.tasks,
-        total_ops: total.into_inner(),
-        wall,
-        checkout: checkout.into_inner().unwrap(),
-        op: op_hist.into_inner().unwrap(),
-        lease,
-        retired: 0,
-        aborted: 0,
         killed: killed.into_inner(),
         shed: shed.into_inner(),
         mttr: mttr.into_inner().unwrap(),

@@ -24,38 +24,29 @@
 use core::marker::PhantomData;
 use core::ptr;
 use core::sync::atomic::Ordering;
+use std::collections::HashSet;
 
-use wfrc_core::arena::{page_carved, Arena, GrowOutcome};
-use wfrc_core::class::RawBuf;
+use wfrc_core::arena::{Arena, GrowOutcome};
+use wfrc_core::class::{class_arena, RawBuf};
 use wfrc_core::counters::OpCounters;
+#[cfg(feature = "fault-injection")]
+use wfrc_core::fault::FaultSite;
 use wfrc_core::magazine::{clamped_cap, Magazines};
+use wfrc_core::node::chain_tail;
 use wfrc_core::oom::OutOfMemory;
 use wfrc_core::Growth;
-use wfrc_core::{AtomicWeak, Claim, ClassConfig, ClassLeak, Link, Node, RawBytes, RcObject};
-use wfrc_primitives::{AtomicWord, Backoff, WordPtr};
-
-#[cfg(not(feature = "no-pad"))]
-type HeadCell<T> = wfrc_primitives::CachePadded<WordPtr<Node<T>>>;
-#[cfg(feature = "no-pad")]
-type HeadCell<T> = WordPtr<Node<T>>;
+use wfrc_core::{
+    census, AtomicWeak, Census, Claim, ClassConfig, ClassLeak, Link, Node, RawBytes, RcObject,
+};
+use wfrc_primitives::{AtomicWord, Backoff, CachePadded, WordPtr};
 
 /// Registration-slot / telemetry word, cache-padded like the wait-free
 /// domain's (`wfrc_core::domain`), so the two schemes pay the same layout
 /// costs in E4/E5 comparisons.
-#[cfg(not(feature = "no-pad"))]
-type SlotWord = wfrc_primitives::CachePadded<AtomicWord>;
-#[cfg(feature = "no-pad")]
-type SlotWord = AtomicWord;
+type SlotWord = CachePadded<AtomicWord>;
 
 fn new_slot_word(v: usize) -> SlotWord {
-    #[cfg(not(feature = "no-pad"))]
-    {
-        wfrc_primitives::CachePadded::new(AtomicWord::new(v))
-    }
-    #[cfg(feature = "no-pad")]
-    {
-        AtomicWord::new(v)
-    }
+    CachePadded::new(AtomicWord::new(v))
 }
 
 /// Registration slot states — the same three-state protocol as
@@ -64,42 +55,498 @@ const SLOT_FREE: usize = 0;
 const SLOT_TAKEN: usize = 1;
 const SLOT_ORPHANED: usize = 2;
 
-/// A lock-free reference-counted memory domain (Valois-style baseline).
-pub struct LfrcDomain<T: RcObject> {
+/// What every pool of one domain shares: set on the domain, copied into the
+/// node pool and each byte class.
+#[derive(Clone)]
+struct Tuning {
+    /// Whether retry loops back off (the NOBLE-era default). Disable for
+    /// raw retry-count measurements.
+    backoff: bool,
+    /// Installed fault schedule; `None` = no injection even with the
+    /// feature compiled in.
+    #[cfg(feature = "fault-injection")]
+    faults: Option<std::sync::Arc<wfrc_core::fault::FaultPlan>>,
+}
+
+/// The scheme's memory pool: a segmented arena behind a **single** Treiber
+/// head (the signature bottleneck) plus optional per-thread magazines. The
+/// node domain owns one; every byte class owns one over `RawBuf<N>` blocks
+/// — the same shape as `wfrc_core`'s `Shared<T>` under its `ByteClass<N>`,
+/// so both schemes run one allocation pipeline per pool kind, not two.
+struct LfrcPool<T: RcObject> {
     /// Segmented node storage — the same growable arena as `wfrc-core`, so
     /// the growth-path experiments compare schemes over identical pools.
     arena: Arena<T>,
     /// The single free-list head all threads contend on.
-    head: HeadCell<T>,
-    slots: Box<[SlotWord]>,
-    /// Whether retry loops back off (the NOBLE-era default). Disable for
-    /// raw retry-count measurements.
-    backoff: bool,
+    head: CachePadded<WordPtr<Node<T>>>,
     /// Per-thread allocation magazines — the same layer as
-    /// [`wfrc_core::magazine`], so magazine-mode experiments compare the
-    /// schemes apples-to-apples. Disabled (cap 0) by default.
+    /// [`wfrc_core::magazine`]. Disabled (cap 0) by default.
     mag: Magazines<T>,
-    /// Byte classes mirroring [`wfrc_core::class`], each a page-carved
-    /// arena behind a **single** Treiber head (the scheme's signature
-    /// bottleneck, reproduced per class). Empty by default; see
+    /// Registration slots of the owning domain (= magazine slots).
+    threads: usize,
+    tuning: Tuning,
+}
+
+impl<T: RcObject> LfrcPool<T> {
+    /// Wraps `arena`, chaining every node into the single free-list.
+    fn new(arena: Arena<T>, threads: usize, magazine: usize, tuning: Tuning) -> Self {
+        let capacity = arena.capacity();
+        let pool = Self {
+            mag: Magazines::new(threads, clamped_cap(magazine, capacity, threads)),
+            arena,
+            head: CachePadded::new(WordPtr::null()),
+            threads,
+            tuning,
+        };
+        pool.push_all((0..capacity).map(|i| pool.arena.node_ptr(i)));
+        pool
+    }
+
+    /// Treiber push of an exclusively-owned, pre-linked chain
+    /// (`first..=last`) onto the single head. Returns the retry count.
+    fn push_chain(&self, first: *mut Node<T>, last: *mut Node<T>) -> u64 {
+        let mut backoff = Backoff::new();
+        let mut retries: u64 = 0;
+        loop {
+            // Relaxed head load / Release publish CAS — the same Treiber
+            // orderings (and release-sequence argument) as
+            // `wfrc_core::freelist::push_chain`.
+            let head = self.head.load_with(Ordering::Relaxed);
+            // SAFETY: `last` is exclusively ours until the CAS publishes it.
+            unsafe { (*last).mm_next().store(head) };
+            if self
+                .head
+                .cas_with(head, first, Ordering::Release, Ordering::Relaxed)
+            {
+                return retries;
+            }
+            retries += 1;
+            if self.tuning.backoff {
+                backoff.snooze();
+            }
+        }
+    }
+
+    /// Links exclusively-owned `nodes` through `mm_next` in order and
+    /// pushes them as one chain (no-op when empty). Returns the retry count.
+    fn push_all(&self, nodes: impl IntoIterator<Item = *mut Node<T>>) -> u64 {
+        let mut nodes = nodes.into_iter();
+        let Some(first) = nodes.next() else {
+            return 0;
+        };
+        let mut last = first;
+        for node in nodes {
+            // SAFETY: exclusively owned per contract.
+            unsafe { (*last).mm_next().store(node) };
+            last = node;
+        }
+        self.push_chain(first, last)
+    }
+
+    /// Feeds a hot-path push's retry count into the free-push telemetry.
+    fn note_push_retries(&self, c: &OpCounters, retries: u64) {
+        OpCounters::add(&c.free_push_retries, retries);
+        OpCounters::record_max(&c.max_free_push_retries, retries);
+    }
+
+    /// `AllocNode` (see [`LfrcHandle::alloc_raw`]).
+    fn alloc(&self, tid: usize, c: &OpCounters) -> Result<*mut Node<T>, OutOfMemory> {
+        OpCounters::bump(&c.alloc_calls);
+        if let Some(node) = self.magazine_pop(tid, c) {
+            return Ok(node);
+        }
+        let mut backoff = Backoff::new();
+        let mut iters: u64 = 0;
+        let result = loop {
+            iters += 1;
+            // Acquire: pairs with the Release push that published `node`,
+            // making its `mm_next` and recycled payload visible.
+            let node = self.head.load_with(Ordering::Acquire);
+            if node.is_null() {
+                // Valois' scheme has no stripe to advance to: an observed
+                // empty head means the pool looks dry. Try to grow the
+                // arena (a no-op under `Growth::Disabled`); only when the
+                // policy is exhausted is this out-of-memory (nodes in
+                // flight during concurrent pops can make this spuriously
+                // early — the same caveat as the wait-free scheme's retry
+                // bound, noted in DESIGN.md).
+                OpCounters::bump(&c.alloc_slow_path);
+                if self.try_grow(tid, c) {
+                    continue;
+                }
+                break Err(OutOfMemory);
+            }
+            // SAFETY: arena node; headers are type-stable.
+            let nref = unsafe { &*node };
+            nref.faa_ref(2); // pin against reinsertion (same as paper line A9)
+            let next = nref.mm_next().load();
+            // AcqRel pop: same argument as the wait-free A10 (the store
+            // side stays in the pusher's release sequence).
+            if self
+                .head
+                .cas_with(node, next, Ordering::AcqRel, Ordering::Relaxed)
+            {
+                nref.faa_ref(-1); // claimed free node (1+2) -> one live ref (2)
+                break Ok(node);
+            }
+            OpCounters::bump(&c.alloc_cas_failures);
+            // SAFETY: we own the +2 pin we just added.
+            unsafe { self.release(tid, c, node) };
+            if self.tuning.backoff {
+                backoff.snooze();
+            }
+        };
+        OpCounters::add(&c.alloc_iters, iters);
+        OpCounters::record_max(&c.max_alloc_iters, iters);
+        result
+    }
+
+    /// One growth step: returns true when capacity grew (by this thread or
+    /// a concurrent winner) and the allocation loop should re-scan. The
+    /// winner chains the new segment and pushes it with one CAS.
+    fn try_grow(&self, tid: usize, c: &OpCounters) -> bool {
+        match self.arena.try_grow() {
+            GrowOutcome::Grew { nodes, revived } => {
+                OpCounters::bump(&c.segments_grown);
+                if revived {
+                    OpCounters::bump(&c.segments_revived);
+                }
+                OpCounters::add(&c.nodes_seeded, nodes.len() as u64);
+                let seed = || {
+                    self.push_all(nodes.iter().map(|n| n as *const Node<T> as *mut Node<T>));
+                };
+                // A death between winning the growth CAS and seeding would
+                // strand the whole segment; the completion seeds it first.
+                #[cfg(feature = "fault-injection")]
+                self.fault_hit_or(tid, c, FaultSite::GrowSeed, seed);
+                #[cfg(not(feature = "fault-injection"))]
+                let _ = tid;
+                seed();
+                true
+            }
+            GrowOutcome::Lost => true,
+            GrowOutcome::AtCapacity => false,
+        }
+    }
+
+    /// `ReleaseRef` (see [`LfrcHandle::release_raw`]).
+    ///
+    /// # Safety
+    /// The caller must own an unreleased reference on `node` (non-null,
+    /// this pool).
+    unsafe fn release(&self, tid: usize, c: &OpCounters, node: *mut Node<T>) {
+        debug_assert!(!node.is_null());
+        // A death at the FAA must not forget the caller's count — the
+        // completion performs the whole release (same contract as the
+        // wait-free scheme's ReleaseFaa site).
+        #[cfg(feature = "fault-injection")]
+        self.fault_hit_or(tid, c, FaultSite::ReleaseFaa, || {
+            // SAFETY: forwarded caller contract.
+            unsafe { self.release_body(tid, c, node) };
+        });
+        // SAFETY: forwarded caller contract.
+        unsafe { self.release_body(tid, c, node) };
+    }
+
+    /// # Safety
+    /// Same contract as [`LfrcPool::release`].
+    unsafe fn release_body(&self, tid: usize, c: &OpCounters, node: *mut Node<T>) {
+        let mut pending: Option<Vec<*mut Node<T>>> = None;
+        let mut cur = node;
+        loop {
+            OpCounters::bump(&c.releases);
+            // SAFETY: arena node.
+            let n = unsafe { &*cur };
+            n.faa_ref(-2);
+            match n.try_claim_weak() {
+                Claim::Busy => {
+                    // Our decrement may have been the speculative bump that
+                    // blocked a DEAD header's finalize — if the word now
+                    // reads the bare sentinel, we inherit the free.
+                    if n.maybe_finalize() {
+                        self.free_node(tid, c, cur);
+                    }
+                }
+                claim => {
+                    OpCounters::bump(&c.reclaims);
+                    // SAFETY: claim won — payload links exclusively ours.
+                    unsafe { n.payload() }.each_link(&mut |l| {
+                        // Strip a possible deletion mark: it carries no count.
+                        let child =
+                            wfrc_primitives::tagged::without_tag(l.swap_raw(ptr::null_mut()));
+                        if !child.is_null() {
+                            pending.get_or_insert_with(Vec::new).push(child);
+                        }
+                    });
+                    // SAFETY: same exclusivity; each non-null weak link
+                    // holds one weak unit on its target.
+                    unsafe { n.payload() }.each_weak_link(&mut |wl| {
+                        let child = wl.inner().swap_raw(ptr::null_mut());
+                        if !child.is_null() {
+                            // SAFETY: the link owned one weak unit on `child`.
+                            unsafe { self.release_weak(tid, c, child) };
+                        }
+                    });
+                    match claim {
+                        Claim::Free => self.free_node(tid, c, cur),
+                        // Drop the claim's guard unit; the last weak
+                        // release finalizes the header.
+                        // SAFETY: the DeadWeak claim deposited that unit.
+                        Claim::DeadWeak => unsafe { self.release_weak(tid, c, cur) },
+                        Claim::Busy => unreachable!("matched above"),
+                    }
+                }
+            }
+            match pending.as_mut().and_then(|p| p.pop()) {
+                Some(next) => cur = next,
+                None => break,
+            }
+        }
+    }
+
+    /// Drops one weak unit; the last one off a DEAD header frees the node.
+    ///
+    /// # Safety
+    /// The caller must own an unreleased weak unit on `node`.
+    unsafe fn release_weak(&self, tid: usize, c: &OpCounters, node: *mut Node<T>) {
+        // SAFETY: arena node; the caller's weak unit is ours to drop.
+        let n = unsafe { &*node };
+        n.faa_weak(-1);
+        if n.maybe_finalize() {
+            self.free_node(tid, c, node);
+        }
+    }
+
+    /// Treiber push of a claimed node onto the single free-list (or into
+    /// `tid`'s magazine when the layer is enabled).
+    fn free_node(&self, tid: usize, c: &OpCounters, node: *mut Node<T>) {
+        OpCounters::bump(&c.free_calls);
+        if !self.magazine_push(tid, c, node) {
+            self.note_push_retries(c, self.push_chain(node, node));
+        }
+    }
+
+    /// Magazine fast path of `alloc`: pop locally, refilling from the
+    /// single head in one batch (one SWAP) when empty. `None` falls through
+    /// to the Treiber loop. Same node-state protocol as
+    /// [`wfrc_core::magazine`]: parked nodes keep `mm_ref == 1`, popping
+    /// applies `FAA(+1)` (1 → 2).
+    fn magazine_pop(&self, tid: usize, c: &OpCounters) -> Option<*mut Node<T>> {
+        if !self.mag.is_enabled() {
+            return None;
+        }
+        // SAFETY: `tid` is the caller's registered thread id (exclusive).
+        let node = match unsafe { self.mag.pop(tid) } {
+            Some(node) => node,
+            None => {
+                self.magazine_refill(tid, c);
+                // SAFETY: same exclusivity.
+                unsafe { self.mag.pop(tid) }?
+            }
+        };
+        OpCounters::bump(&c.magazine_hits);
+        // SAFETY: arena node; headers are type-stable.
+        unsafe { (*node).faa_ref(1) };
+        Some(node)
+    }
+
+    /// Steals the whole free-list with one `SWAP(head, ⊥)`, keeps at most
+    /// half a magazine, and hands the rest back (CAS ⊥ → rest, falling
+    /// back to a Treiber chain-push if an allocator raced in).
+    fn magazine_refill(&self, tid: usize, c: &OpCounters) {
+        // A death here holds nothing yet — the head has not been swapped.
+        #[cfg(feature = "fault-injection")]
+        self.fault_hit(tid, c, FaultSite::MagazineRefill);
+        let target = (self.mag.cap() / 2).max(1);
+        // Acquire: pairs with the Release pushes that built the chain.
+        let chain = self.head.swap_with(ptr::null_mut(), Ordering::Acquire);
+        if chain.is_null() {
+            return;
+        }
+        // Between the head SWAP and the magazine extend this thread owns
+        // the whole chain: a death must hand it back or the pool shrinks.
+        #[cfg(feature = "fault-injection")]
+        self.fault_hit_or(tid, c, FaultSite::StripeSwap, || {
+            // SAFETY: the stolen chain is exclusively ours.
+            self.push_chain(chain, unsafe { chain_tail(chain) }.0);
+        });
+        let mut kept = Vec::with_capacity(target);
+        let mut p = chain;
+        while !p.is_null() && kept.len() < target {
+            kept.push(p);
+            // SAFETY: node of the stolen chain — exclusively ours.
+            p = unsafe { (*p).mm_next().load() };
+        }
+        let rest = p;
+        // Release hand-back publishes the remainder chain's links.
+        if !rest.is_null()
+            && !self
+                .head
+                .cas_with(ptr::null_mut(), rest, Ordering::Release, Ordering::Relaxed)
+        {
+            // SAFETY: the stolen remainder is exclusively ours.
+            self.note_push_retries(c, self.push_chain(rest, unsafe { chain_tail(rest) }.0));
+        }
+        // SAFETY: tid exclusivity; kept.len() <= cap / 2 fits.
+        unsafe { self.mag.extend(tid, kept) };
+        OpCounters::bump(&c.magazine_refills);
+    }
+
+    /// Magazine fast path of `free_node`: push locally, draining the
+    /// oldest half as one chain-push when full.
+    fn magazine_push(&self, tid: usize, c: &OpCounters, node: *mut Node<T>) -> bool {
+        if !self.mag.is_enabled() {
+            return false;
+        }
+        // A death here owns the claimed `node` and nothing else; the
+        // completion pushes it straight to the shared head (chain of one)
+        // so the pool cannot silently deplete.
+        #[cfg(feature = "fault-injection")]
+        self.fault_hit_or(tid, c, FaultSite::MagazineDrain, || {
+            self.push_chain(node, node);
+        });
+        // SAFETY: `tid` is the caller's registered thread id (exclusive).
+        if unsafe { self.mag.try_push(tid, node) } {
+            return true;
+        }
+        self.drain_magazine(tid, c, (self.mag.cap() / 2).max(1));
+        // SAFETY: same exclusivity; we just made room.
+        let pushed = unsafe { self.mag.try_push(tid, node) };
+        debug_assert!(pushed, "magazine still full after drain");
+        pushed
+    }
+
+    /// Returns up to `count` of slot `tid`'s oldest magazine nodes to the
+    /// head with one Treiber CAS (`usize::MAX` = flush) and reports how
+    /// many. The caller owns the slot: its handle, or an adopter that
+    /// CAS-claimed a corpse's.
+    fn drain_magazine(&self, tid: usize, c: &OpCounters, count: usize) -> usize {
+        // SAFETY: slot exclusivity (caller contract).
+        let batch = unsafe { self.mag.take(tid, count) };
+        let drained = batch.len();
+        if drained > 0 {
+            OpCounters::bump(&c.magazine_drains);
+            self.note_push_retries(c, self.push_all(batch));
+        }
+        drained
+    }
+
+    /// Retires the trailing segment if every one of its nodes is free,
+    /// returning its slab to the allocator. Returns `true` when a segment
+    /// was retired (call again to shrink further).
+    ///
+    /// LFRC has no epochs or announcement rows, so it cannot reclaim
+    /// concurrently — `&mut self` demands quiescence (no live handles
+    /// borrow the domain), which makes the whole protocol a private
+    /// sweep: detach the single head chain, partition out the candidate
+    /// segment's nodes, and either complete the retire or push everything
+    /// back. Same arena state machine as `wfrc_core::ThreadHandle::reclaim`,
+    /// but stop-the-world instead of wait-free.
+    fn reclaim_quiescent(&mut self) -> bool {
+        let s = self.arena.segment_count();
+        if s < 2 {
+            return false;
+        }
+        // LFRC's alloc/free hot paths don't maintain the per-segment
+        // occupancy trigger (the private sweep below is authoritative
+        // under `&mut self`), so arm the counter to pass the shared claim
+        // gate. A sweep that then finds live nodes simply aborts.
+        let tail = s - 1;
+        if let (Some(start), Some(len), Some(have)) = (
+            self.arena.seg_start(tail),
+            self.arena.seg_len(tail),
+            self.arena.seg_free_count(tail),
+        ) {
+            if have < len {
+                self.arena
+                    .note_seeded(self.arena.node_ptr(start), len - have);
+            }
+        }
+        let Some(slot) = self.arena.try_begin_tail_retire() else {
+            return false;
+        };
+        let len = self.arena.seg_len(slot).unwrap_or(0);
+        // `&mut self`: no handle can exist, so magazines have no owner —
+        // drain them all back to the head so parked nodes can't hide from
+        // the sweep. (Handle drop already drains, so this usually no-ops;
+        // it matters only after `std::mem::forget`-style leaks.)
+        let scratch = OpCounters::new();
+        for tid in 0..self.threads {
+            self.drain_magazine(tid, &scratch, usize::MAX);
+        }
+        // Detach the entire free-list and partition it privately.
+        let mut p = self.head.swap_with(ptr::null_mut(), Ordering::Acquire);
+        let mut candidates: Vec<*mut Node<T>> = Vec::with_capacity(len);
+        let mut keep: Vec<*mut Node<T>> = Vec::new();
+        while !p.is_null() {
+            // SAFETY: detached chain is privately owned.
+            let next = unsafe { (*p).mm_next().load() };
+            if self.arena.seg_contains(slot, p) {
+                candidates.push(p);
+            } else {
+                keep.push(p);
+            }
+            p = next;
+        }
+        let complete = candidates.len() == len
+            // SAFETY: candidate nodes are privately held; headers stable.
+            && candidates.iter().all(|&n| unsafe { (*n).load_ref() } == 1)
+            && self.arena.finish_retire(slot);
+        if !complete {
+            // Some nodes are live (or the table raced): hand everything
+            // back and reopen the segment.
+            keep.append(&mut candidates);
+            self.arena.abort_retire(slot);
+        }
+        self.push_all(keep);
+        complete
+    }
+
+    /// Quiescent node audit (see [`wfrc_core::census`]): LFRC has neither
+    /// gift cells nor deferred lists, so only the magazines can park.
+    fn census(&self) -> Census {
+        let none = HashSet::new();
+        census(self.arena.iter(), &none, &self.mag.parked(), &none)
+    }
+
+    /// Fires the injection hook for `site` if a plan is installed (resource-
+    /// free sites only; see [`wfrc_core::fault`]).
+    #[cfg(feature = "fault-injection")]
+    #[inline]
+    fn fault_hit(&self, tid: usize, c: &OpCounters, site: FaultSite) {
+        if let Some(p) = &self.tuning.faults {
+            p.hit(site, tid, c);
+        }
+    }
+
+    /// Fires the injection hook with a completion obligation (see
+    /// [`wfrc_core::fault::FaultPlan::hit_or`]).
+    #[cfg(feature = "fault-injection")]
+    #[inline]
+    fn fault_hit_or(&self, tid: usize, c: &OpCounters, site: FaultSite, complete: impl FnOnce()) {
+        if let Some(p) = &self.tuning.faults {
+            p.hit_or(site, tid, c, complete);
+        }
+    }
+}
+
+/// A lock-free reference-counted memory domain (Valois-style baseline).
+pub struct LfrcDomain<T: RcObject> {
+    /// The node pool: arena, single free-list head, magazines.
+    pool: LfrcPool<T>,
+    slots: Box<[SlotWord]>,
+    /// Byte classes mirroring [`wfrc_core::class`], each its own
+    /// page-carved pool behind a **single** Treiber head (the scheme's
+    /// signature bottleneck, reproduced per class). Empty by default; see
     /// [`LfrcDomain::set_classes`].
     classes: Box<[Box<dyn LfrcClassOps>]>,
     /// Cumulative [`LfrcDomain::adopt_orphans`] telemetry.
     orphans_adopted: SlotWord,
     orphan_nodes_recovered: SlotWord,
-    /// Domain-lifetime snapshot-path telemetry, folded from dropped
-    /// handles (the apples-to-apples mirror of the wait-free scheme's
-    /// snapshot counters, surfaced in [`LfrcDomain::leak_check`] JSON).
-    snapshot_derefs: core::sync::atomic::AtomicU64,
-    upgrade_slow: core::sync::atomic::AtomicU64,
-    /// Weak-reference telemetry, folded from dropped handles (the mirror of
-    /// the wait-free scheme's `SnapStats` weak counters).
-    weak_upgrades: core::sync::atomic::AtomicU64,
-    upgrade_failed: core::sync::atomic::AtomicU64,
-    /// Installed fault schedule; `None` = no injection even with the
-    /// feature compiled in.
-    #[cfg(feature = "fault-injection")]
-    faults: Option<std::sync::Arc<wfrc_core::fault::FaultPlan>>,
+    /// Domain-lifetime snapshot/weak-path telemetry, folded from dropped
+    /// handles and surfaced in [`LfrcDomain::leak_check`] — the wait-free
+    /// scheme's own accumulator.
+    stats: wfrc_core::SnapStats,
 }
 
 impl<T: RcObject + Default> LfrcDomain<T> {
@@ -136,49 +583,46 @@ impl<T: RcObject> LfrcDomain<T> {
         init: impl Fn(usize) -> T + Send + Sync + 'static,
     ) -> Self {
         assert!(max_threads > 0);
-        let arena = Arena::with_growth(capacity, growth, init);
-        // Seed: chain every node into the single free-list.
-        for i in 0..capacity {
-            let next = if i + 1 < capacity {
-                arena.node_ptr(i + 1)
-            } else {
-                ptr::null_mut()
-            };
-            arena.node(i).mm_next().store(next);
-        }
-        let head = {
-            let h = new_head::<T>();
-            h_store(&h, arena.node_ptr(0));
-            h
+        let tuning = Tuning {
+            backoff: true,
+            #[cfg(feature = "fault-injection")]
+            faults: None,
         };
         Self {
-            arena,
-            head,
+            pool: LfrcPool::new(
+                Arena::with_growth(capacity, growth, init),
+                max_threads,
+                0,
+                tuning,
+            ),
             slots: (0..max_threads).map(|_| new_slot_word(SLOT_FREE)).collect(),
-            backoff: true,
-            mag: Magazines::new(max_threads, 0),
             classes: Box::new([]),
             orphans_adopted: new_slot_word(0),
             orphan_nodes_recovered: new_slot_word(0),
-            snapshot_derefs: core::sync::atomic::AtomicU64::new(0),
-            upgrade_slow: core::sync::atomic::AtomicU64::new(0),
-            weak_upgrades: core::sync::atomic::AtomicU64::new(0),
-            upgrade_failed: core::sync::atomic::AtomicU64::new(0),
-            #[cfg(feature = "fault-injection")]
-            faults: None,
+            stats: wfrc_core::SnapStats::default(),
         }
     }
 
-    /// Installs a fault schedule (see [`wfrc_core::fault`]). Must happen
-    /// before the domain is shared, like [`LfrcDomain::set_backoff`].
+    /// Installs a fault schedule (see [`wfrc_core::fault`]) into the node
+    /// pool and every byte class. Must happen before the domain is shared,
+    /// like [`LfrcDomain::set_backoff`].
     #[cfg(feature = "fault-injection")]
     pub fn set_fault_plan(&mut self, plan: std::sync::Arc<wfrc_core::fault::FaultPlan>) {
-        self.faults = Some(plan);
+        self.pool.tuning.faults = Some(plan);
+        self.retune_classes();
     }
 
     /// Disables backoff in retry loops (for step-count experiments).
     pub fn set_backoff(&mut self, on: bool) {
-        self.backoff = on;
+        self.pool.tuning.backoff = on;
+        self.retune_classes();
+    }
+
+    /// Copies the node pool's tuning into every byte class.
+    fn retune_classes(&mut self) {
+        for class in self.classes.iter_mut() {
+            class.set_tuning(self.pool.tuning.clone());
+        }
     }
 
     /// Enables per-thread allocation magazines of (at most) `cap` nodes,
@@ -187,12 +631,15 @@ impl<T: RcObject> LfrcDomain<T> {
     /// same pattern as [`LfrcDomain::set_backoff`]).
     pub fn set_magazine(&mut self, cap: usize) {
         let threads = self.slots.len();
-        self.mag = Magazines::new(threads, clamped_cap(cap, self.arena.capacity(), threads));
+        self.pool.mag = Magazines::new(
+            threads,
+            clamped_cap(cap, self.pool.arena.capacity(), threads),
+        );
     }
 
     /// Effective per-thread magazine capacity (0 = magazines disabled).
     pub fn magazine_cap(&self) -> usize {
-        self.mag.cap()
+        self.pool.mag.cap()
     }
 
     /// Installs byte classes mirroring
@@ -208,7 +655,10 @@ impl<T: RcObject> LfrcDomain<T> {
             wfrc_core::MAX_CLASSES
         );
         let n = self.slots.len();
-        self.classes = classes.iter().map(|cfg| build_lfrc_class(cfg, n)).collect();
+        self.classes = classes
+            .iter()
+            .map(|cfg| build_lfrc_class(cfg, n, self.pool.tuning.clone()))
+            .collect();
     }
 
     /// Number of configured byte classes.
@@ -248,8 +698,7 @@ impl<T: RcObject> LfrcDomain<T> {
     /// # Panics
     /// If `class >= self.class_count()`.
     pub fn reclaim_class_quiescent(&mut self, class: usize) -> bool {
-        let threads = self.slots.len();
-        self.classes[class].reclaim_quiescent(threads)
+        self.classes[class].reclaim_quiescent()
     }
 
     /// Registers the calling context. Equivalent to
@@ -330,20 +779,12 @@ impl<T: RcObject> LfrcDomain<T> {
             ) {
                 continue;
             }
-            // SAFETY: the CAS above made us the exclusive owner of `tid`.
-            let batch = unsafe { self.mag.take(tid, usize::MAX) };
-            if !batch.is_empty() {
-                report.magazine_nodes_recovered += batch.len();
-                for w in batch.windows(2) {
-                    // SAFETY: claimed nodes exclusively owned by this drain.
-                    unsafe { (*w[0]).mm_next().store(w[1]) };
-                }
-                self.push_chain_raw(batch[0], batch[batch.len() - 1]);
-            }
+            let c = OpCounters::new();
+            report.magazine_nodes_recovered += self.pool.drain_magazine(tid, &c, usize::MAX);
             // Per-class magazines are the corpse's only class-side
             // resource (LFRC classes have no gifts or announcements).
             for class in self.classes.iter() {
-                report.class_nodes_recovered += class.adopt_slot(tid);
+                report.class_nodes_recovered += class.drain_magazine(tid, &c);
             }
             // Release reopens the slot, publishing the recovery to the
             // `register` that next claims this id.
@@ -358,181 +799,55 @@ impl<T: RcObject> LfrcDomain<T> {
         report
     }
 
-    /// Treiber push of an exclusively-owned, pre-linked chain
-    /// (`first..=last`) onto the single head. Returns the retry count.
-    fn push_chain_raw(&self, first: *mut Node<T>, last: *mut Node<T>) -> u64 {
-        let mut backoff = Backoff::new();
-        let mut retries: u64 = 0;
-        loop {
-            // Relaxed head load / Release publish CAS — the same Treiber
-            // orderings (and release-sequence argument) as
-            // `wfrc_core::freelist::push_chain`.
-            let head = self.head.load_with(Ordering::Relaxed);
-            // SAFETY: `last` is exclusively ours until the CAS publishes it.
-            unsafe { (*last).mm_next().store(head) };
-            if self
-                .head
-                .cas_with(head, first, Ordering::Release, Ordering::Relaxed)
-            {
-                return retries;
-            }
-            retries += 1;
-            if self.backoff {
-                backoff.snooze();
-            }
-        }
-    }
-
     /// Node pool size (current, including grown segments).
     pub fn capacity(&self) -> usize {
-        self.arena.capacity()
+        self.pool.arena.capacity()
     }
 
     /// Number of arena segments currently published (1 until growth).
     pub fn segment_count(&self) -> usize {
-        self.arena.segment_count()
+        self.pool.arena.segment_count()
     }
 
     /// Cumulative segments retired by [`LfrcDomain::reclaim_quiescent`].
     pub fn segments_retired(&self) -> usize {
-        self.arena.segments_retired()
+        self.pool.arena.segments_retired()
     }
 
     /// Cumulative RETIRED slots revived by growth.
     pub fn segments_revived(&self) -> usize {
-        self.arena.segments_revived()
+        self.pool.arena.segments_revived()
     }
 
-    /// Retires the trailing segment if every one of its nodes is free,
-    /// returning its slab to the allocator. Returns `true` when a segment
-    /// was retired (call again to shrink further).
+    /// Retires the trailing node-pool segment if every one of its nodes is
+    /// free, returning its slab to the allocator. Returns `true` when a
+    /// segment was retired (call again to shrink further).
     ///
-    /// LFRC has no epochs or announcement rows, so it cannot reclaim
-    /// concurrently — `&mut self` demands quiescence (no live handles
-    /// borrow the domain), which makes the whole protocol a private
-    /// sweep: detach the single head chain, partition out the candidate
-    /// segment's nodes, and either complete the retire or push everything
-    /// back. This is the apples-to-apples counterpart of
-    /// `wfrc_core::ThreadHandle::reclaim` for the E5 `--reclaim`
-    /// experiment: same arena state machine, but stop-the-world instead of
-    /// wait-free.
+    /// Stop-the-world — `&mut self` is the quiescence proof, since LFRC has
+    /// no epochs to reclaim beside live handles: the apples-to-apples
+    /// counterpart of `wfrc_core::ThreadHandle::reclaim` for the E5
+    /// `--reclaim` experiment.
     pub fn reclaim_quiescent(&mut self) -> bool {
-        let s = self.arena.segment_count();
-        if s < 2 {
-            return false;
-        }
-        // LFRC's alloc/free hot paths don't maintain the per-segment
-        // occupancy trigger (the private sweep below is authoritative
-        // under `&mut self`), so arm the counter to pass the shared claim
-        // gate. A sweep that then finds live nodes simply aborts.
-        let tail = s - 1;
-        if let (Some(start), Some(len), Some(have)) = (
-            self.arena.seg_start(tail),
-            self.arena.seg_len(tail),
-            self.arena.seg_free_count(tail),
-        ) {
-            if have < len {
-                self.arena
-                    .note_seeded(self.arena.node_ptr(start), len - have);
-            }
-        }
-        let Some(slot) = self.arena.try_begin_tail_retire() else {
-            return false;
-        };
-        let len = self.arena.seg_len(slot).unwrap_or(0);
-        // `&mut self`: no handle can exist, so magazines have no owner —
-        // drain them all back to the head so parked nodes can't hide from
-        // the sweep. (Handle drop already drains, so this usually no-ops;
-        // it matters only after `std::mem::forget`-style leaks.)
-        for tid in 0..self.slots.len() {
-            // SAFETY: exclusive access to the whole domain.
-            let batch = unsafe { self.mag.take(tid, usize::MAX) };
-            if !batch.is_empty() {
-                for w in batch.windows(2) {
-                    // SAFETY: privately owned chain.
-                    unsafe { (*w[0]).mm_next().store(w[1]) };
-                }
-                self.push_chain_raw(batch[0], batch[batch.len() - 1]);
-            }
-        }
-        // Detach the entire free-list and partition it privately.
-        let mut p = self.head.swap_with(ptr::null_mut(), Ordering::Acquire);
-        let mut candidates: Vec<*mut Node<T>> = Vec::with_capacity(len);
-        let mut keep: Vec<*mut Node<T>> = Vec::new();
-        while !p.is_null() {
-            // SAFETY: detached chain is privately owned.
-            let next = unsafe { (*p).mm_next().load() };
-            if self.arena.seg_contains(slot, p) {
-                candidates.push(p);
-            } else {
-                keep.push(p);
-            }
-            p = next;
-        }
-        let complete = candidates.len() == len
-            // SAFETY: candidate nodes are privately held; headers stable.
-            && candidates.iter().all(|&n| unsafe { (*n).load_ref() } == 1)
-            && self.arena.finish_retire(slot);
-        if !complete {
-            // Some nodes are live (or the table raced): hand everything
-            // back and reopen the segment.
-            keep.append(&mut candidates);
-            self.arena.abort_retire(slot);
-        }
-        if !keep.is_empty() {
-            for w in keep.windows(2) {
-                // SAFETY: privately owned chain.
-                unsafe { (*w[0]).mm_next().store(w[1]) };
-            }
-            self.push_chain_raw(keep[0], keep[keep.len() - 1]);
-        }
-        complete
+        self.pool.reclaim_quiescent()
     }
 
     /// Quiescent audit, same classification as
-    /// [`wfrc_core::WfrcDomain::leak_check`] (LFRC has no gift parking, so
-    /// `parked_gifts` is always 0; magazine-parked nodes are counted in
-    /// `magazine_nodes` just like the wait-free scheme's).
+    /// [`wfrc_core::WfrcDomain::leak_check`] (LFRC has neither gift parking
+    /// nor deferred lists, so `parked_gifts` and `deferred_nodes` are
+    /// always 0).
     pub fn leak_check(&self) -> wfrc_core::LeakReport {
-        let parked = self.mag.parked();
+        let arena = &self.pool.arena;
         let mut report = wfrc_core::LeakReport {
-            capacity: self.arena.capacity(),
-            segments: self.arena.segment_count(),
-            resident_segments: self.arena.segment_count(),
-            segments_retired: self.arena.segments_retired(),
-            snapshot_derefs: self.snapshot_derefs.load(Ordering::Relaxed),
-            // LFRC counts on every deref, so nothing is ever deferred and
-            // an "upgrade" is just a counted deref; `deferred_decs` stays 0.
-            upgrade_slow: self.upgrade_slow.load(Ordering::Relaxed),
-            weak_upgrades: self.weak_upgrades.load(Ordering::Relaxed),
-            upgrade_failed: self.upgrade_failed.load(Ordering::Relaxed),
+            capacity: arena.capacity(),
+            segments: arena.segment_count(),
+            resident_segments: arena.segment_count(),
+            segments_retired: arena.segments_retired(),
             ..Default::default()
         };
-        for node in self.arena.iter() {
-            let r = node.load_ref();
-            let low = r & Node::<T>::STRONG_MASK;
-            let weak = (r & Node::<T>::WEAK_MASK) >> 32;
-            let dead = r & Node::<T>::DEAD != 0;
-            report.weak_count += weak as u64;
-            let ptr = node as *const _ as usize;
-            if parked.contains(&ptr) {
-                if r == 1 {
-                    report.magazine_nodes += 1;
-                } else {
-                    report.corrupt_nodes += 1;
-                }
-            } else if r == 1 {
-                report.free_nodes += 1;
-            } else if dead && low == 1 && weak > 0 {
-                // DEAD-but-weak: payload reclaimed, header pinned by weak
-                // references — same classification as the wait-free audit.
-                report.weak_nodes += 1;
-            } else if !dead && low.is_multiple_of(2) && low >= 2 {
-                report.live_nodes += 1;
-            } else {
-                report.corrupt_nodes += 1;
-            }
-        }
+        // LFRC counts on every deref, so nothing is ever deferred and an
+        // "upgrade" is just a counted deref; `deferred_decs` stays 0.
+        self.stats.report(&mut report);
+        report.count(&self.pool.census());
         report.classes = self.classes.iter().map(|c| c.leak()).collect();
         report
     }
@@ -542,21 +857,6 @@ impl<T: RcObject> LfrcDomain<T> {
 // access is protocol-mediated, T: Send + Sync via RcObject.
 unsafe impl<T: RcObject> Sync for LfrcDomain<T> {}
 unsafe impl<T: RcObject> Send for LfrcDomain<T> {}
-
-fn new_head<T>() -> HeadCell<T> {
-    #[cfg(not(feature = "no-pad"))]
-    {
-        wfrc_primitives::CachePadded::new(WordPtr::null())
-    }
-    #[cfg(feature = "no-pad")]
-    {
-        WordPtr::null()
-    }
-}
-
-fn h_store<T>(h: &HeadCell<T>, p: *mut Node<T>) {
-    h.store(p);
-}
 
 /// A registered thread's view of an [`LfrcDomain`]. Mirrors
 /// [`wfrc_core::ThreadHandle`]'s raw layer so data structures can be generic
@@ -588,56 +888,7 @@ impl<'d, T: RcObject> LfrcHandle<'d, T> {
     /// CAS failure). Returns a node with one reference (`mm_ref == 2`) and
     /// stale payload.
     pub fn alloc_raw(&self) -> Result<*mut Node<T>, OutOfMemory> {
-        OpCounters::bump(&self.counters.alloc_calls);
-        if let Some(node) = self.magazine_pop() {
-            return Ok(node);
-        }
-        let mut backoff = Backoff::new();
-        let mut iters: u64 = 0;
-        loop {
-            iters += 1;
-            // Acquire: pairs with the Release push that published `node`,
-            // making its `mm_next` and recycled payload visible.
-            let node = self.domain.head.load_with(Ordering::Acquire);
-            if node.is_null() {
-                // Valois' scheme has no stripe to advance to: an observed
-                // empty head means the pool looks dry. Try to grow the
-                // arena (a no-op under `Growth::Disabled`); only when the
-                // policy is exhausted is this out-of-memory (nodes in
-                // flight during concurrent pops can make this spuriously
-                // early — the same caveat as the wait-free scheme's retry
-                // bound, noted in DESIGN.md).
-                OpCounters::bump(&self.counters.alloc_slow_path);
-                if self.try_grow() {
-                    continue;
-                }
-                OpCounters::add(&self.counters.alloc_iters, iters);
-                OpCounters::record_max(&self.counters.max_alloc_iters, iters);
-                return Err(OutOfMemory);
-            }
-            // SAFETY: arena node; headers are type-stable.
-            let nref = unsafe { &*node };
-            nref.faa_ref(2); // pin against reinsertion (same as paper line A9)
-            let next = nref.mm_next().load();
-            // AcqRel pop: same argument as the wait-free A10 (the store
-            // side stays in the pusher's release sequence).
-            if self
-                .domain
-                .head
-                .cas_with(node, next, Ordering::AcqRel, Ordering::Relaxed)
-            {
-                nref.faa_ref(-1); // claimed free node (1+2) -> one live ref (2)
-                OpCounters::add(&self.counters.alloc_iters, iters);
-                OpCounters::record_max(&self.counters.max_alloc_iters, iters);
-                return Ok(node);
-            }
-            OpCounters::bump(&self.counters.alloc_cas_failures);
-            // SAFETY: we own the +2 pin we just added.
-            unsafe { self.release_raw(node) };
-            if self.domain.backoff {
-                backoff.snooze();
-            }
-        }
+        self.domain.pool.alloc(self.tid, &self.counters)
     }
 
     /// Valois/Michael–Scott `DeRefLink`: optimistic increment + re-check,
@@ -661,7 +912,7 @@ impl<'d, T: RcObject> LfrcHandle<'d, T> {
             // Between the read and the optimistic FAA — the race Valois'
             // re-check loop pays for. A death here holds nothing yet.
             #[cfg(feature = "fault-injection")]
-            self.fault_hit(wfrc_core::fault::FaultSite::DerefFaa);
+            self.fault_hit(FaultSite::DerefFaa);
             // SAFETY: arena node; type-stable header makes the optimistic
             // FAA safe even if the node was just reclaimed.
             unsafe { (*node).faa_ref(2) };
@@ -677,58 +928,7 @@ impl<'d, T: RcObject> LfrcHandle<'d, T> {
             retries += 1;
             // SAFETY: we own the +2 we just added.
             unsafe { self.release_raw(node) };
-            if self.domain.backoff {
-                backoff.snooze();
-            }
-        }
-    }
-
-    /// One growth step: returns true when capacity grew (by this thread or
-    /// a concurrent winner) and the allocation loop should re-scan.
-    fn try_grow(&self) -> bool {
-        match self.domain.arena.try_grow() {
-            GrowOutcome::Grew { nodes, revived } => {
-                OpCounters::bump(&self.counters.segments_grown);
-                if revived {
-                    OpCounters::bump(&self.counters.segments_revived);
-                }
-                OpCounters::add(&self.counters.nodes_seeded, nodes.len() as u64);
-                // A death between winning the growth CAS and seeding would
-                // strand the whole segment; the completion seeds it first.
-                #[cfg(feature = "fault-injection")]
-                self.fault_hit_or(wfrc_core::fault::FaultSite::GrowSeed, || {
-                    self.seed_grown(nodes);
-                });
-                self.seed_grown(nodes);
-                true
-            }
-            GrowOutcome::Lost => true,
-            GrowOutcome::AtCapacity => false,
-        }
-    }
-
-    /// Chains a freshly grown segment's nodes and pushes the whole chain
-    /// with one CAS onto the single head (Treiber push of a segment).
-    fn seed_grown(&self, nodes: &[Node<T>]) {
-        let first = &nodes[0] as *const Node<T> as *mut Node<T>;
-        for w in nodes.windows(2) {
-            w[0].mm_next()
-                .store(&w[1] as *const Node<T> as *mut Node<T>);
-        }
-        let last = &nodes[nodes.len() - 1];
-        let mut backoff = Backoff::new();
-        loop {
-            // Relaxed head load / Release publish: same as push_chain_raw.
-            let head = self.domain.head.load_with(Ordering::Relaxed);
-            last.mm_next().store(head);
-            if self
-                .domain
-                .head
-                .cas_with(head, first, Ordering::Release, Ordering::Relaxed)
-            {
-                break;
-            }
-            if self.domain.backoff {
+            if self.domain.pool.tuning.backoff {
                 backoff.snooze();
             }
         }
@@ -747,269 +947,21 @@ impl<'d, T: RcObject> LfrcHandle<'d, T> {
     /// The caller must own an unreleased reference on `node` (non-null,
     /// this domain).
     pub unsafe fn release_raw(&self, node: *mut Node<T>) {
-        debug_assert!(!node.is_null());
-        // A death at the FAA must not forget the caller's count — the
-        // completion performs the whole release (same contract as the
-        // wait-free scheme's ReleaseFaa site).
-        #[cfg(feature = "fault-injection")]
-        self.fault_hit_or(wfrc_core::fault::FaultSite::ReleaseFaa, || {
-            // SAFETY: forwarded caller contract.
-            unsafe { self.release_raw_body(node) };
-        });
         // SAFETY: forwarded caller contract.
-        unsafe { self.release_raw_body(node) };
+        unsafe { self.domain.pool.release(self.tid, &self.counters, node) };
     }
 
-    /// # Safety
-    /// Same contract as [`LfrcHandle::release_raw`].
-    unsafe fn release_raw_body(&self, node: *mut Node<T>) {
-        let mut pending: Option<Vec<*mut Node<T>>> = None;
-        let mut cur = node;
-        loop {
-            OpCounters::bump(&self.counters.releases);
-            // SAFETY: arena node.
-            let n = unsafe { &*cur };
-            n.faa_ref(-2);
-            match n.try_claim_weak() {
-                Claim::Busy => {
-                    // Our decrement may have been the speculative bump that
-                    // blocked a DEAD header's finalize — if the word now
-                    // reads the bare sentinel, we inherit the free.
-                    if n.maybe_finalize() {
-                        self.free_node(cur);
-                    }
-                }
-                claim => {
-                    OpCounters::bump(&self.counters.reclaims);
-                    // SAFETY: claim won — payload links exclusively ours.
-                    unsafe { n.payload() }.each_link(&mut |l| {
-                        // Strip a possible deletion mark: it carries no count.
-                        let child =
-                            wfrc_primitives::tagged::without_tag(l.swap_raw(ptr::null_mut()));
-                        if !child.is_null() {
-                            pending.get_or_insert_with(Vec::new).push(child);
-                        }
-                    });
-                    // SAFETY: same exclusivity; each non-null weak link
-                    // holds one weak unit on its target.
-                    unsafe { n.payload() }.each_weak_link(&mut |wl| {
-                        let child = wl.inner().swap_raw(ptr::null_mut());
-                        if !child.is_null() {
-                            // SAFETY: arena node; type-stable header.
-                            unsafe {
-                                (*child).faa_weak(-1);
-                                if (*child).maybe_finalize() {
-                                    self.free_node(child);
-                                }
-                            }
-                        }
-                    });
-                    match claim {
-                        Claim::Free => self.free_node(cur),
-                        Claim::DeadWeak => {
-                            // Drop the claim's guard unit; the last weak
-                            // release finalizes the header.
-                            n.faa_weak(-1);
-                            if n.maybe_finalize() {
-                                self.free_node(cur);
-                            }
-                        }
-                        Claim::Busy => unreachable!("matched above"),
-                    }
-                }
-            }
-            match pending.as_mut().and_then(|p| p.pop()) {
-                Some(next) => cur = next,
-                None => break,
-            }
-        }
-    }
-
-    /// Treiber push of a claimed node onto the single free-list (or into
-    /// this thread's magazine when the layer is enabled).
-    fn free_node(&self, node: *mut Node<T>) {
-        OpCounters::bump(&self.counters.free_calls);
-        if self.magazine_push(node) {
-            return;
-        }
-        let retries = self.push_chain(node, node);
-        OpCounters::add(&self.counters.free_push_retries, retries);
-        OpCounters::record_max(&self.counters.max_free_push_retries, retries);
-    }
-
-    /// Treiber push of an exclusively-owned, pre-linked chain
-    /// (`first..=last`) onto the single head. Returns the retry count.
-    fn push_chain(&self, first: *mut Node<T>, last: *mut Node<T>) -> u64 {
-        self.domain.push_chain_raw(first, last)
-    }
-
-    /// Fires the injection hook for `site` if a plan is installed (resource-
-    /// free sites only; see [`wfrc_core::fault`]).
+    /// [`LfrcPool::fault_hit`] under this handle's identity.
     #[cfg(feature = "fault-injection")]
     #[inline]
-    fn fault_hit(&self, site: wfrc_core::fault::FaultSite) {
-        if let Some(p) = &self.domain.faults {
-            p.hit(site, self.tid, &self.counters);
-        }
-    }
-
-    /// Fires the injection hook with a completion obligation, like
-    /// `wfrc_core`'s `Shared::fault_hit_or`: on an injected death,
-    /// `complete` finishes the interrupted protocol step before the unwind
-    /// resumes.
-    #[cfg(feature = "fault-injection")]
-    #[inline]
-    fn fault_hit_or(&self, site: wfrc_core::fault::FaultSite, complete: impl FnOnce()) {
-        if let Some(p) = &self.domain.faults {
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                p.hit(site, self.tid, &self.counters)
-            })) {
-                Ok(()) => {}
-                Err(payload) => {
-                    complete();
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        }
+    fn fault_hit(&self, site: FaultSite) {
+        self.domain.pool.fault_hit(self.tid, &self.counters, site);
     }
 
     /// Number of nodes currently parked in this thread's magazine.
     pub fn magazine_len(&self) -> usize {
         // SAFETY: this handle is the exclusive owner of `tid`'s slot.
-        unsafe { self.domain.mag.len(self.tid) }
-    }
-
-    /// Magazine fast path of `alloc_raw`: pop locally, refilling from the
-    /// single head in one batch (one SWAP) when empty. `None` falls through
-    /// to the Treiber loop. Same node-state protocol as
-    /// [`wfrc_core::magazine`]: parked nodes keep `mm_ref == 1`, popping
-    /// applies `FAA(+1)` (1 → 2).
-    fn magazine_pop(&self) -> Option<*mut Node<T>> {
-        let mag = &self.domain.mag;
-        if !mag.is_enabled() {
-            return None;
-        }
-        // SAFETY: `tid` is this handle's registered thread id (exclusive).
-        let node = match unsafe { mag.pop(self.tid) } {
-            Some(node) => node,
-            None => {
-                self.magazine_refill();
-                // SAFETY: same exclusivity.
-                unsafe { mag.pop(self.tid) }?
-            }
-        };
-        OpCounters::bump(&self.counters.magazine_hits);
-        // SAFETY: arena node; headers are type-stable.
-        unsafe { (*node).faa_ref(1) };
-        Some(node)
-    }
-
-    /// Steals the whole free-list with one `SWAP(head, ⊥)`, keeps at most
-    /// half a magazine, and hands the rest back (CAS ⊥ → rest, falling
-    /// back to a Treiber chain-push if an allocator raced in).
-    fn magazine_refill(&self) {
-        // A death here holds nothing yet — the head has not been swapped.
-        #[cfg(feature = "fault-injection")]
-        self.fault_hit(wfrc_core::fault::FaultSite::MagazineRefill);
-        let mag = &self.domain.mag;
-        let target = (mag.cap() / 2).max(1);
-        // Acquire: pairs with the Release pushes that built the chain.
-        let chain = self
-            .domain
-            .head
-            .swap_with(ptr::null_mut(), Ordering::Acquire);
-        if chain.is_null() {
-            return;
-        }
-        // Between the head SWAP and the magazine extend this thread owns
-        // the whole chain: a death must hand it back or the pool shrinks.
-        #[cfg(feature = "fault-injection")]
-        self.fault_hit_or(wfrc_core::fault::FaultSite::StripeSwap, || {
-            let mut tail = chain;
-            loop {
-                // SAFETY: node of the stolen chain — exclusively ours.
-                let next = unsafe { (*tail).mm_next().load() };
-                if next.is_null() {
-                    break;
-                }
-                tail = next;
-            }
-            self.push_chain(chain, tail);
-        });
-        let mut kept = Vec::with_capacity(target);
-        let mut p = chain;
-        while !p.is_null() && kept.len() < target {
-            kept.push(p);
-            // SAFETY: node of the stolen chain — exclusively ours.
-            p = unsafe { (*p).mm_next().load() };
-        }
-        let rest = p;
-        // Release hand-back publishes the remainder chain's links.
-        if !rest.is_null()
-            && !self.domain.head.cas_with(
-                ptr::null_mut(),
-                rest,
-                Ordering::Release,
-                Ordering::Relaxed,
-            )
-        {
-            let mut tail = rest;
-            loop {
-                // SAFETY: node of the stolen remainder.
-                let next = unsafe { (*tail).mm_next().load() };
-                if next.is_null() {
-                    break;
-                }
-                tail = next;
-            }
-            let retries = self.push_chain(rest, tail);
-            OpCounters::add(&self.counters.free_push_retries, retries);
-            OpCounters::record_max(&self.counters.max_free_push_retries, retries);
-        }
-        // SAFETY: tid exclusivity; kept.len() <= cap / 2 fits.
-        unsafe { mag.extend(self.tid, kept) };
-        OpCounters::bump(&self.counters.magazine_refills);
-    }
-
-    /// Magazine fast path of `free_node`: push locally, draining the
-    /// oldest half as one chain-push when full.
-    fn magazine_push(&self, node: *mut Node<T>) -> bool {
-        let mag = &self.domain.mag;
-        if !mag.is_enabled() {
-            return false;
-        }
-        // A death here owns the claimed `node` and nothing else; the
-        // completion pushes it straight to the shared head (chain of one)
-        // so the pool cannot silently deplete.
-        #[cfg(feature = "fault-injection")]
-        self.fault_hit_or(wfrc_core::fault::FaultSite::MagazineDrain, || {
-            self.push_chain(node, node);
-        });
-        // SAFETY: `tid` is this handle's registered thread id (exclusive).
-        if unsafe { mag.try_push(self.tid, node) } {
-            return true;
-        }
-        let half = (mag.cap() / 2).max(1);
-        // SAFETY: same exclusivity.
-        let batch = unsafe { mag.take(self.tid, half) };
-        self.drain_batch(batch);
-        // SAFETY: same exclusivity; we just made room.
-        let pushed = unsafe { mag.try_push(self.tid, node) };
-        debug_assert!(pushed, "magazine still full after drain");
-        pushed
-    }
-
-    /// Chains `batch` locally and pushes it with one Treiber CAS.
-    fn drain_batch(&self, batch: Vec<*mut Node<T>>) {
-        debug_assert!(!batch.is_empty());
-        OpCounters::bump(&self.counters.magazine_drains);
-        for w in batch.windows(2) {
-            // SAFETY: claimed nodes exclusively owned by this drain.
-            unsafe { (*w[0]).mm_next().store(w[1]) };
-        }
-        let retries = self.push_chain(batch[0], batch[batch.len() - 1]);
-        OpCounters::add(&self.counters.free_push_retries, retries);
-        OpCounters::record_max(&self.counters.max_free_push_retries, retries);
+        unsafe { self.domain.pool.mag.len(self.tid) }
     }
 
     /// `FixRef(node, 2·refs)`.
@@ -1070,19 +1022,13 @@ impl<'d, T: RcObject> LfrcHandle<'d, T> {
     // Snapshot layer mirror (apples-to-apples with wfrc-core's §4f)
     // ------------------------------------------------------------------
 
-    /// No-op pin guard mirroring [`wfrc_core::ThreadHandle::pin`]: LFRC
-    /// has no epoch or pin bitmap, so the guard publishes nothing — it
-    /// exists so the E4 `--snapshot` readers run the *same* guard + plain
-    /// load structure over both schemes and measure only the protocol
+    /// No-op pin entry mirroring [`wfrc_core::ThreadHandle::pin_raw`]: LFRC
+    /// has no epoch or pin bitmap, so nothing is published — it exists so
+    /// the E4 `--snapshot` readers run the *same* enter + plain load + exit
+    /// sequence over both schemes and measure only the protocol
     /// difference. LFRC's plain load is **unprotected** (that is the
     /// baseline's known unsafety window), which is why
-    /// [`LfrcPinGuard::snapshot_raw`] stays `unsafe`.
-    pub fn pin(&self) -> LfrcPinGuard<'_, 'd, T> {
-        self.pin_raw();
-        LfrcPinGuard { handle: self }
-    }
-
-    /// No-op pin entry (mirrors [`wfrc_core::ThreadHandle::pin_raw`]).
+    /// [`LfrcHandle::snapshot_raw`] stays `unsafe`.
     pub fn pin_raw(&self) {}
 
     /// No-op pin exit (mirrors [`wfrc_core::ThreadHandle::unpin_raw`]).
@@ -1137,7 +1083,7 @@ impl<'d, T: RcObject> LfrcHandle<'d, T> {
         OpCounters::bump(&self.counters.weak_upgrades);
         // Holds nothing yet — a death here loses only the attempt.
         #[cfg(feature = "fault-injection")]
-        self.fault_hit(wfrc_core::fault::FaultSite::WeakUpgrade);
+        self.fault_hit(FaultSite::WeakUpgrade);
         // SAFETY: caller's weak reference keeps the header stable.
         if unsafe { (*node).try_upgrade() } {
             true
@@ -1154,12 +1100,12 @@ impl<'d, T: RcObject> LfrcHandle<'d, T> {
     /// The caller must own an unreleased weak reference on `node`.
     pub unsafe fn release_weak_raw(&self, node: *mut Node<T>) {
         debug_assert!(!node.is_null());
-        // SAFETY: arena node; the caller's weak unit is ours to drop.
-        let n = unsafe { &*node };
-        n.faa_weak(-1);
-        if n.maybe_finalize() {
-            self.free_node(node);
-        }
+        // SAFETY: forwarded caller contract.
+        unsafe {
+            self.domain
+                .pool
+                .release_weak(self.tid, &self.counters, node)
+        };
     }
 
     /// Stores `new` into the weak link `w`, transferring one weak unit onto
@@ -1205,10 +1151,12 @@ impl<'d, T: RcObject> LfrcHandle<'d, T> {
         // We now hold a (possibly speculative) +2 on the target. A death
         // here must release it or the node leaks.
         #[cfg(feature = "fault-injection")]
-        self.fault_hit_or(wfrc_core::fault::FaultSite::WeakUpgrade, || {
-            // SAFETY: releases the count taken above.
-            unsafe { self.release_raw(node) };
-        });
+        self.domain
+            .pool
+            .fault_hit_or(self.tid, &self.counters, FaultSite::WeakUpgrade, || {
+                // SAFETY: releases the count taken above.
+                unsafe { self.release_raw(node) };
+            });
         // SAFETY: our +2 keeps the header pinned while we validate.
         if unsafe { (*node).is_claimed() } {
             // Target is DEAD (or back on the free-list): the speculative
@@ -1247,7 +1195,7 @@ impl<'d, T: RcObject> LfrcHandle<'d, T> {
             .filter(|(_, cls)| cls.block_size() >= bytes.len())
             .min_by_key(|(_, cls)| cls.block_size())
             .unwrap_or_else(|| panic!("no configured byte class fits {} bytes", bytes.len()));
-        let node = cls.alloc(self.tid, &self.counters, self.domain.backoff)?;
+        let node = cls.alloc(self.tid, &self.counters)?;
         let data = cls.data_ptr(node);
         // SAFETY: freshly popped block, exclusively ours; the class fits.
         unsafe { core::ptr::copy_nonoverlapping(bytes.as_ptr(), data, bytes.len()) };
@@ -1277,19 +1225,15 @@ impl<'d, T: RcObject> LfrcHandle<'d, T> {
         unsafe { cls.free(self.tid, &self.counters, token.node_ptr()) };
         OpCounters::bump(&self.counters.class_frees[idx]);
     }
-}
 
-impl<'d, T: RcObject> LfrcHandle<'d, T> {
     /// Drains this handle's magazines (node pool and byte classes) back
     /// to the shared free structures without dropping the handle — the
     /// baseline twin of [`wfrc_core::ThreadHandle::flush_magazines`],
     /// used by the lease pool's `flush_on_release` policy.
     pub fn flush_magazines(&self) {
-        // SAFETY: still the exclusive owner of `tid`'s slot.
-        let batch = unsafe { self.domain.mag.take(self.tid, usize::MAX) };
-        if !batch.is_empty() {
-            self.drain_batch(batch);
-        }
+        self.domain
+            .pool
+            .drain_magazine(self.tid, &self.counters, usize::MAX);
         for cls in self.domain.classes.iter() {
             cls.drain_magazine(self.tid, &self.counters);
         }
@@ -1307,58 +1251,11 @@ impl<'d, T: RcObject> LfrcHandle<'d, T> {
     }
 }
 
-/// The baseline's no-op pin guard (created by [`LfrcHandle::pin`]): holds
-/// nothing and publishes nothing — see [`LfrcHandle::pin`] for why it
-/// exists. `#[must_use]` matches the wait-free guard so generic bench code
-/// treats both identically.
-#[must_use = "dropping the guard ends the (no-op) pin session"]
-pub struct LfrcPinGuard<'h, 'd, T: RcObject> {
-    handle: &'h LfrcHandle<'d, T>,
-}
-
-impl<'h, 'd, T: RcObject> LfrcPinGuard<'h, 'd, T> {
-    /// The handle this guard belongs to.
-    pub fn handle(&self) -> &'h LfrcHandle<'d, T> {
-        self.handle
-    }
-
-    /// Plain-load dereference under the (no-op) guard — forwards to
-    /// [`LfrcHandle::snapshot_raw`].
-    ///
-    /// # Safety
-    /// Same contract as [`LfrcHandle::snapshot_raw`]: the guard provides
-    /// **no** protection, so the caller must otherwise keep the target
-    /// alive.
-    #[must_use = "the returned pointer is unprotected; the caller guarantees liveness"]
-    pub unsafe fn snapshot_raw(&self, link: &Link<T>) -> *mut Node<T> {
-        // SAFETY: forwarded caller contract.
-        unsafe { self.handle.snapshot_raw(link) }
-    }
-}
-
-impl<T: RcObject> Drop for LfrcPinGuard<'_, '_, T> {
-    fn drop(&mut self) {
-        // SAFETY: trivially safe no-op (signature parity only).
-        unsafe { self.handle.unpin_raw() };
-    }
-}
-
 impl<T: RcObject> Drop for LfrcHandle<'_, T> {
     fn drop(&mut self) {
         // Fold the snapshot-path counters into the domain-lifetime stats
         // on both exit paths, mirroring `wfrc_core::ThreadHandle`.
-        self.domain
-            .snapshot_derefs
-            .fetch_add(self.counters.snapshot_derefs.get(), Ordering::Relaxed);
-        self.domain
-            .upgrade_slow
-            .fetch_add(self.counters.upgrade_slow.get(), Ordering::Relaxed);
-        self.domain
-            .weak_upgrades
-            .fetch_add(self.counters.weak_upgrades.get(), Ordering::Relaxed);
-        self.domain
-            .upgrade_failed
-            .fetch_add(self.counters.upgrade_failed.get(), Ordering::Relaxed);
+        self.domain.stats.fold(&self.counters.snapshot());
         // A panicking thread leaves recovery to `adopt_orphans`, same as
         // `wfrc_core::ThreadHandle`.
         if std::thread::panicking() {
@@ -1408,7 +1305,7 @@ impl<T: RcObject> wfrc_core::lease::LeaseRegistry for LfrcDomain<T> {
 
     #[cfg(feature = "fault-injection")]
     fn lease_fault<'d>(&'d self, handle: &Self::Handle<'d>) {
-        handle.fault_hit(wfrc_core::fault::FaultSite::LeaseExpire);
+        handle.fault_hit(FaultSite::LeaseExpire);
     }
 }
 
@@ -1433,8 +1330,7 @@ impl<T: RcObject> wfrc_core::sentinel::Supervised for LfrcDomain<T> {
     }
 
     fn help(&self, slot: usize) -> bool {
-        self.slots[slot].load_with(Ordering::SeqCst) == SLOT_ORPHANED
-            && self.adopt_orphans().orphans_adopted > 0
+        self.obligated(slot) && self.adopt_orphans().orphans_adopted > 0
     }
 
     fn declare_dead(&self, slot: usize) -> bool {
@@ -1455,7 +1351,7 @@ trait LfrcClassOps: Send + Sync {
     /// Number of live (non-retired) segments backing the class.
     fn segment_count(&self) -> usize;
     /// Allocates one block (stale contents); lock-free Treiber pop.
-    fn alloc(&self, tid: usize, c: &OpCounters, backoff: bool) -> Result<*mut u8, OutOfMemory>;
+    fn alloc(&self, tid: usize, c: &OpCounters) -> Result<*mut u8, OutOfMemory>;
     /// Address of the block's payload bytes.
     fn data_ptr(&self, node: *mut u8) -> *mut u8;
     /// Frees a block previously returned by `alloc`.
@@ -1464,101 +1360,23 @@ trait LfrcClassOps: Send + Sync {
     /// `node` must be an unfreed allocation of **this** class; `tid` must
     /// be the caller's registered slot.
     unsafe fn free(&self, tid: usize, c: &OpCounters, node: *mut u8);
-    /// Drains slot `tid`'s class magazine back to the single head.
-    fn drain_magazine(&self, tid: usize, c: &OpCounters);
-    /// Orphan recovery: returns the corpse's magazine blocks to the head.
-    fn adopt_slot(&self, tid: usize) -> usize;
+    /// Drains slot `tid`'s class magazine back to the single head (handle
+    /// flush, or orphan recovery); returns the number of blocks drained.
+    fn drain_magazine(&self, tid: usize, c: &OpCounters) -> usize;
     /// Stop-the-world tail-segment retire (`&mut`: quiescence by borrow).
-    fn reclaim_quiescent(&mut self, threads: usize) -> bool;
+    fn reclaim_quiescent(&mut self) -> bool;
     /// Quiescent audit of the class.
     fn leak(&self) -> ClassLeak;
+    /// Installs the domain's backoff switch and fault schedule.
+    fn set_tuning(&mut self, tuning: Tuning);
 }
 
-/// One LFRC byte class: a page-carved arena of `RawBuf<N>` blocks behind a
-/// single Treiber head plus optional per-thread magazines — structurally
-/// the same pool as `wfrc_core::class`'s, allocated through the baseline's
-/// contended single-head protocol instead of the wait-free stripes.
+/// One LFRC byte class: an [`LfrcPool`] over page-carved `RawBuf<N>`
+/// blocks. Blocks are leaves holding exactly one reference, so the pool's
+/// `alloc`/`release` are the whole allocation protocol; the class adds only
+/// the block geometry and the size-erasing trait.
 struct LfrcByteClass<const N: usize> {
-    arena: Arena<RawBuf<N>>,
-    head: HeadCell<RawBuf<N>>,
-    mag: Magazines<RawBuf<N>>,
-}
-
-impl<const N: usize> LfrcByteClass<N> {
-    fn new(cfg: &ClassConfig, n: usize) -> Self {
-        assert!(cfg.capacity > 0, "class capacity must be positive");
-        let capacity = page_carved::<RawBuf<N>>(cfg.capacity);
-        let growth = match cfg.growth {
-            Growth::Disabled => Growth::Disabled,
-            Growth::Enabled {
-                factor,
-                max_capacity,
-            } => Growth::Enabled {
-                factor,
-                max_capacity: page_carved::<RawBuf<N>>(max_capacity.max(capacity)),
-            },
-        };
-        let arena = Arena::with_growth_carved(capacity, growth, |_| RawBuf::default());
-        for i in 0..capacity {
-            let next = if i + 1 < capacity {
-                arena.node_ptr(i + 1)
-            } else {
-                ptr::null_mut()
-            };
-            arena.node(i).mm_next().store(next);
-        }
-        let head = new_head::<RawBuf<N>>();
-        h_store(&head, arena.node_ptr(0));
-        Self {
-            arena,
-            head,
-            mag: Magazines::new(n, clamped_cap(cfg.magazine, capacity, n)),
-        }
-    }
-
-    /// Treiber push of an exclusively-owned, pre-linked chain.
-    fn push_chain(&self, first: *mut Node<RawBuf<N>>, last: *mut Node<RawBuf<N>>) {
-        let mut backoff = Backoff::new();
-        loop {
-            // Relaxed head load / Release publish: same Treiber orderings
-            // as the node pool's `push_chain_raw`.
-            let head = self.head.load_with(Ordering::Relaxed);
-            // SAFETY: `last` is exclusively ours until the CAS publishes it.
-            unsafe { (*last).mm_next().store(head) };
-            if self
-                .head
-                .cas_with(head, first, Ordering::Release, Ordering::Relaxed)
-            {
-                return;
-            }
-            backoff.snooze();
-        }
-    }
-
-    /// One growth step on the class arena (same contract as the node
-    /// pool's `try_grow`).
-    fn try_grow(&self, c: &OpCounters) -> bool {
-        match self.arena.try_grow() {
-            GrowOutcome::Grew { nodes, revived } => {
-                OpCounters::bump(&c.segments_grown);
-                if revived {
-                    OpCounters::bump(&c.segments_revived);
-                }
-                OpCounters::add(&c.nodes_seeded, nodes.len() as u64);
-                let first = &nodes[0] as *const Node<RawBuf<N>> as *mut Node<RawBuf<N>>;
-                for w in nodes.windows(2) {
-                    w[0].mm_next()
-                        .store(&w[1] as *const Node<RawBuf<N>> as *mut Node<RawBuf<N>>);
-                }
-                let last =
-                    &nodes[nodes.len() - 1] as *const Node<RawBuf<N>> as *mut Node<RawBuf<N>>;
-                self.push_chain(first, last);
-                true
-            }
-            GrowOutcome::Lost => true,
-            GrowOutcome::AtCapacity => false,
-        }
-    }
+    pool: LfrcPool<RawBuf<N>>,
 }
 
 impl<const N: usize> LfrcClassOps for LfrcByteClass<N> {
@@ -1567,55 +1385,15 @@ impl<const N: usize> LfrcClassOps for LfrcByteClass<N> {
     }
 
     fn capacity(&self) -> usize {
-        self.arena.capacity()
+        self.pool.arena.capacity()
     }
 
     fn segment_count(&self) -> usize {
-        self.arena.segment_count()
+        self.pool.arena.segment_count()
     }
 
-    fn alloc(&self, tid: usize, c: &OpCounters, backoff_on: bool) -> Result<*mut u8, OutOfMemory> {
-        if self.mag.is_enabled() {
-            // SAFETY: `tid` is the caller's exclusively-owned slot.
-            if let Some(node) = unsafe { self.mag.pop(tid) } {
-                OpCounters::bump(&c.magazine_hits);
-                // SAFETY: arena node; parked blocks hold mm_ref == 1.
-                unsafe { (*node).faa_ref(1) };
-                return Ok(node as *mut u8);
-            }
-        }
-        let mut backoff = Backoff::new();
-        loop {
-            // Acquire: pairs with the Release push that published `node`.
-            let node = self.head.load_with(Ordering::Acquire);
-            if node.is_null() {
-                OpCounters::bump(&c.alloc_slow_path);
-                if self.try_grow(c) {
-                    continue;
-                }
-                return Err(OutOfMemory);
-            }
-            // SAFETY: arena node; headers are type-stable.
-            let nref = unsafe { &*node };
-            nref.faa_ref(2); // pin against reinsertion
-            let next = nref.mm_next().load();
-            if self
-                .head
-                .cas_with(node, next, Ordering::AcqRel, Ordering::Relaxed)
-            {
-                nref.faa_ref(-1); // claimed free block (3) -> one live ref (2)
-                return Ok(node as *mut u8);
-            }
-            OpCounters::bump(&c.alloc_cas_failures);
-            // Undo the pin; if that claims the block, hand it back.
-            nref.faa_ref(-2);
-            if nref.try_claim() {
-                self.push_chain(node, node);
-            }
-            if backoff_on {
-                backoff.snooze();
-            }
-        }
+    fn alloc(&self, tid: usize, c: &OpCounters) -> Result<*mut u8, OutOfMemory> {
+        Ok(self.pool.alloc(tid, c)? as *mut u8)
     }
 
     fn data_ptr(&self, node: *mut u8) -> *mut u8 {
@@ -1627,171 +1405,51 @@ impl<const N: usize> LfrcClassOps for LfrcByteClass<N> {
     }
 
     unsafe fn free(&self, tid: usize, c: &OpCounters, node: *mut u8) {
-        OpCounters::bump(&c.releases);
-        let node = node as *mut Node<RawBuf<N>>;
-        // SAFETY: arena node, caller owns one reference.
-        let n = unsafe { &*node };
-        n.faa_ref(-2);
-        if n.try_claim() {
-            OpCounters::bump(&c.reclaims);
-            OpCounters::bump(&c.free_calls);
-            if self.mag.is_enabled() {
-                // SAFETY: `tid` exclusivity (caller contract).
-                if unsafe { self.mag.try_push(tid, node) } {
-                    return;
-                }
-                let half = (self.mag.cap() / 2).max(1);
-                // SAFETY: same exclusivity.
-                let batch = unsafe { self.mag.take(tid, half) };
-                if !batch.is_empty() {
-                    OpCounters::bump(&c.magazine_drains);
-                    for w in batch.windows(2) {
-                        // SAFETY: claimed blocks owned by this drain.
-                        unsafe { (*w[0]).mm_next().store(w[1]) };
-                    }
-                    self.push_chain(batch[0], batch[batch.len() - 1]);
-                }
-                // SAFETY: same exclusivity; we just made room.
-                if unsafe { self.mag.try_push(tid, node) } {
-                    return;
-                }
-            }
-            self.push_chain(node, node);
-        }
+        // SAFETY: forwarded contract — the allocation's one reference.
+        unsafe { self.pool.release(tid, c, node as *mut Node<RawBuf<N>>) };
     }
 
-    fn drain_magazine(&self, tid: usize, c: &OpCounters) {
-        // SAFETY: `tid` exclusivity (caller contract).
-        let batch = unsafe { self.mag.take(tid, usize::MAX) };
-        if !batch.is_empty() {
-            OpCounters::bump(&c.magazine_drains);
-            for w in batch.windows(2) {
-                // SAFETY: claimed blocks owned by this drain.
-                unsafe { (*w[0]).mm_next().store(w[1]) };
-            }
-            self.push_chain(batch[0], batch[batch.len() - 1]);
-        }
+    fn drain_magazine(&self, tid: usize, c: &OpCounters) -> usize {
+        self.pool.drain_magazine(tid, c, usize::MAX)
     }
 
-    fn adopt_slot(&self, tid: usize) -> usize {
-        // SAFETY: the adopter CAS-claimed the corpse's slot exclusively.
-        let batch = unsafe { self.mag.take(tid, usize::MAX) };
-        let recovered = batch.len();
-        if !batch.is_empty() {
-            for w in batch.windows(2) {
-                // SAFETY: claimed blocks owned by this drain.
-                unsafe { (*w[0]).mm_next().store(w[1]) };
-            }
-            self.push_chain(batch[0], batch[batch.len() - 1]);
-        }
-        recovered
-    }
-
-    fn reclaim_quiescent(&mut self, threads: usize) -> bool {
-        // The same private sweep as `LfrcDomain::reclaim_quiescent`,
-        // applied to the class arena/head/magazines.
-        let s = self.arena.segment_count();
-        if s < 2 {
-            return false;
-        }
-        let tail = s - 1;
-        if let (Some(start), Some(len), Some(have)) = (
-            self.arena.seg_start(tail),
-            self.arena.seg_len(tail),
-            self.arena.seg_free_count(tail),
-        ) {
-            if have < len {
-                self.arena
-                    .note_seeded(self.arena.node_ptr(start), len - have);
-            }
-        }
-        let Some(slot) = self.arena.try_begin_tail_retire() else {
-            return false;
-        };
-        let len = self.arena.seg_len(slot).unwrap_or(0);
-        for tid in 0..threads {
-            // SAFETY: exclusive access to the whole class (`&mut self`).
-            let batch = unsafe { self.mag.take(tid, usize::MAX) };
-            if !batch.is_empty() {
-                for w in batch.windows(2) {
-                    // SAFETY: privately owned chain.
-                    unsafe { (*w[0]).mm_next().store(w[1]) };
-                }
-                self.push_chain(batch[0], batch[batch.len() - 1]);
-            }
-        }
-        let mut p = self.head.swap_with(ptr::null_mut(), Ordering::Acquire);
-        let mut candidates: Vec<*mut Node<RawBuf<N>>> = Vec::with_capacity(len);
-        let mut keep: Vec<*mut Node<RawBuf<N>>> = Vec::new();
-        while !p.is_null() {
-            // SAFETY: detached chain is privately owned.
-            let next = unsafe { (*p).mm_next().load() };
-            if self.arena.seg_contains(slot, p) {
-                candidates.push(p);
-            } else {
-                keep.push(p);
-            }
-            p = next;
-        }
-        let complete = candidates.len() == len
-            // SAFETY: candidate blocks are privately held; headers stable.
-            && candidates.iter().all(|&n| unsafe { (*n).load_ref() } == 1)
-            && self.arena.finish_retire(slot);
-        if !complete {
-            keep.append(&mut candidates);
-            self.arena.abort_retire(slot);
-        }
-        if !keep.is_empty() {
-            for w in keep.windows(2) {
-                // SAFETY: privately owned chain.
-                unsafe { (*w[0]).mm_next().store(w[1]) };
-            }
-            self.push_chain(keep[0], keep[keep.len() - 1]);
-        }
-        complete
+    fn reclaim_quiescent(&mut self) -> bool {
+        self.pool.reclaim_quiescent()
     }
 
     fn leak(&self) -> ClassLeak {
-        let parked = self.mag.parked();
+        let arena = &self.pool.arena;
         let mut report = ClassLeak {
             size: N,
-            capacity: self.arena.capacity(),
-            segments: self.arena.segment_count(),
-            segments_retired: self.arena.segments_retired(),
+            capacity: arena.capacity(),
+            segments: arena.segment_count(),
+            segments_retired: arena.segments_retired(),
             ..ClassLeak::default()
         };
-        for node in self.arena.iter() {
-            let r = node.load_ref();
-            let ptr = node as *const _ as usize;
-            if parked.contains(&ptr) {
-                if r == 1 {
-                    report.magazine_nodes += 1;
-                } else {
-                    report.corrupt_nodes += 1;
-                }
-            } else if r == 1 {
-                report.free_nodes += 1;
-            } else if r % 2 == 0 && r >= 2 {
-                report.live_nodes += 1;
-            } else {
-                report.corrupt_nodes += 1;
-            }
-        }
+        report.count(&self.pool.census());
         report
+    }
+
+    fn set_tuning(&mut self, tuning: Tuning) {
+        self.pool.tuning = tuning;
     }
 }
 
 /// Monomorphization dispatch, mirroring `wfrc_core::class`'s: size →
 /// `LfrcByteClass<N>` behind the object-safe trait.
-fn build_lfrc_class(cfg: &ClassConfig, n: usize) -> Box<dyn LfrcClassOps> {
+fn build_lfrc_class(cfg: &ClassConfig, n: usize, tuning: Tuning) -> Box<dyn LfrcClassOps> {
+    fn class<const N: usize>(cfg: &ClassConfig, n: usize, tuning: Tuning) -> Box<dyn LfrcClassOps> {
+        let pool = LfrcPool::new(class_arena::<N>(cfg), n, cfg.magazine, tuning);
+        Box::new(LfrcByteClass { pool })
+    }
     match cfg.size {
-        64 => Box::new(LfrcByteClass::<64>::new(cfg, n)),
-        128 => Box::new(LfrcByteClass::<128>::new(cfg, n)),
-        256 => Box::new(LfrcByteClass::<256>::new(cfg, n)),
-        512 => Box::new(LfrcByteClass::<512>::new(cfg, n)),
-        1024 => Box::new(LfrcByteClass::<1024>::new(cfg, n)),
-        2048 => Box::new(LfrcByteClass::<2048>::new(cfg, n)),
-        4096 => Box::new(LfrcByteClass::<4096>::new(cfg, n)),
+        64 => class::<64>(cfg, n, tuning),
+        128 => class::<128>(cfg, n, tuning),
+        256 => class::<256>(cfg, n, tuning),
+        512 => class::<512>(cfg, n, tuning),
+        1024 => class::<1024>(cfg, n, tuning),
+        2048 => class::<2048>(cfg, n, tuning),
+        4096 => class::<4096>(cfg, n, tuning),
         other => panic!(
             "unsupported class size {other} (supported: {:?})",
             wfrc_core::CLASS_SIZES
@@ -2109,7 +1767,9 @@ mod tests {
         h.abandon();
         let report = d.adopt_orphans();
         assert_eq!(report.orphans_adopted, 1);
-        assert_eq!(report.class_nodes_recovered, 1);
+        // The alloc batch-refilled half a magazine (2 blocks) like every
+        // other pool; the free put the allocated one back beside the other.
+        assert_eq!(report.class_nodes_recovered, 2);
         let audit = d.leak_check();
         assert!(audit.is_clean(), "{audit}");
         assert_eq!(audit.classes[0].magazine_nodes, 0);

@@ -32,4 +32,4 @@ pub mod lfrc;
 
 pub use epoch::{EbrDomain, EbrGuard, EbrHandle};
 pub use hazard::{HpDomain, HpHandle};
-pub use lfrc::{LfrcDomain, LfrcHandle, LfrcPinGuard};
+pub use lfrc::{LfrcDomain, LfrcHandle};

@@ -77,20 +77,10 @@ use wfrc_primitives::AtomicWord;
 /// Bits per summary word (the shard width).
 const SUMMARY_BITS: usize = usize::BITS as usize;
 
-#[cfg(not(feature = "no-pad"))]
 type Cell = wfrc_primitives::CachePadded<AtomicWord>;
-#[cfg(feature = "no-pad")]
-type Cell = AtomicWord;
 
 fn new_cell() -> Cell {
-    #[cfg(not(feature = "no-pad"))]
-    {
-        wfrc_primitives::CachePadded::new(AtomicWord::new(0))
-    }
-    #[cfg(feature = "no-pad")]
-    {
-        AtomicWord::new(0)
-    }
+    wfrc_primitives::CachePadded::new(AtomicWord::new(0))
 }
 
 /// The empty/consumed slot value (the paper's ⊥).

@@ -376,13 +376,6 @@ impl<T> Arena<T> {
             .count()
     }
 
-    /// Audit strikes currently recorded against slot `s`.
-    #[inline]
-    pub fn seg_strikes(&self, s: usize) -> Option<usize> {
-        self.header(s)
-            .map(|seg| seg.strikes.load(Ordering::Relaxed))
-    }
-
     /// Records one post-adoption audit failure against slot `s`. At
     /// [`POISON_STRIKES`] a RETIRED slot is CASed to `SEG_POISONED` —
     /// permanently excluded from [`Arena::try_grow`] revival (the arena

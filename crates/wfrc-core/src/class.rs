@@ -27,12 +27,10 @@
 //! `free_bytes` / `bytes` for raw buffers (returning a [`RawBytes`]
 //! token), and `alloc_box` for typed values ([`crate::DomainBox`]).
 
-use core::sync::atomic::{AtomicUsize, Ordering};
-
 use crate::announce::Announce;
 use crate::arena::{page_carved, Arena, Growth};
 use crate::counters::OpCounters;
-use crate::domain::Shared;
+use crate::domain::{Census, Shared};
 use crate::freelist::FreeLists;
 use crate::link::Link;
 use crate::magazine::{clamped_cap, Magazines};
@@ -150,10 +148,6 @@ pub struct ClassConfig {
     /// Requested per-thread magazine capacity for this class (0 disables;
     /// clamped exactly like the node pool's).
     pub magazine: usize,
-    /// Override for the class's footnote-4 retry bound (default:
-    /// [`alloc_retry_bound`]`(max_threads)` — the bound is per class
-    /// because each class races only its own free-lists).
-    pub oom_bound: Option<usize>,
     /// Reclamation budgets for the class arena.
     pub reclaim: ReclaimPolicy,
 }
@@ -166,7 +160,6 @@ impl ClassConfig {
             capacity,
             growth: Growth::Disabled,
             magazine: 0,
-            oom_bound: None,
             reclaim: ReclaimPolicy::default(),
         }
     }
@@ -180,12 +173,6 @@ impl ClassConfig {
     /// Enables per-thread magazines of (at most) `cap` blocks.
     pub fn with_magazine(mut self, cap: usize) -> Self {
         self.magazine = cap;
-        self
-    }
-
-    /// Overrides the class allocation retry bound.
-    pub fn with_oom_bound(mut self, bound: usize) -> Self {
-        self.oom_bound = Some(bound);
         self
     }
 
@@ -229,6 +216,17 @@ pub struct ClassLeak {
 }
 
 impl ClassLeak {
+    /// Fills the block categories from `c` (see [`crate::census`]). Blocks are
+    /// leaves outside the weak and snapshot tiers, so a block found deferred
+    /// or DEAD-but-weak is corrupt.
+    pub fn count(&mut self, c: &Census) {
+        self.free_nodes = c.free_nodes;
+        self.parked_gifts = c.parked_gifts;
+        self.magazine_nodes = c.magazine_nodes;
+        self.live_nodes = c.live_nodes;
+        self.corrupt_nodes = c.corrupt_nodes + c.deferred_nodes + c.weak_nodes;
+    }
+
     /// True when no block is live or corrupt and all are accounted for.
     pub fn is_clean(&self) -> bool {
         self.live_nodes == 0
@@ -246,8 +244,6 @@ pub(crate) trait ByteClassOps: Send + Sync {
     fn capacity(&self) -> usize;
     /// Resident segments of the class arena.
     fn segment_count(&self) -> usize;
-    /// Cumulative class segments retired.
-    fn segments_retired(&self) -> usize;
     /// Allocates one block (stale contents), returning the erased node
     /// pointer. Brackets the class epoch of `tid`.
     fn alloc(&self, tid: usize, c: &OpCounters) -> Result<*mut u8, OutOfMemory>;
@@ -282,29 +278,6 @@ pub(crate) trait ByteClassOps: Send + Sync {
     fn set_fault_plan(&mut self, plan: std::sync::Arc<crate::fault::FaultPlan>);
 }
 
-/// RAII class-epoch bracket (the byte-class analogue of
-/// `handle::OpGuard`): entry/exit each flip the slot's parity, and the
-/// exit runs on unwind too, so an injected death inside a class operation
-/// leaves the epoch even — a class reclaimer never waits on a corpse.
-struct ClassOp<'a> {
-    epoch: &'a AtomicUsize,
-}
-
-impl<'a> ClassOp<'a> {
-    #[inline]
-    fn enter(epoch: &'a AtomicUsize) -> Self {
-        epoch.fetch_add(1, Ordering::SeqCst);
-        Self { epoch }
-    }
-}
-
-impl Drop for ClassOp<'_> {
-    #[inline]
-    fn drop(&mut self) {
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
 /// One byte class: a complete `Shared` pipeline over `RawBuf<N>` blocks.
 /// All the Figure-5 machinery (striped free-lists, gifting, magazines,
 /// grow, retire) is reused verbatim; only the announcement matrix sits
@@ -313,21 +286,32 @@ struct ByteClass<const N: usize> {
     shared: Shared<RawBuf<N>>,
 }
 
+/// The arena of one `N`-byte class: `cfg.capacity` and the growth ceiling
+/// rounded up to whole carve pages, zeroed blocks. Support API for the
+/// baselines in `wfrc-baselines`, whose class pools share this geometry.
+///
+/// # Panics
+/// If `cfg.capacity` is 0.
+pub fn class_arena<const N: usize>(cfg: &ClassConfig) -> Arena<RawBuf<N>> {
+    assert!(cfg.capacity > 0, "class capacity must be positive");
+    let capacity = page_carved::<RawBuf<N>>(cfg.capacity);
+    let growth = match cfg.growth {
+        Growth::Disabled => Growth::Disabled,
+        Growth::Enabled {
+            factor,
+            max_capacity,
+        } => Growth::Enabled {
+            factor,
+            max_capacity: page_carved::<RawBuf<N>>(max_capacity.max(capacity)),
+        },
+    };
+    Arena::with_growth_carved(capacity, growth, |_| RawBuf::default())
+}
+
 impl<const N: usize> ByteClass<N> {
     fn new(cfg: &ClassConfig, n: usize) -> Self {
-        assert!(cfg.capacity > 0, "class capacity must be positive");
-        let capacity = page_carved::<RawBuf<N>>(cfg.capacity);
-        let growth = match cfg.growth {
-            Growth::Disabled => Growth::Disabled,
-            Growth::Enabled {
-                factor,
-                max_capacity,
-            } => Growth::Enabled {
-                factor,
-                max_capacity: page_carved::<RawBuf<N>>(max_capacity.max(capacity)),
-            },
-        };
-        let arena = Arena::with_growth_carved(capacity, growth, |_| RawBuf::default());
+        let arena = class_arena::<N>(cfg);
+        let capacity = arena.capacity();
         let fl = FreeLists::new(n);
         fl.seed(&arena);
         let shared = Shared {
@@ -336,7 +320,8 @@ impl<const N: usize> ByteClass<N> {
             ann: Announce::new(n),
             fl,
             n,
-            oom_bound: cfg.oom_bound.unwrap_or_else(|| alloc_retry_bound(n)),
+            // Footnote 4, per class: each class races only its own lists.
+            oom_bound: alloc_retry_bound(n),
             reclaim: crate::reclaim::ReclaimCtl::new(n, cfg.reclaim),
             #[cfg(feature = "fault-injection")]
             faults: None,
@@ -358,12 +343,8 @@ impl<const N: usize> ByteClassOps for ByteClass<N> {
         self.shared.arena.segment_count()
     }
 
-    fn segments_retired(&self) -> usize {
-        self.shared.arena.segments_retired()
-    }
-
     fn alloc(&self, tid: usize, c: &OpCounters) -> Result<*mut u8, OutOfMemory> {
-        let _op = ClassOp::enter(self.shared.reclaim.epoch(tid));
+        let _op = self.shared.reclaim.epoch(tid).bracket();
         let node = self.shared.alloc_node(tid, c)?;
         Ok(node as *mut u8)
     }
@@ -378,7 +359,7 @@ impl<const N: usize> ByteClassOps for ByteClass<N> {
     }
 
     unsafe fn free(&self, tid: usize, c: &OpCounters, node: *mut u8) {
-        let _op = ClassOp::enter(self.shared.reclaim.epoch(tid));
+        let _op = self.shared.reclaim.epoch(tid).bracket();
         // A block allocation owns exactly one reference (mm_ref == 2);
         // releasing it claims the block and free-lists it. Blocks are
         // leaves, so the release never recurses.
@@ -398,47 +379,28 @@ impl<const N: usize> ByteClassOps for ByteClass<N> {
     }
 
     fn reset_epoch(&self, tid: usize) {
-        self.shared.reclaim.epoch(tid).store(0, Ordering::SeqCst);
+        self.shared.reclaim.epoch(tid).reset();
     }
 
     fn adopt_slot(&self, tid: usize, c: &OpCounters) -> usize {
         let s = &self.shared;
-        let mut recovered = 0usize;
-        // The corpse may have died holding this class's retire claim.
-        if s.reclaim.draining_by.load(Ordering::SeqCst) == tid + 1 {
-            s.reopen_reclaim(tid, c);
-        }
-        s.reclaim.epoch(tid).store(0, Ordering::SeqCst);
+        s.adopt_reclaim_state(tid, c);
         // Announcements are never used on byte classes, so the slot's
         // row is necessarily empty; only the gift cell and the magazine
         // can hold blocks.
-        let gift = s.fl.take_gift(tid);
-        if !gift.is_null() {
-            s.arena.occupancy_dec(gift);
-            // SAFETY: the gift was parked for `tid`, whose slot the
-            // adopter exclusively owns.
-            unsafe { (*gift).faa_ref(-1) };
-            s.release_ref(tid, c, gift);
-            recovered += 1;
-        }
         // SAFETY: slot ownership claimed by the adopter.
-        recovered += unsafe { s.mag.len(tid) };
+        let recovered = s.adopt_gift(tid, c) + unsafe { s.mag.len(tid) };
         s.drain_magazine(tid, c);
         recovered
     }
 
     fn drain_magazine(&self, tid: usize, c: &OpCounters) {
-        let _op = ClassOp::enter(self.shared.reclaim.epoch(tid));
+        let _op = self.shared.reclaim.epoch(tid).bracket();
         self.shared.drain_magazine(tid, c);
     }
 
     fn leak(&self) -> ClassLeak {
         let s = &self.shared;
-        let gifts: std::collections::HashSet<usize> = (0..s.n)
-            .map(|t| s.fl.gift_for(t) as usize)
-            .filter(|p| *p != 0)
-            .collect();
-        let parked = s.mag.parked();
         let mut report = ClassLeak {
             size: N,
             capacity: s.arena.capacity(),
@@ -446,29 +408,7 @@ impl<const N: usize> ByteClassOps for ByteClass<N> {
             segments_retired: s.arena.segments_retired(),
             ..ClassLeak::default()
         };
-        for node in s.arena.iter() {
-            let r = node.load_ref();
-            let ptr = node as *const _ as usize;
-            if gifts.contains(&ptr) {
-                if r == 3 {
-                    report.parked_gifts += 1;
-                } else {
-                    report.corrupt_nodes += 1;
-                }
-            } else if parked.contains(&ptr) {
-                if r == 1 {
-                    report.magazine_nodes += 1;
-                } else {
-                    report.corrupt_nodes += 1;
-                }
-            } else if r == 1 {
-                report.free_nodes += 1;
-            } else if r % 2 == 0 && r >= 2 {
-                report.live_nodes += 1;
-            } else {
-                report.corrupt_nodes += 1;
-            }
-        }
+        report.count(&s.census());
         report
     }
 

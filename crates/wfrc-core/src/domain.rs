@@ -46,6 +46,51 @@ pub(crate) struct Shared<T> {
     pub(crate) faults: Option<std::sync::Arc<crate::fault::FaultPlan>>,
 }
 
+impl<T: RcObject> Shared<T> {
+    /// Quiescent audit of this pool (node pool or byte class): [`census`]
+    /// over its arena, gift cells, magazines and deferred lists.
+    pub(crate) fn census(&self) -> Census {
+        let gifts = (0..self.n)
+            .map(|t| self.fl.gift_for(t) as usize)
+            .filter(|p| *p != 0)
+            .collect();
+        let mut deferred = std::collections::HashSet::new();
+        self.reclaim.for_each_deferred(|p| {
+            deferred.insert(p as usize);
+        });
+        census(self.arena.iter(), &gifts, &self.mag.parked(), &deferred)
+    }
+
+    /// Adoption, reclaim side (node pool and every class alike): if the
+    /// corpse died holding this pool's segment-retire claim (the
+    /// `SegmentRetire` fault site), reopen the DRAINING segment — parked
+    /// nodes return to the stripes, the claim clears, and a later attempt
+    /// can redo the retire cleanly — then reset its operation epoch.
+    pub(crate) fn adopt_reclaim_state(&self, tid: usize, c: &OpCounters) {
+        if self.reclaim.draining_by.load(Ordering::SeqCst) == tid + 1 {
+            self.reopen_reclaim(tid, c);
+        }
+        self.reclaim.epoch(tid).reset();
+    }
+
+    /// Adoption, gift side: collects the node parked in the corpse's
+    /// `annAlloc` cell — `mm_ref` 3 → 2 (the A4 FixRef), then the reference
+    /// just taken over is released. Returns the number recovered (0 or 1).
+    pub(crate) fn adopt_gift(&self, tid: usize, c: &OpCounters) -> usize {
+        let gift = self.fl.take_gift(tid);
+        if gift.is_null() {
+            return 0;
+        }
+        // The node left a counted gift cell (see `crate::reclaim`).
+        self.arena.occupancy_dec(gift);
+        // SAFETY: the gift was parked for `tid`, whose slot the adopter
+        // exclusively owns.
+        unsafe { (*gift).faa_ref(-1) };
+        self.release_ref(tid, c, gift);
+        1
+    }
+}
+
 #[cfg(feature = "fault-injection")]
 impl<T> Shared<T> {
     /// Fires the injection hook for `site` if a plan is installed. Used at
@@ -58,10 +103,8 @@ impl<T> Shared<T> {
         }
     }
 
-    /// Fires the injection hook with a *completion* obligation: if the hook
-    /// injects a death, `complete` runs (finishing the protocol step the
-    /// site interrupted — e.g. pushing a stolen stripe chain back) before
-    /// the unwind resumes.
+    /// Fires the injection hook with a completion obligation (see
+    /// [`crate::fault::FaultPlan::hit_or`]).
     #[inline]
     pub(crate) fn fault_hit_or(
         &self,
@@ -71,13 +114,7 @@ impl<T> Shared<T> {
         complete: impl FnOnce(),
     ) {
         if let Some(p) = &self.faults {
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.hit(site, tid, c))) {
-                Ok(()) => {}
-                Err(payload) => {
-                    complete();
-                    std::panic::resume_unwind(payload);
-                }
-            }
+            p.hit_or(site, tid, c, complete);
         }
     }
 }
@@ -175,22 +212,11 @@ impl DomainConfig {
 
 /// Registration-slot / telemetry word, padded to a cache line so that
 /// register/unregister churn on one thread id (and the adoption telemetry
-/// FAAs) never false-shares with a neighbouring slot. Follows the same
-/// `no-pad` ablation gate as the announcement matrix (E8b).
-#[cfg(not(feature = "no-pad"))]
+/// FAAs) never false-shares with a neighbouring slot.
 type SlotWord = wfrc_primitives::CachePadded<AtomicWord>;
-#[cfg(feature = "no-pad")]
-type SlotWord = AtomicWord;
 
 fn new_slot_word(v: usize) -> SlotWord {
-    #[cfg(not(feature = "no-pad"))]
-    {
-        wfrc_primitives::CachePadded::new(AtomicWord::new(v))
-    }
-    #[cfg(feature = "no-pad")]
-    {
-        AtomicWord::new(v)
-    }
+    wfrc_primitives::CachePadded::new(AtomicWord::new(v))
 }
 
 /// A wait-free reference-counted memory management domain over payloads `T`.
@@ -333,7 +359,7 @@ impl<T: RcObject> WfrcDomain<T> {
                 // epoch (node pool and every class) so a reclaimer never
                 // waits on a dead owner's parity, and retract any pin bit a
                 // previous owner left published (see DESIGN.md §4f).
-                self.shared.reclaim.epoch(tid).store(0, Ordering::SeqCst);
+                self.shared.reclaim.epoch(tid).reset();
                 self.shared.reclaim.clear_pin(tid);
                 for class in self.classes.iter() {
                     class.reset_epoch(tid);
@@ -400,14 +426,6 @@ impl<T: RcObject> WfrcDomain<T> {
         self.classes[class].segment_count()
     }
 
-    /// Cumulative segments retired by class `class`.
-    ///
-    /// # Panics
-    /// Panics if `class >= class_count()`.
-    pub fn class_segments_retired(&self, class: usize) -> usize {
-        self.classes[class].segments_retired()
-    }
-
     /// True when slot `tid` is currently owned by a live registration.
     /// (Used by the reclaim grace period: only TAKEN slots can be inside an
     /// operation; FREE slots have no thread and ORPHANED slots are corpses.)
@@ -448,12 +466,6 @@ impl<T: RcObject> WfrcDomain<T> {
         self.shared.arena.segments_revived()
     }
 
-    /// Nodes currently on the reclaim parking chain (normally 0 outside an
-    /// in-flight retire; diagnostic).
-    pub fn reclaim_parked(&self) -> usize {
-        self.shared.reclaim.parked_len()
-    }
-
     /// Number of currently registered threads.
     pub fn registered_threads(&self) -> usize {
         // Relaxed: a diagnostic snapshot with no synchronization role.
@@ -482,7 +494,7 @@ impl<T: RcObject> WfrcDomain<T> {
     /// Operation-epoch word for `tid` (odd = mid-operation); the sentinel's
     /// progress heartbeat.
     pub(crate) fn slot_epoch(&self, tid: usize) -> usize {
-        self.shared.reclaim.epoch(tid).load(Ordering::SeqCst)
+        self.shared.reclaim.epoch(tid).read()
     }
 
     /// True when `tid` holds the segment-drain claim (a crashed drainer
@@ -567,19 +579,12 @@ impl<T: RcObject> WfrcDomain<T> {
                 continue;
             }
             let c = OpCounters::new();
-            // (r) If the corpse died holding the segment-retire claim (the
-            // `SegmentRetire` fault site), reopen the DRAINING segment
-            // first: parked nodes return to the stripes, the claim clears,
-            // and a later reclaim attempt can redo the retire cleanly.
-            if s.reclaim.draining_by.load(Ordering::SeqCst) == tid + 1 {
-                s.reopen_reclaim(tid, &c);
-            }
-            // The corpse may have died inside an operation with an odd
-            // epoch — or holding a snapshot pin; the slot is quiescent
-            // once recovery completes. Retracting the pin bit first means
-            // the deferred drain below can free wholesale if this was the
-            // last pin in the domain.
-            s.reclaim.epoch(tid).store(0, Ordering::SeqCst);
+            // (r) Reopen a retire the corpse held and make its slot
+            // quiescent: it may have died inside an operation with an odd
+            // epoch — or holding a snapshot pin. Retracting the pin bit
+            // first means the deferred drain below can free wholesale if
+            // this was the last pin in the domain.
+            s.adopt_reclaim_state(tid, &c);
             s.reclaim.clear_pin(tid);
             // (a) Retract every announcement slot. A live link-address word
             // holds no count (the victim died before D5, or its speculative
@@ -599,17 +604,8 @@ impl<T: RcObject> WfrcDomain<T> {
             // now be withdrawn (never before: a premature clear would let
             // helpers skip a still-live announcement).
             s.ann.clear_summary(tid);
-            // (b) Collect a parked gift: mm_ref 3 -> 2 (the A4 FixRef),
-            // then release the reference we just took ownership of.
-            let gift = s.fl.take_gift(tid);
-            if !gift.is_null() {
-                // The node left a counted gift cell (see `crate::reclaim`).
-                s.arena.occupancy_dec(gift);
-                // SAFETY: the gift was parked for `tid`, whose slot we own.
-                unsafe { (*gift).faa_ref(-1) };
-                s.release_ref(tid, &c, gift);
-                report.gifts_recovered += 1;
-            }
+            // (b) Collect a parked gift.
+            report.gifts_recovered += s.adopt_gift(tid, &c);
             // (c) Count the corpse's magazine before the deferred drain
             // below can park freed nodes into it (each node is reported
             // under exactly one category), then free the deferred-decrement
@@ -713,74 +709,102 @@ impl<T: RcObject> WfrcDomain<T> {
     /// indicates a usage error (e.g. a missed `each_link`).
     pub fn leak_check(&self) -> LeakReport {
         let s = &self.shared;
-        let gifts: std::collections::HashSet<usize> = (0..s.n)
-            .map(|t| s.fl.gift_for(t) as usize)
-            .filter(|p| *p != 0)
-            .collect();
-        let parked = s.mag.parked();
-        let mut deferred = std::collections::HashSet::new();
-        s.reclaim.for_each_deferred(|p| {
-            deferred.insert(p as usize);
-        });
         let mut report = LeakReport {
             capacity: s.arena.capacity(),
             segments: s.arena.segment_count(),
             resident_segments: s.arena.segment_count(),
             segments_retired: s.arena.segments_retired(),
             segments_poisoned: s.arena.segments_poisoned(),
-            snapshot_derefs: s.reclaim.snap.snapshot_derefs.load(Ordering::Relaxed),
-            deferred_decs: s.reclaim.snap.deferred_decs.load(Ordering::Relaxed),
-            upgrade_slow: s.reclaim.snap.upgrade_slow.load(Ordering::Relaxed),
-            weak_upgrades: s.reclaim.snap.weak_upgrades.load(Ordering::Relaxed),
-            upgrade_failed: s.reclaim.snap.upgrade_failed.load(Ordering::Relaxed),
             ..LeakReport::default()
         };
-        for node in s.arena.iter() {
-            let r = node.load_ref();
-            let low = r & crate::node::Node::<T>::STRONG_MASK;
-            let weak = (r & crate::node::Node::<T>::WEAK_MASK) >> 32;
-            let dead = r & crate::node::Node::<T>::DEAD != 0;
-            report.weak_count += weak as u64;
-            let ptr = node as *const _ as usize;
-            if gifts.contains(&ptr) {
-                // Gifts are weak-free by construction (a node reaches the
-                // free path only after its counts fully drained) — exact.
-                if r == 3 {
-                    report.parked_gifts += 1;
-                } else {
-                    report.corrupt_nodes += 1;
-                }
-            } else if parked.contains(&ptr) {
-                // Magazine-parked nodes keep the free representation.
-                if r == 1 {
-                    report.magazine_nodes += 1;
-                } else {
-                    report.corrupt_nodes += 1;
-                }
-            } else if deferred.contains(&ptr) {
-                // Deferred-decrement nodes are claimed (free representation)
-                // but held back while a snapshot pin may still read them.
-                if r == 1 {
-                    report.deferred_nodes += 1;
-                } else {
-                    report.corrupt_nodes += 1;
-                }
-            } else if r == 1 {
-                report.free_nodes += 1;
-            } else if dead && low == 1 && weak > 0 {
-                // DEAD-but-weak: payload reclaimed, header pinned by weak
-                // references, off every free structure. At quiescence these
-                // are leaks of held `Weak`s, reported separately.
-                report.weak_nodes += 1;
-            } else if !dead && low.is_multiple_of(2) && low >= 2 {
-                report.live_nodes += 1;
-            } else {
-                report.corrupt_nodes += 1;
-            }
-        }
+        s.reclaim.snap.report(&mut report);
+        report.count(&s.census());
         report.classes = self.classes.iter().map(|c| c.leak()).collect();
         report
     }
+}
+
+/// Where every node of one pool sits at quiescence: the result of
+/// [`census`], from which [`LeakReport`] and [`ClassLeak`] are filled.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Census {
+    /// On a shared free structure (`mm_ref == 1`).
+    pub free_nodes: usize,
+    /// Parked in a gift cell (`mm_ref == 3`).
+    pub parked_gifts: usize,
+    /// Parked in a magazine (`mm_ref == 1`).
+    pub magazine_nodes: usize,
+    /// Batched on a deferred-decrement list (`mm_ref == 1`).
+    pub deferred_nodes: usize,
+    /// Live: even strong count ≥ 2, not DEAD.
+    pub live_nodes: usize,
+    /// DEAD-but-weak: payload reclaimed, header pinned by weak references.
+    pub weak_nodes: usize,
+    /// Sum of weak counts over every node.
+    pub weak_count: u64,
+    /// In a state the quiescent invariants forbid.
+    pub corrupt_nodes: usize,
+}
+
+/// The node audit — the one `mm_ref` classification in the workspace. Every
+/// node of `nodes` lands in exactly one [`Census`] category: a node whose
+/// address is in `gifts`, `parked` (magazines) or `deferred` must carry that
+/// structure's representation (3, 1, 1) or is corrupt; any other node is
+/// free, DEAD-but-weak, live, or corrupt by its word alone. A scheme without
+/// one of the structures passes an empty set.
+///
+/// **Only meaningful at quiescence.**
+pub fn census<'a, T: 'a>(
+    nodes: impl Iterator<Item = &'a crate::node::Node<T>>,
+    gifts: &std::collections::HashSet<usize>,
+    parked: &std::collections::HashSet<usize>,
+    deferred: &std::collections::HashSet<usize>,
+) -> Census {
+    use crate::node::Node;
+    let mut out = Census::default();
+    for node in nodes {
+        let r = node.load_ref();
+        let low = r & Node::<T>::STRONG_MASK;
+        let weak = (r & Node::<T>::WEAK_MASK) >> 32;
+        let dead = r & Node::<T>::DEAD != 0;
+        out.weak_count += weak as u64;
+        let ptr = node as *const _ as usize;
+        // On a parking structure the expected word is exact: nodes reach
+        // the free path only after strong and weak counts fully drained.
+        let category = if gifts.contains(&ptr) {
+            if r == 3 {
+                &mut out.parked_gifts
+            } else {
+                &mut out.corrupt_nodes
+            }
+        } else if parked.contains(&ptr) {
+            if r == 1 {
+                &mut out.magazine_nodes
+            } else {
+                &mut out.corrupt_nodes
+            }
+        } else if deferred.contains(&ptr) {
+            // Claimed (free representation) but held back while a snapshot
+            // pin may still read them.
+            if r == 1 {
+                &mut out.deferred_nodes
+            } else {
+                &mut out.corrupt_nodes
+            }
+        } else if r == 1 {
+            &mut out.free_nodes
+        } else if dead && low == 1 && weak > 0 {
+            // Off every free structure; at quiescence these are leaks of
+            // held `Weak`s, reported separately.
+            &mut out.weak_nodes
+        } else if !dead && low.is_multiple_of(2) && low >= 2 {
+            &mut out.live_nodes
+        } else {
+            &mut out.corrupt_nodes
+        };
+        *category += 1;
+    }
+    out
 }
 
 // SAFETY: the domain is designed for cross-thread sharing; all shared state
@@ -906,6 +930,18 @@ pub struct LeakReport {
 }
 
 impl LeakReport {
+    /// Fills the node-pool categories from `c` (see [`census`]).
+    pub fn count(&mut self, c: &Census) {
+        self.free_nodes = c.free_nodes;
+        self.parked_gifts = c.parked_gifts;
+        self.magazine_nodes = c.magazine_nodes;
+        self.deferred_nodes = c.deferred_nodes;
+        self.live_nodes = c.live_nodes;
+        self.weak_nodes = c.weak_nodes;
+        self.weak_count = c.weak_count;
+        self.corrupt_nodes = c.corrupt_nodes;
+    }
+
     /// True when nothing is live, nothing is corrupt, and every node —
     /// including every byte class's blocks — is accounted for.
     pub fn is_clean(&self) -> bool {
@@ -916,125 +952,6 @@ impl LeakReport {
             && self.free_nodes + self.parked_gifts + self.magazine_nodes + self.deferred_nodes
                 == self.capacity
             && self.classes.iter().all(ClassLeak::is_clean)
-    }
-
-    /// Serializes the report as a single-line JSON object (stable key
-    /// order; `classes` is an array of per-class objects).
-    pub fn to_json(&self) -> String {
-        use core::fmt::Write as _;
-        let mut s = String::with_capacity(256 + 192 * self.classes.len());
-        let _ = write!(
-            s,
-            "{{\"capacity\":{},\"segments\":{},\"resident_segments\":{},\
-             \"segments_retired\":{},\"segments_poisoned\":{},\"free_nodes\":{},\
-             \"parked_gifts\":{},\
-             \"magazine_nodes\":{},\"deferred_nodes\":{},\"live_nodes\":{},\
-             \"weak_nodes\":{},\"weak_count\":{},\
-             \"corrupt_nodes\":{},\"snapshot_derefs\":{},\"deferred_decs\":{},\
-             \"upgrade_slow\":{},\"weak_upgrades\":{},\"upgrade_failed\":{},\
-             \"classes\":[",
-            self.capacity,
-            self.segments,
-            self.resident_segments,
-            self.segments_retired,
-            self.segments_poisoned,
-            self.free_nodes,
-            self.parked_gifts,
-            self.magazine_nodes,
-            self.deferred_nodes,
-            self.live_nodes,
-            self.weak_nodes,
-            self.weak_count,
-            self.corrupt_nodes,
-            self.snapshot_derefs,
-            self.deferred_decs,
-            self.upgrade_slow,
-            self.weak_upgrades,
-            self.upgrade_failed,
-        );
-        for (i, c) in self.classes.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}{{\"size\":{},\"capacity\":{},\"segments\":{},\
-                 \"segments_retired\":{},\"free_nodes\":{},\"parked_gifts\":{},\
-                 \"magazine_nodes\":{},\"live_nodes\":{},\"corrupt_nodes\":{}}}",
-                if i == 0 { "" } else { "," },
-                c.size,
-                c.capacity,
-                c.segments,
-                c.segments_retired,
-                c.free_nodes,
-                c.parked_gifts,
-                c.magazine_nodes,
-                c.live_nodes,
-                c.corrupt_nodes,
-            );
-        }
-        s.push_str("]}");
-        s
-    }
-
-    /// Parses a report serialized by [`LeakReport::to_json`]. Returns
-    /// `None` on any structural mismatch (this is a round-trip codec for
-    /// our own output, not a general JSON parser).
-    pub fn from_json(json: &str) -> Option<LeakReport> {
-        let json = json.trim();
-        let inner = json.strip_prefix('{')?.strip_suffix('}')?;
-        let (outer, classes_part) = inner.split_once("\"classes\":[")?;
-        let classes_part = classes_part.strip_suffix(']')?;
-        let field = |src: &str, key: &str| -> Option<usize> {
-            let at = src.find(&format!("\"{key}\":"))?;
-            let rest = &src[at + key.len() + 3..];
-            let end = rest
-                .find(|ch: char| !ch.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        };
-        let mut report = LeakReport {
-            capacity: field(outer, "capacity")?,
-            segments: field(outer, "segments")?,
-            resident_segments: field(outer, "resident_segments")?,
-            segments_retired: field(outer, "segments_retired")?,
-            // Absent in pre-PR 8 snapshots: default 0 keeps old benchmark
-            // baselines parseable.
-            segments_poisoned: field(outer, "segments_poisoned").unwrap_or(0),
-            free_nodes: field(outer, "free_nodes")?,
-            parked_gifts: field(outer, "parked_gifts")?,
-            magazine_nodes: field(outer, "magazine_nodes")?,
-            // Absent in pre-PR 9 snapshots: default 0 keeps old benchmark
-            // baselines parseable.
-            deferred_nodes: field(outer, "deferred_nodes").unwrap_or(0),
-            live_nodes: field(outer, "live_nodes")?,
-            // Absent in pre-PR 10 snapshots: default 0 keeps old benchmark
-            // baselines parseable.
-            weak_nodes: field(outer, "weak_nodes").unwrap_or(0),
-            weak_count: field(outer, "weak_count").unwrap_or(0) as u64,
-            corrupt_nodes: field(outer, "corrupt_nodes")?,
-            snapshot_derefs: field(outer, "snapshot_derefs").unwrap_or(0) as u64,
-            deferred_decs: field(outer, "deferred_decs").unwrap_or(0) as u64,
-            upgrade_slow: field(outer, "upgrade_slow").unwrap_or(0) as u64,
-            weak_upgrades: field(outer, "weak_upgrades").unwrap_or(0) as u64,
-            upgrade_failed: field(outer, "upgrade_failed").unwrap_or(0) as u64,
-            classes: Vec::new(),
-        };
-        for obj in classes_part.split("},{") {
-            let obj = obj.trim_start_matches('{').trim_end_matches('}');
-            if obj.is_empty() {
-                continue;
-            }
-            report.classes.push(ClassLeak {
-                size: field(obj, "size")?,
-                capacity: field(obj, "capacity")?,
-                segments: field(obj, "segments")?,
-                segments_retired: field(obj, "segments_retired")?,
-                free_nodes: field(obj, "free_nodes")?,
-                parked_gifts: field(obj, "parked_gifts")?,
-                magazine_nodes: field(obj, "magazine_nodes")?,
-                live_nodes: field(obj, "live_nodes")?,
-                corrupt_nodes: field(obj, "corrupt_nodes")?,
-            });
-        }
-        Some(report)
     }
 }
 
@@ -1154,7 +1071,7 @@ mod tests {
     }
 
     #[test]
-    fn leak_report_json_round_trips() {
+    fn leak_report_display_names_every_class() {
         let report = LeakReport {
             capacity: 64,
             segments: 2,
@@ -1195,20 +1112,15 @@ mod tests {
                 },
             ],
         };
-        let json = report.to_json();
-        assert_eq!(LeakReport::from_json(&json), Some(report.clone()));
         // Display mentions cleanliness and every class size.
         let text = report.to_string();
         assert!(text.contains("DIRTY"), "{text}");
         assert!(text.contains("class    64 B"), "{text}");
         assert!(text.contains("class  1024 B"), "{text}");
-        // Malformed inputs are rejected, not mis-parsed.
-        assert_eq!(LeakReport::from_json("{}"), None);
-        assert_eq!(LeakReport::from_json("not json"), None);
     }
 
     #[test]
-    fn live_domain_report_round_trips_and_displays_clean() {
+    fn live_domain_report_displays_clean() {
         use crate::class::ClassConfig;
         let d = WfrcDomain::<u64>::new(
             DomainConfig::new(2, 16)
@@ -1217,7 +1129,6 @@ mod tests {
         let r = d.leak_check();
         assert!(r.is_clean(), "{r}");
         assert_eq!(r.classes.len(), 2);
-        assert_eq!(LeakReport::from_json(&r.to_json()), Some(r.clone()));
         assert!(r.to_string().contains("clean"));
     }
 

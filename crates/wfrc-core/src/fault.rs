@@ -364,6 +364,19 @@ impl FaultPlan {
         self.enabled.store(true, Ordering::SeqCst);
     }
 
+    /// [`FaultPlan::hit`] with a *completion* obligation: if the hook
+    /// injects a death, `complete` runs (finishing the protocol step the
+    /// site interrupted — e.g. pushing a stolen chain back) before the
+    /// unwind resumes.
+    pub fn hit_or(&self, site: FaultSite, tid: usize, c: &OpCounters, complete: impl FnOnce()) {
+        if let Err(payload) =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.hit(site, tid, c)))
+        {
+            complete();
+            std::panic::resume_unwind(payload);
+        }
+    }
+
     /// The injection hook: called by the instrumented sites with the
     /// current thread id. Decides per the armed rules and executes the
     /// action. Inert when disabled, when the thread is unwinding, or when

@@ -60,36 +60,15 @@ use crate::domain::Shared;
 use crate::node::{Node, RcObject};
 use crate::oom::OutOfMemory;
 
-#[cfg(not(feature = "no-pad"))]
 type HeadCell<T> = wfrc_primitives::CachePadded<wfrc_primitives::WordPtr<Node<T>>>;
-#[cfg(feature = "no-pad")]
-type HeadCell<T> = wfrc_primitives::WordPtr<Node<T>>;
-
-#[cfg(not(feature = "no-pad"))]
 type WordCell = wfrc_primitives::CachePadded<AtomicWord>;
-#[cfg(feature = "no-pad")]
-type WordCell = AtomicWord;
 
 fn new_head<T>() -> HeadCell<T> {
-    #[cfg(not(feature = "no-pad"))]
-    {
-        wfrc_primitives::CachePadded::new(wfrc_primitives::WordPtr::null())
-    }
-    #[cfg(feature = "no-pad")]
-    {
-        wfrc_primitives::WordPtr::null()
-    }
+    wfrc_primitives::CachePadded::new(wfrc_primitives::WordPtr::null())
 }
 
 fn new_word() -> WordCell {
-    #[cfg(not(feature = "no-pad"))]
-    {
-        wfrc_primitives::CachePadded::new(AtomicWord::new(0))
-    }
-    #[cfg(feature = "no-pad")]
-    {
-        AtomicWord::new(0)
-    }
+    wfrc_primitives::CachePadded::new(AtomicWord::new(0))
 }
 
 /// The Figure 5 globals: `currentFreeList`, `freeList[2N]`, `helpCurrent`,
@@ -294,10 +273,8 @@ impl<T: RcObject> Shared<T> {
         }
         let n = self.n;
         let fl = &self.fl;
-        #[cfg(not(feature = "no-alloc-helping"))]
         let mut helped = false; // A1
                                 // A2. Relaxed: helpCurrent is a round-robin hint (see module docs).
-        #[cfg(not(feature = "no-alloc-helping"))]
         let help_id = fl.help_current.load_with(Ordering::Relaxed) % n;
         let mut iters: u64 = 0;
         loop {
@@ -322,7 +299,6 @@ impl<T: RcObject> Shared<T> {
                 unsafe { (*gift).faa_ref(-1) };
                 OpCounters::bump(&c.alloc_from_gift);
                 self.note_alloc_iters(c, iters);
-                self.debug_assert_not_draining(gift);
                 return Ok(gift);
             }
             if iters as usize > self.oom_bound {
@@ -394,7 +370,6 @@ impl<T: RcObject> Shared<T> {
                     self.park_for_reclaim(node);
                     continue;
                 }
-                #[cfg(not(feature = "no-alloc-helping"))]
                 // A8 probe is Relaxed: the install CAS below re-validates.
                 if !helped && fl.ann_alloc[help_id].load_with(Ordering::Relaxed).is_null() {
                     // A11–A15: gift the node to the thread we owe help.
@@ -418,7 +393,6 @@ impl<T: RcObject> Shared<T> {
                         continue; // A15
                     }
                 }
-                #[cfg(not(feature = "no-alloc-helping"))]
                 // A16. Relaxed RMW on the round-robin hint.
                 fl.help_current.cas_with(
                     help_id,
@@ -432,7 +406,6 @@ impl<T: RcObject> Shared<T> {
                 self.arena.occupancy_dec(node);
                 nref.faa_ref(-1); // A17: FixRef(node, -1): 3 -> 2
                 self.note_alloc_iters(c, iters);
-                self.debug_assert_not_draining(node);
                 return Ok(node);
             }
             // A18: lost the race; drop the A9 pin (reclaims if the winner's
@@ -485,10 +458,14 @@ impl<T: RcObject> Shared<T> {
     /// directly (§3.2).
     pub(crate) fn free_node(&self, tid: usize, c: &OpCounters, node: *mut Node<T>) {
         OpCounters::bump(&c.free_calls);
+        // Claimed and weak-free — but not necessarily *exactly* `FREE_REF`:
+        // a stale allocator's A9 pin (+2 on a head it has not won) may sit
+        // on a claimed node until its A18 release takes it back (Lemma 3's
+        // accounting; `wfrc-model`'s `Op::Free` step R2 says the same).
         debug_assert_eq!(
             // SAFETY: arena node, exclusively owned by this invocation
             // (claimed).
-            unsafe { (*node).load_ref() },
+            unsafe { (*node).load_ref() } & !(Node::<T>::STRONG_MASK & !1),
             Node::<T>::FREE_REF,
             "FreeNode on unclaimed node"
         );
@@ -500,29 +477,26 @@ impl<T: RcObject> Shared<T> {
         if self.magazine_push(tid, c, node) {
             return;
         }
-        #[cfg(not(feature = "no-alloc-helping"))]
-        {
-            let fl = &self.fl;
-            // F1–F2. Relaxed: helpCurrent is a round-robin hint.
-            let help_id = fl.help_current.load_with(Ordering::Relaxed) % self.n;
-            fl.help_current.cas_with(
-                help_id,
-                (help_id + 1) % self.n,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
-            // Corrected F3: match the A12 gift's mm_ref (see module docs).
-            if self.gift_cas(help_id, node) {
-                OpCounters::bump(&c.free_gifted);
-                return;
-            }
+        let fl = &self.fl;
+        // F1–F2. Relaxed: helpCurrent is a round-robin hint.
+        let help_id = fl.help_current.load_with(Ordering::Relaxed) % self.n;
+        fl.help_current.cas_with(
+            help_id,
+            (help_id + 1) % self.n,
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        );
+        // Corrected F3: match the A12 gift's mm_ref (see module docs).
+        if self.gift_cas(help_id, node) {
+            OpCounters::bump(&c.free_gifted);
+            return;
         }
         // F4–F10 for a chain of one. Occupancy credit precedes the push so
         // the counter only ever errs high (see `reclaim`: a premature
         // retire candidate aborts; a wrapped-negative counter must never
         // exist).
         self.arena.occupancy_inc(node);
-        let retries = self.fl.push_chain(tid, node, node);
+        let retries = fl.push_chain(tid, node, node);
         OpCounters::add(&c.free_push_retries, retries);
         OpCounters::record_max(&c.max_free_push_retries, retries);
     }
@@ -530,7 +504,6 @@ impl<T: RcObject> Shared<T> {
     /// The corrected-F3 gift hand-off: bumps the claimed node to the A12
     /// gift representation (`mm_ref` 1 → 3) and CASes it into thread
     /// `help_id`'s `annAlloc` slot, undoing the bump on failure.
-    #[cfg(not(feature = "no-alloc-helping"))]
     fn gift_cas(&self, help_id: usize, node: *mut Node<T>) -> bool {
         // SAFETY: arena node, exclusively owned by the caller (claimed).
         let nref = unsafe { &*node };
@@ -559,7 +532,6 @@ impl<T: RcObject> Shared<T> {
     /// `helpCurrent`, mirroring A11–A15 (refill) / F1–F3 (drain). Returns
     /// true when the gift was accepted (the node now belongs to the
     /// recipient's `annAlloc` slot).
-    #[cfg(not(feature = "no-alloc-helping"))]
     pub(crate) fn try_gift(&self, node: *mut Node<T>) -> bool {
         let fl = &self.fl;
         // Relaxed: helpCurrent is a round-robin hint.
@@ -637,7 +609,24 @@ mod tests {
         assert_eq!(report.free_nodes + report.parked_gifts, 2);
     }
 
-    #[cfg(not(feature = "no-alloc-helping"))]
+    /// Regression: `FreeNode` must tolerate a stale allocator's A9 pin on
+    /// the claimed node it is handed.
+    #[test]
+    fn free_node_tolerates_a_stale_alloc_pin() {
+        let d = WfrcDomain::<u64>::new(DomainConfig::new(1, 2));
+        let h = d.register().unwrap();
+        let node = h.alloc_raw().unwrap();
+        // SAFETY: arena node we hold the only reference on.
+        let n = unsafe { &*node };
+        n.faa_ref(-2); // R1
+        assert!(n.try_claim()); // R2
+        n.faa_ref(2); // the stale A9 pin lands between R2 and FreeNode
+        d.shared().free_node(h.tid(), h.counters(), node);
+        n.faa_ref(-2); // its A18 release: the claim bit keeps it a no-op
+        drop(h);
+        assert!(d.leak_check().is_clean(), "{}", d.leak_check());
+    }
+
     #[test]
     fn gifting_feeds_the_helped_thread() {
         // With one thread, every FreeNode gifts to thread 0 itself, so the
@@ -653,7 +642,6 @@ mod tests {
         drop(b);
     }
 
-    #[cfg(not(feature = "no-alloc-helping"))]
     #[test]
     fn gifted_node_has_gift_refcount() {
         let d = WfrcDomain::<u64>::new(DomainConfig::new(1, 2));

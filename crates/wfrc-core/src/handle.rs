@@ -26,7 +26,6 @@ use core::cell::Cell;
 use core::marker::PhantomData;
 use core::ops::Deref;
 use core::ptr::NonNull;
-use core::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::class::RawBytes;
 use crate::counters::OpCounters;
@@ -34,7 +33,7 @@ use crate::domain::WfrcDomain;
 use crate::link::Link;
 use crate::node::{Node, RcObject};
 use crate::oom::OutOfMemory;
-use crate::reclaim::ReclaimOutcome;
+use crate::reclaim::{ReclaimOutcome, SlotEpoch};
 
 /// A registered thread's view of a [`WfrcDomain`].
 ///
@@ -60,35 +59,39 @@ pub struct ThreadHandle<'d, T: RcObject> {
     _not_sync: PhantomData<core::cell::Cell<()>>,
 }
 
-/// RAII epoch bracket around one handle-level operation: entering flips the
-/// slot's epoch odd, leaving flips it even (outermost level only). The
-/// `SeqCst` bumps order the epoch against the reclaimer's `SeqCst` claim
-/// and grace-period reads — a reclaimer that observes an even (or advanced)
-/// epoch knows every pointer this thread obtained before the DRAINING claim
-/// has been released.
-struct OpGuard<'a> {
-    epoch: &'a AtomicUsize,
-    depth: &'a Cell<usize>,
-}
-
-impl<'a> OpGuard<'a> {
-    fn enter(epoch: &'a AtomicUsize, depth: &'a Cell<usize>) -> Self {
-        let d = depth.get();
-        depth.set(d + 1);
-        if d == 0 {
-            epoch.fetch_add(1, Ordering::SeqCst); // even -> odd: in-op
-        }
-        Self { epoch, depth }
+/// Opens one nesting level of a handle's operation bracket; the slot's
+/// epoch (the convention lives in [`crate::reclaim::SlotEpoch`]) is entered
+/// at the outermost level only.
+#[inline]
+fn op_enter(epoch: SlotEpoch<'_>, depth: &Cell<usize>) {
+    let d = depth.get();
+    depth.set(d + 1);
+    if d == 0 {
+        epoch.enter();
     }
 }
 
+/// Closes one nesting level; the outermost exit makes the slot quiescent.
+#[inline]
+fn op_exit(epoch: SlotEpoch<'_>, depth: &Cell<usize>) {
+    let d = depth.get() - 1;
+    depth.set(d);
+    if d == 0 {
+        epoch.exit();
+    }
+}
+
+/// RAII form of one [`op_enter`]/[`op_exit`] level around a handle-level
+/// operation.
+struct OpGuard<'a> {
+    epoch: SlotEpoch<'a>,
+    depth: &'a Cell<usize>,
+}
+
 impl Drop for OpGuard<'_> {
+    #[inline]
     fn drop(&mut self) {
-        let d = self.depth.get() - 1;
-        self.depth.set(d);
-        if d == 0 {
-            self.epoch.fetch_add(1, Ordering::SeqCst); // odd -> even: quiescent
-        }
+        op_exit(self.epoch, self.depth);
     }
 }
 
@@ -104,9 +107,18 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
         }
     }
 
+    /// This slot's operation epoch.
+    #[inline]
+    fn epoch(&self) -> SlotEpoch<'_> {
+        self.domain.shared().reclaim.epoch(self.tid)
+    }
+
     /// Brackets one memory-management operation in the reclamation epoch.
+    #[inline]
     fn op(&self) -> OpGuard<'_> {
-        OpGuard::enter(self.domain.shared().reclaim.epoch(self.tid), &self.op_depth)
+        let (epoch, depth) = (self.epoch(), &self.op_depth);
+        op_enter(epoch, depth);
+        OpGuard { epoch, depth }
     }
 
     /// This handle's `threadId`.
@@ -371,13 +383,8 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
             // handle operations under the pin do not advance it
             // (op_depth > 0), so the epoch value doubles as the session's
             // baseline in the deferred-drain protocol (crate::reclaim).
-            let od = self.op_depth.get();
-            self.op_depth.set(od + 1);
-            let s = self.domain.shared();
-            if od == 0 {
-                s.reclaim.epoch(self.tid).fetch_add(1, Ordering::SeqCst);
-            }
-            s.reclaim.pin(self.tid);
+            op_enter(self.epoch(), &self.op_depth);
+            self.domain.shared().reclaim.pin(self.tid);
         }
     }
 
@@ -396,11 +403,7 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
         if d == 1 {
             let s = self.domain.shared();
             s.reclaim.unpin(self.tid);
-            let od = self.op_depth.get() - 1;
-            self.op_depth.set(od);
-            if od == 0 {
-                s.reclaim.epoch(self.tid).fetch_add(1, Ordering::SeqCst);
-            }
+            op_exit(self.epoch(), &self.op_depth);
             // Opportunistic drain: if this was the domain's last live pin
             // the whole batch frees wholesale.
             s.try_drain_deferred(self.tid, self.tid, &self.counters);
@@ -915,7 +918,7 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
 impl<T: RcObject> Drop for ThreadHandle<'_, T> {
     fn drop(&mut self) {
         // Fold the snapshot-path counters into the domain-lifetime stats
-        // (surfaced by the leak audit's JSON) on both exit paths — the
+        // (surfaced by the leak audit) on both exit paths — the
         // per-handle cells die with the handle.
         let snap = self.counters.snapshot();
         self.domain.shared().reclaim.snap.fold(&snap);
@@ -937,15 +940,10 @@ impl<T: RcObject> Drop for ThreadHandle<'_, T> {
         // of it is live — nothing can still read under the leaked pin.
         if self.pin_depth.get() > 0 {
             self.pin_depth.set(0);
-            let s = self.domain.shared();
-            s.reclaim.unpin(self.tid);
+            self.domain.shared().reclaim.unpin(self.tid);
             // The session entered exactly one operation level (pin_raw
-            // bumps op_depth only on the outermost pin).
-            let od = self.op_depth.get() - 1;
-            self.op_depth.set(od);
-            if od == 0 {
-                s.reclaim.epoch(self.tid).fetch_add(1, Ordering::SeqCst);
-            }
+            // opens one only on the outermost pin).
+            op_exit(self.epoch(), &self.op_depth);
         }
         // Free what the deferred list allows first — drained nodes may
         // park in this thread's magazine, which the flush below returns.

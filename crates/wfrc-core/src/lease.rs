@@ -27,7 +27,7 @@
 //!
 //! [`LeasePool::try_acquire`] first *reserves* capacity with one
 //! fetch-and-add on a semaphore word (`free_count`), then claims a FREE
-//! slot with a bounded rotor scan — at most [`LeaseConfig::scan_passes`]
+//! slot with a bounded rotor scan — at most [`SCAN_PASSES`]
 //! passes over the `N` slot words, each claim a single CAS. The
 //! reservation keeps the count an *undercount* of actually-FREE slots, so
 //! a failed scan pass can only mean another reserver claimed concurrently;
@@ -300,20 +300,20 @@ pub struct LeaseConfig {
     /// Drain the handle's magazines on every guard drop (default off:
     /// the slot returns *hot*, its magazine intact for the next tenant).
     pub flush_on_release: bool,
-    /// Full scan passes [`LeasePool::try_acquire`] attempts before
-    /// reporting contention (and [`LeasePool::acquire`] falls back to the
-    /// helping ticket). Default 2.
-    pub scan_passes: usize,
 }
 
+/// Full scan passes [`LeasePool::try_acquire`] attempts before reporting
+/// contention (and [`LeasePool::acquire`] falls back to the helping
+/// ticket).
+pub const SCAN_PASSES: usize = 2;
+
 impl LeaseConfig {
-    /// Defaults: no TTL, hot release, 2 scan passes.
+    /// Defaults: no TTL, hot release.
     pub fn new(slots: usize) -> Self {
         Self {
             slots,
             ttl: None,
             flush_on_release: false,
-            scan_passes: 2,
         }
     }
 
@@ -326,12 +326,6 @@ impl LeaseConfig {
     /// Sets whether guards drain their slot's magazines on drop.
     pub fn with_flush_on_release(mut self, flush: bool) -> Self {
         self.flush_on_release = flush;
-        self
-    }
-
-    /// Sets the bounded-scan pass count (clamped to ≥ 1).
-    pub fn with_scan_passes(mut self, passes: usize) -> Self {
-        self.scan_passes = passes.max(1);
         self
     }
 }
@@ -403,7 +397,6 @@ pub struct LeasePool<'d, R: LeaseRegistry> {
     stats: LeaseStats,
     ttl_ns: u64,
     flush_on_release: bool,
-    scan_passes: usize,
     epoch: Instant,
 }
 
@@ -446,7 +439,6 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
             stats: LeaseStats::new(),
             ttl_ns: config.ttl.map_or(0, |d| d.as_nanos().max(1) as u64),
             flush_on_release: config.flush_on_release,
-            scan_passes: config.scan_passes.max(1),
             epoch: Instant::now(),
         })
     }
@@ -594,16 +586,16 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
         }
     }
 
-    /// Bounded claim: reserve, then at most `scan_passes` rotor passes.
+    /// Bounded claim: reserve, then at most [`SCAN_PASSES`] rotor passes.
     fn try_checkout(&self) -> Option<LeaseGuard<'_, 'd, R>> {
         if !self.reserve() {
             return None;
         }
-        for pass in 0..self.scan_passes {
+        for pass in 0..SCAN_PASSES {
             if let Some((idx, word)) = self.claim_pass() {
                 return Some(self.finish_checkout(idx, word));
             }
-            if pass + 1 < self.scan_passes {
+            if pass + 1 < SCAN_PASSES {
                 std::thread::yield_now();
             }
         }
@@ -618,7 +610,7 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
     /// Claims a lease without blocking.
     ///
     /// Bounded wait-free: one reservation FAA plus at most
-    /// [`LeaseConfig::scan_passes`] passes of one CAS-per-free-slot, then
+    /// [`SCAN_PASSES`] passes of one CAS-per-free-slot, then
     /// [`PoolExhausted`]. Use [`LeasePool::acquire`] for the blocking,
     /// handoff-backed form.
     ///

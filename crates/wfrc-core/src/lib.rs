@@ -99,7 +99,7 @@ pub use arena::{Growth, CARVE_PAGE, MAX_SEGMENTS};
 pub use class::{geometric_ladder, ClassConfig, ClassLeak, RawBytes, CLASS_SIZES, MAX_CLASSES};
 pub use counters::{LeaseSnapshot, LeaseStats, OpCounters};
 pub use counters::{SentinelSnapshot, SentinelStats};
-pub use domain::{AdoptReport, DomainConfig, LeakReport, RegistryFull, WfrcDomain};
+pub use domain::{census, AdoptReport, Census, DomainConfig, LeakReport, RegistryFull, WfrcDomain};
 #[cfg(feature = "fault-injection")]
 pub use fault::{FaultAction, FaultPlan, FaultSite, FireRule, InjectedDeath};
 pub use handle::{DomainBox, NodeRef, PinGuard, Snapshot, ThreadHandle, Weak};
@@ -108,7 +108,7 @@ pub use link::{AtomicWeak, Link};
 pub use magazine::Magazines;
 pub use node::{Claim, Node, RcObject};
 pub use oom::OutOfMemory;
-pub use reclaim::{ReclaimOutcome, ReclaimPolicy};
+pub use reclaim::{ReclaimOutcome, ReclaimPolicy, SnapStats};
 pub use sentinel::{AdmissionPolicy, Outcome, Sentinel, SentinelConfig, Stage, Supervised};
 
 /// Hard upper bound on threads per domain.

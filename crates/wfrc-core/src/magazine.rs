@@ -55,22 +55,12 @@ use std::collections::HashSet;
 
 use crate::counters::OpCounters;
 use crate::domain::Shared;
-use crate::node::{Node, RcObject};
+use crate::node::{chain_tail, Node, RcObject};
 
-#[cfg(not(feature = "no-pad"))]
 type Slot<T> = wfrc_primitives::CachePadded<UnsafeCell<Vec<*mut Node<T>>>>;
-#[cfg(feature = "no-pad")]
-type Slot<T> = UnsafeCell<Vec<*mut Node<T>>>;
 
 fn new_slot<T>(cap: usize) -> Slot<T> {
-    #[cfg(not(feature = "no-pad"))]
-    {
-        wfrc_primitives::CachePadded::new(UnsafeCell::new(Vec::with_capacity(cap)))
-    }
-    #[cfg(feature = "no-pad")]
-    {
-        UnsafeCell::new(Vec::with_capacity(cap))
-    }
+    wfrc_primitives::CachePadded::new(UnsafeCell::new(Vec::with_capacity(cap)))
 }
 
 /// Clamps a requested per-thread magazine capacity for a pool of
@@ -266,7 +256,6 @@ impl<T: RcObject> Shared<T> {
             // the Lemma 3 accounting is undisturbed (see module docs).
             // SAFETY: arena node; headers are type-stable.
             unsafe { (*node).faa_ref(1) };
-            self.debug_assert_not_draining(node);
             return Some(node);
         }
     }
@@ -302,15 +291,8 @@ impl<T: RcObject> Shared<T> {
             // worth of nodes would vanish from the pool.
             #[cfg(feature = "fault-injection")]
             self.fault_hit_or(c, crate::fault::FaultSite::StripeSwap, tid, || {
-                let mut tail = chain;
-                loop {
-                    // SAFETY: node of the stolen chain — exclusively ours.
-                    let next = unsafe { (*tail).mm_next().load() };
-                    if next.is_null() {
-                        break;
-                    }
-                    tail = next;
-                }
+                // SAFETY: the stolen chain is exclusively ours.
+                let (tail, _) = unsafe { chain_tail(chain) };
                 self.fl.push_chain(tid, chain, tail);
             });
             // Walk off the nodes we keep. The chain is exclusively ours
@@ -338,20 +320,12 @@ impl<T: RcObject> Shared<T> {
                 // behind us: chain-push the remainder like any drain. The
                 // walk to its tail is bounded by the stripe length we just
                 // removed.
-                let mut tail = rest;
-                loop {
-                    // SAFETY: node of the stolen remainder.
-                    let next = unsafe { (*tail).mm_next().load() };
-                    if next.is_null() {
-                        break;
-                    }
-                    tail = next;
-                }
+                // SAFETY: the stolen remainder is exclusively ours.
+                let (tail, _) = unsafe { chain_tail(rest) };
                 let retries = fl.push_chain(tid, rest, tail);
                 OpCounters::add(&c.free_push_retries, retries);
                 OpCounters::record_max(&c.max_free_push_retries, retries);
             }
-            #[cfg(not(feature = "no-alloc-helping"))]
             if kept.len() > 1 {
                 // The batch removal stands in for A10's successful CAS, so
                 // honor the A11–A15 helping obligation once per refill.
@@ -425,7 +399,6 @@ impl<T: RcObject> Shared<T> {
     fn drain_batch(&self, tid: usize, c: &OpCounters, mut batch: Vec<*mut Node<T>>) {
         debug_assert!(!batch.is_empty());
         OpCounters::bump(&c.magazine_drains);
-        #[cfg(not(feature = "no-alloc-helping"))]
         if let Some(&gift) = batch.last() {
             if self.try_gift(gift) {
                 batch.pop();

@@ -37,8 +37,6 @@
 //! ([`Node::maybe_finalize`]).
 
 use core::cell::UnsafeCell;
-#[cfg(feature = "relaxed-mmref")]
-use core::sync::atomic::Ordering;
 use wfrc_primitives::{AtomicWord, WordPtr};
 
 use crate::link::{AtomicWeak, Link};
@@ -177,33 +175,16 @@ impl<T> Node<T> {
     /// Atomically adds `delta` (in raw `mm_ref` units, i.e. ±2 per
     /// reference) and returns the previous raw value.
     ///
-    /// This is the paper's `FAA(&node.mm_ref, fix)`. Under the default
-    /// build it is `SeqCst`; the `relaxed-mmref` ablation uses `AcqRel`
-    /// (Arc-style: the release of a decrement must synchronize with the
-    /// acquire of the zero-detecting claim).
+    /// This is the paper's `FAA(&node.mm_ref, fix)` (`SeqCst`).
     #[inline]
     pub fn faa_ref(&self, delta: isize) -> usize {
-        #[cfg(feature = "relaxed-mmref")]
-        {
-            self.mm_ref.faa_with(delta, Ordering::AcqRel)
-        }
-        #[cfg(not(feature = "relaxed-mmref"))]
-        {
-            self.mm_ref.faa(delta)
-        }
+        self.mm_ref.faa(delta)
     }
 
     /// Reads the raw `mm_ref` word.
     #[inline]
     pub fn load_ref(&self) -> usize {
-        #[cfg(feature = "relaxed-mmref")]
-        {
-            self.mm_ref.load_with(Ordering::Acquire)
-        }
-        #[cfg(not(feature = "relaxed-mmref"))]
-        {
-            self.mm_ref.load()
-        }
+        self.mm_ref.load()
     }
 
     /// The real strong reference count (`(mm_ref & STRONG_MASK) / 2`).
@@ -381,6 +362,25 @@ impl<T: core::fmt::Debug> core::fmt::Debug for Node<T> {
             .field("mm_ref", &self.load_ref())
             .field("mm_next", &self.mm_next.load())
             .finish_non_exhaustive()
+    }
+}
+
+/// Walks a privately held `mm_next` chain, returning `(last, count)`.
+///
+/// # Safety
+/// `first` must head a null-terminated chain exclusively owned by the
+/// caller.
+pub unsafe fn chain_tail<T>(first: *mut Node<T>) -> (*mut Node<T>, usize) {
+    let mut tail = first;
+    let mut count = 1usize;
+    loop {
+        // SAFETY: private chain per contract.
+        let next = unsafe { (*tail).mm_next().load() };
+        if next.is_null() {
+            return (tail, count);
+        }
+        tail = next;
+        count += 1;
     }
 }
 

@@ -10,7 +10,8 @@
 //! 1. **Operation epochs.** Every registered slot owns a cache-padded
 //!    epoch counter, bumped at the *boundaries* of each handle-level
 //!    operation (alloc / deref / cas / store / release and the `NodeRef`
-//!    clone/drop bookkeeping — see `handle::OpGuard`). Odd = inside an
+//!    clone/drop bookkeeping — `handle::OpGuard`, the byte classes and
+//!    the pin sessions all go through `SlotEpoch`). Odd = inside an
 //!    operation. Helping recursion (H5) happens *within* a single guard,
 //!    so parity keeps its meaning.
 //! 2. **Occupancy trigger.** Each segment counts how many of its nodes sit
@@ -25,10 +26,15 @@
 //!    sweeps every stripe and gift cell, moving the candidate's nodes onto
 //!    a shared *parking chain* and handing foreign nodes straight back with
 //!    the existing chain primitives. While DRAINING, the alloc paths divert
-//!    any of the segment's nodes they encounter onto the same chain —
-//!    a DRAINING segment never serves an allocation (the only documented
-//!    exception is the anti-livelock steal below, which immediately dooms
-//!    the retire).
+//!    any of the segment's nodes they encounter onto the same chain.
+//!    Two allocations can still come out of a DRAINING segment, and both
+//!    are caught by the physical count rather than by the filters: the
+//!    anti-livelock steal below, which dooms the retire, and an allocation
+//!    that *straddles* the claim — it removed its node (still
+//!    occupancy-counted) and passed the filter before the claim was
+//!    published. Its node is simply live: the sweep comes up short and the
+//!    retire aborts, unless the node is freed back in time, in which case
+//!    the free path parks it and gates 2–3 apply to it like to any other.
 //! 4. **Grace period + summary check.** With all `len` nodes parked, the
 //!    reclaimer waits for every registered slot's epoch to be even or to
 //!    *change* (bounded spins — a parked thread stalls the retire, which
@@ -83,21 +89,64 @@ use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::arena::SEG_DRAINING;
 use crate::counters::OpCounters;
 use crate::domain::{Shared, WfrcDomain};
-use crate::node::{Node, RcObject};
+use crate::node::{chain_tail, Node, RcObject};
 
-#[cfg(not(feature = "no-pad"))]
 type EpochCell = wfrc_primitives::CachePadded<AtomicUsize>;
-#[cfg(feature = "no-pad")]
-type EpochCell = AtomicUsize;
 
-fn new_epoch() -> EpochCell {
-    #[cfg(not(feature = "no-pad"))]
-    {
-        wfrc_primitives::CachePadded::new(AtomicUsize::new(0))
+/// One slot's operation epoch — the quiescence convention of this module,
+/// written here and nowhere else: **odd = inside an operation**. Entering
+/// and leaving each flip the parity with a `SeqCst` FAA, ordering the
+/// epoch against the reclaimer's `SeqCst` claim and [`Shared::grace_period`]
+/// reads: a reclaimer that observes an even (or advanced) epoch knows every
+/// pointer the slot obtained before the DRAINING claim has been released.
+/// Epochs only grow between resets, so an observed odd value never recurs.
+#[derive(Clone, Copy)]
+pub(crate) struct SlotEpoch<'a>(&'a AtomicUsize);
+
+impl<'a> SlotEpoch<'a> {
+    /// Even → odd: the slot is inside an operation. Callers nest through
+    /// their own depth counter; the epoch itself flips once per bracket.
+    #[inline]
+    pub(crate) fn enter(self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
     }
-    #[cfg(feature = "no-pad")]
-    {
-        AtomicUsize::new(0)
+
+    /// Odd → even: the slot is quiescent again.
+    #[inline]
+    pub(crate) fn exit(self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// [`Self::enter`] now, [`Self::exit`] when the guard drops — on unwind
+    /// too, so an injected death inside the bracket leaves the epoch even
+    /// and a reclaimer never waits on a corpse.
+    #[inline]
+    pub(crate) fn bracket(self) -> OpBracket<'a> {
+        self.enter();
+        OpBracket(self)
+    }
+
+    /// Back to quiescent, whatever the parity was: a fresh registration, or
+    /// adoption of a slot whose owner died mid-operation.
+    pub(crate) fn reset(self) {
+        self.0.store(0, Ordering::SeqCst);
+    }
+
+    /// Current value (`SeqCst`): the grace period's probe, the deferred
+    /// drain's baseline, and the sentinel's progress heartbeat.
+    #[inline]
+    pub(crate) fn read(self) -> usize {
+        self.0.load(Ordering::SeqCst)
+    }
+}
+
+/// RAII form of one enter/exit pair (see [`SlotEpoch::bracket`]).
+pub(crate) struct OpBracket<'a>(SlotEpoch<'a>);
+
+impl Drop for OpBracket<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        self.0.exit();
     }
 }
 
@@ -141,30 +190,22 @@ impl<T> DeferredSlot<T> {
     }
 }
 
-/// Shared telemetry for the snapshot read path, folded out of per-thread
-/// counter cells when a handle drops so quiescent audits ([`crate::LeakReport`])
-/// can report them after every handle is gone.
-pub(crate) struct SnapStats {
-    pub(crate) snapshot_derefs: AtomicU64,
-    pub(crate) deferred_decs: AtomicU64,
-    pub(crate) upgrade_slow: AtomicU64,
-    pub(crate) weak_upgrades: AtomicU64,
-    pub(crate) upgrade_failed: AtomicU64,
+/// Domain-lifetime telemetry of the snapshot and weak read paths, folded out
+/// of per-thread counter cells when a handle drops so quiescent audits
+/// ([`crate::LeakReport`]) can report them after every handle is gone. Both
+/// schemes keep one (the baseline's `deferred_decs` simply stays 0).
+#[derive(Debug, Default)]
+pub struct SnapStats {
+    snapshot_derefs: AtomicU64,
+    deferred_decs: AtomicU64,
+    upgrade_slow: AtomicU64,
+    weak_upgrades: AtomicU64,
+    upgrade_failed: AtomicU64,
 }
 
 impl SnapStats {
-    fn new() -> Self {
-        Self {
-            snapshot_derefs: AtomicU64::new(0),
-            deferred_decs: AtomicU64::new(0),
-            upgrade_slow: AtomicU64::new(0),
-            weak_upgrades: AtomicU64::new(0),
-            upgrade_failed: AtomicU64::new(0),
-        }
-    }
-
     /// Adds one handle's final counter values (Relaxed telemetry).
-    pub(crate) fn fold(&self, snap: &crate::counters::CounterSnapshot) {
+    pub fn fold(&self, snap: &crate::counters::CounterSnapshot) {
         self.snapshot_derefs
             .fetch_add(snap.snapshot_derefs, Ordering::Relaxed);
         self.deferred_decs
@@ -175,6 +216,15 @@ impl SnapStats {
             .fetch_add(snap.weak_upgrades, Ordering::Relaxed);
         self.upgrade_failed
             .fetch_add(snap.upgrade_failed, Ordering::Relaxed);
+    }
+
+    /// Copies the folded totals into `report`.
+    pub fn report(&self, report: &mut crate::LeakReport) {
+        report.snapshot_derefs = self.snapshot_derefs.load(Ordering::Relaxed);
+        report.deferred_decs = self.deferred_decs.load(Ordering::Relaxed);
+        report.upgrade_slow = self.upgrade_slow.load(Ordering::Relaxed);
+        report.weak_upgrades = self.weak_upgrades.load(Ordering::Relaxed);
+        report.upgrade_failed = self.upgrade_failed.load(Ordering::Relaxed);
     }
 }
 
@@ -256,21 +306,7 @@ pub(crate) struct ReclaimCtl<T> {
     policy: ReclaimPolicy,
 }
 
-#[cfg(not(feature = "no-pad"))]
 type PinCell = wfrc_primitives::CachePadded<wfrc_primitives::AtomicWord>;
-#[cfg(feature = "no-pad")]
-type PinCell = wfrc_primitives::AtomicWord;
-
-fn new_pin_cell() -> PinCell {
-    #[cfg(not(feature = "no-pad"))]
-    {
-        wfrc_primitives::CachePadded::new(wfrc_primitives::AtomicWord::new(0))
-    }
-    #[cfg(feature = "no-pad")]
-    {
-        wfrc_primitives::AtomicWord::new(0)
-    }
-}
 
 impl<T> ReclaimCtl<T> {
     pub(crate) fn new(n: usize, policy: ReclaimPolicy) -> Self {
@@ -279,18 +315,22 @@ impl<T> ReclaimCtl<T> {
             draining_by: AtomicUsize::new(0),
             parked: wfrc_primitives::WordPtr::null(),
             parked_len: AtomicUsize::new(0),
-            epochs: (0..n).map(|_| new_epoch()).collect(),
-            pins: (0..n.div_ceil(PIN_BITS)).map(|_| new_pin_cell()).collect(),
+            epochs: (0..n)
+                .map(|_| wfrc_primitives::CachePadded::new(AtomicUsize::new(0)))
+                .collect(),
+            pins: (0..n.div_ceil(PIN_BITS))
+                .map(|_| wfrc_primitives::CachePadded::new(wfrc_primitives::AtomicWord::new(0)))
+                .collect(),
             deferred: (0..n).map(|_| DeferredSlot::new(n)).collect(),
-            snap: SnapStats::new(),
+            snap: SnapStats::default(),
             policy,
         }
     }
 
-    /// The epoch counter of slot `tid`.
+    /// The operation epoch of slot `tid`.
     #[inline]
-    pub(crate) fn epoch(&self, tid: usize) -> &AtomicUsize {
-        &self.epochs[tid]
+    pub(crate) fn epoch(&self, tid: usize) -> SlotEpoch<'_> {
+        SlotEpoch(&self.epochs[tid])
     }
 
     /// Publishes slot `tid`'s snapshot pin. `SeqCst`, strictly *before* any
@@ -449,25 +489,6 @@ impl<T> ReclaimCtl<T> {
     }
 }
 
-/// Walks a privately held chain, returning `(last, count)`.
-///
-/// # Safety
-/// `first` must head a null-terminated chain exclusively owned by the
-/// caller.
-unsafe fn chain_tail<T>(first: *mut Node<T>) -> (*mut Node<T>, usize) {
-    let mut tail = first;
-    let mut count = 1usize;
-    loop {
-        // SAFETY: private chain per contract.
-        let next = unsafe { (*tail).mm_next().load() };
-        if next.is_null() {
-            return (tail, count);
-        }
-        tail = next;
-        count += 1;
-    }
-}
-
 impl<T: RcObject> Shared<T> {
     /// True while a retire is in flight. One Relaxed load — the only cost
     /// the hot paths pay when no reclaim is active.
@@ -513,25 +534,6 @@ impl<T: RcObject> Shared<T> {
     #[inline]
     pub(crate) fn park_for_reclaim(&self, node: *mut Node<T>) {
         self.reclaim.park(node);
-    }
-
-    /// Debug-only invariant probe: a node the alloc paths are about to
-    /// return must never belong to a DRAINING segment.
-    #[inline]
-    pub(crate) fn debug_assert_not_draining(&self, node: *mut Node<T>) {
-        #[cfg(debug_assertions)]
-        {
-            let d = self.reclaim.draining.load(Ordering::Relaxed);
-            if d != 0 {
-                debug_assert!(
-                    !(self.arena.seg_state(d - 1) == Some(SEG_DRAINING)
-                        && self.arena.seg_contains(d - 1, node)),
-                    "alloc path handed out a node of a DRAINING segment"
-                );
-            }
-        }
-        #[cfg(not(debug_assertions))]
-        let _ = node;
     }
 
     /// Emergency allocation source while a retire is in flight (see the
@@ -637,7 +639,7 @@ impl<T: RcObject> Shared<T> {
         if !d.aging.load_with(Ordering::Acquire).is_null() {
             let satisfied = (0..self.n).all(|t| {
                 let e = d.baseline[t].load(Ordering::Relaxed);
-                e == NO_BASELINE || !rc.pinned(t) || rc.epoch(t).load(Ordering::SeqCst) != e
+                e == NO_BASELINE || !rc.pinned(t) || rc.epoch(t).read() != e
             });
             if satisfied {
                 let aging = d.aging.swap_with(core::ptr::null_mut(), Ordering::Acquire);
@@ -669,7 +671,7 @@ impl<T: RcObject> Shared<T> {
         let rc = &self.reclaim;
         for t in 0..self.n {
             let e = if rc.pinned(t) {
-                rc.epoch(t).load(Ordering::SeqCst)
+                rc.epoch(t).read()
             } else {
                 NO_BASELINE
             };
@@ -695,6 +697,25 @@ impl<T: RcObject> Shared<T> {
         n
     }
 
+    /// Detaches the parking chain and returns its nodes to a stripe,
+    /// re-crediting their occupancy.
+    fn unpark_all(&self, tid: usize, c: &OpCounters) {
+        let chain = self.reclaim.detach();
+        if chain.is_null() {
+            return;
+        }
+        // SAFETY: detached — privately ours.
+        let (tail, count) = unsafe { chain_tail(chain) };
+        let mut p = chain;
+        for _ in 0..count {
+            self.arena.occupancy_inc(p);
+            // SAFETY: private chain walk.
+            p = unsafe { (*p).mm_next().load() };
+        }
+        let retries = self.fl.push_chain(tid, chain, tail);
+        OpCounters::add(&c.free_push_retries, retries);
+    }
+
     /// Reopens a DRAINING segment: parked nodes go back onto a stripe
     /// (re-crediting occupancy), the segment returns to LIVE, the claim
     /// clears. Used by the abort paths of `try_reclaim` and by orphan
@@ -714,20 +735,7 @@ impl<T: RcObject> Shared<T> {
         // reclaim attempt or the steal path — never lost (it stays on the
         // shared chain with `mm_ref == FREE_REF`).
         for _ in 0..2 {
-            let chain = self.reclaim.detach();
-            if chain.is_null() {
-                continue;
-            }
-            // SAFETY: detached — privately ours.
-            let (tail, count) = unsafe { chain_tail(chain) };
-            let mut p = chain;
-            for _ in 0..count {
-                self.arena.occupancy_inc(p);
-                // SAFETY: private chain walk.
-                p = unsafe { (*p).mm_next().load() };
-            }
-            let retries = self.fl.push_chain(tid, chain, tail);
-            OpCounters::add(&c.free_push_retries, retries);
+            self.unpark_all(tid, c);
         }
         self.reclaim.draining_by.store(0, Ordering::SeqCst);
         self.reclaim.draining.store(0, Ordering::SeqCst);
@@ -818,7 +826,7 @@ impl<T: RcObject> Shared<T> {
                 // covered by the sweep + summary check (and by adoption).
                 continue;
             }
-            let e0 = self.reclaim.epoch(t).load(Ordering::SeqCst);
+            let e0 = self.reclaim.epoch(t).read();
             if e0.is_multiple_of(2) {
                 continue;
             }
@@ -831,7 +839,7 @@ impl<T: RcObject> Shared<T> {
             }
             let mut ok = false;
             for i in 0..spins {
-                if self.reclaim.epoch(t).load(Ordering::SeqCst) != e0 {
+                if self.reclaim.epoch(t).read() != e0 {
                     ok = true;
                     break;
                 }
@@ -883,19 +891,7 @@ pub(crate) fn try_reclaim_shared<T: RcObject>(
     // Opportunistically return reopen stragglers to the stripes (see
     // `reopen_reclaim`): the chain must be empty before a new claim, or a
     // previous segment's leftovers would be miscounted as this candidate's.
-    let leftovers = ctl.detach();
-    if !leftovers.is_null() {
-        // SAFETY: detached — privately ours.
-        let (tail, count) = unsafe { chain_tail(leftovers) };
-        let mut p = leftovers;
-        for _ in 0..count {
-            s.arena.occupancy_inc(p);
-            // SAFETY: private chain walk.
-            p = unsafe { (*p).mm_next().load() };
-        }
-        let retries = s.fl.push_chain(tid, leftovers, tail);
-        OpCounters::add(&c.free_push_retries, retries);
-    }
+    s.unpark_all(tid, c);
     // Deferred decrements first: a drained node returns to the stripes
     // (re-crediting occupancy), which is what lets a segment full of
     // snapshot-covered releases ever reach the retire trigger.
@@ -952,7 +948,13 @@ pub(crate) fn try_reclaim_shared<T: RcObject>(
     // no thread can park further nodes for this segment, so the detached
     // chain is the whole collection.
     let chain = ctl.detach();
-    debug_assert!(!chain.is_null());
+    if chain.is_null() {
+        // A legal shortfall, not an invariant breach: `ReclaimCtl::steal`
+        // swap-detaches the whole chain before re-attaching the rest, and
+        // the anti-livelock steal may have emptied it for good.
+        s.reopen_reclaim(tid, c);
+        return ReclaimOutcome::Aborted;
+    }
     // SAFETY: detached — privately ours.
     let (tail, count) = unsafe { chain_tail(chain) };
     let mut all_free = true;
@@ -986,4 +988,78 @@ pub(crate) fn try_reclaim_shared<T: RcObject>(
     ctl.draining.store(0, Ordering::SeqCst);
     OpCounters::bump(&c.segments_retired);
     ReclaimOutcome::Retired { slot, nodes: len }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::arena::Growth;
+    use crate::domain::DomainConfig;
+
+    /// Regression: an allocator's anti-livelock steal may empty the parking
+    /// chain between the sweep and the post-grace detach. That is a
+    /// shortfall abort, not an invariant breach.
+    #[test]
+    fn steal_emptying_the_parking_chain_aborts_the_retire() {
+        let d =
+            WfrcDomain::<u64>::new(DomainConfig::new(1, 4).with_growth(Growth::doubling_to(64)));
+        let h = d.register().unwrap();
+        let held: Vec<_> = (0..8).map(|_| h.alloc_with(|_| {}).unwrap()).collect();
+        assert!(d.segment_count() > 1);
+        drop(held);
+        let (s, tid, c) = (d.shared(), h.tid(), h.counters());
+        // The registry probe runs inside the grace period — after the sweep
+        // parked every candidate, before the detach — which is exactly the
+        // window a starved allocator steals in.
+        let stolen = core::cell::RefCell::new(Vec::new());
+        let outcome = try_reclaim_shared(s, tid, c, &|_| {
+            while let Some(node) = s.reclaim_steal() {
+                stolen.borrow_mut().push(node);
+            }
+            false
+        });
+        assert_eq!(outcome, ReclaimOutcome::Aborted);
+        assert!(!stolen.borrow().is_empty());
+        for node in stolen.into_inner() {
+            // Stolen nodes are at FREE_REF and exclusively ours.
+            s.free_node(tid, c, node);
+        }
+        assert!(matches!(h.reclaim(), ReclaimOutcome::Retired { .. }));
+        drop(h);
+        assert!(d.leak_check().is_clean(), "{}", d.leak_check());
+    }
+
+    /// An allocation that straddles the claim — its node was off the
+    /// stripes but still occupancy-counted when the reclaimer looked — is a
+    /// live node of a DRAINING segment: legal, and caught by the sweep's
+    /// count.
+    #[test]
+    fn allocation_straddling_the_claim_aborts_the_retire() {
+        let d =
+            WfrcDomain::<u64>::new(DomainConfig::new(1, 4).with_growth(Growth::doubling_to(64)));
+        let h = d.register().unwrap();
+        let mut held: Vec<_> = (0..8).map(|_| h.alloc_raw().unwrap()).collect();
+        let s = d.shared();
+        let tail = s.arena.segment_count() - 1;
+        assert!(tail >= 1);
+        let at = held
+            .iter()
+            .position(|&n| s.arena.seg_contains(tail, n))
+            .expect("a node of the grown segment");
+        let straddler = held.swap_remove(at);
+        for n in held {
+            // SAFETY: our own alloc references.
+            unsafe { h.release_raw(n) };
+        }
+        // The straddle, frozen: the allocator has its node but has not yet
+        // debited the segment's occupancy.
+        s.arena.occupancy_inc(straddler);
+        assert_eq!(h.reclaim(), ReclaimOutcome::Aborted);
+        s.arena.occupancy_dec(straddler);
+        // SAFETY: the reference survived the aborted retire.
+        unsafe { h.release_raw(straddler) };
+        assert!(matches!(h.reclaim(), ReclaimOutcome::Retired { .. }));
+        drop(h);
+        assert!(d.leak_check().is_clean(), "{}", d.leak_check());
+    }
 }

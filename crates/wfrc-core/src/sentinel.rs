@@ -36,7 +36,7 @@
 //!   only expires slots whose TTL deadline has already passed (the PR 7
 //!   expiry contract).
 //!
-//! Every [`Sentinel::tick`] does O([`SentinelConfig::slots_per_tick`])
+//! Every [`Sentinel::tick`] does O([`SLOTS_PER_TICK`])
 //! work via a rotor cursor: any thread can donate a tick without breaking
 //! its own wait-freedom bound, and `wfrc-sim::supervisor` provides the
 //! dedicated-thread form.
@@ -241,8 +241,8 @@ impl Watch {
             stage: AtomicWord::new(STAGE_IDLE),
             next_probe: AtomicU64::new(0),
             jitter: UnsafeCell::new(DecorrelatedJitter::new(
-                config.probe_base,
-                config.probe_cap,
+                PROBE_BASE,
+                PROBE_CAP,
                 config.seed ^ (slot as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F),
             )),
         }
@@ -262,15 +262,19 @@ impl Watch {
 // Configuration
 // ---------------------------------------------------------------------------
 
+/// Watch slots examined per [`Sentinel::tick`] (the per-tick work bound; at
+/// most the target's slot count).
+pub const SLOTS_PER_TICK: usize = 8;
+/// Shortest and longest SUSPECT probe spacing, in ticks.
+const PROBE_BASE: u64 = 1;
+const PROBE_CAP: u64 = 8;
+
 /// Tuning for a [`Sentinel`]. The thresholds are in *examinations of the
 /// slot* (one per [`Sentinel::tick`] that reaches it via the rotor), so a
 /// slower tick cadence stretches every stage proportionally.
 #[derive(Debug, Clone)]
 #[must_use = "a config does nothing until passed to Sentinel::new"]
 pub struct SentinelConfig {
-    /// Watch slots examined per tick (the per-tick work bound). Clamped to
-    /// at least 1 and at most the target's slot count.
-    pub slots_per_tick: usize,
     /// Stale examinations before the HELP stage runs the target's helper.
     pub help_after: u32,
     /// Stale examinations before SUSPECT (jitter-spaced probing).
@@ -279,10 +283,6 @@ pub struct SentinelConfig {
     /// a merely-slow slot is never declared dead before this many stale
     /// examinations.
     pub dead_after: u32,
-    /// Shortest SUSPECT probe spacing, in ticks.
-    pub probe_base: u64,
-    /// Longest SUSPECT probe spacing, in ticks.
-    pub probe_cap: u64,
     /// Seed for the per-slot jitter streams (deterministic schedules).
     pub seed: u64,
 }
@@ -290,37 +290,21 @@ pub struct SentinelConfig {
 impl Default for SentinelConfig {
     fn default() -> Self {
         Self {
-            slots_per_tick: 8,
             help_after: 2,
             suspect_after: 4,
             dead_after: 8,
-            probe_base: 1,
-            probe_cap: 8,
             seed: 0x5EA1_7135,
         }
     }
 }
 
 impl SentinelConfig {
-    /// Sets the per-tick examination budget.
-    pub fn with_slots_per_tick(mut self, n: usize) -> Self {
-        self.slots_per_tick = n.max(1);
-        self
-    }
-
     /// Sets the escalation thresholds (`help ≤ suspect ≤ dead` is
     /// enforced by raising the later ones).
     pub fn with_ladder(mut self, help_after: u32, suspect_after: u32, dead_after: u32) -> Self {
         self.help_after = help_after.max(1);
         self.suspect_after = suspect_after.max(self.help_after);
         self.dead_after = dead_after.max(self.suspect_after);
-        self
-    }
-
-    /// Sets the SUSPECT probe-spacing bounds, in ticks.
-    pub fn with_probe_spacing(mut self, base: u64, cap: u64) -> Self {
-        self.probe_base = base.max(1);
-        self.probe_cap = cap.max(self.probe_base);
         self
     }
 
@@ -405,7 +389,7 @@ impl<'t, S: Supervised + ?Sized> Sentinel<'t, S> {
     }
 
     /// One supervision step: examines up to
-    /// [`SentinelConfig::slots_per_tick`] watch slots starting at the
+    /// [`SLOTS_PER_TICK`] watch slots starting at the
     /// rotor cursor, advancing each obligated-but-stale slot one rung up
     /// the escalation ladder. O(bounded); never blocks; reentrant.
     pub fn tick(&self) {
@@ -415,7 +399,7 @@ impl<'t, S: Supervised + ?Sized> Sentinel<'t, S> {
         if n == 0 {
             return;
         }
-        let budget = self.config.slots_per_tick.clamp(1, n);
+        let budget = SLOTS_PER_TICK.min(n);
         let start = self.rotor.faa_with(budget as isize, Ordering::Relaxed);
         for k in 0..budget {
             self.examine((start + k) % n, now);

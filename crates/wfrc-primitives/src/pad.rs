@@ -4,8 +4,7 @@
 //! written by different threads at high frequency; packing them into shared
 //! cache lines would add false sharing on top of the true sharing the
 //! algorithms already pay for. Every per-thread global in this workspace is
-//! wrapped in [`CachePadded`]. Benchmark E8(b) measures the effect by
-//! building with the `no-pad` feature of `wfrc-core`.
+//! wrapped in [`CachePadded`].
 
 use core::ops::{Deref, DerefMut};
 

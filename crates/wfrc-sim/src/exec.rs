@@ -30,6 +30,23 @@ impl StopFlag {
     pub fn is_stopped(&self) -> bool {
         self.0.load(Ordering::SeqCst)
     }
+
+    /// A guard that raises the flag when dropped — on the success path and
+    /// when its owner unwinds, so a failed assertion in the thread the
+    /// others wait on ends a `thread::scope` instead of hanging it.
+    pub fn stop_on_drop(&self) -> StopOnDrop<'_> {
+        StopOnDrop(self)
+    }
+}
+
+/// Raises its [`StopFlag`] on drop (see [`StopFlag::stop_on_drop`]).
+#[derive(Debug)]
+pub struct StopOnDrop<'a>(&'a StopFlag);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.stop();
+    }
 }
 
 /// Runs `threads` workers, each executing `worker(thread_index)` after a

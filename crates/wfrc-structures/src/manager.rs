@@ -417,37 +417,94 @@ impl<T: RcObject> RcMmDomain<T> for wfrc_baselines::LfrcDomain<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wfrc_core::{DomainConfig, WfrcDomain};
+    use wfrc_core::{ClassConfig, DomainConfig, WfrcDomain};
 
-    fn exercise<T, D>(domain: &D)
+    /// One scripted pass over the whole §3.2 surface plus the tiers that
+    /// ride on it. Returns the audit taken mid-script — one node in every
+    /// category a quiescent audit knows, including a deliberately leaked
+    /// one — and leaves the domain clean.
+    fn exercise<D>(domain: &D) -> LeakReport
     where
-        T: RcObject + Default,
-        D: RcMmDomain<T>,
+        D: RcMmDomain<u64>,
+        for<'d> D::Handle<'d>: ByteMm,
     {
         let h = domain.register_mm().expect("register");
-        let n = h.alloc_node().unwrap();
         let link = Link::null();
+        let published = h.alloc_node().unwrap();
+        let weakly_held = h.alloc_node().unwrap();
+        let leaked = h.alloc_node().unwrap();
+        let parked = h.alloc_node().unwrap();
+        let kept_block = h.alloc_value(b"kept").unwrap();
+        let freed_block = h.alloc_value(b"freed").unwrap();
         // SAFETY: standard discipline — transfer the alloc count into the
-        // link, re-acquire via deref, then unwind everything.
-        unsafe {
-            h.store_link(&link, n);
+        // link, re-acquire via deref; every other count is released once.
+        let mid = unsafe {
+            h.store_link(&link, published);
             let p = h.deref_link(&link);
-            assert_eq!(p, n);
+            assert_eq!(p, published);
             h.release_node(p);
-            assert!(h.cas_link(&link, n, core::ptr::null_mut()));
-            h.release_node(n);
-        }
+            // Release-to-zero under a standing weak: DEAD-but-weak.
+            h.downgrade_node(weakly_held);
+            h.release_node(weakly_held);
+            assert!(!h.upgrade_node(weakly_held));
+            // A plain free and a block free park in the magazines.
+            h.release_node(parked);
+            h.free_value(freed_block);
+            let mid = domain.leak_check_mm();
+            // Unwind: the weak finalizes its header, the rest is released.
+            h.release_weak(weakly_held);
+            h.release_node(leaked);
+            assert_eq!(h.value_bytes(&kept_block), b"kept");
+            h.free_value(kept_block);
+            assert!(h.cas_link(&link, published, core::ptr::null_mut()));
+            h.release_node(published);
+            mid
+        };
         drop(h);
         assert!(domain.leak_check_mm().is_clean());
+        mid
+    }
+
+    /// Folds the parking structures only the wait-free scheme has into
+    /// `free_nodes`: a gift or a deferred node is a free node LFRC would
+    /// keep on its one list.
+    fn without_wfrc_only_fields(mut r: LeakReport) -> LeakReport {
+        r.free_nodes += r.parked_gifts + r.deferred_nodes;
+        (r.parked_gifts, r.deferred_nodes) = (0, 0);
+        for c in &mut r.classes {
+            c.free_nodes += c.parked_gifts;
+            c.parked_gifts = 0;
+        }
+        r
     }
 
     #[test]
     fn both_schemes_satisfy_the_user_model() {
-        let wf = WfrcDomain::<u64>::new(DomainConfig::new(2, 8));
-        exercise(&wf);
+        let class = ClassConfig::new(64, 8).with_magazine(2);
+        let wf = WfrcDomain::<u64>::new(
+            DomainConfig::new(2, 16)
+                .with_magazine(2)
+                .with_class(class.clone()),
+        );
+        let wf_mid = exercise(&wf);
         assert_eq!(RcMmDomain::<u64>::scheme_name(&wf), "wfrc");
-        let lf = wfrc_baselines::LfrcDomain::<u64>::new(2, 8);
-        exercise(&lf);
+        let mut lf = wfrc_baselines::LfrcDomain::<u64>::new(2, 16);
+        lf.set_magazine(2);
+        lf.set_classes(vec![class]);
+        let lf_mid = exercise(&lf);
         assert_eq!(RcMmDomain::<u64>::scheme_name(&lf), "lfrc");
+
+        // Audit parity: one census, so the same script yields the same
+        // report — every category populated, the leak reported as live.
+        assert_eq!((lf_mid.parked_gifts, lf_mid.deferred_nodes), (0, 0));
+        assert_eq!(without_wfrc_only_fields(wf_mid), lf_mid);
+        assert_eq!(lf_mid.live_nodes, 2, "{lf_mid}");
+        assert_eq!((lf_mid.weak_nodes, lf_mid.weak_count), (1, 1), "{lf_mid}");
+        assert_eq!(lf_mid.magazine_nodes, 1, "{lf_mid}");
+        assert_eq!(lf_mid.classes[0].live_nodes, 1, "{lf_mid}");
+        assert_eq!(lf_mid.classes[0].magazine_nodes, 1, "{lf_mid}");
+        assert!(!lf_mid.is_clean());
+        let (wf_end, lf_end) = (wf.leak_check(), lf.leak_check());
+        assert_eq!(without_wfrc_only_fields(wf_end), lf_end);
     }
 }

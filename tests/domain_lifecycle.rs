@@ -299,6 +299,41 @@ fn lfrc_abandoned_handle_is_adopted() {
     assert_eq!(domain.adopt_orphans().orphans_adopted, 0);
 }
 
+/// Byte-class allocations run the pool's one `AllocNode`, so they show up
+/// in the free-list counters like node allocations do, under both schemes.
+#[test]
+fn class_allocs_are_counted_as_allocs() {
+    use wfrc::core::ClassConfig;
+    use wfrc::structures::{ByteMm, RcMm, RcMmDomain};
+    const N: u64 = 50;
+
+    fn check<D: RcMmDomain<u64>>(domain: &D)
+    where
+        for<'d> D::Handle<'d>: ByteMm,
+    {
+        let h = domain.register_mm().unwrap();
+        let tokens: Vec<_> = (0..N).map(|_| h.alloc_value(b"x").unwrap()).collect();
+        let snap = h.counter_snapshot();
+        assert_eq!(snap.alloc_calls, N, "{}", domain.scheme_name());
+        assert!(snap.alloc_iters >= N, "{}", domain.scheme_name());
+        assert!(snap.max_alloc_iters >= 1, "{}", domain.scheme_name());
+        for t in tokens {
+            // SAFETY: live, owned, freed once.
+            unsafe { h.free_value(t) };
+        }
+        drop(h);
+        assert!(domain.leak_check_mm().is_clean());
+    }
+
+    let class = ClassConfig::new(64, 64);
+    check(&WfrcDomain::<u64>::new(
+        DomainConfig::new(1, 4).with_class(class.clone()),
+    ));
+    let mut lf = wfrc::baselines::LfrcDomain::<u64>::new(1, 4);
+    lf.set_classes(vec![class]);
+    check(&lf);
+}
+
 /// Adoption racing a *live* helper: a victim dies between the announcement
 /// publish and its own count acquisition, then a surviving writer keeps
 /// retargeting the announced link (its `HelpDeRef` may answer the dead

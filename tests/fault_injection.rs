@@ -570,40 +570,78 @@ fn die_at_class_grow_seed_is_adopted() {
     assert!(leaks.is_clean(), "{leaks:?}");
 }
 
-/// The LFRC baseline shares the orphan/adoption model: a thread killed
-/// mid-release leaves its slot orphaned, and `adopt_orphans` drains its
-/// magazine so `leak_check` stays clean.
-#[test]
-fn lfrc_die_mid_release_is_recovered() {
+/// The LFRC baseline shares the orphan/adoption model: a thread killed at
+/// `site` — in the node pool, or with `class_traffic` inside a byte class,
+/// which runs the same pool code — leaves its slot orphaned, and
+/// `adopt_orphans` drains its magazines so `leak_check` stays clean.
+fn lfrc_death_is_recovered(site: FaultSite, nth: u64, class_traffic: bool) {
+    use wfrc::core::{ClassConfig, RawBytes};
     silence_injected_deaths();
     let mut domain = LfrcDomain::<u64>::new(2, CAPACITY);
     domain.set_magazine(8);
+    domain.set_classes(vec![ClassConfig::new(256, 4)
+        .with_growth(Growth::doubling_to(1 << 14))
+        .with_magazine(4)]);
     let plan = Arc::new(FaultPlan::new(0x1F2C));
     domain.set_fault_plan(Arc::clone(&plan));
-    plan.arm_victim(0, FaultSite::ReleaseFaa, FaultAction::Die, FireRule::Nth(5));
+    plan.arm_victim(0, site, FaultAction::Die, FireRule::Nth(nth));
+    let floor = domain.class_segments(0);
+    // Tokens escape the victim so its death leaks no live blocks.
+    let escaped: std::sync::Mutex<Vec<RawBytes>> = std::sync::Mutex::new(Vec::new());
 
     std::thread::scope(|s| {
-        let d = &domain;
+        let (d, escaped) = (&domain, &escaped);
         let t = s.spawn(move || {
             let h = d.register().unwrap();
-            for _ in 0..1_000 {
-                let n = h.alloc_raw().expect("pool sized");
-                // SAFETY: `n` is a live node this thread owns one count on.
-                unsafe { h.release_raw(n) };
+            for i in 0..1_000usize {
+                if class_traffic {
+                    // An ever-growing pile: every other alloc refills the
+                    // class magazine, and the class must grow to serve it.
+                    let tok = h.alloc_bytes(&[i as u8; 200]).expect("class grows");
+                    escaped.lock().unwrap().push(tok);
+                } else {
+                    let n = h.alloc_raw().expect("pool sized");
+                    // SAFETY: `n` is a live node this thread owns one count on.
+                    unsafe { h.release_raw(n) };
+                }
             }
         });
-        let err = t.join().expect_err("victim must die at ReleaseFaa");
+        let err = t.join().expect_err("victim must die at the armed site");
         let death = err
             .downcast::<InjectedDeath>()
             .expect("panic payload must be InjectedDeath");
-        assert_eq!(death.site, FaultSite::ReleaseFaa);
+        assert_eq!(death.site, site);
     });
 
     assert_eq!(domain.orphaned_threads(), 1);
     let report = domain.adopt_orphans();
     assert_eq!(report.orphans_adopted, 1);
-    assert!(domain.leak_check().is_clean());
+    if site == FaultSite::GrowSeed {
+        assert!(
+            domain.class_segments(0) > floor,
+            "the completion obligation must keep the grown segment visible"
+        );
+    }
+    let h = domain.register().unwrap();
+    for tok in escaped.into_inner().unwrap() {
+        // SAFETY: live tokens the victim transferred out; freed once each.
+        unsafe { h.free_bytes(tok) };
+    }
+    drop(h);
+    let leaks = domain.leak_check();
+    assert!(leaks.is_clean(), "{site:?}: {leaks}");
     assert_eq!(domain.adopt_orphans().orphans_adopted, 0);
+}
+
+#[test]
+fn lfrc_die_mid_release_is_recovered() {
+    lfrc_death_is_recovered(FaultSite::ReleaseFaa, 5, false);
+}
+
+#[test]
+fn lfrc_die_inside_a_byte_class_is_recovered() {
+    lfrc_death_is_recovered(FaultSite::GrowSeed, 1, true);
+    lfrc_death_is_recovered(FaultSite::MagazineRefill, 3, true);
 }
 
 /// Mini-soak: repeated kill/adopt cycles against one long-lived domain with

@@ -7,10 +7,10 @@
 //! clean leak audit through every phase of the oscillation — including
 //! while other threads allocate concurrently.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 use wfrc::core::{DomainConfig, Growth, ReclaimOutcome, WfrcDomain};
+use wfrc::sim::exec::StopFlag;
 
 fn grow_cfg(threads: usize, initial: usize, max: usize) -> DomainConfig {
     DomainConfig::new(threads, initial).with_growth(Growth::doubling_to(max))
@@ -209,14 +209,14 @@ fn eight_thread_oscillation_is_elastic_and_leak_free() {
 fn concurrent_reclaim_under_load_stays_sound() {
     const WORKERS: usize = 4;
     let d = Arc::new(WfrcDomain::<u64>::new(grow_cfg(WORKERS + 1, 16, 4096)));
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(StopFlag::new());
     let workers: Vec<_> = (0..WORKERS)
         .map(|_| {
             let d = Arc::clone(&d);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let h = d.register().unwrap();
-                while !stop.load(Ordering::Relaxed) {
+                while !stop.is_stopped() {
                     // Bursty: hold a pile (forces growth), then free it all
                     // (opens reclaim windows).
                     let held: Vec<_> = (0..24)
@@ -228,6 +228,9 @@ fn concurrent_reclaim_under_load_stays_sound() {
         })
         .collect();
     {
+        // Raised on unwind too, so a failed assertion here does not leave
+        // the workers spinning for the rest of the test binary's run.
+        let _stop = stop.stop_on_drop();
         let h = d.register().unwrap();
         let mut retired = 0u64;
         for _ in 0..2_000 {
@@ -240,7 +243,6 @@ fn concurrent_reclaim_under_load_stays_sound() {
         let snap = h.counters().snapshot();
         assert_eq!(snap.segments_retired, retired, "{snap:?}");
     }
-    stop.store(true, Ordering::Relaxed);
     for w in workers {
         w.join().unwrap();
     }

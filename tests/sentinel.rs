@@ -382,6 +382,72 @@ mod ladder {
         assert!(report.is_clean(), "{site:?}/{action:?} leaked: {report}");
     }
 
+    /// The Die half of [`run_case`] over the LFRC baseline, with the death
+    /// inside a byte class (the class runs the node pool's code, so its
+    /// sites are armed too): the sentinel alone adopts the corpse within
+    /// the tick bound, and the books balance.
+    fn run_lfrc_class_case(site: FaultSite, seed: u64) {
+        use wfrc::baselines::LfrcDomain;
+        use wfrc::core::{ClassConfig, RawBytes};
+        let mut domain = LfrcDomain::<u64>::new(2, 16);
+        domain.set_classes(vec![ClassConfig::new(64, 4)
+            .with_growth(Growth::doubling_to(4096))
+            .with_magazine(4)]);
+        let plan = Arc::new(FaultPlan::new(seed));
+        domain.set_fault_plan(Arc::clone(&plan));
+        plan.arm_victim(0, site, FaultAction::Die, FireRule::Nth(1));
+        let config = SentinelConfig::default()
+            .with_ladder(2, 4, 8)
+            .with_seed(seed);
+        let sentinel = Sentinel::new(&domain, config);
+        let victim = domain.register().unwrap();
+        assert_eq!(victim.tid(), 0);
+        // Tokens escape the victim so its death leaks no live blocks.
+        let escaped: std::sync::Mutex<Vec<RawBytes>> = std::sync::Mutex::new(Vec::new());
+
+        std::thread::scope(|s| {
+            let escaped = &escaped;
+            let vt = s.spawn(move || {
+                for i in 0..10_000usize {
+                    let tok = victim.alloc_bytes(&[i as u8; 48]).expect("class grows");
+                    escaped.lock().unwrap().push(tok);
+                }
+            });
+            while !vt.is_finished() {
+                sentinel.tick();
+                std::thread::yield_now();
+            }
+            vt.join()
+                .expect_err("victim must die inside the class")
+                .downcast::<InjectedDeath>()
+                .expect("victims only die by injection");
+        });
+        let mut mttr_ticks = 0u32;
+        while domain.orphaned_threads() > 0 {
+            sentinel.tick();
+            mttr_ticks += 1;
+            assert!(
+                mttr_ticks < 500,
+                "lfrc class {site:?}/Die: corpse not adopted within 500 ticks"
+            );
+        }
+        assert_eq!(domain.orphans_adopted(), 1);
+
+        plan.disarm();
+        drop(sentinel);
+        let sweeper = domain.register().unwrap();
+        for tok in escaped.into_inner().unwrap() {
+            // SAFETY: live tokens the victim transferred out; freed once.
+            unsafe { sweeper.free_bytes(tok) };
+        }
+        drop(sweeper);
+        let report = domain.leak_check();
+        assert!(
+            report.is_clean(),
+            "lfrc class {site:?}/Die leaked: {report}"
+        );
+    }
+
     /// Seeded sweep: every armed site × {Stall, Park, Die}. Sites the
     /// churn cannot reach under a given seed exit cleanly and still go
     /// through the quiescent audit.
@@ -400,6 +466,9 @@ mod ladder {
                 let seed = 0x5EA1_BA5E ^ ((i as u64) << 8) ^ j as u64;
                 run_case(site, action, seed);
             }
+        }
+        for site in [FaultSite::GrowSeed, FaultSite::MagazineRefill] {
+            run_lfrc_class_case(site, 0x5EA1_BA5E ^ site as u64);
         }
     }
 }

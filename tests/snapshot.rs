@@ -10,11 +10,10 @@
 //! with a non-empty deferred list and asserts adoption recovers every
 //! node.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use wfrc::core::{
     DomainConfig, Growth, Link, ReclaimOutcome, Sentinel, SentinelConfig, WfrcDomain,
 };
+use wfrc::sim::exec::StopFlag;
 
 #[test]
 fn pin_snapshot_read_and_upgrade() {
@@ -296,12 +295,12 @@ fn concurrent_pin_release_drain_churn() {
     let d =
         WfrcDomain::<u64>::new(DomainConfig::new(3, 256).with_growth(Growth::doubling_to(1024)));
     let link = Link::null();
-    let stop = AtomicBool::new(false);
+    let stop = StopFlag::new();
     std::thread::scope(|s| {
         let (d, link, stop) = (&d, &link, &stop);
         let reader = s.spawn(move || {
             let h = d.register().unwrap();
-            while !stop.load(Ordering::Relaxed) {
+            while !stop.is_stopped() {
                 let guard = h.pin();
                 if let Some(snap) = guard.snapshot(link) {
                     std::hint::black_box(*snap);
@@ -311,12 +310,15 @@ fn concurrent_pin_release_drain_churn() {
         });
         let drainer = s.spawn(move || {
             let h = d.register().unwrap();
-            while !stop.load(Ordering::Relaxed) {
+            while !stop.is_stopped() {
                 let _ = h.reclaim(); // drains every slot's deferred list
                 std::thread::yield_now();
             }
         });
         let writer = s.spawn(move || {
+            // Raised on unwind too: a writer dying on an assertion must end
+            // the scope, not leave the reader and drainer spinning.
+            let _stop = stop.stop_on_drop();
             let h = d.register().unwrap();
             for i in 0..ITERS {
                 if let Ok(g) = h.alloc_with(|v| *v = i as u64) {
@@ -324,7 +326,6 @@ fn concurrent_pin_release_drain_churn() {
                 }
             }
             h.store(link, None);
-            stop.store(true, Ordering::Relaxed);
         });
         writer.join().unwrap();
         reader.join().unwrap();
@@ -349,7 +350,7 @@ fn sentinel_ticks_race_deferred_drains() {
     );
     let sentinel = Sentinel::new(&d, SentinelConfig::default());
     let links: Vec<Link<u64>> = (0..LINKS).map(|_| Link::null()).collect();
-    let stop = AtomicBool::new(false);
+    let stop = StopFlag::new();
     let main = d.register().unwrap();
     // A standing pin on the supervisor thread guarantees every
     // release-to-zero in the churn below is a deferred dec.
@@ -381,15 +382,17 @@ fn sentinel_ticks_race_deferred_drains() {
             })
             .collect();
         let ticker = s.spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
+            while !stop.is_stopped() {
                 sentinel.tick();
                 std::thread::yield_now();
             }
         });
+        // Dropped before the join below, and on a worker's panic.
+        let stopper = stop.stop_on_drop();
         for w in workers {
             w.join().unwrap();
         }
-        stop.store(true, Ordering::Relaxed);
+        drop(stopper);
         ticker.join().unwrap();
     });
 

@@ -13,6 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 
 use wfrc::core::{AtomicWeak, DomainConfig, Growth, Link, WfrcDomain};
+use wfrc::sim::exec::StopFlag;
 
 /// Downgrade → upgrade → death → failed upgrade, with every transition
 /// visible in the counters and the leak report's weak fields.
@@ -82,6 +83,10 @@ fn upgrade_races_release_to_zero() {
                 h.store(link, Some(&g));
                 drop(g);
                 barrier.wait();
+                // The reader takes its weak reference between the barriers,
+                // so every round has the race — none is skipped because the
+                // clear beat the reader's dereference.
+                barrier.wait();
                 // The race: clear the link (release-to-zero unless the
                 // reader holds a count) while the reader upgrades.
                 h.store(link, None);
@@ -92,34 +97,35 @@ fn upgrade_races_release_to_zero() {
             let h = d.register().unwrap();
             for r in 0..ROUNDS {
                 barrier.wait();
-                if let Some(g) = h.deref(link) {
-                    let w = h.downgrade(&g);
-                    drop(g);
-                    // Upgrade until the writer's clear wins; every
-                    // success must read this round's value.
-                    loop {
-                        match w.upgrade() {
-                            Some(up) => {
-                                assert_eq!(*up, r as u64, "upgrade revived a stale payload");
-                                successes.fetch_add(1, Ordering::Relaxed);
-                                drop(up);
-                            }
-                            None => {
-                                failures.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
+                let g = h.deref(link).expect("published before the barrier");
+                let w = h.downgrade(&g);
+                drop(g);
+                barrier.wait();
+                // Upgrade until the writer's clear wins; every success
+                // must read this round's value.
+                loop {
+                    match w.upgrade() {
+                        Some(up) => {
+                            assert_eq!(*up, r as u64, "upgrade revived a stale payload");
+                            successes.fetch_add(1, Ordering::Relaxed);
+                            drop(up);
+                        }
+                        None => {
+                            failures.fetch_add(1, Ordering::Relaxed);
+                            break;
                         }
                     }
-                    assert!(w.is_dead(), "a failed upgrade is final");
                 }
+                assert!(w.is_dead(), "a failed upgrade is final");
                 barrier.wait();
             }
         });
     });
 
-    assert!(
-        failures.load(Ordering::Relaxed) > 0,
-        "race never closed a round"
+    assert_eq!(
+        failures.load(Ordering::Relaxed),
+        ROUNDS,
+        "every round ends with the upgrade failing for good"
     );
     let r = d.leak_check();
     assert!(r.is_clean(), "{r:?}");
@@ -226,14 +232,14 @@ fn concurrent_weak_link_churn() {
         WfrcDomain::<u64>::new(DomainConfig::new(3, 256).with_growth(Growth::doubling_to(1024)));
     let strongs: Vec<Link<u64>> = (0..LINKS).map(|_| Link::null()).collect();
     let weaks: Vec<AtomicWeak<u64>> = (0..LINKS).map(|_| AtomicWeak::null()).collect();
-    let stop = std::sync::atomic::AtomicBool::new(false);
+    let stop = StopFlag::new();
 
     std::thread::scope(|s| {
         let (d, strongs, weaks, stop) = (&d, &strongs, &weaks, &stop);
         for _ in 0..2 {
             s.spawn(move || {
                 let h = d.register().unwrap();
-                while !stop.load(Ordering::Relaxed) {
+                while !stop.is_stopped() {
                     for w in weaks {
                         if let Some(g) = h.load_weak(w) {
                             std::hint::black_box(*g);
@@ -242,6 +248,9 @@ fn concurrent_weak_link_churn() {
                 }
             });
         }
+        // Dropped after the churn, and if the churn dies on an assertion —
+        // the readers must not keep the scope open.
+        let stopper = stop.stop_on_drop();
         let h = d.register().unwrap();
         for i in 0..ITERS {
             if let Ok(g) = h.alloc_with(|v| *v = i as u64) {
@@ -254,7 +263,7 @@ fn concurrent_weak_link_churn() {
                 h.store(&strongs[(i + 2) % LINKS], None);
             }
         }
-        stop.store(true, Ordering::Relaxed);
+        drop(stopper);
         for l in strongs {
             h.store(l, None);
         }
