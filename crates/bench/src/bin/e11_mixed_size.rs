@@ -71,15 +71,15 @@ where
 {
     let scheme = d.scheme_name();
     let classes = d.class_sizes().len();
-    let floors: Vec<usize> = (0..classes).map(|i| d.segments(Some(i))).collect();
+    let floors: Vec<usize> = (0..classes).map(|i| d.segments(i)).collect();
     let (r, curve) = run_mixed_size(d, t, args.ops, WINDOW, args.reclaim);
     if args.grow && args.reclaim {
         for (c, &floor) in curve.iter().zip(&floors) {
             assert!(
-                c.cycle.resident_after <= floor + 1,
+                c.resident_after <= floor + 1,
                 "{scheme} class {}B: resident {} > floor {floor}+1",
                 c.size,
-                c.cycle.resident_after
+                c.resident_after
             );
         }
     }
@@ -97,21 +97,25 @@ where
         sum(&r.counters.class_frees).to_string(),
         r.counters.segments_grown.to_string(),
         fmt_class_curve(&curve),
-        curve
-            .iter()
-            .map(|c| c.cycle.retired)
-            .sum::<u64>()
-            .to_string(),
-        curve
-            .iter()
-            .map(|c| c.cycle.aborted)
-            .sum::<u64>()
-            .to_string(),
+        curve.iter().map(|c| c.retired).sum::<u64>().to_string(),
+        curve.iter().map(|c| c.aborted).sum::<u64>().to_string(),
     ]);
 }
 
 fn main() {
-    let args = Args::parse(&[2, 4, 8], 40_000);
+    let args = Args::parse(
+        &[
+            "--threads",
+            "--ops",
+            "--json",
+            "--classes",
+            "--grow",
+            "--reclaim",
+            "--magazine",
+        ],
+        &[2, 4, 8],
+        40_000,
+    );
     let sizes: Vec<usize> = if args.classes.is_empty() {
         vec![64, 256, 1024]
     } else {

@@ -153,7 +153,23 @@ where
 }
 
 fn main() {
-    let args = Args::parse(&[], 200);
+    let args = Args::parse(
+        &[
+            "--tasks",
+            "--slots",
+            "--ops",
+            "--workers",
+            "--classes",
+            "--grow",
+            "--reclaim",
+            "--kill",
+            "--admission-ms",
+            "--sentinel",
+            "--json",
+        ],
+        &[],
+        200,
+    );
     let workers = if args.workers == 0 {
         std::thread::available_parallelism().map_or(4, |n| n.get())
     } else {

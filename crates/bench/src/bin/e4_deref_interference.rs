@@ -24,9 +24,11 @@
 //!   the summary short-circuits — are sized for the machine, not for the
 //!   active writer count).
 //!
-//! A third variant, `--mode read --snapshot`, swaps the reader's counted
-//! dereference for the PR 9 pinned plain-load snapshot path — see
+//! A third variant, `--mode read --snapshot`, sets the reader's counted
+//! dereference beside the PR 9 pinned plain-load snapshot path — see
 //! [`read_snapshot_table`].
+//!
+//! Every cell's domain is leak-audited after its run.
 //!
 //! ```text
 //! cargo run --release --bin e4_deref_interference [-- --threads 0,1,2,4 --ops 100000 --json --mode both]
@@ -36,14 +38,37 @@
 
 use std::sync::Arc;
 
-use bench::drivers::{
-    run_deref_interference, run_deref_interference_snapshot, run_write_interference,
-};
+use bench::drivers::{run_deref_interference, run_write_interference};
 use bench::Args;
 use wfrc_baselines::LfrcDomain;
 use wfrc_core::{DomainConfig, WfrcDomain};
-use wfrc_sim::stats::{fmt_ns, Summary, Table};
-use wfrc_sim::Histogram;
+use wfrc_sim::stats::{fmt_ns, fmt_ops, Summary, Table};
+use wfrc_structures::RcMmDomain;
+
+fn wfrc(threads: usize) -> WfrcDomain<u64> {
+    WfrcDomain::new(DomainConfig::new(threads, 16))
+}
+
+/// Backoff off, so retry counts reflect raw contention.
+fn lfrc(threads: usize) -> LfrcDomain<u64> {
+    let mut d = LfrcDomain::new(threads, 16);
+    d.set_backoff(false);
+    d
+}
+
+/// Runs one cell on `d`, then leak-audits the domain. Returns the scheme
+/// name with the cell's result.
+fn audited<D: RcMmDomain<u64>, R>(d: D, run: impl FnOnce(Arc<D>) -> R) -> (&'static str, R) {
+    let d = Arc::new(d);
+    let r = run(Arc::clone(&d));
+    let leak = d.leak_check_mm();
+    assert!(
+        leak.is_clean(),
+        "{} E4 cell must end clean: {leak}",
+        d.scheme_name()
+    );
+    (d.scheme_name(), r)
+}
 
 fn read_table(args: &Args) {
     let mut table = Table::new(
@@ -61,27 +86,22 @@ fn read_table(args: &Args) {
         ],
     );
     for &w in &args.threads {
-        for scheme in ["wfrc", "lfrc"] {
-            let (result, hist, counters): (bench::RunResult, Histogram, _) = if scheme == "wfrc" {
-                let d = Arc::new(WfrcDomain::<u64>::new(DomainConfig::new(w + 2, 16)));
-                run_deref_interference(d, w, args.ops)
-            } else {
-                // Disable backoff so retry counts reflect raw contention.
-                let mut d = LfrcDomain::<u64>::new(w + 2, 16);
-                d.set_backoff(false);
-                run_deref_interference(Arc::new(d), w, args.ops)
-            };
-            let s = Summary::of(&hist);
+        let ops = args.ops;
+        for (scheme, (result, hist)) in [
+            audited(wfrc(w + 2), |d| run_deref_interference(d, w, ops, false)),
+            audited(lfrc(w + 2), |d| run_deref_interference(d, w, ops, false)),
+        ] {
+            let (s, c) = (Summary::of(&hist), result.counters);
             table.row(&[
                 w.to_string(),
-                scheme.to_string(),
-                wfrc_sim::stats::fmt_ops(result.ops_per_sec()),
+                scheme.into(),
+                fmt_ops(result.ops_per_sec()),
                 fmt_ns(s.mean as u64),
                 fmt_ns(s.p99),
                 fmt_ns(s.max),
-                counters.deref_retries.to_string(),
-                counters.max_deref_retries.to_string(),
-                counters.deref_helped.to_string(),
+                c.deref_retries.to_string(),
+                c.max_deref_retries.to_string(),
+                c.deref_helped.to_string(),
             ]);
         }
     }
@@ -95,56 +115,74 @@ fn read_table(args: &Args) {
 }
 
 /// E4 `--mode read --snapshot`: the PR 9 snapshot read path — the reader
-/// holds a pin session and dereferences with plain loads (DESIGN.md §4f).
-/// The headline column is **ns/deref vs. LFRC**: the counted wait-free
-/// path pays ~2× the baseline's per-deref cost (announcement write + count
-/// FAAs); the snapshot path runs the identical loads the unprotected
-/// baseline runs, so the gap collapses. `snapshot derefs` confirms every
-/// read took the plain-load path (zero FAAs each); `deferred decs` counts
-/// frees the live pin diverted to the deferred lists (0 here — the
-/// experiment's standing counts mean no node ever dies mid-run).
+/// holds a pin session and dereferences with plain loads (DESIGN.md §4f) —
+/// beside the counted path it replaces. The headline column is **ns/deref
+/// vs. LFRC**: the counted wait-free path pays ~2× the baseline's per-deref
+/// cost (announcement write + count FAAs); the snapshot path runs the
+/// identical loads the unprotected baseline runs, so the gap collapses.
+/// `count FAAs/op` is the counters-grounded cost model: one `mm_ref`
+/// fetch-add on dereference and one on release (`deref_calls + releases`,
+/// 2/op) for the counted reader, zero for the snapshot reader — its
+/// per-session epoch bump and pin-bit write amortize over the re-pin
+/// interval. `snapshot derefs` confirms every read took the plain-load
+/// path; `deferred decs` counts frees the live pin diverted to the deferred
+/// lists (0 here — the experiment's standing counts mean no node ever dies
+/// mid-run).
 fn read_snapshot_table(args: &Args) {
     let mut table = Table::new(
-        "E4 (snapshot): plain-load reads under a pin, link-flipping interference",
+        "E4 (snapshot): counted vs plain-load reads under a pin, link-flipping interference",
         &[
             "writers",
             "scheme",
+            "reader",
             "reader ops/s",
             "mean",
             "p99",
             "max",
+            "count FAAs/op",
             "snapshot derefs",
             "deferred decs",
             "upgrade slow",
         ],
     );
     for &w in &args.threads {
-        for scheme in ["wfrc", "lfrc"] {
-            let (result, hist, counters): (bench::RunResult, Histogram, _) = if scheme == "wfrc" {
-                let d = Arc::new(WfrcDomain::<u64>::new(DomainConfig::new(w + 2, 16)));
-                run_deref_interference_snapshot(d, w, args.ops)
-            } else {
-                let mut d = LfrcDomain::<u64>::new(w + 2, 16);
-                d.set_backoff(false);
-                run_deref_interference_snapshot(Arc::new(d), w, args.ops)
-            };
-            let s = Summary::of(&hist);
+        let ops = args.ops;
+        for (reader, (scheme, (result, hist))) in [
+            (
+                "counted",
+                audited(wfrc(w + 2), |d| run_deref_interference(d, w, ops, false)),
+            ),
+            (
+                "snapshot",
+                audited(wfrc(w + 2), |d| run_deref_interference(d, w, ops, true)),
+            ),
+            (
+                "snapshot",
+                audited(lfrc(w + 2), |d| run_deref_interference(d, w, ops, true)),
+            ),
+        ] {
+            let (s, c) = (Summary::of(&hist), result.counters);
             table.row(&[
                 w.to_string(),
-                scheme.to_string(),
-                wfrc_sim::stats::fmt_ops(result.ops_per_sec()),
+                scheme.into(),
+                reader.into(),
+                fmt_ops(result.ops_per_sec()),
                 fmt_ns(s.mean as u64),
                 fmt_ns(s.p99),
                 fmt_ns(s.max),
-                counters.snapshot_derefs.to_string(),
-                counters.deferred_decs.to_string(),
-                counters.upgrade_slow.to_string(),
+                format!(
+                    "{:.3}",
+                    (c.deref_calls + c.releases) as f64 / args.ops as f64
+                ),
+                c.snapshot_derefs.to_string(),
+                c.deferred_decs.to_string(),
+                c.upgrade_slow.to_string(),
             ]);
         }
     }
     println!("{}", table.render());
     println!(
-        "note: both schemes run the identical plain-load reader loop; the lfrc row's\n\
+        "note: both snapshot rows run the identical plain-load reader loop; the lfrc row's\n\
          guard is a no-op (its loads are protected only by the experiment's standing\n\
          counts), so the wfrc/lfrc ratio is the full price of snapshot protection.\n"
     );
@@ -177,20 +215,15 @@ fn write_table(args: &Args) {
             continue; // the write table needs at least one writer
         }
         let n = NR_THREADS.max(w + 1);
-        for scheme in ["wfrc", "lfrc"] {
-            let result = if scheme == "wfrc" {
-                let d = Arc::new(WfrcDomain::<u64>::new(DomainConfig::new(n, 16)));
-                run_write_interference(d, w, args.ops)
-            } else {
-                let mut d = LfrcDomain::<u64>::new(n, 16);
-                d.set_backoff(false);
-                run_write_interference(Arc::new(d), w, args.ops)
-            };
+        for (scheme, result) in [
+            audited(wfrc(n), |d| run_write_interference(d, w, args.ops)),
+            audited(lfrc(n), |d| run_write_interference(d, w, args.ops)),
+        ] {
             let c = result.counters;
             table.row(&[
                 w.to_string(),
-                scheme.to_string(),
-                wfrc_sim::stats::fmt_ops(result.ops_per_sec()),
+                scheme.into(),
+                fmt_ops(result.ops_per_sec()),
                 c.help_calls.to_string(),
                 c.help_answers.to_string(),
                 c.help_scan_skips.to_string(),
@@ -217,7 +250,11 @@ fn skip_rate(skips: u64, full: u64) -> String {
 }
 
 fn main() {
-    let args = Args::parse(&[0, 1, 2, 4], 100_000);
+    let args = Args::parse(
+        &["--threads", "--ops", "--json", "--mode", "--snapshot"],
+        &[0, 1, 2, 4],
+        100_000,
+    );
     match args.mode.as_str() {
         "read" if args.snapshot => read_snapshot_table(&args),
         "read" => read_table(&args),

@@ -64,7 +64,11 @@ const COLUMNS: [&str; 7] = [
 ];
 
 fn main() {
-    let args = Args::parse(&[1], 50_000);
+    let args = Args::parse(
+        &["--ops", "--json", "--grow", "--magazine", "--reclaim"],
+        &[],
+        50_000,
+    );
     let churn = args.ops;
     let mut table = Table::new(
         "E9: unreclaimed nodes after churn with one stalled thread",

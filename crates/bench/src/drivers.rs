@@ -2,8 +2,6 @@
 
 use std::sync::Arc;
 
-use wfrc_baselines::epoch::EbrDomain;
-use wfrc_baselines::hazard::HpDomain;
 use wfrc_baselines::LfrcDomain;
 use wfrc_core::counters::{CounterSnapshot, LeaseSnapshot};
 use wfrc_core::lease::{LeaseConfig, LeasePool, LeaseRegistry};
@@ -12,18 +10,9 @@ use wfrc_core::{RawBytes, ReclaimOutcome, WfrcDomain};
 use wfrc_sim::exec::{run_fixed_ops, PollLoop, StopFlag};
 use wfrc_sim::latency::Histogram;
 use wfrc_sim::rng::SmallRng;
-use wfrc_sim::workload::{OpKind, WorkloadCfg};
 use wfrc_sim::Supervisor;
-use wfrc_structures::epoch_queue::EpochQueue;
-use wfrc_structures::epoch_stack::EpochStack;
 use wfrc_structures::hash_map::{SessionCache, SessionMm};
-use wfrc_structures::hp_queue::HpQueue;
-use wfrc_structures::hp_stack::HpStack;
-use wfrc_structures::lru_list::{LruCell, LruList};
 use wfrc_structures::manager::{ByteMm, RcMm, RcMmDomain};
-use wfrc_structures::priority_queue::{PqCell, PriorityQueue};
-use wfrc_structures::queue::{Queue, QueueCell};
-use wfrc_structures::stack::{Stack, StackCell};
 
 use crate::RunResult;
 
@@ -48,239 +37,6 @@ fn run_result(
         wall,
         counters,
     }
-}
-
-/// Capacity heuristic: prefill plus headroom for transient imbalance and
-/// per-thread in-flight nodes.
-pub fn capacity_for(cfg: &WorkloadCfg, threads: usize, ops: u64) -> usize {
-    // A 50/50 random walk wanders ~ O(sqrt(total ops)); give 8x headroom.
-    let walk = ((threads as u64 * ops) as f64).sqrt() as usize * 8;
-    cfg.prefill + walk + threads * 16 + 1024
-}
-
-/// E1: skiplist priority queue, paper workload (50/50 insert/delete-min).
-/// Returns total ops + merged counters. Inserts that hit OOM fall back to
-/// delete-min (counted normally); with the capacity heuristic this is
-/// vanishingly rare.
-pub fn run_pq_rc<D>(domain: Arc<D>, threads: usize, ops: u64, cfg: WorkloadCfg) -> RunResult
-where
-    D: RcMmDomain<PqCell<u64>> + Send + Sync + 'static,
-{
-    let h0 = domain.register_mm().expect("register");
-    let pq = Arc::new(PriorityQueue::<u64>::new(&h0).expect("sentinel"));
-    {
-        let mut stream = cfg.stream(usize::MAX);
-        for _ in 0..cfg.prefill {
-            let k = stream.next_key();
-            pq.insert(&h0, k, k).expect("prefill");
-        }
-    }
-    drop(h0);
-    let (parts, wall) = run_fixed_ops(threads, |t| {
-        let domain = Arc::clone(&domain);
-        let pq = Arc::clone(&pq);
-        let mut stream = cfg.stream(t);
-        move || {
-            let h = domain.register_mm().expect("register");
-            let mut done = 0u64;
-            for _ in 0..ops {
-                match stream.next_op() {
-                    (OpKind::Insert, k) => {
-                        if pq.insert(&h, k, k).is_err() {
-                            let _ = pq.delete_min(&h);
-                        }
-                    }
-                    (OpKind::Remove, _) | (OpKind::Lookup, _) => {
-                        let _ = pq.delete_min(&h);
-                    }
-                }
-                done += 1;
-            }
-            (done, h.counter_snapshot())
-        }
-    });
-    // Teardown outside the measured section.
-    let h = domain.register_mm().expect("register");
-    while pq.delete_min(&h).is_some() {}
-    match Arc::try_unwrap(pq) {
-        Ok(pq) => pq.dispose(&h),
-        Err(_) => unreachable!("workers joined"),
-    }
-    drop(h);
-    run_result(threads, parts, wall)
-}
-
-/// E2 (refcounting schemes): Treiber stack, push/pop pairs.
-pub fn run_stack_rc<D>(domain: Arc<D>, threads: usize, pairs: u64, prefill: usize) -> RunResult
-where
-    D: RcMmDomain<StackCell<u64>> + Send + Sync + 'static,
-{
-    let h0 = domain.register_mm().expect("register");
-    let stack = Arc::new(Stack::<u64>::new());
-    for i in 0..prefill {
-        stack.push(&h0, i as u64).expect("prefill");
-    }
-    drop(h0);
-    let (parts, wall) = run_fixed_ops(threads, |_| {
-        let domain = Arc::clone(&domain);
-        let stack = Arc::clone(&stack);
-        move || {
-            let h = domain.register_mm().expect("register");
-            let mut done = 0u64;
-            for i in 0..pairs {
-                stack.push(&h, i).expect("push");
-                let _ = stack.pop(&h);
-                done += 2;
-            }
-            (done, h.counter_snapshot())
-        }
-    });
-    let h = domain.register_mm().expect("register");
-    stack.clear(&h);
-    drop(h);
-    run_result(threads, parts, wall)
-}
-
-/// E2 (hazard pointers): same pairs workload.
-pub fn run_stack_hp(threads: usize, pairs: u64, prefill: usize) -> RunResult {
-    let domain = Arc::new(HpDomain::new(threads + 1));
-    let stack = Arc::new(HpStack::<u64>::new());
-    {
-        let mut h = domain.register().expect("register");
-        for i in 0..prefill {
-            stack.push(&mut h, i as u64);
-        }
-    }
-    let (parts, wall) = run_fixed_ops(threads, |_| {
-        let domain = Arc::clone(&domain);
-        let stack = Arc::clone(&stack);
-        move || {
-            let mut h = domain.register().expect("register");
-            let mut done = 0u64;
-            for i in 0..pairs {
-                stack.push(&mut h, i);
-                let _ = stack.pop(&mut h);
-                done += 2;
-            }
-            (done, CounterSnapshot::default())
-        }
-    });
-    run_result(threads, parts, wall)
-}
-
-/// E2 (epochs): same pairs workload.
-pub fn run_stack_ebr(threads: usize, pairs: u64, prefill: usize) -> RunResult {
-    let domain = Arc::new(EbrDomain::new(threads + 1));
-    let stack = Arc::new(EpochStack::<u64>::new());
-    {
-        let h = domain.register().expect("register");
-        for i in 0..prefill {
-            stack.push(&h, i as u64);
-        }
-    }
-    let (parts, wall) = run_fixed_ops(threads, |_| {
-        let domain = Arc::clone(&domain);
-        let stack = Arc::clone(&stack);
-        move || {
-            let h = domain.register().expect("register");
-            let mut done = 0u64;
-            for i in 0..pairs {
-                stack.push(&h, i);
-                let _ = stack.pop(&h);
-                done += 2;
-            }
-            (done, CounterSnapshot::default())
-        }
-    });
-    run_result(threads, parts, wall)
-}
-
-/// E3 (refcounting schemes): M&S queue, enqueue/dequeue pairs.
-pub fn run_queue_rc<D>(domain: Arc<D>, threads: usize, pairs: u64, prefill: usize) -> RunResult
-where
-    D: RcMmDomain<QueueCell<u64>> + Send + Sync + 'static,
-{
-    let h0 = domain.register_mm().expect("register");
-    let queue = Arc::new(Queue::<u64>::new(&h0).expect("dummy"));
-    for i in 0..prefill {
-        queue.enqueue(&h0, i as u64).expect("prefill");
-    }
-    drop(h0);
-    let (parts, wall) = run_fixed_ops(threads, |_| {
-        let domain = Arc::clone(&domain);
-        let queue = Arc::clone(&queue);
-        move || {
-            let h = domain.register_mm().expect("register");
-            let mut done = 0u64;
-            for i in 0..pairs {
-                queue.enqueue(&h, i).expect("enqueue");
-                let _ = queue.dequeue(&h);
-                done += 2;
-            }
-            (done, h.counter_snapshot())
-        }
-    });
-    let h = domain.register_mm().expect("register");
-    match Arc::try_unwrap(queue) {
-        Ok(q) => q.dispose(&h),
-        Err(_) => unreachable!("workers joined"),
-    }
-    drop(h);
-    run_result(threads, parts, wall)
-}
-
-/// E3 (hazard pointers).
-pub fn run_queue_hp(threads: usize, pairs: u64, prefill: usize) -> RunResult {
-    let domain = Arc::new(HpDomain::new(threads + 1));
-    let queue = Arc::new(HpQueue::<u64>::new());
-    {
-        let mut h = domain.register().expect("register");
-        for i in 0..prefill {
-            queue.enqueue(&mut h, i as u64);
-        }
-    }
-    let (parts, wall) = run_fixed_ops(threads, |_| {
-        let domain = Arc::clone(&domain);
-        let queue = Arc::clone(&queue);
-        move || {
-            let mut h = domain.register().expect("register");
-            let mut done = 0u64;
-            for i in 0..pairs {
-                queue.enqueue(&mut h, i);
-                let _ = queue.dequeue(&mut h);
-                done += 2;
-            }
-            (done, CounterSnapshot::default())
-        }
-    });
-    run_result(threads, parts, wall)
-}
-
-/// E3 (epochs).
-pub fn run_queue_ebr(threads: usize, pairs: u64, prefill: usize) -> RunResult {
-    let domain = Arc::new(EbrDomain::new(threads + 1));
-    let queue = Arc::new(EpochQueue::<u64>::new());
-    {
-        let h = domain.register().expect("register");
-        for i in 0..prefill {
-            queue.enqueue(&h, i as u64);
-        }
-    }
-    let (parts, wall) = run_fixed_ops(threads, |_| {
-        let domain = Arc::clone(&domain);
-        let queue = Arc::clone(&queue);
-        move || {
-            let h = domain.register().expect("register");
-            let mut done = 0u64;
-            for i in 0..pairs {
-                queue.enqueue(&h, i);
-                let _ = queue.dequeue(&h);
-                done += 2;
-            }
-            (done, CounterSnapshot::default())
-        }
-    });
-    run_result(threads, parts, wall)
 }
 
 /// The E4 fixture: a hot link flipping between two nodes. The experiment
@@ -326,44 +82,37 @@ impl<T: wfrc_core::RcObject, M: RcMm<T>> FlipFixture<T, M> {
 /// Ops between pin sessions on the snapshot read path: long enough that
 /// the per-session epoch bump and pin-bit write amortize to nothing, short
 /// enough that writers' deferred frees are never starved for a grace edge.
-pub const SNAPSHOT_REPIN: u64 = 1024;
+const SNAPSHOT_REPIN: u64 = 1024;
 
 /// E4: one reader dereferencing a hot link while `writers` threads flip it
-/// between two nodes. Returns the run result (reader ops only), the
-/// reader's per-op latency histogram, and the reader's counters — whose
-/// `max_deref_retries` is the paper's unboundedness claim made visible.
-pub fn run_deref_interference<D, T>(
-    domain: Arc<D>,
-    writers: usize,
-    reader_ops: u64,
-) -> (RunResult, Histogram, CounterSnapshot)
-where
-    T: wfrc_core::RcObject + Default,
-    D: RcMmDomain<T> + Send + Sync + 'static,
-{
-    deref_interference::<D, T, false>(domain, writers, reader_ops)
-}
-
-/// E4 (snapshot variant): the same link-flipping interference as
-/// [`run_deref_interference`], but the reader uses the pinned plain-load
-/// snapshot path (DESIGN.md §4f) instead of counted dereferences — one pin
-/// per [`SNAPSHOT_REPIN`] ops, zero count FAAs and zero announcement-slot
+/// between two nodes. Returns the run result (reader ops and the reader's
+/// counters only — their `max_deref_retries` is the paper's unboundedness
+/// claim made visible) and the reader's per-op latency histogram.
+///
+/// With `snapshot` the reader uses the pinned plain-load snapshot path
+/// (DESIGN.md §4f) instead of counted dereferences — one pin per
+/// `SNAPSHOT_REPIN` ops, zero count FAAs and zero announcement-slot
 /// writes per read. For schemes without protected snapshots (the LFRC
 /// baseline's no-op pin, `SNAPSHOT_PROTECTED == false`) the plain load
 /// is safe only because the experiment's standing counts pin both nodes
 /// for the whole run — which is exactly the comparison E4 wants: the
 /// identical reader instruction sequence with and without the protection
 /// machinery, under identical writer interference.
-pub fn run_deref_interference_snapshot<D, T>(
+pub fn run_deref_interference<D, T>(
     domain: Arc<D>,
     writers: usize,
     reader_ops: u64,
-) -> (RunResult, Histogram, CounterSnapshot)
+    snapshot: bool,
+) -> (RunResult, Histogram)
 where
     T: wfrc_core::RcObject + Default,
     D: RcMmDomain<T> + Send + Sync + 'static,
 {
-    deref_interference::<D, T, true>(domain, writers, reader_ops)
+    if snapshot {
+        deref_interference::<D, T, true>(domain, writers, reader_ops)
+    } else {
+        deref_interference::<D, T, false>(domain, writers, reader_ops)
+    }
 }
 
 /// Both E4 read modes; `SNAPSHOT` picks the reader's dereference at compile
@@ -372,7 +121,7 @@ fn deref_interference<D, T, const SNAPSHOT: bool>(
     domain: Arc<D>,
     writers: usize,
     reader_ops: u64,
-) -> (RunResult, Histogram, CounterSnapshot)
+) -> (RunResult, Histogram)
 where
     T: wfrc_core::RcObject + Default,
     D: RcMmDomain<T> + Send + Sync + 'static,
@@ -441,7 +190,7 @@ where
             (start.elapsed(), hist, h.counter_snapshot())
         })
     };
-    let (wall, hist, reader_counters) = reader.join().unwrap();
+    let (wall, hist, counters) = reader.join().unwrap();
     stop.stop();
     for w in writer_handles {
         w.join().unwrap();
@@ -451,41 +200,9 @@ where
         threads: writers + 1,
         total_ops: reader_ops,
         wall,
-        counters: reader_counters,
+        counters,
     };
-    (result, hist, reader_counters)
-}
-
-/// E8 (snapshot ablation micro): deferred-list drain latency. A second
-/// handle parks a pin while the main handle releases `nodes` nodes to a
-/// zero count — every free is forced onto the main handle's deferred list.
-/// The pin is then dropped and the drain itself is timed. Returns the
-/// drained count, the drain wall time, and the releasing handle's counters
-/// (whose `deferred_decs` is the forced-defer evidence).
-pub fn run_deferred_drain_micro(nodes: usize) -> (usize, std::time::Duration, CounterSnapshot) {
-    use wfrc_core::DomainConfig;
-    let d = WfrcDomain::<u64>::new(DomainConfig::new(2, nodes + 8));
-    let h = d.register().expect("register");
-    let pinner = d.register().expect("register");
-    let guard = pinner.pin();
-    let mut ptrs = Vec::with_capacity(nodes);
-    for _ in 0..nodes {
-        ptrs.push(h.alloc_raw().expect("alloc"));
-    }
-    for p in ptrs {
-        // SAFETY: we own the alloc reference; the count reaches zero here,
-        // and the live pin forces the free onto the deferred list.
-        unsafe { h.release_raw(p) };
-    }
-    drop(guard);
-    let t0 = std::time::Instant::now();
-    let drained = h.drain_deferred();
-    let wall = t0.elapsed();
-    let counters = h.counter_snapshot();
-    drop(h);
-    drop(pinner);
-    assert!(d.leak_check().is_clean(), "{}", d.leak_check());
-    (drained, wall, counters)
+    (result, hist)
 }
 
 /// E4 (write path, zero-announcer): `writers` threads flip a hot link
@@ -571,94 +288,6 @@ where
     }
 }
 
-/// E5: raw allocation churn — every thread alloc/releases in a tight loop
-/// on a deliberately small pool.
-pub fn run_alloc_churn<D, T>(domain: Arc<D>, threads: usize, ops: u64) -> RunResult
-where
-    T: wfrc_core::RcObject + Default,
-    D: RcMmDomain<T> + Send + Sync + 'static,
-{
-    let (parts, wall) = run_fixed_ops(threads, |_| {
-        let domain = Arc::clone(&domain);
-        move || {
-            let h = domain.register_mm().expect("register");
-            let mut done = 0u64;
-            let mut failures = 0u64;
-            for _ in 0..ops {
-                match h.alloc_node() {
-                    Ok(n) => {
-                        // SAFETY: we own the alloc reference.
-                        unsafe { h.release_node(n) };
-                        done += 1;
-                    }
-                    Err(_) => failures += 1,
-                }
-            }
-            assert_eq!(failures, 0, "pool sized to never exhaust");
-            (done, h.counter_snapshot())
-        }
-    });
-    run_result(threads, parts, wall)
-}
-
-/// E5/E9 (growth mode): alloc-heavy bursts on an under-provisioned
-/// growable pool. Each thread repeatedly allocates `hold` nodes and then
-/// releases them all; when the pool's initial capacity is below
-/// `threads · hold` the run can only finish by growing. Returns the run
-/// result plus a merged per-allocation latency histogram — the segment
-/// publications live in its tail, which is what the growth-path latency
-/// columns report.
-pub fn run_alloc_growth<D, T>(
-    domain: Arc<D>,
-    threads: usize,
-    bursts: u64,
-    hold: usize,
-) -> (RunResult, Histogram)
-where
-    T: wfrc_core::RcObject + Default,
-    D: RcMmDomain<T> + Send + Sync + 'static,
-{
-    let (parts, wall) = run_fixed_ops(threads, |_| {
-        let domain = Arc::clone(&domain);
-        move || {
-            let h = domain.register_mm().expect("register");
-            let mut hist = Histogram::new();
-            let mut done = 0u64;
-            let mut held = Vec::with_capacity(hold);
-            for _ in 0..bursts {
-                for _ in 0..hold {
-                    let t0 = std::time::Instant::now();
-                    let n = h.alloc_node().expect("growth must cover the peak");
-                    hist.record(t0.elapsed().as_nanos() as u64);
-                    held.push(n);
-                    done += 1;
-                }
-                for n in held.drain(..) {
-                    // SAFETY: we own the alloc reference.
-                    unsafe { h.release_node(n) };
-                }
-            }
-            (done, h.counter_snapshot(), hist)
-        }
-    });
-    let mut hist = Histogram::new();
-    let mut counter_parts = Vec::with_capacity(parts.len());
-    for (done, snap, h) in parts {
-        hist.merge(&h);
-        counter_parts.push((done, snap));
-    }
-    let (total_ops, counters) = merge_counters(counter_parts);
-    (
-        RunResult {
-            threads,
-            total_ops,
-            wall,
-            counters,
-        },
-        hist,
-    )
-}
-
 /// What one reclaim pass did (see [`Elastic`]).
 #[derive(Debug, Default, Clone)]
 pub struct ReclaimTally {
@@ -670,7 +299,7 @@ pub struct ReclaimTally {
     pub counters: CounterSnapshot,
 }
 
-/// The one scheme-specific step of the elastic experiments (E5, E11, E12
+/// The one scheme-specific step of the elastic experiments (E11, E12
 /// `--reclaim`): giving grown segments back. The wait-free scheme reclaims
 /// through a registered handle, beside live traffic if need be; the LFRC
 /// baseline has no epochs, so it can only reclaim stop-the-world, with
@@ -680,12 +309,12 @@ pub trait Elastic: Sync {
     /// Block sizes of the configured byte classes, in class order.
     fn class_sizes(&self) -> Vec<usize>;
 
-    /// Resident segments of the node pool (`None`) or byte class `Some(i)`.
-    fn segments(&self, pool: Option<usize>) -> usize;
+    /// Resident segments of byte class `ci`.
+    fn segments(&self, ci: usize) -> usize;
 
-    /// Retires `pool`'s trailing segments until none is eligible. Called
+    /// Retires class `ci`'s trailing segments until none is eligible. Called
     /// with every worker gone, so both schemes can take it to the floor.
-    fn reclaim_to_floor(&mut self, pool: Option<usize>) -> ReclaimTally;
+    fn reclaim_to_floor(&mut self, ci: usize) -> ReclaimTally;
 
     /// Reclaims every byte class over and over, beside live traffic, until
     /// `stop` is raised. A scheme that cannot do that returns at once.
@@ -699,23 +328,16 @@ impl<T: wfrc_core::RcObject> Elastic for WfrcDomain<T> {
             .collect()
     }
 
-    fn segments(&self, pool: Option<usize>) -> usize {
-        match pool {
-            None => self.resident_segments(),
-            Some(ci) => self.class_segments(ci),
-        }
+    fn segments(&self, ci: usize) -> usize {
+        self.class_segments(ci)
     }
 
-    fn reclaim_to_floor(&mut self, pool: Option<usize>) -> ReclaimTally {
+    fn reclaim_to_floor(&mut self, ci: usize) -> ReclaimTally {
         let h = self.register().expect("a slot for the reclaimer");
         let mut tally = ReclaimTally::default();
         let mut stalls = 0u32;
         loop {
-            let outcome = match pool {
-                None => h.reclaim(),
-                Some(ci) => h.reclaim_class(ci),
-            };
-            match outcome {
+            match h.reclaim_class(ci) {
                 ReclaimOutcome::Retired { .. } => {
                     tally.retired += 1;
                     stalls = 0;
@@ -760,19 +382,13 @@ impl<T: wfrc_core::RcObject> Elastic for LfrcDomain<T> {
             .collect()
     }
 
-    fn segments(&self, pool: Option<usize>) -> usize {
-        match pool {
-            None => self.segment_count(),
-            Some(ci) => self.class_segments(ci),
-        }
+    fn segments(&self, ci: usize) -> usize {
+        self.class_segments(ci)
     }
 
-    fn reclaim_to_floor(&mut self, pool: Option<usize>) -> ReclaimTally {
+    fn reclaim_to_floor(&mut self, ci: usize) -> ReclaimTally {
         let mut tally = ReclaimTally::default();
-        while match pool {
-            None => self.reclaim_quiescent(),
-            Some(ci) => self.reclaim_class_quiescent(ci),
-        } {
+        while self.reclaim_class_quiescent(ci) {
             tally.retired += 1;
         }
         tally
@@ -802,110 +418,21 @@ fn run_scoped<R: Send>(threads: usize, worker: impl Fn(usize) -> R + Sync) -> Ve
     })
 }
 
-/// One grow → quiesce → shrink cycle's telemetry (E5/E9 `--reclaim`).
+/// One byte class's telemetry from a mixed-size run (E11).
 #[derive(Debug, Clone)]
-pub struct ReclaimCycle {
-    /// Resident segments at the cycle's load peak.
+pub struct ClassCurve {
+    /// Block size of the class in bytes.
+    pub size: usize,
+    /// Resident segments after the workload. Segments do not shrink while
+    /// their blocks are merely free, so this sample is the run's peak.
     pub peak_segments: usize,
     /// Resident segments after the quiescent reclaim pass (equals
-    /// `peak_segments` on control runs).
+    /// `peak_segments` without `--reclaim`).
     pub resident_after: usize,
     /// Segments retired during the pass.
     pub retired: u64,
     /// Aborted or contended attempts during the pass.
     pub aborted: u64,
-}
-
-/// The quiescent half of a cycle: samples `pool`'s resident segments, takes
-/// it to the floor when `reclaim` is on (folding the reclaimer's counters
-/// into `counters`), and samples again.
-fn reclaim_cycle<D: Elastic>(
-    domain: &mut D,
-    pool: Option<usize>,
-    reclaim: bool,
-    counters: &mut CounterSnapshot,
-) -> ReclaimCycle {
-    let peak = domain.segments(pool);
-    let tally = if reclaim {
-        domain.reclaim_to_floor(pool)
-    } else {
-        ReclaimTally::default()
-    };
-    *counters = counters.merged(&tally.counters);
-    ReclaimCycle {
-        peak_segments: peak,
-        resident_after: domain.segments(pool),
-        retired: tally.retired,
-        aborted: tally.aborted,
-    }
-}
-
-/// E5/E9 (`--reclaim`): oscillating load on a growable pool. Each cycle,
-/// `threads` workers burst-allocate (`bursts` bursts of `hold` held nodes
-/// each — forcing growth past the initial capacity), free everything, and
-/// exit; then, with `reclaim` on, the scheme's [`Elastic::reclaim_to_floor`]
-/// runs and the resident-segment count is sampled. The control run
-/// (`reclaim == false`) executes the identical workload, so the throughput
-/// delta isolates what the feature costs.
-pub fn run_reclaim_oscillation<D>(
-    domain: &mut D,
-    threads: usize,
-    cycles: usize,
-    bursts: u64,
-    hold: usize,
-    reclaim: bool,
-) -> (RunResult, Vec<ReclaimCycle>)
-where
-    D: RcMmDomain<u64> + Elastic,
-{
-    let mut curve = Vec::with_capacity(cycles);
-    let mut total_ops = 0u64;
-    let mut counters = CounterSnapshot::default();
-    let start = std::time::Instant::now();
-    for _ in 0..cycles {
-        let d = &*domain;
-        let parts = run_scoped(threads, |_| {
-            let h = d.register_mm().expect("register");
-            let mut done = 0u64;
-            let mut held = Vec::with_capacity(hold);
-            for _ in 0..bursts {
-                for _ in 0..hold {
-                    held.push(h.alloc_node().expect("growth covers the peak"));
-                    done += 1;
-                }
-                for n in held.drain(..) {
-                    // SAFETY: we own the alloc reference.
-                    unsafe { h.release_node(n) };
-                }
-            }
-            (done, h.counter_snapshot())
-        });
-        let (ops, snap) = merge_counters(parts);
-        total_ops += ops;
-        counters = counters.merged(&snap);
-        curve.push(reclaim_cycle(domain, None, reclaim, &mut counters));
-    }
-    let wall = start.elapsed();
-    (
-        RunResult {
-            threads,
-            total_ops,
-            wall,
-            counters,
-        },
-        curve,
-    )
-}
-
-/// Per-class telemetry from one mixed-size run (E11).
-#[derive(Debug, Clone)]
-pub struct ClassCurve {
-    /// Block size of the class in bytes.
-    pub size: usize,
-    /// Resident segments before and after the reclaim pass. Segments do
-    /// not shrink while their blocks are merely free, so the post-workload
-    /// sample is the run's peak.
-    pub cycle: ReclaimCycle,
 }
 
 /// The mixed-size worker loop: each op allocates a buffer a few bytes under
@@ -981,9 +508,21 @@ where
     let curve = sizes
         .iter()
         .enumerate()
-        .map(|(ci, &size)| ClassCurve {
-            size,
-            cycle: reclaim_cycle(domain, Some(ci), reclaim, &mut counters),
+        .map(|(ci, &size)| {
+            let peak_segments = domain.segments(ci);
+            let tally = if reclaim {
+                domain.reclaim_to_floor(ci)
+            } else {
+                ReclaimTally::default()
+            };
+            counters = counters.merged(&tally.counters);
+            ClassCurve {
+                size,
+                peak_segments,
+                resident_after: domain.segments(ci),
+                retired: tally.retired,
+                aborted: tally.aborted,
+            }
         })
         .collect();
     let wall = start.elapsed();
@@ -1006,44 +545,24 @@ pub fn fmt_class_curve(curve: &[ClassCurve]) -> String {
     }
     curve
         .iter()
-        .map(|c| {
-            format!(
-                "{}B:{}→{}",
-                c.size, c.cycle.peak_segments, c.cycle.resident_after
-            )
-        })
+        .map(|c| format!("{}B:{}→{}", c.size, c.peak_segments, c.resident_after))
         .collect::<Vec<_>>()
         .join(",")
 }
 
-/// Renders a resident-segment curve compactly: `4→1 ×20` when every cycle
-/// repeats the same peak→resident pair, else the first few transitions
-/// verbatim.
-pub fn fmt_curve(curve: &[ReclaimCycle]) -> String {
-    if curve.is_empty() {
-        return "-".into();
-    }
-    let first = (curve[0].peak_segments, curve[0].resident_after);
-    if curve
-        .iter()
-        .all(|c| (c.peak_segments, c.resident_after) == first)
-    {
-        return format!("{}→{} ×{}", first.0, first.1, curve.len());
-    }
-    let mut parts: Vec<String> = curve
-        .iter()
-        .take(6)
-        .map(|c| format!("{}→{}", c.peak_segments, c.resident_after))
-        .collect();
-    if curve.len() > 6 {
-        parts.push("…".into());
-    }
-    parts.join(",")
+/// What one E7 cell measured.
+pub struct Fairness {
+    /// Alloc/free pairs completed by each thread.
+    pub per_thread: Vec<u64>,
+    /// Allocations that returned `OutOfMemory`, summed over threads.
+    pub failures: u64,
+    /// Merged per-thread counters (`max_alloc_iters` is Lemma 9's figure).
+    pub counters: CounterSnapshot,
 }
 
-/// E7: per-thread completion fairness under full allocation contention.
-/// Returns ops completed by each thread in a fixed wall-clock window.
-pub fn run_alloc_fairness<D, T>(domain: Arc<D>, threads: usize, window_ms: u64) -> Vec<u64>
+/// E7: per-thread completion fairness under full allocation contention —
+/// every thread alloc/frees for a fixed wall-clock window.
+pub fn run_alloc_fairness<D, T>(domain: Arc<D>, threads: usize, window_ms: u64) -> Fairness
 where
     T: wfrc_core::RcObject + Default,
     D: RcMmDomain<T> + Send + Sync + 'static,
@@ -1054,18 +573,31 @@ where
             let domain = Arc::clone(&domain);
             move || {
                 let h = domain.register_mm().expect("register");
-                let mut done = 0u64;
+                let (mut done, mut failures) = (0u64, 0u64);
                 while !stop.is_stopped() {
-                    if let Ok(n) = h.alloc_node() {
-                        // SAFETY: we own the alloc reference.
-                        unsafe { h.release_node(n) };
-                        done += 1;
+                    match h.alloc_node() {
+                        Ok(n) => {
+                            // SAFETY: we own the alloc reference.
+                            unsafe { h.release_node(n) };
+                            done += 1;
+                        }
+                        Err(_) => failures += 1,
                     }
                 }
-                done
+                (done, failures, h.counter_snapshot())
             }
         });
-    parts
+    let mut out = Fairness {
+        per_thread: Vec::with_capacity(threads),
+        failures: 0,
+        counters: CounterSnapshot::default(),
+    };
+    for (done, failures, counters) in parts {
+        out.per_thread.push(done);
+        out.failures += failures;
+        out.counters = out.counters.merged(&counters);
+    }
+    out
 }
 
 /// Configuration for the E12 server driver ([`run_server`]): `tasks` concurrent async tasks multiplex over a
@@ -1235,7 +767,7 @@ where
     // story is the logout/teardown drains.
     if cfg.reclaim {
         for ci in 0..domain.class_sizes().len() {
-            result.retired += domain.reclaim_to_floor(Some(ci)).retired;
+            result.retired += domain.reclaim_to_floor(ci).retired;
         }
     }
     result
@@ -1425,84 +957,4 @@ where
         shed: shed.into_inner(),
         mttr: mttr.into_inner().unwrap(),
     }
-}
-
-/// E13: graph churn over the weak-edged LRU list (PR 10).
-///
-/// Workers churn one shared [`LruList`] — strong ops alternate
-/// `push_front`/`pop_front` (each pop retargets the tail hint and kills a
-/// node other threads may hold weak edges to), and a `weak_ratio` fraction
-/// of ops are weak reads (`peek_lru` + a bounded `walk_newer`), each an
-/// `AtomicWeak` load + upgrade racing the concurrent release-to-zero.
-/// With `snapshot`, every weak read runs inside a pin session — the PR 9
-/// deferred-reclamation composition, so upgrades race DEAD-but-weak
-/// headers whose frees are parked on deferred lists.
-///
-/// Returns the run plus the teardown [`wfrc_core::LeakReport`]: the E13
-/// acceptance gate is `is_clean()` with `weak_count == 0`.
-pub fn run_graph_churn<D>(
-    domain: Arc<D>,
-    threads: usize,
-    ops: u64,
-    weak_ratio: f64,
-    snapshot: bool,
-) -> (RunResult, wfrc_core::LeakReport)
-where
-    D: RcMmDomain<LruCell<u64>> + Send + Sync + 'static,
-{
-    let lru = Arc::new(LruList::<u64>::new());
-    let h0 = domain.register_mm().expect("register");
-    for i in 0..64u64 {
-        lru.push_front(&h0, i).expect("prefill");
-    }
-    drop(h0);
-    let (parts, wall) = run_fixed_ops(threads, |t| {
-        let domain = Arc::clone(&domain);
-        let lru = Arc::clone(&lru);
-        let mut rng = SmallRng::seed_from_u64(0xE13 ^ ((t as u64) << 32));
-        move || {
-            let h = domain.register_mm().expect("register");
-            let mut done = 0u64;
-            for i in 0..ops {
-                if rng.gen_bool(weak_ratio) {
-                    if snapshot {
-                        h.snapshot_enter();
-                        let _ = lru.peek_lru(&h);
-                        let _ = lru.walk_newer(&h, 4);
-                        // SAFETY: pairs the enter above; no snapshot
-                        // pointer escapes the session.
-                        unsafe { h.snapshot_exit() };
-                    } else {
-                        let _ = lru.peek_lru(&h);
-                        let _ = lru.walk_newer(&h, 4);
-                    }
-                } else if i % 2 == 0 {
-                    // OOM under transient imbalance falls back to a pop,
-                    // keeping the list near its steady-state size.
-                    if lru.push_front(&h, ((t as u64) << 32) | i).is_err() {
-                        let _ = lru.pop_front(&h);
-                    }
-                } else {
-                    let _ = lru.pop_front(&h);
-                }
-                done += 1;
-            }
-            (done, h.counter_snapshot())
-        }
-    });
-    let (total_ops, counters) = merge_counters(parts);
-    // Teardown outside the measured section, then the leak-freedom gate.
-    let h = domain.register_mm().expect("register");
-    lru.clear(&h);
-    drop(h);
-    let leaks = domain.leak_check_mm();
-    (
-        RunResult {
-            threads,
-            total_ops,
-            wall,
-            counters,
-        },
-        leaks,
-    )
 }

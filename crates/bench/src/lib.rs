@@ -3,11 +3,10 @@
 //! Each `src/bin/eN_*.rs` binary is a thin front-end over these drivers;
 //! DESIGN.md §5 maps experiment ids to binaries. All drivers use fixed
 //! operation counts (identical work per scheme — the paper-era
-//! methodology), barrier-started workers, and deterministic workload
-//! streams, so scheme comparisons are apples-to-apples.
+//! methodology), barrier-started workers, and seeded per-task RNG streams,
+//! so scheme comparisons are apples-to-apples.
 
 pub mod drivers;
-pub mod timing;
 
 use std::time::Duration;
 
@@ -47,30 +46,24 @@ pub struct Args {
     pub ops: u64,
     /// Emit a JSON blob after the table.
     pub json: bool,
-    /// Run the under-provisioned growth-mode variant (E5/E9): pools start
-    /// far below the live-node peak and must grow to finish.
+    /// Run the under-provisioned growth-mode variant (E9/E11/E12): pools
+    /// start far below the live peak and must grow to finish.
     pub grow: bool,
-    /// Run the magazine-mode variant (E5/E9): per-thread allocation
-    /// magazines on vs. off, reporting the fast-path hit rate.
+    /// Run with per-thread allocation magazines (E9/E11).
     pub magazine: bool,
-    /// Run the oscillating-load reclamation variant (E5/E9): grow →
-    /// quiesce → shrink cycles, reporting the resident-segment curve and
-    /// the throughput cost vs. an identical no-reclaim run.
+    /// Give grown segments back (E9/E11/E12): quiescent segment
+    /// reclamation after — and for E12 beside — the traffic.
     pub reclaim: bool,
     /// E4 table selection: `read` (reader-side deref interference), `write`
-    /// (zero-announcer link flipping), or `both` (default). E8 additionally
-    /// accepts `snapshot` (the PR 9 snapshot-read ablation). Other binaries
-    /// ignore it.
+    /// (zero-announcer link flipping), or `both` (default).
     pub mode: String,
     /// E4 read-mode variant: readers use the pinned plain-load snapshot
     /// path (DESIGN.md §4f) instead of counted dereferences.
     pub snapshot: bool,
-    /// Byte-class block sizes for the mixed-size experiment (E11), e.g.
-    /// `--classes 64,256,1024`. Binaries that don't allocate raw bytes
-    /// ignore it; an empty vec means "use the binary's default ladder".
+    /// Byte-class block sizes (E11/E12), e.g. `--classes 64,256,1024`; an
+    /// empty vec means "use the binary's default ladder".
     pub classes: Vec<usize>,
-    /// Concurrent async tasks for the server experiment (E12). Other
-    /// binaries ignore it.
+    /// Concurrent async tasks for the server experiment (E12).
     pub tasks: usize,
     /// Lease-pool slot counts to sweep (E12), e.g. `--slots 16,64`.
     pub slots: Vec<usize>,
@@ -85,15 +78,27 @@ pub struct Args {
     pub admission_ms: u64,
     /// Run the sentinel supervisor thread during E12 even without kills.
     pub sentinel: bool,
-    /// Fraction of E13 graph-churn ops that are weak reads (back-edge
-    /// upgrades through the LRU list), e.g. `--weak-ratio 0.3`. Other
-    /// binaries ignore it.
-    pub weak_ratio: f64,
 }
 
 impl Args {
-    /// Parses `std::env::args`, with the given defaults.
-    pub fn parse(default_threads: &[usize], default_ops: u64) -> Self {
+    /// Parses `std::env::args` with the given defaults. `flags` lists the
+    /// options this binary reads; any other argument panics with that list,
+    /// so a flag the binary would ignore cannot pass for one it honoured.
+    pub fn parse(flags: &[&str], default_threads: &[usize], default_ops: u64) -> Self {
+        Self::parse_from(
+            std::env::args().skip(1),
+            flags,
+            default_threads,
+            default_ops,
+        )
+    }
+
+    fn parse_from(
+        mut args: impl Iterator<Item = String>,
+        flags: &[&str],
+        default_threads: &[usize],
+        default_ops: u64,
+    ) -> Self {
         let mut out = Self {
             threads: default_threads.to_vec(),
             ops: default_ops,
@@ -110,10 +115,13 @@ impl Args {
             kill: 0,
             admission_ms: 0,
             sentinel: false,
-            weak_ratio: 0.25,
         };
-        let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
+            assert!(
+                flags.contains(&a.as_str()),
+                "unknown argument: {a} (expected {})",
+                flags.join("/")
+            );
             match a.as_str() {
                 "--threads" => {
                     let v = args.next().expect("--threads needs a value");
@@ -136,8 +144,8 @@ impl Args {
                 "--mode" => {
                     out.mode = args.next().expect("--mode needs a value");
                     assert!(
-                        matches!(out.mode.as_str(), "read" | "write" | "both" | "snapshot"),
-                        "bad --mode {} (expected read/write/both/snapshot)",
+                        matches!(out.mode.as_str(), "read" | "write" | "both"),
+                        "bad --mode {} (expected read/write/both)",
                         out.mode
                     );
                 }
@@ -187,27 +195,38 @@ impl Args {
                         .expect("bad admission deadline");
                 }
                 "--sentinel" => out.sentinel = true,
-                "--weak-ratio" => {
-                    out.weak_ratio = args
-                        .next()
-                        .expect("--weak-ratio needs a value")
-                        .parse()
-                        .expect("bad weak ratio");
-                    assert!(
-                        (0.0..=1.0).contains(&out.weak_ratio),
-                        "--weak-ratio must be in [0, 1]"
-                    );
-                }
-                other => {
-                    panic!(
-                        "unknown argument: {other} (expected --threads/--ops/--json\
-                         /--grow/--magazine/--reclaim/--mode/--snapshot/--classes\
-                         /--tasks/--slots/--workers/--kill/--admission-ms/--sentinel\
-                         /--weak-ratio)"
-                    )
-                }
+                other => unreachable!("{other} is listed but has no parser"),
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Args;
+
+    fn parse(argv: &[&str], flags: &[&str]) -> Args {
+        Args::parse_from(argv.iter().map(|s| s.to_string()), flags, &[1], 10)
+    }
+
+    #[test]
+    fn listed_flags_parse_and_defaults_hold() {
+        let a = parse(
+            &["--threads", "2,4", "--reclaim"],
+            &["--threads", "--ops", "--reclaim"],
+        );
+        assert_eq!(a.threads, [2, 4]);
+        assert_eq!(a.ops, 10);
+        assert!(a.reclaim && !a.grow);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown argument: --reclaim (expected --threads/--ops/--json)")]
+    fn a_flag_the_binary_never_reads_is_rejected() {
+        parse(
+            &["--ops", "5", "--reclaim"],
+            &["--threads", "--ops", "--json"],
+        );
     }
 }

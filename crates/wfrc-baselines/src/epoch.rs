@@ -75,17 +75,11 @@ impl<T: Send> EbrDomain<T> {
                     tid,
                     bags: RefCell::new([Vec::new(), Vec::new(), Vec::new()]),
                     since_advance: Cell::new(0),
-                    stats: Cell::new(EbrStats::default()),
                     _not_sync: PhantomData,
                 });
             }
         }
         None
-    }
-
-    /// The current global epoch (diagnostics).
-    pub fn epoch(&self) -> usize {
-        self.global.load(Ordering::SeqCst)
     }
 
     /// True if every pinned participant has observed epoch `e`.
@@ -107,19 +101,6 @@ impl<T> Drop for EbrDomain<T> {
     }
 }
 
-/// Per-thread EBR statistics.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct EbrStats {
-    /// Pin operations.
-    pub pins: u64,
-    /// Nodes retired.
-    pub retired: u64,
-    /// Successful global-epoch advances by this thread.
-    pub advances: u64,
-    /// Nodes freed by this thread.
-    pub freed: u64,
-}
-
 /// A registered thread's EBR interface.
 pub struct EbrHandle<'d, T: Send> {
     domain: &'d EbrDomain<T>,
@@ -127,21 +108,10 @@ pub struct EbrHandle<'d, T: Send> {
     /// Retired-node bags, indexed by `epoch % 3`.
     bags: RefCell<[Vec<*mut T>; 3]>,
     since_advance: Cell<usize>,
-    stats: Cell<EbrStats>,
     _not_sync: PhantomData<core::cell::Cell<()>>,
 }
 
 impl<'d, T: Send> EbrHandle<'d, T> {
-    /// This handle's thread id.
-    pub fn tid(&self) -> usize {
-        self.tid
-    }
-
-    /// Current statistics (copy).
-    pub fn stats(&self) -> EbrStats {
-        self.stats.get()
-    }
-
     /// Allocates a fresh heap node.
     pub fn alloc(&self, value: T) -> *mut T {
         Box::into_raw(Box::new(value))
@@ -151,9 +121,6 @@ impl<'d, T: Send> EbrHandle<'d, T> {
     /// cannot be freed. Re-entrant pinning is a logic error (enforced by a
     /// debug assertion).
     pub fn pin(&self) -> EbrGuard<'_, 'd, T> {
-        let mut s = self.stats.get();
-        s.pins += 1;
-        self.stats.set(s);
         let local = &self.domain.locals[self.tid];
         debug_assert_eq!(local.load(Ordering::SeqCst) & PINNED, 0, "re-entrant pin");
         let e = self.domain.global.load(Ordering::SeqCst);
@@ -169,9 +136,6 @@ impl<'d, T: Send> EbrHandle<'d, T> {
     /// and not dereferenced by this thread after the call.
     pub unsafe fn retire(&self, node: *mut T) {
         debug_assert!(!node.is_null());
-        let mut s = self.stats.get();
-        s.retired += 1;
-        self.stats.set(s);
         let e = self.domain.global.load(Ordering::SeqCst);
         self.bags.borrow_mut()[e % 3].push(node);
         let n = self.since_advance.get() + 1;
@@ -199,18 +163,14 @@ impl<'d, T: Send> EbrHandle<'d, T> {
             // successful advance.
             return false;
         }
-        let mut s = self.stats.get();
-        s.advances += 1;
         // After the advance to e+1, nodes retired in epoch e-1 (bag index
         // (e+2) % 3 == (e-1) % 3) are unreachable by every thread.
         let bag = &mut self.bags.borrow_mut()[(e + 2) % 3];
         for p in bag.drain(..) {
-            s.freed += 1;
             // SAFETY: retired in epoch e-1; every thread has observed ≥ e,
             // so no pinned reader can still hold it.
             drop(unsafe { Box::from_raw(p) });
         }
-        self.stats.set(s);
         true
     }
 
@@ -272,7 +232,6 @@ mod tests {
             h.try_advance();
         }
         assert_eq!(h.pending(), 0);
-        assert_eq!(h.stats().freed, 1);
     }
 
     #[test]
@@ -280,13 +239,13 @@ mod tests {
         let d = EbrDomain::<u64>::new(2);
         let h0 = d.register().unwrap();
         let h1 = d.register().unwrap();
-        let e0 = d.epoch();
+        let e0 = d.global.load(Ordering::SeqCst);
         let _guard = h1.pin();
         // h1 observed e0; advance to e0+1 is allowed once...
         assert!(h0.try_advance());
         // ...but a further advance requires h1 to re-pin at the new epoch.
         assert!(!h0.try_advance());
-        assert_eq!(d.epoch(), e0 + 1);
+        assert_eq!(d.global.load(Ordering::SeqCst), e0 + 1);
     }
 
     #[test]

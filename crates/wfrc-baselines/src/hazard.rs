@@ -12,8 +12,8 @@
 //! in the hazard array are ever protected, so a structure cannot hold an
 //! unbounded number of safe references *from within itself* — which is why
 //! reference counting remains necessary for structures like the
-//! paper's §5 priority queue, and why this baseline only appears in the
-//! stack/queue experiments (E2/E3).
+//! paper's §5 priority queue, and why this baseline only appears as a row
+//! of the stalled-thread experiment (E9).
 //!
 //! Unlike the arena-based reference-counting schemes, hazard-pointer nodes
 //! are ordinary heap allocations (`Box`), freed for real — the scheme's
@@ -28,10 +28,10 @@ use std::sync::Mutex;
 
 use wfrc_primitives::CachePadded;
 
-/// Default hazard slots per thread. Treiber stacks need 1, Michael–Scott
-/// queues need 2 per operation (head + next); 4 leaves headroom for nested
+/// Hazard slots per thread. Treiber stacks need 1, Michael–Scott queues
+/// need 2 per operation (head + next); 4 leaves headroom for nested
 /// traversals.
-pub const DEFAULT_SLOTS_PER_THREAD: usize = 4;
+const SLOTS_PER_THREAD: usize = 4;
 
 /// A hazard-pointer reclamation domain for heap nodes of type `T`.
 pub struct HpDomain<T> {
@@ -56,14 +56,14 @@ unsafe impl<T: Send> Sync for HpDomain<T> {}
 unsafe impl<T: Send> Send for HpDomain<T> {}
 
 impl<T: Send> HpDomain<T> {
-    /// Creates a domain for `max_threads` threads with
-    /// [`DEFAULT_SLOTS_PER_THREAD`] hazard slots each.
+    /// Creates a domain for `max_threads` threads with four hazard slots
+    /// each.
     pub fn new(max_threads: usize) -> Self {
-        Self::with_slots(max_threads, DEFAULT_SLOTS_PER_THREAD)
+        Self::with_slots(max_threads, SLOTS_PER_THREAD)
     }
 
     /// Creates a domain with `k` hazard slots per thread.
-    pub fn with_slots(max_threads: usize, k: usize) -> Self {
+    fn with_slots(max_threads: usize, k: usize) -> Self {
         assert!(max_threads > 0 && k > 0);
         let total = max_threads * k;
         Self {
@@ -91,17 +91,11 @@ impl<T: Send> HpDomain<T> {
                     domain: self,
                     tid,
                     retired: RefCell::new(Vec::new()),
-                    stats: HpStats::default(),
                     _not_sync: PhantomData,
                 });
             }
         }
         None
-    }
-
-    /// Hazard slots per thread.
-    pub fn slots_per_thread(&self) -> usize {
-        self.k
     }
 
     fn collect_hazards(&self) -> HashSet<*mut T> {
@@ -124,41 +118,15 @@ impl<T> Drop for HpDomain<T> {
     }
 }
 
-/// Per-thread hazard-pointer statistics.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct HpStats {
-    /// `protect` validation retries (lock-free loop; unbounded in theory).
-    pub protect_retries: u64,
-    /// Worst single-call validation retry count.
-    pub max_protect_retries: u64,
-    /// Nodes retired.
-    pub retired: u64,
-    /// Scans performed.
-    pub scans: u64,
-    /// Nodes actually freed by scans.
-    pub freed: u64,
-}
-
 /// A registered thread's hazard-pointer interface.
 pub struct HpHandle<'d, T: Send> {
     domain: &'d HpDomain<T>,
     tid: usize,
     retired: RefCell<Vec<*mut T>>,
-    stats: HpStats,
     _not_sync: PhantomData<core::cell::Cell<()>>,
 }
 
 impl<'d, T: Send> HpHandle<'d, T> {
-    /// This handle's thread id.
-    pub fn tid(&self) -> usize {
-        self.tid
-    }
-
-    /// Current statistics (copy).
-    pub fn stats(&self) -> HpStats {
-        self.stats
-    }
-
     fn hazard(&self, slot: usize) -> &AtomicPtr<T> {
         assert!(slot < self.domain.k, "hazard slot out of range");
         &self.domain.hazards[self.tid * self.domain.k + slot]
@@ -178,18 +146,14 @@ impl<'d, T: Send> HpHandle<'d, T> {
     /// starve it — the exact weakness the paper's announcement scheme
     /// removes for reference counts.
     pub fn protect(&mut self, slot: usize, src: &AtomicPtr<T>) -> *mut T {
-        let hazard = &self.domain.hazards[self.tid * self.domain.k + slot];
-        let mut retries: u64 = 0;
+        let hazard = self.hazard(slot);
         let mut p = src.load(Ordering::SeqCst);
         loop {
             hazard.store(p, Ordering::SeqCst);
             let q = src.load(Ordering::SeqCst);
             if q == p {
-                self.stats.protect_retries += retries;
-                self.stats.max_protect_retries = self.stats.max_protect_retries.max(retries);
                 return p;
             }
-            retries += 1;
             p = q;
         }
     }
@@ -208,7 +172,6 @@ impl<'d, T: Send> HpHandle<'d, T> {
     /// again.
     pub unsafe fn retire(&mut self, node: *mut T) {
         debug_assert!(!node.is_null());
-        self.stats.retired += 1;
         self.retired.get_mut().push(node);
         if self.retired.get_mut().len() >= self.domain.scan_threshold {
             self.scan();
@@ -218,7 +181,6 @@ impl<'d, T: Send> HpHandle<'d, T> {
     /// The scan step: frees every retired node no hazard protects.
     /// Wait-free (one pass over a fixed-size array plus set operations).
     pub fn scan(&mut self) {
-        self.stats.scans += 1;
         let protected = self.domain.collect_hazards();
         let retired = self.retired.get_mut();
         let mut kept = Vec::with_capacity(retired.len());
@@ -226,7 +188,6 @@ impl<'d, T: Send> HpHandle<'d, T> {
             if protected.contains(&p) {
                 kept.push(p);
             } else {
-                self.stats.freed += 1;
                 // SAFETY: unreachable (retire contract) and unprotected.
                 drop(unsafe { Box::from_raw(p) });
             }
@@ -339,9 +300,10 @@ mod tests {
             // SAFETY: never published anywhere.
             unsafe { h.retire(n) };
         }
-        let s = h.stats();
-        assert!(s.scans >= 1, "threshold must have triggered scans");
-        assert!(h.pending() < d.scan_threshold);
+        assert!(
+            h.pending() < d.scan_threshold,
+            "threshold must have triggered scans"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   Scott 1995 correction). Same node representation, same even/odd
 //!   `mm_ref` convention as `wfrc-core`, but dereferencing retries
 //!   unboundedly and the free-list is a single CAS-contended Treiber list.
-//!   This is the E1/E4/E5 baseline.
+//!   This is the baseline of every `benchmark/` workload and of E4/E7.
 //! * [`hazard`] — **hazard pointers** (Michael, PODC 2002 / TPDS 2004): a
 //!   fixed number of per-thread protected pointers, amortized scan-and-free.
 //!   Lock-free dereference, wait-free reclamation, but — as the paper's
@@ -30,6 +30,4 @@ pub mod epoch;
 pub mod hazard;
 pub mod lfrc;
 
-pub use epoch::{EbrDomain, EbrGuard, EbrHandle};
-pub use hazard::{HpDomain, HpHandle};
 pub use lfrc::{LfrcDomain, LfrcHandle};

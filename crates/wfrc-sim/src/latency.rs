@@ -1,6 +1,6 @@
 //! Fixed-bucket log-scale latency histogram.
 //!
-//! Per-operation latency recording for the E4/E6 experiments must not
+//! Per-operation latency recording for the E4 experiment must not
 //! allocate or lock on the record path (it sits inside the measured loop).
 //! This histogram uses 2-bits-of-mantissa log buckets over `u64`
 //! nanoseconds — 256 buckets, ~19% worst-case relative error per bucket

@@ -1,14 +1,12 @@
-//! Measurement harness for the reproduction's experiment suite (E1–E9).
+//! Measurement harness for the `bench/` diagnostics and the test suites.
 //!
-//! The paper reports one experiment in prose (§5: priority-queue throughput
-//! parity) and makes step-count claims its venue would have measured; this
-//! crate provides the shared machinery every `bench/` binary uses to
-//! regenerate those results:
+//! The paper's one experiment (§5: priority-queue throughput parity) is the
+//! `benchmark/` package's `pq` workload; this crate is the shared machinery
+//! of the diagnostic binaries that remain beside it (DESIGN.md §5) and of
+//! the stress tests:
 //!
-//! * [`workload`] — operation mixes and key distributions with
-//!   deterministic per-thread RNG streams;
-//! * [`rng`] — the in-tree SplitMix64 generator behind those streams (the
-//!   repository builds offline with zero external dependencies);
+//! * [`rng`] — the in-tree SplitMix64 generator (the repository builds
+//!   offline with zero external dependencies);
 //! * [`exec`] — barrier-started thread executors (fixed-op and fixed-time)
 //!   returning per-thread results;
 //! * [`latency`] — a fixed-bucket log-scale histogram for per-op latency
@@ -24,11 +22,9 @@ pub mod latency;
 pub mod rng;
 pub mod stats;
 pub mod supervisor;
-pub mod workload;
 
 pub use exec::{run_fixed_ops, run_timed, PollLoop, StopFlag};
 pub use latency::Histogram;
 pub use rng::SmallRng;
 pub use stats::{Summary, Table};
 pub use supervisor::{OwnedSupervisor, Supervisor};
-pub use workload::{OpKind, OpMix, WorkloadCfg, WorkloadStream};

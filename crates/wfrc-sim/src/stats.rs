@@ -67,10 +67,11 @@ impl Table {
 
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
+        // Widths in chars, as `format!` pads: `fmt_ns`'s `µ` is two bytes.
+        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
+                *w = (*w).max(cell.chars().count());
             }
         }
         let mut out = String::new();
@@ -185,13 +186,17 @@ mod tests {
 
     #[test]
     fn table_renders_aligned() {
-        let mut t = Table::new("E0 demo", &["threads", "ops/s"]);
-        t.row(&["1".into(), "100".into()]);
-        t.row(&["16".into(), "12345".into()]);
+        let mut t = Table::new("E0 demo", &["threads", "p99"]);
+        t.row(&["1".into(), "100ns".into()]);
+        t.row(&["16".into(), fmt_ns(12_345)]);
         let r = t.render();
         assert!(r.contains("## E0 demo"));
-        assert!(r.contains("| threads |"));
-        assert!(r.lines().count() >= 4);
+        assert!(r.contains("| threads |     p99 |"), "{r}");
+        assert!(r.contains("|      16 | 12.35µs |"), "{r}");
+        let mut widths = r.lines().skip(1).map(|l| l.chars().count());
+        let first = widths.next().unwrap();
+        assert!(widths.all(|w| w == first), "{r}");
+        assert_eq!(r.lines().count(), 5);
     }
 
     #[test]

@@ -16,24 +16,13 @@
 //! * [`hash_map`] — fixed-bucket lock-free hash map over ordered-list
 //!   buckets (Michael's PODC 2002 shape).
 //! * [`lru_list`] — recency list whose back edges and tail hint are weak
-//!   references (PR 10): the cycle-free doubly-linked shape the E13
-//!   graph-churn bench drives.
-//!
-//! The hazard-pointer and epoch variants ([`hp_stack`], [`hp_queue`],
-//! [`epoch_stack`], [`epoch_queue`]) implement the same stack/queue
-//! algorithms over the non-refcounting baselines for the cross-scheme
-//! benchmarks (E2/E3); they cannot host the priority queue — hazard
-//! pointers protect only a fixed number of thread-owned references, which
-//! is the structural limitation the paper's introduction calls out.
+//!   references (PR 10): the cycle-free doubly-linked shape the
+//!   benchmark's `graph` workload drives.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod epoch_queue;
-pub mod epoch_stack;
 pub mod hash_map;
-pub mod hp_queue;
-pub mod hp_stack;
 pub mod lru_list;
 pub mod manager;
 pub mod ordered_list;
@@ -41,11 +30,7 @@ pub mod priority_queue;
 pub mod queue;
 pub mod stack;
 
-pub use epoch_queue::EpochQueue;
-pub use epoch_stack::EpochStack;
 pub use hash_map::{HashMap, SessionCache, SessionHandle, SessionMm};
-pub use hp_queue::HpQueue;
-pub use hp_stack::HpStack;
 pub use lru_list::{LruCell, LruList};
 pub use manager::{ByteMm, RcMm, RcMmDomain};
 pub use ordered_list::{ListCell, OrderedList};

@@ -7,7 +7,7 @@
 //! §3.2 (lagging-tail advancement is exactly the case where a thread must
 //! dereference a link inside a node that is no longer in the structure,
 //! which fixed-reference schemes like hazard pointers only support because
-//! the queue happens to need ≤ 2 protected pointers; see [`crate::hp_queue`]).
+//! the queue happens to need ≤ 2 protected pointers).
 //!
 //! # Count discipline
 //!

@@ -16,9 +16,9 @@
 //!   epoch-based reclamation.
 //! * [`structures`] (`wfrc-structures`) — Treiber stack, Michael–Scott
 //!   queue, skiplist priority queue, and ordered list, generic over the
-//!   reference-counting scheme; plus hazard/epoch stack & queue variants.
+//!   reference-counting scheme.
 //! * [`sim`] (`wfrc-sim`) — the measurement harness behind the `bench/`
-//!   experiment binaries (E1–E9; see DESIGN.md §5).
+//!   diagnostic binaries (see DESIGN.md §5).
 //! * [`model`] (`wfrc-model`) — an exhaustive interleaving checker for the
 //!   announcement protocol (mechanized Lemma 2, with a demonstrably
 //!   detectable naive-scheme bug).

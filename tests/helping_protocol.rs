@@ -3,8 +3,12 @@
 
 use std::sync::Arc;
 
+use wfrc::baselines::LfrcDomain;
+use wfrc::core::counters::CounterSnapshot;
+use wfrc::core::oom::alloc_retry_bound;
 use wfrc::core::{DomainConfig, Link, WfrcDomain};
 use wfrc::primitives::spin::SpinBarrier;
+use wfrc::structures::{RcMm, RcMmDomain};
 
 /// Readers hammer `deref` on a link while writers retarget it and release
 /// the old node — the §3.2 situation `HelpDeRef` exists for. After the
@@ -192,4 +196,55 @@ fn deref_vs_clear_never_yields_garbage() {
         reader.join().unwrap();
     }
     assert!(domain.leak_check().is_clean());
+}
+
+/// `threads` workers alloc/free at full speed on `d`, a pool too large to
+/// exhaust: no allocation may fail. Returns the merged counters.
+fn alloc_churn<D: RcMmDomain<u64> + Sync>(d: &D, threads: usize, ops: u64) -> CounterSnapshot {
+    let barrier = SpinBarrier::new(threads);
+    let merged = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let h = d.register_mm().unwrap();
+                    barrier.wait();
+                    for _ in 0..ops {
+                        let n = h.alloc_node().expect("pool sized to never exhaust");
+                        // SAFETY: we own the alloc reference.
+                        unsafe { h.release_node(n) };
+                    }
+                    h.counter_snapshot()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .fold(CounterSnapshot::default(), |acc, w| {
+                acc.merged(&w.join().unwrap())
+            })
+    });
+    let report = d.leak_check_mm();
+    assert!(report.is_clean(), "{}: {report:?}", d.scheme_name());
+    merged
+}
+
+/// Lemma 9 as an assertion: under full free-list contention on a small
+/// fixed pool no allocation fails, and the wait-free scheme's worst A3–A18
+/// iteration count stays within the bound computed from the config. (The
+/// Treiber baseline has no bound to hold; it only must not run dry.)
+#[test]
+fn alloc_churn_stays_within_the_lemma_9_bound() {
+    const THREADS: usize = 4;
+    const OPS: u64 = 50_000;
+    let cap = THREADS * 4 + 8;
+    let wf = WfrcDomain::<u64>::new(DomainConfig::new(THREADS, cap));
+    let c = alloc_churn(&wf, THREADS, OPS);
+    assert_eq!(c.alloc_calls, THREADS as u64 * OPS);
+    assert!(
+        c.max_alloc_iters <= alloc_retry_bound(THREADS) as u64,
+        "max alloc iters {} > Lemma 9 bound {}",
+        c.max_alloc_iters,
+        alloc_retry_bound(THREADS)
+    );
+    alloc_churn(&LfrcDomain::<u64>::new(THREADS, cap), THREADS, OPS);
 }
