@@ -113,7 +113,7 @@ impl<T: RcObject> LfrcPool<T> {
             // `wfrc_core::freelist::push_chain`.
             let head = self.head.load_with(Ordering::Relaxed);
             // SAFETY: `last` is exclusively ours until the CAS publishes it.
-            unsafe { (*last).mm_next().store(head) };
+            unsafe { (*last).link_private(head) };
             if self
                 .head
                 .cas_with(head, first, Ordering::Release, Ordering::Relaxed)
@@ -137,7 +137,7 @@ impl<T: RcObject> LfrcPool<T> {
         let mut last = first;
         for node in nodes {
             // SAFETY: exclusively owned per contract.
-            unsafe { (*last).mm_next().store(node) };
+            unsafe { (*last).link_private(node) };
             last = node;
         }
         self.push_chain(first, last)

@@ -37,38 +37,52 @@
 //! # Announcement-presence summary
 //!
 //! `HelpDeRef`'s obligation is a scan over all `NR_THREADS` announcement
-//! rows, paid by **every** link store/CAS — even when no announcement is
-//! live anywhere, which is the overwhelmingly common case. The `summary`
-//! bitmap (one bit per thread, word-sharded above `usize::BITS` threads)
-//! makes that case O(words): helpers load each summary word once and visit
-//! only the threads whose bit is set.
+//! rows, paid by **every** link store/CAS — even when no thread in the
+//! domain ever dereferences. The `summary` bitmap (one bit per thread,
+//! word-sharded above `usize::BITS` threads) restricts line H1 to the rows
+//! of threads that *have announced since they registered*: helpers load
+//! each summary word once and visit only the flagged rows, and a domain of
+//! writers alone never reads a slot word.
 //!
-//! The summary is *conservative* and its safety is asymmetric:
+//! The bit lasts a **registration, not a dereference**. It says "this
+//! thread's row may be non-empty", nothing more exact:
 //!
-//! * a **stale set** bit is harmless — the fallback per-slot scan simply
-//!   finds no slot matching the helped link (the pre-summary behaviour);
-//! * a **premature clear** is unsafe — a helper would skip an announcement
-//!   it was obliged to answer, re-opening the read/reclaim race.
+//! * **Who raises it.** Only the row's owner, in [`Announce::publish`],
+//!   with a `SeqCst` `fetch_or` strictly before the D3 slot store — and
+//!   only when a `Relaxed` read of its *own* bit finds it down (nobody else
+//!   writes that bit while the owner is alive, so the read cannot miss its
+//!   own earlier raise). Every dereference after a thread's first therefore
+//!   pays no RMW on the shared summary line.
+//! * **Who lowers it.** [`Announce::clear_summary`], called from exactly
+//!   two places, both with the row provably empty and leaving service: the
+//!   owner's handle drop (it is outside every D3–D6 window by
+//!   construction) and `adopt_orphans`, after it retracted every slot of a
+//!   corpse. Never a helper, never per dereference.
+//! * **Why a bit that is up over an empty row is cheap.** A helper that
+//!   finds it reads that row's `annIndex` and the one slot word it names —
+//!   two loads, no RMW, never more than the paper's H1 — matches nothing
+//!   and moves on.
 //!
-//! Hence the protocol: the bit is set (`SeqCst` RMW) strictly **before**
-//! line D3 publishes the slot word, and cleared (`Release` RMW) only
-//! **after** line D6's retracting SWAP. Why no helper can miss a relevant
-//! announcement, in the `SeqCst` total order: the announcer's
-//! `fetch_or` precedes its D3 slot store, which precedes its D4 link read;
-//! if that read returned the *old* node then it precedes the writer's link
-//! CAS, which precedes the writer's summary load in `help_deref` — so
-//! whenever the helper's answer could matter (the announcer read the value
-//! the helper is retiring), the helper's load observes the bit. Both the
-//! `fetch_or` and the helper's load must stay `SeqCst` for that chain; the
-//! clear only needs `Release` (it must not hoist above the prior SWAP, and
-//! sinking later merely leaves the harmless stale-set window open longer).
-//! The bits are RMWs, not stores, because threads share a summary word.
+//! Raises and lowers both happen outside the owner's D3–D6 window, so
+//! "slot non-empty ⇒ bit up" is an invariant, and the one way to break
+//! safety — a helper skipping an announcement it was obliged to answer —
+//! needs a helper to see the bit *down*. In the `SeqCst` total order the
+//! owner's `fetch_or` precedes its D3 slot store, which precedes its D4
+//! link read; if that read returned the *old* node it precedes the
+//! writer's link CAS, which precedes the writer's summary load in
+//! `help_deref` — so whenever the helper's answer could matter (the
+//! announcer read the value the helper is retiring), the load follows the
+//! raise. It can then miss the bit only by reading a later lowering, and a
+//! load that reads the `Release` clear synchronizes with it: the owner
+//! issued it after its last D6 — after the D5 increment that makes that
+//! dereference's result safe on its own. Both the `fetch_or` and the
+//! helper's load must stay `SeqCst` for the first chain; the clear only
+//! needs `Release`. The bits are RMWs, not stores, because threads share a
+//! summary word.
 //!
-//! One bit per thread is exact, not approximate: a thread has at most one
-//! live announcement at a time (`DeRefLink`'s announce window D3–D6 never
-//! nests — the helper recursion of H5 announces under the *helper's* own
-//! thread id). A thread that dies inside the window leaves its bit set;
-//! `adopt_orphans` clears it after retracting the corpse's slots.
+//! Code that needs to know whether a thread has an announcement up *right
+//! now* — the segment-retire gates, the sentinel's obligation check — asks
+//! [`Announce::announcing`], which reads the slot word, not the bit.
 
 use core::sync::atomic::Ordering;
 
@@ -175,10 +189,15 @@ impl Announce {
         );
     }
 
-    /// Line D2: record which slot the current announcement uses.
+    /// Line D2: record which slot the current announcement uses. The owner
+    /// is `annIndex[tid]`'s only writer, so it stores only when the chosen
+    /// slot differs from the one already recorded — slot 0 in every call
+    /// but those that find it pinned by a slow helper (H4).
     #[inline]
     pub fn set_index(&self, tid: usize, idx: usize) {
-        self.index[tid].store(idx);
+        if self.index[tid].load_with(Ordering::Relaxed) != idx {
+            self.index[tid].store(idx);
+        }
     }
 
     /// Line H2: read which slot thread `id` last announced in.
@@ -189,43 +208,57 @@ impl Announce {
 
     /// Line D3: publish the link address in the chosen slot.
     ///
-    /// Sets `tid`'s presence bit strictly *before* the slot word becomes
-    /// visible: a helper that observes a cleared bit must be guaranteed no
-    /// live announcement exists (module docs, "Announcement-presence
-    /// summary"). The bit is only withdrawn by [`Announce::clear_summary`]
-    /// after the retracting SWAP of line D6.
+    /// Raises `tid`'s presence bit first if it is down — strictly *before*
+    /// the slot word becomes visible: a helper that observes the bit down
+    /// must be guaranteed the row holds no announcement it owes an answer
+    /// (module docs, "Announcement-presence summary"). The bit then stays
+    /// up until [`Announce::clear_summary`].
     #[inline]
     pub fn publish(&self, tid: usize, idx: usize, link_addr: usize) {
         debug_assert_ne!(link_addr, 0);
         debug_assert_eq!(link_addr & 1, 0, "link addresses are word-aligned");
-        // SeqCst RMW: the set must precede the D3 store *and* participate
-        // in the total order the helper's summary load relies on.
-        self.summary[tid / SUMMARY_BITS].fetch_or(1 << (tid % SUMMARY_BITS));
+        let (word, bit) = (&self.summary[tid / SUMMARY_BITS], 1 << (tid % SUMMARY_BITS));
+        // Relaxed read of our own bit: only we (or, once we are dead, our
+        // adopter) ever write it, so coherence alone shows us our own
+        // raise. SeqCst RMW when it is down: the raise must precede the D3
+        // store *and* take part in the total order the helper's summary
+        // load relies on.
+        if word.load_with(Ordering::Relaxed) & bit == 0 {
+            word.fetch_or(bit);
+        }
         self.read_addr[self.at(tid, idx)].store(link_addr);
     }
 
-    /// Withdraws `tid`'s presence bit. Call only *after* the thread's live
-    /// announcement has been retracted (line D6) — clearing early would let
-    /// a helper skip an announcement it is obliged to answer. A missed or
-    /// late clear (e.g. a thread dying between D6 and here) is harmless:
-    /// helpers fall back to the per-slot scan and match nothing.
+    /// Lowers `tid`'s presence bit. Call only when `tid`'s row is empty and
+    /// leaving service — the owner's handle drop, or adoption after it
+    /// retracted every slot of a corpse: lowering the bit under a live
+    /// announcement would let a helper skip an answer it owes.
     #[inline]
     pub fn clear_summary(&self, tid: usize) {
-        // Release RMW: the prior retracting SWAP cannot be reordered after
-        // this clear; nothing needs to be ordered after it (a later clear
-        // only widens the harmless stale-set window).
+        // Release RMW: the row's last retracting SWAP (and the D5 increment
+        // before it) cannot be reordered after this clear; nothing needs to
+        // be ordered after it.
         self.summary[tid / SUMMARY_BITS]
             .fetch_and_with(!(1 << (tid % SUMMARY_BITS)), Ordering::Release);
     }
 
-    /// True when no thread currently has a presence bit set — the
-    /// zero-announcement fast path of `HelpDeRef`. One `SeqCst` load per
-    /// summary word.
-    ///
-    /// Segment reclamation (`reclaim.rs`) consults this before *and after*
-    /// claiming a retire: a set bit may encode an `annDeRef` word naming a
-    /// node in the candidate segment, so a non-empty summary vetoes the
-    /// unmap rather than forcing a per-slot decode.
+    /// True while `tid` has an announcement up: the slot `annIndex[tid]`
+    /// names holds a link address or a helper's node answer. Exact where
+    /// the presence bit is only an upper bound — it reads the slot word —
+    /// so an idle registered reader answers `false`. (A slot answered
+    /// "the link was null" also reads `false`: it names no node.) Racing a
+    /// *running* owner the two loads can straddle a D2 and miss; the
+    /// callers cover running threads by their operation epoch and use this
+    /// for what an epoch cannot show — a parked or dead thread's row.
+    #[must_use]
+    #[inline]
+    pub fn announcing(&self, tid: usize) -> bool {
+        self.slot_word(tid, self.current_index(tid)) != EMPTY
+    }
+
+    /// True when no thread's presence bit is up — the zero-announcer fast
+    /// path of `HelpDeRef`: no registered thread has dereferenced since it
+    /// registered. One `SeqCst` load per summary word.
     #[must_use]
     #[inline]
     pub fn summary_empty(&self) -> bool {
@@ -385,16 +418,21 @@ mod tests {
     fn publish_sets_summary_before_clear_withdraws_it() {
         let a = Announce::new(3);
         assert!(a.summary_empty());
+        assert!(!a.announcing(1));
         a.set_index(1, 0);
         a.publish(1, 0, 0x4008);
-        assert!(!a.summary_empty());
-        assert!(a.summary_bit(1));
+        assert!(a.summary_bit(1) && a.announcing(1));
         assert!(!a.summary_bit(0) && !a.summary_bit(2));
         assert_eq!(a.retract(1, 0), 0x4008);
-        // Retract alone leaves the bit (stale-set is harmless)…
-        assert!(a.summary_bit(1));
+        // The retract empties the slot; the bit stays for the registration.
+        assert!(a.summary_bit(1) && !a.announcing(1));
+        // A later announcement in another slot finds the bit up and is
+        // found through annIndex.
+        a.set_index(1, 2);
+        a.publish(1, 2, 0x4010);
+        assert!(a.summary_bit(1) && a.announcing(1));
+        assert_eq!(a.retract(1, 2), 0x4010);
         a.clear_summary(1);
-        // …and the clear withdraws it.
         assert!(a.summary_empty());
     }
 

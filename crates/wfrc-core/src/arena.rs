@@ -53,6 +53,8 @@
 //!   transiently under-count (nodes in transit through a refill), never
 //!   the reverse at quiescence; retirement additionally *physically*
 //!   collects every node, so the counter is a trigger, not the proof.
+//!   Slot 0 is not counted at all (its counter stays 0): it is never a
+//!   retire candidate, so nothing would read the count.
 //! * Retiring frees only the slab; the header (and thus `start`/`len` and
 //!   the state word) stays readable forever, so racing observers can always
 //!   classify the slot. Reviving allocates a **fresh** slab — addresses are
@@ -153,7 +155,7 @@ struct Segment<T> {
     state: AtomicUsize,
     /// Occupancy: nodes of this segment currently parked on shared
     /// structures (stripes + gift cells). Maintained by the free-list and
-    /// magazine layers; see the module docs.
+    /// magazine layers for slots ≥ 1; see the module docs.
     free_count: AtomicUsize,
     /// First node of the slab, or null while RETIRED. Owns the
     /// `Box<[Node<T>]>` allocation.
@@ -506,24 +508,33 @@ impl<T> Arena<T> {
         })
     }
 
+    /// The segment whose occupancy `ptr`'s node is counted in: none for
+    /// slot 0. The immortal segment is never a retire candidate, so nothing
+    /// reads its counter — and every `AllocNode`/`FreeNode` pair of a domain
+    /// that never grew would otherwise bounce that one shared line twice.
+    /// Slots ≥ 1 are counted exactly.
+    #[inline]
+    fn counted_segment(&self, ptr: *const Node<T>) -> Option<&Segment<T>> {
+        match self.slot_of(ptr)? {
+            0 => None,
+            s => self.header(s),
+        }
+    }
+
     /// Records that `ptr`'s node landed on a shared structure (stripe or
     /// gift cell). Relaxed — the counter is a reclaim trigger, not a proof.
     #[inline]
     pub fn occupancy_inc(&self, ptr: *const Node<T>) {
-        if let Some(s) = self.slot_of(ptr) {
-            if let Some(seg) = self.header(s) {
-                seg.free_count.fetch_add(1, Ordering::Relaxed);
-            }
+        if let Some(seg) = self.counted_segment(ptr) {
+            seg.free_count.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Records that `ptr`'s node left a shared structure.
     #[inline]
     pub fn occupancy_dec(&self, ptr: *const Node<T>) {
-        if let Some(s) = self.slot_of(ptr) {
-            if let Some(seg) = self.header(s) {
-                seg.free_count.fetch_sub(1, Ordering::Relaxed);
-            }
+        if let Some(seg) = self.counted_segment(ptr) {
+            seg.free_count.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
@@ -531,10 +542,8 @@ impl<T> Arena<T> {
     /// `first`) to its segment's occupancy in one FAA. Used after `seed` /
     /// `seed_grown` push an entire segment onto the stripes.
     pub fn note_seeded(&self, first: *const Node<T>, count: usize) {
-        if let Some(s) = self.slot_of(first) {
-            if let Some(seg) = self.header(s) {
-                seg.free_count.fetch_add(count, Ordering::Relaxed);
-            }
+        if let Some(seg) = self.counted_segment(first) {
+            seg.free_count.fetch_add(count, Ordering::Relaxed);
         }
     }
 
@@ -620,7 +629,7 @@ impl<T> Arena<T> {
     /// # Safety contract (checked by the caller, see `reclaim.rs`)
     /// Every node of the slab is privately held by the caller, all
     /// registered threads have passed a grace period, and no announcement
-    /// summary bit is set — i.e. no stale pointer into the slab exists
+    /// slot is occupied — i.e. no stale pointer into the slab exists
     /// anywhere. After this returns `true` those node addresses are dead.
     pub fn finish_retire(&self, slot: usize) -> bool {
         let Some(seg) = self.header(slot) else {
@@ -987,6 +996,32 @@ mod tests {
         assert_eq!(a.capacity(), 4);
         assert_eq!(a.seg_state(1), Some(SEG_RETIRED));
         assert_eq!(a.segments_retired(), 1);
+    }
+
+    #[test]
+    fn slot_zero_is_not_counted_and_slot_one_is() {
+        let a: Arena<u64> = Arena::with_growth(4, Growth::doubling_to(16), |_| 0);
+        let GrowOutcome::Grew { nodes, .. } = a.try_grow() else {
+            panic!("grow failed");
+        };
+        let (immortal, grown) = (a.node_ptr(0), nodes.as_ptr());
+        // Seed, alloc (dec), gift (inc + dec), free (inc): slot 0 stays 0.
+        a.note_seeded(immortal, 4);
+        assert_eq!(a.seg_free_count(0), Some(0));
+        a.occupancy_dec(immortal);
+        a.occupancy_inc(immortal);
+        a.occupancy_dec(immortal);
+        a.occupancy_inc(immortal);
+        assert_eq!(a.seg_free_count(0), Some(0));
+        // The same traffic on slot 1 is counted exactly, up to `len`.
+        a.note_seeded(grown, nodes.len());
+        assert_eq!(a.seg_free_count(1), Some(4));
+        a.occupancy_dec(grown);
+        assert_eq!(a.seg_free_count(1), Some(3));
+        assert!(a.try_begin_tail_retire().is_none());
+        a.occupancy_inc(grown);
+        assert_eq!(a.seg_free_count(1), Some(4));
+        assert!(retire_tail(&a));
     }
 
     #[test]

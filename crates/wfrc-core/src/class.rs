@@ -19,8 +19,8 @@
 //! Byte blocks are *leaf* objects — they hold no [`crate::Link`]s, are
 //! never published through links, and are never the target of the
 //! announcement protocol. Each class still owns an (idle) announcement
-//! matrix purely so the reclaim protocol's summary check is uniform; its
-//! summary is permanently empty, which makes the announcement veto of a
+//! matrix purely so the reclaim protocol's announcement check is uniform;
+//! its slots are permanently empty, which makes the announcement veto of a
 //! class retire trivially pass.
 //!
 //! The public surface is on [`crate::ThreadHandle`]: `alloc_bytes` /

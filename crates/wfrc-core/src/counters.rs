@@ -60,10 +60,12 @@ pub struct OpCounters {
     /// Help attempts whose answer CAS lost (line H7 taken).
     pub help_lost: Cell<u64>,
     /// `HelpDeRef` invocations that returned from the announcement-presence
-    /// summary without reading a single slot word (no announcement live).
+    /// summary without reading a single slot word (no registered thread
+    /// has dereferenced since it registered).
     pub help_scan_skips: Cell<u64>,
     /// `HelpDeRef` invocations that examined at least one thread's
-    /// announcement slots (summary non-empty, or summary not built).
+    /// announcement row (some registered thread is a reader — rows read,
+    /// not RMWs issued).
     pub help_scan_full: Cell<u64>,
     /// `AllocNode` invocations.
     pub alloc_calls: Cell<u64>,
@@ -108,7 +110,7 @@ pub struct OpCounters {
     /// (took it `LIVE → DRAINING`), whether or not the retire completed.
     pub reclaim_passes: Cell<u64>,
     /// Claimed reclaims this thread had to reopen (stalled epoch, nodes in
-    /// flight, racing growth, or a live announcement summary).
+    /// flight, racing growth, or a live announcement).
     pub reclaim_aborts: Cell<u64>,
     /// Arena segments this thread retired (slab returned to the allocator).
     pub segments_retired: Cell<u64>,

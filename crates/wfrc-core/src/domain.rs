@@ -503,19 +503,22 @@ impl<T: RcObject> WfrcDomain<T> {
         self.shared.reclaim.draining_by.load(Ordering::SeqCst) == tid + 1
     }
 
-    /// True when no thread's announcement-presence bit is set — the state
-    /// in which every `HelpDeRef` returns via the summary fast path without
+    /// True when no thread's announcement-presence bit is up — no
+    /// registered thread has dereferenced since it registered, the state in
+    /// which every `HelpDeRef` returns via the summary fast path without
     /// reading a single announcement-slot word. Diagnostic: a concurrent
-    /// `DeRefLink` can set a bit immediately after this returns.
+    /// `DeRefLink` can raise a bit immediately after this returns.
     #[must_use]
     pub fn announcement_summary_empty(&self) -> bool {
         self.shared.ann.summary_empty()
     }
 
-    /// True when thread `tid`'s announcement-presence bit is set. A set bit
-    /// is conservative (it may be stale after a crash between the
-    /// retracting SWAP and the bit's withdrawal — adoption clears it); a
-    /// clear bit is authoritative: the thread has no live announcement.
+    /// True when thread `tid`'s announcement-presence bit is up: the
+    /// thread has dereferenced at least once since it registered (or died
+    /// having done so and awaits adoption). The bit outlives each
+    /// announcement — it is lowered at handle drop and by adoption — so it
+    /// says "writers read this thread's row", not "an announcement is
+    /// live"; a bit that is down is authoritative: the row is empty.
     #[must_use]
     pub fn announcement_summary_bit(&self, tid: usize) -> bool {
         self.shared.ann.summary_bit(tid)
@@ -598,11 +601,11 @@ impl<T: RcObject> WfrcDomain<T> {
                     report.announce_refs_released += 1;
                 }
             }
-            // The corpse may have died between its retracting SWAP (D6) and
-            // its summary clear — or mid-announcement — leaving its presence
-            // bit stale-set. With every slot retracted above, the bit can
-            // now be withdrawn (never before: a premature clear would let
-            // helpers skip a still-live announcement).
+            // A corpse that ever dereferenced left its presence bit up (it
+            // is lowered only at handle drop, which a death skips). With
+            // every slot retracted above, the row is empty and the bit can
+            // be lowered (never before: helpers would skip a still-live
+            // announcement).
             s.ann.clear_summary(tid);
             // (b) Collect a parked gift.
             report.gifts_recovered += s.adopt_gift(tid, &c);

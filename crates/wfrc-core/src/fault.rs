@@ -81,11 +81,13 @@ pub enum FaultSite {
     /// the free-lists. `Die` seeds the segment before unwinding (an
     /// unseeded segment would be permanently invisible capacity).
     GrowSeed,
-    /// Between the retracting SWAP (D6) and the withdrawal of the thread's
-    /// announcement-presence bit: the announcement is gone but the summary
-    /// still (harmlessly) claims one. `Die` here is the stale-set-bit proof
-    /// obligation — helpers fall back to a scan that matches nothing, and
-    /// adoption clears the corpse's bit.
+    /// Immediately after the retracting SWAP (D6): the slot is empty, the
+    /// counts the dereference took are still held, and the thread's
+    /// announcement-presence bit is up (it stays up for the registration —
+    /// only handle drop and adoption lower it). `Die` here is the
+    /// bit-over-an-empty-row proof obligation — the completion returns the
+    /// counts, helpers read the row and match nothing, and adoption lowers
+    /// the corpse's bit.
     SummaryClear,
     /// In the segment-reclaim protocol, immediately after the reclaimer's
     /// `LIVE → DRAINING` claim and before the node sweep. `Die` here leaves

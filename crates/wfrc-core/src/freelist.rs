@@ -40,7 +40,9 @@
 //!
 //! * A node's `mm_next` chain and recycled payload are written before the
 //!   **Release** push CAS that publishes it on a head, and read after the
-//!   **Acquire** head load that observes it. Pop CASes in the middle of a
+//!   **Acquire** head load that observes it. The `mm_next` stores
+//!   themselves are therefore **Relaxed** ([`Node::link_private`]): the
+//!   node is privately owned until that CAS. Pop CASes in the middle of a
 //!   chain stay in the release sequence (they are RMWs), so later acquirers
 //!   of the shortened chain still synchronize with the original push.
 //! * `annAlloc` gifts: **Release** install CAS / **Acquire** take swap —
@@ -107,7 +109,7 @@ impl<T> FreeLists<T> {
                 ptr::null_mut()
             };
             // SAFETY: seeding happens before any sharing; we own every node.
-            unsafe { (*node).mm_next().store(next) };
+            unsafe { (*node).link_private(next) };
         }
         self.heads[0].store(arena.node_ptr(0));
         // Credit segment occupancy for the whole seeded range (reclaim's
@@ -182,7 +184,7 @@ impl<T> FreeLists<T> {
             // splice for whoever pops through us.
             let head = self.head(index).load_with(Ordering::Relaxed);
             // SAFETY: `last` is exclusively ours until the CAS publishes it.
-            unsafe { (*last).mm_next().store(head) }; // F8
+            unsafe { (*last).link_private(head) }; // F8
             if self
                 .head(index)
                 .cas_with(head, first, Ordering::Release, Ordering::Relaxed)
@@ -230,13 +232,12 @@ impl<T> FreeLists<T> {
     /// onto one free-list head with a single CAS, rotating stripes on
     /// failure (the same two-way dance as F7–F10, generalized to all
     /// stripes). The nodes are unshared until the CAS succeeds, so their
-    /// `mm_next` stores need no synchronization beyond the publishing CAS.
+    /// `mm_next` stores are Relaxed ([`Node::link_private`]).
     pub(crate) fn seed_grown(&self, nodes: &[Node<T>]) {
         debug_assert!(!nodes.is_empty());
         let first = &nodes[0] as *const Node<T> as *mut Node<T>;
         for w in nodes.windows(2) {
-            w[0].mm_next()
-                .store(&w[1] as *const Node<T> as *mut Node<T>);
+            w[0].link_private(&w[1] as *const Node<T> as *mut Node<T>);
         }
         let last = &nodes[nodes.len() - 1];
         // Relaxed index hint + Relaxed head load / Release publish CAS:
@@ -244,7 +245,7 @@ impl<T> FreeLists<T> {
         let mut index = self.current.load_with(Ordering::Relaxed) % (2 * self.n);
         loop {
             let head = self.head(index).load_with(Ordering::Relaxed);
-            last.mm_next().store(head);
+            last.link_private(head);
             if self
                 .head(index)
                 .cas_with(head, first, Ordering::Release, Ordering::Relaxed)

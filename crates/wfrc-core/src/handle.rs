@@ -954,6 +954,10 @@ impl<T: RcObject> Drop for ThreadHandle<'_, T> {
         // repeated register/alloc/drop cycles conserve the pool. The
         // Release in `unregister` publishes the drain to the next claimant.
         self.flush_magazines();
+        // Lower the announcement-presence bit this registration may have
+        // raised: no operation of ours is in flight, so our row is empty,
+        // and from here on writers stop reading it (`announce.rs`).
+        self.domain.shared().ann.clear_summary(self.tid);
         self.domain.unregister(self.tid);
     }
 }

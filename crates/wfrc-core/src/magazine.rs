@@ -416,7 +416,7 @@ impl<T: RcObject> Shared<T> {
         for w in batch.windows(2) {
             // SAFETY: claimed nodes exclusively owned by this drain; the
             // chain is unshared until the publishing CAS in push_chain.
-            unsafe { (*w[0]).mm_next().store(w[1]) };
+            unsafe { (*w[0]).link_private(w[1]) };
         }
         let last = batch[batch.len() - 1];
         let retries = self.fl.push_chain(tid, first, last);

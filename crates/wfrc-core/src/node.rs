@@ -37,6 +37,7 @@
 //! ([`Node::maybe_finalize`]).
 
 use core::cell::UnsafeCell;
+use core::sync::atomic::Ordering;
 use wfrc_primitives::{AtomicWord, WordPtr};
 
 use crate::link::{AtomicWeak, Link};
@@ -316,6 +317,17 @@ impl<T> Node<T> {
     #[inline]
     pub fn mm_next(&self) -> &WordPtr<Node<T>> {
         &self.mm_next
+    }
+
+    /// Chains this node to `next` while the caller owns it exclusively (a
+    /// claimed node being linked for a free-list, magazine, deferred or
+    /// parking-chain push). `Relaxed`: no other thread may read the chain
+    /// until the `Release` CAS that publishes its head, and that CAS is what
+    /// orders this store for whoever acquires the head (message passing —
+    /// `freelist.rs`, "Memory orderings").
+    #[inline]
+    pub fn link_private(&self, next: *mut Node<T>) {
+        self.mm_next.store_with(next, Ordering::Relaxed);
     }
 
     /// Shared payload access.

@@ -75,13 +75,15 @@ impl<T: RcObject> Shared<T> {
             unsafe { (*node).faa_ref(2) };
         }
         let word = ann.retract(tid, idx); // D6
-                                          // The announcement is gone; only the presence bit remains. A death
-                                          // here leaves the bit stale-set — conservatively harmless (helpers
-                                          // scan and match nothing) until adoption clears it. But the dying
-                                          // deref owns counts nobody can enumerate any more (the slot is
-                                          // already empty, so adoption's retraction finds nothing): the
-                                          // completion consumes them, leaving exactly the stale bit as the
-                                          // crash residue this site models.
+
+        // The announcement is gone; the presence bit stays up for the rest
+        // of the registration. A death here leaves an empty row under a
+        // raised bit — helpers read it and match nothing — until adoption
+        // lowers the bit. But the dying deref owns counts nobody can
+        // enumerate any more (the slot is already empty, so adoption's
+        // retraction finds nothing): the completion consumes them, leaving
+        // exactly "slot empty, bit up" as the crash residue this site
+        // models.
         #[cfg(feature = "fault-injection")]
         self.fault_hit_or(c, crate::fault::FaultSite::SummaryClear, tid, || {
             let final_node = match decode_retract(word, link.addr()) {
@@ -97,7 +99,6 @@ impl<T: RcObject> Shared<T> {
                 self.release_ref(tid, c, final_node);
             }
         });
-        ann.clear_summary(tid);
         if let Some(answer) = decode_retract(word, link.addr()) {
             // D7: a helper answered; our speculative target may be stale.
             OpCounters::bump(&c.deref_helped);
@@ -217,15 +218,15 @@ impl<T: RcObject> Shared<T> {
     #[inline]
     pub(crate) fn help_deref(&self, tid: usize, c: &OpCounters, link: &Link<T>) {
         OpCounters::bump(&c.help_calls);
-        // Fast path: the presence summary answers "is any announcement
-        // live?" in one word per `usize::BITS` threads. When no bit is set
-        // the §3.2 obligation is discharged without reading a single slot
-        // word. Safety of trusting a cleared bit: see `announce.rs`,
-        // "Announcement-presence summary" — the bit is set (SeqCst) before
-        // D3, our load (SeqCst) follows our link change, so any announcer
-        // that read the old node is visible here. Inlined so the caller's
-        // link change pays one load and a never-taken branch; the scan
-        // stays out of line.
+        // Fast path: line H1 restricted to threads that have announced
+        // since they registered. A thread's presence bit goes up before its
+        // first D3 and stays up until its handle drops (`announce.rs`,
+        // "Announcement-presence summary"), so an empty summary means no
+        // registered thread is a reader and the §3.2 obligation is
+        // discharged without reading a slot word. Safety of trusting a bit
+        // that is down: the raise is SeqCst and precedes D3, our load is
+        // SeqCst and follows our link change, so any announcer that read
+        // the old node is visible here.
         if self.ann.summary_empty() {
             OpCounters::bump(&c.help_scan_skips);
             return;
@@ -233,16 +234,17 @@ impl<T: RcObject> Shared<T> {
         self.help_deref_scan(tid, c, link);
     }
 
-    /// The H1–H8 sweep proper, entered only when the presence summary was
-    /// non-empty at the check above (the bits may have cleared since — the
-    /// sweep visits whatever is still flagged and that is still counted as
-    /// a skip if nothing is).
-    #[cold]
+    /// The H1–H8 sweep proper, over the rows whose presence bit is up: two
+    /// loads a row (`annIndex`, then the slot it names) and no RMW unless a
+    /// slot matches — a bit over an idle reader's empty row costs exactly
+    /// those two loads. Entered only when the summary was non-empty at the
+    /// check above (a handle may have dropped since — the sweep visits
+    /// whatever is still flagged, and counts as a skip if nothing is).
     fn help_deref_scan(&self, tid: usize, c: &OpCounters, link: &Link<T>) {
         let ann = &self.ann;
         let la = link.addr();
         let scanned = ann.for_each_announcer(|id| {
-            // H1 (restricted to threads whose presence bit is set)
+            // H1 (restricted to threads whose presence bit is up)
             let idx = ann.current_index(id); // H2
             if ann.slot_announces(id, idx, la) {
                 // H3 matched: pin the slot so it cannot be reused while our

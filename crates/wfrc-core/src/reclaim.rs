@@ -35,15 +35,17 @@
 //!    published. Its node is simply live: the sweep comes up short and the
 //!    retire aborts, unless the node is freed back in time, in which case
 //!    the free path parks it and gates 2–3 apply to it like to any other.
-//! 4. **Grace period + summary check.** With all `len` nodes parked, the
-//!    reclaimer waits for every registered slot's epoch to be even or to
+//! 4. **Grace period + announcement check.** With all `len` nodes parked,
+//!    the reclaimer waits for every registered slot's epoch to be even or to
 //!    *change* (bounded spins — a parked thread stalls the retire, which
-//!    then aborts), and re-checks that the announcement summary is empty.
+//!    then aborts), and re-checks that no thread's announcement slot is
+//!    occupied (the slot words themselves — a reader's presence bit stays
+//!    up while it idles and vetoes nothing).
 //!    Only then is `finish_retire` allowed to unmap the slab. DESIGN.md §4c
 //!    gives the full argument that no stale `NodeRef` or raw pointer can
 //!    address a RETIRED slab.
 //! 5. **Abort/reopen.** Every failure (nodes in flight, stalled epoch,
-//!    racing growth, live summary) reopens the segment: parked nodes are
+//!    racing growth, live announcement) reopens the segment: parked nodes are
 //!    chain-pushed back onto a stripe, `DRAINING → LIVE`, claim cleared.
 //!    `adopt_orphans` performs the same reopen when the claiming thread
 //!    died at the `SegmentRetire` fault site.
@@ -81,7 +83,7 @@
 //! the drain frees both buckets wholesale. Deferred nodes hold no
 //! occupancy, so their segment can never reach the retire trigger — and the
 //! retire protocol additionally vetoes on a non-empty pin bitmap (the same
-//! gate as the announcement-summary veto) both before claiming a candidate
+//! gate as the live-announcement veto) both before claiming a candidate
 //! and after the grace period.
 
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -95,11 +97,14 @@ type EpochCell = wfrc_primitives::CachePadded<AtomicUsize>;
 
 /// One slot's operation epoch — the quiescence convention of this module,
 /// written here and nowhere else: **odd = inside an operation**. Entering
-/// and leaving each flip the parity with a `SeqCst` FAA, ordering the
-/// epoch against the reclaimer's `SeqCst` claim and [`Shared::grace_period`]
-/// reads: a reclaimer that observes an even (or advanced) epoch knows every
-/// pointer the slot obtained before the DRAINING claim has been released.
-/// Epochs only grow between resets, so an observed odd value never recurs.
+/// is a `SeqCst` FAA: a store-load edge against the reclaimer's `SeqCst`
+/// DRAINING claim and [`Shared::grace_period`] reads — either the
+/// reclaimer sees the odd epoch or the operation sees the claim. Leaving is
+/// a `Release` store: a reclaimer that observes an even (or advanced) epoch
+/// needs everything the slot did *before* to happen-before it, and nothing
+/// after — so it knows every pointer the slot obtained before the claim has
+/// been released. Epochs only grow between resets, so an observed odd value
+/// never recurs.
 #[derive(Clone, Copy)]
 pub(crate) struct SlotEpoch<'a>(&'a AtomicUsize);
 
@@ -111,10 +116,13 @@ impl<'a> SlotEpoch<'a> {
         self.0.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Odd → even: the slot is quiescent again.
+    /// Odd → even: the slot is quiescent again. Only the slot's owner
+    /// writes its epoch while the slot is in service, so the increment
+    /// needs no RMW.
     #[inline]
     pub(crate) fn exit(self) {
-        self.0.fetch_add(1, Ordering::SeqCst);
+        let e = self.0.load(Ordering::Relaxed);
+        self.0.store(e.wrapping_add(1), Ordering::Release);
     }
 
     /// [`Self::enter`] now, [`Self::exit`] when the guard drops — on unwind
@@ -270,8 +278,8 @@ pub enum ReclaimOutcome {
     Contended,
     /// A claim was taken but had to be reopened: nodes could not all be
     /// collected, a registered thread sat in one operation past the grace
-    /// budget, growth raced the retire, or the announcement summary went
-    /// live. The segment is LIVE again; the attempt can be retried.
+    /// budget, growth raced the retire, or an announcement went live. The
+    /// segment is LIVE again; the attempt can be retried.
     Aborted,
 }
 
@@ -378,7 +386,7 @@ impl<T> ReclaimCtl<T> {
         loop {
             let head = d.pending.load_with(Ordering::Relaxed);
             // SAFETY: exclusively ours until the CAS publishes it.
-            unsafe { (*node).mm_next().store(head) };
+            unsafe { (*node).link_private(head) };
             if d.pending
                 .cas_with(head, node, Ordering::Release, Ordering::Relaxed)
             {
@@ -429,7 +437,7 @@ impl<T> ReclaimCtl<T> {
         loop {
             let head = self.parked.load_with(Ordering::Relaxed);
             // SAFETY: exclusively ours until the CAS publishes it.
-            unsafe { (*node).mm_next().store(head) };
+            unsafe { (*node).link_private(head) };
             if self
                 .parked
                 .cas_with(head, node, Ordering::Release, Ordering::Relaxed)
@@ -458,7 +466,7 @@ impl<T> ReclaimCtl<T> {
         loop {
             let head = self.parked.load_with(Ordering::Relaxed);
             // SAFETY: chain privately held until the CAS publishes it.
-            unsafe { (*last).mm_next().store(head) };
+            unsafe { (*last).link_private(head) };
             if self
                 .parked
                 .cas_with(head, first, Ordering::Release, Ordering::Relaxed)
@@ -771,11 +779,11 @@ impl<T: RcObject> Shared<T> {
                     keep_first = p;
                     keep_last = p;
                     // SAFETY: exclusively ours; terminate the keep chain.
-                    unsafe { (*p).mm_next().store(core::ptr::null_mut()) };
+                    unsafe { (*p).link_private(core::ptr::null_mut()) };
                 } else {
                     // SAFETY: exclusively ours; append to the keep chain.
-                    unsafe { (*keep_last).mm_next().store(p) };
-                    unsafe { (*p).mm_next().store(core::ptr::null_mut()) };
+                    unsafe { (*keep_last).link_private(p) };
+                    unsafe { (*p).link_private(core::ptr::null_mut()) };
                     keep_last = p;
                 }
                 p = next;
@@ -823,7 +831,7 @@ impl<T: RcObject> Shared<T> {
             if !is_taken(t) {
                 // FREE slots have no thread; ORPHANED slots are corpses —
                 // they execute nothing, and what they left behind is
-                // covered by the sweep + summary check (and by adoption).
+                // covered by the sweep + announcement check (and by adoption).
                 continue;
             }
             let e0 = self.reclaim.epoch(t).read();
@@ -896,11 +904,14 @@ pub(crate) fn try_reclaim_shared<T: RcObject>(
     // (re-crediting occupancy), which is what lets a segment full of
     // snapshot-covered releases ever reach the retire trigger.
     s.drain_all_deferred(tid, c);
-    // Condition (c) first — it is the cheapest disqualifier.
-    if !s.ann.summary_empty() {
+    // Condition (c) first — it is the cheapest disqualifier. Slot words,
+    // not presence bits: an idle registered reader keeps its bit up and
+    // must not veto.
+    let announcing = || (0..s.n).any(|t| s.ann.announcing(t));
+    if announcing() {
         return ReclaimOutcome::NoCandidate;
     }
-    // Snapshot-pin veto, the same gate as the summary veto: a live guard
+    // Snapshot-pin veto, the same gate as the announcement veto: a live guard
     // epoch means plain-load borrows may exist and deferred lists cannot
     // fully drain, so don't burn the sweep/grace budget on a candidate
     // that cannot pass the recheck below.
@@ -934,12 +945,12 @@ pub(crate) fn try_reclaim_shared<T: RcObject>(
         s.reopen_reclaim(tid, c);
         return ReclaimOutcome::Aborted;
     }
-    // Grace period over all registered slots, then the summary and
+    // Grace period over all registered slots, then the announcement and
     // snapshot-pin re-checks (a pin taken after the veto above is caught
     // here; the grace wait aborts immediately on a pinned slot and after
     // the bounded spin budget on any other stalled operation, so a parked
     // guard costs at most one aborted retire attempt per call).
-    if !s.grace_period(is_taken) || !s.ann.summary_empty() || !ctl.pins_empty() {
+    if !s.grace_period(is_taken) || announcing() || !ctl.pins_empty() {
         s.reopen_reclaim(tid, c);
         return ReclaimOutcome::Aborted;
     }

@@ -17,8 +17,8 @@
 //! ```
 //!
 //! * **Detection** is a per-slot progress *fingerprint* — the PR 5
-//!   operation epoch, the registration-slot state, and the
-//!   announcement-summary bit for a domain; the `generation << 3 | state`
+//!   operation epoch, the registration-slot state, and whether an
+//!   announcement is live for a domain; the `generation << 3 | state`
 //!   word for a lease slot. A slot whose fingerprint has not advanced for
 //!   `help_after` consecutive examinations *while it holds obligations*
 //!   (an orphaned slot, a live announcement, an overdue lease, a DRAINING
@@ -133,9 +133,13 @@ pub trait Supervised: Sync {
 /// The domain's registration slots under supervision.
 ///
 /// * **Obligated**: the slot is `ORPHANED` (a corpse awaiting adoption), or
-///   `TAKEN` with a live announcement bit, an odd (mid-operation) epoch, or
+///   `TAKEN` with a live announcement, an odd (mid-operation) epoch, or
 ///   the segment-retire claim — states a healthy thread leaves promptly.
-/// * **Fingerprint**: operation epoch ⊕ slot state ⊕ announcement bit.
+///   "Live announcement" is read off the slot word
+///   ([`crate::announce::Announce::announcing`]), not the presence bit: the
+///   bit stays up for a reader's whole registration, and an idle reader is
+///   not obligated.
+/// * **Fingerprint**: operation epoch ⊕ slot state ⊕ live announcement.
 /// * **Help / declare dead**: [`WfrcDomain::adopt_orphans`] — idempotent,
 ///   and it only ever touches `ORPHANED` slots, so a merely-slow (parked,
 ///   stalled) thread whose slot is still `TAKEN` is never seized no matter
@@ -149,7 +153,7 @@ impl<T: RcObject> Supervised for WfrcDomain<T> {
         match self.slot_state(slot) {
             SLOT_ORPHANED => true,
             SLOT_TAKEN => {
-                self.announcement_summary_bit(slot)
+                self.shared().ann.announcing(slot)
                     || self.slot_epoch(slot) & 1 == 1
                     || self.retire_claimed_by(slot)
             }
@@ -160,12 +164,12 @@ impl<T: RcObject> Supervised for WfrcDomain<T> {
     fn fingerprint(&self, slot: usize) -> u64 {
         let epoch = self.slot_epoch(slot) as u64;
         let state = self.slot_state(slot) as u64;
-        let bit = u64::from(self.announcement_summary_bit(slot));
-        // Mix so distinct (epoch, state, bit) triples land on distinct
-        // words; the sentinel only ever compares for equality.
+        let announcing = u64::from(self.shared().ann.announcing(slot));
+        // Mix so distinct (epoch, state, announcing) triples land on
+        // distinct words; the sentinel only ever compares for equality.
         epoch
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(state << 1 | bit)
+            .wrapping_add(state << 1 | announcing)
     }
 
     fn help(&self, slot: usize) -> bool {

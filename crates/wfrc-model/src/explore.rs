@@ -165,6 +165,48 @@ mod tests {
         );
     }
 
+    /// The presence-bit mutants (see [`DerefKind`]): each lets the writer's
+    /// `HelpDeRef` find the summary empty while the reader sits between its
+    /// D4 read and its D5 increment, and the explorer must come back with
+    /// the naive dereference's trace.
+    #[test]
+    fn presence_bit_mutants_are_caught() {
+        for kind in [DerefKind::RaiseAfterRead, DerefKind::LowerBeforeFaa] {
+            let r = explore(Shared::initial(), swing_scripts(kind), |_, _| {});
+            let v = r
+                .violation
+                .unwrap_or_else(|| panic!("{kind:?} must exhibit use-after-free"));
+            assert!(
+                v.0.contains("use-after-free"),
+                "{kind:?}: expected use-after-free, got: {}",
+                v.0
+            );
+        }
+    }
+
+    /// The bit across registrations: the reader dereferences, unregisters
+    /// (the one place the bit falls), and its id's next owner dereferences
+    /// again — every step of it racing the writer's swing and release.
+    #[test]
+    fn bit_lowered_at_unregister_survives_every_interleaving() {
+        let registration = [
+            Call::Deref(DerefKind::WaitFree),
+            Call::ReleaseResult,
+            Call::Unregister,
+        ];
+        let mut ms = swing_scripts(DerefKind::WaitFree);
+        ms[0] = Machine::new(0, [registration, registration].concat());
+        let r = explore(Shared::initial(), ms, |s, ms| {
+            final_check(s, ms);
+            assert!(!s.summary[0], "Unregister must leave the bit down: {s:?}");
+        });
+        assert!(r.violation.is_none(), "{:?}", r.violation);
+        println!(
+            "two registrations vs swing: {} states, {} finals",
+            r.states, r.final_states
+        );
+    }
+
     #[test]
     fn two_concurrent_derefs_are_harmless() {
         let ms = vec![

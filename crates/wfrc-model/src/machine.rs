@@ -5,6 +5,17 @@
 //! exactly the sequentially-consistent executions of the pseudo-code.
 //! Nested operations (`HelpDeRef` calling `DeRefLink` at H5, `DeRefLink`
 //! calling `ReleaseRef` at D8) run as stacked frames.
+//!
+//! The announcement-presence bit of `wfrc-core`'s `announce.rs` is part of
+//! the machine: a dereference raises its thread's bit before D3 when it is
+//! down (the owner is the bit's only writer, so finding it up costs no
+//! shared access), nothing lowers it but a script-level
+//! [`Call::Unregister`], and `HelpDeRef` reads the summary — the fast-path
+//! check, then the snapshot H1 iterates — and visits flagged rows only.
+//! Under the explorer's sequential consistency what the bit must bracket is
+//! the D4 link read and the D5 increment: a raise anywhere before D4, and a
+//! lower anywhere after D5, explore clean. The two mutants of
+//! [`DerefKind`] step just across each boundary.
 
 use crate::shared::{AnnWord, Claim, NodeId, Shared, MODEL_THREADS};
 
@@ -17,6 +28,16 @@ pub enum DerefKind {
     /// re-check). This is the algorithm whose use-after-free the paper's
     /// §3 motivates; the explorer finds the bug (see the crate tests).
     Unsafe,
+    /// Mutant of [`DerefKind::WaitFree`]: the presence bit is raised after
+    /// the D3 store *and the D4 read* instead of before them. A writer that
+    /// swings the link in between finds the summary empty, skips the
+    /// announcement and frees the node D4 returned — the naive
+    /// dereference's use-after-free.
+    RaiseAfterRead,
+    /// Mutant of [`DerefKind::WaitFree`]: the bit is lowered per
+    /// dereference, and too early — between the D4 read and the D5
+    /// increment instead of at `Unregister`. Same trace.
+    LowerBeforeFaa,
 }
 
 /// One script entry.
@@ -57,6 +78,10 @@ pub enum Call {
     /// Drop one weak reference, finalizing (and freeing) a drained DEAD
     /// header if this was the last thing holding it.
     WeakRelease(NodeId),
+    /// Handle drop: lower this thread's presence bit. The thread is
+    /// between operations, so its row is empty (asserted). A later
+    /// `Deref` in the same script models the id's next registration.
+    Unregister,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -75,6 +100,8 @@ enum Frame {
     },
     Help {
         pc: u8,
+        /// The summary as H1 loaded it: the rows this sweep visits.
+        flagged: [bool; MODEL_THREADS],
         id: usize,
         idx: usize,
         node: Option<NodeId>,
@@ -185,6 +212,14 @@ impl Machine {
                     }
                 }
                 Call::WeakRelease(n) => self.stack.push(Frame::WeakRelease { pc: 0, node: n }),
+                Call::Unregister => {
+                    assert!(
+                        s.ann_read[self.tid].iter().all(|w| *w == AnnWord::Empty),
+                        "thread {} unregistered over a live announcement",
+                        self.tid
+                    );
+                    s.summary[self.tid] = false;
+                }
             }
             return;
         }
@@ -199,7 +234,8 @@ impl Machine {
         let mut frame = self.stack.pop().expect("stack non-empty");
         match &mut frame {
             Frame::Deref {
-                kind: DerefKind::WaitFree,
+                kind:
+                    kind @ (DerefKind::WaitFree | DerefKind::RaiseAfterRead | DerefKind::LowerBeforeFaa),
                 pc,
                 idx,
                 node,
@@ -216,28 +252,48 @@ impl Machine {
                 }
                 1 => {
                     s.ann_index[tid] = *idx; // D2
-                    *pc = 2;
+                                             // Raise the presence bit next if it is down. Reading
+                                             // our own bit is no shared access — we are its only
+                                             // writer — so finding it up costs no step.
+                    let raise = *kind != DerefKind::RaiseAfterRead && !s.summary[tid];
+                    *pc = if raise { 2 } else { 3 };
                     self.stack.push(frame);
                 }
                 2 => {
-                    s.ann_read[tid][*idx] = AnnWord::Announced; // D3
+                    s.summary[tid] = true; // strictly before D3
                     *pc = 3;
                     self.stack.push(frame);
                 }
                 3 => {
-                    *node = s.link; // D4
+                    s.ann_read[tid][*idx] = AnnWord::Announced; // D3
                     *pc = 4;
                     self.stack.push(frame);
                 }
                 4 => {
-                    if let Some(n) = *node {
-                        s.faa(n, 2); // D5
-                    }
-                    *pc = 5;
+                    *node = s.link; // D4
+                                    // Only the mutants touch the bit between D4 and D5.
+                    let mutant_step = match *kind {
+                        DerefKind::RaiseAfterRead => !s.summary[tid],
+                        DerefKind::LowerBeforeFaa => true,
+                        _ => false,
+                    };
+                    *pc = if mutant_step { 5 } else { 6 };
                     self.stack.push(frame);
                 }
                 5 => {
-                    // D6: retract and inspect.
+                    s.summary[tid] = *kind == DerefKind::RaiseAfterRead;
+                    *pc = 6;
+                    self.stack.push(frame);
+                }
+                6 => {
+                    if let Some(n) = *node {
+                        s.faa(n, 2); // D5
+                    }
+                    *pc = 7;
+                    self.stack.push(frame);
+                }
+                7 => {
+                    // D6: retract and inspect. The bit stays up.
                     let word = std::mem::replace(&mut s.ann_read[tid][*idx], AnnWord::Empty);
                     match word {
                         AnnWord::Announced => {
@@ -249,7 +305,7 @@ impl Machine {
                         AnnWord::Answer(ans) => {
                             // D7–D9: helped; release the speculative count.
                             *answer = ans;
-                            *pc = 6;
+                            *pc = 8;
                             let spec = *node;
                             self.stack.push(frame);
                             if let Some(n) = spec {
@@ -261,7 +317,7 @@ impl Machine {
                         }
                     }
                 }
-                6 => {
+                8 => {
                     // Release child (if any) has completed: return answer.
                     let tl = *top_level;
                     let ans = *answer;
@@ -338,32 +394,54 @@ impl Machine {
                 }
                 _ => unreachable!(),
             },
-            Frame::Help { pc, id, idx, node } => match *pc {
+            Frame::Help {
+                pc,
+                flagged,
+                id,
+                idx,
+                node,
+            } => match *pc {
                 0 => {
-                    if *id == MODEL_THREADS {
-                        // H1 loop exhausted.
-                    } else {
-                        *idx = s.ann_index[*id]; // H2
+                    // The fast path: an empty summary discharges the
+                    // obligation without reading a slot word.
+                    if s.summary.iter().any(|&up| up) {
                         *pc = 1;
                         self.stack.push(frame);
                     }
                 }
                 1 => {
+                    // H1, restricted: load the summary once and sweep the
+                    // rows it flags.
+                    *flagged = s.summary;
+                    *id = next_flagged(flagged, 0);
+                    *pc = 2;
+                    self.stack.push(frame);
+                }
+                2 => {
+                    if *id == MODEL_THREADS {
+                        // H1 loop exhausted.
+                    } else {
+                        *idx = s.ann_index[*id]; // H2
+                        *pc = 3;
+                        self.stack.push(frame);
+                    }
+                }
+                3 => {
                     // H3: does the slot announce our (single) link?
                     // (A separate step from H4 — the helper may stall in
                     // this window, which is exactly the race the busy
                     // counters defend; the explorer must see it.)
                     if s.ann_read[*id][*idx] == AnnWord::Announced {
-                        *pc = 2;
+                        *pc = 4;
                     } else {
-                        *id += 1;
-                        *pc = 0;
+                        *id = next_flagged(flagged, *id + 1);
+                        *pc = 2;
                     }
                     self.stack.push(frame);
                 }
-                2 => {
+                4 => {
                     s.ann_busy[*id][*idx] += 1; // H4: pin the slot
-                    *pc = 3;
+                    *pc = 5;
                     self.stack.push(frame);
                     // H5: nested DeRefLink with our own slots.
                     self.stack.push(Frame::Deref {
@@ -375,7 +453,7 @@ impl Machine {
                         top_level: false,
                     });
                 }
-                3 => {
+                5 => {
                     // H5 child returned; H6: try to answer.
                     *node = self.ret.take().expect("nested deref must return");
                     let answered = if s.ann_read[*id][*idx] == AnnWord::Announced {
@@ -384,7 +462,7 @@ impl Machine {
                     } else {
                         false
                     };
-                    *pc = 4;
+                    *pc = 6;
                     let n = *node;
                     self.stack.push(frame);
                     if !answered {
@@ -394,10 +472,10 @@ impl Machine {
                         }
                     }
                 }
-                4 => {
+                6 => {
                     s.ann_busy[*id][*idx] -= 1; // H8
-                    *id += 1;
-                    *pc = 0;
+                    *id = next_flagged(flagged, *id + 1);
+                    *pc = 2;
                     self.stack.push(frame);
                 }
                 _ => unreachable!(),
@@ -411,6 +489,7 @@ impl Machine {
                         // Figure 6: HelpDeRef after a successful CAS.
                         self.stack.push(Frame::Help {
                             pc: 0,
+                            flagged: [false; MODEL_THREADS],
                             id: 0,
                             idx: 0,
                             node: None,
@@ -465,6 +544,14 @@ impl Machine {
     }
 }
 
+/// The first row at or after `from` that the summary snapshot flags
+/// (`MODEL_THREADS` when none is left) — H1's iteration, local to the helper.
+fn next_flagged(flagged: &[bool; MODEL_THREADS], from: usize) -> usize {
+    (from..MODEL_THREADS)
+        .find(|&t| flagged[t])
+        .unwrap_or(MODEL_THREADS)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,6 +576,31 @@ mod tests {
         let m = run_to_completion(m, &mut s);
         assert_eq!(m.result, Some(0));
         assert_eq!(s.mm_ref, [2, 2], "deref+release is count-neutral");
+    }
+
+    #[test]
+    fn bit_rises_at_the_first_deref_and_falls_only_at_unregister() {
+        let mut s = Shared::initial();
+        let deref = [Call::Deref(DerefKind::WaitFree), Call::ReleaseResult];
+        let m = run_to_completion(Machine::new(0, deref.to_vec()), &mut s);
+        assert_eq!(m.result, Some(0));
+        assert_eq!(s.summary, [true, false], "the bit outlives the deref");
+        // A second deref finds it up; a writer's help then sweeps row 0
+        // (empty — nothing to answer) and only row 0.
+        run_to_completion(Machine::new(0, deref.to_vec()), &mut s);
+        let swing = vec![
+            Call::FixRef(1, 2),
+            Call::CasLink {
+                old: Some(0),
+                new: Some(1),
+            },
+            Call::ReleaseIfCasOk(0),
+        ];
+        let w = run_to_completion(Machine::new(1, swing), &mut s);
+        assert!(w.cas_ok && s.freed[0]);
+        assert_eq!(s.summary, [true, false], "helping raises nothing");
+        run_to_completion(Machine::new(0, vec![Call::Unregister]), &mut s);
+        assert_eq!(s.summary, [false, false]);
     }
 
     #[test]

@@ -61,6 +61,10 @@ pub struct Shared {
     pub ann_index: [usize; MODEL_THREADS],
     /// `annBusy[t][i]`.
     pub ann_busy: [[u8; MODEL_THREADS]; MODEL_THREADS],
+    /// The announcement-presence summary (`announce.rs`): bit `t` up = H1
+    /// visits thread `t`'s row. One word in the implementation, so a helper
+    /// reads all of it in one access.
+    pub summary: [bool; MODEL_THREADS],
     /// Ghost: per-thread witness sets — which link values each thread's
     /// *currently active* dereference has seen the link hold. Bit `n` set =
     /// value `Some(n)` occurred; bit `MODEL_NODES` = `None` occurred.
@@ -84,6 +88,7 @@ impl Shared {
             ann_read: Default::default(),
             ann_index: [0; MODEL_THREADS],
             ann_busy: [[0; MODEL_THREADS]; MODEL_THREADS],
+            summary: [false; MODEL_THREADS],
             witness: [0; MODEL_THREADS],
             deref_active: [false; MODEL_THREADS],
         };

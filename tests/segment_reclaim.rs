@@ -124,6 +124,42 @@ fn one_live_node_in_tail_blocks_retirement() {
     assert!(d.leak_check().is_clean());
 }
 
+/// The announcement-presence bit lasts a registration, so a reader that
+/// dereferenced once and then idles keeps it up. Retirement vetoes on live
+/// announcements — slot words — and must not mistake the bit for one.
+#[test]
+fn idle_reader_does_not_veto_retirement() {
+    let d = WfrcDomain::<u64>::new(grow_cfg(2, 4, 64));
+    let reader = d.register().unwrap();
+    let link = wfrc::core::Link::<u64>::null();
+    {
+        let seed = reader.alloc_with(|v| *v = 9).unwrap();
+        reader.store(&link, Some(&seed));
+    }
+    assert_eq!(reader.deref(&link).map(|g| *g), Some(9));
+    assert!(
+        d.announcement_summary_bit(reader.tid()),
+        "a dereference raises the bit for the whole registration"
+    );
+    // Another thread grows the domain, frees everything and reclaims while
+    // the reader sits idle, registered, bit up.
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let h = d.register().unwrap();
+            let guards: Vec<_> = (0..16).map(|_| h.alloc_with(|_| {}).unwrap()).collect();
+            assert!(d.segment_count() >= 3);
+            drop(guards);
+            assert!(reclaim_to_quiescence(&h) >= 2);
+        });
+    });
+    assert!(d.announcement_summary_bit(reader.tid()));
+    assert_eq!(d.resident_segments(), 1);
+    reader.store(&link, None);
+    drop(reader);
+    assert!(d.announcement_summary_empty());
+    assert!(d.leak_check().is_clean());
+}
+
 #[test]
 fn reclaimer_flushes_its_own_magazine() {
     // Magazine-parked nodes are not occupancy-counted; if the reclaimer's

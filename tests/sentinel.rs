@@ -224,6 +224,36 @@ fn admission_refuses_on_a_saturated_pool() {
     assert_eq!(pool.stats().admitted, 1);
 }
 
+/// A registered reader that has dereferenced and now idles keeps its
+/// announcement-presence bit up for the rest of its registration. The
+/// ladder reads the announcement *slot*, so the bit alone is no obligation:
+/// the reader stays `Idle` however long it sits.
+#[test]
+fn idle_reader_never_climbs_the_ladder() {
+    let domain = WfrcDomain::<u64>::new(DomainConfig::new(2, 16));
+    let reader = domain.register().unwrap();
+    let link = wfrc::core::Link::<u64>::null();
+    {
+        let seed = reader.alloc_with(|v| *v = 3).unwrap();
+        reader.store(&link, Some(&seed));
+    }
+    assert_eq!(reader.deref(&link).map(|g| *g), Some(3));
+    assert!(domain.announcement_summary_bit(reader.tid()));
+
+    let config = SentinelConfig::default();
+    let ticks = config.help_after + 1;
+    let sentinel = Sentinel::new(&domain, config);
+    for _ in 0..ticks {
+        sentinel.tick();
+        assert_eq!(sentinel.stage(reader.tid()), wfrc::core::Stage::Idle);
+    }
+    assert!(!wfrc::core::Supervised::obligated(&domain, reader.tid()));
+
+    reader.store(&link, None);
+    drop(reader);
+    assert!(domain.leak_check().is_clean());
+}
+
 /// Ladder property tests: seeded Stall/Park/Die at every armed site.
 #[cfg(feature = "fault-injection")]
 mod ladder {
@@ -380,6 +410,71 @@ mod ladder {
         drop(sweeper);
         let report = domain.leak_check();
         assert!(report.is_clean(), "{site:?}/{action:?} leaked: {report}");
+    }
+
+    /// The other half of `idle_reader_never_climbs_the_ladder`: with both
+    /// presence bits up, a thread parked *inside* a `DeRefLink` (its slot
+    /// holds the announcement) is obligated and climbs, while the idle
+    /// reader beside it is not and does not.
+    #[test]
+    fn parked_deref_is_obligated_beside_an_idle_reader() {
+        use wfrc::core::{Stage, Supervised};
+        let mut domain = WfrcDomain::<u64>::new(DomainConfig::new(2, 16));
+        let plan = Arc::new(FaultPlan::new(0x1D1E));
+        domain.set_fault_plan(Arc::clone(&plan));
+        let link = Link::<u64>::null();
+        let idle = domain.register().unwrap();
+        let victim = domain.register().unwrap();
+        let (idle_tid, victim_tid) = (idle.tid(), victim.tid());
+        {
+            let seed = idle.alloc_with(|v| *v = 5).unwrap();
+            idle.store(&link, Some(&seed));
+        }
+        assert_eq!(idle.deref(&link).map(|g| *g), Some(5));
+        plan.arm_victim(
+            victim_tid,
+            FaultSite::AnnouncePublish,
+            FaultAction::Park,
+            FireRule::Nth(1),
+        );
+        let config = SentinelConfig::default();
+        let ticks = config.help_after + 1;
+        let sentinel = Sentinel::new(&domain, config);
+
+        // Observe while the victim is parked, assert after it is released:
+        // a failed assertion must not leave the scope joining a parked
+        // thread.
+        let seen = std::thread::scope(|s| {
+            let (link, plan, domain) = (&link, &plan, &domain);
+            let vt = s.spawn(move || {
+                assert_eq!(victim.deref(link).map(|g| *g), Some(5));
+            });
+            while plan.parked() == 0 && !vt.is_finished() {
+                std::thread::yield_now();
+            }
+            let parked = plan.parked() == 1;
+            let bits = [idle_tid, victim_tid].map(|t| domain.announcement_summary_bit(t));
+            for _ in 0..ticks {
+                sentinel.tick();
+            }
+            let seen = [idle_tid, victim_tid].map(|t| (domain.obligated(t), sentinel.stage(t)));
+            plan.release();
+            vt.join().unwrap();
+            (parked, bits, seen)
+        });
+        assert_eq!(
+            seen,
+            (
+                true,
+                [true, true],
+                [(false, Stage::Idle), (true, Stage::Help)]
+            )
+        );
+        // Merely slow: resumed, finished, never seized.
+        assert_eq!(domain.orphans_adopted(), 0);
+        idle.store(&link, None);
+        drop(idle);
+        assert!(domain.leak_check().is_clean());
     }
 
     /// The Die half of [`run_case`] over the LFRC baseline, with the death

@@ -1,8 +1,9 @@
-//! The announcement-presence summary: `HelpDeRef`'s zero-announcement fast
-//! path must skip every slot read when no dereference is in flight, fall
-//! back to the per-thread scan exactly when a presence bit is set, and stay
-//! conservatively correct across crashes (a stale-set bit is harmless; a
-//! bit is cleared only once every slot of its thread is retracted).
+//! The announcement-presence summary: `HelpDeRef`'s zero-announcer fast
+//! path must skip every slot read while no registered thread is a reader,
+//! fall back to the per-thread scan exactly while a presence bit is up (a
+//! reader's whole registration), and stay conservatively correct across
+//! crashes (a bit over an empty row is harmless; a bit is lowered only at
+//! handle drop, or by adoption once every slot of the corpse is retracted).
 
 use std::sync::Arc;
 
@@ -149,15 +150,111 @@ fn skip_and_full_partition_help_calls_under_contention() {
     assert!(domain.leak_check().is_clean());
 }
 
-/// The crash window the ninth fault site arms: a thread dying between its
-/// retracting SWAP (D6) and the summary clear leaves a stale-set bit.
-/// Survivors must merely pay a fruitless full scan (never a wrong answer),
-/// and adoption must withdraw the bit — after which the fast path returns.
+/// A reader's presence bit lasts its registration, no longer: while the
+/// reader is registered every `HelpDeRef` reads its row, and once its
+/// handle drops the writers are back on the fast path.
+#[test]
+fn dropping_the_reader_restores_the_fast_path() {
+    const STORES: u64 = 100;
+    let domain = WfrcDomain::<u64>::new(DomainConfig::new(2, 64));
+    let link = Link::<u64>::null();
+    let writer = domain.register().unwrap();
+    let store_round = |from: u64| {
+        for i in from..from + STORES {
+            let fresh = writer.alloc_with(|v| *v = i).unwrap();
+            writer.store(&link, Some(&fresh));
+        }
+        writer.counters().snapshot()
+    };
+    let start = store_round(0);
+    assert_eq!(start.help_scan_full, 0, "no reader yet");
+
+    let reader = domain.register().unwrap();
+    assert!(reader.deref(&link).is_some());
+    // Idle but registered: the bit is up and every help reads the row.
+    assert!(domain.announcement_summary_bit(reader.tid()));
+    let with_reader = store_round(STORES);
+    assert_eq!(with_reader.help_scan_full - start.help_scan_full, STORES);
+    assert_eq!(with_reader.help_scan_skips, start.help_scan_skips);
+    assert_eq!(with_reader.help_answers, 0, "an empty row matches nothing");
+
+    drop(reader);
+    assert!(domain.announcement_summary_empty());
+    let after = store_round(2 * STORES);
+    assert_eq!(
+        after.help_scan_full, with_reader.help_scan_full,
+        "full scans must stop growing once the reader's handle is gone"
+    );
+    assert_eq!(after.help_scan_skips - with_reader.help_scan_skips, STORES);
+
+    writer.store(&link, None);
+    drop(writer);
+    assert!(domain.leak_check().is_clean());
+}
+
+/// Crash residue: a thread that dies anywhere after its first dereference
+/// leaves its presence bit up (only handle drop lowers it, and a death
+/// skips that). Survivors must merely pay a fruitless full scan (never a
+/// wrong answer), and adoption must lower the bit — after which the fast
+/// path returns.
 #[cfg(feature = "fault-injection")]
 mod faulted {
     use super::*;
     use wfrc::core::fault::silence_injected_deaths;
     use wfrc::core::{FaultAction, FaultPlan, FaultSite, FireRule, InjectedDeath};
+
+    /// Every site a lone reader's `deref` + guard drop crosses, each armed
+    /// *after* a first, complete dereference raised the bit.
+    #[test]
+    fn death_after_the_first_deref_leaves_the_bit_for_adoption() {
+        silence_injected_deaths();
+        for site in [
+            FaultSite::AnnouncePublish,
+            FaultSite::DerefFaa,
+            FaultSite::SummaryClear,
+            FaultSite::ReleaseFaa,
+        ] {
+            let mut domain = WfrcDomain::<u64>::new(DomainConfig::new(2, 64));
+            let plan = Arc::new(FaultPlan::new(0xB17));
+            domain.set_fault_plan(Arc::clone(&plan));
+            let link = Link::<u64>::null();
+            let victim = domain.register().unwrap();
+            let survivor = domain.register().unwrap();
+            let victim_tid = victim.tid();
+            {
+                let seed = survivor.alloc_with(|v| *v = 7).unwrap();
+                survivor.store(&link, Some(&seed));
+            }
+            std::thread::scope(|s| {
+                let (link, plan) = (&link, &plan);
+                let vt = s.spawn(move || {
+                    drop(victim.deref(link)); // raises the bit, completes
+                    plan.arm_victim(victim_tid, site, FaultAction::Die, FireRule::Nth(1));
+                    drop(victim.deref(link)); // dies at `site`
+                });
+                let death = vt
+                    .join()
+                    .expect_err("victim must die")
+                    .downcast::<InjectedDeath>()
+                    .expect("panic payload must be InjectedDeath");
+                assert_eq!(death.site, site);
+            });
+            assert!(
+                domain.announcement_summary_bit(victim_tid),
+                "{site:?}: a death must leave the presence bit up"
+            );
+            let report = domain.adopt_orphans();
+            assert_eq!(report.orphans_adopted, 1, "{site:?}");
+            assert!(
+                domain.announcement_summary_empty(),
+                "{site:?}: adoption must lower the corpse's bit"
+            );
+            survivor.store(&link, None);
+            drop(survivor);
+            let report = domain.leak_check();
+            assert!(report.is_clean(), "{site:?} leaked: {report}");
+        }
+    }
 
     #[test]
     fn stale_set_bit_is_harmless_and_adoption_clears_it() {
@@ -186,7 +283,7 @@ mod faulted {
             let link_ref = &link;
             let vt = s.spawn(move || {
                 // The deref announces (D3), reads and pins (D4–D5), retracts
-                // (D6) — and dies at the armed site before clearing its bit.
+                // (D6) — and dies at the armed site, its bit still up.
                 let g = victim.deref(link_ref);
                 drop(g);
             });
@@ -197,8 +294,7 @@ mod faulted {
             assert_eq!(death.site, FaultSite::SummaryClear);
         });
 
-        // The bit is stale-set: the announcement is retracted, the bit is
-        // not withdrawn. Conservative, by design.
+        // The row is empty, the bit is up: conservative, by design.
         assert!(
             domain.announcement_summary_bit(0),
             "a death after D6 must leave the presence bit set"
@@ -219,7 +315,7 @@ mod faulted {
         );
         assert_eq!(mid.help_answers, before.help_answers, "nothing to answer");
 
-        // Adoption retracts every slot of the corpse, then withdraws the
+        // Adoption retracts every slot of the corpse, then lowers the
         // bit — never the other way round.
         let report = domain.adopt_orphans();
         assert_eq!(report.orphans_adopted, 1);
