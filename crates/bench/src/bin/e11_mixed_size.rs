@@ -29,9 +29,8 @@
 use bench::drivers::{fmt_class_curve, run_mixed_size, Elastic};
 use bench::Args;
 use wfrc_baselines::LfrcDomain;
-use wfrc_core::{ClassConfig, DomainConfig, Growth, WfrcDomain};
+use wfrc_core::{ClassConfig, Domain, DomainConfig, Growth, WfrcDomain};
 use wfrc_sim::stats::{fmt_ops, Table};
-use wfrc_structures::{ByteMm, RcMmDomain};
 
 /// Tokens held live per thread (the sliding window).
 const WINDOW: usize = 32;
@@ -64,14 +63,10 @@ fn sum(a: &[u64]) -> u64 {
 /// One cell: the mixed-size run on `d`, the `--grow --reclaim` acceptance
 /// bar (every class's resident-segment count returns to at most one segment
 /// above its floor), the per-class leak audit, one table row.
-fn cell<D>(table: &mut Table, d: &mut D, t: usize, args: &Args)
-where
-    D: RcMmDomain<u64> + Elastic,
-    for<'d> D::Handle<'d>: ByteMm,
-{
-    let scheme = d.scheme_name();
-    let classes = d.class_sizes().len();
-    let floors: Vec<usize> = (0..classes).map(|i| d.segments(i)).collect();
+fn cell<S: Elastic>(table: &mut Table, d: &mut Domain<u64, S>, t: usize, args: &Args) {
+    let scheme = S::NAME;
+    let classes = d.class_count();
+    let floors: Vec<usize> = (0..classes).map(|i| d.class_segments(i)).collect();
     let (r, curve) = run_mixed_size(d, t, args.ops, WINDOW, args.reclaim);
     if args.grow && args.reclaim {
         for (c, &floor) in curve.iter().zip(&floors) {
@@ -83,7 +78,7 @@ where
             );
         }
     }
-    let leak = d.leak_check_mm();
+    let leak = d.leak_check();
     assert!(
         leak.is_clean(),
         "{scheme} mixed-size run must end clean: {leak}"

@@ -42,9 +42,9 @@
 use bench::drivers::{run_server, Elastic, ServerCfg};
 use bench::Args;
 use wfrc_baselines::LfrcDomain;
-use wfrc_core::{ClassConfig, DomainConfig, Growth, LeaseRegistry, RawBytes, WfrcDomain};
+use wfrc_core::{ClassConfig, Domain, DomainConfig, Growth, RawBytes, WfrcDomain};
 use wfrc_sim::stats::{fmt_ns, fmt_ops, Summary, Table};
-use wfrc_structures::{ListCell, RcMmDomain, SessionMm};
+use wfrc_structures::ListCell;
 
 /// Key range shared by all tasks (small enough for real contention).
 const KEYSPACE: u64 = 4096;
@@ -136,14 +136,10 @@ fn row(table: &mut Table, slots: usize, scheme: &str, r: &bench::drivers::Server
 }
 
 /// One cell: the server run on `d`, leak and lease audits, one table row.
-fn cell<D>(table: &mut Table, d: &mut D, cfg: &ServerCfg)
-where
-    D: RcMmDomain<ListCell<RawBytes>> + LeaseRegistry + Elastic,
-    for<'d> <D as LeaseRegistry>::Handle<'d>: SessionMm,
-{
-    let scheme = d.scheme_name();
+fn cell<S: Elastic>(table: &mut Table, d: &mut Domain<ListCell<RawBytes>, S>, cfg: &ServerCfg) {
+    let scheme = S::NAME;
     let r = run_server(d, cfg);
-    let leak = d.leak_check_mm();
+    let leak = d.leak_check();
     assert!(
         leak.is_clean(),
         "{scheme} server run must end clean: {leak}"

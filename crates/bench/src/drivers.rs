@@ -2,17 +2,18 @@
 
 use std::sync::Arc;
 
-use wfrc_baselines::LfrcDomain;
+use wfrc_baselines::Lf;
 use wfrc_core::counters::{CounterSnapshot, LeaseSnapshot};
-use wfrc_core::lease::{LeaseConfig, LeasePool, LeaseRegistry};
+use wfrc_core::lease::{LeaseConfig, LeasePool};
 use wfrc_core::sentinel::{AdmissionPolicy, Outcome, Sentinel, SentinelConfig};
-use wfrc_core::{RawBytes, ReclaimOutcome, WfrcDomain};
+use wfrc_core::{Domain, RawBytes, RcObject, ReclaimOutcome, Scheme, Wf};
 use wfrc_sim::exec::{run_fixed_ops, PollLoop, StopFlag};
 use wfrc_sim::latency::Histogram;
 use wfrc_sim::rng::SmallRng;
 use wfrc_sim::Supervisor;
 use wfrc_structures::hash_map::{SessionCache, SessionMm};
 use wfrc_structures::manager::{ByteMm, RcMm, RcMmDomain};
+use wfrc_structures::ordered_list::ListCell;
 
 use crate::RunResult;
 
@@ -303,37 +304,25 @@ pub struct ReclaimTally {
 /// `--reclaim`): giving grown segments back. The wait-free scheme reclaims
 /// through a registered handle, beside live traffic if need be; the LFRC
 /// baseline has no epochs, so it can only reclaim stop-the-world, with
-/// `&mut self` as its quiescence proof. That asymmetry is what the
-/// experiments show — everything else in their drivers is written once.
-pub trait Elastic: Sync {
-    /// Block sizes of the configured byte classes, in class order.
-    fn class_sizes(&self) -> Vec<usize>;
-
-    /// Resident segments of byte class `ci`.
-    fn segments(&self, ci: usize) -> usize;
-
+/// `&mut` as its quiescence proof. That asymmetry is what the experiments
+/// show — everything else in their drivers is written once over
+/// `Domain<T, S>`.
+pub trait Elastic: Scheme {
     /// Retires class `ci`'s trailing segments until none is eligible. Called
     /// with every worker gone, so both schemes can take it to the floor.
-    fn reclaim_to_floor(&mut self, ci: usize) -> ReclaimTally;
+    fn reclaim_to_floor<T: RcObject>(domain: &mut Domain<T, Self>, ci: usize) -> ReclaimTally;
 
     /// Reclaims every byte class over and over, beside live traffic, until
     /// `stop` is raised. A scheme that cannot do that returns at once.
-    fn reclaim_beside_traffic(&self, stop: &StopFlag) -> ReclaimTally;
+    fn reclaim_beside_traffic<T: RcObject>(
+        domain: &Domain<T, Self>,
+        stop: &StopFlag,
+    ) -> ReclaimTally;
 }
 
-impl<T: wfrc_core::RcObject> Elastic for WfrcDomain<T> {
-    fn class_sizes(&self) -> Vec<usize> {
-        (0..self.class_count())
-            .map(|i| self.class_block_size(i))
-            .collect()
-    }
-
-    fn segments(&self, ci: usize) -> usize {
-        self.class_segments(ci)
-    }
-
-    fn reclaim_to_floor(&mut self, ci: usize) -> ReclaimTally {
-        let h = self.register().expect("a slot for the reclaimer");
+impl Elastic for Wf {
+    fn reclaim_to_floor<T: RcObject>(domain: &mut Domain<T, Self>, ci: usize) -> ReclaimTally {
+        let h = domain.register().expect("a slot for the reclaimer");
         let mut tally = ReclaimTally::default();
         let mut stalls = 0u32;
         loop {
@@ -357,11 +346,14 @@ impl<T: wfrc_core::RcObject> Elastic for WfrcDomain<T> {
         tally
     }
 
-    fn reclaim_beside_traffic(&self, stop: &StopFlag) -> ReclaimTally {
-        let h = self.register().expect("a slot for the reclaimer");
+    fn reclaim_beside_traffic<T: RcObject>(
+        domain: &Domain<T, Self>,
+        stop: &StopFlag,
+    ) -> ReclaimTally {
+        let h = domain.register().expect("a slot for the reclaimer");
         let mut tally = ReclaimTally::default();
         while !stop.is_stopped() {
-            for ci in 0..self.class_count() {
+            for ci in 0..domain.class_count() {
                 match h.reclaim_class(ci) {
                     ReclaimOutcome::Retired { .. } => tally.retired += 1,
                     ReclaimOutcome::NoCandidate => {}
@@ -375,28 +367,28 @@ impl<T: wfrc_core::RcObject> Elastic for WfrcDomain<T> {
     }
 }
 
-impl<T: wfrc_core::RcObject> Elastic for LfrcDomain<T> {
-    fn class_sizes(&self) -> Vec<usize> {
-        (0..self.class_count())
-            .map(|i| self.class_block_size(i))
-            .collect()
-    }
-
-    fn segments(&self, ci: usize) -> usize {
-        self.class_segments(ci)
-    }
-
-    fn reclaim_to_floor(&mut self, ci: usize) -> ReclaimTally {
+impl Elastic for Lf {
+    fn reclaim_to_floor<T: RcObject>(domain: &mut Domain<T, Self>, ci: usize) -> ReclaimTally {
         let mut tally = ReclaimTally::default();
-        while self.reclaim_class_quiescent(ci) {
+        while domain.reclaim_class_quiescent(ci) {
             tally.retired += 1;
         }
         tally
     }
 
-    fn reclaim_beside_traffic(&self, _stop: &StopFlag) -> ReclaimTally {
+    fn reclaim_beside_traffic<T: RcObject>(
+        _domain: &Domain<T, Self>,
+        _stop: &StopFlag,
+    ) -> ReclaimTally {
         ReclaimTally::default()
     }
+}
+
+/// Block sizes of the domain's byte classes, in class order.
+fn class_sizes<T: RcObject, S: Scheme>(domain: &Domain<T, S>) -> Vec<usize> {
+    (0..domain.class_count())
+        .map(|ci| domain.class_block_size(ci))
+        .collect()
 }
 
 /// [`run_fixed_ops`] for workers that borrow the domain (the elastic
@@ -480,18 +472,14 @@ fn mixed_size_worker<M: ByteMm>(h: &M, t: usize, ops: u64, sizes: &[usize], wind
 /// classes are hit concurrently), holding a sliding window of `window`
 /// live tokens. With `reclaim` on, every class is then taken to the floor
 /// ([`Elastic::reclaim_to_floor`]) and its resident segments sampled.
-pub fn run_mixed_size<D>(
-    domain: &mut D,
+pub fn run_mixed_size<S: Elastic>(
+    domain: &mut Domain<u64, S>,
     threads: usize,
     ops: u64,
     window: usize,
     reclaim: bool,
-) -> (RunResult, Vec<ClassCurve>)
-where
-    D: RcMmDomain<u64> + Elastic,
-    for<'d> D::Handle<'d>: ByteMm,
-{
-    let sizes = domain.class_sizes();
+) -> (RunResult, Vec<ClassCurve>) {
+    let sizes = class_sizes(domain);
     assert!(
         sizes.len() >= 2,
         "mixed-size run needs at least two byte classes"
@@ -500,18 +488,18 @@ where
     let start = std::time::Instant::now();
     let d = &*domain;
     let parts = run_scoped(threads, |t| {
-        let h = d.register_mm().expect("register");
+        let h = d.register().expect("register");
         let done = mixed_size_worker(&h, t, ops, &sizes, window);
-        (done, h.counter_snapshot())
+        (done, h.counters().snapshot())
     });
     let (total_ops, mut counters) = merge_counters(parts);
     let curve = sizes
         .iter()
         .enumerate()
         .map(|(ci, &size)| {
-            let peak_segments = domain.segments(ci);
+            let peak_segments = domain.class_segments(ci);
             let tally = if reclaim {
-                domain.reclaim_to_floor(ci)
+                S::reclaim_to_floor(domain, ci)
             } else {
                 ReclaimTally::default()
             };
@@ -519,7 +507,7 @@ where
             ClassCurve {
                 size,
                 peak_segments,
-                resident_after: domain.segments(ci),
+                resident_after: domain.class_segments(ci),
                 retired: tally.retired,
                 aborted: tally.aborted,
             }
@@ -753,12 +741,11 @@ fn server_session_ops<M: SessionMm>(
 /// class is swept with [`Elastic::reclaim_to_floor`]. The cache is disposed
 /// through a final lease before return, so the caller's leak check must
 /// come back clean.
-pub fn run_server<D>(domain: &mut D, cfg: &ServerCfg) -> ServerResult
-where
-    D: LeaseRegistry + Elastic,
-    for<'d> D::Handle<'d>: SessionMm,
-{
-    let mut result = serve(&*domain, cfg);
+pub fn run_server<S: Elastic>(
+    domain: &mut Domain<ListCell<RawBytes>, S>,
+    cfg: &ServerCfg,
+) -> ServerResult {
+    let mut result = serve(domain, cfg);
     // Teardown reclamation: with every session gone and every leased
     // handle dropped (which flushed its magazines — parked blocks pin their
     // segments), the grown arena should come back: the server-shaped
@@ -766,20 +753,16 @@ where
     // a live cache holds every segment partially occupied, so the elastic
     // story is the logout/teardown drains.
     if cfg.reclaim {
-        for ci in 0..domain.class_sizes().len() {
-            result.retired += domain.reclaim_to_floor(ci).retired;
+        for ci in 0..domain.class_count() {
+            result.retired += S::reclaim_to_floor(domain, ci).retired;
         }
     }
     result
 }
 
 /// [`run_server`] up to the point where the domain is quiescent again.
-fn serve<'d, D>(domain: &'d D, cfg: &ServerCfg) -> ServerResult
-where
-    D: LeaseRegistry + Elastic,
-    D::Handle<'d>: SessionMm,
-{
-    let sizes = domain.class_sizes();
+fn serve<S: Elastic>(domain: &Domain<ListCell<RawBytes>, S>, cfg: &ServerCfg) -> ServerResult {
+    let sizes = class_sizes(domain);
     assert!(!sizes.is_empty(), "server bench needs byte classes");
     assert!(
         cfg.kill == 0 || (cfg.ttl.is_some() && cfg.sentinel),
@@ -913,7 +896,7 @@ where
         }
         let reclaimer = cfg.reclaim.then(|| {
             let stop = &stop;
-            s.spawn(move || domain.reclaim_beside_traffic(stop))
+            s.spawn(move || S::reclaim_beside_traffic(domain, stop))
         });
         let wall = exec.run(cfg.workers);
         stop.stop();

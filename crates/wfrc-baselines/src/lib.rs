@@ -30,4 +30,4 @@ pub mod epoch;
 pub mod hazard;
 pub mod lfrc;
 
-pub use lfrc::{LfrcDomain, LfrcHandle};
+pub use lfrc::{Lf, LfrcDomain, LfrcHandle};

@@ -23,20 +23,24 @@
 //! its slots are permanently empty, which makes the announcement veto of a
 //! class retire trivially pass.
 //!
-//! The public surface is on [`crate::ThreadHandle`]: `alloc_bytes` /
+//! A class is generic over the [`Scheme`]: `ByteClass<N, S>` wraps one
+//! `S::Pool<RawBuf<N>>`, so the description above is the wait-free scheme's
+//! and a lock-free domain gets the same ladder over its own pool.
+//!
+//! The public surface is on [`crate::Handle`]: `alloc_bytes` /
 //! `free_bytes` / `bytes` for raw buffers (returning a [`RawBytes`]
-//! token), and `alloc_box` for typed values ([`crate::DomainBox`]).
+//! token).
 
-use crate::announce::Announce;
+use core::cell::Cell;
+
 use crate::arena::{page_carved, Arena, Growth};
 use crate::counters::OpCounters;
-use crate::domain::{Census, Shared};
-use crate::freelist::FreeLists;
+use crate::domain::Census;
 use crate::link::Link;
-use crate::magazine::{clamped_cap, Magazines};
 use crate::node::{Node, RcObject};
-use crate::oom::{alloc_retry_bound, OutOfMemory};
-use crate::reclaim::{try_reclaim_shared, ReclaimOutcome, ReclaimPolicy};
+use crate::oom::OutOfMemory;
+use crate::reclaim::{ReclaimOutcome, ReclaimPolicy};
+use crate::scheme::{OpGuard, Pool, Progress, Scheme, Tuning};
 
 /// The supported byte-class block sizes: a geometric ladder 64 B – 4 KiB.
 /// [`ClassConfig::size`] must be one of these (the class layer is
@@ -71,7 +75,7 @@ impl<const N: usize> RcObject for RawBuf<N> {
 ///
 /// The token is plain data (`Copy`) — it carries no lifetime and may be
 /// stored in payloads or sent across threads; every *use* goes through a
-/// registered [`crate::ThreadHandle`] of the owning domain (`bytes`,
+/// registered [`crate::Handle`] of the owning domain (`bytes`,
 /// `free_bytes`), which re-binds the required context. Dropping a token
 /// without `free_bytes` leaks the block (it shows up in
 /// [`crate::LeakReport::classes`] as a live node).
@@ -115,22 +119,11 @@ impl RawBytes {
         self.len == 0
     }
 
-    /// The type-erased node address. Support API for alternative-scheme
-    /// baselines (`wfrc-baselines`) that mirror the byte-class layer;
-    /// user code has no use for it — all access goes through
-    /// [`crate::ThreadHandle::bytes`].
+    /// The type-erased node address. User code has no use for it — all
+    /// access goes through [`crate::Handle::bytes`].
     #[inline]
     pub fn node_ptr(&self) -> *mut u8 {
         self.node
-    }
-
-    /// Builds a token from raw parts — the constructor counterpart of
-    /// [`RawBytes::node_ptr`], for baselines implementing their own
-    /// `alloc_bytes`. The parts must describe a block actually allocated
-    /// from class `class` (misuse surfaces as corruption in the audits).
-    #[inline]
-    pub fn from_raw_parts(class: usize, len: usize, node: *mut u8) -> Self {
-        Self::new(class, len, node)
     }
 }
 
@@ -209,7 +202,7 @@ pub struct ClassLeak {
     pub parked_gifts: usize,
     /// Blocks parked in registered handles' class magazines.
     pub magazine_nodes: usize,
-    /// Blocks currently allocated (live token or `DomainBox`).
+    /// Blocks currently allocated (live token).
     pub live_nodes: usize,
     /// Blocks in a state the quiescent invariants forbid.
     pub corrupt_nodes: usize,
@@ -235,8 +228,9 @@ impl ClassLeak {
     }
 }
 
-/// Object-safe operations of one byte class, erasing the `ByteClass<N>`
-/// monomorphization so the domain can hold a heterogeneous class list.
+/// Object-safe operations of one byte class, erasing both the
+/// `ByteClass<N, S>` monomorphization and the scheme, so a domain holds one
+/// heterogeneous class list whatever its scheme.
 pub(crate) trait ByteClassOps: Send + Sync {
     /// Block size in bytes.
     fn block_size(&self) -> usize;
@@ -246,7 +240,10 @@ pub(crate) trait ByteClassOps: Send + Sync {
     fn segment_count(&self) -> usize;
     /// Allocates one block (stale contents), returning the erased node
     /// pointer. Brackets the class epoch of `tid`.
-    fn alloc(&self, tid: usize, c: &OpCounters) -> Result<*mut u8, OutOfMemory>;
+    ///
+    /// # Safety
+    /// `tid` must be the caller's registered slot.
+    unsafe fn alloc(&self, tid: usize, c: &OpCounters) -> Result<*mut u8, OutOfMemory>;
     /// Address of the block's payload bytes.
     fn data_ptr(&self, node: *mut u8) -> *mut u8;
     /// Frees a block previously returned by [`ByteClassOps::alloc`].
@@ -255,97 +252,99 @@ pub(crate) trait ByteClassOps: Send + Sync {
     /// `node` must be an unfreed allocation of **this** class, and `tid`
     /// must be the caller's registered slot.
     unsafe fn free(&self, tid: usize, c: &OpCounters, node: *mut u8);
-    /// Runs the retire protocol on the class arena. `is_taken` is the
-    /// domain's registry probe (class epochs, domain-wide slots).
-    fn reclaim(
+    /// Runs the online retire protocol on the class arena. `is_taken` is
+    /// the domain's registry probe (class epochs, domain-wide slots).
+    ///
+    /// # Safety
+    /// `tid` must be the caller's registered slot.
+    unsafe fn reclaim(
         &self,
         tid: usize,
         c: &OpCounters,
         is_taken: &dyn Fn(usize) -> bool,
     ) -> ReclaimOutcome;
-    /// Resets slot `tid`'s class epoch to quiescent (fresh registration).
-    fn reset_epoch(&self, tid: usize);
-    /// Orphan-slot recovery for this class: reopen a retire the corpse
-    /// held, reset its epoch, collect its gift, drain its magazine.
-    /// Returns the number of blocks returned to circulation.
-    fn adopt_slot(&self, tid: usize, c: &OpCounters) -> usize;
-    /// Drains slot `tid`'s class magazine back to the shared stripes.
-    fn drain_magazine(&self, tid: usize, c: &OpCounters);
+    /// Stop-the-world retire of the class arena's trailing segment.
+    fn reclaim_quiescent(&mut self) -> bool;
+    /// A fresh registration claimed slot `tid`.
+    fn slot_registered(&self, tid: usize);
+    /// Orphan-slot recovery for this class ([`Pool::adopt_slot`]). Returns
+    /// the number of blocks returned to circulation.
+    ///
+    /// # Safety
+    /// The caller must have claimed the corpse's slot `tid`.
+    unsafe fn adopt_slot(&self, tid: usize, c: &OpCounters) -> usize;
+    /// Drains slot `tid`'s class magazine back to the shared structure.
+    ///
+    /// # Safety
+    /// `tid` must be the caller's registered slot.
+    unsafe fn drain_magazine(&self, tid: usize, c: &OpCounters);
+    /// Slot `tid`'s obligations and heartbeat in this class.
+    fn progress(&self, tid: usize) -> Progress;
     /// Quiescent audit of the class.
     fn leak(&self) -> ClassLeak;
-    /// Installs the domain's fault schedule into the class pipeline.
-    #[cfg(feature = "fault-injection")]
-    fn set_fault_plan(&mut self, plan: std::sync::Arc<crate::fault::FaultPlan>);
+    /// Installs the domain's tuning into the class pool.
+    fn set_tuning(&mut self, tuning: &Tuning);
 }
 
-/// One byte class: a complete `Shared` pipeline over `RawBuf<N>` blocks.
-/// All the Figure-5 machinery (striped free-lists, gifting, magazines,
-/// grow, retire) is reused verbatim; only the announcement matrix sits
-/// idle (blocks are never published through links).
-struct ByteClass<const N: usize> {
-    shared: Shared<RawBuf<N>>,
+/// One byte class: a complete pool of scheme `S` over page-carved
+/// `RawBuf<N>` blocks. All the pool's machinery (free structure, magazines,
+/// grow, retire) is reused verbatim; blocks are leaves holding exactly one
+/// reference, so `alloc_node` / `release_ref` are the whole allocation
+/// protocol and the class adds only the block geometry.
+struct ByteClass<const N: usize, S: Scheme> {
+    pool: S::Pool<RawBuf<N>>,
 }
 
-/// The arena of one `N`-byte class: `cfg.capacity` and the growth ceiling
-/// rounded up to whole carve pages, zeroed blocks. Support API for the
-/// baselines in `wfrc-baselines`, whose class pools share this geometry.
-///
-/// # Panics
-/// If `cfg.capacity` is 0.
-pub fn class_arena<const N: usize>(cfg: &ClassConfig) -> Arena<RawBuf<N>> {
-    assert!(cfg.capacity > 0, "class capacity must be positive");
-    let capacity = page_carved::<RawBuf<N>>(cfg.capacity);
-    let growth = match cfg.growth {
-        Growth::Disabled => Growth::Disabled,
-        Growth::Enabled {
-            factor,
-            max_capacity,
-        } => Growth::Enabled {
-            factor,
-            max_capacity: page_carved::<RawBuf<N>>(max_capacity.max(capacity)),
-        },
-    };
-    Arena::with_growth_carved(capacity, growth, |_| RawBuf::default())
-}
-
-impl<const N: usize> ByteClass<N> {
-    fn new(cfg: &ClassConfig, n: usize) -> Self {
-        let arena = class_arena::<N>(cfg);
-        let capacity = arena.capacity();
-        let fl = FreeLists::new(n);
-        fl.seed(&arena);
-        let shared = Shared {
-            mag: Magazines::new(n, clamped_cap(cfg.magazine, capacity, n)),
-            arena,
-            ann: Announce::new(n),
-            fl,
-            n,
-            // Footnote 4, per class: each class races only its own lists.
-            oom_bound: alloc_retry_bound(n),
-            reclaim: crate::reclaim::ReclaimCtl::new(n, cfg.reclaim),
-            #[cfg(feature = "fault-injection")]
-            faults: None,
+impl<const N: usize, S: Scheme> ByteClass<N, S> {
+    /// `cfg.capacity` and the growth ceiling rounded up to whole carve
+    /// pages, zeroed blocks.
+    fn new(cfg: &ClassConfig, n: usize, tuning: &Tuning) -> Self {
+        assert!(cfg.capacity > 0, "class capacity must be positive");
+        let capacity = page_carved::<RawBuf<N>>(cfg.capacity);
+        let growth = match cfg.growth {
+            Growth::Disabled => Growth::Disabled,
+            Growth::Enabled {
+                factor,
+                max_capacity,
+            } => Growth::Enabled {
+                factor,
+                max_capacity: page_carved::<RawBuf<N>>(max_capacity.max(capacity)),
+            },
         };
-        Self { shared }
+        let arena = Arena::with_growth_carved(capacity, growth, |_| RawBuf::default());
+        let mut class = Self {
+            pool: S::Pool::new(arena, n, cfg.magazine, None, cfg.reclaim),
+        };
+        class.set_tuning(tuning);
+        class
+    }
+
+    /// Runs `f` as one leaf operation of slot `tid` in this class's own
+    /// quiescence bracket (never nested: blocks are leaves).
+    #[inline]
+    fn bracketed<R>(&self, tid: usize, f: impl FnOnce() -> R) -> R {
+        let depth = Cell::new(0);
+        let _op = OpGuard::enter(&self.pool, tid, &depth);
+        f()
     }
 }
 
-impl<const N: usize> ByteClassOps for ByteClass<N> {
+impl<const N: usize, S: Scheme> ByteClassOps for ByteClass<N, S> {
     fn block_size(&self) -> usize {
         N
     }
 
     fn capacity(&self) -> usize {
-        self.shared.arena.capacity()
+        self.pool.arena().capacity()
     }
 
     fn segment_count(&self) -> usize {
-        self.shared.arena.segment_count()
+        self.pool.arena().segment_count()
     }
 
-    fn alloc(&self, tid: usize, c: &OpCounters) -> Result<*mut u8, OutOfMemory> {
-        let _op = self.shared.reclaim.epoch(tid).bracket();
-        let node = self.shared.alloc_node(tid, c)?;
+    unsafe fn alloc(&self, tid: usize, c: &OpCounters) -> Result<*mut u8, OutOfMemory> {
+        // SAFETY: forwarded contract.
+        let node = self.bracketed(tid, || unsafe { self.pool.alloc_node(tid, c) })?;
         Ok(node as *mut u8)
     }
 
@@ -359,77 +358,83 @@ impl<const N: usize> ByteClassOps for ByteClass<N> {
     }
 
     unsafe fn free(&self, tid: usize, c: &OpCounters, node: *mut u8) {
-        let _op = self.shared.reclaim.epoch(tid).bracket();
         // A block allocation owns exactly one reference (mm_ref == 2);
-        // releasing it claims the block and free-lists it. Blocks are
-        // leaves, so the release never recurses.
-        self.shared
-            .release_ref(tid, c, node as *mut Node<RawBuf<N>>);
+        // releasing it claims the block and frees it. Blocks are leaves, so
+        // the release never recurses.
+        // SAFETY: forwarded contract.
+        self.bracketed(tid, || unsafe {
+            self.pool.release_ref(tid, c, node as *mut Node<RawBuf<N>>)
+        });
     }
 
-    fn reclaim(
+    unsafe fn reclaim(
         &self,
         tid: usize,
         c: &OpCounters,
         is_taken: &dyn Fn(usize) -> bool,
     ) -> ReclaimOutcome {
-        // Not epoch-bracketed, exactly like the node pool's reclaim: the
-        // grace period must observe the caller itself as quiescent.
-        try_reclaim_shared(&self.shared, tid, c, is_taken)
+        // Not bracketed, exactly like the node pool's reclaim: the grace
+        // period must observe the caller itself as quiescent.
+        // SAFETY: forwarded contract.
+        unsafe { self.pool.reclaim(tid, c, is_taken) }
     }
 
-    fn reset_epoch(&self, tid: usize) {
-        self.shared.reclaim.epoch(tid).reset();
+    fn reclaim_quiescent(&mut self) -> bool {
+        self.pool.reclaim_quiescent()
     }
 
-    fn adopt_slot(&self, tid: usize, c: &OpCounters) -> usize {
-        let s = &self.shared;
-        s.adopt_reclaim_state(tid, c);
-        // Announcements are never used on byte classes, so the slot's
-        // row is necessarily empty; only the gift cell and the magazine
-        // can hold blocks.
-        // SAFETY: slot ownership claimed by the adopter.
-        let recovered = s.adopt_gift(tid, c) + unsafe { s.mag.len(tid) };
-        s.drain_magazine(tid, c);
-        recovered
+    fn slot_registered(&self, tid: usize) {
+        self.pool.slot_registered(tid);
     }
 
-    fn drain_magazine(&self, tid: usize, c: &OpCounters) {
-        let _op = self.shared.reclaim.epoch(tid).bracket();
-        self.shared.drain_magazine(tid, c);
+    unsafe fn adopt_slot(&self, tid: usize, c: &OpCounters) -> usize {
+        // SAFETY: forwarded contract.
+        unsafe { self.pool.adopt_slot(tid, c) }.nodes_recovered()
+    }
+
+    unsafe fn drain_magazine(&self, tid: usize, c: &OpCounters) {
+        // SAFETY: forwarded contract.
+        self.bracketed(tid, || unsafe { self.pool.drain_magazine(tid, c) });
+    }
+
+    fn progress(&self, tid: usize) -> Progress {
+        self.pool.progress(tid)
     }
 
     fn leak(&self) -> ClassLeak {
-        let s = &self.shared;
+        let arena = self.pool.arena();
         let mut report = ClassLeak {
             size: N,
-            capacity: s.arena.capacity(),
-            segments: s.arena.segment_count(),
-            segments_retired: s.arena.segments_retired(),
+            capacity: arena.capacity(),
+            segments: arena.segment_count(),
+            segments_retired: arena.segments_retired(),
             ..ClassLeak::default()
         };
-        report.count(&s.census());
+        report.count(&self.pool.census());
         report
     }
 
-    #[cfg(feature = "fault-injection")]
-    fn set_fault_plan(&mut self, plan: std::sync::Arc<crate::fault::FaultPlan>) {
-        self.shared.faults = Some(plan);
+    fn set_tuning(&mut self, tuning: &Tuning) {
+        *self.pool.tuning_mut() = tuning.clone();
     }
 }
 
-/// Monomorphization dispatch: size → `ByteClass<N>` behind the object-safe
-/// trait. Panics on a size outside [`CLASS_SIZES`] (a configuration error,
-/// caught at domain construction).
-pub(crate) fn build_class(cfg: &ClassConfig, n: usize) -> Box<dyn ByteClassOps> {
+/// Monomorphization dispatch: size → `ByteClass<N, S>` behind the
+/// object-safe trait. Panics on a size outside [`CLASS_SIZES`] (a
+/// configuration error, caught at domain construction).
+pub(crate) fn build_class<S: Scheme>(
+    cfg: &ClassConfig,
+    n: usize,
+    tuning: &Tuning,
+) -> Box<dyn ByteClassOps> {
     match cfg.size {
-        64 => Box::new(ByteClass::<64>::new(cfg, n)),
-        128 => Box::new(ByteClass::<128>::new(cfg, n)),
-        256 => Box::new(ByteClass::<256>::new(cfg, n)),
-        512 => Box::new(ByteClass::<512>::new(cfg, n)),
-        1024 => Box::new(ByteClass::<1024>::new(cfg, n)),
-        2048 => Box::new(ByteClass::<2048>::new(cfg, n)),
-        4096 => Box::new(ByteClass::<4096>::new(cfg, n)),
+        64 => Box::new(ByteClass::<64, S>::new(cfg, n, tuning)),
+        128 => Box::new(ByteClass::<128, S>::new(cfg, n, tuning)),
+        256 => Box::new(ByteClass::<256, S>::new(cfg, n, tuning)),
+        512 => Box::new(ByteClass::<512, S>::new(cfg, n, tuning)),
+        1024 => Box::new(ByteClass::<1024, S>::new(cfg, n, tuning)),
+        2048 => Box::new(ByteClass::<2048, S>::new(cfg, n, tuning)),
+        4096 => Box::new(ByteClass::<4096, S>::new(cfg, n, tuning)),
         other => panic!("unsupported class size {other} (supported: {CLASS_SIZES:?})"),
     }
 }
@@ -437,6 +442,7 @@ pub(crate) fn build_class(cfg: &ClassConfig, n: usize) -> Box<dyn ByteClassOps> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::Wf;
 
     #[test]
     fn ladder_covers_the_documented_sizes() {
@@ -450,7 +456,7 @@ mod tests {
 
     #[test]
     fn capacity_is_page_rounded() {
-        let cls = build_class(&ClassConfig::new(64, 1), 1);
+        let cls = build_class::<Wf>(&ClassConfig::new(64, 1), 1, &Tuning::default());
         // Node<RawBuf<64>> is 80 B -> 51 per 4 KiB page.
         let per_page = 4096 / (64 + 16);
         assert_eq!(cls.capacity(), per_page);
@@ -460,15 +466,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "unsupported class size")]
     fn odd_sizes_are_rejected() {
-        let _ = build_class(&ClassConfig::new(100, 8), 1);
+        let _ = build_class::<Wf>(&ClassConfig::new(100, 8), 1, &Tuning::default());
     }
 
     #[test]
     fn alloc_free_roundtrip_and_audit() {
-        let cls = build_class(&ClassConfig::new(256, 8), 1);
+        let cls = build_class::<Wf>(&ClassConfig::new(256, 8), 1, &Tuning::default());
         let c = OpCounters::new();
-        let a = cls.alloc(0, &c).unwrap();
-        let b = cls.alloc(0, &c).unwrap();
+        // SAFETY: no domain, so slot 0 is trivially ours.
+        let (a, b) = unsafe { (cls.alloc(0, &c).unwrap(), cls.alloc(0, &c).unwrap()) };
         assert_ne!(a, b);
         let mid = cls.leak();
         assert_eq!(mid.live_nodes, 2);

@@ -1,14 +1,18 @@
-//! The memory-management domain: one arena + one instance of every global
-//! structure from Figures 4 and 5.
+//! The memory-management domain: a registration table over one node pool
+//! and a list of byte-class pools, under one [`Scheme`].
 //!
-//! A [`WfrcDomain`] is the unit of isolation: all links, nodes and handles
+//! A [`Domain`] is the unit of isolation: all links, nodes and handles
 //! belong to exactly one domain, and the wait-freedom bounds are stated in
-//! terms of its `max_threads`. The node pool is sized at construction and
-//! — when the [`Growth`] policy allows — grows wait-free at runtime by
+//! terms of its `max_threads`. It is written once over the
+//! [`crate::scheme`] seam; [`WfrcDomain`] is the paper's instantiation,
+//! whose pool ([`Shared`]) is one arena + one instance of every global
+//! structure from Figures 4 and 5. The node pool is sized at construction
+//! and — when the [`Growth`] policy allows — grows wait-free at runtime by
 //! appending arena segments (see [`crate::arena`]); with
 //! [`Growth::Disabled`] the pool is exactly the paper's model: fixed-size
 //! blocks from a pre-seeded free-list, out-of-memory terminal.
 
+use core::cell::Cell;
 use core::sync::atomic::Ordering;
 
 use wfrc_primitives::AtomicWord;
@@ -18,16 +22,20 @@ use crate::arena::{Arena, Growth};
 use crate::class::{build_class, ByteClassOps, ClassConfig, ClassLeak, MAX_CLASSES};
 use crate::counters::OpCounters;
 use crate::freelist::FreeLists;
-use crate::handle::ThreadHandle;
+use crate::handle::Handle;
+use crate::link::Link;
 use crate::magazine::{clamped_cap, Magazines};
-use crate::node::RcObject;
-use crate::oom::alloc_retry_bound;
-use crate::reclaim::{ReclaimCtl, ReclaimPolicy};
+use crate::node::{Node, RcObject};
+use crate::oom::{alloc_retry_bound, OutOfMemory};
+use crate::reclaim::{ReclaimCtl, ReclaimOutcome, ReclaimPolicy, SnapStats};
+use crate::scheme::{Pool, Progress, Scheme, Tuning, Wf};
 use crate::MAX_THREADS;
 
-/// Everything the algorithm operations need, bundled so `rc.rs` and
-/// `freelist.rs` can implement Figures 4 and 5 as methods.
-pub(crate) struct Shared<T> {
+/// The wait-free scheme's pool: one arena plus one instance of every global
+/// structure of Figures 4 and 5, bundled so `rc.rs` and `freelist.rs` can
+/// implement the figures as methods. The node pool of a [`WfrcDomain`] is
+/// one; so is each of its byte classes.
+pub struct Shared<T> {
     pub(crate) arena: Arena<T>,
     pub(crate) ann: Announce,
     pub(crate) fl: FreeLists<T>,
@@ -40,16 +48,143 @@ pub(crate) struct Shared<T> {
     /// Segment-reclamation state: retire claim, parking chain, and the
     /// per-slot operation epochs (see [`crate::reclaim`]).
     pub(crate) reclaim: ReclaimCtl<T>,
-    /// Installed fault schedule (see [`crate::fault`]); `None` = no
-    /// injection even with the feature compiled in.
-    #[cfg(feature = "fault-injection")]
-    pub(crate) faults: Option<std::sync::Arc<crate::fault::FaultPlan>>,
+    /// The owning domain's tuning (the fault schedule, when one is
+    /// installed).
+    pub(crate) tuning: Tuning,
 }
 
-impl<T: RcObject> Shared<T> {
+/// The wait-free pool: every inherent operation of [`Shared`] (Figures 4–5
+/// in `rc.rs` / `freelist.rs`, magazines, the retire protocol and the
+/// deferred lists in `reclaim.rs`) behind the seam, hooks included.
+// SAFETY: the paper's §4 (linearizability Lemmas 2–5, wait-freedom Lemmas
+// 6–10) proves the guarantees for Figures 4–5 as `Shared` implements them.
+unsafe impl<T: RcObject> Pool<T> for Shared<T> {
+    /// Seeds every node of `arena` onto the striped free-lists.
+    fn new(
+        arena: Arena<T>,
+        n: usize,
+        magazine: usize,
+        oom_bound: Option<usize>,
+        reclaim: ReclaimPolicy,
+    ) -> Self {
+        let fl = FreeLists::new(n);
+        fl.seed(&arena);
+        Self {
+            mag: Magazines::new(n, clamped_cap(magazine, arena.capacity(), n)),
+            arena,
+            ann: Announce::new(n),
+            fl,
+            n,
+            // Footnote 4, per pool: each pool races only its own lists.
+            oom_bound: oom_bound.unwrap_or_else(|| alloc_retry_bound(n)),
+            reclaim: ReclaimCtl::new(n, reclaim),
+            tuning: Tuning::default(),
+        }
+    }
+
+    fn arena(&self) -> &Arena<T> {
+        &self.arena
+    }
+
+    fn magazines(&self) -> &Magazines<T> {
+        &self.mag
+    }
+
+    fn tuning(&self) -> &Tuning {
+        &self.tuning
+    }
+
+    fn tuning_mut(&mut self) -> &mut Tuning {
+        &mut self.tuning
+    }
+
+    #[inline]
+    unsafe fn alloc_node(&self, tid: usize, c: &OpCounters) -> Result<*mut Node<T>, OutOfMemory> {
+        Shared::alloc_node(self, tid, c)
+    }
+
+    #[inline]
+    unsafe fn deref_link(&self, tid: usize, c: &OpCounters, link: &Link<T>) -> *mut Node<T> {
+        Shared::deref_link(self, tid, c, link)
+    }
+
+    #[inline]
+    unsafe fn free_finalized(&self, tid: usize, c: &OpCounters, node: *mut Node<T>) {
+        self.defer_or_free(tid, c, node);
+    }
+
+    unsafe fn drain_magazine(&self, tid: usize, c: &OpCounters) {
+        Shared::drain_magazine(self, tid, c);
+    }
+
+    /// Adoption (node pool and every class alike). A crashed (or abandoned)
+    /// thread leaves behind (r) possibly a segment-retire claim and an odd
+    /// epoch or a published pin; (a) possibly-live announcement slots —
+    /// including a helper's answer installed *after* the death, which
+    /// carries a transferred reference count; (b) a node parked in its
+    /// `annAlloc` gift slot; (c) its deferred-decrement backlog and its
+    /// allocation magazine. All of it is released through the ordinary
+    /// protocol operations. The caller owns the corpse's slot.
+    unsafe fn adopt_slot(&self, tid: usize, c: &OpCounters) -> AdoptReport {
+        let mut report = AdoptReport::default();
+        // (r) Reopen a retire the corpse held (the `SegmentRetire` fault
+        // site): parked nodes return to the stripes, the claim clears, and
+        // a later attempt can redo the retire cleanly. Then make the slot
+        // quiescent: it may have died inside an operation with an odd epoch
+        // — or holding a snapshot pin. Retracting the pin bit first means
+        // the deferred drain below can free wholesale if this was the last
+        // pin in the domain.
+        if self.reclaim.claimed_by(tid) {
+            self.reopen_reclaim(tid, c);
+        }
+        self.reclaim.epoch(tid).reset();
+        self.reclaim.unpin(tid);
+        // (a) Retract every announcement slot. A live link-address word
+        // holds no count (the victim died before D5, or its speculative
+        // count was its own and died with its guards); an odd word is a
+        // helper's answer whose transferred count we now own.
+        for idx in 0..self.n {
+            let word = self.ann.retract(tid, idx);
+            if word & 1 == 1 {
+                let node = (word & !1) as *mut Node<T>;
+                self.release_ref(tid, c, node);
+                report.announce_refs_released += 1;
+            }
+        }
+        // A corpse that ever dereferenced left its presence bit up (it is
+        // lowered only at handle drop, which a death skips). With every
+        // slot retracted above, the row is empty and the bit can be lowered
+        // (never before: helpers would skip a still-live announcement).
+        self.ann.clear_summary(tid);
+        // (b) Collect a parked gift: `mm_ref` 3 → 2 (the A4 FixRef), then
+        // the reference just taken over is released.
+        let gift = self.fl.take_gift(tid);
+        if !gift.is_null() {
+            // The node left a counted gift cell (see `crate::reclaim`).
+            self.arena.occupancy_dec(gift);
+            // SAFETY: the gift was parked for `tid`, whose slot the adopter
+            // exclusively owns.
+            unsafe { (*gift).faa_ref(-1) };
+            self.release_ref(tid, c, gift);
+            report.gifts_recovered += 1;
+        }
+        // (c) Count the corpse's magazine before the deferred drain below
+        // can park freed nodes into it (each node is reported under exactly
+        // one category), then free the deferred-decrement backlog (a death
+        // mid-upgrade or mid-release batches frees it never got to drain),
+        // then drain the magazine: the releases above and the deferred
+        // frees may park nodes in it, and the drain returns everything to
+        // the stripes.
+        // SAFETY: slot ownership claimed by the adopter.
+        report.magazine_nodes_recovered += unsafe { self.mag.len(tid) };
+        report.deferred_nodes_recovered += self.try_drain_deferred(tid, tid, c);
+        self.drain_magazine(tid, c);
+        report
+    }
+
     /// Quiescent audit of this pool (node pool or byte class): [`census`]
     /// over its arena, gift cells, magazines and deferred lists.
-    pub(crate) fn census(&self) -> Census {
+    fn census(&self) -> Census {
         let gifts = (0..self.n)
             .map(|t| self.fl.gift_for(t) as usize)
             .filter(|p| *p != 0)
@@ -61,65 +196,88 @@ impl<T: RcObject> Shared<T> {
         census(self.arena.iter(), &gifts, &self.mag.parked(), &deferred)
     }
 
-    /// Adoption, reclaim side (node pool and every class alike): if the
-    /// corpse died holding this pool's segment-retire claim (the
-    /// `SegmentRetire` fault site), reopen the DRAINING segment — parked
-    /// nodes return to the stripes, the claim clears, and a later attempt
-    /// can redo the retire cleanly — then reset its operation epoch.
-    pub(crate) fn adopt_reclaim_state(&self, tid: usize, c: &OpCounters) {
-        if self.reclaim.draining_by.load(Ordering::SeqCst) == tid + 1 {
-            self.reopen_reclaim(tid, c);
+    #[inline]
+    unsafe fn help_deref(&self, tid: usize, c: &OpCounters, link: &Link<T>) {
+        Shared::help_deref(self, tid, c, link);
+    }
+
+    /// The shared epoch (the convention lives in
+    /// `reclaim::SlotEpoch`) flips odd/even only at the 0↔1
+    /// transitions of `depth`, so re-entrancy — a user closure inside
+    /// `alloc_with` dropping a `NodeRef` — stays one logical operation.
+    #[inline]
+    fn op_enter(&self, tid: usize, depth: &Cell<usize>) {
+        let d = depth.get();
+        depth.set(d + 1);
+        if d == 0 {
+            self.reclaim.epoch(tid).enter();
         }
+    }
+
+    #[inline]
+    fn op_exit(&self, tid: usize, depth: &Cell<usize>) {
+        let d = depth.get() - 1;
+        depth.set(d);
+        if d == 0 {
+            self.reclaim.epoch(tid).exit();
+        }
+    }
+
+    #[inline]
+    fn pin(&self, tid: usize) {
+        self.reclaim.pin(tid);
+    }
+
+    #[inline]
+    fn unpin(&self, tid: usize) {
+        self.reclaim.unpin(tid);
+    }
+
+    unsafe fn drain_deferred(&self, tid: usize, c: &OpCounters) -> usize {
+        self.try_drain_deferred(tid, tid, c)
+    }
+
+    /// A fresh owner starts quiescent: reset the slot's operation epoch so
+    /// a reclaimer never waits on a dead owner's parity, and retract any
+    /// pin bit a previous owner left published (see DESIGN.md §4f).
+    fn slot_registered(&self, tid: usize) {
         self.reclaim.epoch(tid).reset();
+        self.reclaim.unpin(tid);
     }
 
-    /// Adoption, gift side: collects the node parked in the corpse's
-    /// `annAlloc` cell — `mm_ref` 3 → 2 (the A4 FixRef), then the reference
-    /// just taken over is released. Returns the number recovered (0 or 1).
-    pub(crate) fn adopt_gift(&self, tid: usize, c: &OpCounters) -> usize {
-        let gift = self.fl.take_gift(tid);
-        if gift.is_null() {
-            return 0;
-        }
-        // The node left a counted gift cell (see `crate::reclaim`).
-        self.arena.occupancy_dec(gift);
-        // SAFETY: the gift was parked for `tid`, whose slot the adopter
-        // exclusively owns.
-        unsafe { (*gift).faa_ref(-1) };
-        self.release_ref(tid, c, gift);
-        1
+    /// Lowers the announcement-presence bit this registration may have
+    /// raised: no operation of the slot is in flight, so its row is empty,
+    /// and from here on writers stop reading it (`announce.rs`).
+    fn slot_retired(&self, tid: usize) {
+        self.ann.clear_summary(tid);
     }
-}
 
-#[cfg(feature = "fault-injection")]
-impl<T> Shared<T> {
-    /// Fires the injection hook for `site` if a plan is installed. Used at
-    /// sites that hold no protocol resource: an injected death unwinds
-    /// without stranding anything adoption cannot enumerate.
-    #[inline]
-    pub(crate) fn fault_hit(&self, c: &OpCounters, site: crate::fault::FaultSite, tid: usize) {
-        if let Some(p) = &self.faults {
-            p.hit(site, tid, c);
+    /// Obligated by a live announcement, an odd (mid-operation) epoch or
+    /// the segment-retire claim — states a healthy thread leaves promptly.
+    /// "Live announcement" is read off the slot word
+    /// ([`crate::announce::Announce::announcing`]), not the presence bit:
+    /// the bit stays up for a reader's whole registration, and an idle
+    /// reader is not obligated.
+    fn progress(&self, tid: usize) -> Progress {
+        let epoch = self.reclaim.epoch(tid).read();
+        let announcing = self.ann.announcing(tid);
+        Progress {
+            obligated: announcing || epoch & 1 == 1 || self.reclaim.claimed_by(tid),
+            heartbeat: (epoch as u64) << 1 | u64::from(announcing),
         }
     }
 
-    /// Fires the injection hook with a completion obligation (see
-    /// [`crate::fault::FaultPlan::hit_or`]).
-    #[inline]
-    pub(crate) fn fault_hit_or(
+    unsafe fn reclaim(
         &self,
-        c: &OpCounters,
-        site: crate::fault::FaultSite,
         tid: usize,
-        complete: impl FnOnce(),
-    ) {
-        if let Some(p) = &self.faults {
-            p.hit_or(site, tid, c, complete);
-        }
+        c: &OpCounters,
+        is_taken: &dyn Fn(usize) -> bool,
+    ) -> ReclaimOutcome {
+        crate::reclaim::try_reclaim(self, tid, c, is_taken)
     }
 }
 
-/// Configuration for a [`WfrcDomain`].
+/// Configuration for a [`Domain`].
 #[derive(Debug, Clone)]
 pub struct DomainConfig {
     /// `NR_THREADS`: maximum simultaneously registered threads.
@@ -219,23 +377,31 @@ fn new_slot_word(v: usize) -> SlotWord {
     wfrc_primitives::CachePadded::new(AtomicWord::new(v))
 }
 
-/// A wait-free reference-counted memory management domain over payloads `T`.
+/// A reference-counted memory management domain over payloads `T`, managed
+/// by scheme `S`: the registration table, the adoption loop, the byte-class
+/// list and the leak audit, written once over the [`Pool`] seam.
 ///
-/// See the [crate docs](crate) for the usage model, and
-/// [`ThreadHandle`] for the per-thread operations.
-pub struct WfrcDomain<T: RcObject> {
-    shared: Shared<T>,
-    /// Byte classes (see [`crate::class`]): independent `Shared` pipelines
-    /// over untyped blocks, in configuration order. Empty for the classic
-    /// single-shape domain.
+/// See the [crate docs](crate) for the usage model, and [`Handle`] for the
+/// per-thread operations.
+pub struct Domain<T: RcObject, S: Scheme = Wf> {
+    pool: S::Pool<T>,
+    /// Byte classes (see [`crate::class`]): independent pools over untyped
+    /// blocks, in configuration order. Empty for the classic single-shape
+    /// domain.
     classes: Box<[Box<dyn ByteClassOps>]>,
     /// Registration state, one word per thread id: [`SLOT_FREE`],
     /// [`SLOT_TAKEN`], or [`SLOT_ORPHANED`].
     slots: Box<[SlotWord]>,
-    /// Cumulative [`WfrcDomain::adopt_orphans`] telemetry.
+    /// Cumulative [`Domain::adopt_orphans`] telemetry.
     orphans_adopted: SlotWord,
     orphan_nodes_recovered: SlotWord,
+    /// Domain-lifetime snapshot/weak-path telemetry, folded from dropped
+    /// handles and surfaced in [`Domain::leak_check`].
+    pub(crate) snap: SnapStats,
 }
+
+/// The paper's wait-free domain: [`Domain`] under the [`Wf`] scheme.
+pub type WfrcDomain<T> = Domain<T, Wf>;
 
 /// Slot states for the registration words.
 pub(crate) const SLOT_FREE: usize = 0;
@@ -243,10 +409,10 @@ pub(crate) const SLOT_TAKEN: usize = 1;
 /// The owning thread died (panicked with the handle live) or explicitly
 /// abandoned the handle: the slot's announcement rows, `annAlloc` gift, and
 /// magazine may still hold nodes. Recovered by
-/// [`WfrcDomain::adopt_orphans`]; not registrable until then.
+/// [`Domain::adopt_orphans`]; not registrable until then.
 pub(crate) const SLOT_ORPHANED: usize = 2;
 
-/// Error returned by [`WfrcDomain::register`] when all `max_threads` ids are
+/// Error returned by [`Domain::register`] when all `max_threads` ids are
 /// taken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegistryFull;
@@ -259,14 +425,14 @@ impl core::fmt::Display for RegistryFull {
 
 impl std::error::Error for RegistryFull {}
 
-impl<T: RcObject + Default> WfrcDomain<T> {
+impl<T: RcObject + Default, S: Scheme> Domain<T, S> {
     /// Creates a domain whose node payloads start as `T::default()`.
     pub fn new(config: DomainConfig) -> Self {
         Self::with_init(config, |_| T::default())
     }
 }
 
-impl<T: RcObject> WfrcDomain<T> {
+impl<T: RcObject, S: Scheme> Domain<T, S> {
     /// Creates a domain initializing payload `i` with `init(i)`.
     ///
     /// # Panics
@@ -283,49 +449,54 @@ impl<T: RcObject> WfrcDomain<T> {
             (1..=MAX_THREADS).contains(&n),
             "max_threads must be in 1..={MAX_THREADS}, got {n}"
         );
-        assert!(
-            config.classes.len() <= MAX_CLASSES,
-            "at most {MAX_CLASSES} byte classes, got {}",
-            config.classes.len()
-        );
-        let classes: Box<[Box<dyn ByteClassOps>]> = config
-            .classes
-            .iter()
-            .map(|cfg| build_class(cfg, n))
-            .collect();
         let arena = Arena::with_growth(config.capacity, config.growth, init);
-        let fl = FreeLists::new(n);
-        fl.seed(&arena);
-        let shared = Shared {
-            mag: Magazines::new(n, clamped_cap(config.magazine, config.capacity, n)),
-            arena,
-            ann: Announce::new(n),
-            fl,
-            n,
-            oom_bound: config.oom_bound.unwrap_or_else(|| alloc_retry_bound(n)),
-            reclaim: ReclaimCtl::new(n, config.reclaim),
-            #[cfg(feature = "fault-injection")]
-            faults: None,
-        };
-        Self {
-            shared,
-            classes,
+        let mut domain = Self {
+            pool: S::Pool::new(arena, n, config.magazine, config.oom_bound, config.reclaim),
+            classes: Box::new([]),
             slots: (0..n).map(|_| new_slot_word(SLOT_FREE)).collect(),
             orphans_adopted: new_slot_word(0),
             orphan_nodes_recovered: new_slot_word(0),
+            snap: SnapStats::default(),
+        };
+        domain.set_classes(config.classes);
+        domain
+    }
+
+    /// Replaces the byte-class list (see [`DomainConfig::with_classes`]).
+    /// Must happen before the domain is shared (`&mut self`).
+    ///
+    /// # Panics
+    /// Like [`Domain::with_init`], on an invalid class list.
+    pub fn set_classes(&mut self, classes: Vec<ClassConfig>) {
+        assert!(
+            classes.len() <= MAX_CLASSES,
+            "at most {MAX_CLASSES} byte classes, got {}",
+            classes.len()
+        );
+        let n = self.slots.len();
+        self.classes = classes
+            .iter()
+            .map(|cfg| build_class::<S>(cfg, n, self.pool.tuning()))
+            .collect();
+    }
+
+    /// Edits the domain's [`Tuning`] and copies it into every pool (node
+    /// pool and byte classes). Must happen before the domain is shared.
+    #[doc(hidden)]
+    pub fn retune(&mut self, edit: impl FnOnce(&mut Tuning)) {
+        edit(self.pool.tuning_mut());
+        for class in self.classes.iter_mut() {
+            class.set_tuning(self.pool.tuning());
         }
     }
 
     /// Installs a fault schedule (see [`crate::fault`]). Must happen before
-    /// the domain is shared (`&mut self`), like the baseline's builders.
-    /// The plan is shared with every byte class, so class-pipeline sites
-    /// (`GrowSeed`, `MagazineRefill`, …) fire there too.
+    /// the domain is shared (`&mut self`). The plan is shared with every
+    /// byte class, so class-pipeline sites (`GrowSeed`, `MagazineRefill`,
+    /// …) fire there too.
     #[cfg(feature = "fault-injection")]
     pub fn set_fault_plan(&mut self, plan: std::sync::Arc<crate::fault::FaultPlan>) {
-        for class in self.classes.iter_mut() {
-            class.set_fault_plan(std::sync::Arc::clone(&plan));
-        }
-        self.shared.faults = Some(plan);
+        self.retune(|t| t.faults = Some(plan));
     }
 
     /// Registers the calling context, claiming a thread id.
@@ -335,18 +506,18 @@ impl<T: RcObject> WfrcDomain<T> {
     /// fixed"), and the `!Sync` bound enforces exactly that while still
     /// allowing a handle to migrate with a moved worker.
     ///
-    /// Equivalent to [`WfrcDomain::try_register`]; both return
+    /// Equivalent to [`Domain::try_register`]; both return
     /// [`RegistryFull`] without panicking when every slot is taken, so
     /// callers multiplexing more tasks than slots (see [`crate::lease`])
     /// can treat exhaustion as a recoverable condition.
-    pub fn register(&self) -> Result<ThreadHandle<'_, T>, RegistryFull> {
+    pub fn register(&self) -> Result<Handle<'_, T, S>, RegistryFull> {
         self.try_register()
     }
 
     /// Non-panicking registration: claims a free thread id, or reports
     /// [`RegistryFull`] if all `max_threads` ids are in use (taken or
-    /// awaiting [`WfrcDomain::adopt_orphans`]).
-    pub fn try_register(&self) -> Result<ThreadHandle<'_, T>, RegistryFull> {
+    /// awaiting [`Domain::adopt_orphans`]).
+    pub fn try_register(&self) -> Result<Handle<'_, T, S>, RegistryFull> {
         for (tid, slot) in self.slots.iter().enumerate() {
             // Relaxed pre-check: a pure scan hint, the CAS re-validates.
             // Acquire on success pairs with the Release in `unregister` /
@@ -355,16 +526,13 @@ impl<T: RcObject> WfrcDomain<T> {
             if slot.load_with(Ordering::Relaxed) == SLOT_FREE
                 && slot.cas_with(SLOT_FREE, SLOT_TAKEN, Ordering::Acquire, Ordering::Relaxed)
             {
-                // A fresh owner starts quiescent: reset the slot's operation
-                // epoch (node pool and every class) so a reclaimer never
-                // waits on a dead owner's parity, and retract any pin bit a
-                // previous owner left published (see DESIGN.md §4f).
-                self.shared.reclaim.epoch(tid).reset();
-                self.shared.reclaim.clear_pin(tid);
+                // A fresh owner starts quiescent in the node pool and in
+                // every class.
+                self.pool.slot_registered(tid);
                 for class in self.classes.iter() {
-                    class.reset_epoch(tid);
+                    class.slot_registered(tid);
                 }
-                return Ok(ThreadHandle::new(self, tid, OpCounters::new()));
+                return Ok(Handle::new(self, tid, OpCounters::new()));
             }
         }
         Err(RegistryFull)
@@ -379,7 +547,7 @@ impl<T: RcObject> WfrcDomain<T> {
 
     /// Marks `tid`'s slot orphaned instead of free: the thread died (or
     /// abandoned its handle) without draining, so the slot's resources must
-    /// be recovered by [`WfrcDomain::adopt_orphans`] before reuse.
+    /// be recovered by [`Domain::adopt_orphans`] before reuse.
     pub(crate) fn orphan(&self, tid: usize) {
         // Release publishes the dying thread's last writes (its magazine
         // vector in particular is plain memory) to the adopter's Acquire
@@ -388,8 +556,16 @@ impl<T: RcObject> WfrcDomain<T> {
         debug_assert_eq!(was, SLOT_TAKEN, "orphaning an unregistered thread {tid}");
     }
 
-    pub(crate) fn shared(&self) -> &Shared<T> {
-        &self.shared
+    /// The node pool.
+    #[doc(hidden)]
+    pub fn pool(&self) -> &S::Pool<T> {
+        &self.pool
+    }
+
+    /// The node pool, before the domain is shared.
+    #[doc(hidden)]
+    pub fn pool_mut(&mut self) -> &mut S::Pool<T> {
+        &mut self.pool
     }
 
     pub(crate) fn classes(&self) -> &[Box<dyn ByteClassOps>] {
@@ -430,40 +606,40 @@ impl<T: RcObject> WfrcDomain<T> {
     /// (Used by the reclaim grace period: only TAKEN slots can be inside an
     /// operation; FREE slots have no thread and ORPHANED slots are corpses.)
     pub(crate) fn slot_is_taken(&self, tid: usize) -> bool {
-        self.slots[tid].load_with(Ordering::SeqCst) == SLOT_TAKEN
+        self.slot_state(tid) == SLOT_TAKEN
     }
 
     /// `NR_THREADS` for this domain.
     pub fn max_threads(&self) -> usize {
-        self.shared.n
+        self.slots.len()
     }
 
     /// Total node pool size (current, including grown segments).
     pub fn capacity(&self) -> usize {
-        self.shared.arena.capacity()
+        self.pool.arena().capacity()
     }
 
     /// Number of arena segments currently published (1 until growth).
     pub fn segment_count(&self) -> usize {
-        self.shared.arena.segment_count()
+        self.pool.arena().segment_count()
     }
 
     /// Number of arena segments currently resident (slab allocated) — the
     /// quantity the `--reclaim` experiments plot. Identical to
-    /// [`WfrcDomain::segment_count`]: RETIRED slots are unpublished.
+    /// [`Domain::segment_count`]: RETIRED slots are unpublished.
     pub fn resident_segments(&self) -> usize {
-        self.shared.arena.segment_count()
+        self.pool.arena().segment_count()
     }
 
     /// Cumulative count of segments retired (slabs returned to the
     /// allocator) over the domain's lifetime.
     pub fn segments_retired(&self) -> usize {
-        self.shared.arena.segments_retired()
+        self.pool.arena().segments_retired()
     }
 
     /// Cumulative count of RETIRED slots revived by the growth path.
     pub fn segments_revived(&self) -> usize {
-        self.shared.arena.segments_revived()
+        self.pool.arena().segments_revived()
     }
 
     /// Number of currently registered threads.
@@ -475,7 +651,7 @@ impl<T: RcObject> WfrcDomain<T> {
             .count()
     }
 
-    /// Number of orphaned slots awaiting [`WfrcDomain::adopt_orphans`].
+    /// Number of orphaned slots awaiting [`Domain::adopt_orphans`].
     pub fn orphaned_threads(&self) -> usize {
         // Relaxed: diagnostic only; `adopt_orphans` re-checks with a CAS.
         self.slots
@@ -491,41 +667,21 @@ impl<T: RcObject> WfrcDomain<T> {
         self.slots[tid].load_with(Ordering::SeqCst)
     }
 
-    /// Operation-epoch word for `tid` (odd = mid-operation); the sentinel's
-    /// progress heartbeat.
-    pub(crate) fn slot_epoch(&self, tid: usize) -> usize {
-        self.shared.reclaim.epoch(tid).read()
-    }
-
-    /// True when `tid` holds the segment-drain claim (a crashed drainer
-    /// leaves it set; adoption reopens it).
-    pub(crate) fn retire_claimed_by(&self, tid: usize) -> bool {
-        self.shared.reclaim.draining_by.load(Ordering::SeqCst) == tid + 1
-    }
-
-    /// True when no thread's announcement-presence bit is up — no
-    /// registered thread has dereferenced since it registered, the state in
-    /// which every `HelpDeRef` returns via the summary fast path without
-    /// reading a single announcement-slot word. Diagnostic: a concurrent
-    /// `DeRefLink` can raise a bit immediately after this returns.
-    #[must_use]
-    pub fn announcement_summary_empty(&self) -> bool {
-        self.shared.ann.summary_empty()
-    }
-
-    /// True when thread `tid`'s announcement-presence bit is up: the
-    /// thread has dereferenced at least once since it registered (or died
-    /// having done so and awaits adoption). The bit outlives each
-    /// announcement — it is lowered at handle drop and by adoption — so it
-    /// says "writers read this thread's row", not "an announcement is
-    /// live"; a bit that is down is authoritative: the row is empty.
-    #[must_use]
-    pub fn announcement_summary_bit(&self, tid: usize) -> bool {
-        self.shared.ann.summary_bit(tid)
+    /// Slot `tid`'s [`Progress`] folded over every pool of the domain — the
+    /// node pool and each byte class — so a thread parked inside a class
+    /// operation, or holding a class's retire claim, is seen.
+    pub(crate) fn progress(&self, tid: usize) -> Progress {
+        self.classes.iter().map(|class| class.progress(tid)).fold(
+            self.pool.progress(tid),
+            |all, p| Progress {
+                obligated: all.obligated || p.obligated,
+                heartbeat: all.heartbeat.wrapping_add(p.heartbeat),
+            },
+        )
     }
 
     /// Cumulative count of orphan slots reclaimed by
-    /// [`WfrcDomain::adopt_orphans`] over the domain's lifetime.
+    /// [`Domain::adopt_orphans`] over the domain's lifetime.
     pub fn orphans_adopted(&self) -> usize {
         // Relaxed: telemetry, no synchronization role.
         self.orphans_adopted.load_with(Ordering::Relaxed)
@@ -538,13 +694,12 @@ impl<T: RcObject> WfrcDomain<T> {
         self.orphan_nodes_recovered.load_with(Ordering::Relaxed)
     }
 
-    /// Reclaims every orphaned thread slot: a crashed (or abandoned) thread
-    /// leaves behind (a) possibly-live announcement slots — including a
-    /// helper's answer installed *after* the death, which carries a
-    /// transferred reference count; (b) a node parked in its `annAlloc`
-    /// gift slot; (c) its allocation magazine. This releases/drains all
-    /// three through the ordinary protocol operations and reopens the slot
-    /// for [`WfrcDomain::register`].
+    /// Reclaims every orphaned thread slot: whatever the scheme lets a
+    /// crashed (or abandoned) thread leave behind — for the wait-free
+    /// scheme announcement slots, a gift, deferred frees and a magazine,
+    /// for a lock-free one its magazine — is recovered per pool
+    /// ([`Pool::adopt_slot`]) through the ordinary protocol operations, and
+    /// the slot reopens for [`Domain::register`].
     ///
     /// Safe to run concurrently with live threads (the adopter claims each
     /// orphan slot with a CAS, and a retracted announcement makes any
@@ -566,14 +721,13 @@ impl<T: RcObject> WfrcDomain<T> {
     }
 
     fn adopt_orphans_impl(&self) -> AdoptReport {
-        let s = &self.shared;
         let mut report = AdoptReport::default();
-        for tid in 0..s.n {
+        for (tid, slot) in self.slots.iter().enumerate() {
             // Claim exclusivity over the corpse's slot: whoever wins this
             // CAS owns tid's announcement row, gift slot, and magazine.
             // Acquire pairs with the Release in `orphan` so the corpse's
             // plain-memory state (magazine vector) is visible here.
-            if !self.slots[tid].cas_with(
+            if !slot.cas_with(
                 SLOT_ORPHANED,
                 SLOT_TAKEN,
                 Ordering::Acquire,
@@ -582,52 +736,16 @@ impl<T: RcObject> WfrcDomain<T> {
                 continue;
             }
             let c = OpCounters::new();
-            // (r) Reopen a retire the corpse held and make its slot
-            // quiescent: it may have died inside an operation with an odd
-            // epoch — or holding a snapshot pin. Retracting the pin bit
-            // first means the deferred drain below can free wholesale if
-            // this was the last pin in the domain.
-            s.adopt_reclaim_state(tid, &c);
-            s.reclaim.clear_pin(tid);
-            // (a) Retract every announcement slot. A live link-address word
-            // holds no count (the victim died before D5, or its speculative
-            // count was its own and died with its guards); an odd word is a
-            // helper's answer whose transferred count we now own.
-            for idx in 0..s.n {
-                let word = s.ann.retract(tid, idx);
-                if word & 1 == 1 {
-                    let node = (word & !1) as *mut crate::node::Node<T>;
-                    s.release_ref(tid, &c, node);
-                    report.announce_refs_released += 1;
-                }
-            }
-            // A corpse that ever dereferenced left its presence bit up (it
-            // is lowered only at handle drop, which a death skips). With
-            // every slot retracted above, the row is empty and the bit can
-            // be lowered (never before: helpers would skip a still-live
-            // announcement).
-            s.ann.clear_summary(tid);
-            // (b) Collect a parked gift.
-            report.gifts_recovered += s.adopt_gift(tid, &c);
-            // (c) Count the corpse's magazine before the deferred drain
-            // below can park freed nodes into it (each node is reported
-            // under exactly one category), then free the deferred-decrement
-            // backlog (a death mid-upgrade or mid-release batches frees it
-            // never got to drain), then drain the magazine: the releases
-            // above and the deferred frees may park nodes in it, and the
-            // drain returns everything to the stripes.
-            // SAFETY: slot ownership claimed above.
-            report.magazine_nodes_recovered += unsafe { s.mag.len(tid) };
-            report.deferred_nodes_recovered += s.try_drain_deferred(tid, tid, &c);
-            s.drain_magazine(tid, &c);
-            // (d) The same recovery per byte class: reopen a class retire
-            // the corpse held, collect its gift, drain its class magazine.
+            // SAFETY: the CAS above made slot `tid` exclusively ours.
+            report = report.merged(&unsafe { self.pool.adopt_slot(tid, &c) });
+            // The same recovery per byte class.
             for class in self.classes.iter() {
-                report.class_nodes_recovered += class.adopt_slot(tid, &c);
+                // SAFETY: as above.
+                report.class_nodes_recovered += unsafe { class.adopt_slot(tid, &c) };
             }
             // Release reopens the slot, publishing the recovery to the
             // `register` that next claims this id.
-            self.slots[tid].store_with(SLOT_FREE, Ordering::Release);
+            slot.store_with(SLOT_FREE, Ordering::Release);
             report.orphans_adopted += 1;
         }
         // Relaxed: monotonic telemetry counters, read by diagnostics only.
@@ -653,9 +771,9 @@ impl<T: RcObject> WfrcDomain<T> {
     /// (quarantining it `SEG_POISONED` at
     /// [`POISON_STRIKES`](crate::arena::POISON_STRIKES)); clean slots have
     /// their strikes reset. Returns the number of anomalous slots seen.
-    /// Runs automatically at the tail of [`WfrcDomain::adopt_orphans`].
+    /// Runs automatically at the tail of [`Domain::adopt_orphans`].
     pub fn audit_segments(&self) -> usize {
-        let arena = &self.shared.arena;
+        let arena = self.pool.arena();
         let mut anomalous = 0;
         for s in 0..crate::arena::MAX_SEGMENTS {
             match arena.seg_state(s) {
@@ -675,29 +793,40 @@ impl<T: RcObject> WfrcDomain<T> {
     }
 
     /// Number of arena slots currently quarantined `SEG_POISONED` (see
-    /// [`WfrcDomain::audit_segments`]).
+    /// [`Domain::audit_segments`]).
     pub fn segments_poisoned(&self) -> usize {
-        self.shared.arena.segments_poisoned()
+        self.pool.arena().segments_poisoned()
     }
 
     /// Test hook: records one audit strike against arena slot `s` exactly
-    /// as a failed [`WfrcDomain::audit_segments`] pass would.
+    /// as a failed [`Domain::audit_segments`] pass would.
     #[doc(hidden)]
     pub fn debug_strike_segment(&self, s: usize) -> bool {
-        self.shared.arena.poison_strike(s)
+        self.pool.arena().poison_strike(s)
     }
 
     /// Effective per-thread magazine capacity (0 = magazines disabled).
     /// May be smaller than the [`DomainConfig::with_magazine`] request —
     /// see [`crate::magazine::clamped_cap`].
     pub fn magazine_cap(&self) -> usize {
-        self.shared.mag.cap()
+        self.pool.magazines().cap()
     }
 
-    /// Nodes currently batched on deferred-decrement lists, domain-wide
-    /// (approximate while threads are running — see DESIGN.md §4f).
-    pub fn deferred_len(&self) -> usize {
-        self.shared.reclaim.deferred_len()
+    /// Stop-the-world retirement of the node pool's trailing segment
+    /// ([`Pool::reclaim_quiescent`]) — `&mut self` is the quiescence proof.
+    /// Returns `true` when a segment was retired (call again to shrink
+    /// further); always `false` under a scheme that retires online
+    /// ([`Handle::reclaim`]).
+    pub fn reclaim_quiescent(&mut self) -> bool {
+        self.pool.reclaim_quiescent()
+    }
+
+    /// [`Domain::reclaim_quiescent`] for byte class `class`.
+    ///
+    /// # Panics
+    /// If `class >= self.class_count()`.
+    pub fn reclaim_class_quiescent(&mut self, class: usize) -> bool {
+        self.classes[class].reclaim_quiescent()
     }
 
     /// Audits node states. **Only meaningful at quiescence** (no concurrent
@@ -711,19 +840,54 @@ impl<T: RcObject> WfrcDomain<T> {
     /// count ≥ 2. Anything else is reported in `corrupt_nodes` and
     /// indicates a usage error (e.g. a missed `each_link`).
     pub fn leak_check(&self) -> LeakReport {
-        let s = &self.shared;
+        let arena = self.pool.arena();
         let mut report = LeakReport {
-            capacity: s.arena.capacity(),
-            segments: s.arena.segment_count(),
-            resident_segments: s.arena.segment_count(),
-            segments_retired: s.arena.segments_retired(),
-            segments_poisoned: s.arena.segments_poisoned(),
+            capacity: arena.capacity(),
+            segments: arena.segment_count(),
+            resident_segments: arena.segment_count(),
+            segments_retired: arena.segments_retired(),
+            segments_poisoned: arena.segments_poisoned(),
             ..LeakReport::default()
         };
-        s.reclaim.snap.report(&mut report);
-        report.count(&s.census());
+        self.snap.report(&mut report);
+        report.count(&self.pool.census());
         report.classes = self.classes.iter().map(|c| c.leak()).collect();
         report
+    }
+}
+
+/// Diagnostics of the mechanisms only the wait-free scheme has.
+impl<T: RcObject> WfrcDomain<T> {
+    #[cfg(test)]
+    pub(crate) fn shared(&self) -> &Shared<T> {
+        &self.pool
+    }
+
+    /// True when no thread's announcement-presence bit is up — no
+    /// registered thread has dereferenced since it registered, the state in
+    /// which every `HelpDeRef` returns via the summary fast path without
+    /// reading a single announcement-slot word. Diagnostic: a concurrent
+    /// `DeRefLink` can raise a bit immediately after this returns.
+    #[must_use]
+    pub fn announcement_summary_empty(&self) -> bool {
+        self.pool.ann.summary_empty()
+    }
+
+    /// True when thread `tid`'s announcement-presence bit is up: the
+    /// thread has dereferenced at least once since it registered (or died
+    /// having done so and awaits adoption). The bit outlives each
+    /// announcement — it is lowered at handle drop and by adoption — so it
+    /// says "writers read this thread's row", not "an announcement is
+    /// live"; a bit that is down is authoritative: the row is empty.
+    #[must_use]
+    pub fn announcement_summary_bit(&self, tid: usize) -> bool {
+        self.pool.ann.summary_bit(tid)
+    }
+
+    /// Nodes currently batched on deferred-decrement lists, domain-wide
+    /// (approximate while threads are running — see DESIGN.md §4f).
+    pub fn deferred_len(&self) -> usize {
+        self.pool.reclaim.deferred_len()
     }
 }
 
@@ -811,21 +975,23 @@ pub fn census<'a, T: 'a>(
 }
 
 // SAFETY: the domain is designed for cross-thread sharing; all shared state
-// is atomics, and payload access is protocol-mediated (T: Send + Sync via
-// the RcObject bound).
-unsafe impl<T: RcObject> Sync for WfrcDomain<T> {}
-unsafe impl<T: RcObject> Send for WfrcDomain<T> {}
+// is atomics, the pool and the classes are `Send + Sync` by their trait
+// bounds, and payload access is protocol-mediated (T: Send + Sync via the
+// RcObject bound).
+unsafe impl<T: RcObject, S: Scheme> Sync for Domain<T, S> {}
+unsafe impl<T: RcObject, S: Scheme> Send for Domain<T, S> {}
 
-impl<T: RcObject> core::fmt::Debug for WfrcDomain<T> {
+impl<T: RcObject, S: Scheme> core::fmt::Debug for Domain<T, S> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("WfrcDomain")
-            .field("max_threads", &self.shared.n)
-            .field("capacity", &self.shared.arena.capacity())
+        f.debug_struct("Domain")
+            .field("scheme", &S::NAME)
+            .field("max_threads", &self.slots.len())
+            .field("capacity", &self.capacity())
             .finish()
     }
 }
 
-/// Result of one [`WfrcDomain::adopt_orphans`] pass.
+/// Result of one [`Domain::adopt_orphans`] pass.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct AdoptReport {
     /// Orphaned slots this pass reclaimed and reopened.
@@ -869,7 +1035,7 @@ impl AdoptReport {
     }
 }
 
-/// Result of [`WfrcDomain::leak_check`].
+/// Result of [`Domain::leak_check`].
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct LeakReport {
     /// Total nodes in the arena (across all *resident* segments — a
@@ -885,7 +1051,7 @@ pub struct LeakReport {
     pub segments_retired: usize,
     /// Arena slots quarantined `SEG_POISONED` at audit time (excluded from
     /// revival — permanently degraded capacity, not a leak; see
-    /// [`WfrcDomain::audit_segments`]).
+    /// [`Domain::audit_segments`]).
     pub segments_poisoned: usize,
     /// Nodes in the free-lists (`mm_ref == 1`).
     pub free_nodes: usize,

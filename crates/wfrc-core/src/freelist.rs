@@ -56,11 +56,11 @@ use core::sync::atomic::Ordering;
 
 use wfrc_primitives::AtomicWord;
 
-use crate::arena::GrowOutcome;
 use crate::counters::OpCounters;
 use crate::domain::Shared;
 use crate::node::{Node, RcObject};
 use crate::oom::OutOfMemory;
+use crate::scheme::Pool;
 
 type HeadCell<T> = wfrc_primitives::CachePadded<wfrc_primitives::WordPtr<Node<T>>>;
 type WordCell = wfrc_primitives::CachePadded<AtomicWord>;
@@ -325,7 +325,13 @@ impl<T: RcObject> Shared<T> {
                     self.note_alloc_iters(c, iters);
                     return Ok(node);
                 }
-                if self.grow(tid, c) {
+                // The CAS winner seeds the fresh slab onto a stripe as one
+                // pre-linked chain and credits its segment's occupancy.
+                let seed = |nodes: &[Node<T>]| {
+                    self.fl.seed_grown(nodes);
+                    self.arena.note_seeded(nodes.as_ptr(), nodes.len());
+                };
+                if self.grow(tid, c, seed) {
                     iters = 0;
                     continue;
                 }
@@ -419,37 +425,6 @@ impl<T: RcObject> Shared<T> {
     fn note_alloc_iters(&self, c: &OpCounters, iters: u64) {
         OpCounters::add(&c.alloc_iters, iters);
         OpCounters::record_max(&c.max_alloc_iters, iters);
-    }
-
-    /// Attempts one arena growth step. Returns true when capacity grew
-    /// (whether this thread or a concurrent racer published the segment) —
-    /// the caller re-scans the free-lists; false means the policy is
-    /// exhausted and out-of-memory is terminal.
-    fn grow(&self, tid: usize, c: &OpCounters) -> bool {
-        #[cfg(not(feature = "fault-injection"))]
-        let _ = tid;
-        match self.arena.try_grow() {
-            GrowOutcome::Grew { nodes, revived } => {
-                OpCounters::bump(&c.segments_grown);
-                if revived {
-                    OpCounters::bump(&c.segments_revived);
-                }
-                OpCounters::add(&c.nodes_seeded, nodes.len() as u64);
-                // A death between winning the growth CAS and seeding would
-                // strand the entire new segment outside every free-list —
-                // invisible to adoption — so the completion seeds it first.
-                #[cfg(feature = "fault-injection")]
-                self.fault_hit_or(c, crate::fault::FaultSite::GrowSeed, tid, || {
-                    self.fl.seed_grown(nodes);
-                    self.arena.note_seeded(nodes.as_ptr(), nodes.len());
-                });
-                self.fl.seed_grown(nodes);
-                self.arena.note_seeded(nodes.as_ptr(), nodes.len());
-                true
-            }
-            GrowOutcome::Lost => true,
-            GrowOutcome::AtCapacity => false,
-        }
     }
 
     /// `FreeNode` (paper lines F1–F10, with the F3 refcount correction).

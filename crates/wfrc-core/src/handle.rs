@@ -1,26 +1,30 @@
 //! Per-thread access to a domain: the user model of §3.2.
 //!
-//! All memory-management operations are invoked through a [`ThreadHandle`],
-//! which carries the paper's `threadId`. The handle offers two API layers:
+//! All memory-management operations are invoked through a [`Handle`], which
+//! carries the paper's `threadId`. The handle is written once over the
+//! [`Scheme`] seam — [`ThreadHandle`] is the wait-free instantiation — and
+//! offers two API layers:
 //!
-//! * **Guard layer** (safe): [`ThreadHandle::alloc_with`],
-//!   [`ThreadHandle::deref`], [`ThreadHandle::cas`],
-//!   [`ThreadHandle::store`] — every acquired reference is an RAII
-//!   [`NodeRef`] whose `Drop` is `ReleaseRef`, so the §3.2 bookkeeping
-//!   rules ("for each `AllocNode` or `DeRefLink` call there should be a
-//!   matching `ReleaseRef` call") hold by construction.
 //! * **Raw layer** (`unsafe`): the paper's operations verbatim
-//!   ([`ThreadHandle::deref_raw`], [`ThreadHandle::release_raw`],
-//!   [`ThreadHandle::cas_link_raw`], …) for data-structure implementations
-//!   that manage counts manually (see `wfrc-structures`).
+//!   ([`Handle::deref_raw`], [`Handle::release_raw`],
+//!   [`Handle::cas_link_raw`], …) for data-structure implementations that
+//!   manage counts manually (see `wfrc-structures`). Each primitive's body
+//!   is defined here, once.
+//! * **Guard layer** (safe): [`Handle::alloc_with`], [`Handle::deref`],
+//!   [`Handle::cas`], [`Handle::store`] — every acquired reference is an
+//!   RAII [`NodeRef`] whose `Drop` is `ReleaseRef`, so the §3.2 bookkeeping
+//!   rules ("for each `AllocNode` or `DeRefLink` call there should be a
+//!   matching `ReleaseRef` call") hold by construction. Built on the raw
+//!   layer.
 //!
-//! A third, read-optimized surface sits on top of both (DESIGN.md §4f):
-//! [`ThreadHandle::pin`] publishes an epoch-backed snapshot pin, under which
-//! [`PinGuard::snapshot`] turns every dereference into a **plain load** —
-//! zero FAAs, zero announcement-slot writes — returning a lifetime-bound
-//! [`Snapshot`] borrow. Escaping the guard goes through
-//! [`Snapshot::upgrade`], which re-runs the full wait-free announcement
-//! protocol, so the worst case is unchanged.
+//! A third, read-optimized surface sits on top of both where the scheme
+//! protects it (DESIGN.md §4f): [`ThreadHandle::pin`] publishes an
+//! epoch-backed snapshot pin, under which [`PinGuard::snapshot`] turns
+//! every dereference into a **plain load** — zero FAAs, zero
+//! announcement-slot writes — returning a lifetime-bound [`Snapshot`]
+//! borrow. Escaping the guard goes through [`Snapshot::upgrade`], which
+//! re-runs the full wait-free announcement protocol, so the worst case is
+//! unchanged.
 
 use core::cell::Cell;
 use core::marker::PhantomData;
@@ -29,74 +33,58 @@ use core::ptr::NonNull;
 
 use crate::class::RawBytes;
 use crate::counters::OpCounters;
-use crate::domain::WfrcDomain;
-use crate::link::Link;
+use crate::domain::Domain;
+use crate::link::{AtomicWeak, Link};
 use crate::node::{Node, RcObject};
 use crate::oom::OutOfMemory;
-use crate::reclaim::{ReclaimOutcome, SlotEpoch};
+use crate::rc::release_weak;
+use crate::reclaim::ReclaimOutcome;
+use crate::scheme::{OpGuard, Pool, Scheme, Wf};
 
-/// A registered thread's view of a [`WfrcDomain`].
+/// A registered thread's view of a [`Domain`].
 ///
 /// `Send` (a worker may be moved across OS threads together with its handle)
 /// but `!Sync` (a thread id must never be used concurrently — the paper's
 /// `threadId` is exclusive). The `!Sync` comes for free from the `Cell`s in
 /// [`OpCounters`]; the `PhantomData` documents the intent.
 #[must_use = "dropping the handle immediately unregisters the thread id"]
-pub struct ThreadHandle<'d, T: RcObject> {
-    domain: &'d WfrcDomain<T>,
+pub struct Handle<'d, T: RcObject, S: Scheme = Wf> {
+    domain: &'d Domain<T, S>,
     tid: usize,
     counters: OpCounters,
-    /// Operation-nesting depth for the reclamation epoch (see
-    /// [`crate::reclaim`]): the shared epoch flips odd/even only at the
-    /// 0↔1 transitions, so re-entrancy (a user closure inside `alloc_with`
-    /// dropping a `NodeRef`) stays one logical operation.
+    /// Operation-nesting depth for the pool's quiescence bracket
+    /// ([`Pool::op_enter`]): re-entrancy (a user closure inside
+    /// `alloc_with` dropping a `NodeRef`) stays one logical operation.
     op_depth: Cell<usize>,
-    /// Snapshot-pin nesting depth (see [`ThreadHandle::pin`]): the pin bit
-    /// and its backing operation epoch are published/retired only at the
+    /// Snapshot-pin nesting depth (see [`Handle::pin_raw`]): the pin and
+    /// its backing operation bracket are published/retired only at the
     /// 0↔1 transitions, so nested guards (or raw `pin_raw` pairs) share
     /// one pin session.
     pin_depth: Cell<usize>,
     _not_sync: PhantomData<core::cell::Cell<()>>,
 }
 
-/// Opens one nesting level of a handle's operation bracket; the slot's
-/// epoch (the convention lives in [`crate::reclaim::SlotEpoch`]) is entered
-/// at the outermost level only.
-#[inline]
-fn op_enter(epoch: SlotEpoch<'_>, depth: &Cell<usize>) {
-    let d = depth.get();
-    depth.set(d + 1);
-    if d == 0 {
-        epoch.enter();
-    }
-}
+/// A registered thread's view of a [`crate::WfrcDomain`]: [`Handle`] under
+/// the paper's wait-free scheme.
+pub type ThreadHandle<'d, T> = Handle<'d, T, Wf>;
 
-/// Closes one nesting level; the outermost exit makes the slot quiescent.
-#[inline]
-fn op_exit(epoch: SlotEpoch<'_>, depth: &Cell<usize>) {
-    let d = depth.get() - 1;
-    depth.set(d);
-    if d == 0 {
-        epoch.exit();
-    }
-}
+/// Runs its closure if dropped during an unwind. Placed between two raw
+/// steps of a guard-layer operation when an injected death in the first
+/// must not skip the second (the §3.2 release after an obligatory help).
+#[cfg(feature = "fault-injection")]
+struct OnUnwind<F: FnMut()>(F);
 
-/// RAII form of one [`op_enter`]/[`op_exit`] level around a handle-level
-/// operation.
-struct OpGuard<'a> {
-    epoch: SlotEpoch<'a>,
-    depth: &'a Cell<usize>,
-}
-
-impl Drop for OpGuard<'_> {
-    #[inline]
+#[cfg(feature = "fault-injection")]
+impl<F: FnMut()> Drop for OnUnwind<F> {
     fn drop(&mut self) {
-        op_exit(self.epoch, self.depth);
+        if std::thread::panicking() {
+            (self.0)();
+        }
     }
 }
 
-impl<'d, T: RcObject> ThreadHandle<'d, T> {
-    pub(crate) fn new(domain: &'d WfrcDomain<T>, tid: usize, counters: OpCounters) -> Self {
+impl<'d, T: RcObject, S: Scheme> Handle<'d, T, S> {
+    pub(crate) fn new(domain: &'d Domain<T, S>, tid: usize, counters: OpCounters) -> Self {
         Self {
             domain,
             tid,
@@ -107,18 +95,17 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
         }
     }
 
-    /// This slot's operation epoch.
+    /// The node pool.
     #[inline]
-    fn epoch(&self) -> SlotEpoch<'_> {
-        self.domain.shared().reclaim.epoch(self.tid)
+    fn pool(&self) -> &'d S::Pool<T> {
+        self.domain.pool()
     }
 
-    /// Brackets one memory-management operation in the reclamation epoch.
+    /// Brackets one memory-management operation in the pool's quiescence
+    /// scope (a no-op under a scheme without one).
     #[inline]
-    fn op(&self) -> OpGuard<'_> {
-        let (epoch, depth) = (self.epoch(), &self.op_depth);
-        op_enter(epoch, depth);
-        OpGuard { epoch, depth }
+    fn op(&self) -> OpGuard<'_, T, S::Pool<T>> {
+        OpGuard::enter(self.pool(), self.tid, &self.op_depth)
     }
 
     /// This handle's `threadId`.
@@ -127,7 +114,7 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
     }
 
     /// The domain this handle belongs to.
-    pub fn domain(&self) -> &'d WfrcDomain<T> {
+    pub fn domain(&self) -> &'d Domain<T, S> {
         self.domain
     }
 
@@ -141,7 +128,7 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
     /// [`crate::DomainConfig::with_magazine`]).
     pub fn magazine_len(&self) -> usize {
         // SAFETY: this handle is the exclusive owner of `tid`'s slot.
-        unsafe { self.domain.shared().mag.len(self.tid) }
+        unsafe { self.pool().magazines().len(self.tid) }
     }
 
     // ------------------------------------------------------------------
@@ -149,38 +136,36 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
     // ------------------------------------------------------------------
 
     /// `AllocNode` + payload initialization: removes a node from the
-    /// free-list wait-free, hands its payload to `init` while ownership is
-    /// still exclusive, and returns it holding one reference.
+    /// free-list, hands its payload to `init` while ownership is still
+    /// exclusive, and returns it holding one reference.
     ///
     /// The payload passed to `init` is whatever the node's previous life
     /// left behind (initially the arena seed) — initialize every field you
     /// will read.
-    pub fn alloc_with(&self, init: impl FnOnce(&mut T)) -> Result<NodeRef<'_, T>, OutOfMemory> {
+    pub fn alloc_with(&self, init: impl FnOnce(&mut T)) -> Result<NodeRef<'_, T, S>, OutOfMemory> {
         let _op = self.op();
-        let node = self.domain.shared().alloc_node(self.tid, &self.counters)?;
+        let node = self.alloc_raw()?;
         // SAFETY: freshly allocated and unpublished — exclusively ours.
-        init(unsafe { (*node).payload_mut() });
+        init(unsafe { self.payload_mut_raw(node) });
         // SAFETY: `node` is non-null on the Ok path.
         Ok(unsafe { NodeRef::from_raw(self, node) })
     }
 
-    /// `DeRefLink`: wait-free dereference of `link`, returning a guard
-    /// holding one reference, or `None` if the link was ⊥.
+    /// `DeRefLink`: dereference of `link`, returning a guard holding one
+    /// reference, or `None` if the link was ⊥.
     #[must_use = "the returned guard owns a reference; discarding it silently releases"]
-    pub fn deref<'h>(&'h self, link: &Link<T>) -> Option<NodeRef<'h, T>> {
-        let _op = self.op();
-        let node = self
-            .domain
-            .shared()
-            .deref_link(self.tid, &self.counters, link);
+    pub fn deref<'h>(&'h self, link: &Link<T>) -> Option<NodeRef<'h, T, S>> {
+        // SAFETY: a safe `Link<T>` is only ever stored through a handle of
+        // its domain.
+        let node = unsafe { self.deref_raw(link) };
         if node.is_null() {
             None
         } else {
             debug_assert!(
-                self.domain.shared().arena.contains(node),
+                self.pool().arena().contains(node),
                 "link resolved to a node outside this domain's arena"
             );
-            // SAFETY: deref_link returned a non-null node with a count.
+            // SAFETY: deref_raw returned a non-null node with a count.
             Some(unsafe { NodeRef::from_raw(self, node) })
         }
     }
@@ -195,38 +180,35 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
     pub fn cas(
         &self,
         link: &Link<T>,
-        expected: Option<&NodeRef<'_, T>>,
-        new: Option<&NodeRef<'_, T>>,
+        expected: Option<&NodeRef<'_, T, S>>,
+        new: Option<&NodeRef<'_, T, S>>,
     ) -> bool {
         let _op = self.op();
         let old_ptr = expected.map_or(core::ptr::null_mut(), |r| r.as_ptr());
         let new_ptr = new.map_or(core::ptr::null_mut(), |r| r.as_ptr());
-        let s = self.domain.shared();
-        if !new_ptr.is_null() {
-            s.fix_ref(new_ptr, 2); // the link's own reference
-        }
-        if link.cas_raw(old_ptr, new_ptr) {
-            {
-                // An injected death inside help_deref would skip the old
-                // node's release below; the guard performs it on unwind.
-                #[cfg(feature = "fault-injection")]
-                let _release_old = crate::rc::ReleaseOnUnwind {
-                    shared: s,
-                    tid: self.tid,
-                    c: &self.counters,
-                    node: old_ptr,
-                };
-                s.help_deref(self.tid, &self.counters, link);
-            }
-            if !old_ptr.is_null() {
-                s.release_ref(self.tid, &self.counters, old_ptr);
-            }
-            true
-        } else {
+        // SAFETY: both pointers come from live guards of this domain; the
+        // count added for the link is the one transferred into it.
+        unsafe {
             if !new_ptr.is_null() {
-                s.release_ref(self.tid, &self.counters, new_ptr);
+                self.add_ref_raw(new_ptr, 1); // the link's own reference
             }
-            false
+            let swapped = {
+                // An injected death inside the help of a CAS that succeeded
+                // would skip the old node's release below; the guard
+                // performs it on unwind (a CAS that failed cannot unwind).
+                #[cfg(feature = "fault-injection")]
+                let _release_old = OnUnwind(|| {
+                    if !old_ptr.is_null() {
+                        self.release_raw(old_ptr);
+                    }
+                });
+                self.cas_link_raw(link, old_ptr, new_ptr)
+            };
+            let stale = if swapped { old_ptr } else { new_ptr };
+            if !stale.is_null() {
+                self.release_raw(stale);
+            }
+            swapped
         }
     }
 
@@ -235,49 +217,67 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
     ///
     /// This generalizes §3.2's "direct write" rule: a SWAP never loses the
     /// old value, so the protocol obligations can always be met. Use
-    /// [`ThreadHandle::cas`] when the update must be conditional.
-    pub fn store(&self, link: &Link<T>, new: Option<&NodeRef<'_, T>>) {
+    /// [`Handle::cas`] when the update must be conditional.
+    pub fn store(&self, link: &Link<T>, new: Option<&NodeRef<'_, T, S>>) {
         let _op = self.op();
         let new_ptr = new.map_or(core::ptr::null_mut(), |r| r.as_ptr());
-        let s = self.domain.shared();
-        if !new_ptr.is_null() {
-            s.fix_ref(new_ptr, 2);
-        }
-        let old = link.swap_raw(new_ptr);
-        if !old.is_null() {
-            {
-                // Same unwind obligation as in `cas` above.
-                #[cfg(feature = "fault-injection")]
-                let _release_old = crate::rc::ReleaseOnUnwind {
-                    shared: s,
-                    tid: self.tid,
-                    c: &self.counters,
-                    node: old,
-                };
-                s.help_deref(self.tid, &self.counters, link);
+        // SAFETY: `new` is a live guard of this domain; the count added is
+        // the one transferred into the link, and the swapped-out target's
+        // link count is ours to release.
+        unsafe {
+            if !new_ptr.is_null() {
+                self.add_ref_raw(new_ptr, 1);
             }
-            s.release_ref(self.tid, &self.counters, old);
+            let old = link.swap_raw(new_ptr);
+            if !old.is_null() {
+                {
+                    // Same unwind obligation as in `cas` above.
+                    #[cfg(feature = "fault-injection")]
+                    let _release_old = OnUnwind(|| self.release_raw(old));
+                    self.pool().help_deref(self.tid, &self.counters, link);
+                }
+                self.release_raw(old);
+            }
         }
     }
 
-    /// Attempts to retire the trailing arena segment (see
-    /// [`crate::reclaim`]): if every node of the last grown segment is back
-    /// on the shared free structures, all registered threads pass a grace
-    /// period, and no announcement is in flight, the segment's slab is
-    /// returned to the allocator and [`WfrcDomain::capacity`] shrinks. The
+    /// Attempts to retire the trailing arena segment beside live traffic
+    /// (see [`crate::reclaim`]): if every node of the last grown segment is
+    /// back on the shared free structures, all registered threads pass a
+    /// grace period, and no announcement is in flight, the segment's slab
+    /// is returned to the allocator and [`Domain::capacity`] shrinks. The
     /// slot can later be revived by the growth path, so capacity oscillates
-    /// with demand.
+    /// with demand. A scheme without online retirement answers
+    /// [`ReclaimOutcome::NoCandidate`] (see [`Domain::reclaim_quiescent`]).
     ///
-    /// Deliberately *not* epoch-bracketed: the caller is quiescent while
+    /// Deliberately *not* bracketed: the caller is quiescent while
     /// reclaiming (a reclaimer inside its own grace period would deadlock
     /// on its own parity). Wait-freedom of the memory operations is
     /// unaffected — reclamation is an auxiliary, abortable protocol.
     pub fn reclaim(&self) -> ReclaimOutcome {
-        crate::reclaim::try_reclaim(self.domain, self.tid, &self.counters)
+        // SAFETY: this handle owns slot `tid` and is outside any operation.
+        unsafe {
+            self.pool()
+                .reclaim(self.tid, &self.counters, &|t| self.domain.slot_is_taken(t))
+        }
+    }
+
+    /// Runs the segment-retire protocol on byte class `class` (the class
+    /// analogue of [`Handle::reclaim`], with the same non-bracketing
+    /// rationale).
+    ///
+    /// # Panics
+    /// If `class >= self.domain().class_count()`.
+    pub fn reclaim_class(&self, class: usize) -> ReclaimOutcome {
+        // SAFETY: this handle owns slot `tid`.
+        unsafe {
+            self.domain.classes()[class]
+                .reclaim(self.tid, &self.counters, &|t| self.domain.slot_is_taken(t))
+        }
     }
 
     /// Deliberately orphans this handle: the slot is marked for
-    /// [`WfrcDomain::adopt_orphans`] instead of being drained and
+    /// [`Domain::adopt_orphans`] instead of being drained and
     /// unregistered, exactly as if the owning thread had died. Models a
     /// thread that leaks its handle (e.g. `mem::forget` in user code) for
     /// the recovery tests and the chaos driver.
@@ -287,126 +287,67 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
     }
 
     /// Drains this handle's magazines — node pool and every byte class —
-    /// back to the shared free-list stripes without dropping the handle.
+    /// back to the shared free structures without dropping the handle.
     ///
     /// This is the handle-drop teardown as a standalone operation: the
     /// lease pool ([`crate::lease`]) calls it when a guard is returned with
     /// `flush_on_release`, so a slot parked in the pool does not privatize
     /// capacity between checkouts.
     pub fn flush_magazines(&self) {
-        {
-            let _op = self.op();
-            self.domain
-                .shared()
-                .drain_magazine(self.tid, &self.counters);
-        }
-        for cls in self.domain.classes() {
-            cls.drain_magazine(self.tid, &self.counters);
+        // SAFETY: this handle owns slot `tid` in every pool of the domain.
+        unsafe {
+            {
+                let _op = self.op();
+                self.pool().drain_magazine(self.tid, &self.counters);
+            }
+            for cls in self.domain.classes() {
+                cls.drain_magazine(self.tid, &self.counters);
+            }
         }
     }
 
     // ------------------------------------------------------------------
-    // Snapshot layer (DESIGN.md §4f)
+    // Snapshot layer, raw (DESIGN.md §4f; the safe form is
+    // [`ThreadHandle::pin`])
     // ------------------------------------------------------------------
 
-    /// Publishes a snapshot pin and returns its RAII guard: under the
-    /// guard, [`PinGuard::snapshot`] dereferences links with a **single
-    /// plain load** — no FAA, no announcement-slot write — the read path
-    /// that closes the counted-deref gap against uncounted baselines.
-    ///
-    /// Entering bumps the slot's operation epoch once (the whole pin
-    /// session is one logical operation; nested handle calls do not
-    /// advance it) and sets this thread's bit in the domain's pin bitmap.
-    /// While any pin is live, releases that would free a node defer the
-    /// free to a per-slot list instead (drained on unpin / epoch
-    /// advance), so a snapshot can never dangle. Pins are re-entrant:
-    /// nested guards share one session.
-    ///
-    /// Escaping the guard goes through [`Snapshot::upgrade`], which runs
-    /// the full wait-free announcement protocol — the worst case is
-    /// unchanged.
-    ///
-    /// **Keep pin sessions short.** A long-held guard suppresses memory
-    /// reclamation *domain-wide* for its whole duration: every release
-    /// defers its free onto a per-slot list, and segment retirement is
-    /// vetoed (each [`ThreadHandle::reclaim`] attempt aborts after a
-    /// bounded check). Memory use grows with the deferral backlog until
-    /// the pin retires; safety is never affected. Leaking a guard with
-    /// `mem::forget` extends this to the handle's lifetime — the handle's
-    /// drop retracts a still-published pin, so the suppression ends there.
-    ///
-    /// ```
-    /// use wfrc_core::{DomainConfig, Link, WfrcDomain};
-    ///
-    /// let domain = WfrcDomain::<u64>::new(DomainConfig::new(1, 4));
-    /// let handle = domain.register().unwrap();
-    /// let root = Link::null();
-    /// let a = handle.alloc_with(|v| *v = 7).unwrap();
-    /// handle.store(&root, Some(&a));
-    /// drop(a); // the link keeps the node alive
-    ///
-    /// let guard = handle.pin();
-    /// let snap = guard.snapshot(&root).expect("link is non-null");
-    /// assert_eq!(*snap, 7); // plain load — zero FAAs
-    /// let owned = snap.upgrade().expect("link unchanged"); // wait-free slow path
-    /// drop(snap);
-    /// drop(guard); // retires the pin, drains deferred frees
-    /// assert_eq!(*owned, 7); // the owned reference survives the guard
-    /// drop(owned);
-    /// handle.store(&root, None);
-    /// assert!(domain.leak_check().is_clean());
-    /// ```
-    pub fn pin(&self) -> PinGuard<'_, 'd, T> {
-        self.pin_raw();
-        PinGuard { handle: self }
-    }
-
-    /// Drains this slot's deferred-decrement list (frees every batched
-    /// node whose covering pins have retired) and returns the number of
-    /// nodes freed. Runs automatically on unpin and handle drop; exposed
-    /// for benchmarks and tests that measure drain latency directly.
-    pub fn drain_deferred(&self) -> usize {
-        self.domain
-            .shared()
-            .try_drain_deferred(self.tid, self.tid, &self.counters)
-    }
-
-    /// Raw (non-RAII) pin entry: publishes the pin bit and holds the
-    /// operation epoch odd until the matching
-    /// [`ThreadHandle::unpin_raw`]. Re-entrant; prefer
-    /// [`ThreadHandle::pin`].
+    /// Raw (non-RAII) pin entry: publishes the pin and holds the operation
+    /// bracket open until the matching [`Handle::unpin_raw`]. Re-entrant.
+    /// Under a scheme whose [`Scheme::SNAPSHOT_PROTECTED`] is false nothing
+    /// is published and [`Handle::snapshot_raw`] targets are unprotected.
     pub fn pin_raw(&self) {
         let d = self.pin_depth.get();
         self.pin_depth.set(d + 1);
         if d == 0 {
-            // Enter the operation epoch for the whole pin session: nested
+            // Enter the operation bracket for the whole pin session: nested
             // handle operations under the pin do not advance it
             // (op_depth > 0), so the epoch value doubles as the session's
             // baseline in the deferred-drain protocol (crate::reclaim).
-            op_enter(self.epoch(), &self.op_depth);
-            self.domain.shared().reclaim.pin(self.tid);
+            self.pool().op_enter(self.tid, &self.op_depth);
+            self.pool().pin(self.tid);
         }
     }
 
     /// Raw pin exit: retires the pin published by the matching
-    /// [`ThreadHandle::pin_raw`] and opportunistically drains this slot's
+    /// [`Handle::pin_raw`] and opportunistically drains this slot's
     /// deferred list.
     ///
     /// # Safety
     /// Must pair a preceding `pin_raw` on this handle, and no pointer
-    /// obtained from [`ThreadHandle::snapshot_raw`] during the session
-    /// may be dereferenced afterwards (unless independently protected).
+    /// obtained from [`Handle::snapshot_raw`] during the session may be
+    /// dereferenced afterwards (unless independently protected).
     pub unsafe fn unpin_raw(&self) {
         let d = self.pin_depth.get();
         debug_assert!(d > 0, "unpin_raw without a matching pin_raw");
         self.pin_depth.set(d - 1);
         if d == 1 {
-            let s = self.domain.shared();
-            s.reclaim.unpin(self.tid);
-            op_exit(self.epoch(), &self.op_depth);
+            let pool = self.pool();
+            pool.unpin(self.tid);
+            pool.op_exit(self.tid, &self.op_depth);
             // Opportunistic drain: if this was the domain's last live pin
             // the whole batch frees wholesale.
-            s.try_drain_deferred(self.tid, self.tid, &self.counters);
+            // SAFETY: this handle owns slot `tid`.
+            unsafe { pool.drain_deferred(self.tid, &self.counters) };
         }
     }
 
@@ -414,10 +355,11 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
     /// `link`, deletion mark stripped. Carries **no** reference count.
     ///
     /// # Safety
-    /// The caller must hold a live pin session
-    /// ([`ThreadHandle::pin_raw`]) on this handle for as long as the
-    /// returned pointer is dereferenced, and `link` must only ever hold
-    /// nodes of this handle's domain.
+    /// The caller must hold a live pin session ([`Handle::pin_raw`]) on
+    /// this handle for as long as the returned pointer is dereferenced —
+    /// and, where [`Scheme::SNAPSHOT_PROTECTED`] is false, must itself
+    /// guarantee the target cannot be reclaimed meanwhile; `link` must only
+    /// ever hold nodes of this handle's domain.
     #[must_use = "the returned pointer is only protected while the pin is held"]
     pub unsafe fn snapshot_raw(&self, link: &Link<T>) -> *mut Node<T> {
         debug_assert!(
@@ -429,7 +371,7 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
     }
 
     // ------------------------------------------------------------------
-    // Weak layer (PR 10, DESIGN.md §4g)
+    // Weak layer (DESIGN.md §4g)
     // ------------------------------------------------------------------
 
     /// Mints a [`Weak`] reference from a strong one: a single
@@ -437,14 +379,12 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
     /// proves the node is alive, so no validation is needed). The weak
     /// reference keeps the node's *header* reachable after the strong
     /// count drains — the payload dies with the last strong reference.
-    pub fn downgrade<'h>(&'h self, r: &NodeRef<'_, T>) -> Weak<'h, T> {
-        let _op = self.op();
-        OpCounters::bump(&self.counters.weak_downgrades);
-        r.as_node().faa_weak(1);
+    pub fn downgrade<'h>(&'h self, r: &NodeRef<'_, T, S>) -> Weak<'h, T, S> {
+        // SAFETY: `r` is a live guard of this domain.
+        unsafe { self.downgrade_raw(r.as_ptr()) };
         Weak {
             handle: self,
-            // SAFETY: `r` is a live guard, so its pointer is non-null.
-            node: unsafe { NonNull::new_unchecked(r.as_ptr()) },
+            node: r.node,
         }
     }
 
@@ -452,21 +392,20 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
     /// node, swaps the link, runs the obligatory `HelpDeRef` for announced
     /// readers of the link, and drops the weak count the link held on its
     /// previous target (finalizing a drained DEAD header).
-    pub fn store_weak(&self, w: &crate::link::AtomicWeak<T>, new: Option<&NodeRef<'_, T>>) {
+    pub fn store_weak(&self, w: &AtomicWeak<T>, new: Option<&NodeRef<'_, T, S>>) {
         // SAFETY: `new` is a live guard of this domain (strong reference
         // held for the duration of the call).
         unsafe { self.store_weak_raw(w, new.map_or(core::ptr::null_mut(), |r| r.as_ptr())) }
     }
 
-    /// Raw twin of [`ThreadHandle::store_weak`].
+    /// Raw twin of [`Handle::store_weak`].
     ///
     /// # Safety
     /// `new` must be null or a node of this domain on which the caller
     /// holds a strong reference; `w` must only ever hold nodes of this
     /// domain.
-    pub unsafe fn store_weak_raw(&self, w: &crate::link::AtomicWeak<T>, new_ptr: *mut Node<T>) {
+    pub unsafe fn store_weak_raw(&self, w: &AtomicWeak<T>, new_ptr: *mut Node<T>) {
         let _op = self.op();
-        let s = self.domain.shared();
         if !new_ptr.is_null() {
             OpCounters::bump(&self.counters.weak_downgrades);
             // SAFETY: caller's strong reference keeps `new_ptr` live.
@@ -479,49 +418,46 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
                 // release below, stranding the old header un-finalizable;
                 // the guard performs it on unwind (cf. `store`).
                 #[cfg(feature = "fault-injection")]
-                let _release_old = WeakReleaseOnUnwind {
-                    handle: self,
-                    node: old,
-                };
+                // SAFETY: the link's weak unit on `old` is ours to drop.
+                let _release_old = OnUnwind(|| unsafe { self.release_weak_raw(old) });
                 // §3.2 obligation: the link's weak count is what keeps the
                 // old header safely dereferenceable for announced readers —
                 // answer them before dropping it.
-                s.help_deref(self.tid, &self.counters, w.inner());
+                // SAFETY: this handle owns slot `tid`.
+                unsafe { self.pool().help_deref(self.tid, &self.counters, w.inner()) };
             }
-            self.release_weak_count(old);
+            // SAFETY: the link owned one weak unit on `old`.
+            unsafe { self.release_weak_raw(old) };
         }
     }
 
     /// Loads `w` and upgrades the target to a strong reference in one
-    /// operation: the full announcement-covered `DeRefLink` on the weak
-    /// link (so the speculative count is helped exactly like a strong
-    /// read), followed by the claim-bit validation that decides whether
-    /// the target is still alive. Returns `None` if the link was ⊥ or the
-    /// target's strong count had already drained (DEAD header).
+    /// operation: the scheme's full `DeRefLink` on the weak link (so under
+    /// the wait-free scheme the speculative count is helped exactly like a
+    /// strong read), followed by the claim-bit validation that decides
+    /// whether the target is still alive. Returns `None` if the link was ⊥
+    /// or the target's strong count had already drained (DEAD header).
     #[must_use = "the returned guard owns a reference; discarding it silently releases"]
-    pub fn load_weak<'h>(&'h self, w: &crate::link::AtomicWeak<T>) -> Option<NodeRef<'h, T>> {
+    pub fn load_weak<'h>(&'h self, w: &AtomicWeak<T>) -> Option<NodeRef<'h, T, S>> {
         // SAFETY: `w` is typed to this domain's payload; a non-null result
         // carries one strong reference for the guard.
         let node = unsafe { self.load_weak_raw(w) };
-        if node.is_null() {
-            None
-        } else {
-            // SAFETY: non-null, of this domain, carrying our count.
-            Some(unsafe { NodeRef::from_raw(self, node) })
-        }
+        // SAFETY: non-null, of this domain, carrying our count.
+        (!node.is_null()).then(|| unsafe { NodeRef::from_raw(self, node) })
     }
 
-    /// Raw twin of [`ThreadHandle::load_weak`]: a non-null return carries
-    /// one caller-owned **strong** reference (pair with
-    /// [`ThreadHandle::release_raw`]).
+    /// Raw twin of [`Handle::load_weak`]: a non-null return carries one
+    /// caller-owned **strong** reference (pair with
+    /// [`Handle::release_raw`]).
     ///
     /// # Safety
     /// `w` must only ever hold nodes of this handle's domain.
-    pub unsafe fn load_weak_raw(&self, w: &crate::link::AtomicWeak<T>) -> *mut Node<T> {
+    pub unsafe fn load_weak_raw(&self, w: &AtomicWeak<T>) -> *mut Node<T> {
         let _op = self.op();
         OpCounters::bump(&self.counters.weak_upgrades);
-        let s = self.domain.shared();
-        let node = s.deref_link(self.tid, &self.counters, w.inner());
+        // SAFETY: forwarded contract. The link's own weak unit keeps the
+        // target's header unrecycled while it remains the target.
+        let node = unsafe { self.deref_raw(w.inner()) };
         if node.is_null() {
             OpCounters::bump(&self.counters.upgrade_failed);
             return node;
@@ -530,13 +466,12 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
         // header; the completion releases it (which finalizes the header
         // if this count was the last thing blocking it).
         #[cfg(feature = "fault-injection")]
-        s.fault_hit_or(
+        self.pool().fault_hit_or(
             &self.counters,
             crate::fault::FaultSite::WeakUpgrade,
             self.tid,
-            || {
-                s.release_ref(self.tid, &self.counters, node);
-            },
+            // SAFETY: releases the count taken above.
+            || unsafe { self.release_raw(node) },
         );
         // Claim-bit validation: our speculative +2 pins the header (it
         // cannot finalize or recycle under us), so the bit is decisive —
@@ -545,16 +480,17 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
         // SAFETY: arena node (type-stable header).
         if unsafe { (*node).is_claimed() } {
             OpCounters::bump(&self.counters.upgrade_failed);
-            s.release_ref(self.tid, &self.counters, node);
+            // SAFETY: releases the count taken above.
+            unsafe { self.release_raw(node) };
             core::ptr::null_mut()
         } else {
             node
         }
     }
 
-    /// Raw twin of [`ThreadHandle::downgrade`]: adds one weak reference to
+    /// Raw twin of [`Handle::downgrade`]: adds one weak reference to
     /// `node`. The caller becomes responsible for a matching
-    /// [`ThreadHandle::release_weak_raw`].
+    /// [`Handle::release_weak_raw`].
     ///
     /// # Safety
     /// The caller must hold a strong reference on `node` (non-null, this
@@ -575,42 +511,32 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
     pub unsafe fn upgrade_raw(&self, node: *mut Node<T>) -> bool {
         let _op = self.op();
         OpCounters::bump(&self.counters.weak_upgrades);
-        // Death here holds nothing — a clean abort.
+        // Death here holds nothing beyond the operation bracket — a clean
+        // abort (the weak count stays with its owner).
         #[cfg(feature = "fault-injection")]
-        self.domain.shared().fault_hit(
+        self.pool().fault_hit(
             &self.counters,
             crate::fault::FaultSite::WeakUpgrade,
             self.tid,
         );
         // SAFETY: caller's weak count pins the header.
-        if unsafe { (*node).try_upgrade() } {
-            true
-        } else {
+        let upgraded = unsafe { (*node).try_upgrade() };
+        if !upgraded {
             OpCounters::bump(&self.counters.upgrade_failed);
-            false
         }
+        upgraded
     }
 
-    /// Raw weak release: drops one weak count on `node`.
+    /// Raw weak release: drops one weak count on `node`, finalizing (and
+    /// freeing through [`Pool::free_finalized`]) a DEAD header whose counts
+    /// drained to zero.
     ///
     /// # Safety
     /// The caller must own an unreleased weak reference on `node`.
     pub unsafe fn release_weak_raw(&self, node: *mut Node<T>) {
         let _op = self.op();
-        self.release_weak_count(node);
-    }
-
-    /// Drops one weak count on `node`, finalizing (and freeing via the
-    /// deferred-aware path) a DEAD header whose counts drained to zero.
-    fn release_weak_count(&self, node: *mut Node<T>) {
-        // SAFETY: caller owns one weak count on a node of this domain.
-        let n = unsafe { &*node };
-        n.faa_weak(-1);
-        if n.maybe_finalize() {
-            self.domain
-                .shared()
-                .defer_or_free(self.tid, &self.counters, node);
-        }
+        // SAFETY: forwarded contract; this handle owns slot `tid`.
+        unsafe { release_weak(self.pool(), self.tid, &self.counters, node) };
     }
 
     // ------------------------------------------------------------------
@@ -620,24 +546,24 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
     /// Raw `AllocNode`: returns a node holding one reference
     /// (`mm_ref == 2`) whose payload is **stale** (previous contents).
     ///
-    /// Initialize it via [`ThreadHandle::payload_mut_raw`] before
-    /// publishing. Pair with [`ThreadHandle::release_raw`].
+    /// Initialize it via [`Handle::payload_mut_raw`] before publishing.
+    /// Pair with [`Handle::release_raw`].
     pub fn alloc_raw(&self) -> Result<*mut Node<T>, OutOfMemory> {
         let _op = self.op();
-        self.domain.shared().alloc_node(self.tid, &self.counters)
+        // SAFETY: this handle owns slot `tid`.
+        unsafe { self.pool().alloc_node(self.tid, &self.counters) }
     }
 
     /// Raw `DeRefLink`: returns a node pointer carrying one reference (or
-    /// null). Pair with [`ThreadHandle::release_raw`].
+    /// null). Pair with [`Handle::release_raw`].
     ///
     /// # Safety
     /// `link` must only ever hold nodes of this handle's domain.
     #[must_use = "the returned pointer carries a reference that must be released"]
     pub unsafe fn deref_raw(&self, link: &Link<T>) -> *mut Node<T> {
         let _op = self.op();
-        self.domain
-            .shared()
-            .deref_link(self.tid, &self.counters, link)
+        // SAFETY: forwarded contract; this handle owns slot `tid`.
+        unsafe { self.pool().deref_link(self.tid, &self.counters, link) }
     }
 
     /// Raw `ReleaseRef`: gives up one reference on `node`.
@@ -647,9 +573,8 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
     /// owns an unreleased reference.
     pub unsafe fn release_raw(&self, node: *mut Node<T>) {
         let _op = self.op();
-        self.domain
-            .shared()
-            .release_ref(self.tid, &self.counters, node);
+        // SAFETY: forwarded contract; this handle owns slot `tid`.
+        unsafe { self.pool().release_ref(self.tid, &self.counters, node) };
     }
 
     /// Raw `FixRef(node, 2·refs)`: acquire `refs` additional references
@@ -662,14 +587,17 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
     /// reclaimed).
     pub unsafe fn add_ref_raw(&self, node: *mut Node<T>, refs: usize) {
         let _op = self.op();
-        self.domain.shared().fix_ref(node, 2 * refs as isize);
+        debug_assert!(!node.is_null());
+        // SAFETY: arena node (type-stable header), live per contract.
+        unsafe { (*node).faa_ref(2 * refs as isize) };
     }
 
     /// Raw `CompareAndSwapLink` (Figure 6): CAS `link` from `old` to `new`
-    /// and, on success, run the obligatory `HelpDeRef`. **Does not touch
-    /// reference counts** — the caller transfers one owned reference on
-    /// `new` into the link, and on success becomes responsible for
-    /// releasing the reference the link held on `old`.
+    /// and, on success, run the scheme's helping obligation (`HelpDeRef`
+    /// under the wait-free scheme). **Does not touch reference counts** —
+    /// the caller transfers one owned reference on `new` into the link, and
+    /// on success becomes responsible for releasing the reference the link
+    /// held on `old`.
     ///
     /// # Safety
     /// `old`/`new` must be null or nodes of this domain; the caller must
@@ -681,14 +609,12 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
         new: *mut Node<T>,
     ) -> bool {
         let _op = self.op();
-        if link.cas_raw(old, new) {
-            self.domain
-                .shared()
-                .help_deref(self.tid, &self.counters, link);
-            true
-        } else {
-            false
+        let swapped = link.cas_raw(old, new);
+        if swapped {
+            // SAFETY: forwarded contract; this handle owns slot `tid`.
+            unsafe { self.pool().help_deref(self.tid, &self.counters, link) };
         }
+        swapped
     }
 
     /// Raw direct write for **unpublished** links (§3.2: previous value
@@ -729,37 +655,14 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
     // Byte-class layer (see `crate::class`)
     // ------------------------------------------------------------------
 
-    /// Number of byte classes configured on this domain (see
-    /// [`crate::DomainConfig::with_classes`]).
-    pub fn class_count(&self) -> usize {
-        self.domain.class_count()
-    }
-
-    /// Picks the smallest configured class whose blocks fit `len` bytes.
-    fn fitting_class(&self, len: usize) -> (usize, &'d dyn crate::class::ByteClassOps) {
-        self.domain
-            .classes()
-            .iter()
-            .enumerate()
-            .filter(|(_, cls)| cls.block_size() >= len)
-            .min_by_key(|(_, cls)| cls.block_size())
-            .map(|(i, cls)| (i, &**cls))
-            .unwrap_or_else(|| {
-                panic!(
-                    "no configured byte class fits {len} bytes \
-                     (largest: {:?})",
-                    self.domain.classes().iter().map(|c| c.block_size()).max()
-                )
-            })
-    }
-
     /// Allocates a block from the smallest byte class that fits `bytes`,
     /// copies `bytes` into it, and returns the [`RawBytes`] token.
     ///
-    /// Wait-free with the same footnote-4 bound as [`ThreadHandle::alloc_with`],
-    /// applied to the chosen class's own free-lists. The token must
-    /// eventually be passed to [`ThreadHandle::free_bytes`] or the block
-    /// leaks (visible in [`crate::LeakReport::classes`]).
+    /// The chosen class's own pool allocates it, with the scheme's progress
+    /// guarantee (wait-free with the footnote-4 bound of
+    /// [`Handle::alloc_with`] under the wait-free scheme). The token must
+    /// eventually be passed to [`Handle::free_bytes`] or the block leaks
+    /// (visible in [`crate::LeakReport::classes`]).
     ///
     /// # Panics
     /// If no configured class has `block_size >= bytes.len()` — a
@@ -767,8 +670,21 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
     /// geometry (capacity exhaustion, by contrast, is the recoverable
     /// [`OutOfMemory`]).
     pub fn alloc_bytes(&self, bytes: &[u8]) -> Result<RawBytes, OutOfMemory> {
-        let (idx, cls) = self.fitting_class(bytes.len());
-        let node = cls.alloc(self.tid, &self.counters)?;
+        let classes = self.domain.classes();
+        let (idx, cls) = classes
+            .iter()
+            .enumerate()
+            .filter(|(_, cls)| cls.block_size() >= bytes.len())
+            .min_by_key(|(_, cls)| cls.block_size())
+            .unwrap_or_else(|| {
+                panic!(
+                    "no configured byte class fits {} bytes (largest: {:?})",
+                    bytes.len(),
+                    classes.iter().map(|c| c.block_size()).max()
+                )
+            });
+        // SAFETY: this handle owns slot `tid`.
+        let node = unsafe { cls.alloc(self.tid, &self.counters) }?;
         let data = cls.data_ptr(node);
         // SAFETY: the block was just allocated and is unpublished, so we
         // own its buffer exclusively; `block_size >= bytes.len()` by class
@@ -778,71 +694,8 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
         Ok(RawBytes::new(idx, bytes.len(), node))
     }
 
-    /// Admission-controlled [`ThreadHandle::alloc_bytes`]: retries
-    /// transient [`OutOfMemory`] under `policy`'s deadline and retry
-    /// budget with jittered backoff sleeps, then reports
-    /// [`crate::sentinel::Outcome::Overloaded`] /
-    /// [`crate::sentinel::Outcome::Backpressure`] instead of failing hard —
-    /// useful when capacity is expected to return (a sentinel adopting a
-    /// corpse's magazines, a concurrent free burst, segment growth).
-    ///
-    /// The class-fit panic of [`ThreadHandle::alloc_bytes`] is unchanged —
-    /// that is a configuration error, not load.
-    ///
-    /// ```
-    /// use core::time::Duration;
-    /// use wfrc_core::class::ClassConfig;
-    /// use wfrc_core::sentinel::AdmissionPolicy;
-    /// use wfrc_core::{DomainConfig, WfrcDomain};
-    ///
-    /// let domain = WfrcDomain::<u64>::new(
-    ///     DomainConfig::new(1, 2).with_class(ClassConfig::new(64, 8)),
-    /// );
-    /// let handle = domain.register().unwrap();
-    /// let policy = AdmissionPolicy::within(Duration::from_millis(1)).with_retries(2);
-    /// let token = handle
-    ///     .alloc_bytes_admitted(b"payload", &policy)
-    ///     .admitted()
-    ///     .unwrap();
-    /// // SAFETY: freshly allocated from this handle's domain, never freed.
-    /// unsafe { handle.free_bytes(token) };
-    /// ```
-    #[must_use = "an Overloaded/Backpressure outcome must be handled"]
-    pub fn alloc_bytes_admitted(
-        &self,
-        bytes: &[u8],
-        policy: &crate::sentinel::AdmissionPolicy,
-    ) -> crate::sentinel::Outcome<RawBytes> {
-        use crate::sentinel::Outcome;
-        let start = std::time::Instant::now();
-        let mut jitter = policy.jitter();
-        let mut retries = 0u32;
-        loop {
-            if let Ok(token) = self.alloc_bytes(bytes) {
-                return Outcome::Admitted(token);
-            }
-            let elapsed = start.elapsed();
-            if elapsed >= policy.deadline {
-                return Outcome::Overloaded {
-                    waited: elapsed,
-                    retries,
-                };
-            }
-            if retries >= policy.max_retries {
-                return Outcome::Backpressure {
-                    retry_after: core::time::Duration::from_nanos(jitter.next_delay()),
-                    retries,
-                };
-            }
-            retries += 1;
-            let wait = core::time::Duration::from_nanos(jitter.next_delay())
-                .min(policy.deadline - elapsed);
-            std::thread::sleep(wait);
-        }
-    }
-
     /// The bytes stored behind `token` (the `len` passed to
-    /// [`ThreadHandle::alloc_bytes`]).
+    /// [`Handle::alloc_bytes`]).
     ///
     /// # Safety
     /// `token` must come from this handle's domain and not have been freed;
@@ -855,7 +708,7 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
         unsafe { core::slice::from_raw_parts(data, token.len()) }
     }
 
-    /// Returns `token`'s block to its class free-lists (the byte-class
+    /// Returns `token`'s block to its class pool (the byte-class
     /// `ReleaseRef`: blocks hold exactly one reference).
     ///
     /// # Safety
@@ -868,70 +721,92 @@ impl<'d, T: RcObject> ThreadHandle<'d, T> {
         unsafe { cls.free(self.tid, &self.counters, token.node_ptr()) };
         OpCounters::bump(&self.counters.class_frees[idx]);
     }
+}
 
-    /// Runs the segment-retire protocol on byte class `class` (the class
-    /// analogue of [`ThreadHandle::reclaim`], with the same non-bracketing
-    /// rationale).
+/// The safe snapshot surface, which exists only where a pin protects what
+/// it reads ([`Scheme::SNAPSHOT_PROTECTED`]): under a scheme without
+/// deferral a plain-loaded pointer can dangle, so `pin()` is not offered
+/// there (`wfrc_baselines::LfrcHandle` has a doctest that says so).
+impl<'d, T: RcObject> ThreadHandle<'d, T> {
+    /// Publishes a snapshot pin and returns its RAII guard: under the
+    /// guard, [`PinGuard::snapshot`] dereferences links with a **single
+    /// plain load** — no FAA, no announcement-slot write — the read path
+    /// that closes the counted-deref gap against uncounted baselines.
     ///
-    /// # Panics
-    /// If `class >= self.class_count()`.
-    pub fn reclaim_class(&self, class: usize) -> ReclaimOutcome {
-        self.domain.classes()[class]
-            .reclaim(self.tid, &self.counters, &|t| self.domain.slot_is_taken(t))
+    /// Entering bumps the slot's operation epoch once (the whole pin
+    /// session is one logical operation; nested handle calls do not
+    /// advance it) and sets this thread's bit in the domain's pin bitmap.
+    /// While any pin is live, releases that would free a node defer the
+    /// free to a per-slot list instead (drained on unpin / epoch
+    /// advance), so a snapshot can never dangle. Pins are re-entrant:
+    /// nested guards share one session.
+    ///
+    /// Escaping the guard goes through [`Snapshot::upgrade`], which runs
+    /// the full wait-free announcement protocol — the worst case is
+    /// unchanged.
+    ///
+    /// **Keep pin sessions short.** A long-held guard suppresses memory
+    /// reclamation *domain-wide* for its whole duration: every release
+    /// defers its free onto a per-slot list, and segment retirement is
+    /// vetoed (each [`Handle::reclaim`] attempt aborts after a
+    /// bounded check). Memory use grows with the deferral backlog until
+    /// the pin retires; safety is never affected. Leaking a guard with
+    /// `mem::forget` extends this to the handle's lifetime — the handle's
+    /// drop retracts a still-published pin, so the suppression ends there.
+    ///
+    /// ```
+    /// use wfrc_core::{DomainConfig, Link, WfrcDomain};
+    ///
+    /// let domain = WfrcDomain::<u64>::new(DomainConfig::new(1, 4));
+    /// let handle = domain.register().unwrap();
+    /// let root = Link::null();
+    /// let a = handle.alloc_with(|v| *v = 7).unwrap();
+    /// handle.store(&root, Some(&a));
+    /// drop(a); // the link keeps the node alive
+    ///
+    /// let guard = handle.pin();
+    /// let snap = guard.snapshot(&root).expect("link is non-null");
+    /// assert_eq!(*snap, 7); // plain load — zero FAAs
+    /// let owned = snap.upgrade().expect("link unchanged"); // wait-free slow path
+    /// drop(snap);
+    /// drop(guard); // retires the pin, drains deferred frees
+    /// assert_eq!(*owned, 7); // the owned reference survives the guard
+    /// drop(owned);
+    /// handle.store(&root, None);
+    /// assert!(domain.leak_check().is_clean());
+    /// ```
+    pub fn pin(&self) -> PinGuard<'_, 'd, T> {
+        self.pin_raw();
+        PinGuard { handle: self }
     }
 
-    /// Allocates `value` in the smallest fitting byte class and returns an
-    /// owning [`DomainBox`]: the typed convenience layer over
-    /// [`ThreadHandle::alloc_bytes`]. The box drops `value` in place and
-    /// frees the block when it goes out of scope.
-    ///
-    /// # Panics
-    /// If `align_of::<V>() > 8` (block payloads are 8-aligned) or no
-    /// configured class fits `size_of::<V>()`.
-    pub fn alloc_box<V: Send + Sync + 'static>(
-        &self,
-        value: V,
-    ) -> Result<DomainBox<'_, 'd, T, V>, OutOfMemory> {
-        assert!(
-            core::mem::align_of::<V>() <= 8,
-            "DomainBox payloads must be at most 8-aligned (got {})",
-            core::mem::align_of::<V>()
-        );
-        let size = core::mem::size_of::<V>().max(1);
-        let (idx, cls) = self.fitting_class(size);
-        let node = cls.alloc(self.tid, &self.counters)?;
-        let data = cls.data_ptr(node) as *mut V;
-        // SAFETY: freshly allocated, exclusively ours, sized and aligned
-        // for `V` (payload offset is 16 in an 8-aligned node).
-        unsafe { core::ptr::write(data, value) };
-        OpCounters::bump(&self.counters.class_allocs[idx]);
-        Ok(DomainBox {
-            handle: self,
-            token: RawBytes::new(idx, size, node),
-            // SAFETY: `data_ptr` of a live block is non-null.
-            data: unsafe { NonNull::new_unchecked(data) },
-            _own: PhantomData,
-        })
+    /// Drains this slot's deferred-decrement list (frees every batched
+    /// node whose covering pins have retired) and returns the number of
+    /// nodes freed. Runs automatically on unpin and handle drop; exposed
+    /// for benchmarks and tests that measure drain latency directly.
+    pub fn drain_deferred(&self) -> usize {
+        // SAFETY: this handle owns slot `tid`.
+        unsafe { self.pool().drain_deferred(self.tid, &self.counters) }
     }
 }
 
-impl<T: RcObject> Drop for ThreadHandle<'_, T> {
+impl<T: RcObject, S: Scheme> Drop for Handle<'_, T, S> {
     fn drop(&mut self) {
         // Fold the snapshot-path counters into the domain-lifetime stats
         // (surfaced by the leak audit) on both exit paths — the
         // per-handle cells die with the handle.
-        let snap = self.counters.snapshot();
-        self.domain.shared().reclaim.snap.fold(&snap);
+        self.domain.snap.fold(&self.counters.snapshot());
         // A panicking thread must not run the cooperative teardown: its
         // announcement row or gift slot may still hold references that only
         // an adopter can account for, and draining here could double-count.
-        // Mark the slot orphaned and let `WfrcDomain::adopt_orphans` do the
+        // Mark the slot orphaned and let `Domain::adopt_orphans` do the
         // whole recovery (including any deferred-decrement backlog and a
         // still-published pin bit).
         if std::thread::panicking() {
             self.domain.orphan(self.tid);
             return;
         }
+        let pool = self.pool();
         // A leaked guard (`mem::forget(PinGuard)`) never ran its unpin:
         // retract the still-published pin bit and restore epoch parity
         // here, or every subsequent release in the domain would defer
@@ -940,31 +815,30 @@ impl<T: RcObject> Drop for ThreadHandle<'_, T> {
         // of it is live — nothing can still read under the leaked pin.
         if self.pin_depth.get() > 0 {
             self.pin_depth.set(0);
-            self.domain.shared().reclaim.unpin(self.tid);
+            pool.unpin(self.tid);
             // The session entered exactly one operation level (pin_raw
             // opens one only on the outermost pin).
-            op_exit(self.epoch(), &self.op_depth);
+            pool.op_exit(self.tid, &self.op_depth);
         }
         // Free what the deferred list allows first — drained nodes may
         // park in this thread's magazine, which the flush below returns.
-        self.drain_deferred();
+        // SAFETY: this handle owns slot `tid` until `unregister` below.
+        unsafe { pool.drain_deferred(self.tid, &self.counters) };
         // Return magazine-parked nodes (node pool and every byte class) to
-        // the shared stripes strictly before the thread id becomes
+        // the shared structures strictly before the thread id becomes
         // claimable: a successor thread gets a fresh (empty) magazine, and
         // repeated register/alloc/drop cycles conserve the pool. The
         // Release in `unregister` publishes the drain to the next claimant.
         self.flush_magazines();
-        // Lower the announcement-presence bit this registration may have
-        // raised: no operation of ours is in flight, so our row is empty,
-        // and from here on writers stop reading it (`announce.rs`).
-        self.domain.shared().ann.clear_summary(self.tid);
+        pool.slot_retired(self.tid);
         self.domain.unregister(self.tid);
     }
 }
 
-impl<T: RcObject> core::fmt::Debug for ThreadHandle<'_, T> {
+impl<T: RcObject, S: Scheme> core::fmt::Debug for Handle<'_, T, S> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("ThreadHandle")
+        f.debug_struct("Handle")
+            .field("scheme", &S::NAME)
             .field("tid", &self.tid)
             .finish()
     }
@@ -974,18 +848,18 @@ impl<T: RcObject> core::fmt::Debug for ThreadHandle<'_, T> {
 /// `AllocNode`/`DeRefLink` results. Dropping it is `ReleaseRef`; cloning it
 /// is `FixRef(node, 2)`.
 #[must_use = "dropping the guard immediately releases the reference"]
-pub struct NodeRef<'h, T: RcObject> {
-    handle: &'h ThreadHandle<'h, T>,
+pub struct NodeRef<'h, T: RcObject, S: Scheme = Wf> {
+    handle: &'h Handle<'h, T, S>,
     node: NonNull<Node<T>>,
 }
 
-impl<'h, T: RcObject> NodeRef<'h, T> {
+impl<'h, T: RcObject, S: Scheme> NodeRef<'h, T, S> {
     /// Wraps a raw node carrying one owned reference.
     ///
     /// # Safety
     /// `node` must be non-null, of the handle's domain, with one unreleased
     /// reference owned by the caller.
-    pub unsafe fn from_raw(handle: &'h ThreadHandle<'h, T>, node: *mut Node<T>) -> Self {
+    pub unsafe fn from_raw(handle: &'h Handle<'h, T, S>, node: *mut Node<T>) -> Self {
         debug_assert!(!node.is_null());
         Self {
             handle,
@@ -1007,7 +881,7 @@ impl<'h, T: RcObject> NodeRef<'h, T> {
 
     /// Consumes the guard *without* releasing: returns the raw pointer and
     /// transfers the reference to the caller (pair with
-    /// [`ThreadHandle::release_raw`]).
+    /// [`Handle::release_raw`]).
     #[must_use = "the returned pointer carries the guard's reference; dropping it leaks"]
     pub fn into_raw(self) -> *mut Node<T> {
         let p = self.node.as_ptr();
@@ -1016,7 +890,7 @@ impl<'h, T: RcObject> NodeRef<'h, T> {
     }
 }
 
-impl<T: RcObject> Deref for NodeRef<'_, T> {
+impl<T: RcObject, S: Scheme> Deref for NodeRef<'_, T, S> {
     type Target = T;
     fn deref(&self) -> &T {
         // SAFETY: the guard owns a reference, so the payload is stable.
@@ -1024,11 +898,11 @@ impl<T: RcObject> Deref for NodeRef<'_, T> {
     }
 }
 
-impl<T: RcObject> Clone for NodeRef<'_, T> {
+impl<T: RcObject, S: Scheme> Clone for NodeRef<'_, T, S> {
     fn clone(&self) -> Self {
-        let _op = self.handle.op();
         // FixRef(node, 2): copying a shared pointer (§3.2).
-        self.handle.domain().shared().fix_ref(self.as_ptr(), 2);
+        // SAFETY: this guard's reference keeps the node live.
+        unsafe { self.handle.add_ref_raw(self.as_ptr(), 1) };
         Self {
             handle: self.handle,
             node: self.node,
@@ -1036,25 +910,21 @@ impl<T: RcObject> Clone for NodeRef<'_, T> {
     }
 }
 
-impl<T: RcObject> Drop for NodeRef<'_, T> {
+impl<T: RcObject, S: Scheme> Drop for NodeRef<'_, T, S> {
     fn drop(&mut self) {
-        let _op = self.handle.op();
-        self.handle.domain().shared().release_ref(
-            self.handle.tid(),
-            self.handle.counters(),
-            self.node.as_ptr(),
-        );
+        // SAFETY: the guard's own reference.
+        unsafe { self.handle.release_raw(self.node.as_ptr()) };
     }
 }
 
-impl<T: RcObject> PartialEq for NodeRef<'_, T> {
+impl<T: RcObject, S: Scheme> PartialEq for NodeRef<'_, T, S> {
     fn eq(&self, other: &Self) -> bool {
         self.node == other.node
     }
 }
-impl<T: RcObject> Eq for NodeRef<'_, T> {}
+impl<T: RcObject, S: Scheme> Eq for NodeRef<'_, T, S> {}
 
-impl<T: RcObject + core::fmt::Debug> core::fmt::Debug for NodeRef<'_, T> {
+impl<T: RcObject + core::fmt::Debug, S: Scheme> core::fmt::Debug for NodeRef<'_, T, S> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("NodeRef")
             .field("node", &self.node)
@@ -1144,7 +1014,7 @@ impl<'g, 'h, T: RcObject> Snapshot<'g, 'h, T> {
     }
 
     /// Upgrades the snapshot to an owned [`NodeRef`] through the full
-    /// wait-free announcement protocol ([`ThreadHandle::deref`] on the
+    /// wait-free announcement protocol ([`Handle::deref`] on the
     /// snapshot's source link), so the result is independent of the pin
     /// and may outlive the guard.
     ///
@@ -1159,16 +1029,11 @@ impl<'g, 'h, T: RcObject> Snapshot<'g, 'h, T> {
         // epoch: the unwinding guard drop retires both, the handle drop
         // orphans the slot, and adoption recovers any deferred nodes.
         #[cfg(feature = "fault-injection")]
-        h.domain
-            .shared()
+        h.pool()
             .fault_hit(&h.counters, crate::fault::FaultSite::SnapshotUpgrade, h.tid);
-        let owned = h.deref(self.link)?;
-        if owned.as_ptr() == self.node.as_ptr() {
-            Some(owned)
-        } else {
-            drop(owned); // the link was retargeted since the snapshot
-            None
-        }
+        // A retargeted link drops the fresh guard: re-read.
+        h.deref(self.link)
+            .filter(|owned| owned.as_ptr() == self.node.as_ptr())
     }
 }
 
@@ -1191,49 +1056,36 @@ impl<T: RcObject + core::fmt::Debug> core::fmt::Debug for Snapshot<'_, '_, T> {
     }
 }
 
-/// A weak reference to a node (PR 10, DESIGN.md §4g): keeps the node's
-/// *header* reachable without keeping its payload alive.
+/// A weak reference to a node (DESIGN.md §4g): keeps the node's *header*
+/// reachable without keeping its payload alive.
 ///
-/// Created by [`ThreadHandle::downgrade`] (one FAA — the strong guard
-/// proves liveness). Holds one weak count in the upper half of the node's
-/// packed `mm_ref` word; the strong hot path is untouched. When the strong
-/// count drains, the payload's links are stripped and the header enters
-/// the DEAD-but-weak state — off every free structure — until the last
-/// weak reference drops and finalizes it back into the free path.
+/// Created by [`Handle::downgrade`] (one FAA — the strong guard proves
+/// liveness). Holds one weak count in the upper half of the node's packed
+/// `mm_ref` word; the strong hot path is untouched. When the strong count
+/// drains, the payload's links are stripped and the header enters the
+/// DEAD-but-weak state — off every free structure — until the last weak
+/// reference drops and finalizes it back into the free path.
 ///
 /// [`Weak::upgrade`] attempts to mint a strong reference: a bounded CAS
 /// loop that succeeds iff the claim bit is clear (equivalently, iff the
 /// strong count is nonzero at the upgrade's linearization point — see
 /// [`Node::try_upgrade`]).
 #[must_use = "dropping the weak reference immediately releases its count"]
-pub struct Weak<'h, T: RcObject> {
-    handle: &'h ThreadHandle<'h, T>,
+pub struct Weak<'h, T: RcObject, S: Scheme = Wf> {
+    handle: &'h Handle<'h, T, S>,
     node: NonNull<Node<T>>,
 }
 
-impl<'h, T: RcObject> Weak<'h, T> {
+impl<'h, T: RcObject, S: Scheme> Weak<'h, T, S> {
     /// Attempts to upgrade to an owned strong reference. Fails (returns
     /// `None`) iff the node's strong count had already drained and its
     /// claim was taken — once dead, a node stays dead for as long as this
     /// weak reference pins its header.
-    pub fn upgrade(&self) -> Option<NodeRef<'h, T>> {
-        let h = self.handle;
-        let _op = h.op();
-        OpCounters::bump(&h.counters.weak_upgrades);
-        // Death here holds nothing beyond the operation epoch — a clean
-        // abort (the weak count stays with the guard, released on drop).
-        #[cfg(feature = "fault-injection")]
-        h.domain
-            .shared()
-            .fault_hit(&h.counters, crate::fault::FaultSite::WeakUpgrade, h.tid);
-        // SAFETY: our weak count pins the header.
-        if unsafe { self.node.as_ref() }.try_upgrade() {
-            // SAFETY: the CAS installed one strong reference we now own.
-            Some(unsafe { NodeRef::from_raw(h, self.node.as_ptr()) })
-        } else {
-            OpCounters::bump(&h.counters.upgrade_failed);
-            None
-        }
+    pub fn upgrade(&self) -> Option<NodeRef<'h, T, S>> {
+        let (h, node) = (self.handle, self.node.as_ptr());
+        // SAFETY: our weak count pins the header; a successful upgrade
+        // installed one strong reference the new guard owns.
+        unsafe { h.upgrade_raw(node).then(|| NodeRef::from_raw(h, node)) }
     }
 
     /// The raw node pointer. The header is pinned by this weak reference,
@@ -1251,7 +1103,7 @@ impl<'h, T: RcObject> Weak<'h, T> {
     }
 }
 
-impl<T: RcObject> Clone for Weak<'_, T> {
+impl<T: RcObject, S: Scheme> Clone for Weak<'_, T, S> {
     fn clone(&self) -> Self {
         let _op = self.handle.op();
         // Our own weak count pins the header, so a plain FAA suffices.
@@ -1264,14 +1116,14 @@ impl<T: RcObject> Clone for Weak<'_, T> {
     }
 }
 
-impl<T: RcObject> Drop for Weak<'_, T> {
+impl<T: RcObject, S: Scheme> Drop for Weak<'_, T, S> {
     fn drop(&mut self) {
-        let _op = self.handle.op();
-        self.handle.release_weak_count(self.node.as_ptr());
+        // SAFETY: this reference's own weak count.
+        unsafe { self.handle.release_weak_raw(self.node.as_ptr()) };
     }
 }
 
-impl<T: RcObject> core::fmt::Debug for Weak<'_, T> {
+impl<T: RcObject, S: Scheme> core::fmt::Debug for Weak<'_, T, S> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Weak")
             .field("node", &self.node)
@@ -1280,103 +1132,10 @@ impl<T: RcObject> core::fmt::Debug for Weak<'_, T> {
     }
 }
 
-/// Unwind guard for [`ThreadHandle::store_weak`]'s obligatory help: an
-/// injected helper death must not skip the weak release of the link's old
-/// target (cf. [`crate::rc::ReleaseOnUnwind`] for strong links).
-#[cfg(feature = "fault-injection")]
-struct WeakReleaseOnUnwind<'a, 'd, T: RcObject> {
-    handle: &'a ThreadHandle<'d, T>,
-    node: *mut Node<T>,
-}
-
-#[cfg(feature = "fault-injection")]
-impl<T: RcObject> Drop for WeakReleaseOnUnwind<'_, '_, T> {
-    fn drop(&mut self) {
-        if !self.node.is_null() && std::thread::panicking() {
-            self.handle.release_weak_count(self.node);
-        }
-    }
-}
-
-/// An owned, typed value living in one of the domain's byte classes: the
-/// RAII form of [`ThreadHandle::alloc_bytes`] for `V: Sized` payloads
-/// (created by [`ThreadHandle::alloc_box`]).
-///
-/// Holds the allocating handle, so it is automatically `!Send` — the block
-/// must be freed under the same `threadId` that allocated it can account
-/// for it (any registered handle could free the token; tying the box to
-/// one handle just makes the drop site unambiguous). Dropping the box runs
-/// `V`'s destructor in place and returns the block to its class.
-///
-/// For cross-thread hand-off, use [`DomainBox::into_token`] and rebuild
-/// access with [`ThreadHandle::bytes`] / [`ThreadHandle::free_bytes`] on
-/// the receiving handle (the payload is then managed manually).
-#[must_use = "dropping the box immediately frees the block"]
-pub struct DomainBox<'h, 'd, T: RcObject, V> {
-    handle: &'h ThreadHandle<'d, T>,
-    token: RawBytes,
-    data: NonNull<V>,
-    _own: PhantomData<V>,
-}
-
-impl<'h, 'd, T: RcObject, V> DomainBox<'h, 'd, T, V> {
-    /// The underlying byte-class token (still owned by the box).
-    pub fn token(&self) -> RawBytes {
-        self.token
-    }
-
-    /// Consumes the box *without* running `V`'s destructor or freeing the
-    /// block: the caller takes over the token (and the obligation to
-    /// eventually [`ThreadHandle::free_bytes`] it — dropping the payload
-    /// is then the caller's business, e.g. via `ptr::drop_in_place`).
-    #[must_use = "the returned token carries the block; dropping it leaks"]
-    pub fn into_token(self) -> RawBytes {
-        let t = self.token;
-        core::mem::forget(self);
-        t
-    }
-}
-
-impl<T: RcObject, V> Deref for DomainBox<'_, '_, T, V> {
-    type Target = V;
-    fn deref(&self) -> &V {
-        // SAFETY: the box owns the block; the value was written at
-        // construction and is dropped only in `Drop`.
-        unsafe { self.data.as_ref() }
-    }
-}
-
-impl<T: RcObject, V> core::ops::DerefMut for DomainBox<'_, '_, T, V> {
-    fn deref_mut(&mut self) -> &mut V {
-        // SAFETY: exclusive ownership (`&mut self`), same validity as Deref.
-        unsafe { self.data.as_mut() }
-    }
-}
-
-impl<T: RcObject, V> Drop for DomainBox<'_, '_, T, V> {
-    fn drop(&mut self) {
-        // SAFETY: the value is live (written at construction, not yet
-        // dropped) and the token is this box's unfreed allocation.
-        unsafe {
-            core::ptr::drop_in_place(self.data.as_ptr());
-            self.handle.free_bytes(self.token);
-        }
-    }
-}
-
-impl<T: RcObject, V: core::fmt::Debug> core::fmt::Debug for DomainBox<'_, '_, T, V> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("DomainBox")
-            .field("class", &self.token.class_index())
-            .field("value", &**self)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::domain::DomainConfig;
+    use crate::domain::{DomainConfig, WfrcDomain};
 
     fn domain(threads: usize, cap: usize) -> WfrcDomain<u64> {
         WfrcDomain::new(DomainConfig::new(threads, cap))
@@ -1519,45 +1278,6 @@ mod tests {
         let d = WfrcDomain::<u64>::new(DomainConfig::new(1, 2).with_class(ClassConfig::new(64, 8)));
         let h = d.register().unwrap();
         let _ = h.alloc_bytes(&[0u8; 65]);
-    }
-
-    #[test]
-    fn domain_box_owns_drops_and_frees() {
-        use crate::class::ClassConfig;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static DROPS: AtomicUsize = AtomicUsize::new(0);
-        struct Probe(u64);
-        impl Drop for Probe {
-            fn drop(&mut self) {
-                DROPS.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let d = WfrcDomain::<u64>::new(DomainConfig::new(1, 2).with_class(ClassConfig::new(64, 8)));
-        let h = d.register().unwrap();
-        let mut b = h.alloc_box(Probe(41)).unwrap();
-        b.0 += 1;
-        assert_eq!(b.0, 42);
-        assert_eq!(d.leak_check().classes[0].live_nodes, 1);
-        drop(b);
-        assert_eq!(DROPS.load(Ordering::SeqCst), 1);
-        drop(h);
-        assert!(d.leak_check().is_clean());
-    }
-
-    #[test]
-    fn domain_box_into_token_transfers_ownership() {
-        use crate::class::ClassConfig;
-        let d = WfrcDomain::<u64>::new(DomainConfig::new(1, 2).with_class(ClassConfig::new(64, 8)));
-        let h = d.register().unwrap();
-        let b = h.alloc_box(123u32).unwrap();
-        let token = b.into_token();
-        // SAFETY: the token is live; u32 needs no drop.
-        unsafe {
-            assert_eq!(h.bytes(&token)[..4], 123u32.to_ne_bytes());
-            h.free_bytes(token);
-        }
-        drop(h);
-        assert!(d.leak_check().is_clean());
     }
 
     #[test]

@@ -97,19 +97,19 @@ use std::time::Instant;
 use wfrc_primitives::{AtomicWord, CachePadded};
 
 use crate::counters::{LeaseSnapshot, LeaseStats};
-use crate::domain::{AdoptReport, RegistryFull, WfrcDomain};
+use crate::domain::{AdoptReport, Domain, RegistryFull};
+use crate::handle::Handle;
 use crate::node::RcObject;
+use crate::scheme::Scheme;
 use crate::sentinel::{AdmissionPolicy, Outcome};
-use crate::ThreadHandle;
 
 // ---------------------------------------------------------------------------
 // Registry abstraction
 // ---------------------------------------------------------------------------
 
 /// What a [`LeasePool`] needs from a domain: registration, abandonment,
-/// orphan adoption, and magazine flushing. Implemented by
-/// [`WfrcDomain`] here and by the LFRC baseline domain in
-/// `wfrc-baselines`, so the pool (and the E12 server bench) runs
+/// orphan adoption, and magazine flushing. Implemented once, for
+/// [`Domain`] under any scheme, so the pool (and the E12 server bench) runs
 /// identically over both schemes.
 pub trait LeaseRegistry: Sync {
     /// The per-slot handle checked in and out of the pool. `Send` so a
@@ -143,9 +143,9 @@ pub trait LeaseRegistry: Sync {
     fn lease_fault<'d>(&'d self, handle: &Self::Handle<'d>);
 }
 
-impl<T: RcObject> LeaseRegistry for WfrcDomain<T> {
+impl<T: RcObject, S: Scheme> LeaseRegistry for Domain<T, S> {
     type Handle<'d>
-        = ThreadHandle<'d, T>
+        = Handle<'d, T, S>
     where
         Self: 'd;
 
@@ -171,7 +171,8 @@ impl<T: RcObject> LeaseRegistry for WfrcDomain<T> {
 
     #[cfg(feature = "fault-injection")]
     fn lease_fault<'d>(&'d self, handle: &Self::Handle<'d>) {
-        self.shared().fault_hit(
+        use crate::scheme::Pool;
+        self.pool().fault_hit(
             handle.counters(),
             crate::fault::FaultSite::LeaseExpire,
             handle.tid(),
@@ -1465,6 +1466,7 @@ impl<'p, 'd, R: LeaseRegistry> core::future::Future for AdmittedFuture<'p, 'd, R
 mod tests {
     use super::*;
     use crate::DomainConfig;
+    use crate::WfrcDomain;
 
     fn domain(threads: usize, cap: usize) -> WfrcDomain<u64> {
         WfrcDomain::<u64>::new(DomainConfig::new(threads, cap).with_magazine(4))

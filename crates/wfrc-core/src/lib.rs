@@ -29,6 +29,7 @@
 //! | type-stable memory assumption | [`arena`] |
 //! | announcement matrices (`annReadAddr`, `annIndex`, `annBusy`) | [`announce`] |
 //! | Figure 4 `DeRefLink` / `ReleaseRef` / `HelpDeRef` | [`rc`] (driven through [`WfrcDomain`]) |
+//! | §3.2 "the same signature as lock-free reference counting" | [`scheme`]: every tier above the pool is written once over it |
 //! | Figure 5 `AllocNode` / `FreeNode` / `FixRef` | [`freelist`] |
 //! | Figure 6 `CompareAndSwapLink`, §3.2 usage rules | [`link`], [`handle`] |
 //! | footnote 4 out-of-memory detection | [`oom`] |
@@ -93,22 +94,26 @@ pub mod node;
 pub mod oom;
 pub mod rc;
 pub mod reclaim;
+pub mod scheme;
 pub mod sentinel;
 
 pub use arena::{Growth, CARVE_PAGE, MAX_SEGMENTS};
 pub use class::{geometric_ladder, ClassConfig, ClassLeak, RawBytes, CLASS_SIZES, MAX_CLASSES};
 pub use counters::{LeaseSnapshot, LeaseStats, OpCounters};
 pub use counters::{SentinelSnapshot, SentinelStats};
-pub use domain::{census, AdoptReport, Census, DomainConfig, LeakReport, RegistryFull, WfrcDomain};
+pub use domain::{
+    census, AdoptReport, Census, Domain, DomainConfig, LeakReport, RegistryFull, WfrcDomain,
+};
 #[cfg(feature = "fault-injection")]
 pub use fault::{FaultAction, FaultPlan, FaultSite, FireRule, InjectedDeath};
-pub use handle::{DomainBox, NodeRef, PinGuard, Snapshot, ThreadHandle, Weak};
+pub use handle::{Handle, NodeRef, PinGuard, Snapshot, ThreadHandle, Weak};
 pub use lease::{LeaseConfig, LeaseGuard, LeasePool, LeaseRegistry};
 pub use link::{AtomicWeak, Link};
 pub use magazine::Magazines;
 pub use node::{Claim, Node, RcObject};
 pub use oom::OutOfMemory;
 pub use reclaim::{ReclaimOutcome, ReclaimPolicy, SnapStats};
+pub use scheme::{Scheme, Wf};
 pub use sentinel::{AdmissionPolicy, Outcome, Sentinel, SentinelConfig, Stage, Supervised};
 
 /// Hard upper bound on threads per domain.

@@ -56,6 +56,8 @@ use std::collections::HashSet;
 use crate::counters::OpCounters;
 use crate::domain::Shared;
 use crate::node::{chain_tail, Node, RcObject};
+#[cfg(feature = "fault-injection")]
+use crate::scheme::Pool;
 
 type Slot<T> = wfrc_primitives::CachePadded<UnsafeCell<Vec<*mut Node<T>>>>;
 

@@ -26,6 +26,7 @@ use crate::counters::OpCounters;
 use crate::domain::Shared;
 use crate::link::Link;
 use crate::node::{Claim, Node, RcObject};
+use crate::scheme::Pool;
 
 impl<T: RcObject> Shared<T> {
     /// `DeRefLink` (paper lines D1–D10): dereference `link`, returning a
@@ -110,104 +111,12 @@ impl<T: RcObject> Shared<T> {
         node // D10
     }
 
-    /// `ReleaseRef` (paper lines R1–R4): drop one reference count from
-    /// `node`; the invocation whose R2 CAS claims the node at count zero
-    /// releases the node's own links (R3) and returns it to the free-list
-    /// (R4).
-    ///
-    /// The paper writes R3 as recursion; a chain of single-referenced nodes
-    /// would recurse chain-deep, so this implementation drives the same
-    /// order of operations with an explicit work list (allocated lazily —
-    /// the common non-reclaiming call does no heap work).
+    /// `ReleaseRef` under this pool's slot `tid` (see [`release_ref`]).
+    #[inline]
     pub(crate) fn release_ref(&self, tid: usize, c: &OpCounters, node: *mut Node<T>) {
-        debug_assert!(!node.is_null());
-        // A death at this site must not forget the count the caller is
-        // contractually dropping (it would pin `node` live forever): the
-        // completion performs the whole release before the unwind resumes.
-        #[cfg(feature = "fault-injection")]
-        self.fault_hit_or(c, crate::fault::FaultSite::ReleaseFaa, tid, || {
-            self.release_ref_body(tid, c, node);
-        });
-        self.release_ref_body(tid, c, node);
-    }
-
-    fn release_ref_body(&self, tid: usize, c: &OpCounters, node: *mut Node<T>) {
-        let mut pending: Option<Vec<*mut Node<T>>> = None;
-        let mut cur = node;
-        loop {
-            OpCounters::bump(&c.releases);
-            // SAFETY: arena node (type-stable header).
-            let n = unsafe { &*cur };
-            n.faa_ref(-2); // R1
-            match n.try_claim_weak() {
-                Claim::Busy => {
-                    // Either the node is still strongly referenced, or we
-                    // were a speculative release on a DEAD-but-weak header.
-                    // If our decrement exposed the finalize sentinel
-                    // (DEAD|1), the weak holders have all dropped and we
-                    // are the designated finalizer.
-                    if n.maybe_finalize() {
-                        self.defer_or_free(tid, c, cur);
-                    }
-                }
-                claim => {
-                    // R2 won: we own `cur`'s payload exclusively now.
-                    OpCounters::bump(&c.reclaims);
-                    // R3: strip and release every reference the payload
-                    // holds — strong links recurse through the work list,
-                    // weak links drop one weak count on their target
-                    // (finalizing it if that was the last).
-                    // SAFETY: exclusive ownership — strong count is 0 and
-                    // claimed, so no thread can reach the payload through
-                    // the protocol.
-                    let payload = unsafe { n.payload() };
-                    payload.each_link(&mut |l| {
-                        // Deletion marks (bit 0) do not carry a count of
-                        // their own — strip before releasing.
-                        let child =
-                            wfrc_primitives::tagged::without_tag(l.swap_raw(ptr::null_mut()));
-                        if !child.is_null() {
-                            pending.get_or_insert_with(Vec::new).push(child);
-                        }
-                    });
-                    payload.each_weak_link(&mut |wl| {
-                        let child = wfrc_primitives::tagged::without_tag(
-                            wl.inner().swap_raw(ptr::null_mut()),
-                        );
-                        if !child.is_null() {
-                            // SAFETY: arena node (type-stable header).
-                            unsafe { (*child).faa_weak(-1) };
-                            if unsafe { (*child).maybe_finalize() } {
-                                self.defer_or_free(tid, c, child);
-                            }
-                        }
-                    });
-                    match claim {
-                        // R4 — or, while any snapshot pin is live, onto the
-                        // deferred list (the node's payload may still be
-                        // borrowed by a plain-load `Snapshot`; see
-                        // reclaim.rs §4f docs).
-                        Claim::Free => self.defer_or_free(tid, c, cur),
-                        Claim::DeadWeak => {
-                            // Weak references remain: the header stays
-                            // DEAD-but-weak, off every free structure. Drop
-                            // the guard weak reference the claim CAS
-                            // deposited; if every holder raced their drop
-                            // in during the strip, finalize here.
-                            n.faa_weak(-1);
-                            if n.maybe_finalize() {
-                                self.defer_or_free(tid, c, cur);
-                            }
-                        }
-                        Claim::Busy => unreachable!(),
-                    }
-                }
-            }
-            match pending.as_mut().and_then(|p| p.pop()) {
-                Some(next) => cur = next,
-                None => break,
-            }
-        }
+        // SAFETY: crate-internal callers hold slot `tid` and a reference on
+        // `node`, a node of this pool.
+        unsafe { release_ref(self, tid, c, node) }
     }
 
     /// `HelpDeRef` (paper lines H1–H8): called by every operation that has
@@ -279,14 +188,136 @@ impl<T: RcObject> Shared<T> {
             OpCounters::bump(&c.help_scan_skips);
         }
     }
+}
 
-    /// `FixRef` (paper Figure 5): adjust a node's reference count by `fix`
-    /// raw units. Exposed through the handle as `clone`-style `+2` bumps.
-    #[inline]
-    pub(crate) fn fix_ref(&self, node: *mut Node<T>, fix: isize) {
-        debug_assert!(!node.is_null());
+/// `ReleaseRef` (paper lines R1–R4): drop one reference count from `node`;
+/// the invocation whose R2 CAS claims the node at count zero releases the
+/// node's own links (R3) and returns it to the pool (R4,
+/// [`Pool::free_finalized`] — the one step in which the schemes differ).
+///
+/// The paper writes R3 as recursion; a chain of single-referenced nodes
+/// would recurse chain-deep, so this implementation drives the same order
+/// of operations with an explicit work list (allocated lazily — the common
+/// non-reclaiming call does no heap work).
+///
+/// # Safety
+/// The caller owns slot `tid` of `pool`'s domain and an unreleased
+/// reference on non-null `node`, a node of `pool`.
+pub(crate) unsafe fn release_ref<T: RcObject, P: Pool<T>>(
+    pool: &P,
+    tid: usize,
+    c: &OpCounters,
+    node: *mut Node<T>,
+) {
+    debug_assert!(!node.is_null());
+    // A death at this site must not forget the count the caller is
+    // contractually dropping (it would pin `node` live forever): the
+    // completion performs the whole release before the unwind resumes.
+    #[cfg(feature = "fault-injection")]
+    pool.fault_hit_or(c, crate::fault::FaultSite::ReleaseFaa, tid, || {
+        // SAFETY: forwarded contract.
+        unsafe { release_ref_body(pool, tid, c, node) };
+    });
+    // SAFETY: forwarded contract.
+    unsafe { release_ref_body(pool, tid, c, node) };
+}
+
+/// # Safety
+/// Same contract as [`release_ref`].
+unsafe fn release_ref_body<T: RcObject, P: Pool<T>>(
+    pool: &P,
+    tid: usize,
+    c: &OpCounters,
+    node: *mut Node<T>,
+) {
+    let mut pending: Option<Vec<*mut Node<T>>> = None;
+    let mut cur = node;
+    loop {
+        OpCounters::bump(&c.releases);
         // SAFETY: arena node (type-stable header).
-        unsafe { (*node).faa_ref(fix) };
+        let n = unsafe { &*cur };
+        n.faa_ref(-2); // R1
+        match n.try_claim_weak() {
+            Claim::Busy => {
+                // Either the node is still strongly referenced, or we were
+                // a speculative release on a DEAD-but-weak header. If our
+                // decrement exposed the finalize sentinel (DEAD|1), the
+                // weak holders have all dropped and we are the designated
+                // finalizer.
+                if n.maybe_finalize() {
+                    // SAFETY: the finalize CAS made `cur` exclusively ours.
+                    unsafe { pool.free_finalized(tid, c, cur) };
+                }
+            }
+            claim => {
+                // R2 won: we own `cur`'s payload exclusively now.
+                OpCounters::bump(&c.reclaims);
+                // R3: strip and release every reference the payload holds —
+                // strong links recurse through the work list, weak links
+                // drop one weak count on their target (finalizing it if
+                // that was the last).
+                // SAFETY: exclusive ownership — strong count is 0 and
+                // claimed, so no thread can reach the payload through the
+                // protocol.
+                let payload = unsafe { n.payload() };
+                payload.each_link(&mut |l| {
+                    // Deletion marks (bit 0) do not carry a count of their
+                    // own — strip before releasing.
+                    let child = wfrc_primitives::tagged::without_tag(l.swap_raw(ptr::null_mut()));
+                    if !child.is_null() {
+                        pending.get_or_insert_with(Vec::new).push(child);
+                    }
+                });
+                payload.each_weak_link(&mut |wl| {
+                    let child =
+                        wfrc_primitives::tagged::without_tag(wl.inner().swap_raw(ptr::null_mut()));
+                    if !child.is_null() {
+                        // SAFETY: the link owned one weak unit on `child`.
+                        unsafe { release_weak(pool, tid, c, child) };
+                    }
+                });
+                match claim {
+                    // R4 (under a live snapshot pin the wait-free pool
+                    // defers instead — the node's payload may still be
+                    // borrowed by a plain-load `Snapshot`; reclaim.rs).
+                    // SAFETY: the claim made `cur` exclusively ours.
+                    Claim::Free => unsafe { pool.free_finalized(tid, c, cur) },
+                    // Weak references remain: the header stays
+                    // DEAD-but-weak, off every free structure. Drop the
+                    // guard weak reference the claim CAS deposited; if
+                    // every holder raced their drop in during the strip,
+                    // finalize here.
+                    // SAFETY: that guard unit is ours to drop.
+                    Claim::DeadWeak => unsafe { release_weak(pool, tid, c, cur) },
+                    Claim::Busy => unreachable!(),
+                }
+            }
+        }
+        match pending.as_mut().and_then(|p| p.pop()) {
+            Some(next) => cur = next,
+            None => break,
+        }
+    }
+}
+
+/// Drops one weak count on `node`; the last one off a DEAD header
+/// finalizes it and hands it to [`Pool::free_finalized`].
+///
+/// # Safety
+/// The caller owns slot `tid` of `pool`'s domain and an unreleased weak
+/// count on non-null `node`, a node of `pool`.
+pub(crate) unsafe fn release_weak<T: RcObject, P: Pool<T>>(
+    pool: &P,
+    tid: usize,
+    c: &OpCounters,
+    node: *mut Node<T>,
+) {
+    // SAFETY: arena node (type-stable header), pinned by the caller's count.
+    let n = unsafe { &*node };
+    n.faa_weak(-1);
+    if n.maybe_finalize() {
+        // SAFETY: the finalize CAS made `node` exclusively ours.
+        unsafe { pool.free_finalized(tid, c, node) };
     }
 }
 
@@ -308,28 +339,6 @@ impl<'a> BusyPin<'a> {
 impl Drop for BusyPin<'_> {
     fn drop(&mut self) {
         self.ann.busy_dec(self.id, self.idx); // H8
-    }
-}
-
-/// Scope guard used by the handle's `store`/`cas` around the obligatory
-/// `HelpDeRef`: a helper death unwinding out of `help_deref` would skip the
-/// §3.2 release of the link's *old* node, leaking its count. On unwind this
-/// performs that release; on the normal path (no panic in flight) the drop
-/// is inert and the handle performs the release itself after the scope.
-#[cfg(feature = "fault-injection")]
-pub(crate) struct ReleaseOnUnwind<'a, T: RcObject> {
-    pub(crate) shared: &'a Shared<T>,
-    pub(crate) tid: usize,
-    pub(crate) c: &'a OpCounters,
-    pub(crate) node: *mut Node<T>,
-}
-
-#[cfg(feature = "fault-injection")]
-impl<T: RcObject> Drop for ReleaseOnUnwind<'_, T> {
-    fn drop(&mut self) {
-        if !self.node.is_null() && std::thread::panicking() {
-            self.shared.release_ref(self.tid, self.c, self.node);
-        }
     }
 }
 
@@ -478,10 +487,11 @@ mod tests {
         let d = domain(1, 2);
         let h = d.register().unwrap();
         let a = h.alloc_with(|_| {}).unwrap();
-        let s = d.shared();
-        s.fix_ref(a.as_ptr(), 2);
+        // SAFETY: `a` holds a reference; the extra one is released below.
+        unsafe { h.add_ref_raw(a.as_ptr(), 1) };
         assert_eq!(a.as_node().ref_count(), 2);
-        s.fix_ref(a.as_ptr(), -2);
+        // SAFETY: the reference added above.
+        unsafe { h.release_raw(a.as_ptr()) };
         assert_eq!(a.as_node().ref_count(), 1);
     }
 }

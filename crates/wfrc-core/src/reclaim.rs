@@ -90,8 +90,10 @@ use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::arena::SEG_DRAINING;
 use crate::counters::OpCounters;
-use crate::domain::{Shared, WfrcDomain};
+use crate::domain::Shared;
 use crate::node::{chain_tail, Node, RcObject};
+#[cfg(feature = "fault-injection")]
+use crate::scheme::Pool;
 
 type EpochCell = wfrc_primitives::CachePadded<AtomicUsize>;
 
@@ -125,15 +127,6 @@ impl<'a> SlotEpoch<'a> {
         self.0.store(e.wrapping_add(1), Ordering::Release);
     }
 
-    /// [`Self::enter`] now, [`Self::exit`] when the guard drops — on unwind
-    /// too, so an injected death inside the bracket leaves the epoch even
-    /// and a reclaimer never waits on a corpse.
-    #[inline]
-    pub(crate) fn bracket(self) -> OpBracket<'a> {
-        self.enter();
-        OpBracket(self)
-    }
-
     /// Back to quiescent, whatever the parity was: a fresh registration, or
     /// adoption of a slot whose owner died mid-operation.
     pub(crate) fn reset(self) {
@@ -145,16 +138,6 @@ impl<'a> SlotEpoch<'a> {
     #[inline]
     pub(crate) fn read(self) -> usize {
         self.0.load(Ordering::SeqCst)
-    }
-}
-
-/// RAII form of one enter/exit pair (see [`SlotEpoch::bracket`]).
-pub(crate) struct OpBracket<'a>(SlotEpoch<'a>);
-
-impl Drop for OpBracket<'_> {
-    #[inline]
-    fn drop(&mut self) {
-        self.0.exit();
     }
 }
 
@@ -309,8 +292,6 @@ pub(crate) struct ReclaimCtl<T> {
     pins: Box<[PinCell]>,
     /// Per-slot deferred-decrement lists (indexed by the releasing slot).
     deferred: Box<[DeferredSlot<T>]>,
-    /// Shared snapshot telemetry (see [`SnapStats`]).
-    pub(crate) snap: SnapStats,
     policy: ReclaimPolicy,
 }
 
@@ -330,7 +311,6 @@ impl<T> ReclaimCtl<T> {
                 .map(|_| wfrc_primitives::CachePadded::new(wfrc_primitives::AtomicWord::new(0)))
                 .collect(),
             deferred: (0..n).map(|_| DeferredSlot::new(n)).collect(),
-            snap: SnapStats::default(),
             policy,
         }
     }
@@ -355,6 +335,9 @@ impl<T> ReclaimCtl<T> {
     /// Withdraws slot `tid`'s pin. `Release`: every snapshot access of the
     /// pin session happens-before the clear, so a drain observing the
     /// cleared bit (`SeqCst` load) may free the session's covered nodes.
+    /// Also clears a corpse's bit (adoption, slot re-registration): the
+    /// dead thread executes nothing, so no snapshot of its session can
+    /// still be read.
     #[inline]
     pub(crate) fn unpin(&self, tid: usize) {
         self.pins[tid / PIN_BITS].fetch_and_with(!(1 << (tid % PIN_BITS)), Ordering::Release);
@@ -372,11 +355,10 @@ impl<T> ReclaimCtl<T> {
         self.pins[tid / PIN_BITS].load() & (1 << (tid % PIN_BITS)) != 0
     }
 
-    /// Clears a corpse's pin bit (adoption / slot re-registration). The
-    /// dead thread executes nothing, so no snapshot of its session can
-    /// still be read.
-    pub(crate) fn clear_pin(&self, tid: usize) {
-        self.unpin(tid);
+    /// True when `tid` holds the segment-drain claim (a crashed drainer
+    /// leaves it set; adoption reopens it).
+    pub(crate) fn claimed_by(&self, tid: usize) -> bool {
+        self.draining_by.load(Ordering::SeqCst) == tid + 1
     }
 
     /// Pushes a claimed node (`mm_ref == FREE_REF`, links stripped) onto
@@ -864,23 +846,13 @@ impl<T: RcObject> Shared<T> {
     }
 }
 
-/// The full retire protocol (see the module docs). `tid` is the calling
-/// thread's registered id; the caller must not be inside any other domain
-/// operation.
+/// The full retire protocol (see the module docs) over one [`Shared`] pool.
+/// `tid` is the calling thread's registered id; the caller must not be
+/// inside any other domain operation. The node pool and every byte class
+/// run the identical protocol; only the registry probe (`is_taken`,
+/// answering "does slot `t` currently host a live thread?") comes from
+/// outside, because slot ownership is domain-wide while epochs are per pool.
 pub(crate) fn try_reclaim<T: RcObject>(
-    domain: &WfrcDomain<T>,
-    tid: usize,
-    c: &OpCounters,
-) -> ReclaimOutcome {
-    try_reclaim_shared(domain.shared(), tid, c, &|t| domain.slot_is_taken(t))
-}
-
-/// Retire protocol over a bare [`Shared`] pool. The node pool and every
-/// byte class run the identical protocol; only the registry probe
-/// (`is_taken`, answering "does slot `t` currently host a live thread?")
-/// comes from outside, because slot ownership is domain-wide while epochs
-/// are per pool.
-pub(crate) fn try_reclaim_shared<T: RcObject>(
     s: &Shared<T>,
     tid: usize,
     c: &OpCounters,
@@ -1005,7 +977,7 @@ pub(crate) fn try_reclaim_shared<T: RcObject>(
 mod tests {
     use super::*;
     use crate::arena::Growth;
-    use crate::domain::DomainConfig;
+    use crate::domain::{DomainConfig, WfrcDomain};
 
     /// Regression: an allocator's anti-livelock steal may empty the parking
     /// chain between the sweep and the post-grace detach. That is a
@@ -1023,7 +995,7 @@ mod tests {
         // parked every candidate, before the detach — which is exactly the
         // window a starved allocator steals in.
         let stolen = core::cell::RefCell::new(Vec::new());
-        let outcome = try_reclaim_shared(s, tid, c, &|_| {
+        let outcome = try_reclaim(s, tid, c, &|_| {
             while let Some(node) = s.reclaim_steal() {
                 stolen.borrow_mut().push(node);
             }

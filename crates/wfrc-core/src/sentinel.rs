@@ -44,14 +44,12 @@
 //! # Overload backpressure
 //!
 //! The same robustness posture applied to admission: [`AdmissionPolicy`]
-//! bounds an acquire (or byte allocation) with a deadline, a retry budget,
+//! bounds an acquire with a deadline, a retry budget,
 //! and jittered backoff, and [`Outcome`] reports
 //! [`Overloaded`](Outcome::Overloaded) / [`Backpressure`](Outcome::Backpressure)
 //! instead of waiting unboundedly — graceful degradation under a killed
 //! lease holder or an exhausted arena. See
-//! [`LeasePool::acquire_admitted`](crate::lease::LeasePool::acquire_admitted)
-//! and
-//! [`ThreadHandle::alloc_bytes_admitted`](crate::handle::ThreadHandle::alloc_bytes_admitted).
+//! [`LeasePool::acquire_admitted`](crate::lease::LeasePool::acquire_admitted).
 //!
 //! # Example
 //!
@@ -88,8 +86,9 @@ use core::time::Duration;
 use wfrc_primitives::{AtomicWord, CachePadded, DecorrelatedJitter};
 
 use crate::counters::{SentinelSnapshot, SentinelStats};
-use crate::domain::{WfrcDomain, SLOT_ORPHANED, SLOT_TAKEN};
+use crate::domain::{Domain, SLOT_ORPHANED, SLOT_TAKEN};
 use crate::node::RcObject;
+use crate::scheme::Scheme;
 
 // ---------------------------------------------------------------------------
 // The supervision contract
@@ -130,21 +129,19 @@ pub trait Supervised: Sync {
     fn declare_dead(&self, slot: usize) -> bool;
 }
 
-/// The domain's registration slots under supervision.
+/// The domain's registration slots under supervision, whatever the scheme.
 ///
 /// * **Obligated**: the slot is `ORPHANED` (a corpse awaiting adoption), or
-///   `TAKEN` with a live announcement, an odd (mid-operation) epoch, or
-///   the segment-retire claim — states a healthy thread leaves promptly.
-///   "Live announcement" is read off the slot word
-///   ([`crate::announce::Announce::announcing`]), not the presence bit: the
-///   bit stays up for a reader's whole registration, and an idle reader is
-///   not obligated.
-/// * **Fingerprint**: operation epoch ⊕ slot state ⊕ live announcement.
-/// * **Help / declare dead**: [`WfrcDomain::adopt_orphans`] — idempotent,
-///   and it only ever touches `ORPHANED` slots, so a merely-slow (parked,
+///   `TAKEN` and obligated in *any* pool of the domain — node pool or byte
+///   class ([`crate::scheme::Pool::progress`]: under the wait-free scheme a
+///   live announcement, an open operation or a segment-retire claim; under
+///   a scheme whose slots can hold nothing, never).
+/// * **Fingerprint**: slot state ⊕ the pools' folded heartbeat.
+/// * **Help / declare dead**: [`Domain::adopt_orphans`] — idempotent, and
+///   it only ever touches `ORPHANED` slots, so a merely-slow (parked,
 ///   stalled) thread whose slot is still `TAKEN` is never seized no matter
 ///   how many ticks pass.
-impl<T: RcObject> Supervised for WfrcDomain<T> {
+impl<T: RcObject, S: Scheme> Supervised for Domain<T, S> {
     fn watch_slots(&self) -> usize {
         self.max_threads()
     }
@@ -152,24 +149,18 @@ impl<T: RcObject> Supervised for WfrcDomain<T> {
     fn obligated(&self, slot: usize) -> bool {
         match self.slot_state(slot) {
             SLOT_ORPHANED => true,
-            SLOT_TAKEN => {
-                self.shared().ann.announcing(slot)
-                    || self.slot_epoch(slot) & 1 == 1
-                    || self.retire_claimed_by(slot)
-            }
+            SLOT_TAKEN => self.progress(slot).obligated,
             _ => false,
         }
     }
 
     fn fingerprint(&self, slot: usize) -> u64 {
-        let epoch = self.slot_epoch(slot) as u64;
-        let state = self.slot_state(slot) as u64;
-        let announcing = u64::from(self.shared().ann.announcing(slot));
-        // Mix so distinct (epoch, state, announcing) triples land on
-        // distinct words; the sentinel only ever compares for equality.
-        epoch
+        // Mix so distinct (heartbeat, state) pairs land on distinct words;
+        // the sentinel only ever compares for equality.
+        self.progress(slot)
+            .heartbeat
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(state << 1 | announcing)
+            .wrapping_add(self.slot_state(slot) as u64)
     }
 
     fn help(&self, slot: usize) -> bool {
@@ -500,11 +491,10 @@ impl<'t, S: Supervised + ?Sized> core::fmt::Debug for Sentinel<'t, S> {
 
 /// Bounded-admission policy: a deadline, a retry budget, and a
 /// decorrelated-jitter backoff between retries. Applied to
-/// [`LeasePool::acquire_admitted`](crate::lease::LeasePool::acquire_admitted),
-/// [`LeasePool::acquire_async_admitted`](crate::lease::LeasePool::acquire_async_admitted),
+/// [`LeasePool::acquire_admitted`](crate::lease::LeasePool::acquire_admitted)
 /// and
-/// [`ThreadHandle::alloc_bytes_admitted`](crate::handle::ThreadHandle::alloc_bytes_admitted),
-/// all of which return [`Outcome`] instead of waiting unboundedly.
+/// [`LeasePool::acquire_async_admitted`](crate::lease::LeasePool::acquire_async_admitted),
+/// which return [`Outcome`] instead of waiting unboundedly.
 ///
 /// ```
 /// use core::time::Duration;
@@ -512,7 +502,6 @@ impl<'t, S: Supervised + ?Sized> core::fmt::Debug for Sentinel<'t, S> {
 ///
 /// let policy = AdmissionPolicy::within(Duration::from_millis(50))
 ///     .with_retries(8)
-///     .with_backoff(Duration::from_micros(50), Duration::from_millis(2))
 ///     .with_seed(42);
 /// assert_eq!(policy.max_retries, 8);
 /// ```
@@ -526,13 +515,13 @@ pub struct AdmissionPolicy {
     /// [`Outcome::Backpressure`] (with a retry-after hint) even if the
     /// deadline has not expired.
     pub max_retries: u32,
-    /// Shortest backoff between retries.
-    pub backoff_base: Duration,
-    /// Longest backoff between retries.
-    pub backoff_cap: Duration,
     /// Jitter seed (deterministic backoff schedules for tests).
     pub seed: u64,
 }
+
+/// Shortest and longest backoff between admission retries: 50 µs – 2 ms.
+const BACKOFF_BASE_NS: u64 = 50_000;
+const BACKOFF_CAP_NS: u64 = 2_000_000;
 
 impl AdmissionPolicy {
     /// A policy with the given deadline and conventional defaults:
@@ -541,8 +530,6 @@ impl AdmissionPolicy {
         Self {
             deadline,
             max_retries: 16,
-            backoff_base: Duration::from_micros(50),
-            backoff_cap: Duration::from_millis(2),
             seed: 0xAD31_5510,
         }
     }
@@ -550,13 +537,6 @@ impl AdmissionPolicy {
     /// Sets the retry budget (at least 1).
     pub fn with_retries(mut self, retries: u32) -> Self {
         self.max_retries = retries.max(1);
-        self
-    }
-
-    /// Sets the backoff bounds.
-    pub fn with_backoff(mut self, base: Duration, cap: Duration) -> Self {
-        self.backoff_base = base;
-        self.backoff_cap = cap.max(base);
         self
     }
 
@@ -569,11 +549,7 @@ impl AdmissionPolicy {
     /// The policy's backoff schedule, in nanosecond units.
     #[must_use]
     pub fn jitter(&self) -> DecorrelatedJitter {
-        DecorrelatedJitter::new(
-            self.backoff_base.as_nanos().max(1) as u64,
-            self.backoff_cap.as_nanos().max(1) as u64,
-            self.seed,
-        )
+        DecorrelatedJitter::new(BACKOFF_BASE_NS, BACKOFF_CAP_NS, self.seed)
     }
 }
 
@@ -671,7 +647,7 @@ impl<G> Outcome<G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DomainConfig;
+    use crate::{DomainConfig, WfrcDomain};
 
     #[test]
     fn idle_domain_never_escalates() {

@@ -5,28 +5,27 @@
 //! operations have exactly the signature previous lock-free
 //! reference-counting schemes expose — `AllocNode`, `DeRefLink`,
 //! `ReleaseRef`, `FixRef`, a link CAS, and the direct-write rule. [`RcMm`]
-//! captures that signature; [`wfrc_core::ThreadHandle`] (wait-free) and
-//! [`wfrc_baselines::LfrcHandle`] (lock-free Valois baseline) both implement
-//! it, which is precisely how the paper ran its §5 experiment ("successful
-//! attempts to incorporate the new wait-free memory management scheme in
-//! the lock-free implementation of a priority queue").
+//! captures that signature, and the one [`wfrc_core::Handle`] implements it
+//! for every [`Scheme`] ([`wfrc_core::ThreadHandle`] and
+//! [`wfrc_baselines::LfrcHandle`] are that type at two schemes) — which is
+//! how the paper ran its §5 experiment, swapping schemes under one queue.
 
 use wfrc_core::counters::CounterSnapshot;
 use wfrc_core::oom::OutOfMemory;
-use wfrc_core::{AtomicWeak, LeakReport, Link, Node, RcObject};
+use wfrc_core::{AtomicWeak, Domain, Handle, LeakReport, Link, Node, RcObject, Scheme};
 
 /// A per-thread handle to a reference-counted memory-management scheme.
 ///
 /// # Safety
 ///
-/// Implementations must provide the §3.2 guarantees:
+/// Implementations must provide the §3.2 guarantees (the ones
+/// [`wfrc_core::scheme::Pool`] owes):
 /// * [`RcMm::deref_link`] returns a node the link pointed to during the
 ///   call, with one reference transferred to the caller;
 /// * a node with a non-zero reference count is never reclaimed or
 ///   re-initialized;
 /// * [`RcMm::cas_link`] performs whatever helping the scheme's dereference
-///   relies on (for the wait-free scheme: `HelpDeRef` after every
-///   successful CAS).
+///   relies on (the wait-free scheme: `HelpDeRef` after a successful CAS).
 ///
 /// Callers must uphold the count discipline documented on each method; the
 /// structures in this crate are the reference examples.
@@ -91,18 +90,16 @@ pub unsafe trait RcMm<T: RcObject> {
     fn counter_snapshot(&self) -> CounterSnapshot;
 
     /// Whether [`RcMm::snapshot_enter`] actually protects
-    /// [`RcMm::snapshot_load`] targets from reclamation (true for the
-    /// wait-free scheme's pin + deferred-decrement machinery; false for
-    /// baselines whose guard is a no-op). Structures use this to take the
+    /// [`RcMm::snapshot_load`] targets from reclamation
+    /// ([`Scheme::SNAPSHOT_PROTECTED`]). Structures use this to take the
     /// plain-load fast path only where it is sound — see
     /// [`crate::Stack::peek`].
     const SNAPSHOT_PROTECTED: bool;
 
     /// Enters a snapshot-pin session (DESIGN.md §4f): under the wait-free
     /// scheme this publishes the pin bit that turns [`RcMm::snapshot_load`]
-    /// into a protected plain load; baselines without deferral implement
-    /// it as a no-op. Re-entrant; pair every call with one
-    /// [`RcMm::snapshot_exit`].
+    /// into a protected plain load; a scheme without deferral publishes
+    /// nothing. Re-entrant; pair every call with [`RcMm::snapshot_exit`].
     fn snapshot_enter(&self);
 
     /// Exits the pin session entered by [`RcMm::snapshot_enter`].
@@ -117,11 +114,10 @@ pub unsafe trait RcMm<T: RcObject> {
     /// transferred): the read fast path measured by E4 `--snapshot`.
     ///
     /// # Safety
-    /// A pin session must be live on this handle (or the caller must
-    /// otherwise guarantee the target outlives every dereference of the
-    /// returned pointer — the only option for schemes whose
-    /// `snapshot_enter` is a no-op); `link` must only ever hold nodes of
-    /// this handle's domain.
+    /// A pin session must be live on this handle (or, the only option where
+    /// `SNAPSHOT_PROTECTED` is false, the caller must otherwise guarantee
+    /// the target outlives every dereference of the returned pointer);
+    /// `link` must only ever hold nodes of this handle's domain.
     unsafe fn snapshot_load(&self, link: &Link<T>) -> *mut Node<T>;
 
     // --- Weak layer (PR 10, DESIGN.md §4g) ---------------------------
@@ -168,9 +164,11 @@ pub unsafe trait RcMm<T: RcObject> {
     unsafe fn load_weak_link(&self, w: &AtomicWeak<T>) -> *mut Node<T>;
 }
 
-// SAFETY: ThreadHandle implements the paper's scheme; §4 proves the
-// guarantees (linearizability Lemmas 2–5, wait-freedom Lemmas 6–10).
-unsafe impl<T: RcObject> RcMm<T> for wfrc_core::ThreadHandle<'_, T> {
+// SAFETY: the guarantees are the scheme's `Pool` impl's (an `unsafe trait`
+// that owes exactly them): for `Wf` the paper's §4 proves them (Lemmas
+// 2–10); `Lf` is Valois/Michael–Scott lock-free reference counting, whose
+// user model the paper's scheme is compatible with (§3.2).
+unsafe impl<T: RcObject, S: Scheme> RcMm<T> for Handle<'_, T, S> {
     fn alloc_node(&self) -> Result<*mut Node<T>, OutOfMemory> {
         self.alloc_raw()
     }
@@ -205,7 +203,7 @@ unsafe impl<T: RcObject> RcMm<T> for wfrc_core::ThreadHandle<'_, T> {
     fn counter_snapshot(&self) -> CounterSnapshot {
         self.counters().snapshot()
     }
-    const SNAPSHOT_PROTECTED: bool = true;
+    const SNAPSHOT_PROTECTED: bool = S::SNAPSHOT_PROTECTED;
     fn snapshot_enter(&self) {
         self.pin_raw();
     }
@@ -214,7 +212,8 @@ unsafe impl<T: RcObject> RcMm<T> for wfrc_core::ThreadHandle<'_, T> {
         unsafe { self.unpin_raw() }
     }
     unsafe fn snapshot_load(&self, link: &Link<T>) -> *mut Node<T> {
-        // SAFETY: forwarded contract (pin session live).
+        // SAFETY: forwarded contract (pin session live; where the scheme's
+        // pin protects nothing, the caller protects the target itself).
         unsafe { self.snapshot_raw(link) }
     }
     unsafe fn downgrade_node(&self, node: *mut Node<T>) {
@@ -239,82 +238,9 @@ unsafe impl<T: RcObject> RcMm<T> for wfrc_core::ThreadHandle<'_, T> {
     }
 }
 
-// SAFETY: LfrcHandle implements Valois/Michael–Scott lock-free reference
-// counting, whose user model the paper's scheme is compatible with (§3.2).
-unsafe impl<T: RcObject> RcMm<T> for wfrc_baselines::LfrcHandle<'_, T> {
-    fn alloc_node(&self) -> Result<*mut Node<T>, OutOfMemory> {
-        self.alloc_raw()
-    }
-    unsafe fn deref_link(&self, link: &Link<T>) -> *mut Node<T> {
-        // SAFETY: forwarded contract.
-        unsafe { self.deref_raw(link) }
-    }
-    unsafe fn release_node(&self, node: *mut Node<T>) {
-        // SAFETY: forwarded contract.
-        unsafe { self.release_raw(node) }
-    }
-    unsafe fn add_refs(&self, node: *mut Node<T>, refs: usize) {
-        // SAFETY: forwarded contract.
-        unsafe { self.add_ref_raw(node, refs) }
-    }
-    unsafe fn cas_link(&self, link: &Link<T>, old: *mut Node<T>, new: *mut Node<T>) -> bool {
-        // SAFETY: forwarded contract.
-        unsafe { self.cas_link_raw(link, old, new) }
-    }
-    unsafe fn store_link(&self, link: &Link<T>, node: *mut Node<T>) {
-        // SAFETY: forwarded contract.
-        unsafe { self.store_link_raw(link, node) }
-    }
-    unsafe fn payload(&self, node: *mut Node<T>) -> &T {
-        // SAFETY: forwarded contract.
-        unsafe { self.payload_raw(node) }
-    }
-    unsafe fn payload_mut(&self, node: *mut Node<T>) -> &mut T {
-        // SAFETY: forwarded contract.
-        unsafe { self.payload_mut_raw(node) }
-    }
-    fn counter_snapshot(&self) -> CounterSnapshot {
-        self.counters().snapshot()
-    }
-    const SNAPSHOT_PROTECTED: bool = false;
-    fn snapshot_enter(&self) {
-        self.pin_raw(); // no-op: LFRC has no pin machinery
-    }
-    unsafe fn snapshot_exit(&self) {
-        // SAFETY: trivially safe no-op (signature parity).
-        unsafe { self.unpin_raw() }
-    }
-    unsafe fn snapshot_load(&self, link: &Link<T>) -> *mut Node<T> {
-        // SAFETY: forwarded contract — with LFRC the caller must protect
-        // the target itself (the guard provides nothing).
-        unsafe { self.snapshot_raw(link) }
-    }
-    unsafe fn downgrade_node(&self, node: *mut Node<T>) {
-        // SAFETY: forwarded contract.
-        unsafe { self.downgrade_raw(node) }
-    }
-    unsafe fn upgrade_node(&self, node: *mut Node<T>) -> bool {
-        // SAFETY: forwarded contract.
-        unsafe { self.upgrade_raw(node) }
-    }
-    unsafe fn release_weak(&self, node: *mut Node<T>) {
-        // SAFETY: forwarded contract.
-        unsafe { self.release_weak_raw(node) }
-    }
-    unsafe fn store_weak_link(&self, w: &AtomicWeak<T>, node: *mut Node<T>) {
-        // SAFETY: forwarded contract.
-        unsafe { self.store_weak_raw(w, node) }
-    }
-    unsafe fn load_weak_link(&self, w: &AtomicWeak<T>) -> *mut Node<T> {
-        // SAFETY: forwarded contract.
-        unsafe { self.load_weak_raw(w) }
-    }
-}
-
-/// The byte-class allocation surface (PR 6), factored out of the concrete
-/// handles so [`crate::SessionCache`] and the E12 server bench run
-/// identically over both schemes. Tokens are [`wfrc_core::RawBytes`] in
-/// either case — the class layer's node geometry is shared.
+/// The byte-class allocation surface, as a trait so [`crate::SessionCache`]
+/// and the server benchmark can also run over a tracing wrapper. Tokens are
+/// [`wfrc_core::RawBytes`].
 pub trait ByteMm {
     /// Allocates from the smallest fitting class and copies `bytes` in.
     fn alloc_value(&self, bytes: &[u8]) -> Result<wfrc_core::RawBytes, OutOfMemory>;
@@ -334,7 +260,7 @@ pub trait ByteMm {
     unsafe fn free_value(&self, token: wfrc_core::RawBytes);
 }
 
-impl<T: RcObject> ByteMm for wfrc_core::ThreadHandle<'_, T> {
+impl<T: RcObject, S: Scheme> ByteMm for Handle<'_, T, S> {
     fn alloc_value(&self, bytes: &[u8]) -> Result<wfrc_core::RawBytes, OutOfMemory> {
         self.alloc_bytes(bytes)
     }
@@ -348,22 +274,7 @@ impl<T: RcObject> ByteMm for wfrc_core::ThreadHandle<'_, T> {
     }
 }
 
-impl<T: RcObject> ByteMm for wfrc_baselines::LfrcHandle<'_, T> {
-    fn alloc_value(&self, bytes: &[u8]) -> Result<wfrc_core::RawBytes, OutOfMemory> {
-        self.alloc_bytes(bytes)
-    }
-    unsafe fn value_bytes(&self, token: &wfrc_core::RawBytes) -> &[u8] {
-        // SAFETY: forwarded contract.
-        unsafe { self.bytes(token) }
-    }
-    unsafe fn free_value(&self, token: wfrc_core::RawBytes) {
-        // SAFETY: forwarded contract.
-        unsafe { self.free_bytes(token) }
-    }
-}
-
-/// Domain-level abstraction so tests and benches can construct either
-/// scheme from one generic driver.
+/// Domain-level abstraction: one generic driver constructs either scheme.
 pub trait RcMmDomain<T: RcObject>: Sync {
     /// The per-thread handle type.
     type Handle<'d>: RcMm<T>
@@ -380,9 +291,9 @@ pub trait RcMmDomain<T: RcObject>: Sync {
     fn scheme_name(&self) -> &'static str;
 }
 
-impl<T: RcObject> RcMmDomain<T> for wfrc_core::WfrcDomain<T> {
+impl<T: RcObject, S: Scheme> RcMmDomain<T> for Domain<T, S> {
     type Handle<'d>
-        = wfrc_core::ThreadHandle<'d, T>
+        = Handle<'d, T, S>
     where
         Self: 'd;
 
@@ -393,10 +304,11 @@ impl<T: RcObject> RcMmDomain<T> for wfrc_core::WfrcDomain<T> {
         self.leak_check()
     }
     fn scheme_name(&self) -> &'static str {
-        "wfrc"
+        S::NAME
     }
 }
 
+/// Forwards to the wrapped [`Domain`]'s impl.
 impl<T: RcObject> RcMmDomain<T> for wfrc_baselines::LfrcDomain<T> {
     type Handle<'d>
         = wfrc_baselines::LfrcHandle<'d, T>
@@ -404,13 +316,13 @@ impl<T: RcObject> RcMmDomain<T> for wfrc_baselines::LfrcDomain<T> {
         Self: 'd;
 
     fn register_mm(&self) -> Option<Self::Handle<'_>> {
-        self.register().ok()
+        (**self).register_mm()
     }
     fn leak_check_mm(&self) -> LeakReport {
-        self.leak_check()
+        (**self).leak_check_mm()
     }
     fn scheme_name(&self) -> &'static str {
-        "lfrc"
+        (**self).scheme_name()
     }
 }
 
@@ -419,10 +331,9 @@ mod tests {
     use super::*;
     use wfrc_core::{ClassConfig, DomainConfig, WfrcDomain};
 
-    /// One scripted pass over the whole §3.2 surface plus the tiers that
-    /// ride on it. Returns the audit taken mid-script — one node in every
-    /// category a quiescent audit knows, including a deliberately leaked
-    /// one — and leaves the domain clean.
+    /// One scripted pass over the §3.2 surface plus the tiers that ride on
+    /// it. Returns the audit taken mid-script — one node in every category
+    /// an audit knows, one deliberately leaked — and leaves the domain clean.
     fn exercise<D>(domain: &D) -> LeakReport
     where
         D: RcMmDomain<u64>,
@@ -465,9 +376,8 @@ mod tests {
         mid
     }
 
-    /// Folds the parking structures only the wait-free scheme has into
-    /// `free_nodes`: a gift or a deferred node is a free node LFRC would
-    /// keep on its one list.
+    /// Folds the wait-free scheme's own parking structures into `free_nodes`:
+    /// a gift or a deferred node is one LFRC would keep on its one list.
     fn without_wfrc_only_fields(mut r: LeakReport) -> LeakReport {
         r.free_nodes += r.parked_gifts + r.deferred_nodes;
         (r.parked_gifts, r.deferred_nodes) = (0, 0);
@@ -494,8 +404,8 @@ mod tests {
         let lf_mid = exercise(&lf);
         assert_eq!(RcMmDomain::<u64>::scheme_name(&lf), "lfrc");
 
-        // Audit parity: one census, so the same script yields the same
-        // report — every category populated, the leak reported as live.
+        // Audit parity: the same script yields the same report — every
+        // category populated, the leak reported as live.
         assert_eq!((lf_mid.parked_gifts, lf_mid.deferred_nodes), (0, 0));
         assert_eq!(without_wfrc_only_fields(wf_mid), lf_mid);
         assert_eq!(lf_mid.live_nodes, 2, "{lf_mid}");

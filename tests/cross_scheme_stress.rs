@@ -5,8 +5,9 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use wfrc::baselines::LfrcDomain;
-use wfrc::core::{DomainConfig, WfrcDomain};
+use wfrc::baselines::{Lf, LfrcDomain, LfrcHandle};
+use wfrc::core::{AtomicWeak, Domain, DomainConfig, Handle, Link, RcObject};
+use wfrc::core::{Scheme, ThreadHandle, Wf, WfrcDomain};
 use wfrc::structures::lru_list::{LruCell, LruList};
 use wfrc::structures::manager::{ByteMm, RcMmDomain};
 use wfrc::structures::ordered_list::{ListCell, OrderedList};
@@ -468,4 +469,77 @@ fn two_stacks_share_one_domain() {
     s2.clear(&h);
     drop(h);
     assert!(d.leak_check_mm().is_clean(), "{:?}", d.leak_check_mm());
+}
+
+/// There is one handle: the two schemes' handle types are the same generic
+/// type at two schemes (checked by this function compiling).
+#[allow(dead_code)]
+fn one_handle_two_schemes<'d, T: RcObject>(
+    wf: ThreadHandle<'d, T>,
+    lf: LfrcHandle<'d, T>,
+) -> (Handle<'d, T, Wf>, Handle<'d, T, Lf>) {
+    (wf, lf)
+}
+
+#[derive(Default)]
+struct Peer {
+    value: u64,
+    next: Link<Peer>,
+    back: AtomicWeak<Peer>,
+}
+
+impl RcObject for Peer {
+    fn each_link(&self, f: &mut dyn FnMut(&Link<Self>)) {
+        f(&self.next);
+    }
+    fn each_weak_link(&self, f: &mut dyn FnMut(&AtomicWeak<Self>)) {
+        f(&self.back);
+    }
+}
+
+/// The *guard* API — `alloc_with` / `deref` / `cas` / `store` /
+/// `downgrade` + `Weak::upgrade` / `store_weak` + `load_weak` — written
+/// once over the scheme, so the baseline has the safe layer too.
+fn guard_api<S: Scheme>(domain: &Domain<Peer, S>) {
+    let h = domain.register().unwrap();
+    let root = Link::null();
+    let a = h.alloc_with(|p| p.value = 1).unwrap();
+    let b = h.alloc_with(|p| p.value = 2).unwrap();
+    h.store(&root, Some(&a));
+    assert_eq!(h.deref(&root).map(|g| g.value), Some(1));
+    assert!(h.cas(&root, Some(&a), Some(&b)));
+    assert!(!h.cas(&root, Some(&a), None), "the link holds b now");
+    h.store(&b.next, Some(&a));
+    assert_eq!(a.as_node().ref_count(), 2, "the guard and b.next");
+
+    let weak = h.downgrade(&a);
+    assert_eq!(weak.upgrade().map(|g| g.value), Some(1));
+    h.store_weak(&b.back, Some(&a));
+    assert_eq!(h.load_weak(&b.back).map(|g| g.value), Some(1));
+
+    // The last strong references go: a is DEAD-but-weak, pinned by `weak`
+    // and by b's back edge, and no upgrade can revive it.
+    h.store(&b.next, None);
+    drop(a);
+    assert!(weak.is_dead());
+    assert!(weak.upgrade().is_none());
+    assert!(h.load_weak(&b.back).is_none());
+    assert_eq!(domain.leak_check().weak_nodes, 1);
+
+    // The last weak counts go: the header finalizes into the free path.
+    h.store_weak(&b.back, None);
+    drop(weak);
+    h.store(&root, None);
+    drop(b);
+    let counters = h.counters().snapshot();
+    assert_eq!((counters.weak_upgrades, counters.upgrade_failed), (4, 2));
+    drop(h);
+    let report = domain.leak_check();
+    assert!(report.is_clean(), "[{}] {report}", S::NAME);
+}
+
+#[test]
+fn guard_api_runs_over_both_schemes() {
+    guard_api(&WfrcDomain::new(DomainConfig::new(1, 8)));
+    guard_api(&LfrcDomain::new(1, 8));
 }

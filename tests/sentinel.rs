@@ -477,6 +477,66 @@ mod ladder {
         assert!(domain.leak_check().is_clean());
     }
 
+    /// The sentinel watches every pool of the domain, not only the node
+    /// pool: a thread parked inside `reclaim_class`, holding a byte class's
+    /// retire claim (an even node-pool epoch, no announcement), is obligated
+    /// and climbs the ladder.
+    #[test]
+    fn parked_class_retire_is_obligated() {
+        use wfrc::core::{ClassConfig, ReclaimOutcome, Stage, Supervised};
+        let class = ClassConfig::new(64, 4).with_growth(Growth::doubling_to(4096));
+        let mut domain = WfrcDomain::<u64>::new(DomainConfig::new(2, 16).with_class(class));
+        let plan = Arc::new(FaultPlan::new(0xC1A5));
+        domain.set_fault_plan(Arc::clone(&plan));
+        let victim = domain.register().unwrap();
+        let victim_tid = victim.tid();
+        // Grow the class past its first segment and free everything: its
+        // trailing segment is now a retire candidate.
+        let tokens: Vec<_> = (0..=domain.class_capacity(0))
+            .map(|_| victim.alloc_bytes(&[7; 48]).expect("class grows"))
+            .collect();
+        assert!(domain.class_segments(0) > 1);
+        for token in tokens {
+            // SAFETY: the victim's own live tokens, freed once.
+            unsafe { victim.free_bytes(token) };
+        }
+        plan.arm_victim(
+            victim_tid,
+            FaultSite::SegmentRetire,
+            FaultAction::Park,
+            FireRule::Nth(1),
+        );
+        let config = SentinelConfig::default();
+        let ticks = config.help_after + 1;
+        let sentinel = Sentinel::new(&domain, config);
+
+        // Observe while the victim is parked, assert after it is released
+        // (cf. `parked_deref_is_obligated_beside_an_idle_reader`).
+        let (parked, seen, outcome) = std::thread::scope(|s| {
+            let (plan, domain) = (&plan, &domain);
+            let vt = s.spawn(move || victim.reclaim_class(0));
+            while plan.parked() == 0 && !vt.is_finished() {
+                std::thread::yield_now();
+            }
+            let parked = plan.parked() == 1;
+            for _ in 0..ticks {
+                sentinel.tick();
+            }
+            let seen = (domain.obligated(victim_tid), sentinel.stage(victim_tid));
+            plan.release();
+            (parked, seen, vt.join().unwrap())
+        });
+        assert!(parked, "the victim never reached the class's retire claim");
+        assert_eq!(seen, (true, Stage::Help));
+        // Merely slow: resumed, finished its retire, never seized.
+        assert!(
+            matches!(outcome, ReclaimOutcome::Retired { .. }),
+            "{outcome:?}"
+        );
+        assert_eq!(domain.orphans_adopted(), 0);
+        assert!(domain.leak_check().is_clean());
+    }
+
     /// The Die half of [`run_case`] over the LFRC baseline, with the death
     /// inside a byte class (the class runs the node pool's code, so its
     /// sites are armed too): the sentinel alone adopts the corpse within
@@ -494,7 +554,9 @@ mod ladder {
         let config = SentinelConfig::default()
             .with_ladder(2, 4, 8)
             .with_seed(seed);
-        let sentinel = Sentinel::new(&domain, config);
+        // `Supervised` is the wrapped `Domain`'s impl, the same for both
+        // schemes.
+        let sentinel = Sentinel::new(&*domain, config);
         let victim = domain.register().unwrap();
         assert_eq!(victim.tid(), 0);
         // Tokens escape the victim so its death leaks no live blocks.
