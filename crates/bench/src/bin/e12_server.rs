@@ -2,12 +2,12 @@
 //!
 //! The paper fixes `NR_THREADS` at domain creation; a server admitting
 //! tens of thousands of short-lived sessions cannot dedicate a
-//! registration slot to each. E12 drives that shape: `--tasks` async
-//! tasks (default 10 000) on a minimal poll-loop executor check a handle
-//! out of a [`wfrc_core::lease::LeasePool`] of `--slots` leases (default
-//! sweep 16,64), perform `--ops` mixed put/get/remove operations against
-//! one shared [`wfrc_structures::SessionCache`] with values drawn from
-//! the byte-class ladder, and check back in. Reported per cell: cache
+//! registration slot to each. E12 drives that shape: `--workers` threads
+//! drain `--tasks` sessions (default 10 000). Each session blocks in
+//! [`wfrc_core::lease::LeasePool::acquire`] for one of `--slots` leases
+//! (default sweep 16,64), performs `--ops` mixed put/get/remove operations
+//! against one shared [`wfrc_structures::SessionCache`] with values drawn
+//! from the byte-class ladder, and checks back in. Reported per cell: cache
 //! throughput, lease-checkout latency (p50/p99/p999 — the queue wait
 //! under slot contention), per-op latency (p50/p99/p999), and the pool's
 //! handoff/enroll counters. Both schemes run the identical task set.
@@ -22,21 +22,18 @@
 //! With `--kill N`, N tasks "crash" holding their lease (the guard is
 //! leaked); a sentinel supervisor thread — the run's only recovery agent —
 //! must expire and recover every dead slot, and the table reports the
-//! kill→recovery MTTR (p50/p99). With `--admission-ms D`, tasks acquire
-//! through an [`wfrc_core::AdmissionPolicy`] and shed load
-//! (`Overloaded`/`Backpressure`, both counted) instead of queueing past D
-//! milliseconds — so a killed holder costs bounded latency, never a hang.
-//! `--sentinel` runs the supervisor even without kills.
+//! kill→recovery MTTR (p50/p99); threads blocked behind a dead holder are
+//! handed its slot as soon as the sentinel recovers it. `--sentinel` runs
+//! the supervisor even without kills.
 //!
 //! Every cell ends with a [`wfrc_core::domain::LeakReport`] audit and a
-//! lease audit (`issued == released + killed`, every task either sampled
-//! a checkout or shed): the run fails unless both schemes finish
-//! leak-free.
+//! lease audit (`issued == released + killed`, one checkout sample per
+//! task): the run fails unless both schemes finish leak-free.
 //!
 //! ```text
 //! cargo run --release --bin e12_server [-- --tasks 10000 --slots 16,64 \
 //!     --ops 200 --workers 8 --classes 64,256,1024 --grow --reclaim \
-//!     --kill 32 --admission-ms 100 --sentinel --json]
+//!     --kill 32 --sentinel --json]
 //! ```
 
 use bench::drivers::{run_server, Elastic, ServerCfg};
@@ -80,14 +77,9 @@ fn audit(scheme: &str, r: &bench::drivers::ServerResult, tasks: usize) {
         "{scheme}: every lease checked out must be checked back in or killed"
     );
     assert_eq!(
-        r.checkout.len() + r.shed,
+        r.checkout.len(),
         tasks as u64,
-        "{scheme}: every task either sampled a checkout or shed its load"
-    );
-    assert_eq!(
-        r.shed,
-        r.lease.overloaded + r.lease.backpressure,
-        "{scheme}: shed tasks are exactly the admission refusals"
+        "{scheme}: every task sampled exactly one checkout"
     );
     if r.killed > 0 {
         assert!(
@@ -126,8 +118,6 @@ fn row(table: &mut Table, slots: usize, scheme: &str, r: &bench::drivers::Server
         r.lease.enrolled.to_string(),
         r.retired.to_string(),
         r.killed.to_string(),
-        r.lease.overloaded.to_string(),
-        r.lease.backpressure.to_string(),
         r.lease.expired.to_string(),
         r.lease.recovered.to_string(),
         mttr(0.50),
@@ -159,7 +149,6 @@ fn main() {
             "--grow",
             "--reclaim",
             "--kill",
-            "--admission-ms",
             "--sentinel",
             "--json",
         ],
@@ -180,8 +169,8 @@ fn main() {
         "E12: server workload — tasks over leased registration slots",
         &[
             "slots", "scheme", "tasks", "ops/s", "co p50", "co p99", "co p999", "op p50", "op p99",
-            "op p999", "handoffs", "enrolled", "retired", "killed", "overload", "backpr",
-            "expired", "recov", "mttr p50", "mttr p99",
+            "op p999", "handoffs", "enrolled", "retired", "killed", "expired", "recov", "mttr p50",
+            "mttr p99",
         ],
     );
     for &slots in &args.slots {
@@ -199,8 +188,6 @@ fn main() {
             ttl,
             reclaim: args.reclaim,
             kill: args.kill,
-            admission: (args.admission_ms > 0)
-                .then(|| std::time::Duration::from_millis(args.admission_ms)),
             sentinel: args.sentinel || args.kill > 0,
         };
         // +1 registration slot for the concurrent reclaimer.

@@ -5,9 +5,9 @@ use std::sync::Arc;
 use wfrc_baselines::Lf;
 use wfrc_core::counters::{CounterSnapshot, LeaseSnapshot};
 use wfrc_core::lease::{LeaseConfig, LeasePool};
-use wfrc_core::sentinel::{AdmissionPolicy, Outcome, Sentinel, SentinelConfig};
+use wfrc_core::sentinel::{Sentinel, SentinelConfig};
 use wfrc_core::{Domain, RawBytes, RcObject, ReclaimOutcome, Scheme, Wf};
-use wfrc_sim::exec::{run_fixed_ops, PollLoop, StopFlag};
+use wfrc_sim::exec::{run_fixed_ops, StopFlag};
 use wfrc_sim::latency::Histogram;
 use wfrc_sim::rng::SmallRng;
 use wfrc_sim::Supervisor;
@@ -588,17 +588,19 @@ where
     out
 }
 
-/// Configuration for the E12 server driver ([`run_server`]): `tasks` concurrent async tasks multiplex over a
-/// [`LeasePool`] of `slots` registration leases, each performing
+/// Configuration for the E12 server workload ([`run_server`]): `tasks`
+/// sessions, drained by `workers` threads, multiplex over a
+/// [`LeasePool`] of `slots` registration leases, each session performing
 /// `ops_per_task` mixed put/get/remove operations against one shared
 /// [`SessionCache`] with values drawn from the domain's byte classes.
 #[derive(Debug, Clone)]
 pub struct ServerCfg {
-    /// Concurrent tasks to spawn (M, typically ≫ slots).
+    /// Sessions to run (M, typically ≫ slots).
     pub tasks: usize,
     /// Lease-pool slots (N, the registration ceiling being virtualized).
     pub slots: usize,
-    /// Poll-loop worker threads draining the task set.
+    /// Worker threads draining the task set; those beyond `slots` block
+    /// in [`LeasePool::acquire`] until a lease is handed to them.
     pub workers: usize,
     /// Cache operations per task.
     pub ops_per_task: u64,
@@ -613,12 +615,6 @@ pub struct ServerCfg {
     /// mid-session, leaving the slot checked out until the sentinel
     /// expires and recovers it. Requires `ttl` and `sentinel`.
     pub kill: usize,
-    /// Admission-control deadline: tasks acquire through
-    /// [`wfrc_core::sentinel::AdmissionPolicy::within`] this bound and
-    /// shed load on [`wfrc_core::sentinel::Outcome::Overloaded`] /
-    /// `Backpressure` instead of queueing unboundedly (`None` ⇒ legacy
-    /// unbounded wait).
-    pub admission: Option<std::time::Duration>,
     /// Run a dedicated supervisor thread ticking a
     /// [`wfrc_core::Sentinel`] over the lease pool for the whole measured
     /// section — the only recovery agent in the run.
@@ -644,12 +640,8 @@ pub struct ServerResult {
     pub retired: u64,
     /// Aborted/contended reclaim attempts beside the traffic.
     pub aborted: u64,
-    /// Tasks that actually died holding a lease (≤ `cfg.kill`; a killer
-    /// refused admission dies with nothing to leak).
+    /// Tasks that died holding a lease (`cfg.kill` of them).
     pub killed: u64,
-    /// Tasks refused admission (Overloaded or Backpressure) that shed
-    /// their load instead of queueing.
-    pub shed: u64,
     /// Kill → slot-recovered latency samples (sentinel MTTR), one per
     /// recovered kill, matched FIFO against the pool's recovery counter.
     pub mttr: Histogram,
@@ -730,10 +722,11 @@ fn server_session_ops<M: SessionMm>(
     done
 }
 
-/// E12: the server workload. `cfg.tasks` async tasks on a [`PollLoop`] each
-/// check a handle out of a [`LeasePool`] (`cfg.slots` leases), hammer one
-/// shared [`SessionCache`], and check back in — so registration churn,
-/// magazine handoff, and checkout queueing are all on the measured path.
+/// E12: the server workload. `cfg.workers` threads drain `cfg.tasks`
+/// sessions; each session checks a handle out of a [`LeasePool`]
+/// (`cfg.slots` leases, blocking while all are held), hammers one shared
+/// [`SessionCache`], and checks back in — so registration churn, magazine
+/// handoff, and checkout queueing are all on the measured path.
 /// With `cfg.reclaim`, a dedicated thread runs the scheme's
 /// [`Elastic::reclaim_beside_traffic`] for the whole run (the wait-free
 /// scheme registers a handle for it — size the domain at `slots + 1`; the
@@ -774,81 +767,55 @@ fn serve<S: Elastic>(domain: &Domain<ListCell<RawBytes>, S>, cfg: &ServerCfg) ->
     }
     let pool = LeasePool::new(domain, lease_cfg).expect("domain sized for the pool");
     let cache = SessionCache::new(1024);
-    let checkout = std::sync::Mutex::new(Histogram::new());
-    let op_hist = std::sync::Mutex::new(Histogram::new());
-    let total = std::sync::atomic::AtomicU64::new(0);
-    let shed = std::sync::atomic::AtomicU64::new(0);
-    let killed = std::sync::atomic::AtomicU64::new(0);
+    let next_task = std::sync::atomic::AtomicUsize::new(0);
     let kill_times = std::sync::Mutex::new(std::collections::VecDeque::new());
     let mttr = std::sync::Mutex::new(Histogram::new());
-    let mut exec = PollLoop::new();
-    for task in 0..cfg.tasks {
-        let (pool, cache, sizes) = (&pool, &cache, &sizes);
-        let (checkout, op_hist, total) = (&checkout, &op_hist, &total);
-        let (shed, killed, kill_times) = (&shed, &killed, &kill_times);
-        let (ops, keyspace, stride) = (cfg.ops_per_task, cfg.keyspace, cfg.slots as u64);
-        let admission = cfg.admission;
+    // One session: check a lease out (blocking while every slot is held),
+    // run the op loop on it, check it back in — or, for a killer, die
+    // holding it. Returns the checkout wait, the ops done and whether the
+    // session was killed.
+    let session = |task: usize, op_hist: &mut Histogram| -> (u64, u64, bool) {
         // Exactly `cfg.kill` killer tasks, spread evenly across the set.
         let killer =
             cfg.kill > 0 && (task * cfg.kill) / cfg.tasks != ((task + 1) * cfg.kill) / cfg.tasks;
-        exec.spawn(async move {
-            let mut rng = SmallRng::seed_from_u64(0xE12_0000 + task as u64);
-            let t0 = std::time::Instant::now();
-            let guard = match admission {
-                // Bounded admission: a task that cannot get a slot within
-                // the deadline sheds its load (the server's 503) instead
-                // of queueing forever behind a dead holder.
-                Some(deadline) => {
-                    let policy =
-                        AdmissionPolicy::within(deadline).with_seed(0xE12_AD31 ^ task as u64);
-                    match pool.acquire_async_admitted(&policy).await {
-                        Outcome::Admitted(g) => g,
-                        Outcome::Overloaded { .. } | Outcome::Backpressure { .. } => {
-                            shed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                }
-                None => pool.acquire_async().await,
-            };
-            let waited = t0.elapsed().as_nanos() as u64;
-            let stripe = guard.tid() as u64;
-            let mut local = Histogram::new();
-            let done = server_session_ops(
-                &*guard,
-                cache,
-                &mut rng,
-                sizes,
-                keyspace,
-                stripe,
-                stride,
-                if killer { ops / 2 } else { ops },
-                &mut local,
-            );
-            if killer {
-                // The session "crashes" holding its lease: the guard is
-                // leaked, so the slot stays checked out until the sentinel
-                // expires the overdue deadline and recovers it. MTTR is
-                // measured from this instant.
-                kill_times
-                    .lock()
-                    .unwrap()
-                    .push_back(std::time::Instant::now());
-                killed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                core::mem::forget(guard);
-            } else {
-                drop(guard);
-            }
-            checkout.lock().unwrap().record(waited);
-            op_hist.lock().unwrap().merge(&local);
-            total.fetch_add(done, std::sync::atomic::Ordering::Relaxed);
-        });
-    }
+        let mut rng = SmallRng::seed_from_u64(0xE12_0000 + task as u64);
+        let t0 = std::time::Instant::now();
+        let guard = pool.acquire();
+        let waited = t0.elapsed().as_nanos() as u64;
+        let ops = if killer {
+            cfg.ops_per_task / 2
+        } else {
+            cfg.ops_per_task
+        };
+        let done = server_session_ops(
+            &*guard,
+            &cache,
+            &mut rng,
+            &sizes,
+            cfg.keyspace,
+            guard.tid() as u64,
+            cfg.slots as u64,
+            ops,
+            op_hist,
+        );
+        if killer {
+            // The session "crashes" holding its lease: the guard is
+            // leaked, so the slot stays checked out until the sentinel
+            // expires the overdue deadline and recovers it. MTTR is
+            // measured from this instant.
+            kill_times
+                .lock()
+                .unwrap()
+                .push_back(std::time::Instant::now());
+            core::mem::forget(guard);
+        }
+        (waited, done, killer)
+    };
     let stop = StopFlag::new();
     let sentinel = cfg
         .sentinel
         .then(|| Sentinel::new(&pool, SentinelConfig::default().with_seed(0xE12_5EA1)));
-    let (wall, retired, aborted) = std::thread::scope(|s| {
+    let (wall, drained, retired, aborted) = std::thread::scope(|s| {
         let supervisor = sentinel.as_ref().map(|sen| {
             let (pool, kill_times, mttr) = (&pool, &kill_times, &mttr);
             let recovered_seen = std::sync::atomic::AtomicU64::new(0);
@@ -868,50 +835,50 @@ fn serve<S: Elastic>(domain: &Domain<ListCell<RawBytes>, S>, cfg: &ServerCfg) ->
                 recovered_seen.store(seen, std::sync::atomic::Ordering::Relaxed);
             })
         });
-        if std::env::var_os("E12_WATCHDOG").is_some() {
-            let (stop, pool, total, checkout) = (&stop, &pool, &total, &checkout);
-            s.spawn(move || {
-                let mut last = u64::MAX;
-                let mut stalls = 0u32;
-                while !stop.is_stopped() {
-                    std::thread::sleep(std::time::Duration::from_millis(500));
-                    let now = total.load(std::sync::atomic::Ordering::Relaxed);
-                    if now == last {
-                        stalls += 1;
-                    } else {
-                        stalls = 0;
-                        last = now;
-                    }
-                    if stalls >= 10 {
-                        eprintln!(
-                            "[watchdog] stalled: total_ops={now} checkouts_done={} stats={:?} {}",
-                            checkout.lock().unwrap().len(),
-                            pool.stats(),
-                            pool.debug_state(),
-                        );
-                        std::process::abort();
-                    }
-                }
-            });
-        }
         let reclaimer = cfg.reclaim.then(|| {
             let stop = &stop;
             s.spawn(move || S::reclaim_beside_traffic(domain, stop))
         });
-        let wall = exec.run(cfg.workers);
+        // The drain: `cfg.workers` threads pull task ids off one counter
+        // until the set is exhausted. With more workers than slots the
+        // surplus blocks in `acquire`, so the waiter/handoff path runs.
+        let start = std::time::Instant::now();
+        let workers: Vec<_> = (0..cfg.workers.max(1))
+            .map(|_| {
+                let (session, next_task) = (&session, &next_task);
+                s.spawn(move || {
+                    let mut drained = Drained::default();
+                    loop {
+                        let task = next_task.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        if task >= cfg.tasks {
+                            return drained;
+                        }
+                        let (waited, done, killed) = session(task, &mut drained.op);
+                        drained.checkout.record(waited);
+                        drained.total_ops += done;
+                        drained.killed += u64::from(killed);
+                    }
+                })
+            })
+            .collect();
+        let drained = workers
+            .into_iter()
+            .map(|w| w.join().unwrap())
+            .fold(Drained::default(), Drained::merged);
+        let wall = start.elapsed();
         stop.stop();
         let reclaimed = reclaimer.map_or_else(ReclaimTally::default, |j| j.join().unwrap());
         // Acceptance gate: every killed holder's slot must come back
         // through the sentinel alone, within a hard bound — the supervisor
         // keeps ticking until it has.
-        let kills = killed.load(std::sync::atomic::Ordering::Relaxed);
-        if kills > 0 {
+        if drained.killed > 0 {
             let t0 = std::time::Instant::now();
-            while pool.stats().recovered < kills {
+            while pool.stats().recovered < drained.killed {
                 assert!(
                     t0.elapsed() < std::time::Duration::from_secs(10),
-                    "sentinel recovered only {} of {kills} killed leases within 10s",
-                    pool.stats().recovered
+                    "sentinel recovered only {} of {} killed leases within 10s",
+                    pool.stats().recovered,
+                    drained.killed
                 );
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
@@ -919,7 +886,7 @@ fn serve<S: Elastic>(domain: &Domain<ListCell<RawBytes>, S>, cfg: &ServerCfg) ->
         if let Some(sup) = &supervisor {
             sup.stop();
         }
-        (wall, reclaimed.retired, reclaimed.aborted)
+        (wall, drained, reclaimed.retired, reclaimed.aborted)
     });
     drop(sentinel);
     let g = pool.acquire();
@@ -929,15 +896,34 @@ fn serve<S: Elastic>(domain: &Domain<ListCell<RawBytes>, S>, cfg: &ServerCfg) ->
     drop(pool);
     ServerResult {
         tasks: cfg.tasks,
-        total_ops: total.into_inner(),
+        total_ops: drained.total_ops,
         wall,
-        checkout: checkout.into_inner().unwrap(),
-        op: op_hist.into_inner().unwrap(),
+        checkout: drained.checkout,
+        op: drained.op,
         lease,
         retired,
         aborted,
-        killed: killed.into_inner(),
-        shed: shed.into_inner(),
+        killed: drained.killed,
         mttr: mttr.into_inner().unwrap(),
+    }
+}
+
+/// What one E12 worker thread drained: per-task checkout waits, per-op
+/// latencies, completed ops, and sessions killed holding their lease.
+#[derive(Default)]
+struct Drained {
+    checkout: Histogram,
+    op: Histogram,
+    total_ops: u64,
+    killed: u64,
+}
+
+impl Drained {
+    fn merged(mut self, other: Self) -> Self {
+        self.checkout.merge(&other.checkout);
+        self.op.merge(&other.op);
+        self.total_ops += other.total_ops;
+        self.killed += other.killed;
+        self
     }
 }

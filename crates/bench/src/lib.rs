@@ -63,19 +63,16 @@ pub struct Args {
     /// Byte-class block sizes (E11/E12), e.g. `--classes 64,256,1024`; an
     /// empty vec means "use the binary's default ladder".
     pub classes: Vec<usize>,
-    /// Concurrent async tasks for the server experiment (E12).
+    /// Sessions for the server experiment (E12).
     pub tasks: usize,
     /// Lease-pool slot counts to sweep (E12), e.g. `--slots 16,64`.
     pub slots: Vec<usize>,
-    /// Poll-loop worker threads for E12; 0 means "use the machine's
-    /// available parallelism".
+    /// Worker threads draining the E12 sessions; 0 means "use the
+    /// machine's available parallelism".
     pub workers: usize,
     /// Tasks that die holding a lease (E12 chaos mode); implies the
     /// sentinel supervisor and a lease TTL.
     pub kill: usize,
-    /// Admission deadline in milliseconds (E12): tasks shed load instead
-    /// of queueing past it. 0 means unbounded waits (the legacy shape).
-    pub admission_ms: u64,
     /// Run the sentinel supervisor thread during E12 even without kills.
     pub sentinel: bool,
 }
@@ -113,7 +110,6 @@ impl Args {
             slots: vec![16, 64],
             workers: 0,
             kill: 0,
-            admission_ms: 0,
             sentinel: false,
         };
         while let Some(a) = args.next() {
@@ -186,13 +182,6 @@ impl Args {
                         .expect("--kill needs a value")
                         .parse()
                         .expect("bad kill count");
-                }
-                "--admission-ms" => {
-                    out.admission_ms = args
-                        .next()
-                        .expect("--admission-ms needs a value")
-                        .parse()
-                        .expect("bad admission deadline");
                 }
                 "--sentinel" => out.sentinel = true,
                 other => unreachable!("{other} is listed but has no parser"),

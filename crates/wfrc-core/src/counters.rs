@@ -394,15 +394,6 @@ pub struct LeaseStats {
     pub recover_failures: AtomicU64,
     /// Handle magazines flushed on release (`flush_on_release` policy).
     pub flushes: AtomicU64,
-    /// Admission-controlled acquires that got a lease within policy
-    /// (see [`crate::sentinel::AdmissionPolicy`]).
-    pub admitted: AtomicU64,
-    /// Admission-controlled acquires refused at the deadline
-    /// ([`crate::sentinel::Outcome::Overloaded`]).
-    pub overloaded: AtomicU64,
-    /// Admission-controlled acquires refused after the retry budget
-    /// ([`crate::sentinel::Outcome::Backpressure`]).
-    pub backpressure: AtomicU64,
 }
 
 impl LeaseStats {
@@ -432,9 +423,6 @@ impl LeaseStats {
             recovered: self.recovered.load(Ordering::Relaxed),
             recover_failures: self.recover_failures.load(Ordering::Relaxed),
             flushes: self.flushes.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            overloaded: self.overloaded.load(Ordering::Relaxed),
-            backpressure: self.backpressure.load(Ordering::Relaxed),
         }
     }
 }
@@ -454,9 +442,6 @@ pub struct LeaseSnapshot {
     pub recovered: u64,
     pub recover_failures: u64,
     pub flushes: u64,
-    pub admitted: u64,
-    pub overloaded: u64,
-    pub backpressure: u64,
 }
 
 /// Supervisor telemetry for [`crate::sentinel::Sentinel`]. Shared `Relaxed`

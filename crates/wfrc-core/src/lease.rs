@@ -91,7 +91,7 @@ use core::marker::PhantomData;
 use core::sync::atomic::{AtomicU64, Ordering};
 use core::time::Duration;
 use std::sync::Mutex;
-use std::task::Waker;
+use std::thread::Thread;
 use std::time::Instant;
 
 use wfrc_primitives::{AtomicWord, CachePadded};
@@ -101,7 +101,6 @@ use crate::domain::{AdoptReport, Domain, RegistryFull};
 use crate::handle::Handle;
 use crate::node::RcObject;
 use crate::scheme::Scheme;
-use crate::sentinel::{AdmissionPolicy, Outcome};
 
 // ---------------------------------------------------------------------------
 // Registry abstraction
@@ -112,9 +111,11 @@ use crate::sentinel::{AdmissionPolicy, Outcome};
 /// [`Domain`] under any scheme, so the pool (and the E12 server bench) runs
 /// identically over both schemes.
 pub trait LeaseRegistry: Sync {
-    /// The per-slot handle checked in and out of the pool. `Send` so a
-    /// lease can migrate with the task that holds it; never `Sync` in
-    /// practice (one thread id, one user at a time).
+    /// The per-slot handle checked in and out of the pool. `Send` because
+    /// the pool is shared: a slot's handle serves whichever thread checks
+    /// the slot out next, and recovery abandons it from whichever thread
+    /// runs `expire_overdue` or the sentinel. Never `Sync` in practice
+    /// (one thread id, one user at a time).
     type Handle<'d>: Send
     where
         Self: 'd;
@@ -212,8 +213,8 @@ fn gen_of(word: usize) -> usize {
 
 /// Waiter-cell states. `SETUP` is a private intermediate (the enrolling or
 /// cancelling waiter owns the cell while installing/removing its parker);
-/// releasers only ever CAS `WAITING → CLAIMED`, then store the handed slot
-/// as `(slot_index << STATE_BITS) | HANDED_TAG`.
+/// releasers only ever CAS `WAITING → CLAIMED`, take the parker, then store
+/// the handed slot as `(slot_index << STATE_BITS) | HANDED_TAG`.
 const W_EMPTY: usize = 0;
 const W_SETUP: usize = 1;
 const W_WAITING: usize = 2;
@@ -235,19 +236,15 @@ fn handed_slot(word: usize) -> usize {
     word >> STATE_BITS
 }
 
-/// How a parked waiter is woken: sync callers park their thread, async
-/// callers leave their task's [`Waker`].
-enum Parker {
-    Thread(std::thread::Thread),
-    Waker(Waker),
-}
-
 struct WaiterCell {
     state: CachePadded<AtomicWord>,
-    /// The parker is installed under `SETUP` (exclusive) and consumed by
-    /// the releaser's wake after `HANDED`; the mutex is never contended
-    /// beyond that two-party exchange and never held across user code.
-    parker: Mutex<Option<Parker>>,
+    /// The blocked acquirer's thread. Every access is made by whoever the
+    /// state word makes the cell's sole owner: the waiter installs it under
+    /// `SETUP`, a releaser takes it under `CLAIMED` (before publishing
+    /// `HANDED`, so a late wake can never take the parker of the cell's
+    /// next enrollment), and a cancel clears it under `SETUP`. The mutex
+    /// is therefore uncontended; it only makes that hand-over safe code.
+    parker: Mutex<Option<Thread>>,
 }
 
 impl WaiterCell {
@@ -258,17 +255,12 @@ impl WaiterCell {
         }
     }
 
-    fn set_parker(&self, p: Option<Parker>) {
+    fn set_parker(&self, p: Option<Thread>) {
         *self.parker.lock().unwrap_or_else(|e| e.into_inner()) = p;
     }
 
-    fn wake(&self) {
-        let taken = self.parker.lock().unwrap_or_else(|e| e.into_inner()).take();
-        match taken {
-            Some(Parker::Thread(t)) => t.unpark(),
-            Some(Parker::Waker(w)) => w.wake(),
-            None => {}
-        }
+    fn take_parker(&self) -> Option<Thread> {
+        self.parker.lock().unwrap_or_else(|e| e.into_inner()).take()
     }
 }
 
@@ -344,19 +336,6 @@ impl core::fmt::Display for PoolExhausted {
 }
 
 impl std::error::Error for PoolExhausted {}
-
-/// Error of [`LeasePool::acquire_timeout`]: the deadline passed with every
-/// slot still checked out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AcquireTimeout;
-
-impl core::fmt::Display for AcquireTimeout {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "timed out waiting for a lease slot")
-    }
-}
-
-impl std::error::Error for AcquireTimeout {}
 
 /// What one [`LeasePool::expire_overdue`] pass did.
 #[derive(Debug, Default, Clone, Copy)]
@@ -468,31 +447,6 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
             .count()
     }
 
-    /// Raw protocol state for hang diagnosis (racy snapshot).
-    #[doc(hidden)]
-    pub fn debug_state(&self) -> String {
-        let slots: Vec<String> = self
-            .slots
-            .iter()
-            .map(|s| {
-                let w = s.state.load_with(Ordering::Relaxed);
-                format!("g{}:{}", gen_of(w), state_of(w))
-            })
-            .collect();
-        let waiters: Vec<usize> = self
-            .waiters
-            .iter()
-            .map(|c| c.state.load_with(Ordering::Relaxed))
-            .collect();
-        format!(
-            "free_count={} summary={:#x} slots=[{}] waiters={:?}",
-            self.free_count.load_with(Ordering::Relaxed) as isize,
-            self.waiter_summary.load_with(Ordering::Relaxed),
-            slots.join(","),
-            waiters,
-        )
-    }
-
     #[inline]
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
@@ -519,7 +473,8 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
     /// the SC total order one of the two must see the other — so a waiter
     /// whose rescan misses the credit is guaranteed to have its bit seen
     /// by the releaser's recheck, which converts the credit into a direct
-    /// handoff instead of stranding the waiter.
+    /// handoff instead of leaving the waiter asleep for a full
+    /// `park_timeout` while a slot sits FREE.
     #[inline]
     fn reserve(&self) -> bool {
         let prev = self.free_count.faa_with(-1, Ordering::SeqCst) as isize;
@@ -643,37 +598,14 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
     /// the pool is at true capacity.
     #[must_use = "the lease is released immediately if the guard is discarded"]
     pub fn acquire(&self) -> LeaseGuard<'_, 'd, R> {
-        self.acquire_inner(None)
-            .expect("acquire without timeout cannot time out")
-    }
-
-    /// [`LeasePool::acquire`] with a deadline: fails with
-    /// [`AcquireTimeout`] if no slot frees up in `timeout`.
-    #[must_use = "the lease is released immediately if the guard is discarded"]
-    pub fn acquire_timeout(
-        &self,
-        timeout: Duration,
-    ) -> Result<LeaseGuard<'_, 'd, R>, AcquireTimeout> {
-        self.acquire_inner(Some(timeout))
-    }
-
-    fn acquire_inner(
-        &self,
-        timeout: Option<Duration>,
-    ) -> Result<LeaseGuard<'_, 'd, R>, AcquireTimeout> {
-        let start = Instant::now();
-        let timed_out = |start: &Instant| timeout.is_some_and(|t| start.elapsed() >= t);
         loop {
             if let Some(guard) = self.try_checkout() {
-                return Ok(guard);
+                return guard;
             }
-            let Some(cell) = self.enroll(Parker::Thread(std::thread::current())) else {
-                // Waiter list full (more than one blocked task per summary
-                // bit): fall back to re-scanning. Capacity is exhausted
-                // anyway; this is the pathological-oversubscription path.
-                if timed_out(&start) {
-                    return Err(AcquireTimeout);
-                }
+            let Some(cell) = self.enroll(std::thread::current()) else {
+                // Waiter list full (more than one blocked thread per
+                // summary bit): fall back to re-scanning. Capacity is
+                // exhausted anyway; this is the oversubscription path.
                 std::thread::yield_now();
                 continue;
             };
@@ -687,156 +619,26 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
                         // slots. Return the handed one to circulation.
                         self.release_unissued(handed_slot(word));
                     }
-                    return Ok(guard);
+                    return guard;
                 }
                 let word = self.waiters[cell].state.load_with(Ordering::Acquire);
                 if is_handed(word) {
-                    self.waiters[cell].set_parker(None);
+                    // The releaser took our parker before publishing
+                    // HANDED; the cell is ours to empty.
                     self.waiters[cell]
                         .state
                         .store_with(W_EMPTY, Ordering::Release);
                     let idx = handed_slot(word);
                     let slot_word = self.slots[idx].state.load_with(Ordering::Acquire);
-                    return Ok(self.finish_checkout(idx, slot_word));
+                    return self.finish_checkout(idx, slot_word);
                 }
-                if timed_out(&start) {
-                    return match self.cancel_waiter(cell) {
-                        // The handoff won the race against our timeout:
-                        // accept the slot instead of failing.
-                        Some(w) => {
-                            let idx = handed_slot(w);
-                            let slot_word = self.slots[idx].state.load_with(Ordering::Acquire);
-                            Ok(self.finish_checkout(idx, slot_word))
-                        }
-                        None => Err(AcquireTimeout),
-                    };
-                }
-                // Belt and suspenders: a bounded park so a lost unpark
-                // (e.g. the parker mutex raced the wake) degrades to a
-                // periodic re-check instead of a hang.
+                // Belt and suspenders: a bounded park, so a wake the
+                // protocol fails to deliver degrades to a periodic
+                // re-check instead of a hang. (A handoff landing between
+                // the load above and this park is kept by the unpark
+                // token.)
                 std::thread::park_timeout(Duration::from_micros(200));
             }
-        }
-    }
-
-    /// Claims a lease asynchronously. The returned future enrolls on the
-    /// waiter list when the pool is at capacity and is woken by the
-    /// releasing guard's handoff; dropping it cancels the enrollment
-    /// (returning a raced handoff to circulation).
-    ///
-    /// ```
-    /// use std::future::Future;
-    /// use std::sync::Arc;
-    /// use std::task::{Context, Poll, Wake, Waker};
-    /// use wfrc_core::lease::{LeaseConfig, LeasePool};
-    /// use wfrc_core::{DomainConfig, WfrcDomain};
-    ///
-    /// struct Unpark(std::thread::Thread);
-    /// impl Wake for Unpark {
-    ///     fn wake(self: Arc<Self>) {
-    ///         self.0.unpark();
-    ///     }
-    /// }
-    ///
-    /// let domain = WfrcDomain::<u64>::new(DomainConfig::new(4, 64));
-    /// let pool = LeasePool::new(&domain, LeaseConfig::new(2)).unwrap();
-    ///
-    /// // A minimal block_on: poll, park until woken.
-    /// let waker = Waker::from(Arc::new(Unpark(std::thread::current())));
-    /// let mut cx = Context::from_waker(&waker);
-    /// let mut fut = std::pin::pin!(pool.acquire_async());
-    /// let lease = loop {
-    ///     match fut.as_mut().poll(&mut cx) {
-    ///         Poll::Ready(lease) => break lease,
-    ///         Poll::Pending => std::thread::park(),
-    ///     }
-    /// };
-    /// let node = lease.alloc_with(|v| *v = 9).unwrap();
-    /// assert_eq!(*node, 9);
-    /// ```
-    #[must_use = "futures do nothing unless polled"]
-    pub fn acquire_async<'p>(&'p self) -> AcquireFuture<'p, 'd, R> {
-        AcquireFuture {
-            pool: self,
-            cell: None,
-        }
-    }
-
-    /// Admission-controlled [`LeasePool::acquire`]: bounded by `policy`'s
-    /// deadline and retry budget instead of waiting unboundedly, with
-    /// decorrelated-jitter backoff between retries. Returns
-    /// [`Outcome::Overloaded`] past the deadline and
-    /// [`Outcome::Backpressure`] past the retry budget — the graceful-
-    /// degradation contract a killed lease holder must not break (the
-    /// sentinel recovers the slot in the background; callers shed load in
-    /// the meantime). Bumps the pool's `admitted` / `overloaded` /
-    /// `backpressure` counters.
-    ///
-    /// ```
-    /// use core::time::Duration;
-    /// use wfrc_core::lease::{LeaseConfig, LeasePool};
-    /// use wfrc_core::sentinel::AdmissionPolicy;
-    /// use wfrc_core::{DomainConfig, WfrcDomain};
-    ///
-    /// let domain = WfrcDomain::<u64>::new(DomainConfig::new(4, 64));
-    /// let pool = LeasePool::new(&domain, LeaseConfig::new(2)).unwrap();
-    /// let policy = AdmissionPolicy::within(Duration::from_millis(10));
-    /// let lease = pool.acquire_admitted(&policy).admitted().unwrap();
-    /// drop(lease);
-    /// assert_eq!(pool.stats().admitted, 1);
-    /// ```
-    #[must_use = "an Overloaded/Backpressure outcome must be handled"]
-    pub fn acquire_admitted(&self, policy: &AdmissionPolicy) -> Outcome<LeaseGuard<'_, 'd, R>> {
-        let start = Instant::now();
-        let mut jitter = policy.jitter();
-        let mut retries = 0u32;
-        loop {
-            if let Some(guard) = self.try_checkout() {
-                LeaseStats::bump(&self.stats.admitted);
-                return Outcome::Admitted(guard);
-            }
-            let elapsed = start.elapsed();
-            if elapsed >= policy.deadline {
-                LeaseStats::bump(&self.stats.overloaded);
-                return Outcome::Overloaded {
-                    waited: elapsed,
-                    retries,
-                };
-            }
-            if retries >= policy.max_retries {
-                LeaseStats::bump(&self.stats.backpressure);
-                return Outcome::Backpressure {
-                    retry_after: Duration::from_nanos(jitter.next_delay()),
-                    retries,
-                };
-            }
-            retries += 1;
-            // Ride the handoff machinery for the jittered wait, capped by
-            // the remaining deadline budget.
-            let wait = Duration::from_nanos(jitter.next_delay()).min(policy.deadline - elapsed);
-            if let Ok(guard) = self.acquire_timeout(wait) {
-                LeaseStats::bump(&self.stats.admitted);
-                return Outcome::Admitted(guard);
-            }
-        }
-    }
-
-    /// Admission-controlled [`LeasePool::acquire_async`]: resolves to
-    /// [`Outcome::Overloaded`] once `policy.deadline` has elapsed (the
-    /// enrollment is cancelled, returning any raced handoff to
-    /// circulation) and to [`Outcome::Backpressure`] when the waiter list
-    /// stays full past the retry budget. Cancel-safe like the inner
-    /// future.
-    #[must_use = "futures do nothing unless polled"]
-    pub fn acquire_async_admitted<'p>(
-        &'p self,
-        policy: &AdmissionPolicy,
-    ) -> AdmittedFuture<'p, 'd, R> {
-        AdmittedFuture {
-            inner: Some(self.acquire_async()),
-            policy: *policy,
-            started: None,
-            full_polls: 0,
         }
     }
 
@@ -844,7 +646,7 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
 
     /// Claims an EMPTY waiter cell, installs `parker`, publishes WAITING
     /// and the summary bit. At most one pass over the (word-width) cells.
-    fn enroll(&self, parker: Parker) -> Option<usize> {
+    fn enroll(&self, parker: Thread) -> Option<usize> {
         for (bit, cell) in self.waiters.iter().enumerate() {
             if cell.state.load_with(Ordering::Relaxed) == W_EMPTY
                 && cell
@@ -893,7 +695,7 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
                     std::hint::spin_loop();
                 }
                 w if is_handed(w) => {
-                    cell.set_parker(None);
+                    // The releaser already took the parker.
                     cell.state.store_with(W_EMPTY, Ordering::Release);
                     return Some(w);
                 }
@@ -976,11 +778,11 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
         // `reserve` (see its comment). A waiter that enrolled after the
         // summary check above and rescanned before the bump just above
         // saw neither the handoff nor the credit; without this recheck it
-        // parks forever (the sync path's `park_timeout` papers over it,
-        // the async path hangs). If the bit is visible now, convert the
-        // credit back into a direct handoff. The loop re-runs only when a
-        // raced cancellation staled every bit under us — each iteration
-        // is charged to that concurrent cancel, so this stays lock-free.
+        // sleeps out a full `park_timeout` while this slot sits FREE. If
+        // the bit is visible now, convert the credit back into a direct
+        // handoff. The loop re-runs only when a raced cancellation staled
+        // every bit under us — each iteration is charged to that
+        // concurrent cancel, so this stays lock-free.
         loop {
             if self.waiter_summary.load_with(Ordering::SeqCst) == 0 {
                 return;
@@ -1022,9 +824,13 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
                 self.waiter_summary
                     .fetch_and_with(!(1 << bit), Ordering::SeqCst);
                 // The waiter installs its own deadline in
-                // `finish_checkout`; publish the slot index and wake.
+                // `finish_checkout`. Take the parker while CLAIMED makes
+                // the cell ours, then publish the slot index and wake.
+                let parker = cell.take_parker();
                 cell.state.store_with(handed_word(idx), Ordering::Release);
-                cell.wake();
+                if let Some(thread) = parker {
+                    thread.unpark();
+                }
                 LeaseStats::bump(&self.stats.handoffs);
                 return true;
             }
@@ -1233,8 +1039,9 @@ impl<'d, R: LeaseRegistry> core::fmt::Debug for LeasePool<'d, R> {
 /// drop. Dropped during a panic it marks the slot ORPHANED instead, so
 /// [`LeasePool::expire_overdue`] recovers it like a crashed thread.
 ///
-/// `Send` (a lease migrates with its task) but not `Sync` — one thread id,
-/// one user at a time, the paper's `threadId` contract.
+/// `Send` (the holder may move it to another thread; the thread id goes
+/// with it) but not `Sync` — one thread id, one user at a time, the
+/// paper's `threadId` contract.
 #[must_use = "dropping the guard immediately releases the lease"]
 pub struct LeaseGuard<'p, 'd, R: LeaseRegistry> {
     pool: &'p LeasePool<'d, R>,
@@ -1295,170 +1102,6 @@ impl<'p, 'd, R: LeaseRegistry> core::fmt::Debug for LeaseGuard<'p, 'd, R> {
             .field("slot", &self.idx)
             .field("tid", &self.tid())
             .finish()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The async facade
-// ---------------------------------------------------------------------------
-
-/// Future of [`LeasePool::acquire_async`]. Executor-agnostic: wakeups ride
-/// the pool's own waiter list (the releasing guard calls the stored
-/// [`Waker`]); no runtime types are involved.
-#[must_use = "futures do nothing unless polled"]
-pub struct AcquireFuture<'p, 'd, R: LeaseRegistry> {
-    pool: &'p LeasePool<'d, R>,
-    /// Waiter cell we are enrolled in, if any.
-    cell: Option<usize>,
-}
-
-impl<'p, 'd, R: LeaseRegistry> core::future::Future for AcquireFuture<'p, 'd, R> {
-    type Output = LeaseGuard<'p, 'd, R>;
-
-    fn poll(
-        self: core::pin::Pin<&mut Self>,
-        cx: &mut core::task::Context<'_>,
-    ) -> core::task::Poll<Self::Output> {
-        use core::task::Poll;
-        let this = self.get_mut();
-        let pool = this.pool;
-        if let Some(bit) = this.cell {
-            let cell = &pool.waiters[bit];
-            let word = cell.state.load_with(Ordering::Acquire);
-            if is_handed(word) {
-                this.cell = None;
-                cell.set_parker(None);
-                cell.state.store_with(W_EMPTY, Ordering::Release);
-                let idx = handed_slot(word);
-                let slot_word = pool.slots[idx].state.load_with(Ordering::Acquire);
-                return Poll::Ready(pool.finish_checkout(idx, slot_word));
-            }
-            if word == W_CLAIMED {
-                // Handoff imminent (bounded releaser steps); ask to be
-                // re-polled rather than parking on a wake already spent.
-                cx.waker().wake_by_ref();
-                return Poll::Pending;
-            }
-            debug_assert_eq!(word, W_WAITING);
-            // Refresh the waker (task may have migrated executors), then
-            // re-check: a handoff between the load above and this store
-            // would have consumed the *old* parker and never wake the new
-            // one.
-            cell.set_parker(Some(Parker::Waker(cx.waker().clone())));
-            let recheck = cell.state.load_with(Ordering::Acquire);
-            if recheck != W_WAITING {
-                cx.waker().wake_by_ref();
-            }
-            return Poll::Pending;
-        }
-        if let Some(guard) = pool.try_checkout() {
-            return Poll::Ready(guard);
-        }
-        match pool.enroll(Parker::Waker(cx.waker().clone())) {
-            Some(bit) => {
-                // Same post-enroll rescan as the sync path: close the
-                // freed-before-bit-visible window.
-                if let Some(guard) = pool.try_checkout() {
-                    if let Some(word) = pool.cancel_waiter(bit) {
-                        pool.release_unissued(handed_slot(word));
-                    }
-                    return Poll::Ready(guard);
-                }
-                this.cell = Some(bit);
-                Poll::Pending
-            }
-            None => {
-                // Waiter list full: degrade to executor-driven re-polls.
-                cx.waker().wake_by_ref();
-                Poll::Pending
-            }
-        }
-    }
-}
-
-impl<'p, 'd, R: LeaseRegistry> Drop for AcquireFuture<'p, 'd, R> {
-    fn drop(&mut self) {
-        if let Some(bit) = self.cell.take() {
-            if let Some(word) = self.pool.cancel_waiter(bit) {
-                // Cancelled after a handoff landed: the slot is ours and
-                // unissued — put it back.
-                self.pool.release_unissued(handed_slot(word));
-            }
-        }
-    }
-}
-
-/// Future of [`LeasePool::acquire_async_admitted`]: an [`AcquireFuture`]
-/// bounded by an [`AdmissionPolicy`]. Resolves to [`Outcome`] instead of
-/// waiting unboundedly; dropping it mid-wait cancels the enrollment
-/// exactly like the inner future.
-#[must_use = "futures do nothing unless polled"]
-pub struct AdmittedFuture<'p, 'd, R: LeaseRegistry> {
-    /// `None` once resolved (the inner future's drop glue handles
-    /// cancellation, so giving up is just dropping it).
-    inner: Option<AcquireFuture<'p, 'd, R>>,
-    policy: AdmissionPolicy,
-    /// Set on first poll: the deadline measures waiting, not the gap
-    /// between construction and first poll.
-    started: Option<Instant>,
-    /// Consecutive polls that could not even enroll (waiter list full) —
-    /// the async analogue of a bounded retry budget.
-    full_polls: u32,
-}
-
-impl<'p, 'd, R: LeaseRegistry> core::future::Future for AdmittedFuture<'p, 'd, R> {
-    type Output = Outcome<LeaseGuard<'p, 'd, R>>;
-
-    fn poll(
-        self: core::pin::Pin<&mut Self>,
-        cx: &mut core::task::Context<'_>,
-    ) -> core::task::Poll<Self::Output> {
-        use core::task::Poll;
-        let this = self.get_mut();
-        let started = *this.started.get_or_insert_with(Instant::now);
-        let Some(inner) = this.inner.as_mut() else {
-            panic!("AdmittedFuture polled after completion");
-        };
-        let pool = inner.pool;
-        // AcquireFuture is Unpin (no self-references).
-        if let Poll::Ready(guard) = core::pin::Pin::new(&mut *inner).poll(cx) {
-            this.inner = None;
-            LeaseStats::bump(&pool.stats.admitted);
-            return Poll::Ready(Outcome::Admitted(guard));
-        }
-        let elapsed = started.elapsed();
-        if elapsed >= this.policy.deadline {
-            // Dropping the inner future cancels the enrollment (and
-            // returns a raced handoff to circulation) — cancel-safe.
-            this.inner = None;
-            LeaseStats::bump(&pool.stats.overloaded);
-            return Poll::Ready(Outcome::Overloaded {
-                waited: elapsed,
-                retries: this.full_polls,
-            });
-        }
-        if inner.cell.is_none() {
-            // Pending without an enrollment: the waiter list is full (the
-            // pathological-oversubscription path). Bounded by the retry
-            // budget instead of spinning on executor re-polls forever.
-            this.full_polls += 1;
-            if this.full_polls > this.policy.max_retries {
-                this.inner = None;
-                LeaseStats::bump(&pool.stats.backpressure);
-                let retry_after = Duration::from_nanos(this.policy.jitter().next_delay());
-                return Poll::Ready(Outcome::Backpressure {
-                    retry_after,
-                    retries: this.full_polls - 1,
-                });
-            }
-        } else {
-            this.full_polls = 0;
-            // Enrolled: the handoff wake is the fast path, but nothing
-            // else would re-poll us at the deadline — ask the executor to
-            // keep us scheduled so Overloaded is actually observed.
-            cx.waker().wake_by_ref();
-        }
-        Poll::Pending
     }
 }
 
@@ -1589,77 +1232,28 @@ mod tests {
         assert_eq!(pool.stats().handoffs, 1);
     }
 
+    /// The branch `acquire` takes when its post-enroll rescan wins a slot
+    /// after a handoff has already landed in its cell: the cancel must
+    /// return the handed slot, and recirculating it must lose nothing.
     #[test]
-    fn acquire_timeout_expires() {
+    fn cancelled_enrollment_returns_a_raced_handoff() {
         let d = domain(2, 64);
         let pool = LeasePool::new(&d, LeaseConfig::new(1)).unwrap();
         let held = pool.acquire();
-        let err = pool.acquire_timeout(Duration::from_millis(10));
-        assert!(err.is_err());
-        drop(held);
-        assert!(pool.acquire_timeout(Duration::from_millis(10)).is_ok());
-    }
-
-    #[test]
-    fn async_acquire_immediate_and_queued() {
-        use core::future::Future;
-        use std::sync::Arc;
-        use std::task::{Context, Poll, Wake, Waker};
-
-        struct Flag(std::sync::atomic::AtomicBool);
-        impl Wake for Flag {
-            fn wake(self: Arc<Self>) {
-                self.0.store(true, Ordering::SeqCst);
-            }
-        }
-
-        let d = domain(2, 64);
-        let pool = LeasePool::new(&d, LeaseConfig::new(1)).unwrap();
-        let flag = Arc::new(Flag(std::sync::atomic::AtomicBool::new(false)));
-        let waker = Waker::from(Arc::clone(&flag));
-        let mut cx = Context::from_waker(&waker);
-
-        let mut first = Box::pin(pool.acquire_async());
-        let guard = match first.as_mut().poll(&mut cx) {
-            Poll::Ready(g) => g,
-            Poll::Pending => panic!("uncontended async acquire must be immediate"),
-        };
-
-        let mut second = Box::pin(pool.acquire_async());
-        assert!(second.as_mut().poll(&mut cx).is_pending());
-        drop(guard); // hands the slot to the enrolled future and wakes it
-        assert!(flag.0.load(Ordering::SeqCst), "handoff must wake the waker");
-        match second.as_mut().poll(&mut cx) {
-            Poll::Ready(g) => drop(g),
-            Poll::Pending => panic!("woken future must complete"),
-        }
-        assert_eq!(pool.stats().handoffs, 1);
-        drop((first, second));
+        let bit = pool.enroll(std::thread::current()).unwrap();
+        drop(held); // the handoff lands in our cell
+        let word = pool
+            .cancel_waiter(bit)
+            .expect("the handed slot is returned");
+        assert!(is_handed(word));
+        pool.release_unissued(handed_slot(word));
+        drop(
+            pool.try_acquire()
+                .expect("the cancelled handoff's slot is back"),
+        );
+        let s = pool.stats();
+        assert_eq!((s.issued, s.released, s.handoffs), (2, 2, 1));
         drop(pool);
         assert!(d.leak_check().is_clean());
-    }
-
-    #[test]
-    fn cancelled_future_returns_a_raced_handoff() {
-        use core::future::Future;
-        use std::sync::Arc;
-        use std::task::{Context, Wake, Waker};
-
-        struct Noop;
-        impl Wake for Noop {
-            fn wake(self: Arc<Self>) {}
-        }
-
-        let d = domain(2, 64);
-        let pool = LeasePool::new(&d, LeaseConfig::new(1)).unwrap();
-        let waker = Waker::from(Arc::new(Noop));
-        let mut cx = Context::from_waker(&waker);
-
-        let guard = pool.acquire();
-        let mut fut = Box::pin(pool.acquire_async());
-        assert!(fut.as_mut().poll(&mut cx).is_pending());
-        drop(guard); // handoff lands in the future's cell
-        drop(fut); // cancel: the handed slot must recirculate
-        assert!(pool.try_acquire().is_ok(), "cancelled handoff slot is lost");
     }
 }

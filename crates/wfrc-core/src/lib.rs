@@ -114,7 +114,7 @@ pub use node::{Claim, Node, RcObject};
 pub use oom::OutOfMemory;
 pub use reclaim::{ReclaimOutcome, ReclaimPolicy, SnapStats};
 pub use scheme::{Scheme, Wf};
-pub use sentinel::{AdmissionPolicy, Outcome, Sentinel, SentinelConfig, Stage, Supervised};
+pub use sentinel::{Sentinel, SentinelConfig, Stage, Supervised};
 
 /// Hard upper bound on threads per domain.
 ///

@@ -41,16 +41,6 @@
 //! its own wait-freedom bound, and `wfrc-sim::supervisor` provides the
 //! dedicated-thread form.
 //!
-//! # Overload backpressure
-//!
-//! The same robustness posture applied to admission: [`AdmissionPolicy`]
-//! bounds an acquire with a deadline, a retry budget,
-//! and jittered backoff, and [`Outcome`] reports
-//! [`Overloaded`](Outcome::Overloaded) / [`Backpressure`](Outcome::Backpressure)
-//! instead of waiting unboundedly — graceful degradation under a killed
-//! lease holder or an exhausted arena. See
-//! [`LeasePool::acquire_admitted`](crate::lease::LeasePool::acquire_admitted).
-//!
 //! # Example
 //!
 //! ```
@@ -81,7 +71,6 @@
 
 use core::cell::UnsafeCell;
 use core::sync::atomic::{AtomicU64, Ordering};
-use core::time::Duration;
 
 use wfrc_primitives::{AtomicWord, CachePadded, DecorrelatedJitter};
 
@@ -485,165 +474,6 @@ impl<'t, S: Supervised + ?Sized> core::fmt::Debug for Sentinel<'t, S> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Admission control
-// ---------------------------------------------------------------------------
-
-/// Bounded-admission policy: a deadline, a retry budget, and a
-/// decorrelated-jitter backoff between retries. Applied to
-/// [`LeasePool::acquire_admitted`](crate::lease::LeasePool::acquire_admitted)
-/// and
-/// [`LeasePool::acquire_async_admitted`](crate::lease::LeasePool::acquire_async_admitted),
-/// which return [`Outcome`] instead of waiting unboundedly.
-///
-/// ```
-/// use core::time::Duration;
-/// use wfrc_core::sentinel::AdmissionPolicy;
-///
-/// let policy = AdmissionPolicy::within(Duration::from_millis(50))
-///     .with_retries(8)
-///     .with_seed(42);
-/// assert_eq!(policy.max_retries, 8);
-/// ```
-#[derive(Debug, Clone, Copy)]
-#[must_use = "a policy does nothing until passed to an *_admitted call"]
-pub struct AdmissionPolicy {
-    /// Total time budget; past it the call returns
-    /// [`Outcome::Overloaded`].
-    pub deadline: Duration,
-    /// Bounded retries; past them the call returns
-    /// [`Outcome::Backpressure`] (with a retry-after hint) even if the
-    /// deadline has not expired.
-    pub max_retries: u32,
-    /// Jitter seed (deterministic backoff schedules for tests).
-    pub seed: u64,
-}
-
-/// Shortest and longest backoff between admission retries: 50 µs – 2 ms.
-const BACKOFF_BASE_NS: u64 = 50_000;
-const BACKOFF_CAP_NS: u64 = 2_000_000;
-
-impl AdmissionPolicy {
-    /// A policy with the given deadline and conventional defaults:
-    /// 16 retries, 50 µs – 2 ms jittered backoff.
-    pub fn within(deadline: Duration) -> Self {
-        Self {
-            deadline,
-            max_retries: 16,
-            seed: 0xAD31_5510,
-        }
-    }
-
-    /// Sets the retry budget (at least 1).
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries.max(1);
-        self
-    }
-
-    /// Sets the jitter seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// The policy's backoff schedule, in nanosecond units.
-    #[must_use]
-    pub fn jitter(&self) -> DecorrelatedJitter {
-        DecorrelatedJitter::new(BACKOFF_BASE_NS, BACKOFF_CAP_NS, self.seed)
-    }
-}
-
-/// Result of an admission-controlled operation: the resource, or a bounded
-/// refusal the caller must handle (shed load, queue, retry later).
-///
-/// ```
-/// use core::time::Duration;
-/// use wfrc_core::lease::{LeaseConfig, LeasePool};
-/// use wfrc_core::sentinel::{AdmissionPolicy, Outcome};
-/// use wfrc_core::{DomainConfig, WfrcDomain};
-///
-/// let domain = WfrcDomain::<u64>::new(DomainConfig::new(4, 64));
-/// let pool = LeasePool::new(&domain, LeaseConfig::new(1)).unwrap();
-/// let policy = AdmissionPolicy::within(Duration::from_millis(5)).with_retries(2);
-///
-/// let held = pool.acquire();
-/// // The sole slot is checked out: admission refuses within the bound
-/// // instead of hanging.
-/// match pool.acquire_admitted(&policy) {
-///     Outcome::Admitted(_) => unreachable!("slot is held"),
-///     Outcome::Overloaded { .. } | Outcome::Backpressure { .. } => {}
-/// }
-/// drop(held);
-/// assert!(pool.acquire_admitted(&policy).is_admitted());
-/// ```
-#[derive(Debug)]
-#[must_use = "an Overloaded/Backpressure outcome must be handled, not dropped"]
-pub enum Outcome<G> {
-    /// The resource, obtained within policy.
-    Admitted(G),
-    /// The deadline expired. `waited` is the time actually spent; load
-    /// should be shed (or the request re-queued at lower priority).
-    Overloaded {
-        /// Time spent before giving up.
-        waited: Duration,
-        /// Retries performed before giving up.
-        retries: u32,
-    },
-    /// The retry budget ran out before the deadline. `retry_after` is the
-    /// backoff schedule's next delay — a cooperative hint for the caller's
-    /// own retry loop.
-    Backpressure {
-        /// Suggested wait before retrying.
-        retry_after: Duration,
-        /// Retries performed before yielding.
-        retries: u32,
-    },
-}
-
-impl<G> Outcome<G> {
-    /// True for [`Outcome::Admitted`].
-    #[must_use]
-    pub fn is_admitted(&self) -> bool {
-        matches!(self, Outcome::Admitted(_))
-    }
-
-    /// True for [`Outcome::Overloaded`].
-    #[must_use]
-    pub fn is_overloaded(&self) -> bool {
-        matches!(self, Outcome::Overloaded { .. })
-    }
-
-    /// True for [`Outcome::Backpressure`].
-    #[must_use]
-    pub fn is_backpressure(&self) -> bool {
-        matches!(self, Outcome::Backpressure { .. })
-    }
-
-    /// The resource, discarding refusal detail.
-    #[must_use]
-    pub fn admitted(self) -> Option<G> {
-        match self {
-            Outcome::Admitted(g) => Some(g),
-            _ => None,
-        }
-    }
-
-    /// Maps the admitted resource, preserving refusals.
-    pub fn map<H>(self, f: impl FnOnce(G) -> H) -> Outcome<H> {
-        match self {
-            Outcome::Admitted(g) => Outcome::Admitted(f(g)),
-            Outcome::Overloaded { waited, retries } => Outcome::Overloaded { waited, retries },
-            Outcome::Backpressure {
-                retry_after,
-                retries,
-            } => Outcome::Backpressure {
-                retry_after,
-                retries,
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -724,25 +554,5 @@ mod tests {
         assert_eq!(d.orphaned_threads(), 0);
         assert_eq!(d.orphans_adopted(), 3);
         assert!(d.leak_check().is_clean());
-    }
-
-    #[test]
-    fn outcome_accessors() {
-        let a: Outcome<u32> = Outcome::Admitted(7);
-        assert!(a.is_admitted());
-        assert_eq!(a.admitted(), Some(7));
-        let o: Outcome<u32> = Outcome::Overloaded {
-            waited: Duration::from_millis(1),
-            retries: 3,
-        };
-        assert!(o.is_overloaded());
-        let b: Outcome<u32> = Outcome::Backpressure {
-            retry_after: Duration::from_micros(100),
-            retries: 16,
-        };
-        assert!(b.is_backpressure());
-        assert!(b.admitted().is_none());
-        let mapped = Outcome::Admitted(2).map(|v: u32| v * 2);
-        assert_eq!(mapped.admitted(), Some(4));
     }
 }

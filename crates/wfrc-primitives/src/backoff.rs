@@ -86,8 +86,7 @@ impl Backoff {
 /// variant popularized by the AWS architecture blog). Unlike [`Backoff`],
 /// which *performs* the wait, this type only *computes* delays — the caller
 /// decides whether a delay is spins, ticks, or nanoseconds — so the sentinel
-/// can use it to space suspicion probes in tick units while the admission
-/// paths use it for sleep durations.
+/// can use it to space suspicion probes in tick units.
 ///
 /// Deterministic: the internal SplitMix64 stream is fixed by `seed`, so two
 /// schedules with the same `(base, cap, seed)` produce identical delays —

@@ -8,11 +8,14 @@
 //! * [`rng`] — the in-tree SplitMix64 generator (the repository builds
 //!   offline with zero external dependencies);
 //! * [`exec`] — barrier-started thread executors (fixed-op and fixed-time)
-//!   returning per-thread results;
+//!   returning per-thread results, and the shared [`StopFlag`]. Every
+//!   experiment runs on plain threads; there is no async executor;
 //! * [`latency`] — a fixed-bucket log-scale histogram for per-op latency
 //!   (no allocation on the record path);
 //! * [`stats`] — summaries (mean/percentiles/max) and fixed-width table
-//!   printing, plus JSON export for EXPERIMENTS.md.
+//!   printing, plus JSON export for EXPERIMENTS.md;
+//! * [`supervisor`] — a dedicated thread that ticks a sentinel at a fixed
+//!   period.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -23,7 +26,7 @@ pub mod rng;
 pub mod stats;
 pub mod supervisor;
 
-pub use exec::{run_fixed_ops, run_timed, PollLoop, StopFlag};
+pub use exec::{run_fixed_ops, run_timed, StopFlag};
 pub use latency::Histogram;
 pub use rng::SmallRng;
 pub use stats::{Summary, Table};

@@ -1,16 +1,13 @@
-//! Lease-pool integration: many more tasks than registration slots, on
-//! threads and on the minimal poll-loop executor, always ending with a
-//! clean [`wfrc::core::domain::LeakReport`]. Covers the slot-exhaustion
-//! and recycling paths, the non-panicking `try_register` surface on both
-//! schemes, the rapid register/drop slot-reuse regression, and
-//! expiry/recovery with live nodes owned by the corpse.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Lease-pool integration: many more threads than registration slots, each
+//! blocking in `acquire` until a slot is free or handed over, always
+//! ending with a clean [`wfrc::core::domain::LeakReport`]. Covers the
+//! slot-exhaustion and recycling paths, the non-panicking `try_register`
+//! surface on both schemes, the rapid register/drop slot-reuse regression,
+//! and expiry/recovery with live nodes owned by the corpse.
 
 use wfrc::baselines::LfrcDomain;
 use wfrc::core::lease::{LeaseConfig, LeasePool};
 use wfrc::core::{DomainConfig, Link, WfrcDomain};
-use wfrc::sim::PollLoop;
 use wfrc::structures::RcMm;
 
 fn domain(threads: usize, capacity: usize) -> WfrcDomain<u64> {
@@ -52,43 +49,6 @@ fn thread_churn_over_few_slots() {
     drop(pool);
     let leak = d.leak_check();
     assert!(leak.is_clean(), "thread churn must end clean: {leak:?}");
-}
-
-/// Async churn: hundreds of tasks on the poll-loop executor, a handful of
-/// slots, every task writing through its leased handle.
-#[test]
-fn async_churn_on_the_poll_loop() {
-    const TASKS: usize = 300;
-    let d = domain(3, 1024);
-    let pool = LeasePool::new(&d, LeaseConfig::new(3)).unwrap();
-    let links: Vec<Link<u64>> = (0..8).map(|_| Link::null()).collect();
-    let done = AtomicU64::new(0);
-    let mut exec = PollLoop::new();
-    for task in 0..TASKS {
-        let (pool, links, done) = (&pool, &links, &done);
-        exec.spawn(async move {
-            let g = pool.acquire_async().await;
-            for i in 0..4usize {
-                let node = g.alloc_with(|v| *v = task as u64).unwrap();
-                g.store(&links[(task + i) % links.len()], Some(&node));
-            }
-            drop(g);
-            done.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-    exec.run(4);
-    assert_eq!(done.load(Ordering::Relaxed), TASKS as u64);
-    let stats = pool.stats();
-    assert_eq!(stats.issued, TASKS as u64);
-    assert_eq!(stats.issued, stats.released);
-    let cleaner = pool.acquire();
-    for l in &links {
-        cleaner.store(l, None);
-    }
-    drop(cleaner);
-    drop(pool);
-    let leak = d.leak_check();
-    assert!(leak.is_clean(), "async churn must end clean: {leak:?}");
 }
 
 /// All slots held ⇒ `try_acquire` reports exhaustion (and counts it);

@@ -1,22 +1,19 @@
-//! Sentinel supervision: autonomous stall detection, self-healing
-//! recovery, and overload backpressure (DESIGN.md §7).
+//! Sentinel supervision: autonomous stall detection and self-healing
+//! recovery (DESIGN.md §7).
 //!
 //! The non-gated tests cover the always-on surfaces: lease recovery with
 //! zero manual `expire_overdue`/`adopt_orphans` calls, idempotency of the
 //! recovery entry points under concurrent callers racing sentinel ticks,
-//! POISONED segment quarantine, and the admission-control outcomes. The
-//! `fault-injection`-gated half drives Stall/Park/Die at every armed site
-//! and asserts the escalation ladder's two safety/liveness halves: a
-//! parked-then-resumed thread is never declared dead, and a genuine death
-//! is always adopted within a bounded number of ticks.
+//! and POISONED segment quarantine. The `fault-injection`-gated half
+//! drives Stall/Park/Die at every armed site and asserts the escalation
+//! ladder's two safety/liveness halves: a parked-then-resumed thread is
+//! never declared dead, and a genuine death is always adopted within a
+//! bounded number of ticks.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use wfrc::core::lease::{LeaseConfig, LeasePool};
-use wfrc::core::{
-    AdmissionPolicy, DomainConfig, Growth, Outcome, Sentinel, SentinelConfig, WfrcDomain,
-};
+use wfrc::core::{DomainConfig, Growth, Sentinel, SentinelConfig, WfrcDomain};
 
 /// A forgotten lease (no panic, no drop — the guard is leaked exactly the
 /// way a crashed task leaks it) is healed by sentinel ticks alone.
@@ -178,50 +175,6 @@ fn poisoned_segment_is_quarantined_from_revival() {
         report.is_clean(),
         "quarantine is degraded capacity, not a leak: {report}"
     );
-}
-
-/// Admission control refuses instead of hanging: a saturated pool returns
-/// `Overloaded` at the deadline (sync and async), and the refusals land
-/// in the pool's counters.
-#[test]
-fn admission_refuses_on_a_saturated_pool() {
-    let domain = WfrcDomain::<u64>::new(DomainConfig::new(1, 16));
-    let pool = LeasePool::new(&domain, LeaseConfig::new(1)).expect("pool fits domain");
-    let held = pool.acquire();
-
-    let policy = AdmissionPolicy::within(Duration::from_millis(5)).with_retries(u32::MAX);
-    let outcome = pool.acquire_admitted(&policy);
-    assert!(outcome.is_overloaded(), "got {outcome:?}");
-
-    // The async path sheds the same way, through a poll loop.
-    let refused = AtomicU64::new(0);
-    let mut exec = wfrc::sim::PollLoop::new();
-    for _ in 0..3 {
-        let (pool, refused) = (&pool, &refused);
-        exec.spawn(async move {
-            match pool
-                .acquire_async_admitted(&AdmissionPolicy::within(Duration::from_millis(5)))
-                .await
-            {
-                Outcome::Admitted(_) => {}
-                Outcome::Overloaded { .. } | Outcome::Backpressure { .. } => {
-                    refused.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        });
-    }
-    exec.run(2);
-    assert_eq!(refused.load(Ordering::Relaxed), 3);
-    let snap = pool.stats();
-    assert_eq!(snap.overloaded + snap.backpressure, 4);
-    assert_eq!(snap.admitted, 0);
-
-    // Once the holder leaves, admission succeeds and is counted.
-    drop(held);
-    let g = pool.acquire_admitted(&AdmissionPolicy::within(Duration::from_millis(5)));
-    assert!(g.is_admitted());
-    drop(g.admitted());
-    assert_eq!(pool.stats().admitted, 1);
 }
 
 /// A registered reader that has dereferenced and now idles keeps its
