@@ -3,11 +3,11 @@
 //!
 //! All threads alloc/free for a fixed window; we report each thread's
 //! completed operations and the min/max ratio. The wait-free scheme's
-//! round-robin helping (`helpCurrent`) guarantees every thread is
-//! eventually served (Lemma 9); the Treiber baseline has no such
-//! mechanism, so its ratio degrades under contention (on a multi-core box;
-//! a single CPU's scheduler masks some of the effect — the gift counters
-//! still show the mechanism working).
+//! round-robin helping (`helpCurrent`, on request: a thread that misses
+//! its two fast-path attempts raises its `alloc_need` bit) guarantees
+//! every flagged thread is served (Lemma 9); the Treiber baseline has no
+//! such mechanism, so its ratio degrades under contention (on a
+//! multi-core box; a single CPU's scheduler masks some of the effect).
 //!
 //! The run is also Lemma 9's scoreboard: the wait-free scheme's worst
 //! A3–A18 iteration count is asserted against

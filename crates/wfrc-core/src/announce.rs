@@ -88,8 +88,7 @@ use core::sync::atomic::Ordering;
 
 use wfrc_primitives::AtomicWord;
 
-/// Bits per summary word (the shard width).
-const SUMMARY_BITS: usize = usize::BITS as usize;
+use crate::bitmap::ThreadBits;
 
 type Cell = wfrc_primitives::CachePadded<AtomicWord>;
 
@@ -141,9 +140,7 @@ pub struct Announce {
     /// `annBusy`, row-major `n x n`.
     busy: Box<[Cell]>,
     /// Announcement-presence bitmap, one bit per thread (see module docs).
-    /// `ceil(n / usize::BITS)` words, each on its own padded line so the
-    /// helper-side load doesn't false-share with the slot matrices.
-    summary: Box<[Cell]>,
+    summary: ThreadBits,
 }
 
 impl Announce {
@@ -155,7 +152,7 @@ impl Announce {
             read_addr: (0..n * n).map(|_| new_cell()).collect(),
             index: (0..n).map(|_| new_cell()).collect(),
             busy: (0..n * n).map(|_| new_cell()).collect(),
-            summary: (0..n.div_ceil(SUMMARY_BITS)).map(|_| new_cell()).collect(),
+            summary: ThreadBits::new(n),
         }
     }
 
@@ -217,14 +214,13 @@ impl Announce {
     pub fn publish(&self, tid: usize, idx: usize, link_addr: usize) {
         debug_assert_ne!(link_addr, 0);
         debug_assert_eq!(link_addr & 1, 0, "link addresses are word-aligned");
-        let (word, bit) = (&self.summary[tid / SUMMARY_BITS], 1 << (tid % SUMMARY_BITS));
         // Relaxed read of our own bit: only we (or, once we are dead, our
         // adopter) ever write it, so coherence alone shows us our own
         // raise. SeqCst RMW when it is down: the raise must precede the D3
         // store *and* take part in the total order the helper's summary
         // load relies on.
-        if word.load_with(Ordering::Relaxed) & bit == 0 {
-            word.fetch_or(bit);
+        if !self.summary.is_set_by_owner(tid) {
+            self.summary.raise(tid);
         }
         self.read_addr[self.at(tid, idx)].store(link_addr);
     }
@@ -238,8 +234,7 @@ impl Announce {
         // Release RMW: the row's last retracting SWAP (and the D5 increment
         // before it) cannot be reordered after this clear; nothing needs to
         // be ordered after it.
-        self.summary[tid / SUMMARY_BITS]
-            .fetch_and_with(!(1 << (tid % SUMMARY_BITS)), Ordering::Release);
+        self.summary.lower(tid);
     }
 
     /// True while `tid` has an announcement up: the slot `annIndex[tid]`
@@ -262,32 +257,22 @@ impl Announce {
     #[must_use]
     #[inline]
     pub fn summary_empty(&self) -> bool {
-        self.summary.iter().all(|w| w.load() == 0)
+        self.summary.is_empty()
     }
 
     /// True if `tid`'s presence bit is currently set (diagnostics/tests).
     #[must_use]
     #[inline]
     pub fn summary_bit(&self, tid: usize) -> bool {
-        self.summary[tid / SUMMARY_BITS].load() & (1 << (tid % SUMMARY_BITS)) != 0
+        self.summary.is_set(tid)
     }
 
     /// Calls `f(id)` for every thread whose presence bit is set, ascending,
     /// loading each summary word once (`SeqCst`). Returns `true` if any bit
     /// was seen — i.e. whether the caller did a (partial) slot scan at all.
     #[inline]
-    pub fn for_each_announcer(&self, mut f: impl FnMut(usize)) -> bool {
-        let mut any = false;
-        for (w, word) in self.summary.iter().enumerate() {
-            let mut bits = word.load();
-            any |= bits != 0;
-            while bits != 0 {
-                let id = w * SUMMARY_BITS + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                f(id);
-            }
-        }
-        any
+    pub fn for_each_announcer(&self, f: impl FnMut(usize)) -> bool {
+        self.summary.for_each(f)
     }
 
     /// Line D6: atomically retract the announcement, returning whatever the

@@ -206,6 +206,8 @@ pub struct ClassLeak {
     pub live_nodes: usize,
     /// Blocks in a state the quiescent invariants forbid.
     pub corrupt_nodes: usize,
+    /// Threads whose class `alloc_need` bit is up (0 at quiescence).
+    pub alloc_need: usize,
 }
 
 impl ClassLeak {
@@ -218,12 +220,14 @@ impl ClassLeak {
         self.magazine_nodes = c.magazine_nodes;
         self.live_nodes = c.live_nodes;
         self.corrupt_nodes = c.corrupt_nodes + c.deferred_nodes + c.weak_nodes;
+        self.alloc_need = c.alloc_need;
     }
 
     /// True when no block is live or corrupt and all are accounted for.
     pub fn is_clean(&self) -> bool {
         self.live_nodes == 0
             && self.corrupt_nodes == 0
+            && self.alloc_need == 0
             && self.free_nodes + self.parked_gifts + self.magazine_nodes == self.capacity
     }
 }

@@ -69,7 +69,9 @@ pub struct OpCounters {
     pub help_scan_full: Cell<u64>,
     /// `AllocNode` invocations.
     pub alloc_calls: Cell<u64>,
-    /// Total A3–A18 loop iterations.
+    /// Total `AllocNode` iterations on the shared free-lists: the two
+    /// fast-path attempts (own stripe, plain) count as iterations 1 and 2,
+    /// the A3–A18 loop continues from there.
     pub alloc_iters: Cell<u64>,
     /// Worst single-call iteration count — the quantity Lemma 9 bounds.
     pub max_alloc_iters: Cell<u64>,

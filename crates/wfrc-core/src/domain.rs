@@ -156,6 +156,12 @@ unsafe impl<T: RcObject> Pool<T> for Shared<T> {
         // slot retracted above, the row is empty and the bit can be lowered
         // (never before: helpers would skip a still-live announcement).
         self.ann.clear_summary(tid);
+        // A corpse that died in `AllocNode`'s slow path left its need bit
+        // up. Lowered before the gift is collected; a helper that read the
+        // bit before this may still park one gift after the collection
+        // below, which waits in the cell (a parked gift, not a leak) for
+        // the slot's next owner.
+        self.fl.need.lower(tid);
         // (b) Collect a parked gift: `mm_ref` 3 → 2 (the A4 FixRef), then
         // the reference just taken over is released.
         let gift = self.fl.take_gift(tid);
@@ -193,7 +199,10 @@ unsafe impl<T: RcObject> Pool<T> for Shared<T> {
         self.reclaim.for_each_deferred(|p| {
             deferred.insert(p as usize);
         });
-        census(self.arena.iter(), &gifts, &self.mag.parked(), &deferred)
+        Census {
+            alloc_need: self.fl.need.count(),
+            ..census(self.arena.iter(), &gifts, &self.mag.parked(), &deferred)
+        }
     }
 
     #[inline]
@@ -239,10 +248,12 @@ unsafe impl<T: RcObject> Pool<T> for Shared<T> {
 
     /// A fresh owner starts quiescent: reset the slot's operation epoch so
     /// a reclaimer never waits on a dead owner's parity, and retract any
-    /// pin bit a previous owner left published (see DESIGN.md §4f).
+    /// pin bit (DESIGN.md §4f) or `alloc_need` bit a previous owner left
+    /// up.
     fn slot_registered(&self, tid: usize) {
         self.reclaim.epoch(tid).reset();
         self.reclaim.unpin(tid);
+        self.fl.need.lower(tid);
     }
 
     /// Lowers the announcement-presence bit this registration may have
@@ -911,6 +922,10 @@ pub struct Census {
     pub weak_count: u64,
     /// In a state the quiescent invariants forbid.
     pub corrupt_nodes: usize,
+    /// Threads whose `alloc_need` bit is up; at quiescence no allocation is
+    /// in flight, so anything but 0 is a bit a dead slot left behind. Not
+    /// a node count: [`census`] leaves it 0 and the pool fills it in.
+    pub alloc_need: usize,
 }
 
 /// The node audit — the one `mm_ref` classification in the workspace. Every
@@ -1078,6 +1093,10 @@ pub struct LeakReport {
     pub weak_count: u64,
     /// Nodes in a state the quiescent invariants forbid.
     pub corrupt_nodes: usize,
+    /// Node-pool threads whose `alloc_need` bit is up (`freelist.rs`). An
+    /// allocation lowers its bit on every exit and adoption lowers a
+    /// corpse's, so at quiescence this must read 0.
+    pub alloc_need: usize,
     /// Domain-lifetime count of snapshot (plain-load) dereferences, folded
     /// from every dropped handle.
     pub snapshot_derefs: u64,
@@ -1109,6 +1128,7 @@ impl LeakReport {
         self.weak_nodes = c.weak_nodes;
         self.weak_count = c.weak_count;
         self.corrupt_nodes = c.corrupt_nodes;
+        self.alloc_need = c.alloc_need;
     }
 
     /// True when nothing is live, nothing is corrupt, and every node —
@@ -1116,6 +1136,7 @@ impl LeakReport {
     pub fn is_clean(&self) -> bool {
         self.live_nodes == 0
             && self.corrupt_nodes == 0
+            && self.alloc_need == 0
             && self.weak_nodes == 0
             && self.weak_count == 0
             && self.free_nodes + self.parked_gifts + self.magazine_nodes + self.deferred_nodes
@@ -1145,6 +1166,9 @@ impl core::fmt::Display for LeakReport {
             self.live_nodes,
             self.corrupt_nodes,
         )?;
+        if self.alloc_need > 0 {
+            writeln!(f, "  alloc_need bits up: {}", self.alloc_need)?;
+        }
         if self.snapshot_derefs + self.deferred_decs + self.upgrade_slow > 0 {
             writeln!(
                 f,
@@ -1255,6 +1279,7 @@ mod tests {
             weak_nodes: 1,
             weak_count: 4,
             corrupt_nodes: 0,
+            alloc_need: 0,
             snapshot_derefs: 1000,
             deferred_decs: 2,
             upgrade_slow: 5,

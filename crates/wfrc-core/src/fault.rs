@@ -89,6 +89,13 @@ pub enum FaultSite {
     /// counts, helpers read the row and match nothing, and adoption lowers
     /// the corpse's bit.
     SummaryClear,
+    /// In `AllocNode`'s slow path, right after the thread raised its
+    /// `alloc_need` bit and before the A3–A18 loop: the victim holds no
+    /// node, but helpers now owe it one. `Die` here leaves the bit up over
+    /// a corpse; adoption must lower it and collect any gift parked for
+    /// it, or the audit reports the bit and later frees keep gifting to a
+    /// dead slot.
+    AllocNeed,
     /// In the segment-reclaim protocol, immediately after the reclaimer's
     /// `LIVE → DRAINING` claim and before the node sweep. `Die` here leaves
     /// the segment DRAINING with the reclaimer's identity recorded in the
@@ -125,7 +132,7 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// Every registered site, in protocol order.
-    pub const ALL: [FaultSite; 13] = [
+    pub const ALL: [FaultSite; 14] = [
         FaultSite::AnnouncePublish,
         FaultSite::DerefFaa,
         FaultSite::HelperCas,
@@ -135,6 +142,7 @@ impl FaultSite {
         FaultSite::MagazineDrain,
         FaultSite::GrowSeed,
         FaultSite::SummaryClear,
+        FaultSite::AllocNeed,
         FaultSite::SegmentRetire,
         FaultSite::LeaseExpire,
         FaultSite::SnapshotUpgrade,
@@ -153,6 +161,7 @@ impl FaultSite {
             FaultSite::MagazineDrain => "magazine_drain",
             FaultSite::GrowSeed => "grow_seed",
             FaultSite::SummaryClear => "summary_clear",
+            FaultSite::AllocNeed => "alloc_need",
             FaultSite::SegmentRetire => "segment_retire",
             FaultSite::LeaseExpire => "lease_expire",
             FaultSite::SnapshotUpgrade => "snapshot_upgrade",

@@ -80,6 +80,7 @@
 
 pub mod announce;
 pub mod arena;
+mod bitmap;
 pub mod class;
 pub mod counters;
 pub mod domain;

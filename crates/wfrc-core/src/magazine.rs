@@ -29,13 +29,14 @@
 //!   the F7–F10 retry dance — one shared CAS per *batch*, and the retry
 //!   count inherits Lemma 10's bound because a chain-push is
 //!   indistinguishable from a single-node push to the competing allocators.
-//! * **Gifting is preserved at batch granularity.** Every refill that nets
-//!   more than one node offers one to the `helpCurrent` thread (the A11–A15
-//!   obligation), and every drain does the same (the corrected F3
-//!   obligation), so a starving allocator is still fed: it now waits at
-//!   most O(N · magazine capacity) shared interactions for its gift instead
-//!   of O(N) — a larger constant, but still a bound, so per-operation
-//!   wait-freedom survives (argued in DESIGN.md).
+//! * **Gifting is preserved at batch granularity, on request.** Every
+//!   refill that nets more than one node reads the `alloc_need` word and,
+//!   when some thread asked, offers one node to the first flagged thread at
+//!   or after `helpCurrent` (the A11–A15 obligation); every drain does the
+//!   same (the corrected F3 obligation). A starving allocator is still fed:
+//!   it now waits at most O(N · magazine capacity) shared interactions for
+//!   its gift instead of O(N) — a larger constant, but still a bound, so
+//!   per-operation wait-freedom survives (argued in DESIGN.md).
 //! * **Gifts bypass magazines** entirely: `annAlloc` hand-offs land in the
 //!   recipient's announced slot and are collected at line A4 before the
 //!   magazine is even consulted by the next caller.
@@ -330,7 +331,8 @@ impl<T: RcObject> Shared<T> {
             }
             if kept.len() > 1 {
                 // The batch removal stands in for A10's successful CAS, so
-                // honor the A11–A15 helping obligation once per refill.
+                // honor the A11–A15 helping obligation (on request) once per
+                // refill.
                 if let Some(&gift) = kept.last() {
                     if self.try_gift(gift) {
                         kept.pop();
@@ -397,7 +399,7 @@ impl<T: RcObject> Shared<T> {
 
     /// Chains `batch` through `mm_next` (all nodes exclusively ours) and
     /// pushes it with one F4–F10 chain-push, after honoring the corrected
-    /// F3 gifting obligation once for the whole batch.
+    /// F3 gifting obligation (on request) once for the whole batch.
     fn drain_batch(&self, tid: usize, c: &OpCounters, mut batch: Vec<*mut Node<T>>) {
         debug_assert!(!batch.is_empty());
         OpCounters::bump(&c.magazine_drains);

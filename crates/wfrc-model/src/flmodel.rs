@@ -1,5 +1,6 @@
 //! Model of the wait-free free-list (Figure 5): `AllocNode` / `FreeNode`
-//! with the round-robin gifting protocol, explored exhaustively.
+//! with the own-stripe fast path and help on request, explored
+//! exhaustively.
 //!
 //! Complements [`crate::machine`] (which models the Figure 4 announcement
 //! protocol): here the checked properties are the paper's Lemmas 4, 5, 9
@@ -17,6 +18,22 @@
 //!   wait-freedom lemmas at this configuration size; a livelocking
 //!   protocol would exceed the budget on some schedule, or recurse
 //!   forever and overflow the DFS).
+//! * **Lemma 9 at model size** — a ghost counter per thread counts the
+//!   times it was *overtaken while flagged*: a node another thread removed
+//!   after this thread raised its `alloc_need` bit was handed to its
+//!   remover while this thread still waited with an empty `annAlloc`
+//!   slot. It must stay ≤ [`OVERTAKE_BOUND`] (`FL_THREADS − 1`) in every
+//!   schedule: every removal that overtakes a flagged thread reads the need
+//!   word and gifts.
+//!
+//! The allocator is the one `wfrc-core/src/freelist.rs` implements: one
+//! attempt on the thread's own stripe (the F4–F6 pick), a probe of its own
+//! `annAlloc` slot and one plain attempt on `currentFreeList`, and only
+//! then the need bit (`fetch_or`) and the A3–A18 loop, lowering the bit
+//! (`fetch_and`) on exit. Every successful removal and every free reads
+//! the need word and, when a bit is up, gifts to the first flagged thread
+//! at or after `helpCurrent`. Two [`Mutant`]s break one step each and the
+//! explorer must reject both.
 //!
 //! The corrected F3 (`FixRef(+2)` before the gifting CAS — see
 //! `wfrc-core/src/freelist.rs`) is modeled as implemented; the test
@@ -44,6 +61,12 @@ pub const FL_LISTS: usize = 2 * FL_THREADS;
 /// violation.
 pub const STEP_BUDGET: u32 = 120;
 
+/// Lemma 9 at model size: the most times a flagged thread may be
+/// overtaken (module docs) — once by each other thread. Within the
+/// `FL_THREADS` the lemma's round-robin argument allows, and tight: the
+/// real protocol reaches 1 and the own-stripe mutant reaches 2.
+pub const OVERTAKE_BOUND: usize = FL_THREADS - 1;
+
 /// Shared state of the Figure 5 globals.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FlShared {
@@ -59,6 +82,13 @@ pub struct FlShared {
     pub help_current: usize,
     /// `annAlloc[t]`.
     pub ann_alloc: [Option<usize>; FL_THREADS],
+    /// The `alloc_need` word: bit `t` is up while thread `t` runs the
+    /// A3–A18 loop.
+    pub need: u8,
+    /// Ghost: thread `t` is between its raise and its lower.
+    pub flagged: [bool; FL_THREADS],
+    /// Ghost: times thread `t` was overtaken while flagged (module docs).
+    pub overtaken: [u8; FL_THREADS],
 }
 
 impl FlShared {
@@ -80,6 +110,9 @@ impl FlShared {
             current: 0,
             help_current: 0,
             ann_alloc: [None; FL_THREADS],
+            need: 0,
+            flagged: [false; FL_THREADS],
+            overtaken: [0; FL_THREADS],
         }
     }
 
@@ -87,32 +120,75 @@ impl FlShared {
         self.mm_ref[n] += d;
         assert!(self.mm_ref[n] >= 0, "mm_ref underflow on node {n}");
     }
+
+    /// Threads other than `tid` that are flagged with an empty gift slot.
+    fn waiting_unserved(&self, tid: usize) -> u8 {
+        (0..FL_THREADS)
+            .filter(|&t| t != tid && self.flagged[t] && self.ann_alloc[t].is_none())
+            .fold(0, |m, t| m | 1 << t)
+    }
+
+    /// The first flagged thread at or after `hint`, if any bit is up.
+    fn first_flagged(&self, hint: usize) -> Option<usize> {
+        (0..FL_THREADS)
+            .map(|k| (hint + k) % FL_THREADS)
+            .find(|&t| self.need & (1 << t) != 0)
+    }
+}
+
+/// One deliberately broken step; the explorer must reject each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Mutant {
+    /// The own-stripe attempt returns its node without reading the need
+    /// word.
+    OwnStripeSkipsNeedCheck,
+    /// Lowering the need bit is a plain `store(0)`, which clears every
+    /// other thread's bit in the shared word too.
+    LowerWithStore,
+}
+
+/// Which of the allocator's three attempts an `AllocNode` is in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Phase {
+    /// The F4–F6 stripe: where this thread's own frees land.
+    Own,
+    /// The gift probe and one attempt on `currentFreeList`.
+    Plain,
+    /// The A3–A18 loop, with the need bit up.
+    Helped,
 }
 
 /// Program counter states of the alloc/free machines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Op {
-    /// `AllocNode` (paper A1–A18); result recorded in `owned`.
+    /// `AllocNode`; result recorded in `owned`.
     Alloc {
         pc: u8,
+        phase: Phase,
         helped: bool,
-        help_id: usize,
+        /// The `helpCurrent` value a gift attempt read.
+        hint: usize,
+        /// The thread a gift attempt targets.
+        target: usize,
         cur: usize,
         node: usize,
         nxt: Option<usize>,
+        /// Ghost: threads waiting unserved when our A10 succeeded.
+        overtook: u8,
     },
     /// `FreeNode` of an owned node (the script first releases its count:
     /// the model folds `ReleaseRef`'s R1/R2 into pc 0/1).
     Free {
         pc: u8,
         node: usize,
-        help_id: usize,
+        hint: usize,
+        target: usize,
         index: usize,
         /// Model the paper's uncorrected F3 (for the counterexample test).
         corrected: bool,
         /// When the free is the R4 of a failed-A10 release (alloc line
-        /// A18), the alloc loop resumes here afterwards.
-        resume: Option<(bool, usize)>,
+        /// A18), the alloc loop resumes in this phase afterwards.
+        resume: Option<(Phase, bool)>,
     },
     Done,
 }
@@ -130,6 +206,7 @@ pub struct FlMachine {
     steps_this_op: u32,
     /// Use the corrected F3 (default true).
     corrected_f3: bool,
+    mutant: Option<Mutant>,
 }
 
 impl FlMachine {
@@ -144,12 +221,19 @@ impl FlMachine {
             owned: Vec::new(),
             steps_this_op: 0,
             corrected_f3: true,
+            mutant: None,
         }
     }
 
     /// Switches to the paper's literal (uncorrected) F3.
     pub fn with_uncorrected_f3(mut self) -> Self {
         self.corrected_f3 = false;
+        self
+    }
+
+    /// Runs this machine with one step broken.
+    pub fn with_mutant(mut self, m: Mutant) -> Self {
+        self.mutant = Some(m);
         self
     }
 
@@ -166,20 +250,14 @@ impl FlMachine {
             self.ip += 1;
             self.steps_this_op = 0;
             self.op = if is_alloc {
-                Op::Alloc {
-                    pc: 0,
-                    helped: false,
-                    help_id: 0,
-                    cur: 0,
-                    node: 0,
-                    nxt: None,
-                }
+                Self::alloc_at(0, Phase::Own, false)
             } else {
                 let node = self.owned.pop().expect("script frees an owned node");
                 Op::Free {
                     pc: 0,
                     node,
-                    help_id: 0,
+                    hint: 0,
+                    target: 0,
                     index: 0,
                     corrected: self.corrected_f3,
                     resume: None,
@@ -197,19 +275,46 @@ impl FlMachine {
         self.op = self.advance(s);
     }
 
-    /// Completes a FreeNode: return to the interrupted alloc loop (A18
-    /// path) or finish the script op.
-    fn finish_free(resume: Option<(bool, usize)>) -> Op {
+    fn alloc_at(pc: u8, phase: Phase, helped: bool) -> Op {
+        Op::Alloc {
+            pc,
+            phase,
+            helped,
+            hint: 0,
+            target: 0,
+            cur: 0,
+            node: 0,
+            nxt: None,
+            overtook: 0,
+        }
+    }
+
+    /// Where an allocation goes after an attempt of `phase` missed: the
+    /// next attempt, or (in the loop) the next iteration's A4.
+    fn after_miss(phase: Phase, helped: bool) -> Op {
+        match phase {
+            Phase::Own => Self::alloc_at(PC_PROBE, Phase::Plain, helped),
+            Phase::Plain => Self::alloc_at(PC_RAISE, Phase::Helped, helped),
+            Phase::Helped => Self::alloc_at(PC_TAKE, Phase::Helped, helped),
+        }
+    }
+
+    /// Completes a FreeNode: return to the interrupted alloc (A18 path)
+    /// or finish the script op.
+    fn finish_free(resume: Option<(Phase, bool)>) -> Op {
         match resume {
-            Some((helped, help_id)) => Op::Alloc {
-                pc: 1,
-                helped,
-                help_id,
-                cur: 0,
-                node: 0,
-                nxt: None,
-            },
+            Some((phase, helped)) => Self::after_miss(phase, helped),
             None => Op::Done,
+        }
+    }
+
+    /// The allocation is complete with `node` in hand.
+    fn alloc_done(&mut self, node: usize, phase: Phase) -> Op {
+        self.owned.push(node);
+        if phase == Phase::Helped {
+            Self::alloc_at(PC_LOWER, phase, true)
+        } else {
+            Op::Done
         }
     }
 
@@ -218,359 +323,356 @@ impl FlMachine {
         match self.op {
             Op::Alloc {
                 pc,
+                phase,
                 helped,
-                help_id,
+                hint,
+                target,
                 cur,
                 node,
                 nxt,
-            } => match pc {
-                0 => {
-                    // A2: read helpCurrent.
-                    Op::Alloc {
-                        pc: 1,
-                        helped,
-                        help_id: s.help_current,
-                        cur,
-                        node,
-                        nxt,
+                overtook,
+            } => {
+                let at = |pc: u8, cur: usize, node: usize, nxt: Option<usize>| Op::Alloc {
+                    pc,
+                    phase,
+                    helped,
+                    hint,
+                    target,
+                    cur,
+                    node,
+                    nxt,
+                    overtook,
+                };
+                match pc {
+                    PC_OWN => {
+                        // F4–F6 pick from currentFreeList: our own stripe.
+                        let c = s.current;
+                        let own = if c <= tid || c > FL_THREADS + tid {
+                            FL_THREADS + tid
+                        } else {
+                            tid
+                        };
+                        at(PC_HEAD, own, node, nxt)
                     }
-                }
-                1 => {
-                    // A4: SWAP annAlloc[tid].
-                    if let Some(gift) = s.ann_alloc[tid].take() {
-                        // FixRef(gift, -1): 3 -> 2, recorded as owned.
-                        s.faa(gift, -1);
-                        self.owned.push(gift);
-                        return Op::Done;
+                    PC_PROBE => {
+                        // Relaxed probe of our own annAlloc slot.
+                        if s.ann_alloc[tid].is_some() {
+                            at(PC_TAKE, cur, node, nxt)
+                        } else {
+                            at(PC_CURRENT, cur, node, nxt)
+                        }
                     }
-                    Op::Alloc {
-                        pc: 2,
-                        helped,
-                        help_id,
-                        cur,
-                        node,
-                        nxt,
+                    PC_TAKE => {
+                        // A4: SWAP annAlloc[tid].
+                        if let Some(gift) = s.ann_alloc[tid].take() {
+                            // FixRef(gift, -1): 3 -> 2, recorded as owned.
+                            s.faa(gift, -1);
+                            return self.alloc_done(gift, phase);
+                        }
+                        at(PC_CURRENT, cur, node, nxt)
                     }
-                }
-                2 => {
-                    // A5: read currentFreeList.
-                    Op::Alloc {
-                        pc: 3,
-                        helped,
-                        help_id,
-                        cur: s.current,
-                        node,
-                        nxt,
+                    PC_CURRENT => {
+                        // A5: read currentFreeList.
+                        at(PC_HEAD, s.current, node, nxt)
                     }
-                }
-                3 => {
-                    // A6/A7: read head; advance stripe if empty.
-                    match s.heads[cur] {
-                        None => {
-                            if s.current == cur {
-                                s.current = (cur + 1) % FL_LISTS; // A7 CAS
+                    PC_HEAD => {
+                        // A6/A7: read head; advance stripe if empty (the
+                        // own-stripe attempt just misses).
+                        match s.heads[cur] {
+                            None => {
+                                if phase != Phase::Own && s.current == cur {
+                                    s.current = (cur + 1) % FL_LISTS; // A7 CAS
+                                }
+                                Self::after_miss(phase, helped)
                             }
+                            Some(n) => at(PC_PIN, cur, n, nxt),
+                        }
+                    }
+                    PC_PIN => {
+                        // A9: pin.
+                        s.faa(node, 2);
+                        at(PC_NEXT, cur, node, nxt)
+                    }
+                    PC_NEXT => {
+                        // read node.mm_next (safe: pinned).
+                        at(PC_CAS, cur, node, s.next[node])
+                    }
+                    PC_CAS => {
+                        // A10: CAS head.
+                        if s.heads[cur] == Some(node) {
+                            s.heads[cur] = nxt;
                             Op::Alloc {
-                                pc: 1,
+                                pc: PC_NEED,
+                                phase,
                                 helped,
-                                help_id,
+                                hint,
+                                target,
                                 cur,
                                 node,
                                 nxt,
+                                overtook: s.waiting_unserved(tid),
+                            }
+                        } else {
+                            // A18: ReleaseRef(node) — R1 here, R2 next step.
+                            s.faa(node, -2);
+                            at(PC_CLAIM, cur, node, nxt)
+                        }
+                    }
+                    PC_NEED => {
+                        // Read the need word once (unless this call has
+                        // already helped).
+                        let skip = helped
+                            || (phase == Phase::Own
+                                && self.mutant == Some(Mutant::OwnStripeSkipsNeedCheck));
+                        if skip || s.need == 0 {
+                            at(PC_HAND_OUT, cur, node, nxt)
+                        } else {
+                            at(PC_TARGET, cur, node, nxt)
+                        }
+                    }
+                    PC_TARGET => {
+                        // Read helpCurrent; the target is the first flagged
+                        // thread at or after it (the bits as read now — a
+                        // bit lowered since the need read means no gift).
+                        let hint = s.help_current;
+                        match s.first_flagged(hint) {
+                            Some(t) => Op::Alloc {
+                                pc: PC_GIFT,
+                                phase,
+                                helped,
+                                hint,
+                                target: t,
+                                cur,
+                                node,
+                                nxt,
+                                overtook,
+                            },
+                            None => at(PC_HAND_OUT, cur, node, nxt),
+                        }
+                    }
+                    PC_GIFT => {
+                        // A12: CAS annAlloc[target] ⊥ -> node, then
+                        // A14/A16: advance helpCurrent past the target
+                        // (next step).
+                        if s.ann_alloc[target].is_none() {
+                            s.ann_alloc[target] = Some(node);
+                            Op::Alloc {
+                                pc: PC_ADVANCE_GAVE,
+                                phase,
+                                helped: true, // A13
+                                hint,
+                                target,
+                                cur,
+                                node,
+                                nxt,
+                                overtook,
+                            }
+                        } else {
+                            at(PC_ADVANCE_KEPT, cur, node, nxt)
+                        }
+                    }
+                    PC_ADVANCE_GAVE | PC_ADVANCE_KEPT => {
+                        if s.help_current == hint {
+                            s.help_current = (target + 1) % FL_THREADS;
+                        }
+                        if pc == PC_ADVANCE_GAVE {
+                            // A15: the node went out; next attempt.
+                            Self::after_miss(phase, helped)
+                        } else {
+                            at(PC_HAND_OUT, cur, node, nxt)
+                        }
+                    }
+                    PC_HAND_OUT => {
+                        // A17: FixRef(node, -1). Ghost: every thread that
+                        // was waiting unserved when we removed the node and
+                        // still is has been overtaken.
+                        s.faa(node, -1);
+                        for t in 0..FL_THREADS {
+                            if overtook & (1 << t) != 0 && s.flagged[t] && s.ann_alloc[t].is_none()
+                            {
+                                s.overtaken[t] += 1;
+                                assert!(
+                                    s.overtaken[t] as usize <= OVERTAKE_BOUND,
+                                    "thread {t} overtaken {} times while flagged \
+                                     (Lemma 9 bound {OVERTAKE_BOUND}): {s:?}",
+                                    s.overtaken[t]
+                                );
                             }
                         }
-                        Some(n) => Op::Alloc {
-                            pc: 4,
-                            helped,
-                            help_id,
-                            cur,
-                            node: n,
-                            nxt,
-                        },
+                        self.alloc_done(node, phase)
                     }
-                }
-                4 => {
-                    // A9: pin.
-                    s.faa(node, 2);
-                    Op::Alloc {
-                        pc: 5,
-                        helped,
-                        help_id,
-                        cur,
-                        node,
-                        nxt,
-                    }
-                }
-                5 => {
-                    // read node.mm_next (safe: pinned).
-                    Op::Alloc {
-                        pc: 6,
-                        helped,
-                        help_id,
-                        cur,
-                        node,
-                        nxt: s.next[node],
-                    }
-                }
-                6 => {
-                    // A10: CAS head.
-                    if s.heads[cur] == Some(node) {
-                        s.heads[cur] = nxt;
-                        Op::Alloc {
-                            pc: 7,
-                            helped,
-                            help_id,
-                            cur,
-                            node,
-                            nxt,
-                        }
-                    } else {
-                        // A18: ReleaseRef(node) — R1 here, R2 next step.
-                        s.faa(node, -2);
-                        Op::Alloc {
-                            pc: 10,
-                            helped,
-                            help_id,
-                            cur,
-                            node,
-                            nxt,
+                    PC_CLAIM => {
+                        // A18 continued: R2 claim check. If the count hit
+                        // zero (the winner's user already released), *we*
+                        // reclaim: run FreeNode (entering past R1/R2) and
+                        // then resume the allocation — Lemma 3's hand-off.
+                        if s.mm_ref[node] == 0 {
+                            s.mm_ref[node] = 1;
+                            Op::Free {
+                                pc: 2,
+                                node,
+                                hint: 0,
+                                target: 0,
+                                index: 0,
+                                corrected: self.corrected_f3,
+                                resume: Some((phase, helped)),
+                            }
+                        } else {
+                            Self::after_miss(phase, helped)
                         }
                     }
-                }
-                7 => {
-                    // A11: read annAlloc[helpId].
-                    if !helped && s.ann_alloc[help_id].is_none() {
-                        Op::Alloc {
-                            pc: 8,
-                            helped,
-                            help_id,
-                            cur,
-                            node,
-                            nxt,
-                        }
-                    } else {
-                        Op::Alloc {
-                            pc: 9,
-                            helped,
-                            help_id,
-                            cur,
-                            node,
-                            nxt,
-                        }
+                    PC_RAISE => {
+                        // fetch_or: ask for help.
+                        s.need |= 1 << tid;
+                        s.flagged[tid] = true;
+                        s.overtaken[tid] = 0;
+                        at(PC_TAKE, cur, node, nxt)
                     }
-                }
-                8 => {
-                    // A12: CAS annAlloc[helpId] ⊥ -> node.
-                    if s.ann_alloc[help_id].is_none() {
-                        s.ann_alloc[help_id] = Some(node);
-                        // A13/A14: helped := true; advance helpCurrent.
-                        if s.help_current == help_id {
-                            s.help_current = (help_id + 1) % FL_THREADS;
+                    PC_LOWER => {
+                        // fetch_and on every exit — or the mutant's store.
+                        if self.mutant == Some(Mutant::LowerWithStore) {
+                            s.need = 0;
+                        } else {
+                            s.need &= !(1 << tid);
                         }
-                        Op::Alloc {
-                            pc: 1, // A15: continue
-                            helped: true,
-                            help_id,
-                            cur,
-                            node,
-                            nxt,
-                        }
-                    } else {
-                        Op::Alloc {
-                            pc: 9,
-                            helped,
-                            help_id,
-                            cur,
-                            node,
-                            nxt,
-                        }
+                        s.flagged[tid] = false;
+                        Op::Done
                     }
+                    _ => unreachable!(),
                 }
-                9 => {
-                    // A16/A17: advance helpCurrent; FixRef(node, -1).
-                    if s.help_current == help_id {
-                        s.help_current = (help_id + 1) % FL_THREADS;
-                    }
-                    s.faa(node, -1);
-                    self.owned.push(node);
-                    Op::Done
-                }
-                10 => {
-                    // A18 continued: R2 claim check. If the count hit zero
-                    // (the winner's user already released), *we* reclaim:
-                    // run FreeNode (entering past R1/R2) and then resume
-                    // the allocation loop — Lemma 3's hand-off.
-                    if s.mm_ref[node] == 0 {
-                        s.mm_ref[node] = 1;
-                        Op::Free {
-                            pc: 2,
-                            node,
-                            help_id: 0,
-                            index: 0,
-                            corrected: self.corrected_f3,
-                            resume: Some((helped, help_id)),
-                        }
-                    } else {
-                        Op::Alloc {
-                            pc: 1,
-                            helped,
-                            help_id,
-                            cur,
-                            node,
-                            nxt,
-                        }
-                    }
-                }
-                _ => unreachable!(),
-            },
+            }
             Op::Free {
                 pc,
                 node,
-                help_id,
+                hint,
+                target,
                 index,
                 corrected,
                 resume,
-            } => match pc {
-                0 => {
-                    // ReleaseRef R1 on our own count.
-                    s.faa(node, -2);
-                    Op::Free {
-                        pc: 1,
-                        node,
-                        help_id,
-                        index,
-                        corrected,
-                        resume,
-                    }
-                }
-                1 => {
-                    // R2: claim. A concurrent allocator's stale A9 pin can
-                    // make the count non-zero here; then *its* A18 release
-                    // reclaims instead (Lemma 3's hand-off) and this free
-                    // is complete.
-                    if s.mm_ref[node] != 0 {
-                        return Self::finish_free(resume);
-                    }
-                    s.mm_ref[node] = 1;
-                    Op::Free {
-                        pc: 2,
-                        node,
-                        help_id,
-                        index,
-                        corrected,
-                        resume,
-                    }
-                }
-                2 => {
-                    // F1: read helpCurrent.
-                    Op::Free {
-                        pc: 3,
-                        node,
-                        help_id: s.help_current,
-                        index,
-                        corrected,
-                        resume,
-                    }
-                }
-                3 => {
-                    // F2: advance helpCurrent.
-                    if s.help_current == help_id {
-                        s.help_current = (help_id + 1) % FL_THREADS;
-                    }
-                    Op::Free {
-                        pc: 4,
-                        node,
-                        help_id,
-                        index,
-                        corrected,
-                        resume,
-                    }
-                }
-                4 => {
-                    // F3 (corrected: FixRef +2 first).
-                    if corrected {
-                        s.faa(node, 2);
-                    }
-                    Op::Free {
-                        pc: 5,
-                        node,
-                        help_id,
-                        index,
-                        corrected,
-                        resume,
-                    }
-                }
-                5 => {
-                    // F3 CAS annAlloc[helpId] ⊥ -> node.
-                    if s.ann_alloc[help_id].is_none() {
-                        s.ann_alloc[help_id] = Some(node);
-                        return Self::finish_free(resume);
-                    }
-                    if corrected {
+            } => {
+                let at = |pc: u8, hint: usize, target: usize, index: usize| Op::Free {
+                    pc,
+                    node,
+                    hint,
+                    target,
+                    index,
+                    corrected,
+                    resume,
+                };
+                match pc {
+                    0 => {
+                        // ReleaseRef R1 on our own count.
                         s.faa(node, -2);
+                        at(1, hint, target, index)
                     }
-                    Op::Free {
-                        pc: 6,
-                        node,
-                        help_id,
-                        index,
-                        corrected,
-                        resume,
+                    1 => {
+                        // R2: claim. A concurrent allocator's stale A9 pin
+                        // can make the count non-zero here; then *its* A18
+                        // release reclaims instead (Lemma 3's hand-off) and
+                        // this free is complete.
+                        if s.mm_ref[node] != 0 {
+                            return Self::finish_free(resume);
+                        }
+                        s.mm_ref[node] = 1;
+                        at(2, hint, target, index)
                     }
-                }
-                6 => {
-                    // F4–F6: pick the stripe away from the allocators.
-                    let cur = s.current;
-                    let index = if cur <= self.tid || cur > FL_THREADS + self.tid {
-                        FL_THREADS + self.tid
-                    } else {
-                        self.tid
-                    };
-                    Op::Free {
-                        pc: 7,
-                        node,
-                        help_id,
-                        index,
-                        corrected,
-                        resume,
-                    }
-                }
-                7 => {
-                    // F8: node.mm_next := head (own node, but head read is
-                    // shared).
-                    s.next[node] = s.heads[index];
-                    Op::Free {
-                        pc: 8,
-                        node,
-                        help_id,
-                        index,
-                        corrected,
-                        resume,
-                    }
-                }
-                8 => {
-                    // F9: CAS head.
-                    if s.heads[index] == s.next[node] {
-                        s.heads[index] = Some(node);
-                        Self::finish_free(resume)
-                    } else {
-                        // F10: the other stripe.
-                        Op::Free {
-                            pc: 7,
-                            node,
-                            help_id,
-                            index: (index + FL_THREADS) % FL_LISTS,
-                            corrected,
-                            resume,
+                    2 => {
+                        // F1: read the need word; nobody asked -> F4.
+                        if s.need == 0 {
+                            at(6, hint, target, index)
+                        } else {
+                            at(3, hint, target, index)
                         }
                     }
+                    3 => {
+                        // Read helpCurrent; pick the first flagged thread.
+                        let hint = s.help_current;
+                        match s.first_flagged(hint) {
+                            Some(t) => at(4, hint, t, index),
+                            None => at(6, hint, target, index),
+                        }
+                    }
+                    4 => {
+                        // F3 (corrected: FixRef +2 first).
+                        if corrected {
+                            s.faa(node, 2);
+                        }
+                        at(5, hint, target, index)
+                    }
+                    5 => {
+                        // F3 CAS annAlloc[target] ⊥ -> node.
+                        if s.ann_alloc[target].is_none() {
+                            s.ann_alloc[target] = Some(node);
+                            return at(7, hint, target, index);
+                        }
+                        if corrected {
+                            s.faa(node, -2);
+                        }
+                        at(8, hint, target, index)
+                    }
+                    7 | 8 => {
+                        // F2: advance helpCurrent past the target; a free
+                        // that gifted is done.
+                        if s.help_current == hint {
+                            s.help_current = (target + 1) % FL_THREADS;
+                        }
+                        if pc == 7 {
+                            Self::finish_free(resume)
+                        } else {
+                            at(6, hint, target, index)
+                        }
+                    }
+                    6 => {
+                        // F4–F6: pick the stripe away from the allocators.
+                        let cur = s.current;
+                        let index = if cur <= self.tid || cur > FL_THREADS + self.tid {
+                            FL_THREADS + self.tid
+                        } else {
+                            self.tid
+                        };
+                        at(9, hint, target, index)
+                    }
+                    9 => {
+                        // F8: node.mm_next := head (own node, but head read
+                        // is shared).
+                        s.next[node] = s.heads[index];
+                        at(10, hint, target, index)
+                    }
+                    10 => {
+                        // F9: CAS head.
+                        if s.heads[index] == s.next[node] {
+                            s.heads[index] = Some(node);
+                            Self::finish_free(resume)
+                        } else {
+                            // F10: the other stripe.
+                            at(9, hint, target, (index + FL_THREADS) % FL_LISTS)
+                        }
+                    }
+                    _ => unreachable!(),
                 }
-                _ => unreachable!(),
-            },
+            }
             Op::Done => unreachable!(),
         }
     }
 }
+
+const PC_OWN: u8 = 0;
+const PC_PROBE: u8 = 1;
+const PC_TAKE: u8 = 2;
+const PC_CURRENT: u8 = 3;
+const PC_HEAD: u8 = 4;
+const PC_PIN: u8 = 5;
+const PC_NEXT: u8 = 6;
+const PC_CAS: u8 = 7;
+const PC_NEED: u8 = 8;
+const PC_TARGET: u8 = 9;
+const PC_GIFT: u8 = 10;
+const PC_ADVANCE_GAVE: u8 = 11;
+const PC_ADVANCE_KEPT: u8 = 12;
+const PC_HAND_OUT: u8 = 13;
+const PC_CLAIM: u8 = 14;
+const PC_RAISE: u8 = 15;
+const PC_LOWER: u8 = 16;
 
 /// Conservation invariant at quiescence: every node in exactly one place
 /// with the right count.
@@ -734,6 +836,63 @@ mod tests {
         );
         assert!(r.violation.is_none(), "{:?}", r.violation);
         println!("gift races: {} states", r.states);
+    }
+
+    /// Own-stripe hits, plain pops, gifts on request and the loop, raced
+    /// exhaustively: conservation, the step budget and the overtake bound
+    /// hold, and the need word is zero when both scripts are done.
+    #[test]
+    fn help_on_request_conserves_and_bounds_overtakes() {
+        for (a, b) in [
+            (vec![true], vec![true, false, true, false, true]),
+            (vec![true, false, true], vec![true, false, true, false]),
+        ] {
+            let r = explore_fl(
+                FlShared::initial(),
+                vec![FlMachine::new(0, a), FlMachine::new(1, b)],
+                |s, ms| {
+                    check_conservation(s, ms);
+                    assert_eq!(s.need, 0, "a need bit outlived its allocation");
+                },
+            );
+            assert!(r.violation.is_none(), "{:?}", r.violation);
+            println!("help on request: {} states", r.states);
+        }
+    }
+
+    fn explore_mutant(m: Mutant, a: Vec<bool>, b: Vec<bool>) -> Violation {
+        let r = explore_fl(
+            FlShared::initial(),
+            vec![
+                FlMachine::new(0, a).with_mutant(m),
+                FlMachine::new(1, b).with_mutant(m),
+            ],
+            check_conservation,
+        );
+        r.violation
+            .unwrap_or_else(|| panic!("{m:?} must be rejected ({} states)", r.states))
+    }
+
+    #[test]
+    fn own_stripe_pop_without_need_check_is_caught() {
+        // T1 pops its own stripe twice while T0 waits flagged: without the
+        // need read neither pop serves T0.
+        let v = explore_mutant(
+            Mutant::OwnStripeSkipsNeedCheck,
+            vec![true],
+            vec![true, false, true, false, true],
+        );
+        assert!(v.0.contains("overtaken"), "{}", v.0);
+        println!("own-stripe mutant: {}", v.0);
+    }
+
+    #[test]
+    fn lowering_the_need_bit_with_a_store_is_caught() {
+        // T1's exit stores 0 over the shared word, clearing T0's bit while
+        // T0 is still in the loop: later removals no longer serve it.
+        let v = explore_mutant(Mutant::LowerWithStore, vec![true], vec![true, false, true]);
+        assert!(v.0.contains("overtaken"), "{}", v.0);
+        println!("store-lowering mutant: {}", v.0);
     }
 
     #[test]

@@ -186,6 +186,7 @@ site_scenarios! {
     magazine_drain_park, magazine_drain_die => FaultSite::MagazineDrain;
     grow_seed_park, grow_seed_die => FaultSite::GrowSeed;
     summary_clear_park, summary_clear_die => FaultSite::SummaryClear;
+    alloc_need_park, alloc_need_die => FaultSite::AllocNeed;
     snapshot_upgrade_park, snapshot_upgrade_die => FaultSite::SnapshotUpgrade;
     weak_upgrade_park, weak_upgrade_die => FaultSite::WeakUpgrade;
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use wfrc::baselines::LfrcDomain;
 use wfrc::core::counters::CounterSnapshot;
 use wfrc::core::oom::alloc_retry_bound;
-use wfrc::core::{DomainConfig, Link, WfrcDomain};
+use wfrc::core::{DomainConfig, Link, Node, WfrcDomain};
 use wfrc::primitives::spin::SpinBarrier;
 use wfrc::structures::{RcMm, RcMmDomain};
 
@@ -247,4 +247,60 @@ fn alloc_churn_stays_within_the_lemma_9_bound() {
         alloc_retry_bound(THREADS)
     );
     alloc_churn(&LfrcDomain::<u64>::new(THREADS, cap), THREADS, OPS);
+}
+
+/// Help on request when one thread starves by construction: the allocator
+/// never frees, so its own stripes stay empty and its fast path's first
+/// attempt always misses; the freer's frees land on the stripe
+/// `currentFreeList` is not on. The allocator therefore keeps reaching the
+/// A3–A18 loop with its `alloc_need` bit up, and the freer's F1–F3 must
+/// feed it gifts — within footnote 4's bound, and with the bit down again
+/// once both threads are done.
+#[test]
+fn a_thread_that_only_allocates_is_fed_by_one_that_only_frees() {
+    const THREADS: usize = 2;
+    const OPS: usize = 20_000;
+    let d = WfrcDomain::<u64>::new(DomainConfig::new(THREADS, 64));
+    // At most 16 nodes in the channel plus one in each thread's hand: the
+    // pool is never exhausted, so no allocation may fail.
+    let (tx, rx) = std::sync::mpsc::sync_channel::<usize>(16);
+    let c = std::thread::scope(|s| {
+        let d = &d;
+        s.spawn(move || {
+            let h = d.register().unwrap();
+            for n in rx {
+                // SAFETY: the allocator handed over the one reference its
+                // allocation returned; it is released exactly once here.
+                unsafe { h.release_raw(n as *mut Node<u64>) };
+            }
+        });
+        s.spawn(move || {
+            let h = d.register().unwrap();
+            for _ in 0..OPS {
+                let n = h.alloc_raw().expect("pool sized to never exhaust");
+                tx.send(n as usize).unwrap();
+            }
+            h.counters().snapshot()
+        })
+        .join()
+        .unwrap()
+    });
+    assert_eq!(c.alloc_calls, OPS as u64);
+    assert!(
+        c.alloc_from_gift > 0,
+        "the freer never fed the starving allocator: {c:?}"
+    );
+    assert!(
+        c.max_alloc_iters <= alloc_retry_bound(THREADS) as u64,
+        "max alloc iters {} > Lemma 9 bound {}",
+        c.max_alloc_iters,
+        alloc_retry_bound(THREADS)
+    );
+    let report = d.leak_check();
+    assert_eq!(report.alloc_need, 0, "a need bit outlived its allocation");
+    assert!(report.is_clean(), "leak: {report:?}");
+    println!(
+        "starving allocator: {} of {OPS} allocations were gifts, max {} iterations",
+        c.alloc_from_gift, c.max_alloc_iters
+    );
 }
