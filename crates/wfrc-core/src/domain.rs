@@ -48,6 +48,11 @@ pub struct Shared<T> {
     /// Segment-reclamation state: retire claim, parking chain, and the
     /// per-slot operation epochs (see [`crate::reclaim`]).
     pub(crate) reclaim: ReclaimCtl<T>,
+    /// The arena can hold a segment that retires: its growth policy is not
+    /// [`Growth::Disabled`] (a fixed arena is slot 0 alone, which never
+    /// retires). Fixed at construction; it decides which epoch enter the
+    /// pool's operations pay (`reclaim::SlotEpoch`).
+    pub(crate) can_retire: bool,
     /// The owning domain's tuning (the fault schedule, when one is
     /// installed).
     pub(crate) tuning: Tuning,
@@ -70,6 +75,7 @@ unsafe impl<T: RcObject> Pool<T> for Shared<T> {
         let fl = FreeLists::new(n);
         fl.seed(&arena);
         Self {
+            can_retire: arena.growth() != Growth::Disabled,
             mag: Magazines::new(n, clamped_cap(magazine, arena.capacity(), n)),
             arena,
             ann: Announce::new(n),
@@ -214,12 +220,14 @@ unsafe impl<T: RcObject> Pool<T> for Shared<T> {
     /// `reclaim::SlotEpoch`) flips odd/even only at the 0↔1
     /// transitions of `depth`, so re-entrancy — a user closure inside
     /// `alloc_with` dropping a `NodeRef` — stays one logical operation.
+    /// The enter is fenced only where a grace period can read it
+    /// (`Shared::can_retire`).
     #[inline]
     fn op_enter(&self, tid: usize, depth: &Cell<usize>) {
         let d = depth.get();
         depth.set(d + 1);
         if d == 0 {
-            self.reclaim.epoch(tid).enter();
+            self.reclaim.epoch(tid).enter(self.can_retire);
         }
     }
 
@@ -862,9 +870,76 @@ impl<T: RcObject, S: Scheme> Domain<T, S> {
         };
         self.snap.report(&mut report);
         report.count(&self.pool.census());
+        if report.live_nodes > 0 {
+            report.roots = leak_roots(arena);
+        }
         report.classes = self.classes.iter().map(|c| c.leak()).collect();
         report
     }
+}
+
+/// The live nodes of `arena` that no live node links to — the roots of
+/// whatever is still live, sorted. **Only meaningful at quiescence** (it
+/// reads live payloads' links).
+fn leak_roots<T: RcObject>(arena: &Arena<T>) -> Vec<LeakRoot> {
+    use crate::node::Node;
+    use std::collections::HashSet;
+    let live = |n: &Node<T>| {
+        let r = n.load_ref();
+        let low = r & Node::<T>::STRONG_MASK;
+        r & Node::<T>::DEAD == 0 && low.is_multiple_of(2) && low >= 2
+    };
+    let out_links = |n: &Node<T>| {
+        let mut targets = Vec::new();
+        // SAFETY: a live node's payload is initialised, and at quiescence
+        // nobody writes it.
+        unsafe { n.payload() }.each_link(&mut |l| {
+            let p = l.load_snapshot();
+            if !p.is_null() {
+                targets.push(p as usize);
+            }
+        });
+        targets
+    };
+    let linked: HashSet<usize> = arena
+        .iter()
+        .filter(|n| live(n))
+        .flat_map(out_links)
+        .collect();
+    let mut roots: Vec<LeakRoot> = arena
+        .iter()
+        .filter(|n| live(n) && !linked.contains(&(*n as *const Node<T> as usize)))
+        .map(|n| LeakRoot {
+            segment: arena.slot_of(n).unwrap_or(usize::MAX),
+            mm_ref: n.load_ref() & Node::<T>::STRONG_MASK,
+            claimed: n.is_claimed(),
+            weak_count: n.weak_count(),
+            links: out_links(n).len(),
+        })
+        .collect();
+    roots.sort_unstable();
+    roots
+}
+
+/// One root of the live set in a [`LeakReport`]: a live node that no other
+/// live node links to. At quiescence every live node is a leak, and a
+/// leaked chain shows up as its root alone — "7 964 live" becomes "one
+/// node with one count too many, holding one link".
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct LeakRoot {
+    /// Arena segment (table slot) holding the node.
+    pub segment: usize,
+    /// The strong half of the count word: claim bit + 2 × strong count (2
+    /// = one reference).
+    pub mm_ref: usize,
+    /// The claim bit (always clear on a live node; a set bit here would be
+    /// a census error).
+    pub claimed: bool,
+    /// Weak references on the node.
+    pub weak_count: usize,
+    /// Non-null strong links the node's payload holds — the references
+    /// through which it keeps the rest of the leak alive.
+    pub links: usize,
 }
 
 /// Diagnostics of the mechanisms only the wait-free scheme has.
@@ -1115,6 +1190,9 @@ pub struct LeakReport {
     /// Per-class audits, in configuration order (empty for a classic
     /// single-shape domain).
     pub classes: Vec<ClassLeak>,
+    /// The roots of the live node set (see [`LeakRoot`]), sorted; empty
+    /// when nothing is live.
+    pub roots: Vec<LeakRoot>,
 }
 
 impl LeakReport {
@@ -1168,6 +1246,21 @@ impl core::fmt::Display for LeakReport {
         )?;
         if self.alloc_need > 0 {
             writeln!(f, "  alloc_need bits up: {}", self.alloc_need)?;
+        }
+        const SHOWN_ROOTS: usize = 8;
+        for r in self.roots.iter().take(SHOWN_ROOTS) {
+            writeln!(
+                f,
+                "  live root: segment {}, mm_ref {}, claim {}, {} weak, {} links",
+                r.segment,
+                r.mm_ref,
+                u8::from(r.claimed),
+                r.weak_count,
+                r.links,
+            )?;
+        }
+        if self.roots.len() > SHOWN_ROOTS {
+            writeln!(f, "  … {} more live roots", self.roots.len() - SHOWN_ROOTS)?;
         }
         if self.snapshot_derefs + self.deferred_decs + self.upgrade_slow > 0 {
             writeln!(
@@ -1305,6 +1398,7 @@ mod tests {
                     ..ClassLeak::default()
                 },
             ],
+            roots: vec![],
         };
         // Display mentions cleanliness and every class size.
         let text = report.to_string();
@@ -1342,6 +1436,57 @@ mod tests {
         unsafe { h.free_bytes(token) };
         drop(h);
         assert!(d.leak_check().is_clean());
+    }
+
+    /// The leak-root report: one extra count leaked on the head of a
+    /// 3-node chain leaves three live nodes and exactly one root — the
+    /// head, with one reference and the one link that holds the rest.
+    #[test]
+    fn leaked_chain_reports_its_head_as_the_only_root() {
+        #[derive(Default)]
+        struct Cell {
+            next: Link<Cell>,
+        }
+        impl RcObject for Cell {
+            fn each_link(&self, f: &mut dyn FnMut(&Link<Self>)) {
+                f(&self.next);
+            }
+        }
+        let d = WfrcDomain::<Cell>::new(DomainConfig::new(1, 8));
+        let h = d.register().unwrap();
+        let root = Link::null();
+        {
+            let c = h.alloc_with(|_| {}).unwrap();
+            let b = h.alloc_with(|_| {}).unwrap();
+            h.store(&b.next, Some(&c));
+            let a = h.alloc_with(|_| {}).unwrap();
+            h.store(&a.next, Some(&b));
+            h.store(&root, Some(&a));
+            // The leak: a count nobody will release.
+            // SAFETY: `a` holds a reference.
+            unsafe { h.add_ref_raw(a.as_ptr(), 1) };
+        }
+        h.store(&root, None);
+        drop(h);
+        let report = d.leak_check();
+        assert_eq!(report.live_nodes, 3, "{report}");
+        assert_eq!(
+            report.roots,
+            vec![LeakRoot {
+                segment: 0,
+                mm_ref: 2,
+                claimed: false,
+                weak_count: 0,
+                links: 1,
+            }],
+            "{report}"
+        );
+        assert!(
+            report
+                .to_string()
+                .contains("live root: segment 0, mm_ref 2"),
+            "{report}"
+        );
     }
 
     #[test]

@@ -496,7 +496,9 @@ impl<'d, T: RcObject, S: Scheme> Handle<'d, T, S> {
     /// The caller must hold a strong reference on `node` (non-null, this
     /// domain) for the duration of the call.
     pub unsafe fn downgrade_raw(&self, node: *mut Node<T>) {
-        let _op = self.op();
+        // Not bracketed: the caller's strong reference keeps the node off
+        // every free structure, so no segment retire can complete under
+        // this FAA (DESIGN.md §4c).
         OpCounters::bump(&self.counters.weak_downgrades);
         // SAFETY: caller's strong reference keeps the node live.
         unsafe { (*node).faa_weak(1) };
@@ -509,10 +511,13 @@ impl<'d, T: RcObject, S: Scheme> Handle<'d, T, S> {
     /// The caller must hold a weak reference on `node` (it pins the header
     /// against finalize and recycling for the duration of the call).
     pub unsafe fn upgrade_raw(&self, node: *mut Node<T>) -> bool {
-        let _op = self.op();
+        // Not bracketed: the caller's weak count pins the header — a DEAD
+        // header stays off every free structure until its last weak count
+        // drops — so no segment retire can complete under the CAS
+        // (DESIGN.md §4c).
         OpCounters::bump(&self.counters.weak_upgrades);
-        // Death here holds nothing beyond the operation bracket — a clean
-        // abort (the weak count stays with its owner).
+        // Death here holds nothing — a clean abort (the weak count stays
+        // with its owner).
         #[cfg(feature = "fault-injection")]
         self.pool().fault_hit(
             &self.counters,
@@ -586,7 +591,9 @@ impl<'d, T: RcObject, S: Scheme> Handle<'d, T, S> {
     /// already owns at least one reference (so it cannot be concurrently
     /// reclaimed).
     pub unsafe fn add_ref_raw(&self, node: *mut Node<T>, refs: usize) {
-        let _op = self.op();
+        // Not bracketed: the caller's reference keeps the node off every
+        // free structure, so its segment's occupancy cannot reach `len` and
+        // no retire can complete under the FAA (DESIGN.md §4c).
         debug_assert!(!node.is_null());
         // SAFETY: arena node (type-stable header), live per contract.
         unsafe { (*node).faa_ref(2 * refs as isize) };
@@ -1105,8 +1112,9 @@ impl<'h, T: RcObject, S: Scheme> Weak<'h, T, S> {
 
 impl<T: RcObject, S: Scheme> Clone for Weak<'_, T, S> {
     fn clone(&self) -> Self {
-        let _op = self.handle.op();
-        // Our own weak count pins the header, so a plain FAA suffices.
+        // Our own weak count pins the header (and keeps it off every free
+        // structure, so no retire can complete under us): a plain FAA,
+        // unbracketed, suffices.
         // SAFETY: header pinned per above.
         unsafe { self.node.as_ref() }.faa_weak(1);
         Self {
@@ -1297,6 +1305,77 @@ mod tests {
         let report = d.leak_check();
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.classes[0].magazine_nodes, 0);
+    }
+
+    /// The bracket contract: `FixRef` (the caller already holds a
+    /// reference) leaves the slot epoch alone, while a dereference flips it
+    /// twice — in a fixed pool and in one that can retire alike.
+    #[test]
+    fn add_ref_raw_is_unbracketed_and_deref_raw_is_bracketed() {
+        use crate::arena::Growth;
+        for growth in [Growth::Disabled, Growth::doubling_to(64)] {
+            let d = WfrcDomain::<u64>::new(DomainConfig::new(1, 4).with_growth(growth));
+            let h = d.register().unwrap();
+            let epoch = || d.shared().reclaim.epoch(h.tid()).read();
+            let a = h.alloc_with(|v| *v = 3).unwrap();
+            let link = Link::null();
+            h.store(&link, Some(&a));
+            let before = epoch();
+            // SAFETY: `a` holds a reference for the whole block.
+            unsafe { h.add_ref_raw(a.as_ptr(), 1) };
+            assert_eq!(epoch(), before, "{growth:?}: FixRef moved the epoch");
+            // SAFETY: `link` holds only nodes of this domain.
+            let p = unsafe { h.deref_raw(&link) };
+            assert_eq!(p, a.as_ptr());
+            assert_eq!(epoch(), before + 2, "{growth:?}: deref is one bracket");
+            // SAFETY: the FixRef's and the deref's references.
+            unsafe {
+                h.release_raw(p);
+                h.release_raw(p);
+            }
+            h.store(&link, None);
+            drop(a);
+            drop(h);
+            assert!(d.leak_check().is_clean(), "{growth:?}");
+        }
+    }
+
+    /// `SlotEpoch::enter`'s `SeqCst` FAA is reached only from a pool that
+    /// can retire a segment: a fixed pool (node pool and byte class) runs
+    /// every bracketed operation on the plain store.
+    #[test]
+    fn only_a_pool_that_can_retire_pays_the_fenced_enter() {
+        use crate::arena::Growth;
+        use crate::class::ClassConfig;
+        use crate::reclaim::FENCED_ENTERS;
+        let fenced = || FENCED_ENTERS.with(|n| n.get());
+        let churn = |growth: Growth| {
+            let d = WfrcDomain::<u64>::new(
+                DomainConfig::new(1, 4)
+                    .with_growth(growth)
+                    .with_class(ClassConfig::new(64, 4).with_growth(growth)),
+            );
+            assert_eq!(d.shared().can_retire, growth != Growth::Disabled);
+            let h = d.register().unwrap();
+            let start = fenced();
+            let link = Link::null();
+            let a = h.alloc_with(|v| *v = 1).unwrap();
+            h.store(&link, Some(&a));
+            drop(h.deref(&link));
+            drop(a.clone());
+            h.store(&link, None);
+            drop(a);
+            let token = h.alloc_bytes(b"block").unwrap();
+            // SAFETY: our own unfreed token.
+            unsafe { h.free_bytes(token) };
+            drop(h.pin());
+            let n = fenced() - start;
+            drop(h);
+            assert!(d.leak_check().is_clean());
+            n
+        };
+        assert_eq!(churn(Growth::Disabled), 0);
+        assert!(churn(Growth::doubling_to(64)) > 0);
     }
 
     #[test]

@@ -103,7 +103,8 @@ pub use class::{geometric_ladder, ClassConfig, ClassLeak, RawBytes, CLASS_SIZES,
 pub use counters::{LeaseSnapshot, LeaseStats, OpCounters};
 pub use counters::{SentinelSnapshot, SentinelStats};
 pub use domain::{
-    census, AdoptReport, Census, Domain, DomainConfig, LeakReport, RegistryFull, WfrcDomain,
+    census, AdoptReport, Census, Domain, DomainConfig, LeakReport, LeakRoot, RegistryFull,
+    WfrcDomain,
 };
 #[cfg(feature = "fault-injection")]
 pub use fault::{FaultAction, FaultPlan, FaultSite, FireRule, InjectedDeath};

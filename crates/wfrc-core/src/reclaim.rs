@@ -9,11 +9,20 @@
 //!
 //! 1. **Operation epochs.** Every registered slot owns a cache-padded
 //!    epoch counter, bumped at the *boundaries* of each handle-level
-//!    operation (alloc / deref / cas / store / release and the `NodeRef`
-//!    clone/drop bookkeeping — `handle::OpGuard`, the byte classes and
-//!    the pin sessions all go through `SlotEpoch`). Odd = inside an
-//!    operation. Helping recursion (H5) happens *within* a single guard,
-//!    so parity keeps its meaning.
+//!    operation that can dereference a node it holds no reference on
+//!    (alloc / deref / cas / store / release — `scheme::OpGuard`, the byte
+//!    classes and the pin sessions all go through `SlotEpoch`). Odd =
+//!    inside an operation. Helping recursion (H5) happens *within* a single
+//!    guard, so parity keeps its meaning. `FixRef` and the weak
+//!    downgrade/upgrade are not bracketed: the caller's own (strong or
+//!    weak) count keeps the node off every free structure, so no retire can
+//!    complete under them (DESIGN.md §4c). The enter has two forms, and
+//!    each reader gets the one it needs: the grace period (gate 4 below)
+//!    reads a `SeqCst` FAA, which only a pool that can retire a segment
+//!    pays; a fixed pool (`Growth::Disabled`, slot 0 alone) never runs a
+//!    grace period, so its enter is the owner's plain store, which still
+//!    serves the deferred-drain baseline (through the pin's `fetch_or`)
+//!    and the sentinel's heartbeat.
 //! 2. **Occupancy trigger.** Each segment counts how many of its nodes sit
 //!    on *shared* structures (stripes + `annAlloc` gift cells; magazines
 //!    are deliberately uncounted — their fast paths stay free of extra
@@ -98,31 +107,63 @@ use crate::scheme::Pool;
 type EpochCell = wfrc_primitives::CachePadded<AtomicUsize>;
 
 /// One slot's operation epoch — the quiescence convention of this module,
-/// written here and nowhere else: **odd = inside an operation**. Entering
-/// is a `SeqCst` FAA: a store-load edge against the reclaimer's `SeqCst`
-/// DRAINING claim and [`Shared::grace_period`] reads — either the
-/// reclaimer sees the odd epoch or the operation sees the claim. Leaving is
-/// a `Release` store: a reclaimer that observes an even (or advanced) epoch
-/// needs everything the slot did *before* to happen-before it, and nothing
-/// after — so it knows every pointer the slot obtained before the claim has
-/// been released. Epochs only grow between resets, so an observed odd value
-/// never recurs.
+/// written here and nowhere else: **odd = inside an operation**. There are
+/// two enters, and the pool picks one once, at construction
+/// (`Shared::can_retire`):
+///
+/// * **Fenced** (a pool that can retire a segment): a `SeqCst` FAA, the
+///   store-load edge against the reclaimer's `SeqCst` DRAINING claim and
+///   [`Shared::grace_period`] reads — either the reclaimer sees the odd
+///   epoch or the operation sees the claim.
+/// * **Plain** (a fixed pool, slot 0 alone): the owner-only `Relaxed` load
+///   and `Release` store that leaving already is. No grace period ever runs
+///   there, so nothing needs the store-load edge. The other two readers
+///   are served as before: the deferred-drain baseline reads an epoch only
+///   after it has seen that slot's pin bit, and the pin's `SeqCst`
+///   `fetch_or` follows the enter in program order (DESIGN.md §4f); the
+///   sentinel's heartbeat still flips on every operation.
+///
+/// Leaving is a `Release` store: a reclaimer that observes an even (or
+/// advanced) epoch needs everything the slot did *before* to happen-before
+/// it, and nothing after — so it knows every pointer the slot obtained
+/// before the claim has been released. Epochs only grow between resets, so
+/// an observed odd value never recurs.
 #[derive(Clone, Copy)]
 pub(crate) struct SlotEpoch<'a>(&'a AtomicUsize);
 
+#[cfg(test)]
+thread_local! {
+    /// Fenced enters run by this thread (the pool tests assert a fixed
+    /// pool never reaches the FAA).
+    pub(crate) static FENCED_ENTERS: core::cell::Cell<usize> = const { core::cell::Cell::new(0) };
+}
+
 impl<'a> SlotEpoch<'a> {
-    /// Even → odd: the slot is inside an operation. Callers nest through
-    /// their own depth counter; the epoch itself flips once per bracket.
+    /// Even → odd: the slot is inside an operation, `fenced` (a `SeqCst`
+    /// FAA) only where a grace period can read it — see the type docs.
+    /// Callers nest through their own depth counter; the epoch itself flips
+    /// once per bracket.
     #[inline]
-    pub(crate) fn enter(self) {
-        self.0.fetch_add(1, Ordering::SeqCst);
+    pub(crate) fn enter(self, fenced: bool) {
+        if fenced {
+            #[cfg(test)]
+            FENCED_ENTERS.with(|n| n.set(n.get() + 1));
+            self.0.fetch_add(1, Ordering::SeqCst);
+        } else {
+            self.bump();
+        }
     }
 
-    /// Odd → even: the slot is quiescent again. Only the slot's owner
-    /// writes its epoch while the slot is in service, so the increment
-    /// needs no RMW.
+    /// Odd → even: the slot is quiescent again.
     #[inline]
     pub(crate) fn exit(self) {
+        self.bump();
+    }
+
+    /// One parity flip by the owner. Only the slot's owner writes its epoch
+    /// while the slot is in service, so the increment needs no RMW.
+    #[inline]
+    fn bump(self) {
         let e = self.0.load(Ordering::Relaxed);
         self.0.store(e.wrapping_add(1), Ordering::Release);
     }
@@ -876,6 +917,12 @@ pub(crate) fn try_reclaim<T: RcObject>(
     // (re-crediting occupancy), which is what lets a segment full of
     // snapshot-covered releases ever reach the retire trigger.
     s.drain_all_deferred(tid, c);
+    // A fixed pool has slot 0 alone, which never retires — and its
+    // operations enter their epochs without the fence a grace period
+    // needs, so it must never reach the claim below.
+    if !s.can_retire {
+        return ReclaimOutcome::NoCandidate;
+    }
     // Condition (c) first — it is the cheapest disqualifier. Slot words,
     // not presence bits: an idle registered reader keeps its bit up and
     // must not veto.
@@ -894,6 +941,10 @@ pub(crate) fn try_reclaim<T: RcObject>(
     let Some(slot) = s.arena.try_begin_tail_retire() else {
         return ReclaimOutcome::NoCandidate;
     };
+    debug_assert!(
+        s.can_retire,
+        "a DRAINING claim in a pool that cannot retire"
+    );
     let len = s.arena.seg_len(slot).unwrap_or(0);
     // Publish the claim identity *before* the fault site: a Die at
     // SegmentRetire must leave an adoptable record.

@@ -1,11 +1,53 @@
 //! The exhaustive scheduler: depth-first search over all interleavings of
-//! two machines, with visited-state memoization.
+//! a model's threads, with visited-state memoization. One DFS serves every
+//! model ([`crate::machine`], [`crate::flmodel`], [`crate::rtmodel`]): each
+//! supplies its shared state and a [`Thread`] step machine.
 
 use std::collections::HashSet;
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use crate::flmodel::{FlMachine, FlShared};
 use crate::machine::Machine;
+use crate::rtmodel::{RtMachine, RtShared};
 use crate::shared::Shared;
+
+/// One thread of a model: a step machine over shared state `S`. A step is
+/// one atomic action; the explorer interleaves steps of runnable threads in
+/// every order.
+pub trait Thread<S>: Clone + Eq + Hash {
+    /// True once the thread's script has run to completion.
+    fn done(&self) -> bool;
+    /// Executes one atomic step against `shared`.
+    fn step(&mut self, shared: &mut S);
+}
+
+impl Thread<Shared> for Machine {
+    fn done(&self) -> bool {
+        Machine::done(self)
+    }
+    fn step(&mut self, shared: &mut Shared) {
+        Machine::step(self, shared);
+    }
+}
+
+impl Thread<FlShared> for FlMachine {
+    fn done(&self) -> bool {
+        FlMachine::done(self)
+    }
+    fn step(&mut self, shared: &mut FlShared) {
+        FlMachine::step(self, shared);
+    }
+}
+
+impl Thread<RtShared> for RtMachine {
+    fn done(&self) -> bool {
+        RtMachine::done(self)
+    }
+    fn step(&mut self, shared: &mut RtShared) {
+        RtMachine::step(self, shared);
+    }
+}
 
 /// A detected protocol violation (the message of the failed model
 /// assertion).
@@ -24,16 +66,21 @@ pub struct ExploreResult {
 }
 
 /// Explores every interleaving of `machines` starting from `initial`,
-/// running `check_final` on every quiescent state. Model assertions
-/// (use-after-free, double free, underflow, linearizability witnesses) and
-/// `check_final` panics are reported as [`Violation`]s.
-pub fn explore(
-    initial: Shared,
-    machines: Vec<Machine>,
-    check_final: impl Fn(&Shared, &[Machine]) + Copy,
-) -> ExploreResult {
-    let mut visited: HashSet<(Shared, Vec<Machine>)> = HashSet::new();
-    let mut finals: HashSet<Shared> = HashSet::new();
+/// running `check_final` once on every distinct quiescent state (shared
+/// state and threads together). Model assertions (use-after-free, double
+/// free, underflow, linearizability witnesses, touching a retired node)
+/// and `check_final` panics are reported as [`Violation`]s.
+pub fn explore<S, M>(
+    initial: S,
+    machines: Vec<M>,
+    check_final: impl Fn(&S, &[M]) + Copy,
+) -> ExploreResult
+where
+    S: Clone + Eq + Hash,
+    M: Thread<S>,
+{
+    let mut visited: HashSet<(S, Vec<M>)> = HashSet::new();
+    let mut finals: HashSet<(S, Vec<M>)> = HashSet::new();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         dfs(initial, machines, &mut visited, &mut finals, &check_final);
     }));
@@ -51,13 +98,16 @@ pub fn explore(
     }
 }
 
-fn dfs(
-    shared: Shared,
-    machines: Vec<Machine>,
-    visited: &mut HashSet<(Shared, Vec<Machine>)>,
-    finals: &mut HashSet<Shared>,
-    check_final: &impl Fn(&Shared, &[Machine]),
-) {
+fn dfs<S, M>(
+    shared: S,
+    machines: Vec<M>,
+    visited: &mut HashSet<(S, Vec<M>)>,
+    finals: &mut HashSet<(S, Vec<M>)>,
+    check_final: &impl Fn(&S, &[M]),
+) where
+    S: Clone + Eq + Hash,
+    M: Thread<S>,
+{
     if !visited.insert((shared.clone(), machines.clone())) {
         return;
     }
@@ -65,7 +115,7 @@ fn dfs(
         .filter(|&i| !machines[i].done())
         .collect();
     if runnable.is_empty() {
-        if finals.insert(shared.clone()) {
+        if finals.insert((shared.clone(), machines.clone())) {
             check_final(&shared, &machines);
         }
         return;

@@ -41,11 +41,6 @@
 //! the conservation check failing — evidence the correction is necessary,
 //! not stylistic.
 
-use std::collections::HashSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use crate::explore::Violation;
-
 /// Threads in the free-list model.
 pub const FL_THREADS: usize = 2;
 /// Nodes in the free-list model arena. Three, not two: one may be parked
@@ -717,62 +712,10 @@ pub fn check_conservation(s: &FlShared, machines: &[FlMachine]) {
     }
 }
 
-/// Exhaustive DFS, mirroring [`crate::explore::explore`] for the
-/// free-list machines.
-pub fn explore_fl(
-    initial: FlShared,
-    machines: Vec<FlMachine>,
-    check_final: impl Fn(&FlShared, &[FlMachine]) + Copy,
-) -> crate::explore::ExploreResult {
-    let mut visited: HashSet<(FlShared, Vec<FlMachine>)> = HashSet::new();
-    let mut finals: HashSet<(FlShared, Vec<FlMachine>)> = HashSet::new();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        dfs(initial, machines, &mut visited, &mut finals, &check_final);
-    }));
-    crate::explore::ExploreResult {
-        states: visited.len(),
-        final_states: finals.len(),
-        violation: outcome.err().map(|e| {
-            let msg = e
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic".into());
-            Violation(msg)
-        }),
-    }
-}
-
-fn dfs(
-    shared: FlShared,
-    machines: Vec<FlMachine>,
-    visited: &mut HashSet<(FlShared, Vec<FlMachine>)>,
-    finals: &mut HashSet<(FlShared, Vec<FlMachine>)>,
-    check_final: &impl Fn(&FlShared, &[FlMachine]),
-) {
-    if !visited.insert((shared.clone(), machines.clone())) {
-        return;
-    }
-    let runnable: Vec<usize> = (0..machines.len())
-        .filter(|&i| !machines[i].done())
-        .collect();
-    if runnable.is_empty() {
-        if finals.insert((shared.clone(), machines.clone())) {
-            check_final(&shared, &machines);
-        }
-        return;
-    }
-    for i in runnable {
-        let mut s2 = shared.clone();
-        let mut m2 = machines.clone();
-        m2[i].step(&mut s2);
-        dfs(s2, m2, visited, finals, check_final);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::{explore, Violation};
 
     #[test]
     fn solo_alloc_free_roundtrip() {
@@ -789,7 +732,7 @@ mod tests {
 
     #[test]
     fn concurrent_allocs_get_distinct_nodes() {
-        let r = explore_fl(
+        let r = explore(
             FlShared::initial(),
             vec![FlMachine::new(0, vec![true]), FlMachine::new(1, vec![true])],
             |s, ms| {
@@ -807,7 +750,7 @@ mod tests {
 
     #[test]
     fn alloc_free_churn_conserves() {
-        let r = explore_fl(
+        let r = explore(
             FlShared::initial(),
             vec![
                 FlMachine::new(0, vec![true, false]),
@@ -826,7 +769,7 @@ mod tests {
     fn gifting_races_conserve() {
         // T0 allocates twice (will drain the gift the freeing thread may
         // park); T1 allocates and frees.
-        let r = explore_fl(
+        let r = explore(
             FlShared::initial(),
             vec![
                 FlMachine::new(0, vec![true, false, true, false]),
@@ -847,7 +790,7 @@ mod tests {
             (vec![true], vec![true, false, true, false, true]),
             (vec![true, false, true], vec![true, false, true, false]),
         ] {
-            let r = explore_fl(
+            let r = explore(
                 FlShared::initial(),
                 vec![FlMachine::new(0, a), FlMachine::new(1, b)],
                 |s, ms| {
@@ -861,7 +804,7 @@ mod tests {
     }
 
     fn explore_mutant(m: Mutant, a: Vec<bool>, b: Vec<bool>) -> Violation {
-        let r = explore_fl(
+        let r = explore(
             FlShared::initial(),
             vec![
                 FlMachine::new(0, a).with_mutant(m),
@@ -900,7 +843,7 @@ mod tests {
         // The paper's literal F3 gifts with mm_ref = 1; the recipient's
         // FixRef(-1) yields a live node with count 0 — conservation must
         // fail in some schedule.
-        let r = explore_fl(
+        let r = explore(
             FlShared::initial(),
             vec![
                 // T0 churns so its A4 picks up T1's gift.

@@ -26,7 +26,7 @@
 //! see `naive_deref_is_caught` in the tests. The wait-free dereference
 //! passes the same exploration exhaustively.
 //!
-//! Two protocol families are modeled:
+//! Three protocol families are modeled:
 //!
 //! * [`machine`]/[`shared`] — the Figure 4 announcement protocol, with
 //!   reclamation abstracted to a free set, extended (PR 10) with the
@@ -36,7 +36,16 @@
 //!   clear — checked against the free set on every interleaving);
 //! * [`flmodel`] — the Figure 5 free-list with round-robin gifting,
 //!   checking count conservation, distinct allocation, bounded steps, and
-//!   the necessity of the F3 correction (DESIGN.md §4a).
+//!   the necessity of the F3 correction (DESIGN.md §4a);
+//! * [`rtmodel`] — segment retirement (DESIGN.md §4c) against an op thread
+//!   that dereferences, `FixRef`s, releases and allocates (stealing from the
+//!   parking chain): no step touches a node of a retired segment, `FixRef`
+//!   needs no quiescence bracket under a held reference, and the explorer
+//!   rejects an unbracketed dereference and a reclaimer that treats a null
+//!   detach as a full collection.
+//!
+//! One depth-first explorer ([`explore()`]) serves all three through the
+//! [`Thread`] trait.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -45,8 +54,9 @@
 pub mod explore;
 pub mod flmodel;
 pub mod machine;
+pub mod rtmodel;
 pub mod shared;
 
-pub use explore::{explore, ExploreResult, Violation};
+pub use explore::{explore, ExploreResult, Thread, Violation};
 pub use machine::{Call, DerefKind, Machine};
 pub use shared::{Claim, NodeId, Shared, MODEL_THREADS};

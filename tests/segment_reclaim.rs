@@ -294,3 +294,38 @@ fn concurrent_reclaim_under_load_stays_sound() {
     assert!(r.is_clean(), "{r:?}");
     assert_eq!(r.free_nodes + r.parked_gifts, 16, "{r:?}");
 }
+
+/// A fixed pool (`Growth::Disabled`, the paper's configuration) is slot 0
+/// alone, which never retires: `reclaim` answers `NoCandidate` without
+/// ever taking a DRAINING claim — node pool and byte class alike — and the
+/// books stay clean.
+#[test]
+fn fixed_pool_never_claims_a_retire() {
+    use wfrc::core::ClassConfig;
+    let d = WfrcDomain::<u64>::new(
+        DomainConfig::new(2, 8)
+            .with_magazine(2)
+            .with_class(ClassConfig::new(64, 4)),
+    );
+    let h = d.register().unwrap();
+    for round in 0..3u64 {
+        let guards: Vec<_> = (0..8)
+            .map(|i| h.alloc_with(|v| *v = round * 8 + i).unwrap())
+            .collect();
+        drop(guards);
+        let token = h.alloc_bytes(b"fixed").unwrap();
+        // SAFETY: our own unfreed token.
+        unsafe { h.free_bytes(token) };
+        assert_eq!(h.reclaim(), ReclaimOutcome::NoCandidate);
+        assert_eq!(h.reclaim_class(0), ReclaimOutcome::NoCandidate);
+    }
+    let snap = h.counters().snapshot();
+    assert_eq!(snap.reclaim_passes, 0, "a claim was taken: {snap:?}");
+    assert_eq!(snap.segments_retired, 0, "{snap:?}");
+    drop(h);
+    assert_eq!(d.segments_retired(), 0);
+    assert_eq!(d.class_segments(0), 1);
+    let r = d.leak_check();
+    assert!(r.is_clean(), "{r}");
+    assert_eq!((r.resident_segments, r.segments_retired), (1, 0));
+}

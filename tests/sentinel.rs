@@ -430,6 +430,64 @@ mod ladder {
         assert!(domain.leak_check().is_clean());
     }
 
+    /// A fixed pool (`Growth::Disabled`) enters its operation epoch with a
+    /// plain store, not the `SeqCst` FAA a retirable pool pays — and the
+    /// ladder's view is the same: a thread parked inside `AllocNode`'s slow
+    /// path (odd epoch, need bit up, no announcement) is obligated, its
+    /// heartbeat stays frozen across the ticks, and it climbs to Help.
+    #[test]
+    fn parked_alloc_in_a_fixed_pool_is_obligated() {
+        use wfrc::core::{Stage, Supervised};
+        let mut domain = WfrcDomain::<u64>::new(DomainConfig::new(2, 4));
+        let plan = Arc::new(FaultPlan::new(0xF1DE));
+        domain.set_fault_plan(Arc::clone(&plan));
+        let holder = domain.register().unwrap();
+        let victim = domain.register().unwrap();
+        let victim_tid = victim.tid();
+        // Hold the whole pool so the victim's fast path misses.
+        let held: Vec<_> = (0..4).map(|_| holder.alloc_with(|_| {}).unwrap()).collect();
+        plan.arm_victim(
+            victim_tid,
+            FaultSite::AllocNeed,
+            FaultAction::Park,
+            FireRule::Nth(1),
+        );
+        let config = SentinelConfig::default();
+        let ticks = config.help_after + 1;
+        let sentinel = Sentinel::new(&domain, config);
+
+        // Observe while the victim is parked, assert after it is released
+        // (cf. `parked_deref_is_obligated_beside_an_idle_reader`).
+        let (parked, seen, oom) = std::thread::scope(|s| {
+            let (plan, domain) = (&plan, &domain);
+            let vt = s.spawn(move || victim.alloc_with(|_| {}).is_err());
+            while plan.parked() == 0 && !vt.is_finished() {
+                std::thread::yield_now();
+            }
+            let parked = plan.parked() == 1;
+            let before = domain.fingerprint(victim_tid);
+            for _ in 0..ticks {
+                sentinel.tick();
+            }
+            let seen = (
+                domain.obligated(victim_tid),
+                domain.fingerprint(victim_tid) == before,
+                sentinel.stage(victim_tid),
+            );
+            plan.release();
+            (parked, seen, vt.join().unwrap())
+        });
+        assert!(parked, "the victim never reached AllocNode's slow path");
+        assert_eq!(seen, (true, true, Stage::Help));
+        // Merely slow: resumed, ran out of memory (the pool is held), and
+        // was never seized.
+        assert!(oom, "the held pool cannot serve the victim");
+        assert_eq!(domain.orphans_adopted(), 0);
+        drop(held);
+        drop(holder);
+        assert!(domain.leak_check().is_clean());
+    }
+
     /// The sentinel watches every pool of the domain, not only the node
     /// pool: a thread parked inside `reclaim_class`, holding a byte class's
     /// retire claim (an even node-pool epoch, no announcement), is obligated

@@ -482,3 +482,69 @@ mod faulted {
         assert!(r.is_clean(), "{r:?}");
     }
 }
+
+/// A fixed pool (`Growth::Disabled`) enters its operation epochs with a
+/// plain store instead of a `SeqCst` FAA. The deferred-drain baseline still
+/// holds: a drainer reads a slot's epoch only after seeing its pin bit,
+/// and the pin's `fetch_or` follows the epoch store, so the batch closed
+/// under a live pin on another thread frees only after that pinner unpins.
+#[test]
+fn fixed_pool_deferred_batch_frees_only_after_unpin() {
+    use std::sync::Barrier;
+    let d = WfrcDomain::<u64>::new(DomainConfig::new(2, 8));
+    let owner = d.register().unwrap();
+    let link = Link::null();
+    {
+        let g = owner.alloc_with(|v| *v = 9).unwrap();
+        owner.store(&link, Some(&g));
+    }
+    let (pinned, released, unpinned) = (Barrier::new(2), Barrier::new(2), Barrier::new(2));
+    // Observe while the reader is pinned, assert after every barrier: a
+    // failed assertion must not leave the scope joining a blocked thread.
+    let (deferred, under_pin, after_unpin) = std::thread::scope(|s| {
+        let (d, link) = (&d, &link);
+        let (pinned, released, unpinned) = (&pinned, &released, &unpinned);
+        let reader = s.spawn(move || {
+            let reader = d.register().unwrap();
+            let guard = reader.pin();
+            let snap = guard.snapshot(link);
+            pinned.wait();
+            released.wait();
+            // The node's last count is gone; the pin keeps it readable.
+            let still = snap.as_deref() == Some(&9);
+            drop(guard);
+            unpinned.wait();
+            still
+        });
+        pinned.wait();
+        owner.store(link, None); // release to zero under the pin: defers
+        let deferred = d.deferred_len();
+        // Under the pin: the first drain closes the batch with the
+        // reader's odd epoch as its baseline; later ones find it unchanged.
+        let under_pin: Vec<usize> = (0..3)
+            .map(|_| {
+                let _ = owner.deref(link);
+                owner.drain_deferred()
+            })
+            .collect();
+        released.wait();
+        unpinned.wait();
+        let after_unpin = owner.drain_deferred();
+        assert!(
+            reader.join().unwrap(),
+            "the snapshot must read 9 under the pin"
+        );
+        (deferred, under_pin, after_unpin)
+    });
+    assert_eq!(deferred, 1);
+    assert_eq!(under_pin, [0, 0, 0], "freed under a live pin");
+    assert_eq!(
+        after_unpin, 1,
+        "the batch must free once the pinner unpinned"
+    );
+    assert_eq!(d.deferred_len(), 0);
+    drop(owner);
+    let r = d.leak_check();
+    assert!(r.is_clean(), "{r}");
+    assert_eq!(r.deferred_decs, 1, "{r}");
+}
