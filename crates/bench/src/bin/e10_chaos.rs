@@ -311,7 +311,7 @@ mod chaos {
                     match action {
                         FaultAction::Park => park_rounds += 1,
                         FaultAction::Stall(_) => stall_rounds += 1,
-                        FaultAction::Die => {}
+                        FaultAction::Die | FaultAction::Swing => {}
                     }
                 }
             }

@@ -7,7 +7,9 @@
 //! those two places: [`LfrcPool`], one [`wfrc_core::scheme::Pool`].
 //!
 //! * **Dereference** (`DeRefLink`): optimistically `FAA(+2)` the target and
-//!   *re-check* the link; on mismatch, release and retry. "However, the
+//!   *re-check* the link; on mismatch, release and retry. The attempt is
+//!   `wfrc_core::rc::try_deref_once`, the same body the wait-free scheme
+//!   runs once before announcing; this file owns only the loop. "However, the
 //!   number of repeats is unbounded" (paper §3) — a fast writer can starve
 //!   a reader forever. The retry count is recorded per call so experiment
 //!   E4 can plot the unboundedness against the wait-free scheme's zero.
@@ -38,6 +40,7 @@ use wfrc_core::lease::LeaseRegistry;
 use wfrc_core::magazine::{clamped_cap, Magazines};
 use wfrc_core::node::chain_tail;
 use wfrc_core::oom::OutOfMemory;
+use wfrc_core::rc::try_deref_once;
 use wfrc_core::reclaim::ReclaimPolicy;
 use wfrc_core::scheme::{Pool, Scheme, Tuning};
 use wfrc_core::{census, AdoptReport, Census, Domain, DomainConfig, Growth, Handle};
@@ -334,38 +337,21 @@ unsafe impl<T: RcObject> Pool<T> for LfrcPool<T> {
         result
     }
 
-    /// Valois/Michael–Scott `DeRefLink`: optimistic increment + re-check,
-    /// retried unboundedly.
+    /// Valois/Michael–Scott `DeRefLink`: the seam's one validated attempt
+    /// (optimistic increment + re-check, [`try_deref_once`]), retried
+    /// unboundedly.
     unsafe fn deref_link(&self, tid: usize, c: &OpCounters, link: &Link<T>) -> *mut Node<T> {
         OpCounters::bump(&c.deref_calls);
         let mut backoff = Backoff::new();
         let mut retries: u64 = 0;
         let node = loop {
-            // Raw word, possibly carrying a deletion mark in bit 0 — a
-            // marked link still points to its node.
-            let raw = link.load_raw();
-            let node = wfrc_primitives::tagged::without_tag(raw);
-            if node.is_null() {
+            // SAFETY: forwarded contract.
+            if let Some(node) = unsafe { try_deref_once(self, tid, c, link) } {
                 break node;
             }
-            // Between the read and the optimistic FAA — the race Valois'
-            // re-check loop pays for. A death here holds nothing yet.
-            #[cfg(feature = "fault-injection")]
-            self.fault_hit(c, FaultSite::DerefFaa, tid);
-            // SAFETY: arena node; type-stable header makes the optimistic
-            // FAA safe even if the node was just reclaimed.
-            unsafe { (*node).faa_ref(2) };
-            // Re-check against the raw word (mark included): a mark-only
-            // change leaves the target identical, so it must not retry.
-            if link.load_raw() == raw {
-                break node;
-            }
-            // The link moved on: our increment may be on a stale or even
-            // reclaimed node. Undo and retry — this is the unbounded loop
-            // the wait-free scheme eliminates.
+            // The link moved on and the attempt returned its count. Retry —
+            // this is the unbounded loop the wait-free scheme eliminates.
             retries += 1;
-            // SAFETY: we own the +2 we just added.
-            unsafe { self.release_ref(tid, c, node) };
             if self.tuning.backoff {
                 backoff.snooze();
             }
@@ -379,6 +365,11 @@ unsafe impl<T: RcObject> Pool<T> for LfrcPool<T> {
     /// `tid`'s magazine when the layer is enabled).
     #[inline]
     unsafe fn free_finalized(&self, tid: usize, c: &OpCounters, node: *mut Node<T>) {
+        // SAFETY: the caller hands over a claimed node, exclusively its own.
+        debug_assert!(
+            unsafe { (*node).links_are_null() },
+            "link stored into a freed node"
+        );
         OpCounters::bump(&c.free_calls);
         if !self.magazine_push(tid, c, node) {
             self.note_push_retries(c, self.push_chain(node, node));

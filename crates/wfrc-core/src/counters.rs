@@ -25,6 +25,11 @@ pub struct OpCounters {
     pub deref_slot_scans: Cell<u64>,
     /// Worst single-call D1 scan length observed.
     pub max_deref_slot_scan: Cell<u64>,
+    /// Fast dereference attempts (`rc::try_deref_once`) whose re-check
+    /// found the link moved: the speculative count was returned and the
+    /// call fell back — to D1–D10 in the wait-free scheme, to another
+    /// attempt in the lock-free baseline. A fallback is not a retry.
+    pub deref_fast_miss: Cell<u64>,
     /// Dereference retries (always 0 for the wait-free scheme; the
     /// lock-free baseline's Valois-style re-check loop counts here).
     pub deref_retries: Cell<u64>,
@@ -167,6 +172,7 @@ impl OpCounters {
             deref_helped: self.deref_helped.get(),
             deref_slot_scans: self.deref_slot_scans.get(),
             max_deref_slot_scan: self.max_deref_slot_scan.get(),
+            deref_fast_miss: self.deref_fast_miss.get(),
             deref_retries: self.deref_retries.get(),
             max_deref_retries: self.max_deref_retries.get(),
             snapshot_derefs: self.snapshot_derefs.get(),
@@ -215,6 +221,7 @@ impl OpCounters {
         self.deref_helped.set(0);
         self.deref_slot_scans.set(0);
         self.max_deref_slot_scan.set(0);
+        self.deref_fast_miss.set(0);
         self.deref_retries.set(0);
         self.max_deref_retries.set(0);
         self.snapshot_derefs.set(0);
@@ -269,6 +276,7 @@ pub struct CounterSnapshot {
     pub deref_helped: u64,
     pub deref_slot_scans: u64,
     pub max_deref_slot_scan: u64,
+    pub deref_fast_miss: u64,
     pub deref_retries: u64,
     pub max_deref_retries: u64,
     pub snapshot_derefs: u64,
@@ -317,6 +325,7 @@ impl CounterSnapshot {
         self.deref_helped += other.deref_helped;
         self.deref_slot_scans += other.deref_slot_scans;
         self.max_deref_slot_scan = self.max_deref_slot_scan.max(other.max_deref_slot_scan);
+        self.deref_fast_miss += other.deref_fast_miss;
         self.deref_retries += other.deref_retries;
         self.max_deref_retries = self.max_deref_retries.max(other.max_deref_retries);
         self.snapshot_derefs += other.snapshot_derefs;

@@ -116,6 +116,11 @@ unsafe impl<T: RcObject> Pool<T> for Shared<T> {
 
     #[inline]
     unsafe fn free_finalized(&self, tid: usize, c: &OpCounters, node: *mut Node<T>) {
+        // SAFETY: the caller hands over a claimed node, exclusively its own.
+        debug_assert!(
+            unsafe { (*node).links_are_null() },
+            "link stored into a freed node"
+        );
         self.defer_or_free(tid, c, node);
     }
 

@@ -7,7 +7,7 @@
 //! produces those interleavings on purpose. This module makes them
 //! reproducible: a [`FaultPlan`] arms named [`FaultSite`]s — one per step
 //! the §4 proofs single out — with a deterministic firing rule and one of
-//! three [`FaultAction`]s:
+//! four [`FaultAction`]s:
 //!
 //! * **`Stall(steps)`** — a bounded stall: spin/yield for `steps` steps and
 //!   continue. Models preemption at the worst instant.
@@ -21,6 +21,10 @@
 //!   *orphaned* instead of unregistering, and
 //!   [`crate::WfrcDomain::adopt_orphans`] later reclaims everything the
 //!   corpse held.
+//! * **`Swing`** — not a fault but a schedule: the fast dereference
+//!   attempt's re-check fails as if a writer had swung the link between its
+//!   two loads, so the dereference takes the paper's D1–D10. Scenarios arm
+//!   it on a victim to make the announcement sites reachable on purpose.
 //!
 //! ## Why `Die` is recoverable at every site
 //!
@@ -128,11 +132,20 @@ pub enum FaultSite {
     /// the header could never finalize. In `Weak::upgrade` the victim
     /// holds nothing yet, so a `Die` is a clean abort.
     WeakUpgrade,
+    /// In the fast dereference attempt (`rc::try_deref_once`), between its
+    /// link load and its speculative `FAA(+2)`: the same window as
+    /// `DerefFaa`, before any announcement. The victim holds nothing, so
+    /// `Die` needs no completion. [`FaultAction::Swing`] armed here fails
+    /// the attempt's re-check, sending the dereference to D1–D10 (the
+    /// lock-free baseline, whose loop is this attempt, retries once).
+    DerefFast,
 }
 
 impl FaultSite {
-    /// Every registered site, in protocol order.
-    pub const ALL: [FaultSite; 14] = [
+    /// Every registered site: protocol order, later sites appended (sweeps
+    /// seed by position and the `Chance` rule by discriminant, so appending
+    /// keeps every earlier site's schedule).
+    pub const ALL: [FaultSite; 15] = [
         FaultSite::AnnouncePublish,
         FaultSite::DerefFaa,
         FaultSite::HelperCas,
@@ -147,6 +160,7 @@ impl FaultSite {
         FaultSite::LeaseExpire,
         FaultSite::SnapshotUpgrade,
         FaultSite::WeakUpgrade,
+        FaultSite::DerefFast,
     ];
 
     /// Stable display name (used by the chaos driver's report).
@@ -166,6 +180,7 @@ impl FaultSite {
             FaultSite::LeaseExpire => "lease_expire",
             FaultSite::SnapshotUpgrade => "snapshot_upgrade",
             FaultSite::WeakUpgrade => "weak_upgrade",
+            FaultSite::DerefFast => "deref_fast",
         }
     }
 
@@ -185,6 +200,14 @@ pub enum FaultAction {
     Park,
     /// Simulated thread death: panic with an [`InjectedDeath`] payload.
     Die,
+    /// Fails the fast dereference attempt's re-check, as a writer swinging
+    /// the link between the attempt's two loads would — a reachable
+    /// interleaving, not a fault: it is not counted by
+    /// [`FaultPlan::injected`]. Meaningful only at [`FaultSite::DerefFast`]
+    /// (elsewhere it does nothing). A harness arms it on a thread with
+    /// [`FireRule::EveryNth`]`(1)` so that every dereference of that
+    /// thread takes the announcement path D1–D10.
+    Swing,
 }
 
 /// When an armed site fires, as a function of its per-arm hit count `n`
@@ -340,6 +363,20 @@ impl FaultPlan {
         });
     }
 
+    /// Arms [`FaultAction::Swing`] at [`FaultSite::DerefFast`] on every
+    /// hit by `victim`: each of its dereferences misses the fast attempt
+    /// and takes D1–D10, so the announcement sites are reachable on
+    /// purpose. Rules are consulted in arming order and the first that
+    /// fires wins, so arm any other `DerefFast` rule for `victim` first.
+    pub fn swing_every_deref(&self, victim: usize) {
+        self.arm_victim(
+            victim,
+            FaultSite::DerefFast,
+            FaultAction::Swing,
+            FireRule::EveryNth(1),
+        );
+    }
+
     /// Removes every arm (hit counters included). Parked threads stay
     /// parked; pair with [`FaultPlan::release`] between chaos rounds.
     pub fn clear_arms(&self) {
@@ -392,16 +429,22 @@ impl FaultPlan {
     /// current thread id. Decides per the armed rules and executes the
     /// action. Inert when disabled, when the thread is unwinding, or when
     /// this thread already died once.
-    pub fn hit(&self, site: FaultSite, tid: usize, c: &OpCounters) {
+    ///
+    /// Returns true when the fired action is [`FaultAction::Swing`]: the
+    /// caller's next re-check is to fail.
+    pub fn hit(&self, site: FaultSite, tid: usize, c: &OpCounters) -> bool {
         if !self.enabled.load(Ordering::Relaxed) {
-            return;
+            return false;
         }
         if std::thread::panicking() || DYING.with(|d| d.get()) || SHIELDED.with(|s| s.get()) {
-            return;
+            return false;
         }
         let Some(action) = self.decide(site, tid) else {
-            return;
+            return false;
         };
+        if let FaultAction::Swing = action {
+            return true;
+        }
         // Failing-seed reproducibility: the first fault fired in this
         // process prints the effective seed and the exact env override that
         // replays its schedule. Per-process (not per-plan) so a many-round
@@ -433,7 +476,9 @@ impl FaultPlan {
                 DYING.with(|d| d.set(true));
                 std::panic::panic_any(InjectedDeath { site });
             }
+            FaultAction::Swing => unreachable!("returned above"),
         }
+        false
     }
 
     fn decide(&self, site: FaultSite, tid: usize) -> Option<FaultAction> {

@@ -556,7 +556,13 @@ impl<'d, T: RcObject, S: Scheme> Handle<'d, T, S> {
     pub fn alloc_raw(&self) -> Result<*mut Node<T>, OutOfMemory> {
         let _op = self.op();
         // SAFETY: this handle owns slot `tid`.
-        unsafe { self.pool().alloc_node(self.tid, &self.counters) }
+        let node = unsafe { self.pool().alloc_node(self.tid, &self.counters) }?;
+        // SAFETY: a fresh allocation is exclusively ours.
+        debug_assert!(
+            unsafe { (*node).links_are_null() },
+            "allocated a node with a live link"
+        );
+        Ok(node)
     }
 
     /// Raw `DeRefLink`: returns a node pointer carrying one reference (or

@@ -368,6 +368,26 @@ impl<T> Node<T> {
     }
 }
 
+impl<T: RcObject> Node<T> {
+    /// Freed-node probe: true when every strong and weak link of the
+    /// payload is ⊥. A node on its way to or from a free structure holds no
+    /// counts — R3 stripped its links — so a non-null link there is a store
+    /// into a node its writer no longer referenced, and the count it carries
+    /// leaks the target. Both schemes `debug_assert!` it where a node is
+    /// freed and where an allocation hands one out.
+    ///
+    /// # Safety
+    /// The caller owns the node exclusively (claimed, or just allocated).
+    pub unsafe fn links_are_null(&self) -> bool {
+        // SAFETY: per contract nobody else reaches the payload.
+        let payload = unsafe { self.payload() };
+        let mut clean = true;
+        payload.each_link(&mut |l| clean &= l.load_raw().is_null());
+        payload.each_weak_link(&mut |w| clean &= w.inner().load_raw().is_null());
+        clean
+    }
+}
+
 impl<T: core::fmt::Debug> core::fmt::Debug for Node<T> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Node")

@@ -15,9 +15,16 @@
 //! SWAP (line D6) then either finds its own announcement intact — in which
 //! case the paper's Lemma 2 shows the plain read of D4 was already safe —
 //! or finds a helper's answer and uses that, returning its own speculative
-//! increment (line D8). No loops anywhere: `DeRefLink` is wait-free by
+//! increment (line D8).
+//!
+//! In front of D1 sits one Valois attempt, [`try_deref_once`]: load the
+//! link, `FAA(+2)`, re-load. An unchanged link returns the node at LFRC's
+//! price; a moved one returns the count and falls through to D1–D10 —
+//! Kogan and Petrank's fast-path/slow-path construction (DESIGN.md §4a).
+//! One attempt, then the paper's D1–D10: `DeRefLink` is wait-free by
 //! construction, and `HelpDeRef` is one bounded pass over `NR_THREADS`
-//! slots.
+//! slots. The lock-free baseline's `DeRefLink` is the same attempt in a
+//! loop.
 
 use core::ptr;
 
@@ -29,14 +36,27 @@ use crate::node::{Claim, Node, RcObject};
 use crate::scheme::Pool;
 
 impl<T: RcObject> Shared<T> {
-    /// `DeRefLink` (paper lines D1–D10): dereference `link`, returning a
-    /// node pointer with one additional reference count owned by the
-    /// caller, or null if the link was ⊥.
+    /// `DeRefLink`: dereference `link`, returning a node pointer with one
+    /// additional reference count owned by the caller, or null if the link
+    /// was ⊥ — one [`try_deref_once`] attempt, then on a miss the paper's
+    /// lines D1–D10.
     ///
     /// The returned node is one the link pointed to at some instant during
-    /// this call (the linearizability point of Lemma 2).
+    /// this call (the attempt's re-load, or the linearizability point of
+    /// Lemma 2).
     pub(crate) fn deref_link(&self, tid: usize, c: &OpCounters, link: &Link<T>) -> *mut Node<T> {
         OpCounters::bump(&c.deref_calls);
+        // SAFETY: crate-internal callers hold slot `tid`; `link` holds
+        // nodes of this pool.
+        match unsafe { try_deref_once(self, tid, c, link) } {
+            Some(node) => node,
+            None => self.deref_announced(tid, c, link),
+        }
+    }
+
+    /// Lines D1–D10: the announced dereference a missed fast attempt falls
+    /// back to.
+    fn deref_announced(&self, tid: usize, c: &OpCounters, link: &Link<T>) -> *mut Node<T> {
         let ann = &self.ann;
         // D1: pick an announcement slot with no pending helper CAS.
         let idx = {
@@ -188,6 +208,57 @@ impl<T: RcObject> Shared<T> {
             OpCounters::bump(&c.help_scan_skips);
         }
     }
+}
+
+/// One validated Valois attempt at `DeRefLink`, the body both schemes'
+/// [`Pool::deref_link`] start with (the wait-free one falls back to D1–D10
+/// on a miss, the lock-free one loops): load the raw link (deletion mark
+/// included), return ⊥ if it is ⊥, otherwise `FAA(+2)` the node and
+/// re-load the link. Unchanged, the node is returned with the caller's
+/// count — the re-load is the linearization point. Moved, the speculative
+/// count goes back through `ReleaseRef` (as D8 returns D5's) and the
+/// attempt reports a miss with `None`.
+///
+/// The increment may land on a node reclaimed since the load; type-stable
+/// headers and the claim-bit parity absorb it exactly as they absorb D5's,
+/// and the miss's release re-checks a DEAD-but-weak header's finalize
+/// sentinel. No announcement is published, so no writer owes this attempt
+/// help. The three accesses are `SeqCst`, so the re-load cannot be
+/// satisfied before the increment (DESIGN.md §4b).
+///
+/// # Safety
+/// The caller owns slot `tid` of `pool`'s domain, and `link` only ever
+/// holds nodes of `pool`.
+#[inline]
+pub unsafe fn try_deref_once<T: RcObject, P: Pool<T>>(
+    pool: &P,
+    tid: usize,
+    c: &OpCounters,
+    link: &Link<T>,
+) -> Option<*mut Node<T>> {
+    let raw = link.load_raw();
+    let node = wfrc_primitives::tagged::without_tag(raw);
+    if node.is_null() {
+        return Some(node);
+    }
+    // Between the load and the increment: a death here holds nothing. A
+    // `Swing` armed here fails the re-check below on purpose.
+    #[cfg(feature = "fault-injection")]
+    let swung = pool.fault_hit(c, crate::fault::FaultSite::DerefFast, tid);
+    #[cfg(not(feature = "fault-injection"))]
+    let swung = false;
+    // SAFETY: arena node; the type-stable header makes the speculative
+    // increment safe even if the node was just reclaimed.
+    unsafe { (*node).faa_ref(2) };
+    // Re-check the raw word: a mark-only change leaves the target
+    // identical and must not miss.
+    if !swung && link.load_raw() == raw {
+        return Some(node);
+    }
+    OpCounters::bump(&c.deref_fast_miss);
+    // SAFETY: we own the +2 just added.
+    unsafe { release_ref(pool, tid, c, node) };
+    None
 }
 
 /// `ReleaseRef` (paper lines R1–R4): drop one reference count from `node`;
@@ -383,6 +454,47 @@ mod tests {
         assert_eq!(node.ref_count(), 2);
         h.store(&link, None);
         assert_eq!(node.ref_count(), 1);
+    }
+
+    #[test]
+    fn uncontended_deref_never_announces() {
+        let d = domain(1, 4);
+        let h = d.register().unwrap();
+        let a = h.alloc_with(|v| *v = 5).unwrap();
+        let link = Link::null();
+        h.store(&link, Some(&a));
+        for _ in 0..3 {
+            assert_eq!(h.deref(&link).map(|g| *g), Some(5));
+        }
+        assert!(
+            !d.announcement_summary_bit(h.tid()),
+            "a hit never announces"
+        );
+        let c = h.counters().snapshot();
+        assert_eq!((c.deref_calls, c.deref_fast_miss), (3, 0));
+        assert_eq!(a.as_node().ref_count(), 2, "guard + link");
+        h.store(&link, None);
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn a_missed_attempt_falls_back_to_the_announcement() {
+        use crate::fault::FaultPlan;
+        let mut d = domain(1, 4);
+        let plan = std::sync::Arc::new(FaultPlan::new(1));
+        d.set_fault_plan(std::sync::Arc::clone(&plan));
+        plan.swing_every_deref(0);
+        let h = d.register().unwrap();
+        let a = h.alloc_with(|v| *v = 5).unwrap();
+        let link = Link::null();
+        h.store(&link, Some(&a));
+        assert_eq!(h.deref(&link).map(|g| *g), Some(5));
+        assert!(d.announcement_summary_bit(h.tid()), "D1-D10 raised the bit");
+        let c = h.counters().snapshot();
+        assert_eq!((c.deref_calls, c.deref_fast_miss), (1, 1));
+        assert_eq!(a.as_node().ref_count(), 2, "the miss returned its count");
+        assert_eq!(plan.injected(), 0, "a swing is not a fault");
+        h.store(&link, None);
     }
 
     #[test]

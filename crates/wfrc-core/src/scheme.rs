@@ -265,13 +265,15 @@ pub unsafe trait Pool<T: RcObject>: Send + Sync + Sized {
 
     /// Fires the injection hook for `site` if a plan is installed. For
     /// sites that hold no protocol resource: an injected death unwinds
-    /// without stranding anything adoption cannot enumerate.
+    /// without stranding anything adoption cannot enumerate. True when the
+    /// fired action is [`crate::fault::FaultAction::Swing`].
     #[cfg(feature = "fault-injection")]
     #[inline]
-    fn fault_hit(&self, c: &OpCounters, site: crate::fault::FaultSite, tid: usize) {
-        if let Some(p) = &self.tuning().faults {
-            p.hit(site, tid, c);
-        }
+    fn fault_hit(&self, c: &OpCounters, site: crate::fault::FaultSite, tid: usize) -> bool {
+        self.tuning()
+            .faults
+            .as_ref()
+            .is_some_and(|p| p.hit(site, tid, c))
     }
 
     /// Fires the injection hook with a completion obligation (see

@@ -198,6 +198,44 @@ mod tests {
         );
     }
 
+    /// The implementation's dereference: one validated Valois attempt in
+    /// front of D1–D10. Every interleaving with the swing ends with the
+    /// same books as the paper's own, whichever path the reader took.
+    #[test]
+    fn fast_deref_survives_every_interleaving() {
+        let r = explore(
+            Shared::initial(),
+            swing_scripts(DerefKind::Fast),
+            final_check,
+        );
+        assert!(
+            r.violation.is_none(),
+            "fast attempt violated: {:?}",
+            r.violation
+        );
+        assert!(r.states > 100, "exploration too small: {} states", r.states);
+        println!("fast swing: {} states, {} finals", r.states, r.final_states);
+    }
+
+    /// The fast attempt's two mutants: without the re-load it is the naive
+    /// dereference ([`DerefKind::Unsafe`], step for step), and with the
+    /// re-load before the increment it is the classic Valois bug. The
+    /// explorer must find the use-after-free in both.
+    #[test]
+    fn fast_attempt_mutants_are_caught() {
+        for kind in [DerefKind::Unsafe, DerefKind::FastReloadFirst] {
+            let r = explore(Shared::initial(), swing_scripts(kind), |_, _| {});
+            let v = r
+                .violation
+                .unwrap_or_else(|| panic!("{kind:?} must exhibit use-after-free"));
+            assert!(
+                v.0.contains("use-after-free"),
+                "{kind:?}: expected use-after-free, got: {}",
+                v.0
+            );
+        }
+    }
+
     #[test]
     fn naive_deref_is_caught() {
         let r = explore(
@@ -239,22 +277,20 @@ mod tests {
     /// again — every step of it racing the writer's swing and release.
     #[test]
     fn bit_lowered_at_unregister_survives_every_interleaving() {
-        let registration = [
-            Call::Deref(DerefKind::WaitFree),
-            Call::ReleaseResult,
-            Call::Unregister,
-        ];
-        let mut ms = swing_scripts(DerefKind::WaitFree);
-        ms[0] = Machine::new(0, [registration, registration].concat());
-        let r = explore(Shared::initial(), ms, |s, ms| {
-            final_check(s, ms);
-            assert!(!s.summary[0], "Unregister must leave the bit down: {s:?}");
-        });
-        assert!(r.violation.is_none(), "{:?}", r.violation);
-        println!(
-            "two registrations vs swing: {} states, {} finals",
-            r.states, r.final_states
-        );
+        for kind in [DerefKind::WaitFree, DerefKind::Fast] {
+            let registration = [Call::Deref(kind), Call::ReleaseResult, Call::Unregister];
+            let mut ms = swing_scripts(kind);
+            ms[0] = Machine::new(0, [registration, registration].concat());
+            let r = explore(Shared::initial(), ms, |s, ms| {
+                final_check(s, ms);
+                assert!(!s.summary[0], "Unregister must leave the bit down: {s:?}");
+            });
+            assert!(r.violation.is_none(), "{kind:?}: {:?}", r.violation);
+            println!(
+                "{kind:?} two registrations vs swing: {} states, {} finals",
+                r.states, r.final_states
+            );
+        }
     }
 
     #[test]
@@ -280,30 +316,32 @@ mod tests {
 
     #[test]
     fn clear_to_null_with_concurrent_deref() {
-        let ms = vec![
-            Machine::new(
-                0,
-                vec![Call::Deref(DerefKind::WaitFree), Call::ReleaseResult],
-            ),
-            Machine::new(
-                1,
-                vec![
-                    Call::CasLink {
-                        old: Some(0),
-                        new: None,
-                    },
-                    Call::ReleaseIfCasOk(0),
-                ],
-            ),
-        ];
-        let r = explore(Shared::initial(), ms, |s, ms| {
-            assert!(ms[1].cas_ok);
-            assert_eq!(s.link, None);
-            assert!(s.freed[0], "{s:?}");
-            assert!(ms[0].result == Some(0) || ms[0].result.is_none());
-        });
-        assert!(r.violation.is_none(), "{:?}", r.violation);
-        println!("clear: {} states, {} finals", r.states, r.final_states);
+        for kind in [DerefKind::WaitFree, DerefKind::Fast] {
+            let ms = vec![
+                Machine::new(0, vec![Call::Deref(kind), Call::ReleaseResult]),
+                Machine::new(
+                    1,
+                    vec![
+                        Call::CasLink {
+                            old: Some(0),
+                            new: None,
+                        },
+                        Call::ReleaseIfCasOk(0),
+                    ],
+                ),
+            ];
+            let r = explore(Shared::initial(), ms, |s, ms| {
+                assert!(ms[1].cas_ok);
+                assert_eq!(s.link, None);
+                assert!(s.freed[0], "{s:?}");
+                assert!(ms[0].result == Some(0) || ms[0].result.is_none());
+            });
+            assert!(r.violation.is_none(), "{kind:?}: {:?}", r.violation);
+            println!(
+                "{kind:?} clear: {} states, {} finals",
+                r.states, r.final_states
+            );
+        }
     }
 
     /// PR 10, the tentpole property over **every** interleaving: a weak
@@ -423,17 +461,56 @@ mod tests {
         assert!(r.violation.is_none(), "{:?}", r.violation);
     }
 
+    /// A fast attempt's speculative increment landing on a DEAD-but-weak
+    /// header: thread 0 clears the link, releases to zero with its weak
+    /// reference standing, then drops the weak; thread 1's attempt loads
+    /// the old target, increments, misses, and releases. Whichever of the
+    /// two drops last must see the finalize sentinel — the header frees
+    /// exactly once in every interleaving.
+    #[test]
+    fn fast_miss_on_a_dead_but_weak_header_finalizes_once() {
+        let mut init = Shared::initial();
+        init.weak[0] = 1; // T0's weak reference
+        let ms = vec![
+            Machine::new(
+                0,
+                vec![
+                    Call::CasLink {
+                        old: Some(0),
+                        new: None,
+                    },
+                    Call::ReleaseIfCasOk(0),
+                    Call::WeakRelease(0),
+                ],
+            ),
+            Machine::new(1, vec![Call::Deref(DerefKind::Fast), Call::ReleaseResult]),
+        ];
+        let r = explore(init, ms, |s, ms| {
+            assert!(ms[0].cas_ok);
+            assert!(ms[1].result == Some(0) || ms[1].result.is_none());
+            assert!(s.freed[0], "DEAD-but-weak header never freed: {s:?}");
+            assert_eq!(s.weak[0], 0, "{s:?}");
+            assert!(!s.dead[0], "finalize must clear DEAD: {s:?}");
+            assert_eq!(s.mm_ref[0], 1, "{s:?}");
+        });
+        assert!(r.violation.is_none(), "{:?}", r.violation);
+        println!(
+            "fast miss on DEAD-but-weak: {} states, {} finals",
+            r.states, r.final_states
+        );
+    }
+
     #[test]
     fn double_swing_ping_pong() {
-        // T1 swings a->b; T0 swings it back b->a if it sees b — a tighter
-        // dance exercising helping in both directions.
+        // T1 swings a->b while T0 dereferences twice — the paper's
+        // dereference, then the fast attempt — helping in both directions.
         let ms = vec![
             Machine::new(
                 0,
                 vec![
                     Call::Deref(DerefKind::WaitFree),
                     Call::ReleaseResult,
-                    Call::Deref(DerefKind::WaitFree),
+                    Call::Deref(DerefKind::Fast),
                     Call::ReleaseResult,
                 ],
             ),

@@ -24,7 +24,9 @@
 //! dereference (read, then increment, no announcement, no re-check) and
 //! the explorer *finds* the use-after-free within a few hundred states —
 //! see `naive_deref_is_caught` in the tests. The wait-free dereference
-//! passes the same exploration exhaustively.
+//! passes the same exploration exhaustively, and so does
+//! [`machine::DerefKind::Fast`], the implementation's one validated Valois
+//! attempt in front of it, whose re-load-before-increment mutant is caught.
 //!
 //! Three protocol families are modeled:
 //!

@@ -16,6 +16,13 @@
 //! the D4 link read and the D5 increment: a raise anywhere before D4, and a
 //! lower anywhere after D5, explore clean. The two mutants of
 //! [`DerefKind`] step just across each boundary.
+//!
+//! `wfrc-core` puts one validated Valois attempt (load, `FAA(+2)`,
+//! re-load) in front of D1; [`DerefKind::Fast`] is that attempt followed,
+//! on a miss, by the paper's steps — and it is what a helper's H5 runs. Its
+//! mutants are [`DerefKind::Unsafe`] (the attempt without the re-load is
+//! the naive dereference, step for step) and
+//! [`DerefKind::FastReloadFirst`].
 
 use crate::shared::{AnnWord, Claim, NodeId, Shared, MODEL_THREADS};
 
@@ -38,6 +45,17 @@ pub enum DerefKind {
     /// dereference, and too early — between the D4 read and the D5
     /// increment instead of at `Unregister`. Same trace.
     LowerBeforeFaa,
+    /// The implementation's `DeRefLink`: one Valois attempt — load the
+    /// link, `FAA(+2)`, re-load — returning the node when the re-load still
+    /// sees it. On a miss it releases the speculative count (as D8 does)
+    /// and runs the [`DerefKind::WaitFree`] steps from D1. The attempt
+    /// announces nothing, so its bit stays as it was.
+    Fast,
+    /// Mutant of [`DerefKind::Fast`], the classic Valois bug: the re-load
+    /// comes *before* the increment. A writer that swings the link and
+    /// frees the old target between the two leaves the increment on a
+    /// freed node, which the attempt then returns — use-after-free.
+    FastReloadFirst,
 }
 
 /// One script entry.
@@ -326,6 +344,67 @@ impl Machine {
                 _ => unreachable!(),
             },
             Frame::Deref {
+                kind: kind @ (DerefKind::Fast | DerefKind::FastReloadFirst),
+                pc,
+                node,
+                top_level,
+                ..
+            } => {
+                let reload_first = *kind == DerefKind::FastReloadFirst;
+                match *pc {
+                    0 => {
+                        *node = s.link; // the attempt's load
+                        match *node {
+                            None => {
+                                let tl = *top_level;
+                                self.finish_deref(s, None, tl);
+                            }
+                            Some(_) => {
+                                *pc = 1;
+                                self.stack.push(frame);
+                            }
+                        }
+                    }
+                    // The increment (the mutant re-loads here instead).
+                    1 if !reload_first => {
+                        s.faa(node.expect("non-null"), 2);
+                        *pc = 2;
+                        self.stack.push(frame);
+                    }
+                    2 if reload_first => {
+                        let n = node.expect("non-null");
+                        s.faa(n, 2);
+                        let tl = *top_level;
+                        self.finish_deref(s, Some(n), tl);
+                    }
+                    _ => {
+                        // The re-load: unchanged returns the node (or, for
+                        // the mutant, goes on to its increment).
+                        let n = node.expect("non-null");
+                        if s.link == Some(n) {
+                            if reload_first {
+                                *pc = 2;
+                                self.stack.push(frame);
+                            } else {
+                                let tl = *top_level;
+                                self.finish_deref(s, Some(n), tl);
+                            }
+                            return;
+                        }
+                        // Miss: the paper's steps from D1, after returning
+                        // the speculative count (the mutant took none).
+                        let held = !reload_first;
+                        *kind = DerefKind::WaitFree;
+                        *pc = 0;
+                        *node = None;
+                        self.stack.push(frame);
+                        if held {
+                            self.stack.push(Frame::Release { pc: 0, node: n });
+                        }
+                    }
+                }
+            }
+            Frame::Deref {
                 kind: DerefKind::Unsafe,
                 pc,
                 node,
@@ -443,9 +522,10 @@ impl Machine {
                     s.ann_busy[*id][*idx] += 1; // H4: pin the slot
                     *pc = 5;
                     self.stack.push(frame);
-                    // H5: nested DeRefLink with our own slots.
+                    // H5: nested DeRefLink with our own slots — the
+                    // fast attempt first, as `wfrc-core`'s helper runs it.
                     self.stack.push(Frame::Deref {
-                        kind: DerefKind::WaitFree,
+                        kind: DerefKind::Fast,
                         pc: 0,
                         idx: 0,
                         node: None,
@@ -601,6 +681,20 @@ mod tests {
         assert_eq!(s.summary, [true, false], "helping raises nothing");
         run_to_completion(Machine::new(0, vec![Call::Unregister]), &mut s);
         assert_eq!(s.summary, [false, false]);
+    }
+
+    #[test]
+    fn solo_fast_deref_takes_one_count_and_leaves_the_bit_down() {
+        let mut s = Shared::initial();
+        let m = Machine::new(0, vec![Call::Deref(DerefKind::Fast), Call::ReleaseResult]);
+        let m = run_to_completion(m, &mut s);
+        assert_eq!(m.result, Some(0));
+        assert_eq!(s.mm_ref, [2, 2], "deref+release is count-neutral");
+        assert_eq!(
+            s.summary,
+            [false, false],
+            "an attempt that hits never announces"
+        );
     }
 
     #[test]

@@ -352,6 +352,7 @@ fn adoption_races_live_helper_without_leaks() {
         let plan = Arc::new(FaultPlan::new(round));
         domain.set_fault_plan(Arc::clone(&plan));
         plan.arm_victim(0, FaultSite::DerefFaa, FaultAction::Die, FireRule::Nth(1));
+        plan.swing_every_deref(0);
 
         let link = Link::null();
         let victim = domain.register().unwrap();

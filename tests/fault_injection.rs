@@ -42,7 +42,9 @@ fn faulted_domain(seed: u64) -> (WfrcDomain<u64>, Arc<FaultPlan>) {
 
 /// Mixed alloc/store/deref/release churn that reaches every generic site:
 /// the first alloc refills the magazine (`MagazineRefill`, `StripeSwap`),
-/// derefs hit `AnnouncePublish`/`DerefFaa`, link overwrites and guard drops
+/// derefs hit `DerefFast` and — every one swung onto D1–D10 by
+/// `run_site_scenario` — `AnnouncePublish`/`DerefFaa`/`SummaryClear`, link
+/// overwrites and guard drops
 /// hit `ReleaseFaa`/`MagazineDrain`, and the growing `held` pile forces a
 /// growth step (`GrowSeed`) once the initial pool is pinned.
 fn victim_loop(h: ThreadHandle<'_, u64>, links: &[Link<u64>], plan: &FaultPlan) {
@@ -115,6 +117,7 @@ fn run_site_scenario(site: FaultSite, die: bool) {
         FaultAction::Park
     };
     plan.arm_victim(0, site, action, FireRule::Nth(1));
+    plan.swing_every_deref(0);
 
     let links: Vec<Link<u64>> = (0..4).map(|_| Link::null()).collect();
     let victim = domain.register().unwrap();
@@ -178,6 +181,7 @@ macro_rules! site_scenarios {
 }
 
 site_scenarios! {
+    deref_fast_park, deref_fast_die => FaultSite::DerefFast;
     announce_publish_park, announce_publish_die => FaultSite::AnnouncePublish;
     deref_faa_park, deref_faa_die => FaultSite::DerefFaa;
     release_faa_park, release_faa_die => FaultSite::ReleaseFaa;
@@ -209,6 +213,7 @@ fn run_helper_cas_scenario(die: bool) {
     } else {
         FaultAction::Park
     };
+    plan.swing_every_deref(2);
     plan.arm_victim(0, FaultSite::HelperCas, action, FireRule::Nth(1));
 
     let links: Vec<Link<u64>> = (0..4).map(|_| Link::null()).collect();

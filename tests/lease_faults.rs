@@ -92,6 +92,7 @@ fn run_leased_site_scenario(site: FaultSite) {
     // (fresh rotor), so only tid 0 is armed — the survivor (tid 2) and
     // slot 1's idle handle never fire.
     plan.arm_victim(0, site, FaultAction::Die, FireRule::Nth(1));
+    plan.swing_every_deref(0);
     let pool = LeasePool::new(&domain, LeaseConfig::new(2)).unwrap();
     let survivor = domain.register().unwrap();
     assert_eq!(survivor.tid(), 2);

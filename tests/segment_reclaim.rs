@@ -12,6 +12,8 @@ use std::sync::{Arc, Barrier};
 use wfrc::core::{DomainConfig, Growth, ReclaimOutcome, WfrcDomain};
 use wfrc::sim::exec::StopFlag;
 
+mod common;
+
 fn grow_cfg(threads: usize, initial: usize, max: usize) -> DomainConfig {
     DomainConfig::new(threads, initial).with_growth(Growth::doubling_to(max))
 }
@@ -125,7 +127,7 @@ fn one_live_node_in_tail_blocks_retirement() {
 }
 
 /// The announcement-presence bit lasts a registration, so a reader that
-/// dereferenced once and then idles keeps it up. Retirement vetoes on live
+/// announced once and then idles keeps it up. Retirement vetoes on live
 /// announcements — slot words — and must not mistake the bit for one.
 #[test]
 fn idle_reader_does_not_veto_retirement() {
@@ -136,7 +138,7 @@ fn idle_reader_does_not_veto_retirement() {
         let seed = reader.alloc_with(|v| *v = 9).unwrap();
         reader.store(&link, Some(&seed));
     }
-    assert_eq!(reader.deref(&link).map(|g| *g), Some(9));
+    common::raise_presence_bit(&d, &reader, &link, 9);
     assert!(
         d.announcement_summary_bit(reader.tid()),
         "a dereference raises the bit for the whole registration"

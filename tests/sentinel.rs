@@ -15,6 +15,8 @@ use std::time::Duration;
 use wfrc::core::lease::{LeaseConfig, LeasePool};
 use wfrc::core::{DomainConfig, Growth, Sentinel, SentinelConfig, WfrcDomain};
 
+mod common;
+
 /// A forgotten lease (no panic, no drop — the guard is leaked exactly the
 /// way a crashed task leaks it) is healed by sentinel ticks alone.
 #[test]
@@ -177,7 +179,7 @@ fn poisoned_segment_is_quarantined_from_revival() {
     );
 }
 
-/// A registered reader that has dereferenced and now idles keeps its
+/// A registered reader that has announced and now idles keeps its
 /// announcement-presence bit up for the rest of its registration. The
 /// ladder reads the announcement *slot*, so the bit alone is no obligation:
 /// the reader stays `Idle` however long it sits.
@@ -190,7 +192,7 @@ fn idle_reader_never_climbs_the_ladder() {
         let seed = reader.alloc_with(|v| *v = 3).unwrap();
         reader.store(&link, Some(&seed));
     }
-    assert_eq!(reader.deref(&link).map(|g| *g), Some(3));
+    common::raise_presence_bit(&domain, &reader, &link, 3);
     assert!(domain.announcement_summary_bit(reader.tid()));
 
     let config = SentinelConfig::default();
@@ -269,6 +271,7 @@ mod ladder {
         let plan = Arc::new(FaultPlan::new(seed));
         domain.set_fault_plan(Arc::clone(&plan));
         plan.arm_victim(0, site, action, FireRule::Nth(1));
+        plan.swing_every_deref(0);
         let links: Vec<Link<u64>> = (0..LINKS).map(|_| Link::null()).collect();
         let victim = domain.register().unwrap();
         assert_eq!(victim.tid(), 0);
@@ -307,7 +310,7 @@ mod ladder {
                         std::thread::yield_now();
                     }
                 }
-                FaultAction::Stall(_) | FaultAction::Die => {
+                FaultAction::Stall(_) | FaultAction::Die | FaultAction::Swing => {
                     while !vt.is_finished() {
                         sentinel.tick();
                         std::thread::yield_now();
@@ -342,7 +345,7 @@ mod ladder {
                     assert_eq!(domain.orphans_adopted(), 1);
                 }
             }
-            FaultAction::Park | FaultAction::Stall(_) => {
+            FaultAction::Park | FaultAction::Stall(_) | FaultAction::Swing => {
                 // A parked/stalled victim resumed and exited on its own:
                 // nothing to adopt, nothing adopted.
                 assert!(!died, "{site:?}/{action:?} must not kill");
@@ -383,6 +386,15 @@ mod ladder {
             let seed = idle.alloc_with(|v| *v = 5).unwrap();
             idle.store(&link, Some(&seed));
         }
+        // The idle reader's one dereference announces (its bit goes up);
+        // every one of the victim's does.
+        plan.arm_victim(
+            idle_tid,
+            FaultSite::DerefFast,
+            FaultAction::Swing,
+            FireRule::Nth(1),
+        );
+        plan.swing_every_deref(victim_tid);
         assert_eq!(idle.deref(&link).map(|g| *g), Some(5));
         plan.arm_victim(
             victim_tid,

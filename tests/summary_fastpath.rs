@@ -10,6 +10,8 @@ use std::sync::Arc;
 use wfrc::core::{DomainConfig, Link, WfrcDomain};
 use wfrc::primitives::spin::SpinBarrier;
 
+mod common;
+
 /// Writer-only workload: links change constantly, but nothing ever
 /// dereferences, so no announcement is ever published. Every obligatory
 /// `HelpDeRef` must return from the summary without reading one slot word.
@@ -156,7 +158,9 @@ fn skip_and_full_partition_help_calls_under_contention() {
 #[test]
 fn dropping_the_reader_restores_the_fast_path() {
     const STORES: u64 = 100;
-    let domain = WfrcDomain::<u64>::new(DomainConfig::new(2, 64));
+    // Three slots: writer, reader, and the swinger that raises the
+    // reader's bit.
+    let domain = WfrcDomain::<u64>::new(DomainConfig::new(3, 64));
     let link = Link::<u64>::null();
     let writer = domain.register().unwrap();
     let store_round = |from: u64| {
@@ -170,7 +174,7 @@ fn dropping_the_reader_restores_the_fast_path() {
     assert_eq!(start.help_scan_full, 0, "no reader yet");
 
     let reader = domain.register().unwrap();
-    assert!(reader.deref(&link).is_some());
+    common::raise_presence_bit(&domain, &reader, &link, STORES - 1);
     // Idle but registered: the bit is up and every help reads the row.
     assert!(domain.announcement_summary_bit(reader.tid()));
     let with_reader = store_round(STORES);
@@ -221,6 +225,7 @@ mod faulted {
             let victim = domain.register().unwrap();
             let survivor = domain.register().unwrap();
             let victim_tid = victim.tid();
+            plan.swing_every_deref(victim_tid);
             {
                 let seed = survivor.alloc_with(|v| *v = 7).unwrap();
                 survivor.store(&link, Some(&seed));
@@ -268,6 +273,7 @@ mod faulted {
             FaultAction::Die,
             FireRule::Nth(1),
         );
+        plan.swing_every_deref(0);
         let domain = Arc::new(domain);
 
         let link = Arc::new(Link::<u64>::null());

@@ -386,6 +386,7 @@ mod faulted {
             FaultAction::Park
         };
         plan.arm_victim(0, site, action, FireRule::Nth(1));
+        plan.swing_every_deref(0);
 
         let links: Vec<Link<u64>> = (0..4).map(|_| Link::null()).collect();
         let weaks: Vec<AtomicWeak<u64>> = (0..4).map(|_| AtomicWeak::null()).collect();
