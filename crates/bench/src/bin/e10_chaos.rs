@@ -9,8 +9,8 @@
 //! detected by the heartbeat ladder and adopted autonomously; the harness
 //! only *waits* for `WfrcDomain::orphans_adopted` to advance and records
 //! the MTTR (victim join observed → adoption complete). A parked victim
-//! is released and exits cleanly — the ladder may suspect it, but its
-//! live registration is never seized. After every round the shared links
+//! is released and exits cleanly — the ladder may climb to HELP on it, but
+//! its live registration is never seized. After every round the shared links
 //! are cleared and `WfrcDomain::leak_check` must be spotless — one
 //! corrupt or leaked node anywhere ends the run with a panic.
 //!
@@ -51,7 +51,7 @@ mod chaos {
     use wfrc_core::fault::silence_injected_deaths;
     use wfrc_core::{
         DomainConfig, FaultAction, FaultPlan, FaultSite, FireRule, Growth, InjectedDeath, Link,
-        ReclaimOutcome, Sentinel, SentinelConfig, WfrcDomain,
+        ReclaimOutcome, Sentinel, WfrcDomain,
     };
     use wfrc_sim::stats::Table;
     use wfrc_sim::{Histogram, Supervisor};
@@ -65,7 +65,7 @@ mod chaos {
     const VICTIM_OPS: usize = 50_000;
     const SURVIVOR_OPS: usize = 5_000;
     const CHANCE: f64 = 0.02;
-    /// Supervisor tick cadence. The ladder needs `help_after` stale
+    /// Supervisor tick cadence. The ladder needs `HELP_AFTER` stale
     /// examinations before it adopts, so MTTR floors at a few periods.
     const TICK_PERIOD: Duration = Duration::from_micros(200);
     /// A kill the sentinel has not healed within this bound is a bug.
@@ -188,10 +188,6 @@ mod chaos {
         let mut sentinel_ticks = 0u64;
         let mut sentinel_helps = 0u64;
         let mut sentinel_probes = 0u64;
-        let mut sentinel_suspects = 0u64;
-        let mut sentinel_declared = 0u64;
-        let mut sentinel_recovered = 0u64;
-        let mut sentinel_exonerated = 0u64;
 
         while kills < cfg.rounds || start.elapsed() < deadline {
             let round = rounds;
@@ -237,10 +233,7 @@ mod chaos {
             // ticks the sentinel while the churn runs. No code below ever
             // calls `adopt_orphans` — a kill heals only because the ladder
             // escalates the dead slot and routes it through `help`.
-            let sentinel = Sentinel::new(
-                &domain,
-                SentinelConfig::default().with_seed(cfg.seed ^ round.rotate_left(17)),
-            );
+            let sentinel = Sentinel::new(&domain);
             let adopted_before = domain.orphans_adopted();
 
             let died = std::thread::scope(|s| {
@@ -295,10 +288,6 @@ mod chaos {
             sentinel_ticks += snap.ticks;
             sentinel_helps += snap.helps;
             sentinel_probes += snap.probes;
-            sentinel_suspects += snap.suspects;
-            sentinel_declared += snap.declared_dead;
-            sentinel_recovered += snap.dead_recovered;
-            sentinel_exonerated += snap.exonerated;
             drop(sentinel);
 
             match died {
@@ -376,19 +365,6 @@ mod chaos {
         table.row(&["sentinel ticks".into(), sentinel_ticks.to_string()]);
         table.row(&["sentinel helps".into(), sentinel_helps.to_string()]);
         table.row(&["sentinel probes".into(), sentinel_probes.to_string()]);
-        table.row(&["sentinel suspects".into(), sentinel_suspects.to_string()]);
-        table.row(&[
-            "sentinel declared dead".into(),
-            sentinel_declared.to_string(),
-        ]);
-        table.row(&[
-            "sentinel dead recovered".into(),
-            sentinel_recovered.to_string(),
-        ]);
-        table.row(&[
-            "sentinel exonerated".into(),
-            sentinel_exonerated.to_string(),
-        ]);
         for site in FaultSite::ALL {
             table.row(&[
                 format!("kills at {}", site.name()),

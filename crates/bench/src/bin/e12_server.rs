@@ -19,16 +19,19 @@
 //! reclaim stop-the-world after its workers exit — the asymmetry is part
 //! of the result).
 //!
-//! With `--kill N`, N tasks "crash" holding their lease (the guard is
-//! leaked); a sentinel supervisor thread — the run's only recovery agent —
-//! must expire and recover every dead slot, and the table reports the
-//! kill→recovery MTTR (p50/p99); threads blocked behind a dead holder are
-//! handed its slot as soon as the sentinel recovers it. `--sentinel` runs
-//! the supervisor even without kills.
+//! With `--kill N`, N tasks "crash" holding their lease: each panics
+//! mid-session, its guard unwinds and orphans the slot, and a sentinel
+//! supervisor thread — the run's only recovery agent — must recover every
+//! dead slot; the table reports the kill→recovery MTTR (p50/p99). Threads
+//! blocked behind a dead holder are handed its slot as soon as the
+//! sentinel recovers it. No live holder is ever taken back, however slow.
+//! `--sentinel` runs the supervisor even without kills. Any other panic in
+//! a session stops every worker and fails the run.
 //!
 //! Every cell ends with a [`wfrc_core::domain::LeakReport`] audit and a
-//! lease audit (`issued == released + killed`, one checkout sample per
-//! task): the run fails unless both schemes finish leak-free.
+//! lease audit (`issued == released + killed`, `killed == orphaned ==
+//! recovered`, one checkout sample per task): the run fails unless both
+//! schemes finish leak-free.
 //!
 //! ```text
 //! cargo run --release --bin e12_server [-- --tasks 10000 --slots 16,64 \
@@ -51,7 +54,8 @@ const GROW_INITIAL: usize = 8;
 const ROOMY_INITIAL: usize = 1024;
 
 /// Byte-class ladder for one cell. Magazines are always on here — the
-/// pool's flush-on-release/hot-handoff path is part of what E12 measures.
+/// pool's hot handoff (magazines stay with the slot) is part of what E12
+/// measures.
 fn class_configs(sizes: &[usize], grow: bool) -> Vec<ClassConfig> {
     let initial = if grow { GROW_INITIAL } else { ROOMY_INITIAL };
     sizes
@@ -81,16 +85,14 @@ fn audit(scheme: &str, r: &bench::drivers::ServerResult, tasks: usize) {
         tasks as u64,
         "{scheme}: every task sampled exactly one checkout"
     );
-    if r.killed > 0 {
-        assert!(
-            r.lease.expired >= r.killed && r.lease.recovered >= r.killed,
-            "{scheme}: the sentinel must expire and recover every killed lease \
-             (killed {}, expired {}, recovered {})",
-            r.killed,
-            r.lease.expired,
-            r.lease.recovered
-        );
-    }
+    assert!(
+        r.lease.panic_orphans == r.killed && r.lease.recovered == r.killed,
+        "{scheme}: every killed lease, and only those, must be orphaned and recovered \
+         (killed {}, orphaned {}, recovered {})",
+        r.killed,
+        r.lease.panic_orphans,
+        r.lease.recovered
+    );
 }
 
 fn row(table: &mut Table, slots: usize, scheme: &str, r: &bench::drivers::ServerResult) {
@@ -118,7 +120,7 @@ fn row(table: &mut Table, slots: usize, scheme: &str, r: &bench::drivers::Server
         r.lease.enrolled.to_string(),
         r.retired.to_string(),
         r.killed.to_string(),
-        r.lease.expired.to_string(),
+        r.lease.panic_orphans.to_string(),
         r.lease.recovered.to_string(),
         mttr(0.50),
         mttr(0.99),
@@ -169,23 +171,18 @@ fn main() {
         "E12: server workload — tasks over leased registration slots",
         &[
             "slots", "scheme", "tasks", "ops/s", "co p50", "co p99", "co p999", "op p50", "op p99",
-            "op p999", "handoffs", "enrolled", "retired", "killed", "expired", "recov", "mttr p50",
-            "mttr p99",
+            "op p999", "handoffs", "enrolled", "retired", "killed", "orphaned", "recov",
+            "mttr p50", "mttr p99",
         ],
     );
     for &slots in &args.slots {
         assert!(slots >= 1, "E12 needs at least one lease slot");
-        // Chaos mode (`--kill`) needs a TTL for the sentinel to expire the
-        // dead holders against; keep it far above an honest session's
-        // residence time so only kills ever expire.
-        let ttl = (args.kill > 0).then(|| std::time::Duration::from_millis(250));
         let cfg = ServerCfg {
             tasks: args.tasks,
             slots,
             workers,
             ops_per_task: args.ops,
             keyspace: KEYSPACE,
-            ttl,
             reclaim: args.reclaim,
             kill: args.kill,
             sentinel: args.sentinel || args.kill > 0,

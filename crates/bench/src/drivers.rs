@@ -5,7 +5,7 @@ use std::sync::Arc;
 use wfrc_baselines::Lf;
 use wfrc_core::counters::{CounterSnapshot, LeaseSnapshot};
 use wfrc_core::lease::{LeaseConfig, LeasePool};
-use wfrc_core::sentinel::{Sentinel, SentinelConfig};
+use wfrc_core::sentinel::Sentinel;
 use wfrc_core::{Domain, RawBytes, RcObject, ReclaimOutcome, Scheme, Wf};
 use wfrc_sim::exec::{run_fixed_ops, StopFlag};
 use wfrc_sim::latency::Histogram;
@@ -606,14 +606,12 @@ pub struct ServerCfg {
     pub ops_per_task: u64,
     /// Key range shared by all tasks (small ⇒ real contention).
     pub keyspace: u64,
-    /// Lease TTL installed in the pool (None ⇒ leases never expire).
-    pub ttl: Option<std::time::Duration>,
     /// Run [`Elastic::reclaim_beside_traffic`] during the measured section
     /// and [`Elastic::reclaim_to_floor`] after it.
     pub reclaim: bool,
-    /// Tasks (of `tasks`) that die holding a lease: each leaks its guard
-    /// mid-session, leaving the slot checked out until the sentinel
-    /// expires and recovers it. Requires `ttl` and `sentinel`.
+    /// Tasks (of `tasks`) that die holding a lease: each panics mid-session
+    /// with a `Killed` payload, so its guard unwinds and orphans the slot
+    /// until the sentinel recovers it. Requires `sentinel`.
     pub kill: usize,
     /// Run a dedicated supervisor thread ticking a
     /// [`wfrc_core::Sentinel`] over the lease pool for the whole measured
@@ -645,6 +643,14 @@ pub struct ServerResult {
     /// Kill → slot-recovered latency samples (sentinel MTTR), one per
     /// recovered kill, matched FIFO against the pool's recovery counter.
     pub mttr: Histogram,
+}
+
+/// Panic payload of an E12 killer session: what it did before it died. A
+/// worker catches this payload and counts the death; any other panic is a
+/// failure that stops the run.
+struct Killed {
+    waited: u64,
+    done: u64,
 }
 
 impl ServerResult {
@@ -758,23 +764,20 @@ fn serve<S: Elastic>(domain: &Domain<ListCell<RawBytes>, S>, cfg: &ServerCfg) ->
     let sizes = class_sizes(domain);
     assert!(!sizes.is_empty(), "server bench needs byte classes");
     assert!(
-        cfg.kill == 0 || (cfg.ttl.is_some() && cfg.sentinel),
-        "killed lease holders only heal through TTL expiry + the sentinel"
+        cfg.kill == 0 || cfg.sentinel,
+        "killed lease holders only heal through the sentinel"
     );
-    let mut lease_cfg = LeaseConfig::new(cfg.slots);
-    if let Some(ttl) = cfg.ttl {
-        lease_cfg = lease_cfg.with_ttl(ttl);
-    }
-    let pool = LeasePool::new(domain, lease_cfg).expect("domain sized for the pool");
+    let pool =
+        LeasePool::new(domain, LeaseConfig::new(cfg.slots)).expect("domain sized for the pool");
     let cache = SessionCache::new(1024);
     let next_task = std::sync::atomic::AtomicUsize::new(0);
     let kill_times = std::sync::Mutex::new(std::collections::VecDeque::new());
     let mttr = std::sync::Mutex::new(Histogram::new());
     // One session: check a lease out (blocking while every slot is held),
-    // run the op loop on it, check it back in — or, for a killer, die
-    // holding it. Returns the checkout wait, the ops done and whether the
-    // session was killed.
-    let session = |task: usize, op_hist: &mut Histogram| -> (u64, u64, bool) {
+    // run the op loop on it, check it back in. A killer dies holding it:
+    // it unwinds with a `Killed` payload, and the guard's drop orphans the
+    // slot. Returns the checkout wait and the ops done.
+    let session = |task: usize, op_hist: &mut Histogram| -> (u64, u64) {
         // Exactly `cfg.kill` killer tasks, spread evenly across the set.
         let killer =
             cfg.kill > 0 && (task * cfg.kill) / cfg.tasks != ((task + 1) * cfg.kill) / cfg.tasks;
@@ -799,22 +802,21 @@ fn serve<S: Elastic>(domain: &Domain<ListCell<RawBytes>, S>, cfg: &ServerCfg) ->
             op_hist,
         );
         if killer {
-            // The session "crashes" holding its lease: the guard is
-            // leaked, so the slot stays checked out until the sentinel
-            // expires the overdue deadline and recovers it. MTTR is
-            // measured from this instant.
+            // MTTR is measured from this instant. `resume_unwind` skips
+            // the panic hook: a kill is not an error message.
             kill_times
                 .lock()
                 .unwrap()
                 .push_back(std::time::Instant::now());
-            core::mem::forget(guard);
+            std::panic::resume_unwind(Box::new(Killed { waited, done }));
         }
-        (waited, done, killer)
+        (waited, done)
     };
+    // Set by the first worker whose session panics with anything but
+    // `Killed`: every worker stops pulling tasks.
+    let failed = std::sync::Mutex::new(None::<String>);
     let stop = StopFlag::new();
-    let sentinel = cfg
-        .sentinel
-        .then(|| Sentinel::new(&pool, SentinelConfig::default().with_seed(0xE12_5EA1)));
+    let sentinel = cfg.sentinel.then(|| Sentinel::new(&pool));
     let (wall, drained, retired, aborted) = std::thread::scope(|s| {
         let supervisor = sentinel.as_ref().map(|sen| {
             let (pool, kill_times, mttr) = (&pool, &kill_times, &mttr);
@@ -822,8 +824,8 @@ fn serve<S: Elastic>(domain: &Domain<ListCell<RawBytes>, S>, cfg: &ServerCfg) ->
             Supervisor::spawn_scoped(s, std::time::Duration::from_millis(1), move || {
                 sen.tick();
                 // FIFO-match pool recoveries against recorded kill
-                // instants: kills expire in deadline order, so the n-th
-                // recovery heals the n-th kill.
+                // instants: kills are spread across the task set, so the
+                // n-th recovery heals the n-th kill.
                 let rec = pool.stats().recovered;
                 let mut seen = recovered_seen.load(std::sync::atomic::Ordering::Relaxed);
                 while seen < rec {
@@ -845,47 +847,93 @@ fn serve<S: Elastic>(domain: &Domain<ListCell<RawBytes>, S>, cfg: &ServerCfg) ->
         let start = std::time::Instant::now();
         let workers: Vec<_> = (0..cfg.workers.max(1))
             .map(|_| {
-                let (session, next_task) = (&session, &next_task);
+                let (session, next_task, failed, pool) = (&session, &next_task, &failed, &pool);
                 s.spawn(move || {
                     let mut drained = Drained::default();
                     loop {
                         let task = next_task.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if task >= cfg.tasks {
+                        if task >= cfg.tasks || failed.lock().unwrap().is_some() {
                             return drained;
                         }
-                        let (waited, done, killed) = session(task, &mut drained.op);
+                        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            session(task, &mut drained.op)
+                        }));
+                        let (waited, done) = match run {
+                            Ok(r) => r,
+                            Err(payload) => match payload.downcast::<Killed>() {
+                                Ok(k) => {
+                                    drained.killed += 1;
+                                    (k.waited, k.done)
+                                }
+                                Err(payload) => {
+                                    // Fail fast. Recover the slot the
+                                    // panic orphaned, so no blocked
+                                    // acquirer waits on it.
+                                    failed
+                                        .lock()
+                                        .unwrap()
+                                        .get_or_insert(panic_message(&*payload));
+                                    pool.recover_orphaned();
+                                    return drained;
+                                }
+                            },
+                        };
                         drained.checkout.record(waited);
                         drained.total_ops += done;
-                        drained.killed += u64::from(killed);
                     }
                 })
             })
             .collect();
+        // A thread that panicked outside a session fails the run the same
+        // way; it must not panic here, where the scope would then wait on
+        // the supervisor forever.
+        let fail = |payload: Box<dyn std::any::Any + Send>| {
+            failed
+                .lock()
+                .unwrap()
+                .get_or_insert(panic_message(&*payload));
+        };
         let drained = workers
             .into_iter()
-            .map(|w| w.join().unwrap())
+            .map(|w| {
+                w.join().unwrap_or_else(|p| {
+                    fail(p);
+                    Drained::default()
+                })
+            })
             .fold(Drained::default(), Drained::merged);
         let wall = start.elapsed();
         stop.stop();
-        let reclaimed = reclaimer.map_or_else(ReclaimTally::default, |j| j.join().unwrap());
+        let reclaimed = reclaimer.map_or_else(ReclaimTally::default, |j| {
+            j.join().unwrap_or_else(|p| {
+                fail(p);
+                ReclaimTally::default()
+            })
+        });
         // Acceptance gate: every killed holder's slot must come back
         // through the sentinel alone, within a hard bound — the supervisor
         // keeps ticking until it has.
-        if drained.killed > 0 {
-            let t0 = std::time::Instant::now();
-            while pool.stats().recovered < drained.killed {
-                assert!(
-                    t0.elapsed() < std::time::Duration::from_secs(10),
-                    "sentinel recovered only {} of {} killed leases within 10s",
-                    pool.stats().recovered,
-                    drained.killed
-                );
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
+        let t0 = std::time::Instant::now();
+        while failed.lock().unwrap().is_none()
+            && pool.stats().recovered < drained.killed
+            && t0.elapsed() < std::time::Duration::from_secs(10)
+        {
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
+        // Stop the supervisor before any assertion, or the scope would
+        // wait on it forever.
         if let Some(sup) = &supervisor {
             sup.stop();
         }
+        if let Some(msg) = failed.lock().unwrap().take() {
+            panic!("E12 session failed, run stopped: {msg}");
+        }
+        assert!(
+            pool.stats().recovered >= drained.killed,
+            "sentinel recovered only {} of {} killed leases within 10s",
+            pool.stats().recovered,
+            drained.killed
+        );
         (wall, drained, reclaimed.retired, reclaimed.aborted)
     });
     drop(sentinel);
@@ -906,6 +954,15 @@ fn serve<S: Elastic>(domain: &Domain<ListCell<RawBytes>, S>, cfg: &ServerCfg) ->
         killed: drained.killed,
         mttr: mttr.into_inner().unwrap(),
     }
+}
+
+/// A panic payload's message (`&str` or `String` payloads; else a placeholder).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into())
 }
 
 /// What one E12 worker thread drained: per-task checkout waits, per-op

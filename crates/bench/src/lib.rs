@@ -71,7 +71,7 @@ pub struct Args {
     /// machine's available parallelism".
     pub workers: usize,
     /// Tasks that die holding a lease (E12 chaos mode); implies the
-    /// sentinel supervisor and a lease TTL.
+    /// sentinel supervisor.
     pub kill: usize,
     /// Run the sentinel supervisor thread during E12 even without kills.
     pub sentinel: bool,

@@ -41,7 +41,6 @@ use wfrc_core::magazine::{clamped_cap, Magazines};
 use wfrc_core::node::chain_tail;
 use wfrc_core::oom::OutOfMemory;
 use wfrc_core::rc::try_deref_once;
-use wfrc_core::reclaim::ReclaimPolicy;
 use wfrc_core::scheme::{Pool, Scheme, Tuning};
 use wfrc_core::{census, AdoptReport, Census, Domain, DomainConfig, Growth, Handle};
 use wfrc_core::{Link, Node, RcObject, RegistryFull};
@@ -243,15 +242,8 @@ impl<T: RcObject> LfrcPool<T> {
 // the link held during the call; type-stable arena headers make the
 // increment itself safe.
 unsafe impl<T: RcObject> Pool<T> for LfrcPool<T> {
-    /// Chains every node of `arena` into the single free-list. LFRC has no
-    /// retry bound and no retire protocol to tune.
-    fn new(
-        arena: Arena<T>,
-        threads: usize,
-        magazine: usize,
-        _oom_bound: Option<usize>,
-        _reclaim: ReclaimPolicy,
-    ) -> Self {
+    /// Chains every node of `arena` into the single free-list.
+    fn new(arena: Arena<T>, threads: usize, magazine: usize) -> Self {
         let mut pool = Self {
             mag: Magazines::new(threads, 0),
             arena,
@@ -552,10 +544,6 @@ impl<T: RcObject> LeaseRegistry for LfrcDomain<T> {
 
     fn adopt_all(&self) -> AdoptReport {
         self.0.adopt_all()
-    }
-
-    fn flush_handle<'d>(&'d self, handle: &Self::Handle<'d>) {
-        self.0.flush_handle(handle);
     }
 
     fn handle_tid(handle: &Self::Handle<'_>) -> usize {

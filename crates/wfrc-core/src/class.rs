@@ -39,7 +39,7 @@ use crate::domain::Census;
 use crate::link::Link;
 use crate::node::{Node, RcObject};
 use crate::oom::OutOfMemory;
-use crate::reclaim::{ReclaimOutcome, ReclaimPolicy};
+use crate::reclaim::ReclaimOutcome;
 use crate::scheme::{OpGuard, Pool, Progress, Scheme, Tuning};
 
 /// The supported byte-class block sizes: a geometric ladder 64 B – 4 KiB.
@@ -141,8 +141,6 @@ pub struct ClassConfig {
     /// Requested per-thread magazine capacity for this class (0 disables;
     /// clamped exactly like the node pool's).
     pub magazine: usize,
-    /// Reclamation budgets for the class arena.
-    pub reclaim: ReclaimPolicy,
 }
 
 impl ClassConfig {
@@ -153,7 +151,6 @@ impl ClassConfig {
             capacity,
             growth: Growth::Disabled,
             magazine: 0,
-            reclaim: ReclaimPolicy::default(),
         }
     }
 
@@ -166,12 +163,6 @@ impl ClassConfig {
     /// Enables per-thread magazines of (at most) `cap` blocks.
     pub fn with_magazine(mut self, cap: usize) -> Self {
         self.magazine = cap;
-        self
-    }
-
-    /// Tunes the class reclamation budgets.
-    pub fn with_reclaim(mut self, policy: ReclaimPolicy) -> Self {
-        self.reclaim = policy;
         self
     }
 }
@@ -317,7 +308,7 @@ impl<const N: usize, S: Scheme> ByteClass<N, S> {
         };
         let arena = Arena::with_growth_carved(capacity, growth, |_| RawBuf::default());
         let mut class = Self {
-            pool: S::Pool::new(arena, n, cfg.magazine, None, cfg.reclaim),
+            pool: S::Pool::new(arena, n, cfg.magazine),
         };
         class.set_tuning(tuning);
         class

@@ -393,18 +393,13 @@ pub struct LeaseStats {
     pub long_scans: AtomicU64,
     /// `try_acquire` calls refused because every slot was checked out.
     pub exhausted: AtomicU64,
-    /// Leases whose deadline passed and were marked ORPHANED by
-    /// `expire_overdue`.
-    pub expired: AtomicU64,
     /// Guards dropped during a panic (slot marked ORPHANED for recovery).
     pub panic_orphans: AtomicU64,
     /// ORPHANED lease slots recovered back into circulation.
     pub recovered: AtomicU64,
     /// Recovery attempts that could not re-register a handle (the slot
-    /// stays out of circulation until a later `expire_overdue` retries).
+    /// stays out of circulation until a later `recover_orphaned` retries).
     pub recover_failures: AtomicU64,
-    /// Handle magazines flushed on release (`flush_on_release` policy).
-    pub flushes: AtomicU64,
 }
 
 impl LeaseStats {
@@ -429,11 +424,9 @@ impl LeaseStats {
             enrolled: self.enrolled.load(Ordering::Relaxed),
             long_scans: self.long_scans.load(Ordering::Relaxed),
             exhausted: self.exhausted.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
             panic_orphans: self.panic_orphans.load(Ordering::Relaxed),
             recovered: self.recovered.load(Ordering::Relaxed),
             recover_failures: self.recover_failures.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
         }
     }
 }
@@ -448,11 +441,9 @@ pub struct LeaseSnapshot {
     pub enrolled: u64,
     pub long_scans: u64,
     pub exhausted: u64,
-    pub expired: u64,
     pub panic_orphans: u64,
     pub recovered: u64,
     pub recover_failures: u64,
-    pub flushes: u64,
 }
 
 /// Supervisor telemetry for [`crate::sentinel::Sentinel`]. Shared `Relaxed`
@@ -468,17 +459,6 @@ pub struct SentinelStats {
     /// HELP-stage interventions that performed recovery work on a slot's
     /// behalf.
     pub helps: AtomicU64,
-    /// Slots that escalated to SUSPECT (fingerprint stale past the suspect
-    /// threshold while obligated).
-    pub suspects: AtomicU64,
-    /// DEAD declarations attempted (after `dead_after` stale probes).
-    pub declared_dead: AtomicU64,
-    /// DEAD declarations whose forcible recovery succeeded (the slot was a
-    /// genuine corpse and was reclaimed).
-    pub dead_recovered: AtomicU64,
-    /// Suspicions withdrawn because the slot's fingerprint advanced — the
-    /// merely-slow case the escalation ladder must never kill.
-    pub exonerated: AtomicU64,
 }
 
 impl SentinelStats {
@@ -501,10 +481,6 @@ impl SentinelStats {
             ticks: self.ticks.load(Ordering::Relaxed),
             probes: self.probes.load(Ordering::Relaxed),
             helps: self.helps.load(Ordering::Relaxed),
-            suspects: self.suspects.load(Ordering::Relaxed),
-            declared_dead: self.declared_dead.load(Ordering::Relaxed),
-            dead_recovered: self.dead_recovered.load(Ordering::Relaxed),
-            exonerated: self.exonerated.load(Ordering::Relaxed),
         }
     }
 }
@@ -516,10 +492,6 @@ pub struct SentinelSnapshot {
     pub ticks: u64,
     pub probes: u64,
     pub helps: u64,
-    pub suspects: u64,
-    pub declared_dead: u64,
-    pub dead_recovered: u64,
-    pub exonerated: u64,
 }
 
 #[cfg(test)]

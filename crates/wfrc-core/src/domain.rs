@@ -27,7 +27,7 @@ use crate::link::Link;
 use crate::magazine::{clamped_cap, Magazines};
 use crate::node::{Node, RcObject};
 use crate::oom::{alloc_retry_bound, OutOfMemory};
-use crate::reclaim::{ReclaimCtl, ReclaimOutcome, ReclaimPolicy, SnapStats};
+use crate::reclaim::{ReclaimCtl, ReclaimOutcome, SnapStats};
 use crate::scheme::{Pool, Progress, Scheme, Tuning, Wf};
 use crate::MAX_THREADS;
 
@@ -65,13 +65,7 @@ pub struct Shared<T> {
 // 6–10) proves the guarantees for Figures 4–5 as `Shared` implements them.
 unsafe impl<T: RcObject> Pool<T> for Shared<T> {
     /// Seeds every node of `arena` onto the striped free-lists.
-    fn new(
-        arena: Arena<T>,
-        n: usize,
-        magazine: usize,
-        oom_bound: Option<usize>,
-        reclaim: ReclaimPolicy,
-    ) -> Self {
+    fn new(arena: Arena<T>, n: usize, magazine: usize) -> Self {
         let fl = FreeLists::new(n);
         fl.seed(&arena);
         Self {
@@ -82,8 +76,8 @@ unsafe impl<T: RcObject> Pool<T> for Shared<T> {
             fl,
             n,
             // Footnote 4, per pool: each pool races only its own lists.
-            oom_bound: oom_bound.unwrap_or_else(|| alloc_retry_bound(n)),
-            reclaim: ReclaimCtl::new(n, reclaim),
+            oom_bound: alloc_retry_bound(n),
+            reclaim: ReclaimCtl::new(n),
             tuning: Tuning::default(),
         }
     }
@@ -312,17 +306,10 @@ pub struct DomainConfig {
     /// Arena growth policy. Defaults to [`Growth::Disabled`] — the exact
     /// fixed-pool semantics of the paper.
     pub growth: Growth,
-    /// Override for the out-of-memory retry bound (default:
-    /// [`alloc_retry_bound`]`(max_threads)`).
-    pub oom_bound: Option<usize>,
     /// Requested per-thread magazine capacity (see [`crate::magazine`]).
     /// 0 (the default) disables the layer; the effective value is clamped
     /// by [`clamped_cap`] so full magazines can never park the whole pool.
     pub magazine: usize,
-    /// Segment-reclamation tuning (see [`crate::reclaim`]). Reclamation
-    /// itself is always available via `ThreadHandle::reclaim`; this only
-    /// adjusts its grace/sweep budgets.
-    pub reclaim: ReclaimPolicy,
     /// Byte classes of the domain (see [`crate::class`]); empty (the
     /// default) builds the classic single-shape domain with zero overhead
     /// on the node paths. At most [`MAX_CLASSES`] entries.
@@ -340,9 +327,7 @@ impl DomainConfig {
             max_threads,
             capacity,
             growth: Growth::Disabled,
-            oom_bound: None,
             magazine: 0,
-            reclaim: ReclaimPolicy::default(),
             classes: Vec::new(),
         }
     }
@@ -362,19 +347,6 @@ impl DomainConfig {
     /// capacity; see [`Growth::Enabled`] for the ceiling and factor).
     pub fn with_growth(mut self, growth: Growth) -> Self {
         self.growth = growth;
-        self
-    }
-
-    /// Overrides the allocation retry bound (tests use small values to
-    /// exercise the out-of-memory path cheaply).
-    pub fn with_oom_bound(mut self, bound: usize) -> Self {
-        self.oom_bound = Some(bound);
-        self
-    }
-
-    /// Tunes the segment-reclamation budgets (see [`ReclaimPolicy`]).
-    pub fn with_reclaim(mut self, policy: ReclaimPolicy) -> Self {
-        self.reclaim = policy;
         self
     }
 
@@ -475,7 +447,7 @@ impl<T: RcObject, S: Scheme> Domain<T, S> {
         );
         let arena = Arena::with_growth(config.capacity, config.growth, init);
         let mut domain = Self {
-            pool: S::Pool::new(arena, n, config.magazine, config.oom_bound, config.reclaim),
+            pool: S::Pool::new(arena, n, config.magazine),
             classes: Box::new([]),
             slots: (0..n).map(|_| new_slot_word(SLOT_FREE)).collect(),
             orphans_adopted: new_slot_word(0),

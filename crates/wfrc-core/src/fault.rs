@@ -107,14 +107,12 @@ pub enum FaultSite {
     /// (parked nodes pushed back, `DRAINING → LIVE`), after which a fresh
     /// `reclaim()` call can complete the retire.
     SegmentRetire,
-    /// In [`crate::lease`] checkout, after the pool has claimed a slot and
-    /// installed the lease deadline but before the guard is handed to the
-    /// caller. `Die` here models a task that perishes the instant it owns a
-    /// lease: the slot stays LEASED with a live handle parked inside it,
-    /// and only the deadline expiry path (`LeasePool::expire_overdue` in
-    /// [`crate::lease`]) can route it — via ORPHANED and `adopt_orphans` —
-    /// back into circulation.
-    LeaseExpire,
+    /// In [`crate::lease`] checkout, after the guard is built and before it
+    /// is handed to the caller. `Die` here models a task that perishes the
+    /// instant it owns a lease: the unwind drops the guard, which marks the
+    /// slot ORPHANED, and `LeasePool::recover_orphaned` (or a sentinel
+    /// tick) routes it back into circulation via `adopt_orphans`.
+    LeaseCheckout,
     /// In `Snapshot::upgrade`, after the snapshot pin is re-confirmed and
     /// before the announcement-based dereference that mints the owned
     /// reference. The victim holds only its pin and operation epoch — no
@@ -157,7 +155,7 @@ impl FaultSite {
         FaultSite::SummaryClear,
         FaultSite::AllocNeed,
         FaultSite::SegmentRetire,
-        FaultSite::LeaseExpire,
+        FaultSite::LeaseCheckout,
         FaultSite::SnapshotUpgrade,
         FaultSite::WeakUpgrade,
         FaultSite::DerefFast,
@@ -177,7 +175,7 @@ impl FaultSite {
             FaultSite::SummaryClear => "summary_clear",
             FaultSite::AllocNeed => "alloc_need",
             FaultSite::SegmentRetire => "segment_retire",
-            FaultSite::LeaseExpire => "lease_expire",
+            FaultSite::LeaseCheckout => "lease_checkout",
             FaultSite::SnapshotUpgrade => "snapshot_upgrade",
             FaultSite::WeakUpgrade => "weak_upgrade",
             FaultSite::DerefFast => "deref_fast",

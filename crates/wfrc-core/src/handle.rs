@@ -287,13 +287,8 @@ impl<'d, T: RcObject, S: Scheme> Handle<'d, T, S> {
     }
 
     /// Drains this handle's magazines — node pool and every byte class —
-    /// back to the shared free structures without dropping the handle.
-    ///
-    /// This is the handle-drop teardown as a standalone operation: the
-    /// lease pool ([`crate::lease`]) calls it when a guard is returned with
-    /// `flush_on_release`, so a slot parked in the pool does not privatize
-    /// capacity between checkouts.
-    pub fn flush_magazines(&self) {
+    /// back to the shared free structures (the handle-drop teardown).
+    fn flush_magazines(&self) {
         // SAFETY: this handle owns slot `tid` in every pool of the domain.
         unsafe {
             {

@@ -17,7 +17,7 @@
 //!
 //! ```text
 //! FREE ──claim CAS (gen+1)──▶ LEASED ──guard drop──▶ FREE
-//!   ▲                           │ deadline passed / panic drop
+//!   ▲                           │ guard dropped while unwinding
 //!   │                           ▼
 //! RECOVERING ◀──claim CAS── ORPHANED
 //!   │  take handle · abandon · adopt_all · re-register
@@ -46,23 +46,19 @@
 //! around — and each coordination step (reserve, claim, enroll, hand off)
 //! is individually bounded. See DESIGN.md §4e for the full argument.
 //!
-//! # Expiry and adoption
+//! # Death and recovery
 //!
-//! A lease carries an optional deadline ([`LeaseConfig::with_ttl`]).
-//! [`LeasePool::expire_overdue`] CASes overdue `LEASED` slots to
-//! `ORPHANED`, then recovers every `ORPHANED` slot: take the handle out of
-//! the slot, [`LeaseRegistry::abandon_handle`] it (marking the domain's
-//! registration slot ORPHANED exactly as a crashed thread would),
-//! run [`LeaseRegistry::adopt_all`] (the PR 3 recovery machinery —
-//! announcement retraction, gift and magazine recovery), re-register a
-//! fresh handle, and return the slot to circulation. A task that dies
-//! mid-lease — at the new `LeaseExpire` fault site (behind the
-//! `fault-injection` feature) or at
-//! any other armed site — is therefore recovered exactly like a crashed
-//! thread. **The deadline is a promise**: the pool assumes an overdue
-//! holder has perished. Expiring a lease whose holder is still issuing
-//! operations is a contract violation (two owners of one thread id), the
-//! same trust model as the paper's "unique and fixed" `threadId`.
+//! A slot is only ever taken back from a holder that is gone. A guard
+//! dropped while its holder unwinds (a panic, or an injected `Die`) marks
+//! the slot `ORPHANED`; [`LeasePool::recover_orphaned`], or a
+//! [`Sentinel`](crate::sentinel::Sentinel) tick, then abandons the handle
+//! (its domain registration becomes ORPHANED, as for a crashed thread),
+//! runs [`LeaseRegistry::adopt_all`], re-registers a fresh handle and
+//! returns the slot to circulation. Nothing takes back a slot whose holder
+//! is still running, however slow: the paper's `threadId` is "unique and
+//! fixed", and only the holder writes a `LEASED` word. A leaked guard
+//! (`mem::forget`) therefore keeps its slot, exactly as a leaked domain
+//! [`Handle`] keeps its registration.
 //!
 //! # Example
 //!
@@ -78,7 +74,7 @@
 //! let node = lease.alloc_with(|v| *v = 7).unwrap();
 //! assert_eq!(*node, 7);
 //! drop(node);
-//! drop(lease); // slot flushed and returned hot
+//! drop(lease); // slot returned hot, magazine intact
 //!
 //! assert_eq!(pool.stats().issued, 1);
 //! assert_eq!(pool.stats().released, 1);
@@ -88,11 +84,10 @@
 
 use core::cell::UnsafeCell;
 use core::marker::PhantomData;
-use core::sync::atomic::{AtomicU64, Ordering};
+use core::sync::atomic::Ordering;
 use core::time::Duration;
 use std::sync::Mutex;
 use std::thread::Thread;
-use std::time::Instant;
 
 use wfrc_primitives::{AtomicWord, CachePadded};
 
@@ -106,15 +101,15 @@ use crate::scheme::Scheme;
 // Registry abstraction
 // ---------------------------------------------------------------------------
 
-/// What a [`LeasePool`] needs from a domain: registration, abandonment,
-/// orphan adoption, and magazine flushing. Implemented once, for
+/// What a [`LeasePool`] needs from a domain: registration, abandonment
+/// and orphan adoption. Implemented once, for
 /// [`Domain`] under any scheme, so the pool (and the E12 server bench) runs
 /// identically over both schemes.
 pub trait LeaseRegistry: Sync {
     /// The per-slot handle checked in and out of the pool. `Send` because
     /// the pool is shared: a slot's handle serves whichever thread checks
     /// the slot out next, and recovery abandons it from whichever thread
-    /// runs `expire_overdue` or the sentinel. Never `Sync` in practice
+    /// runs `recover_orphaned` or the sentinel. Never `Sync` in practice
     /// (one thread id, one user at a time).
     type Handle<'d>: Send
     where
@@ -131,14 +126,10 @@ pub trait LeaseRegistry: Sync {
     /// slot's resources (announcements, gifts, magazines).
     fn adopt_all(&self) -> AdoptReport;
 
-    /// Drains `handle`'s magazines (node pool and byte classes) back to
-    /// the shared structures.
-    fn flush_handle<'d>(&'d self, handle: &Self::Handle<'d>);
-
     /// `handle`'s registered thread id, for diagnostics.
     fn handle_tid(handle: &Self::Handle<'_>) -> usize;
 
-    /// Fires the [`LeaseExpire`](crate::fault::FaultSite::LeaseExpire)
+    /// Fires the [`LeaseCheckout`](crate::fault::FaultSite::LeaseCheckout)
     /// fault site on behalf of `handle`, if a plan is installed.
     #[cfg(feature = "fault-injection")]
     fn lease_fault<'d>(&'d self, handle: &Self::Handle<'d>);
@@ -162,10 +153,6 @@ impl<T: RcObject, S: Scheme> LeaseRegistry for Domain<T, S> {
         self.adopt_orphans()
     }
 
-    fn flush_handle<'d>(&'d self, handle: &Self::Handle<'d>) {
-        handle.flush_magazines();
-    }
-
     fn handle_tid(handle: &Self::Handle<'_>) -> usize {
         handle.tid()
     }
@@ -175,7 +162,7 @@ impl<T: RcObject, S: Scheme> LeaseRegistry for Domain<T, S> {
         use crate::scheme::Pool;
         self.pool().fault_hit(
             handle.counters(),
-            crate::fault::FaultSite::LeaseExpire,
+            crate::fault::FaultSite::LeaseCheckout,
             handle.tid(),
         );
     }
@@ -187,8 +174,8 @@ impl<T: RcObject, S: Scheme> LeaseRegistry for Domain<T, S> {
 
 /// Slot states, packed as `generation << STATE_BITS | state`. The
 /// generation bumps on every claim out of FREE (and on recovery), so a
-/// stale guard or expiry decision from a previous tenancy can never CAS a
-/// current one (the registration-slot ABA defense, one word).
+/// stale claim or recovery decision from a previous tenancy can never CAS
+/// a current one (the registration-slot ABA defense, one word).
 const STATE_BITS: u32 = 3;
 const STATE_MASK: usize = (1 << STATE_BITS) - 1;
 const FREE: usize = 0;
@@ -266,11 +253,6 @@ impl WaiterCell {
 
 struct LeaseSlot<H> {
     state: CachePadded<AtomicWord>,
-    /// Lease deadline in nanoseconds since the pool's epoch; 0 = none.
-    /// Zeroed by whoever takes the slot out of circulation (releaser,
-    /// recoverer), installed by the new leaseholder — so a slot observed
-    /// `LEASED` with deadline 0 is mid-checkout, never overdue.
-    deadline: AtomicU64,
     /// The registered handle parked in this slot. Accessed only by the
     /// slot's current exclusive owner: the guard holder (claimed LEASED),
     /// the recoverer (claimed RECOVERING), or pool construction/drop.
@@ -286,13 +268,6 @@ struct LeaseSlot<H> {
 pub struct LeaseConfig {
     /// Number of handles to pre-register (≤ the domain's free slots).
     pub slots: usize,
-    /// Lease time-to-live: a guard held past this is eligible for
-    /// [`LeasePool::expire_overdue`]. `None` (default) = leases never
-    /// expire; only panic-orphaned slots are recovered.
-    pub ttl: Option<Duration>,
-    /// Drain the handle's magazines on every guard drop (default off:
-    /// the slot returns *hot*, its magazine intact for the next tenant).
-    pub flush_on_release: bool,
 }
 
 /// Full scan passes [`LeasePool::try_acquire`] attempts before reporting
@@ -301,25 +276,9 @@ pub struct LeaseConfig {
 pub const SCAN_PASSES: usize = 2;
 
 impl LeaseConfig {
-    /// Defaults: no TTL, hot release.
+    /// A pool of `slots` leases.
     pub fn new(slots: usize) -> Self {
-        Self {
-            slots,
-            ttl: None,
-            flush_on_release: false,
-        }
-    }
-
-    /// Sets the lease time-to-live (see [`LeasePool::expire_overdue`]).
-    pub fn with_ttl(mut self, ttl: Duration) -> Self {
-        self.ttl = Some(ttl);
-        self
-    }
-
-    /// Sets whether guards drain their slot's magazines on drop.
-    pub fn with_flush_on_release(mut self, flush: bool) -> Self {
-        self.flush_on_release = flush;
-        self
+        Self { slots }
     }
 }
 
@@ -337,13 +296,10 @@ impl core::fmt::Display for PoolExhausted {
 
 impl std::error::Error for PoolExhausted {}
 
-/// What one [`LeasePool::expire_overdue`] pass did.
+/// What one [`LeasePool::recover_orphaned`] pass did.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct ExpireReport {
-    /// Overdue `LEASED` slots marked `ORPHANED` this pass.
-    pub expired: usize,
-    /// `ORPHANED` slots recovered back into circulation (includes slots
-    /// orphaned by panicking guard drops and by earlier passes).
+pub struct RecoverReport {
+    /// `ORPHANED` slots recovered back into circulation.
     pub recovered: usize,
     /// Recoveries that could not re-register a handle (slot left out of
     /// circulation; a later pass retries).
@@ -375,9 +331,6 @@ pub struct LeasePool<'d, R: LeaseRegistry> {
     /// then walks the cells.
     waiter_summary: CachePadded<AtomicWord>,
     stats: LeaseStats,
-    ttl_ns: u64,
-    flush_on_release: bool,
-    epoch: Instant,
 }
 
 // SAFETY: the only non-Sync ingredient is the `UnsafeCell<Option<Handle>>`
@@ -404,7 +357,6 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
             let handle = registry.try_register_handle()?;
             slots.push(LeaseSlot {
                 state: CachePadded::new(AtomicWord::new(pack(0, FREE))),
-                deadline: AtomicU64::new(0),
                 handle: UnsafeCell::new(Some(handle)),
             });
         }
@@ -417,9 +369,6 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
             waiters: (0..waiter_cells).map(|_| WaiterCell::new()).collect(),
             waiter_summary: CachePadded::new(AtomicWord::new(0)),
             stats: LeaseStats::new(),
-            ttl_ns: config.ttl.map_or(0, |d| d.as_nanos().max(1) as u64),
-            flush_on_release: config.flush_on_release,
-            epoch: Instant::now(),
         })
     }
 
@@ -445,20 +394,6 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
             .iter()
             .filter(|s| state_of(s.state.load_with(Ordering::Relaxed)) != FREE)
             .count()
-    }
-
-    #[inline]
-    fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    #[inline]
-    fn lease_deadline(&self) -> u64 {
-        if self.ttl_ns == 0 {
-            0
-        } else {
-            self.now_ns() + self.ttl_ns
-        }
     }
 
     // -- reservation ------------------------------------------------------
@@ -515,31 +450,21 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
         None
     }
 
-    /// Installs the deadline, fires the `LeaseExpire` site, and builds the
-    /// guard. An injected death here leaves the slot `LEASED` with a live
-    /// handle inside — recoverable only by [`LeasePool::expire_overdue`],
-    /// which is exactly the scenario the site exists to prove.
+    /// Builds the guard, then fires the `LeaseCheckout` site. An injected
+    /// death there unwinds through the guard's drop, which orphans the
+    /// slot for [`LeasePool::recover_orphaned`].
     fn finish_checkout(&self, idx: usize, word: usize) -> LeaseGuard<'_, 'd, R> {
         debug_assert_eq!(state_of(word), LEASED);
-        self.slots[idx]
-            .deadline
-            .store(self.lease_deadline(), Ordering::Release);
-        #[cfg(feature = "fault-injection")]
-        {
-            // SAFETY: we hold the LEASED claim on `idx`, so the handle
-            // cell is exclusively ours.
-            let handle = unsafe { (*self.slots[idx].handle.get()).as_ref() };
-            if let Some(h) = handle {
-                self.registry.lease_fault(h);
-            }
-        }
         LeaseStats::bump(&self.stats.issued);
-        LeaseGuard {
+        let guard = LeaseGuard {
             pool: self,
             idx,
             word,
             _not_sync: PhantomData,
-        }
+        };
+        #[cfg(feature = "fault-injection")]
+        self.registry.lease_fault(&guard);
+        guard
     }
 
     /// Bounded claim: reserve, then at most [`SCAN_PASSES`] rotor passes.
@@ -706,48 +631,29 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
 
     // -- release ----------------------------------------------------------
 
-    /// Full guard-drop path: optional flush, retire the deadline, free the
-    /// slot, recirculate (handoff-aware).
+    /// Guard-drop path: free the slot, recirculate (handoff-aware).
     fn release_slot(&self, idx: usize, word: usize) {
-        let slot = &self.slots[idx];
-        if self.flush_on_release {
-            // SAFETY: we still hold the LEASED claim; the cell is ours.
-            if let Some(h) = unsafe { (*slot.handle.get()).as_ref() } {
-                self.registry.flush_handle(h);
-                LeaseStats::bump(&self.stats.flushes);
-            }
-        }
-        // Whoever takes a slot out of circulation zeroes its deadline; a
-        // FREE slot is never overdue and the next tenant installs its own.
-        slot.deadline.store(0, Ordering::Release);
-        let freed = pack(gen_of(word), FREE);
-        // Release publishes this tenancy's handle state to the claimant's
-        // Acquire. Failure means expiry already took the slot (the holder
-        // overran its TTL): ownership has passed to the recovery path.
-        if !slot
-            .state
-            .cas_with(word, freed, Ordering::Release, Ordering::Relaxed)
-        {
-            return;
-        }
+        self.free_owned(idx, word);
         LeaseStats::bump(&self.stats.released);
-        self.recirculate(idx, freed);
+        self.recirculate(idx, pack(gen_of(word), FREE));
     }
 
     /// Releases a slot the caller owns but never issued as a guard (a
-    /// cancelled handoff). No flush — the slot saw no use.
+    /// cancelled handoff).
     fn release_unissued(&self, idx: usize) {
-        let slot = &self.slots[idx];
-        slot.deadline.store(0, Ordering::Release);
-        let word = slot.state.load_with(Ordering::Acquire);
+        let word = self.slots[idx].state.load_with(Ordering::Acquire);
+        self.free_owned(idx, word);
+        self.recirculate(idx, pack(gen_of(word), FREE));
+    }
+
+    /// `LEASED(g) → FREE(g)` by the slot's holder. Only the holder writes
+    /// a `LEASED` word, so a plain store suffices; Release publishes this
+    /// tenancy's handle state to the next claimant's Acquire.
+    fn free_owned(&self, idx: usize, word: usize) {
+        let state = &self.slots[idx].state;
+        debug_assert_eq!(state.load_with(Ordering::Relaxed), word);
         debug_assert_eq!(state_of(word), LEASED);
-        let freed = pack(gen_of(word), FREE);
-        if slot
-            .state
-            .cas_with(word, freed, Ordering::Release, Ordering::Relaxed)
-        {
-            self.recirculate(idx, freed);
-        }
+        state.store_with(pack(gen_of(word), FREE), Ordering::Release);
     }
 
     /// Puts a freshly FREE slot back in circulation: hand it to an
@@ -765,9 +671,8 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
                     return;
                 }
                 // Every summary bit went stale under us: undo the
-                // take-back (we own the LEASED word and its deadline is 0,
-                // so a plain store is safe) and fall through to the
-                // semaphore.
+                // take-back (we own the LEASED word, so a plain store is
+                // safe) and fall through to the semaphore.
                 self.slots[idx]
                     .state
                     .store_with(pack(gen_of(retaken), FREE), Ordering::Release);
@@ -823,9 +728,8 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
             {
                 self.waiter_summary
                     .fetch_and_with(!(1 << bit), Ordering::SeqCst);
-                // The waiter installs its own deadline in
-                // `finish_checkout`. Take the parker while CLAIMED makes
-                // the cell ours, then publish the slot index and wake.
+                // Take the parker while CLAIMED makes the cell ours, then
+                // publish the slot index and wake.
                 let parker = cell.take_parker();
                 cell.state.store_with(handed_word(idx), Ordering::Release);
                 if let Some(thread) = parker {
@@ -838,72 +742,31 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
         false
     }
 
-    // -- expiry and recovery ---------------------------------------------
+    // -- recovery ---------------------------------------------------------
 
-    /// Expires overdue leases and recovers every orphaned slot.
+    /// Recovers every orphaned slot: claim it (`ORPHANED → RECOVERING`),
+    /// abandon its handle to the domain, run [`LeaseRegistry::adopt_all`],
+    /// re-register a fresh handle, and recirculate the slot.
     ///
-    /// Pass 1 CASes each `LEASED` slot whose deadline has passed to
-    /// `ORPHANED` (generation-checked, so a slot released and re-leased
-    /// since the deadline read is untouched). Pass 2 claims each
-    /// `ORPHANED` slot (`→ RECOVERING`), abandons its handle to the
-    /// domain, runs [`LeaseRegistry::adopt_all`], re-registers a fresh
-    /// handle, and recirculates the slot.
-    ///
-    /// **Contract:** only call this when overdue holders are known dead
-    /// (perished tasks, panicked threads, injected deaths). The deadline
-    /// is the holder's promise to be gone; see the module docs.
-    /// Safe under concurrent callers: each pass claims its slot with a
-    /// generation-checked CAS, so callers racing each other (or a sentinel
-    /// tick) partition the work — a slot is expired and recovered exactly
-    /// once per tenancy, and losers simply move on.
-    pub fn expire_overdue(&self) -> ExpireReport {
-        let mut report = ExpireReport::default();
-        let now = self.now_ns();
-        for idx in 0..self.slots.len() {
-            if self.try_expire_slot(idx, now) {
-                report.expired += 1;
-            }
-        }
+    /// Only a guard dropped while unwinding orphans a slot, so this never
+    /// touches a live holder. Safe under concurrent callers (and sentinel
+    /// ticks): each claim is a generation-checked CAS, so a slot is
+    /// recovered exactly once per orphaning and losers move on.
+    pub fn recover_orphaned(&self) -> RecoverReport {
+        let mut report = RecoverReport::default();
         for idx in 0..self.slots.len() {
             self.try_recover_slot(idx, &mut report);
         }
         report
     }
 
-    /// Pass-1 step for one slot: `LEASED` past its deadline → `ORPHANED`.
-    /// Generation-checked, so a slot released and re-leased since the
-    /// deadline read is untouched; idempotent and safe under concurrent
-    /// callers (exactly one wins the CAS per tenancy).
-    fn try_expire_slot(&self, idx: usize, now: u64) -> bool {
-        let slot = &self.slots[idx];
-        let word = slot.state.load_with(Ordering::Acquire);
-        if state_of(word) != LEASED {
-            return false;
-        }
-        let deadline = slot.deadline.load(Ordering::Acquire);
-        if deadline == 0 || now < deadline {
-            return false;
-        }
-        // AcqRel: acquire the corpse's writes, release the ORPHANED
-        // mark to the recovery claim below (possibly another thread's).
-        if slot.state.cas_with(
-            word,
-            pack(gen_of(word), ORPHANED),
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        ) {
-            LeaseStats::bump(&self.stats.expired);
-            return true;
-        }
-        false
-    }
-
-    /// Pass-2 step for one slot: claim `ORPHANED → RECOVERING`, abandon
+    /// One slot of [`LeasePool::recover_orphaned`]: claim `ORPHANED →
+    /// RECOVERING`, abandon
     /// the corpse's handle, adopt, re-register, recirculate. The claim CAS
     /// makes this safe and idempotent under arbitrary concurrency — one
     /// recoverer per orphaning wins; everyone else no-ops. Returns true if
     /// this call recovered the slot.
-    fn try_recover_slot(&self, idx: usize, report: &mut ExpireReport) -> bool {
+    fn try_recover_slot(&self, idx: usize, report: &mut RecoverReport) -> bool {
         let slot = &self.slots[idx];
         let word = slot.state.load_with(Ordering::Acquire);
         if state_of(word) != ORPHANED {
@@ -917,9 +780,8 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
         ) {
             return false;
         }
-        slot.deadline.store(0, Ordering::Release);
         // SAFETY: the RECOVERING claim makes us the slot's exclusive
-        // owner; the previous holder is dead by the expiry contract.
+        // owner; the previous holder's guard unwound (only that orphans).
         let corpse = unsafe { (*slot.handle.get()).take() };
         if let Some(handle) = corpse {
             self.registry.abandon_handle(handle);
@@ -952,32 +814,18 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
 
 /// The pool's lease slots under supervision (see [`crate::sentinel`]).
 ///
-/// * **Obligated**: the slot is `ORPHANED` (a panicked guard drop or an
-///   earlier expiry pass), or `LEASED` with its TTL deadline already in the
-///   past.
+/// * **Obligated**: the slot is `ORPHANED` (a guard dropped while
+///   unwinding).
 /// * **Fingerprint**: the `generation << 3 | state` slot word — it changes
-///   on every checkout, release, handoff, and recovery, so a healthy slot
-///   can never look stale across a full tenancy.
-/// * **Help**: recover already-`ORPHANED` slots (always safe).
-/// * **Declare dead**: additionally expire an overdue `LEASED` slot first —
-///   still within the PR 7 contract (the deadline is the holder's promise
-///   to be gone); the sentinel's `dead_after` examinations only add margin
-///   on top of the TTL.
+///   on every checkout, release, handoff, and recovery.
+/// * **Help**: recover the orphaned slot.
 impl<'d, R: LeaseRegistry> crate::sentinel::Supervised for LeasePool<'d, R> {
     fn watch_slots(&self) -> usize {
         self.slots.len()
     }
 
     fn obligated(&self, slot: usize) -> bool {
-        let word = self.slots[slot].state.load_with(Ordering::Acquire);
-        match state_of(word) {
-            ORPHANED => true,
-            LEASED => {
-                let deadline = self.slots[slot].deadline.load(Ordering::Acquire);
-                deadline != 0 && self.now_ns() >= deadline
-            }
-            _ => false,
-        }
+        state_of(self.slots[slot].state.load_with(Ordering::Acquire)) == ORPHANED
     }
 
     fn fingerprint(&self, slot: usize) -> u64 {
@@ -985,15 +833,7 @@ impl<'d, R: LeaseRegistry> crate::sentinel::Supervised for LeasePool<'d, R> {
     }
 
     fn help(&self, slot: usize) -> bool {
-        let mut report = ExpireReport::default();
-        self.try_recover_slot(slot, &mut report)
-    }
-
-    fn declare_dead(&self, slot: usize) -> bool {
-        let now = self.now_ns();
-        let _ = self.try_expire_slot(slot, now);
-        let mut report = ExpireReport::default();
-        self.try_recover_slot(slot, &mut report)
+        self.try_recover_slot(slot, &mut RecoverReport::default())
     }
 }
 
@@ -1035,9 +875,9 @@ impl<'d, R: LeaseRegistry> core::fmt::Debug for LeasePool<'d, R> {
 // ---------------------------------------------------------------------------
 
 /// An RAII lease on one pooled handle: derefs to the handle, returns the
-/// slot (hot, or flushed under [`LeaseConfig::with_flush_on_release`]) on
-/// drop. Dropped during a panic it marks the slot ORPHANED instead, so
-/// [`LeasePool::expire_overdue`] recovers it like a crashed thread.
+/// slot hot (its magazines intact) on drop. Dropped during a panic it marks
+/// the slot ORPHANED instead, so [`LeasePool::recover_orphaned`] recovers
+/// it like a crashed thread.
 ///
 /// `Send` (the holder may move it to another thread; the thread id goes
 /// with it) but not `Sync` — one thread id, one user at a time, the
@@ -1080,16 +920,13 @@ impl<'p, 'd, R: LeaseRegistry> Drop for LeaseGuard<'p, 'd, R> {
         if std::thread::panicking() {
             // The holder is dying mid-operation: the handle may hold
             // un-retracted announcements or magazine state only adoption
-            // can account for. Strand the slot for `expire_overdue`.
-            let orphaned = pack(gen_of(self.word), ORPHANED);
-            if self.pool.slots[self.idx].state.cas_with(
-                self.word,
-                orphaned,
-                Ordering::Release,
-                Ordering::Relaxed,
-            ) {
-                LeaseStats::bump(&self.pool.stats.panic_orphans);
-            }
+            // can account for. Strand the slot for `recover_orphaned`.
+            // Only the holder writes a LEASED word, so a store suffices;
+            // Release hands the corpse's writes to the recoverer's claim.
+            let state = &self.pool.slots[self.idx].state;
+            debug_assert_eq!(state.load_with(Ordering::Relaxed), self.word);
+            state.store_with(pack(gen_of(self.word), ORPHANED), Ordering::Release);
+            LeaseStats::bump(&self.pool.stats.panic_orphans);
             return;
         }
         self.pool.release_slot(self.idx, self.word);
@@ -1164,39 +1001,21 @@ mod tests {
         assert!(d.leak_check().is_clean());
     }
 
-    #[test]
-    fn flush_on_release_drains_the_magazine() {
-        let d = domain(2, 64);
-        let cfg = LeaseConfig::new(1).with_flush_on_release(true);
-        let pool = LeasePool::new(&d, cfg).unwrap();
-        let lease = pool.acquire();
-        drop(lease.alloc_with(|v| *v = 1).unwrap());
-        assert_eq!(lease.magazine_len(), 2);
-        drop(lease);
-        let again = pool.acquire();
-        assert_eq!(again.magazine_len(), 0);
-        drop(again);
-        assert_eq!(pool.stats().flushes, 2);
-    }
-
+    /// Nothing expires a lease: a leaked guard keeps its slot (as a leaked
+    /// `Handle` keeps its registration) until the pool is dropped, whose
+    /// teardown abandons and adopts it.
     #[test]
     fn forgotten_guard_is_recovered_by_expiry() {
         let d = domain(2, 64);
-        let cfg = LeaseConfig::new(1).with_ttl(Duration::from_millis(1));
-        let pool = LeasePool::new(&d, cfg).unwrap();
+        let pool = LeasePool::new(&d, LeaseConfig::new(1)).unwrap();
         let lease = pool.acquire();
         drop(lease.alloc_with(|v| *v = 5).unwrap());
-        core::mem::forget(lease); // the task "dies" holding the lease
+        let word = pool.slots[lease.slot()].state.load_with(Ordering::Relaxed);
+        core::mem::forget(lease);
+        assert_eq!(pool.recover_orphaned().recovered, 0);
         assert!(pool.try_acquire().is_err());
-        std::thread::sleep(Duration::from_millis(5));
-        let report = pool.expire_overdue();
-        assert_eq!(report.expired, 1);
-        assert_eq!(report.recovered, 1);
-        assert_eq!(report.adopt.orphans_adopted, 1);
-        // The slot is live again with a fresh handle.
-        let lease = pool.acquire();
-        drop(lease.alloc_with(|v| *v = 6).unwrap());
-        drop(lease);
+        assert_eq!(pool.slots[0].state.load_with(Ordering::Relaxed), word);
+        assert_eq!(pool.stats().recovered, 0);
         drop(pool);
         assert!(d.leak_check().is_clean());
     }
@@ -1204,13 +1023,13 @@ mod tests {
     #[test]
     fn expiry_leaves_current_tenants_alone() {
         let d = domain(4, 64);
-        let cfg = LeaseConfig::new(2).with_ttl(Duration::from_secs(3600));
-        let pool = LeasePool::new(&d, cfg).unwrap();
+        let pool = LeasePool::new(&d, LeaseConfig::new(2)).unwrap();
         let held = pool.acquire();
-        let report = pool.expire_overdue();
-        assert_eq!(report.expired, 0);
+        let report = pool.recover_orphaned();
         assert_eq!(report.recovered, 0);
+        assert_eq!(report.adopt.orphans_adopted, 0);
         drop(held);
+        assert_eq!(pool.stats().released, 1);
     }
 
     #[test]

@@ -114,9 +114,9 @@ pub use link::{AtomicWeak, Link};
 pub use magazine::Magazines;
 pub use node::{Claim, Node, RcObject};
 pub use oom::OutOfMemory;
-pub use reclaim::{ReclaimOutcome, ReclaimPolicy, SnapStats};
+pub use reclaim::{ReclaimOutcome, SnapStats};
 pub use scheme::{Scheme, Wf};
-pub use sentinel::{Sentinel, SentinelConfig, Stage, Supervised};
+pub use sentinel::{Sentinel, Stage, Supervised};
 
 /// Hard upper bound on threads per domain.
 ///

@@ -260,28 +260,15 @@ impl SnapStats {
     }
 }
 
-/// Tuning knobs for [`crate::ThreadHandle::reclaim`], configured via
-/// [`crate::DomainConfig::with_reclaim`].
-#[derive(Debug, Clone, Copy)]
-pub struct ReclaimPolicy {
-    /// Bounded spin budget per registered slot when waiting for an
-    /// in-flight operation's epoch to advance. A thread stalled inside an
-    /// operation past this budget aborts the retire (it can be retried).
-    pub grace_spins: usize,
-    /// Sweep passes over the stripes/gift cells before concluding that
-    /// some of the candidate's nodes are unreachable (in use or in a
-    /// magazine) and aborting.
-    pub sweep_passes: usize,
-}
+/// Bounded spin budget per registered slot when a retire waits for an
+/// in-flight operation's epoch to advance. A thread stalled inside an
+/// operation past this budget aborts the retire (it can be retried).
+const GRACE_SPINS: usize = 10_000;
 
-impl Default for ReclaimPolicy {
-    fn default() -> Self {
-        Self {
-            grace_spins: 10_000,
-            sweep_passes: 8,
-        }
-    }
-}
+/// Sweep passes over the stripes/gift cells before a retire concludes that
+/// some of the candidate's nodes are unreachable (in use or in a magazine)
+/// and aborts.
+const SWEEP_PASSES: usize = 8;
 
 /// Outcome of one [`crate::ThreadHandle::reclaim`] attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -333,13 +320,12 @@ pub(crate) struct ReclaimCtl<T> {
     pins: Box<[PinCell]>,
     /// Per-slot deferred-decrement lists (indexed by the releasing slot).
     deferred: Box<[DeferredSlot<T>]>,
-    policy: ReclaimPolicy,
 }
 
 type PinCell = wfrc_primitives::CachePadded<wfrc_primitives::AtomicWord>;
 
 impl<T> ReclaimCtl<T> {
-    pub(crate) fn new(n: usize, policy: ReclaimPolicy) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             draining: AtomicUsize::new(0),
             draining_by: AtomicUsize::new(0),
@@ -352,7 +338,6 @@ impl<T> ReclaimCtl<T> {
                 .map(|_| wfrc_primitives::CachePadded::new(wfrc_primitives::AtomicWord::new(0)))
                 .collect(),
             deferred: (0..n).map(|_| DeferredSlot::new(n)).collect(),
-            policy,
         }
     }
 
@@ -443,10 +428,6 @@ impl<T> ReclaimCtl<T> {
                 }
             }
         }
-    }
-
-    pub(crate) fn policy(&self) -> &ReclaimPolicy {
-        &self.policy
     }
 
     /// Nodes currently on the parking chain (approximate while racing).
@@ -849,7 +830,6 @@ impl<T: RcObject> Shared<T> {
     /// the spin budget. Returns false on timeout (a stalled in-flight
     /// operation — e.g. a parked thread mid-dereference).
     fn grace_period(&self, is_taken: impl Fn(usize) -> bool) -> bool {
-        let spins = self.reclaim.policy().grace_spins;
         for t in 0..self.n {
             if !is_taken(t) {
                 // FREE slots have no thread; ORPHANED slots are corpses —
@@ -869,7 +849,7 @@ impl<T: RcObject> Shared<T> {
                 return false;
             }
             let mut ok = false;
-            for i in 0..spins {
+            for i in 0..GRACE_SPINS {
                 if self.reclaim.epoch(t).read() != e0 {
                     ok = true;
                     break;
@@ -955,7 +935,7 @@ pub(crate) fn try_reclaim<T: RcObject>(
     s.fault_hit(c, crate::fault::FaultSite::SegmentRetire, tid);
     // Physically collect every node of the candidate.
     let mut collected = 0;
-    for pass in 0..s.reclaim.policy().sweep_passes {
+    for pass in 0..SWEEP_PASSES {
         collected = s.sweep_pass(tid, c, slot);
         if collected >= len {
             break;

@@ -27,7 +27,7 @@ use crate::link::Link;
 use crate::magazine::Magazines;
 use crate::node::{Node, RcObject};
 use crate::oom::OutOfMemory;
-use crate::reclaim::{ReclaimOutcome, ReclaimPolicy};
+use crate::reclaim::ReclaimOutcome;
 
 /// A reference-counting scheme: the pool type it manages each payload with.
 pub trait Scheme: Send + Sync + Sized + 'static {
@@ -112,14 +112,7 @@ pub unsafe trait Pool<T: RcObject>: Send + Sync + Sized {
     /// Wraps `arena`, putting every node on the free structure. `threads`
     /// is the domain's `NR_THREADS`; `magazine` the requested per-thread
     /// magazine capacity (clamped by [`crate::magazine::clamped_cap`]).
-    /// `oom_bound` and `reclaim` tune mechanisms a scheme may not have.
-    fn new(
-        arena: Arena<T>,
-        threads: usize,
-        magazine: usize,
-        oom_bound: Option<usize>,
-        reclaim: ReclaimPolicy,
-    ) -> Self;
+    fn new(arena: Arena<T>, threads: usize, magazine: usize) -> Self;
 
     /// The pool's node storage.
     fn arena(&self) -> &Arena<T>;

@@ -1,40 +1,31 @@
 //! Autonomous stall detection and self-healing recovery.
 //!
-//! The crash story so far (orphaned registration slots, lease expiry,
-//! segment-retire reopening) is *mechanism*: every recovery primitive is
-//! safe and idempotent, but something still has to call it at the right
-//! moment. This module adds the *policy*: a [`Sentinel`] watches a
-//! [`Supervised`] target — the domain's registration slots, or a lease
-//! pool's slot words — and walks each slot up an escalation ladder:
+//! Every recovery primitive (orphan adoption, orphaned-lease recovery,
+//! segment-retire reopening) is safe and idempotent, but something still
+//! has to call it. A [`Sentinel`] watches a [`Supervised`] target — the
+//! domain's registration slots, or a lease pool's slot words — and walks
+//! each slot up a two-rung ladder:
 //!
 //! ```text
-//!            fingerprint advanced, or obligation discharged
-//!       ┌───────────────────────────────────────────────────────┐
-//!       ▼                                                       │
-//!     IDLE ──obligated──▶ OBSERVE ──stale──▶ HELP ──stale──▶ SUSPECT ──K──▶ DEAD
-//!                                    (run the helper          (decorrelated-   (forcible
-//!                                     on its behalf)           jitter probes)   recovery)
+//!          fingerprint advanced, or obligation discharged
+//!       ┌──────────────────────────────────────────────┐
+//!       ▼                                              │
+//!     IDLE ──obligated──▶ OBSERVE ──stale × HELP_AFTER──▶ HELP
+//!                                                   (run the helper
+//!                                                    on its behalf)
 //! ```
 //!
-//! * **Detection** is a per-slot progress *fingerprint* — the PR 5
-//!   operation epoch, the registration-slot state, and whether an
-//!   announcement is live for a domain; the `generation << 3 | state`
-//!   word for a lease slot. A slot whose fingerprint has not advanced for
-//!   `help_after` consecutive examinations *while it holds obligations*
-//!   (an orphaned slot, a live announcement, an overdue lease, a DRAINING
-//!   claim) escalates.
-//! * **Help** runs the target's existing idempotent helper on the slot's
-//!   behalf (orphan adoption, orphaned-lease recovery) — exactly what a
-//!   courteous peer thread would do, just scheduled.
-//! * **Suspect** spaces further probes with decorrelated jitter
-//!   ([`wfrc_primitives::DecorrelatedJitter`]) so a fleet of sentinels
-//!   never thunders on one stalled slot.
-//! * **Dead** is only declared after `dead_after` stale examinations, and
-//!   [`Supervised::declare_dead`] is *still* conservative: for a domain it
-//!   only adopts `ORPHANED` slots (a live registration is never seized —
-//!   a merely-slow thread survives by construction); for a lease pool it
-//!   only expires slots whose TTL deadline has already passed (the PR 7
-//!   expiry contract).
+//! * **Detection** is a per-slot progress *fingerprint* — the operation
+//!   epoch, the registration-slot state, and whether an announcement is
+//!   live for a domain; the `generation << 3 | state` word for a lease
+//!   slot. A slot whose fingerprint has not advanced for [`HELP_AFTER`]
+//!   consecutive examinations *while it holds obligations* (an orphaned
+//!   slot, a live announcement, a DRAINING claim) escalates.
+//! * **Help** runs the target's idempotent helper on the slot's behalf —
+//!   exactly what a courteous peer thread would do, just scheduled. The
+//!   helpers only touch `ORPHANED` slots, so a live registration or lease
+//!   is never seized: a merely-slow thread survives by construction, and
+//!   the paper's `threadId` stays "unique and fixed".
 //!
 //! Every [`Sentinel::tick`] does O([`SLOTS_PER_TICK`])
 //! work via a rotor cursor: any thread can donate a tick without breaking
@@ -44,18 +35,18 @@
 //! # Example
 //!
 //! ```
-//! use wfrc_core::sentinel::{Sentinel, SentinelConfig, Stage};
+//! use wfrc_core::sentinel::{Sentinel, Stage};
 //! use wfrc_core::{DomainConfig, WfrcDomain};
 //!
 //! let domain = WfrcDomain::<u64>::new(DomainConfig::new(2, 16));
-//! let sentinel = Sentinel::new(&domain, SentinelConfig::default());
+//! let sentinel = Sentinel::new(&domain);
 //!
 //! // A healthy domain: ticks are cheap no-ops.
 //! for _ in 0..4 {
 //!     sentinel.tick();
 //! }
 //! assert_eq!(sentinel.stats().ticks, 4);
-//! assert_eq!(sentinel.stats().declared_dead, 0);
+//! assert_eq!(sentinel.stats().helps, 0);
 //! assert_eq!(sentinel.stage(0), Stage::Idle);
 //!
 //! // A handle abandoned mid-flight (a "crash") is found and adopted by
@@ -69,10 +60,9 @@
 //! assert!(sentinel.stats().helps >= 1);
 //! ```
 
-use core::cell::UnsafeCell;
 use core::sync::atomic::{AtomicU64, Ordering};
 
-use wfrc_primitives::{AtomicWord, CachePadded, DecorrelatedJitter};
+use wfrc_primitives::{AtomicWord, CachePadded};
 
 use crate::counters::{SentinelSnapshot, SentinelStats};
 use crate::domain::{Domain, SLOT_ORPHANED, SLOT_TAKEN};
@@ -85,20 +75,19 @@ use crate::scheme::Scheme;
 
 /// What a [`Sentinel`] needs from a supervised structure: a fixed set of
 /// watch slots, each with an *obligation* predicate, a progress
-/// *fingerprint*, an idempotent *helper*, and a conservative forcible
-/// recovery.
+/// *fingerprint*, and an idempotent *helper*.
 ///
 /// Implementations must make every method safe under arbitrary concurrency
 /// (the sentinel may run from any thread, racing the slot's owner and other
-/// sentinels), and [`Supervised::help`] / [`Supervised::declare_dead`] must
-/// be idempotent — the ladder retries them freely.
+/// sentinels), and [`Supervised::help`] must be idempotent and must never
+/// seize a slot that still has a live owner — the ladder retries it freely.
 pub trait Supervised: Sync {
     /// Number of watch slots (fixed for the structure's lifetime).
     fn watch_slots(&self) -> usize;
 
     /// True when `slot` currently holds an obligation worth chasing: a
-    /// corpse awaiting adoption, a live announcement, an overdue lease, a
-    /// half-finished retire. Un-obligated slots are never escalated.
+    /// corpse awaiting adoption, a live announcement, a half-finished
+    /// retire. Un-obligated slots are never escalated.
     fn obligated(&self, slot: usize) -> bool;
 
     /// A word that provably changes whenever `slot` makes progress
@@ -111,11 +100,6 @@ pub trait Supervised: Sync {
     /// (e.g. orphan adoption). Returns true if recovery work was done —
     /// the sentinel then resets the slot's ladder.
     fn help(&self, slot: usize) -> bool;
-
-    /// Forcible recovery after `dead_after` stale examinations. Must stay
-    /// conservative: return false (and do nothing) if the slot might still
-    /// have a live owner. Returns true if the slot was reclaimed.
-    fn declare_dead(&self, slot: usize) -> bool;
 }
 
 /// The domain's registration slots under supervision, whatever the scheme.
@@ -126,10 +110,10 @@ pub trait Supervised: Sync {
 ///   live announcement, an open operation or a segment-retire claim; under
 ///   a scheme whose slots can hold nothing, never).
 /// * **Fingerprint**: slot state ⊕ the pools' folded heartbeat.
-/// * **Help / declare dead**: [`Domain::adopt_orphans`] — idempotent, and
-///   it only ever touches `ORPHANED` slots, so a merely-slow (parked,
-///   stalled) thread whose slot is still `TAKEN` is never seized no matter
-///   how many ticks pass.
+/// * **Help**: [`Domain::adopt_orphans`] — idempotent, and it only ever
+///   touches `ORPHANED` slots, so a merely-slow (parked, stalled) thread
+///   whose slot is still `TAKEN` is never seized no matter how many ticks
+///   pass. Death always orphans the slot on the unwind path.
 impl<T: RcObject, S: Scheme> Supervised for Domain<T, S> {
     fn watch_slots(&self) -> usize {
         self.max_threads()
@@ -158,14 +142,6 @@ impl<T: RcObject, S: Scheme> Supervised for Domain<T, S> {
         }
         self.adopt_orphans().orphans_adopted > 0
     }
-
-    fn declare_dead(&self, slot: usize) -> bool {
-        // Adoption is already the strongest safe action: a TAKEN slot has a
-        // live owner by definition (death in this codebase always orphans
-        // the slot on the unwind path), so there is nothing more forcible
-        // to do that would not seize a live thread's id.
-        self.help(slot)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -179,22 +155,14 @@ pub enum Stage {
     Idle,
     /// Obligated; fingerprint advanced recently.
     Observe,
-    /// Stale past [`SentinelConfig::help_after`]; the helper has been run
-    /// on the slot's behalf.
+    /// Stale for [`HELP_AFTER`] examinations; the helper runs on the
+    /// slot's behalf at every further examination.
     Help,
-    /// Stale past [`SentinelConfig::suspect_after`]; probes are spaced
-    /// with decorrelated jitter.
-    Suspect,
-    /// Stale past [`SentinelConfig::dead_after`]; forcible recovery has
-    /// been attempted at least once.
-    Dead,
 }
 
 const STAGE_IDLE: usize = 0;
 const STAGE_OBSERVE: usize = 1;
 const STAGE_HELP: usize = 2;
-const STAGE_SUSPECT: usize = 3;
-const STAGE_DEAD: usize = 4;
 
 /// Initial fingerprint sentinel: never produced by the mixers above in
 /// practice; a collision merely costs one extra examination.
@@ -209,26 +177,15 @@ struct Watch {
     /// Consecutive stale examinations.
     stale: AtomicWord,
     stage: AtomicWord,
-    /// Earliest tick number at which a SUSPECT slot is examined again.
-    next_probe: AtomicU64,
-    /// Jitter schedule for SUSPECT probes. Accessed only under the `busy`
-    /// claim (see the `Sync` impl).
-    jitter: UnsafeCell<DecorrelatedJitter>,
 }
 
 impl Watch {
-    fn new(config: &SentinelConfig, slot: usize) -> Self {
+    fn new() -> Self {
         Self {
             busy: CachePadded::new(AtomicWord::new(0)),
             fp: AtomicU64::new(FP_UNSET),
             stale: AtomicWord::new(0),
             stage: AtomicWord::new(STAGE_IDLE),
-            next_probe: AtomicU64::new(0),
-            jitter: UnsafeCell::new(DecorrelatedJitter::new(
-                PROBE_BASE,
-                PROBE_CAP,
-                config.seed ^ (slot as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F),
-            )),
         }
     }
 
@@ -238,66 +195,17 @@ impl Watch {
         self.fp.store(FP_UNSET, Ordering::Relaxed);
         self.stale.store_with(0, Ordering::Relaxed);
         self.stage.store_with(STAGE_IDLE, Ordering::Relaxed);
-        self.next_probe.store(0, Ordering::Relaxed);
     }
 }
-
-// ---------------------------------------------------------------------------
-// Configuration
-// ---------------------------------------------------------------------------
 
 /// Watch slots examined per [`Sentinel::tick`] (the per-tick work bound; at
 /// most the target's slot count).
 pub const SLOTS_PER_TICK: usize = 8;
-/// Shortest and longest SUSPECT probe spacing, in ticks.
-const PROBE_BASE: u64 = 1;
-const PROBE_CAP: u64 = 8;
 
-/// Tuning for a [`Sentinel`]. The thresholds are in *examinations of the
-/// slot* (one per [`Sentinel::tick`] that reaches it via the rotor), so a
-/// slower tick cadence stretches every stage proportionally.
-#[derive(Debug, Clone)]
-#[must_use = "a config does nothing until passed to Sentinel::new"]
-pub struct SentinelConfig {
-    /// Stale examinations before the HELP stage runs the target's helper.
-    pub help_after: u32,
-    /// Stale examinations before SUSPECT (jitter-spaced probing).
-    pub suspect_after: u32,
-    /// Stale examinations before a DEAD declaration — the "K ticks" bound:
-    /// a merely-slow slot is never declared dead before this many stale
-    /// examinations.
-    pub dead_after: u32,
-    /// Seed for the per-slot jitter streams (deterministic schedules).
-    pub seed: u64,
-}
-
-impl Default for SentinelConfig {
-    fn default() -> Self {
-        Self {
-            help_after: 2,
-            suspect_after: 4,
-            dead_after: 8,
-            seed: 0x5EA1_7135,
-        }
-    }
-}
-
-impl SentinelConfig {
-    /// Sets the escalation thresholds (`help ≤ suspect ≤ dead` is
-    /// enforced by raising the later ones).
-    pub fn with_ladder(mut self, help_after: u32, suspect_after: u32, dead_after: u32) -> Self {
-        self.help_after = help_after.max(1);
-        self.suspect_after = suspect_after.max(self.help_after);
-        self.dead_after = dead_after.max(self.suspect_after);
-        self
-    }
-
-    /// Sets the jitter seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
+/// Stale examinations of an obligated slot before the HELP rung runs the
+/// target's helper. An examination is one [`Sentinel::tick`] that reaches
+/// the slot through the rotor, so a slower tick cadence stretches it.
+pub const HELP_AFTER: usize = 2;
 
 // ---------------------------------------------------------------------------
 // The sentinel
@@ -317,30 +225,16 @@ pub struct Sentinel<'t, S: Supervised + ?Sized> {
     /// Rotor cursor: ticks spread their examination budget around the slot
     /// array instead of re-examining slot 0 forever.
     rotor: CachePadded<AtomicWord>,
-    /// Monotonic tick clock (the unit of `next_probe`).
-    clock: AtomicU64,
-    config: SentinelConfig,
     stats: SentinelStats,
 }
-
-// SAFETY: all shared state is atomics except each watch's `jitter`
-// UnsafeCell, which is only ever accessed by the ticker holding that
-// watch's `busy` claim (CAS 0 → 1, released with a store) — one exclusive
-// owner at a time. The target reference is `Sync` by trait bound.
-unsafe impl<'t, S: Supervised + ?Sized> Sync for Sentinel<'t, S> {}
-// SAFETY: same argument; nothing is thread-affine.
-unsafe impl<'t, S: Supervised + ?Sized> Send for Sentinel<'t, S> {}
 
 impl<'t, S: Supervised + ?Sized> Sentinel<'t, S> {
     /// Builds a sentinel over `target` with one watch per
     /// [`Supervised::watch_slots`] slot.
-    pub fn new(target: &'t S, config: SentinelConfig) -> Self {
-        let n = target.watch_slots();
+    pub fn new(target: &'t S) -> Self {
         Self {
-            watches: (0..n).map(|i| Watch::new(&config, i)).collect(),
+            watches: (0..target.watch_slots()).map(|_| Watch::new()).collect(),
             rotor: CachePadded::new(AtomicWord::new(0)),
-            clock: AtomicU64::new(0),
-            config,
             target,
             stats: SentinelStats::new(),
         }
@@ -366,9 +260,7 @@ impl<'t, S: Supervised + ?Sized> Sentinel<'t, S> {
         match self.watches[slot].stage.load_with(Ordering::Relaxed) {
             STAGE_IDLE => Stage::Idle,
             STAGE_OBSERVE => Stage::Observe,
-            STAGE_HELP => Stage::Help,
-            STAGE_SUSPECT => Stage::Suspect,
-            _ => Stage::Dead,
+            _ => Stage::Help,
         }
     }
 
@@ -378,7 +270,6 @@ impl<'t, S: Supervised + ?Sized> Sentinel<'t, S> {
     /// the escalation ladder. O(bounded); never blocks; reentrant.
     pub fn tick(&self) {
         let n = self.watches.len();
-        let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         SentinelStats::bump(&self.stats.ticks);
         if n == 0 {
             return;
@@ -386,82 +277,45 @@ impl<'t, S: Supervised + ?Sized> Sentinel<'t, S> {
         let budget = SLOTS_PER_TICK.min(n);
         let start = self.rotor.faa_with(budget as isize, Ordering::Relaxed);
         for k in 0..budget {
-            self.examine((start + k) % n, now);
+            self.examine((start + k) % n);
         }
     }
 
-    fn examine(&self, idx: usize, now: u64) {
+    fn examine(&self, idx: usize) {
         let w = &self.watches[idx];
         // Claim the watch; a concurrent ticker owns it — skip, bounded.
         if !w.busy.cas_with(0, 1, Ordering::Acquire, Ordering::Relaxed) {
             return;
         }
-        self.examine_claimed(idx, w, now);
+        self.examine_claimed(idx, w);
         w.busy.store_with(0, Ordering::Release);
     }
 
-    fn examine_claimed(&self, idx: usize, w: &Watch, now: u64) {
-        let stage = w.stage.load_with(Ordering::Relaxed);
-        if stage == STAGE_SUSPECT && now < w.next_probe.load(Ordering::Relaxed) {
-            // Jitter spacing: a suspected slot is probed on its own
-            // decorrelated schedule, not every tick.
-            return;
-        }
+    fn examine_claimed(&self, idx: usize, w: &Watch) {
         SentinelStats::bump(&self.stats.probes);
         if !self.target.obligated(idx) {
-            if stage >= STAGE_SUSPECT {
-                SentinelStats::bump(&self.stats.exonerated);
-            }
             w.reset();
             return;
         }
         let fp = self.target.fingerprint(idx);
         if fp != w.fp.load(Ordering::Relaxed) {
             // Progress: restart the ladder at OBSERVE.
-            if stage >= STAGE_SUSPECT {
-                SentinelStats::bump(&self.stats.exonerated);
-            }
             w.fp.store(fp, Ordering::Relaxed);
             w.stale.store_with(0, Ordering::Relaxed);
             w.stage.store_with(STAGE_OBSERVE, Ordering::Relaxed);
             return;
         }
-        let stale = w.stale.load_with(Ordering::Relaxed) + 1;
+        let stale = (w.stale.load_with(Ordering::Relaxed) + 1).min(HELP_AFTER);
         w.stale.store_with(stale, Ordering::Relaxed);
-        let stale = stale as u32;
-        if stale >= self.config.dead_after {
-            w.stage.store_with(STAGE_DEAD, Ordering::Relaxed);
-            SentinelStats::bump(&self.stats.declared_dead);
-            if self.target.declare_dead(idx) {
-                SentinelStats::bump(&self.stats.dead_recovered);
-                w.reset();
-            } else {
-                // Not provably a corpse (the target refused): drop back to
-                // SUSPECT and keep probing on the jitter schedule.
-                w.stage.store_with(STAGE_SUSPECT, Ordering::Relaxed);
-                self.schedule_probe(w, now);
-            }
-        } else if stale >= self.config.suspect_after {
-            if stage < STAGE_SUSPECT {
-                SentinelStats::bump(&self.stats.suspects);
-            }
-            w.stage.store_with(STAGE_SUSPECT, Ordering::Relaxed);
-            self.schedule_probe(w, now);
-        } else if stale >= self.config.help_after {
-            w.stage.store_with(STAGE_HELP, Ordering::Relaxed);
-            if self.target.help(idx) {
-                SentinelStats::bump(&self.stats.helps);
-                w.reset();
-            }
-        } else {
+        if stale < HELP_AFTER {
             w.stage.store_with(STAGE_OBSERVE, Ordering::Relaxed);
+            return;
         }
-    }
-
-    fn schedule_probe(&self, w: &Watch, now: u64) {
-        // SAFETY: caller holds the watch's busy claim (see `Sync` impl).
-        let delay = unsafe { (*w.jitter.get()).next_delay() };
-        w.next_probe.store(now + delay, Ordering::Relaxed);
+        w.stage.store_with(STAGE_HELP, Ordering::Relaxed);
+        if self.target.help(idx) {
+            SentinelStats::bump(&self.stats.helps);
+            w.reset();
+        }
     }
 }
 
@@ -469,7 +323,7 @@ impl<'t, S: Supervised + ?Sized> core::fmt::Debug for Sentinel<'t, S> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Sentinel")
             .field("watch_slots", &self.watches.len())
-            .field("ticks", &self.clock.load(Ordering::Relaxed))
+            .field("ticks", &self.stats.ticks.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -482,15 +336,13 @@ mod tests {
     #[test]
     fn idle_domain_never_escalates() {
         let d = WfrcDomain::<u64>::new(DomainConfig::new(4, 32));
-        let s = Sentinel::new(&d, SentinelConfig::default());
+        let s = Sentinel::new(&d);
         for _ in 0..100 {
             s.tick();
         }
         let snap = s.stats();
         assert_eq!(snap.ticks, 100);
         assert_eq!(snap.helps, 0);
-        assert_eq!(snap.suspects, 0);
-        assert_eq!(snap.declared_dead, 0);
         for slot in 0..4 {
             assert_eq!(s.stage(slot), Stage::Idle);
         }
@@ -503,7 +355,7 @@ mod tests {
         drop(h.alloc_with(|v| *v = 1).unwrap());
         h.abandon();
         assert_eq!(d.orphaned_threads(), 1);
-        let s = Sentinel::new(&d, SentinelConfig::default());
+        let s = Sentinel::new(&d);
         let mut ticks = 0;
         while d.orphaned_threads() > 0 {
             s.tick();
@@ -517,19 +369,17 @@ mod tests {
 
     #[test]
     fn live_registration_is_never_declared_dead() {
-        // A registered handle sitting mid-operation (odd epoch via an
-        // in-flight guard is hard to fake here, so use the announcement
-        // bit path: no announcement, slot TAKEN and un-obligated) must
-        // never be seized no matter how long it stalls.
+        // A registered handle that stalls, however long, is never seized:
+        // its slot is TAKEN, not ORPHANED, so the helper has nothing to do.
         let d = WfrcDomain::<u64>::new(DomainConfig::new(2, 32));
         let h = d.register().unwrap();
-        let s = Sentinel::new(&d, SentinelConfig::default().with_ladder(1, 2, 3));
+        let s = Sentinel::new(&d);
         for _ in 0..200 {
             s.tick();
         }
-        // The slot is TAKEN but holds no obligation: the ladder stays idle.
-        assert_eq!(s.stats().declared_dead, 0);
+        assert_eq!(s.stats().helps, 0);
         assert_eq!(d.registered_threads(), 1);
+        assert_eq!(d.orphans_adopted(), 0);
         drop(h);
     }
 
@@ -541,7 +391,7 @@ mod tests {
             drop(h.alloc_with(|v| *v = 7).unwrap());
             h.abandon();
         }
-        let s = Sentinel::new(&d, SentinelConfig::default());
+        let s = Sentinel::new(&d);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {

@@ -81,88 +81,6 @@ impl Backoff {
     }
 }
 
-/// Decorrelated-jitter backoff schedule: each delay is drawn uniformly from
-/// `[base, prev * 3]` and clamped to `cap` (the "decorrelated jitter"
-/// variant popularized by the AWS architecture blog). Unlike [`Backoff`],
-/// which *performs* the wait, this type only *computes* delays — the caller
-/// decides whether a delay is spins, ticks, or nanoseconds — so the sentinel
-/// can use it to space suspicion probes in tick units.
-///
-/// Deterministic: the internal SplitMix64 stream is fixed by `seed`, so two
-/// schedules with the same `(base, cap, seed)` produce identical delays —
-/// the property the seeded chaos tests rely on for reproducibility.
-///
-/// ```
-/// use wfrc_primitives::DecorrelatedJitter;
-///
-/// let mut j = DecorrelatedJitter::new(10, 1_000, 42);
-/// let first = j.next_delay();
-/// assert!((10..=1_000).contains(&first));
-/// // Replaying the same seed replays the same schedule.
-/// let mut replay = DecorrelatedJitter::new(10, 1_000, 42);
-/// assert_eq!(replay.next_delay(), first);
-/// ```
-#[derive(Debug, Clone)]
-pub struct DecorrelatedJitter {
-    base: u64,
-    cap: u64,
-    prev: u64,
-    state: u64,
-}
-
-impl DecorrelatedJitter {
-    /// Creates a schedule with delays in `[base, cap]` (`base` is raised to
-    /// at least 1; `cap` to at least `base`).
-    pub fn new(base: u64, cap: u64, seed: u64) -> Self {
-        let base = base.max(1);
-        Self {
-            base,
-            cap: cap.max(base),
-            prev: base,
-            state: seed,
-        }
-    }
-
-    /// SplitMix64 step (same generator as `wfrc-sim::rng`, duplicated here
-    /// because this crate sits below it in the dependency order).
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Draws the next delay: `min(cap, uniform(base, prev * 3))`.
-    #[must_use = "the delay must be applied by the caller"]
-    pub fn next_delay(&mut self) -> u64 {
-        let hi = self.prev.saturating_mul(3).clamp(self.base, self.cap);
-        let span = hi - self.base + 1;
-        let d = self.base + self.next_delay_raw() % span;
-        self.prev = d;
-        d
-    }
-
-    #[inline]
-    fn next_delay_raw(&mut self) -> u64 {
-        self.next_u64()
-    }
-
-    /// Returns to the initial (shortest) delay without disturbing the
-    /// random stream.
-    pub fn reset(&mut self) {
-        self.prev = self.base;
-    }
-
-    /// The last delay produced (the `base` before any draw) — callers use
-    /// this as a "retry after" hint without advancing the schedule.
-    #[must_use]
-    pub fn last_delay(&self) -> u64 {
-        self.prev
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,37 +121,5 @@ mod tests {
         }
         // Must not overflow the shift or the counter.
         b.snooze();
-    }
-
-    #[test]
-    fn jitter_stays_in_bounds_and_replays() {
-        let mut a = DecorrelatedJitter::new(5, 200, 0xBEEF);
-        let mut b = DecorrelatedJitter::new(5, 200, 0xBEEF);
-        for _ in 0..1_000 {
-            let d = a.next_delay();
-            assert!((5..=200).contains(&d), "delay {d} out of bounds");
-            assert_eq!(d, b.next_delay(), "same seed must replay");
-        }
-    }
-
-    #[test]
-    fn jitter_reset_restarts_from_base() {
-        let mut j = DecorrelatedJitter::new(7, 10_000, 1);
-        for _ in 0..50 {
-            let _ = j.next_delay();
-        }
-        j.reset();
-        assert_eq!(j.last_delay(), 7);
-        // After a reset the next draw is bounded by base*3 again.
-        assert!(j.next_delay() <= 21);
-    }
-
-    #[test]
-    fn jitter_degenerate_bounds() {
-        // cap < base is raised; base 0 is raised to 1.
-        let mut j = DecorrelatedJitter::new(0, 0, 9);
-        for _ in 0..10 {
-            assert_eq!(j.next_delay(), 1);
-        }
     }
 }

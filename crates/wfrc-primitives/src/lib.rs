@@ -26,5 +26,5 @@ pub mod spin;
 pub mod tagged;
 
 pub use atomics::{AtomicWord, WordPtr};
-pub use backoff::{Backoff, DecorrelatedJitter};
+pub use backoff::Backoff;
 pub use pad::CachePadded;

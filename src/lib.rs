@@ -58,9 +58,8 @@
 //! # assert!(domain.leak_check().is_clean());
 //! ```
 //!
-//! See `examples/` for complete programs: `quickstart`, `task_scheduler`
-//! (priority-queue deadline scheduler), `event_pipeline` (queue pipeline),
-//! and `realtime_watchdog` (the wait-freedom guarantee, observed).
+//! See `examples/quickstart.rs` for a complete program: the API tour with a
+//! leak audit at the end.
 
 #![warn(missing_docs)]
 

@@ -25,6 +25,15 @@ pub fn raise_presence_bit<'d>(
     link: &Link<u64>,
     value: u64,
 ) {
+    /// Stops the swinger when dropped, so a failed assertion below still
+    /// lets `thread::scope` join it instead of waiting forever.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
         let swinger = s.spawn(|| {
@@ -36,6 +45,7 @@ pub fn raise_presence_bit<'d>(
                 w.store(link, Some(&b));
             }
         });
+        let stop_swinger = StopOnDrop(&stop);
         let deadline = Instant::now() + RAISE_DEADLINE;
         while !domain.announcement_summary_bit(reader.tid()) && !swinger.is_finished() {
             assert!(
@@ -44,7 +54,7 @@ pub fn raise_presence_bit<'d>(
             );
             assert_eq!(reader.deref(link).map(|g| *g), Some(value));
         }
-        stop.store(true, Ordering::Relaxed);
+        drop(stop_swinger);
         swinger.join().expect("the swinger never panics");
     });
 }

@@ -16,7 +16,7 @@ use wfrc::baselines::LfrcDomain;
 use wfrc::core::fault::silence_injected_deaths;
 use wfrc::core::{
     DomainConfig, FaultAction, FaultPlan, FaultSite, FireRule, Growth, InjectedDeath, Link,
-    ReclaimOutcome, ReclaimPolicy, ThreadHandle, WfrcDomain,
+    ReclaimOutcome, ThreadHandle, WfrcDomain,
 };
 
 const THREADS: usize = 3;
@@ -338,15 +338,8 @@ fn bounded_stalls_are_transparent() {
 #[test]
 fn parked_mid_op_thread_stalls_reclaim_until_released() {
     silence_injected_deaths();
-    let mut domain = WfrcDomain::<u64>::new(
-        DomainConfig::new(3, 16)
-            .with_growth(Growth::doubling_to(4096))
-            // Short grace so the expected aborts are cheap.
-            .with_reclaim(ReclaimPolicy {
-                grace_spins: 200,
-                ..ReclaimPolicy::default()
-            }),
-    );
+    let mut domain =
+        WfrcDomain::<u64>::new(DomainConfig::new(3, 16).with_growth(Growth::doubling_to(4096)));
     let plan = Arc::new(FaultPlan::new(0x0EC0));
     domain.set_fault_plan(Arc::clone(&plan));
     // Fires inside `ReleaseRef` — mid-operation, epoch odd, and (unlike a

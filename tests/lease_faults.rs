@@ -1,8 +1,8 @@
-//! Fault-injection over the lease pool: a task killed at the new
-//! `LeaseExpire` site (mid-checkout, after the deadline install) and at
-//! every generic armed site *while holding a lease* must be recovered by
-//! [`LeasePool::expire_overdue`] routing the corpse through the domain's
-//! orphan adoption — no leaked nodes, no lost slot.
+//! Fault-injection over the lease pool: a task killed at the
+//! `LeaseCheckout` site (mid-checkout, right after the guard is built) and
+//! at every generic armed site *while holding a lease* must be recovered
+//! by [`LeasePool::recover_orphaned`] routing the corpse through the
+//! domain's orphan adoption — no leaked nodes, no lost slot.
 //!
 //! Built only with `--features fault-injection`.
 
@@ -83,7 +83,7 @@ fn survivor_quota(h: &ThreadHandle<'_, u64>, links: &[Link<u64>], quota: usize) 
 }
 
 /// Death at an armed site while holding a lease: the unwinding guard
-/// marks the slot ORPHANED, `expire_overdue` abandons the corpse, adopts
+/// marks the slot ORPHANED, `recover_orphaned` abandons the corpse, adopts
 /// it, and re-registers a fresh handle — the slot survives its tenant.
 fn run_leased_site_scenario(site: FaultSite) {
     silence_injected_deaths();
@@ -115,8 +115,7 @@ fn run_leased_site_scenario(site: FaultSite) {
     });
 
     assert_eq!(pool.stats().panic_orphans, 1, "guard must orphan on unwind");
-    let report = pool.expire_overdue();
-    assert_eq!(report.expired, 0, "panic orphans need no deadline");
+    let report = pool.recover_orphaned();
     assert_eq!(report.recovered, 1, "the corpse's slot must come back");
     assert_eq!(report.adopt.orphans_adopted, 1, "{site:?}");
 
@@ -156,14 +155,14 @@ leased_site_scenarios! {
     leased_weak_upgrade_die => FaultSite::WeakUpgrade;
 }
 
-/// ISSUE scenario (d): lease-expiry while the tenant holds a `Weak`. The
+/// Lease recovery while the tenant holds a `Weak`. The
 /// tenant publishes a strong link and a weak link, then dies at the armed
-/// `WeakUpgrade` site still holding the lease; `expire_overdue` routes the
+/// `WeakUpgrade` site still holding the lease; `recover_orphaned` routes the
 /// corpse through adoption, and a fresh tenant can still upgrade through
 /// the standing weak link — the weak unit belongs to the link, not to the
 /// dead tenant.
 #[test]
-fn expiry_recovers_tenant_holding_weak() {
+fn recovery_keeps_a_dead_tenants_weak_link() {
     use wfrc::core::AtomicWeak;
     silence_injected_deaths();
     let (domain, plan) = faulted_domain(0x3A2B);
@@ -198,7 +197,7 @@ fn expiry_recovers_tenant_holding_weak() {
     });
 
     assert_eq!(pool.stats().panic_orphans, 1, "guard must orphan on unwind");
-    let report = pool.expire_overdue();
+    let report = pool.recover_orphaned();
     assert_eq!(report.recovered, 1, "the corpse's slot must come back");
     assert_eq!(report.adopt.orphans_adopted, 1);
 
@@ -222,43 +221,39 @@ fn expiry_recovers_tenant_holding_weak() {
     assert_eq!(leaks.weak_count, 0, "{leaks:?}");
 }
 
-/// Death at `LeaseExpire` itself: mid-checkout, after the slot is LEASED
-/// and the deadline installed, before any guard exists. Nothing unwinds a
-/// guard here — only the deadline can bring the slot back.
+/// Death at `LeaseCheckout` itself: the guard exists but has not reached
+/// the caller. The unwind drops it, which orphans the slot, and recovery
+/// brings it back — no deadline involved.
 #[test]
-fn lease_expire_die_is_recovered_by_expiry() {
+fn lease_checkout_die_is_recovered_by_adoption() {
     silence_injected_deaths();
     let (domain, plan) = faulted_domain(0xDEAD1EA5);
     plan.arm_victim(
         0,
-        FaultSite::LeaseExpire,
+        FaultSite::LeaseCheckout,
         FaultAction::Die,
         FireRule::Nth(1),
     );
-    let pool = LeasePool::new(
-        &domain,
-        LeaseConfig::new(1).with_ttl(std::time::Duration::from_millis(1)),
-    )
-    .unwrap();
+    let pool = LeasePool::new(&domain, LeaseConfig::new(1)).unwrap();
 
     let err = std::thread::scope(|s| {
         let pool_ref = &pool;
         s.spawn(move || {
             let g = pool_ref.acquire();
-            unreachable!("checkout must die before the guard exists: {g:?}")
+            unreachable!("checkout must die before the guard is returned: {g:?}")
         })
         .join()
-        .expect_err("victim must die at LeaseExpire")
+        .expect_err("victim must die at LeaseCheckout")
     });
     let death = err
         .downcast::<InjectedDeath>()
         .expect("panic payload must be InjectedDeath");
-    assert_eq!(death.site, FaultSite::LeaseExpire);
-    assert_eq!(pool.leased(), 1, "the corpse still owns the slot");
+    assert_eq!(death.site, FaultSite::LeaseCheckout);
+    assert_eq!(pool.leased(), 1, "the orphaned slot is out of circulation");
+    let stats = pool.stats();
+    assert_eq!((stats.issued, stats.panic_orphans), (1, 1));
 
-    std::thread::sleep(std::time::Duration::from_millis(10));
-    let report = pool.expire_overdue();
-    assert_eq!(report.expired, 1, "the deadline must fire");
+    let report = pool.recover_orphaned();
     assert_eq!(report.recovered, 1);
     assert_eq!(report.adopt.orphans_adopted, 1);
 
@@ -268,10 +263,10 @@ fn lease_expire_die_is_recovered_by_expiry() {
     assert!(domain.leak_check().is_clean());
 }
 
-/// The LFRC mirror dies at `LeaseExpire` too: the baseline pool recovers
-/// through the same expiry path.
+/// The same death over the LFRC baseline: its pool recovers through the
+/// same orphan path.
 #[test]
-fn lfrc_lease_expire_die_is_recovered() {
+fn lfrc_lease_checkout_die_is_recovered() {
     use wfrc::baselines::LfrcDomain;
     silence_injected_deaths();
     let mut domain = LfrcDomain::<u64>::new(2, CAPACITY);
@@ -279,33 +274,31 @@ fn lfrc_lease_expire_die_is_recovered() {
     domain.set_fault_plan(Arc::clone(&plan));
     plan.arm_victim(
         0,
-        FaultSite::LeaseExpire,
+        FaultSite::LeaseCheckout,
         FaultAction::Die,
         FireRule::Nth(1),
     );
-    let pool = LeasePool::new(
-        &domain,
-        LeaseConfig::new(1).with_ttl(std::time::Duration::from_millis(1)),
-    )
-    .unwrap();
+    let pool = LeasePool::new(&domain, LeaseConfig::new(1)).unwrap();
 
     let err = std::thread::scope(|s| {
         let pool_ref = &pool;
         s.spawn(move || {
             let g = pool_ref.acquire();
-            unreachable!("checkout must die before the guard exists: {:?}", g.tid())
+            unreachable!(
+                "checkout must die before the guard is returned: {:?}",
+                g.tid()
+            )
         })
         .join()
-        .expect_err("victim must die at LeaseExpire")
+        .expect_err("victim must die at LeaseCheckout")
     });
     let death = err
         .downcast::<InjectedDeath>()
         .expect("panic payload must be InjectedDeath");
-    assert_eq!(death.site, FaultSite::LeaseExpire);
+    assert_eq!(death.site, FaultSite::LeaseCheckout);
+    assert_eq!(pool.stats().panic_orphans, 1);
 
-    std::thread::sleep(std::time::Duration::from_millis(10));
-    let report = pool.expire_overdue();
-    assert_eq!(report.expired, 1);
+    let report = pool.recover_orphaned();
     assert_eq!(report.recovered, 1);
     assert_eq!(report.adopt.orphans_adopted, 1);
     let g = pool.try_acquire().expect("recovered slot is reusable");

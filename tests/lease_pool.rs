@@ -3,7 +3,7 @@
 //! ending with a clean [`wfrc::core::domain::LeakReport`]. Covers the
 //! slot-exhaustion and recycling paths, the non-panicking `try_register`
 //! surface on both schemes, the rapid register/drop slot-reuse regression,
-//! and expiry/recovery with live nodes owned by the corpse.
+//! and recovery of a dead tenant with live nodes owned by the corpse.
 
 use wfrc::baselines::LfrcDomain;
 use wfrc::core::lease::{LeaseConfig, LeasePool};
@@ -122,50 +122,42 @@ fn rapid_register_drop_reuses_the_slot_cleanly() {
 }
 
 /// Same regression through the pool: acquire/release cycles on one slot
-/// keep the magazine accounted whether it is returned hot (default) or
-/// flushed ([`LeaseConfig::with_flush_on_release`]).
+/// keep the magazine accounted while it is returned hot.
 #[test]
 fn lease_cycles_keep_magazines_accounted() {
-    for flush in [false, true] {
-        let d = domain(1, 256);
-        let pool = LeasePool::new(&d, LeaseConfig::new(1).with_flush_on_release(flush)).unwrap();
-        for _ in 0..50 {
-            let g = pool.acquire();
-            for j in 0..20u64 {
-                let n = g.alloc_with(|v| *v = j).unwrap();
-                drop(n);
-            }
+    let d = domain(1, 256);
+    let pool = LeasePool::new(&d, LeaseConfig::new(1)).unwrap();
+    for _ in 0..50 {
+        let g = pool.acquire();
+        for j in 0..20u64 {
+            let n = g.alloc_with(|v| *v = j).unwrap();
+            drop(n);
         }
-        let flushes = pool.stats().flushes;
-        assert_eq!(flushes > 0, flush, "flush accounting (flush={flush})");
-        drop(pool);
-        let leak = d.leak_check();
-        assert!(leak.is_clean(), "flush={flush} leaked: {leak:?}");
     }
+    drop(pool);
+    let leak = d.leak_check();
+    assert!(leak.is_clean(), "leaked: {leak:?}");
 }
 
-/// Expiry with state at stake: the corpse's stored node survives (shared
-/// structure is untouched), its handle is adopted, and the slot serves a
-/// fresh tenant that can read what the dead one wrote.
+/// Recovery with state at stake: a tenant dies holding its lease (its
+/// guard unwinds and orphans the slot); the corpse's stored node survives
+/// (shared structure is untouched), its handle is adopted, and the slot
+/// serves a fresh tenant that can read what the dead one wrote.
 #[test]
 fn expired_tenant_is_adopted_with_its_nodes() {
     let d = domain(2, 64);
-    let pool = LeasePool::new(
-        &d,
-        LeaseConfig::new(1).with_ttl(std::time::Duration::from_millis(1)),
-    )
-    .unwrap();
+    let pool = LeasePool::new(&d, LeaseConfig::new(1)).unwrap();
     let link: Link<u64> = Link::null();
-    {
+    let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let g = pool.acquire();
         let node = g.alloc_with(|v| *v = 777).unwrap();
         g.store(&link, Some(&node));
         drop(node);
-        std::mem::forget(g); // the task "perishes" without releasing
-    }
-    std::thread::sleep(std::time::Duration::from_millis(10));
-    let report = pool.expire_overdue();
-    assert_eq!(report.expired, 1);
+        std::panic::resume_unwind(Box::new("the task perishes holding its lease"));
+    }));
+    assert!(died.is_err());
+    let report = pool.recover_orphaned();
+    assert_eq!(pool.stats().panic_orphans, 1);
     assert_eq!(report.recovered, 1);
     assert_eq!(report.adopt.orphans_adopted, 1);
     let g = pool.acquire();
@@ -176,7 +168,7 @@ fn expired_tenant_is_adopted_with_its_nodes() {
     drop(g);
     drop(pool);
     let leak = d.leak_check();
-    assert!(leak.is_clean(), "expiry must end clean: {leak:?}");
+    assert!(leak.is_clean(), "recovery must end clean: {leak:?}");
 }
 
 /// The LFRC mirror: the same pool runs over the baseline domain.

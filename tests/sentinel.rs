@@ -2,38 +2,42 @@
 //! recovery (DESIGN.md §7).
 //!
 //! The non-gated tests cover the always-on surfaces: lease recovery with
-//! zero manual `expire_overdue`/`adopt_orphans` calls, idempotency of the
+//! zero manual `recover_orphaned`/`adopt_orphans` calls, idempotency of the
 //! recovery entry points under concurrent callers racing sentinel ticks,
-//! and POISONED segment quarantine. The `fault-injection`-gated half
-//! drives Stall/Park/Die at every armed site and asserts the escalation
-//! ladder's two safety/liveness halves: a parked-then-resumed thread is
-//! never declared dead, and a genuine death is always adopted within a
-//! bounded number of ticks.
+//! a slow lease holder that keeps its slot, and POISONED segment
+//! quarantine. The `fault-injection`-gated half drives Stall/Park/Die at
+//! every armed site and asserts the escalation ladder's two
+//! safety/liveness halves: a parked-then-resumed thread is never seized,
+//! and a genuine death is always adopted within a bounded number of ticks.
 
 use std::time::Duration;
 
 use wfrc::core::lease::{LeaseConfig, LeasePool};
-use wfrc::core::{DomainConfig, Growth, Sentinel, SentinelConfig, WfrcDomain};
+use wfrc::core::sentinel::HELP_AFTER;
+use wfrc::core::{DomainConfig, Growth, Sentinel, WfrcDomain};
 
 mod common;
 
-/// A forgotten lease (no panic, no drop — the guard is leaked exactly the
-/// way a crashed task leaks it) is healed by sentinel ticks alone.
+/// Checks a lease out, stores `value` through it, and dies holding it: the
+/// task panics (without the panic hook's message) and the guard unwinds,
+/// orphaning the slot the way a crashed task's does.
+fn die_holding_lease(pool: &LeasePool<'_, WfrcDomain<u64>>, value: u64) {
+    let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let lease = pool.acquire();
+        drop(lease.alloc_with(|v| *v = value).expect("alloc"));
+        std::panic::resume_unwind(Box::new("the task dies holding its lease"));
+    }));
+    assert!(died.is_err());
+}
+
+/// A lease whose holder died is healed by sentinel ticks alone.
 #[test]
 fn sentinel_recovers_a_forgotten_lease() {
     let domain = WfrcDomain::<u64>::new(DomainConfig::new(2, 64).with_magazine(4));
-    let pool = LeasePool::new(
-        &domain,
-        LeaseConfig::new(2).with_ttl(Duration::from_millis(1)),
-    )
-    .expect("pool fits domain");
-    let lease = pool.acquire();
-    let g = lease.alloc_with(|v| *v = 7).expect("alloc");
-    drop(g);
-    core::mem::forget(lease);
-    std::thread::sleep(Duration::from_millis(5));
+    let pool = LeasePool::new(&domain, LeaseConfig::new(2)).expect("pool fits domain");
+    die_holding_lease(&pool, 7);
 
-    let sentinel = Sentinel::new(&pool, SentinelConfig::default());
+    let sentinel = Sentinel::new(&pool);
     let mut ticks = 0u32;
     while pool.stats().recovered == 0 {
         sentinel.tick();
@@ -41,11 +45,14 @@ fn sentinel_recovers_a_forgotten_lease() {
         assert!(ticks < 10_000, "sentinel never recovered the dead lease");
     }
     let snap = pool.stats();
-    assert_eq!(snap.expired, 1, "the overdue slot must expire exactly once");
+    assert_eq!(
+        snap.panic_orphans, 1,
+        "the dead slot is orphaned exactly once"
+    );
     assert_eq!(snap.recovered, 1);
     assert!(
-        sentinel.stats().declared_dead >= 1,
-        "an overdue lease heals at the DEAD rung, not before"
+        sentinel.stats().helps >= 1,
+        "an orphaned lease heals at the HELP rung"
     );
 
     // Full capacity is back: both slots check out concurrently.
@@ -55,37 +62,29 @@ fn sentinel_recovers_a_forgotten_lease() {
     assert!(domain.leak_check().is_clean());
 }
 
-/// Satellite: `expire_overdue` and `adopt_orphans` stay safe and
-/// idempotent when many callers race each other *and* sentinel ticks —
-/// every dead lease is expired exactly once and recovered exactly once,
-/// no matter who gets there first.
+/// `recover_orphaned` and `adopt_orphans` stay safe and idempotent when
+/// many callers race each other *and* sentinel ticks — every dead lease is
+/// orphaned exactly once and recovered exactly once, no matter who gets
+/// there first.
 #[test]
 fn concurrent_expiry_adoption_and_ticks_recover_each_lease_once() {
     const SLOTS: usize = 4;
     const ROUNDS: usize = 25;
     let domain = WfrcDomain::<u64>::new(DomainConfig::new(SLOTS, 128).with_magazine(4));
-    let pool = LeasePool::new(
-        &domain,
-        LeaseConfig::new(SLOTS).with_ttl(Duration::from_millis(1)),
-    )
-    .expect("pool fits domain");
-    let sentinel = Sentinel::new(&pool, SentinelConfig::default());
+    let pool = LeasePool::new(&domain, LeaseConfig::new(SLOTS)).expect("pool fits domain");
+    let sentinel = Sentinel::new(&pool);
 
     for round in 0..ROUNDS {
         let before = pool.stats();
-        // Kill every holder at once: all SLOTS leases leak.
+        // Kill every holder: all SLOTS leases are orphaned.
         for _ in 0..SLOTS {
-            let lease = pool.acquire();
-            let g = lease.alloc_with(|v| *v = round as u64).expect("alloc");
-            drop(g);
-            core::mem::forget(lease);
+            die_holding_lease(&pool, round as u64);
         }
-        std::thread::sleep(Duration::from_millis(3));
         std::thread::scope(|s| {
             for _ in 0..2 {
                 s.spawn(|| {
                     for _ in 0..200 {
-                        let _ = pool.expire_overdue();
+                        let _ = pool.recover_orphaned();
                         std::thread::yield_now();
                     }
                 });
@@ -109,15 +108,15 @@ fn concurrent_expiry_adoption_and_ticks_recover_each_lease_once() {
             let snap = pool.stats();
             if snap.recovered == before.recovered + SLOTS as u64 {
                 assert_eq!(
-                    snap.expired,
-                    before.expired + SLOTS as u64,
-                    "round {round}: each dead lease expires exactly once"
+                    snap.panic_orphans,
+                    before.panic_orphans + SLOTS as u64,
+                    "round {round}: each dead lease is orphaned exactly once"
                 );
                 break;
             }
             // Tolerate transient RegistryFull recover failures: the next
-            // expire pass retries the parked ORPHANED slot.
-            let _ = pool.expire_overdue();
+            // pass retries the parked ORPHANED slot.
+            let _ = pool.recover_orphaned();
             spins += 1;
             assert!(spins < 10_000, "round {round}: recovery never converged");
             std::thread::yield_now();
@@ -126,6 +125,53 @@ fn concurrent_expiry_adoption_and_ticks_recover_each_lease_once() {
         let guards: Vec<_> = (0..SLOTS).map(|_| pool.acquire()).collect();
         drop(guards);
     }
+    drop(sentinel);
+    drop(pool);
+    assert!(domain.leak_check().is_clean());
+}
+
+/// A holder that sleeps inside its session for 300 ms — longer than any
+/// lease deadline E12 ever used — keeps its slot while another thread
+/// loops `recover_orphaned` and sentinel ticks: the slot's generation does
+/// not move, nothing is recovered, and the holder's next op reads its own
+/// write.
+#[test]
+fn slow_holder_keeps_its_slot() {
+    let domain = WfrcDomain::<u64>::new(DomainConfig::new(2, 64));
+    let pool = LeasePool::new(&domain, LeaseConfig::new(1)).expect("pool fits domain");
+    let sentinel = Sentinel::new(&pool);
+    let link = wfrc::core::Link::<u64>::null();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let fingerprint =
+        |p: &LeasePool<'_, WfrcDomain<u64>>| wfrc::core::Supervised::fingerprint(p, 0);
+    std::thread::scope(|s| {
+        let lease = pool.acquire();
+        let node = lease.alloc_with(|v| *v = 42).expect("alloc");
+        lease.store(&link, Some(&node));
+        drop(node);
+        let word = fingerprint(&pool);
+        let meddler = s.spawn(|| {
+            let mut passes = 0u64;
+            while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                assert_eq!(pool.recover_orphaned().recovered, 0);
+                sentinel.tick();
+                passes += 1;
+                std::thread::yield_now();
+            }
+            passes
+        });
+        std::thread::sleep(Duration::from_millis(300));
+        // Observe, stop the meddler, then assert: a failed assertion must
+        // not leave the scope joining a thread that never stops.
+        let seen = (fingerprint(&pool), lease.deref(&link).map(|g| *g));
+        lease.store(&link, None);
+        done.store(true, std::sync::atomic::Ordering::Relaxed);
+        let passes = meddler.join().unwrap();
+        assert_eq!(seen, (word, Some(42)), "the slot changed hands");
+        assert!(passes > HELP_AFTER as u64);
+    });
+    assert_eq!(pool.stats().recovered, 0);
+    assert_eq!(sentinel.stats().helps, 0);
     drop(sentinel);
     drop(pool);
     assert!(domain.leak_check().is_clean());
@@ -195,9 +241,8 @@ fn idle_reader_never_climbs_the_ladder() {
     common::raise_presence_bit(&domain, &reader, &link, 3);
     assert!(domain.announcement_summary_bit(reader.tid()));
 
-    let config = SentinelConfig::default();
-    let ticks = config.help_after + 1;
-    let sentinel = Sentinel::new(&domain, config);
+    let ticks = HELP_AFTER + 1;
+    let sentinel = Sentinel::new(&domain);
     for _ in 0..ticks {
         sentinel.tick();
         assert_eq!(sentinel.stage(reader.tid()), wfrc::core::Stage::Idle);
@@ -217,7 +262,7 @@ mod ladder {
     use wfrc::core::fault::silence_injected_deaths;
     use wfrc::core::{
         DomainConfig, FaultAction, FaultPlan, FaultSite, FireRule, Growth, InjectedDeath, Link,
-        Sentinel, SentinelConfig, ThreadHandle, WfrcDomain,
+        Sentinel, ThreadHandle, WfrcDomain,
     };
 
     const LINKS: usize = 4;
@@ -275,19 +320,15 @@ mod ladder {
         let links: Vec<Link<u64>> = (0..LINKS).map(|_| Link::null()).collect();
         let victim = domain.register().unwrap();
         assert_eq!(victim.tid(), 0);
-        // Tight ladder so a Die case adopts in few ticks; the MTTR bound
-        // below is counted in ticks against exactly this config.
-        let config = SentinelConfig::default()
-            .with_ladder(2, 4, 8)
-            .with_seed(seed);
-        let sentinel = Sentinel::new(&domain, config);
+        // The MTTR bound below is counted in ticks against `HELP_AFTER`.
+        let sentinel = Sentinel::new(&domain);
 
         let died = std::thread::scope(|s| {
             let (links, plan) = (&links, &plan);
             let vt = s.spawn(move || victim_loop(&victim, links, plan));
             match action {
                 FaultAction::Park => {
-                    // Liveness half: tick well past `dead_after` while the
+                    // Liveness half: tick well past `HELP_AFTER` while the
                     // victim sits parked. Its registration is live (merely
                     // slow), so the ladder must never seize it.
                     let mut parked_ticks = 0;
@@ -304,7 +345,7 @@ mod ladder {
                              {parked_ticks} ticks"
                         );
                     }
-                    assert_eq!(sentinel.stats().dead_recovered, 0);
+                    assert_eq!(sentinel.stats().helps, 0);
                     while !vt.is_finished() {
                         plan.release();
                         std::thread::yield_now();
@@ -331,8 +372,8 @@ mod ladder {
             FaultAction::Die => {
                 if died {
                     // Adoption half: a corpse is adopted within a bounded
-                    // number of ticks (the MTTR bound — ladder depth plus
-                    // probe backoff, with slack).
+                    // number of ticks (the MTTR bound — ladder depth, with
+                    // slack).
                     let mut mttr_ticks = 0u32;
                     while domain.orphaned_threads() > 0 {
                         sentinel.tick();
@@ -402,9 +443,8 @@ mod ladder {
             FaultAction::Park,
             FireRule::Nth(1),
         );
-        let config = SentinelConfig::default();
-        let ticks = config.help_after + 1;
-        let sentinel = Sentinel::new(&domain, config);
+        let ticks = wfrc::core::sentinel::HELP_AFTER + 1;
+        let sentinel = Sentinel::new(&domain);
 
         // Observe while the victim is parked, assert after it is released:
         // a failed assertion must not leave the scope joining a parked
@@ -464,9 +504,8 @@ mod ladder {
             FaultAction::Park,
             FireRule::Nth(1),
         );
-        let config = SentinelConfig::default();
-        let ticks = config.help_after + 1;
-        let sentinel = Sentinel::new(&domain, config);
+        let ticks = wfrc::core::sentinel::HELP_AFTER + 1;
+        let sentinel = Sentinel::new(&domain);
 
         // Observe while the victim is parked, assert after it is released
         // (cf. `parked_deref_is_obligated_beside_an_idle_reader`).
@@ -529,9 +568,8 @@ mod ladder {
             FaultAction::Park,
             FireRule::Nth(1),
         );
-        let config = SentinelConfig::default();
-        let ticks = config.help_after + 1;
-        let sentinel = Sentinel::new(&domain, config);
+        let ticks = wfrc::core::sentinel::HELP_AFTER + 1;
+        let sentinel = Sentinel::new(&domain);
 
         // Observe while the victim is parked, assert after it is released
         // (cf. `parked_deref_is_obligated_beside_an_idle_reader`).
@@ -574,12 +612,9 @@ mod ladder {
         let plan = Arc::new(FaultPlan::new(seed));
         domain.set_fault_plan(Arc::clone(&plan));
         plan.arm_victim(0, site, FaultAction::Die, FireRule::Nth(1));
-        let config = SentinelConfig::default()
-            .with_ladder(2, 4, 8)
-            .with_seed(seed);
         // `Supervised` is the wrapped `Domain`'s impl, the same for both
         // schemes.
-        let sentinel = Sentinel::new(&*domain, config);
+        let sentinel = Sentinel::new(&*domain);
         let victim = domain.register().unwrap();
         assert_eq!(victim.tid(), 0);
         // Tokens escape the victim so its death leaks no live blocks.

@@ -10,9 +10,7 @@
 //! with a non-empty deferred list and asserts adoption recovers every
 //! node.
 
-use wfrc::core::{
-    DomainConfig, Growth, Link, ReclaimOutcome, Sentinel, SentinelConfig, WfrcDomain,
-};
+use wfrc::core::{DomainConfig, Growth, Link, ReclaimOutcome, Sentinel, WfrcDomain};
 use wfrc::sim::exec::StopFlag;
 
 #[test]
@@ -348,7 +346,7 @@ fn sentinel_ticks_race_deferred_drains() {
     let d = WfrcDomain::<u64>::new(
         DomainConfig::new(WORKERS + 1, 512).with_growth(Growth::doubling_to(4096)),
     );
-    let sentinel = Sentinel::new(&d, SentinelConfig::default());
+    let sentinel = Sentinel::new(&d);
     let links: Vec<Link<u64>> = (0..LINKS).map(|_| Link::null()).collect();
     let stop = StopFlag::new();
     let main = d.register().unwrap();
