@@ -1,15 +1,16 @@
 //! E10 — chaos: a rotating victim is killed, parked, or stalled
 //! mid-operation, round after round, against one long-lived domain —
-//! and every recovery is performed by the sentinel, never by hand.
+//! and every recovery is performed by a supervisor thread, never by the
+//! round's own code.
 //!
 //! Every round arms all eight `FaultSite`s for one victim thread with a
 //! per-hit probability and runs the victim's churn against survivor
-//! threads while a dedicated supervisor thread ticks a
-//! [`wfrc_core::Sentinel`] over the domain. A killed victim's slot is
-//! detected by the heartbeat ladder and adopted autonomously; the harness
-//! only *waits* for `WfrcDomain::orphans_adopted` to advance and records
-//! the MTTR (victim join observed → adoption complete). A parked victim
-//! is released and exits cleanly — the ladder may climb to HELP on it, but
+//! threads while a dedicated [`wfrc_sim::Supervisor`] thread calls
+//! `WfrcDomain::adopt_orphans` every `TICK_PERIOD`. A killed victim's
+//! unwind orphans its slot and the next tick adopts it; the harness only
+//! *waits* for `WfrcDomain::orphans_adopted` to advance and records the
+//! MTTR (victim join observed → adoption complete). A parked victim is
+//! released and exits cleanly — adoption touches only ORPHANED slots, so
 //! its live registration is never seized. After every round the shared links
 //! are cleared and `WfrcDomain::leak_check` must be spotless — one
 //! corrupt or leaked node anywhere ends the run with a panic.
@@ -51,7 +52,7 @@ mod chaos {
     use wfrc_core::fault::silence_injected_deaths;
     use wfrc_core::{
         DomainConfig, FaultAction, FaultPlan, FaultSite, FireRule, Growth, InjectedDeath, Link,
-        ReclaimOutcome, Sentinel, WfrcDomain,
+        ReclaimOutcome, WfrcDomain,
     };
     use wfrc_sim::stats::Table;
     use wfrc_sim::{Histogram, Supervisor};
@@ -65,10 +66,9 @@ mod chaos {
     const VICTIM_OPS: usize = 50_000;
     const SURVIVOR_OPS: usize = 5_000;
     const CHANCE: f64 = 0.02;
-    /// Supervisor tick cadence. The ladder needs `HELP_AFTER` stale
-    /// examinations before it adopts, so MTTR floors at a few periods.
+    /// Supervisor tick cadence: an orphan waits at most one period.
     const TICK_PERIOD: Duration = Duration::from_micros(200);
-    /// A kill the sentinel has not healed within this bound is a bug.
+    /// A kill the supervisor has not healed within this bound is a bug.
     const MTTR_DEADLINE: Duration = Duration::from_secs(5);
 
     struct Cfg {
@@ -185,9 +185,7 @@ mod chaos {
         let mut kills_by_site = [0u64; FaultSite::ALL.len()];
         let mut faults_total = 0u64;
         let mut mttr = Histogram::new();
-        let mut sentinel_ticks = 0u64;
-        let mut sentinel_helps = 0u64;
-        let mut sentinel_probes = 0u64;
+        let mut supervisor_ticks = 0u64;
 
         while kills < cfg.rounds || start.elapsed() < deadline {
             let round = rounds;
@@ -229,15 +227,17 @@ mod chaos {
             let victim = handles.remove(victim_tid);
             assert_eq!(victim.tid(), victim_tid);
 
-            // The round's autonomous recovery plane: a supervisor thread
-            // ticks the sentinel while the churn runs. No code below ever
-            // calls `adopt_orphans` — a kill heals only because the ladder
-            // escalates the dead slot and routes it through `help`.
-            let sentinel = Sentinel::new(&domain);
+            // The round's recovery plane: a supervisor thread calls
+            // `adopt_orphans` on a timer while the churn runs. No other
+            // code below calls it — a kill heals only through the timer.
+            // The handle stops the thread when dropped, so a failed
+            // assertion below ends the scope instead of hanging it.
             let adopted_before = domain.orphans_adopted();
 
-            let died = std::thread::scope(|s| {
-                let sup = Supervisor::spawn_scoped(s, TICK_PERIOD, || sentinel.tick());
+            let (died, ticks) = std::thread::scope(|s| {
+                let sup = Supervisor::spawn_scoped(s, TICK_PERIOD, || {
+                    domain.adopt_orphans();
+                });
                 let links_ref = &links;
                 let plan_ref: &FaultPlan = &plan;
                 let vt = s.spawn(move || victim_churn(victim, links_ref, plan_ref));
@@ -266,14 +266,14 @@ mod chaos {
                 };
                 if died.is_some() {
                     // Time-to-recovery: the join above is the moment an
-                    // operator could first *observe* the death; the sentinel
-                    // may already have adopted mid-churn (MTTR ~ 0) or may
-                    // still be walking its ladder.
+                    // operator could first *observe* the death; the
+                    // supervisor may already have adopted mid-churn (MTTR
+                    // ~ 0) or may still be sleeping out its period.
                     let t0 = Instant::now();
                     while domain.orphans_adopted() <= adopted_before {
                         assert!(
                             t0.elapsed() < MTTR_DEADLINE,
-                            "round {round}: sentinel failed to adopt a kill within {MTTR_DEADLINE:?} (seed {:#x})",
+                            "round {round}: supervisor failed to adopt a kill within {MTTR_DEADLINE:?} (seed {:#x})",
                             plan.seed()
                         );
                         std::thread::yield_now();
@@ -281,14 +281,9 @@ mod chaos {
                     mttr.record(t0.elapsed().as_nanos() as u64);
                 }
                 sup.stop();
-                died
+                (died, sup.ticks())
             });
-
-            let snap = sentinel.stats();
-            sentinel_ticks += snap.ticks;
-            sentinel_helps += snap.helps;
-            sentinel_probes += snap.probes;
-            drop(sentinel);
+            supervisor_ticks += ticks;
 
             match died {
                 Some(site) => {
@@ -339,12 +334,12 @@ mod chaos {
 
         let elapsed = start.elapsed();
         let mut table = Table::new(
-            "E10: chaos soak — sentinel-only recovery, rotating victim killed/parked/stalled",
+            "E10: chaos soak — supervisor-driven recovery, rotating victim killed/parked/stalled",
             &["metric", "value"],
         );
         table.row(&["seed".into(), format!("{:#x}", cfg.seed)]);
         table.row(&["rounds".into(), rounds.to_string()]);
-        table.row(&["kills (sentinel-adopted)".into(), kills.to_string()]);
+        table.row(&["kills (supervisor-adopted)".into(), kills.to_string()]);
         table.row(&["park rounds survived".into(), park_rounds.to_string()]);
         table.row(&["stall rounds survived".into(), stall_rounds.to_string()]);
         table.row(&["clean victim exits".into(), clean_exits.to_string()]);
@@ -362,9 +357,7 @@ mod chaos {
             (mttr.quantile(0.99) / 1_000).to_string(),
         ]);
         table.row(&["mttr max µs".into(), (mttr.max() / 1_000).to_string()]);
-        table.row(&["sentinel ticks".into(), sentinel_ticks.to_string()]);
-        table.row(&["sentinel helps".into(), sentinel_helps.to_string()]);
-        table.row(&["sentinel probes".into(), sentinel_probes.to_string()]);
+        table.row(&["supervisor ticks".into(), supervisor_ticks.to_string()]);
         for site in FaultSite::ALL {
             table.row(&[
                 format!("kills at {}", site.name()),
@@ -379,10 +372,6 @@ mod chaos {
             "segments revived".into(),
             domain.segments_revived().to_string(),
         ]);
-        table.row(&[
-            "segments poisoned".into(),
-            domain.segments_poisoned().to_string(),
-        ]);
         table.row(&["capacity (grown)".into(), domain.capacity().to_string()]);
         table.row(&["elapsed s".into(), format!("{:.1}", elapsed.as_secs_f64())]);
         table.row(&["manual recovery calls".into(), "0".into()]);
@@ -393,7 +382,7 @@ mod chaos {
         }
     }
 
-    /// Registers a handle, retrying briefly: the sentinel frees a dead
+    /// Registers a handle, retrying briefly: the supervisor frees a dead
     /// victim's slot asynchronously, so the next round's registration can
     /// race the tail of an adoption.
     fn register_with_retry<'d>(

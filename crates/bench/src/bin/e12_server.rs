@@ -20,13 +20,13 @@
 //! of the result).
 //!
 //! With `--kill N`, N tasks "crash" holding their lease: each panics
-//! mid-session, its guard unwinds and orphans the slot, and a sentinel
-//! supervisor thread — the run's only recovery agent — must recover every
-//! dead slot; the table reports the kill→recovery MTTR (p50/p99). Threads
-//! blocked behind a dead holder are handed its slot as soon as the
-//! sentinel recovers it. No live holder is ever taken back, however slow.
-//! `--sentinel` runs the supervisor even without kills. Any other panic in
-//! a session stops every worker and fails the run.
+//! mid-session, its guard unwinds and orphans the slot, and a supervisor
+//! thread calling `LeasePool::recover_orphaned` every millisecond — the
+//! run's only recovery agent — must recover every dead slot; the table
+//! reports the kill→recovery MTTR (p50/p99). Threads blocked behind a dead
+//! holder are handed its slot as soon as the supervisor recovers it. No
+//! live holder is ever taken back, however slow. Any other panic in a
+//! session stops every worker and fails the run.
 //!
 //! Every cell ends with a [`wfrc_core::domain::LeakReport`] audit and a
 //! lease audit (`issued == released + killed`, `killed == orphaned ==
@@ -36,7 +36,7 @@
 //! ```text
 //! cargo run --release --bin e12_server [-- --tasks 10000 --slots 16,64 \
 //!     --ops 200 --workers 8 --classes 64,256,1024 --grow --reclaim \
-//!     --kill 32 --sentinel --json]
+//!     --kill 32 --json]
 //! ```
 
 use bench::drivers::{run_server, Elastic, ServerCfg};
@@ -151,7 +151,6 @@ fn main() {
             "--grow",
             "--reclaim",
             "--kill",
-            "--sentinel",
             "--json",
         ],
         &[],
@@ -185,7 +184,6 @@ fn main() {
             keyspace: KEYSPACE,
             reclaim: args.reclaim,
             kill: args.kill,
-            sentinel: args.sentinel || args.kill > 0,
         };
         // +1 registration slot for the concurrent reclaimer.
         let mut wf = WfrcDomain::<ListCell<RawBytes>>::new(

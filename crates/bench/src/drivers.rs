@@ -5,7 +5,6 @@ use std::sync::Arc;
 use wfrc_baselines::Lf;
 use wfrc_core::counters::{CounterSnapshot, LeaseSnapshot};
 use wfrc_core::lease::{LeaseConfig, LeasePool};
-use wfrc_core::sentinel::Sentinel;
 use wfrc_core::{Domain, RawBytes, RcObject, ReclaimOutcome, Scheme, Wf};
 use wfrc_sim::exec::{run_fixed_ops, StopFlag};
 use wfrc_sim::latency::Histogram;
@@ -611,12 +610,10 @@ pub struct ServerCfg {
     pub reclaim: bool,
     /// Tasks (of `tasks`) that die holding a lease: each panics mid-session
     /// with a `Killed` payload, so its guard unwinds and orphans the slot
-    /// until the sentinel recovers it. Requires `sentinel`.
+    /// until the supervisor recovers it. Any kill starts a dedicated
+    /// supervisor thread calling [`LeasePool::recover_orphaned`] for the
+    /// whole measured section — the only recovery agent in the run.
     pub kill: usize,
-    /// Run a dedicated supervisor thread ticking a
-    /// [`wfrc_core::Sentinel`] over the lease pool for the whole measured
-    /// section — the only recovery agent in the run.
-    pub sentinel: bool,
 }
 
 /// Result of one E12 server cell.
@@ -640,7 +637,7 @@ pub struct ServerResult {
     pub aborted: u64,
     /// Tasks that died holding a lease (`cfg.kill` of them).
     pub killed: u64,
-    /// Kill → slot-recovered latency samples (sentinel MTTR), one per
+    /// Kill → slot-recovered latency samples (supervisor MTTR), one per
     /// recovered kill, matched FIFO against the pool's recovery counter.
     pub mttr: Histogram,
 }
@@ -763,10 +760,6 @@ pub fn run_server<S: Elastic>(
 fn serve<S: Elastic>(domain: &Domain<ListCell<RawBytes>, S>, cfg: &ServerCfg) -> ServerResult {
     let sizes = class_sizes(domain);
     assert!(!sizes.is_empty(), "server bench needs byte classes");
-    assert!(
-        cfg.kill == 0 || cfg.sentinel,
-        "killed lease holders only heal through the sentinel"
-    );
     let pool =
         LeasePool::new(domain, LeaseConfig::new(cfg.slots)).expect("domain sized for the pool");
     let cache = SessionCache::new(1024);
@@ -816,13 +809,14 @@ fn serve<S: Elastic>(domain: &Domain<ListCell<RawBytes>, S>, cfg: &ServerCfg) ->
     // `Killed`: every worker stops pulling tasks.
     let failed = std::sync::Mutex::new(None::<String>);
     let stop = StopFlag::new();
-    let sentinel = cfg.sentinel.then(|| Sentinel::new(&pool));
     let (wall, drained, retired, aborted) = std::thread::scope(|s| {
-        let supervisor = sentinel.as_ref().map(|sen| {
+        // Dropping the handle stops the thread, so a panic below ends the
+        // scope instead of leaving it joining a supervisor.
+        let supervisor = (cfg.kill > 0).then(|| {
             let (pool, kill_times, mttr) = (&pool, &kill_times, &mttr);
             let recovered_seen = std::sync::atomic::AtomicU64::new(0);
             Supervisor::spawn_scoped(s, std::time::Duration::from_millis(1), move || {
-                sen.tick();
+                pool.recover_orphaned();
                 // FIFO-match pool recoveries against recorded kill
                 // instants: kills are spread across the task set, so the
                 // n-th recovery heals the n-th kill.
@@ -885,8 +879,7 @@ fn serve<S: Elastic>(domain: &Domain<ListCell<RawBytes>, S>, cfg: &ServerCfg) ->
             })
             .collect();
         // A thread that panicked outside a session fails the run the same
-        // way; it must not panic here, where the scope would then wait on
-        // the supervisor forever.
+        // way, through the one failure message below.
         let fail = |payload: Box<dyn std::any::Any + Send>| {
             failed
                 .lock()
@@ -911,8 +904,8 @@ fn serve<S: Elastic>(domain: &Domain<ListCell<RawBytes>, S>, cfg: &ServerCfg) ->
             })
         });
         // Acceptance gate: every killed holder's slot must come back
-        // through the sentinel alone, within a hard bound — the supervisor
-        // keeps ticking until it has.
+        // through the supervisor alone, within a hard bound — it keeps
+        // ticking until it has.
         let t0 = std::time::Instant::now();
         while failed.lock().unwrap().is_none()
             && pool.stats().recovered < drained.killed
@@ -920,23 +913,18 @@ fn serve<S: Elastic>(domain: &Domain<ListCell<RawBytes>, S>, cfg: &ServerCfg) ->
         {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        // Stop the supervisor before any assertion, or the scope would
-        // wait on it forever.
-        if let Some(sup) = &supervisor {
-            sup.stop();
-        }
+        drop(supervisor);
         if let Some(msg) = failed.lock().unwrap().take() {
             panic!("E12 session failed, run stopped: {msg}");
         }
         assert!(
             pool.stats().recovered >= drained.killed,
-            "sentinel recovered only {} of {} killed leases within 10s",
+            "supervisor recovered only {} of {} killed leases within 10s",
             pool.stats().recovered,
             drained.killed
         );
         (wall, drained, reclaimed.retired, reclaimed.aborted)
     });
-    drop(sentinel);
     let g = pool.acquire();
     cache.dispose(&*g);
     drop(g);

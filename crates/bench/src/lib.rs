@@ -70,11 +70,9 @@ pub struct Args {
     /// Worker threads draining the E12 sessions; 0 means "use the
     /// machine's available parallelism".
     pub workers: usize,
-    /// Tasks that die holding a lease (E12 chaos mode); implies the
-    /// sentinel supervisor.
+    /// Tasks that die holding a lease (E12 chaos mode); starts the
+    /// recovery supervisor thread.
     pub kill: usize,
-    /// Run the sentinel supervisor thread during E12 even without kills.
-    pub sentinel: bool,
 }
 
 impl Args {
@@ -110,7 +108,6 @@ impl Args {
             slots: vec![16, 64],
             workers: 0,
             kill: 0,
-            sentinel: false,
         };
         while let Some(a) = args.next() {
             assert!(
@@ -183,7 +180,6 @@ impl Args {
                         .parse()
                         .expect("bad kill count");
                 }
-                "--sentinel" => out.sentinel = true,
                 other => unreachable!("{other} is listed but has no parser"),
             }
         }

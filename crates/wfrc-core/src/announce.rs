@@ -81,8 +81,8 @@
 //! summary word.
 //!
 //! Code that needs to know whether a thread has an announcement up *right
-//! now* — the segment-retire gates, the sentinel's obligation check — asks
-//! [`Announce::announcing`], which reads the slot word, not the bit.
+//! now* — the segment-retire gates — asks [`Announce::announcing`], which
+//! reads the slot word, not the bit.
 
 use core::sync::atomic::Ordering;
 

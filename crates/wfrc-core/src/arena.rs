@@ -105,17 +105,6 @@ pub const SEG_RETIRED: usize = 2;
 /// Segment state: a reviver won the `RETIRED → REVIVING` CAS and is
 /// building the fresh slab; concurrent growers back off with `Lost`.
 pub const SEG_REVIVING: usize = 3;
-/// Segment state: quarantined after repeated post-adoption audit failures
-/// ([`Arena::poison_strike`]). A POISONED slot is never revived by
-/// [`Arena::try_grow`] — capacity is permanently degraded by the slot's
-/// node count, the graceful alternative to recycling addresses a corrupt
-/// accounting history might still reference.
-pub const SEG_POISONED: usize = 4;
-
-/// Audit failures a RETIRED segment survives before
-/// [`Arena::poison_strike`] quarantines it.
-pub const POISON_STRIKES: usize = 3;
-
 /// Growth policy for an arena (and the domain that owns it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Growth {
@@ -160,10 +149,6 @@ struct Segment<T> {
     /// First node of the slab, or null while RETIRED. Owns the
     /// `Box<[Node<T>]>` allocation.
     slab: AtomicPtr<Node<T>>,
-    /// Post-adoption audit failures recorded against this slot (see
-    /// [`Arena::poison_strike`]); reaching [`POISON_STRIKES`] quarantines
-    /// a RETIRED slot as `SEG_POISONED`.
-    strikes: AtomicUsize,
 }
 
 impl<T> Segment<T> {
@@ -176,7 +161,6 @@ impl<T> Segment<T> {
             state: AtomicUsize::new(SEG_LIVE),
             free_count: AtomicUsize::new(0),
             slab: AtomicPtr::new(slab),
-            strikes: AtomicUsize::new(0),
         }
     }
 
@@ -370,46 +354,18 @@ impl<T> Arena<T> {
         self.revived_total.load(Ordering::Relaxed)
     }
 
-    /// Number of slots currently quarantined `SEG_POISONED`.
-    #[inline]
-    pub fn segments_poisoned(&self) -> usize {
+    /// RETIRED slots whose occupancy counter is nonzero. `finish_retire`
+    /// zeroes the counter, so any such slot means occupancy traffic reached
+    /// a dead slab: a protocol bug, which [`crate::Domain::leak_check`]
+    /// reports. Only meaningful at quiescence.
+    pub fn retired_occupied(&self) -> usize {
         (0..MAX_SEGMENTS)
-            .filter(|&s| self.seg_state(s) == Some(SEG_POISONED))
+            .map_while(|s| self.header(s))
+            .filter(|seg| {
+                seg.state.load(Ordering::SeqCst) == SEG_RETIRED
+                    && seg.free_count.load(Ordering::SeqCst) != 0
+            })
             .count()
-    }
-
-    /// Records one post-adoption audit failure against slot `s`. At
-    /// [`POISON_STRIKES`] a RETIRED slot is CASed to `SEG_POISONED` —
-    /// permanently excluded from [`Arena::try_grow`] revival (the arena
-    /// degrades gracefully rather than recycling a slot whose occupancy
-    /// accounting has repeatedly failed its audit). Returns true when this
-    /// call performed the quarantine. Idempotent; only RETIRED slots are
-    /// ever quarantined (a LIVE slot's strikes merely accumulate until its
-    /// next retire).
-    pub fn poison_strike(&self, s: usize) -> bool {
-        let Some(seg) = self.header(s) else {
-            return false;
-        };
-        let strikes = seg.strikes.fetch_add(1, Ordering::Relaxed) + 1;
-        if strikes < POISON_STRIKES {
-            return false;
-        }
-        seg.state
-            .compare_exchange(
-                SEG_RETIRED,
-                SEG_POISONED,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
-            .is_ok()
-    }
-
-    /// Clears slot `s`'s audit strikes (a clean audit resets the count —
-    /// only *repeated* failures quarantine).
-    pub fn clear_strikes(&self, s: usize) {
-        if let Some(seg) = self.header(s) {
-            seg.strikes.store(0, Ordering::Relaxed);
-        }
     }
 
     /// Header for slot `s`, if ever published.
@@ -685,12 +641,6 @@ impl<T> Arena<T> {
             return GrowOutcome::AtCapacity;
         }
         if let Some(seg) = self.header(s) {
-            if seg.state.load(Ordering::SeqCst) == SEG_POISONED {
-                // Quarantined: the slot is never revived, and no later slot
-                // can be appended past it — capacity is permanently
-                // degraded (graceful degradation, not address recycling).
-                return GrowOutcome::AtCapacity;
-            }
             // The slot already has a header: a previously retired segment.
             // Revive it with a fresh slab instead of appending a new slot.
             return self.revive(s, seg);

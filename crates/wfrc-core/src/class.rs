@@ -40,7 +40,7 @@ use crate::link::Link;
 use crate::node::{Node, RcObject};
 use crate::oom::OutOfMemory;
 use crate::reclaim::ReclaimOutcome;
-use crate::scheme::{OpGuard, Pool, Progress, Scheme, Tuning};
+use crate::scheme::{OpGuard, Pool, Scheme, Tuning};
 
 /// The supported byte-class block sizes: a geometric ladder 64 B – 4 KiB.
 /// [`ClassConfig::size`] must be one of these (the class layer is
@@ -273,8 +273,6 @@ pub(crate) trait ByteClassOps: Send + Sync {
     /// # Safety
     /// `tid` must be the caller's registered slot.
     unsafe fn drain_magazine(&self, tid: usize, c: &OpCounters);
-    /// Slot `tid`'s obligations and heartbeat in this class.
-    fn progress(&self, tid: usize) -> Progress;
     /// Quiescent audit of the class.
     fn leak(&self) -> ClassLeak;
     /// Installs the domain's tuning into the class pool.
@@ -390,10 +388,6 @@ impl<const N: usize, S: Scheme> ByteClassOps for ByteClass<N, S> {
     unsafe fn drain_magazine(&self, tid: usize, c: &OpCounters) {
         // SAFETY: forwarded contract.
         self.bracketed(tid, || unsafe { self.pool.drain_magazine(tid, c) });
-    }
-
-    fn progress(&self, tid: usize) -> Progress {
-        self.pool.progress(tid)
     }
 
     fn leak(&self) -> ClassLeak {

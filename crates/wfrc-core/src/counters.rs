@@ -446,54 +446,6 @@ pub struct LeaseSnapshot {
     pub recover_failures: u64,
 }
 
-/// Supervisor telemetry for [`crate::sentinel::Sentinel`]. Shared `Relaxed`
-/// atomics like [`LeaseStats`]: any thread may drive `tick()`, and no
-/// protocol decision reads these.
-#[derive(Debug, Default)]
-pub struct SentinelStats {
-    /// `tick()` calls completed.
-    pub ticks: AtomicU64,
-    /// Watch slots examined across all ticks (each tick examines a bounded
-    /// batch via the rotor cursor).
-    pub probes: AtomicU64,
-    /// HELP-stage interventions that performed recovery work on a slot's
-    /// behalf.
-    pub helps: AtomicU64,
-}
-
-impl SentinelStats {
-    /// Creates zeroed stats.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds 1 to a stat (helper for the sentinel implementation).
-    #[doc(hidden)]
-    #[inline]
-    pub fn bump(c: &AtomicU64) {
-        c.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Copies the current values out.
-    #[must_use]
-    pub fn snapshot(&self) -> SentinelSnapshot {
-        SentinelSnapshot {
-            ticks: self.ticks.load(Ordering::Relaxed),
-            probes: self.probes.load(Ordering::Relaxed),
-            helps: self.helps.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// An owned copy of [`SentinelStats`] values.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // field meanings documented on SentinelStats
-pub struct SentinelSnapshot {
-    pub ticks: u64,
-    pub probes: u64,
-    pub helps: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,7 +28,7 @@ use crate::magazine::{clamped_cap, Magazines};
 use crate::node::{Node, RcObject};
 use crate::oom::{alloc_retry_bound, OutOfMemory};
 use crate::reclaim::{ReclaimCtl, ReclaimOutcome, SnapStats};
-use crate::scheme::{Pool, Progress, Scheme, Tuning, Wf};
+use crate::scheme::{Pool, Scheme, Tuning, Wf};
 use crate::MAX_THREADS;
 
 /// The wait-free scheme's pool: one arena plus one instance of every global
@@ -268,21 +268,6 @@ unsafe impl<T: RcObject> Pool<T> for Shared<T> {
     /// and from here on writers stop reading it (`announce.rs`).
     fn slot_retired(&self, tid: usize) {
         self.ann.clear_summary(tid);
-    }
-
-    /// Obligated by a live announcement, an odd (mid-operation) epoch or
-    /// the segment-retire claim — states a healthy thread leaves promptly.
-    /// "Live announcement" is read off the slot word
-    /// ([`crate::announce::Announce::announcing`]), not the presence bit:
-    /// the bit stays up for a reader's whole registration, and an idle
-    /// reader is not obligated.
-    fn progress(&self, tid: usize) -> Progress {
-        let epoch = self.reclaim.epoch(tid).read();
-        let announcing = self.ann.announcing(tid);
-        Progress {
-            obligated: announcing || epoch & 1 == 1 || self.reclaim.claimed_by(tid),
-            heartbeat: (epoch as u64) << 1 | u64::from(announcing),
-        }
     }
 
     unsafe fn reclaim(
@@ -656,24 +641,11 @@ impl<T: RcObject, S: Scheme> Domain<T, S> {
             .count()
     }
 
-    /// Registration-slot state word for `tid` (sentinel detection).
+    /// Registration-slot state word for `tid` ([`Self::slot_is_taken`]).
     pub(crate) fn slot_state(&self, tid: usize) -> usize {
         // SeqCst: pairs with the registration/orphaning stores so the
-        // sentinel's obligation check never lags a completed transition.
+        // grace period's probe never lags a completed transition.
         self.slots[tid].load_with(Ordering::SeqCst)
-    }
-
-    /// Slot `tid`'s [`Progress`] folded over every pool of the domain — the
-    /// node pool and each byte class — so a thread parked inside a class
-    /// operation, or holding a class's retire claim, is seen.
-    pub(crate) fn progress(&self, tid: usize) -> Progress {
-        self.classes.iter().map(|class| class.progress(tid)).fold(
-            self.pool.progress(tid),
-            |all, p| Progress {
-                obligated: all.obligated || p.obligated,
-                heartbeat: all.heartbeat.wrapping_add(p.heartbeat),
-            },
-        )
     }
 
     /// Cumulative count of orphan slots reclaimed by
@@ -719,6 +691,12 @@ impl<T: RcObject, S: Scheme> Domain<T, S> {
     fn adopt_orphans_impl(&self) -> AdoptReport {
         let mut report = AdoptReport::default();
         for (tid, slot) in self.slots.iter().enumerate() {
+            // Relaxed pre-check: a sweep over a healthy domain reads every
+            // slot word instead of taking each line exclusively with a CAS.
+            // The CAS below re-checks and carries the synchronization.
+            if slot.load_with(Ordering::Relaxed) != SLOT_ORPHANED {
+                continue;
+            }
             // Claim exclusivity over the corpse's slot: whoever wins this
             // CAS owns tid's announcement row, gift slot, and magazine.
             // Acquire pairs with the Release in `orphan` so the corpse's
@@ -745,60 +723,15 @@ impl<T: RcObject, S: Scheme> Domain<T, S> {
             report.orphans_adopted += 1;
         }
         // Relaxed: monotonic telemetry counters, read by diagnostics only.
-        self.orphans_adopted
-            .faa_with(report.orphans_adopted as isize, Ordering::Relaxed);
-        self.orphan_nodes_recovered
-            .faa_with(report.nodes_recovered() as isize, Ordering::Relaxed);
+        // Skipped when nothing was adopted, so a sweep of a healthy domain
+        // stays read-only.
         if report.orphans_adopted > 0 {
-            // Post-adoption audit: a corpse's unaccounted occupancy updates
-            // can leave a RETIRED slot's books wrong; repeated failures
-            // quarantine the slot (POISONED) instead of reviving it.
-            let _ = self.audit_segments();
+            self.orphans_adopted
+                .faa_with(report.orphans_adopted as isize, Ordering::Relaxed);
+            self.orphan_nodes_recovered
+                .faa_with(report.nodes_recovered() as isize, Ordering::Relaxed);
         }
         report
-    }
-
-    /// Audits every RETIRED arena slot's occupancy accounting:
-    /// `finish_retire` zeroes the counter, so a nonzero count on a RETIRED
-    /// slot means stray occupancy traffic targeted a dead slab (corrupt
-    /// accounting, e.g. from a crash between a node move and its
-    /// occupancy update). Each anomalous slot receives a
-    /// [`crate::arena::poison_strike`](crate::arena::Arena::poison_strike)
-    /// (quarantining it `SEG_POISONED` at
-    /// [`POISON_STRIKES`](crate::arena::POISON_STRIKES)); clean slots have
-    /// their strikes reset. Returns the number of anomalous slots seen.
-    /// Runs automatically at the tail of [`Domain::adopt_orphans`].
-    pub fn audit_segments(&self) -> usize {
-        let arena = self.pool.arena();
-        let mut anomalous = 0;
-        for s in 0..crate::arena::MAX_SEGMENTS {
-            match arena.seg_state(s) {
-                Some(crate::arena::SEG_RETIRED) => {
-                    if arena.seg_free_count(s).unwrap_or(0) != 0 {
-                        anomalous += 1;
-                        let _ = arena.poison_strike(s);
-                    } else {
-                        arena.clear_strikes(s);
-                    }
-                }
-                Some(_) => {}
-                None => break,
-            }
-        }
-        anomalous
-    }
-
-    /// Number of arena slots currently quarantined `SEG_POISONED` (see
-    /// [`Domain::audit_segments`]).
-    pub fn segments_poisoned(&self) -> usize {
-        self.pool.arena().segments_poisoned()
-    }
-
-    /// Test hook: records one audit strike against arena slot `s` exactly
-    /// as a failed [`Domain::audit_segments`] pass would.
-    #[doc(hidden)]
-    pub fn debug_strike_segment(&self, s: usize) -> bool {
-        self.pool.arena().poison_strike(s)
     }
 
     /// Effective per-thread magazine capacity (0 = magazines disabled).
@@ -842,7 +775,7 @@ impl<T: RcObject, S: Scheme> Domain<T, S> {
             segments: arena.segment_count(),
             resident_segments: arena.segment_count(),
             segments_retired: arena.segments_retired(),
-            segments_poisoned: arena.segments_poisoned(),
+            retired_occupied: arena.retired_occupied(),
             ..LeakReport::default()
         };
         self.snap.report(&mut report);
@@ -1116,10 +1049,11 @@ pub struct LeakReport {
     pub resident_segments: usize,
     /// Cumulative segments retired over the domain's lifetime.
     pub segments_retired: usize,
-    /// Arena slots quarantined `SEG_POISONED` at audit time (excluded from
-    /// revival — permanently degraded capacity, not a leak; see
-    /// [`Domain::audit_segments`]).
-    pub segments_poisoned: usize,
+    /// RETIRED arena slots whose occupancy counter is nonzero. Retirement
+    /// zeroes the counter, so a nonzero count means occupancy traffic
+    /// reached a dead slab — a protocol bug, never lost capacity. 0 when
+    /// clean.
+    pub retired_occupied: usize,
     /// Nodes in the free-lists (`mm_ref == 1`).
     pub free_nodes: usize,
     /// Nodes parked in `annAlloc` slots awaiting pickup (`mm_ref == 3`).
@@ -1192,6 +1126,7 @@ impl LeakReport {
         self.live_nodes == 0
             && self.corrupt_nodes == 0
             && self.alloc_need == 0
+            && self.retired_occupied == 0
             && self.weak_nodes == 0
             && self.weak_count == 0
             && self.free_nodes + self.parked_gifts + self.magazine_nodes + self.deferred_nodes
@@ -1204,12 +1139,12 @@ impl core::fmt::Display for LeakReport {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         writeln!(
             f,
-            "leak report: {} ({} nodes, {} segments resident, {} retired, {} poisoned)",
+            "leak report: {} ({} nodes, {} segments resident, {} retired, {} retired occupied)",
             if self.is_clean() { "clean" } else { "DIRTY" },
             self.capacity,
             self.resident_segments,
             self.segments_retired,
-            self.segments_poisoned,
+            self.retired_occupied,
         )?;
         writeln!(
             f,
@@ -1340,7 +1275,7 @@ mod tests {
             segments: 2,
             resident_segments: 2,
             segments_retired: 3,
-            segments_poisoned: 1,
+            retired_occupied: 1,
             free_nodes: 60,
             parked_gifts: 1,
             magazine_nodes: 3,
@@ -1382,6 +1317,14 @@ mod tests {
         assert!(text.contains("DIRTY"), "{text}");
         assert!(text.contains("class    64 B"), "{text}");
         assert!(text.contains("class  1024 B"), "{text}");
+    }
+
+    #[test]
+    fn retired_occupancy_makes_the_report_dirty() {
+        let mut report = LeakReport::default();
+        assert!(report.is_clean());
+        report.retired_occupied = 1;
+        assert!(!report.is_clean(), "{report}");
     }
 
     #[test]

@@ -110,8 +110,8 @@ pub enum FaultSite {
     /// In [`crate::lease`] checkout, after the guard is built and before it
     /// is handed to the caller. `Die` here models a task that perishes the
     /// instant it owns a lease: the unwind drops the guard, which marks the
-    /// slot ORPHANED, and `LeasePool::recover_orphaned` (or a sentinel
-    /// tick) routes it back into circulation via `adopt_orphans`.
+    /// slot ORPHANED, and `LeasePool::recover_orphaned` routes it back
+    /// into circulation via `adopt_orphans`.
     LeaseCheckout,
     /// In `Snapshot::upgrade`, after the snapshot pin is re-confirmed and
     /// before the announcement-based dereference that mints the owned

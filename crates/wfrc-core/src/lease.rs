@@ -50,11 +50,14 @@
 //!
 //! A slot is only ever taken back from a holder that is gone. A guard
 //! dropped while its holder unwinds (a panic, or an injected `Die`) marks
-//! the slot `ORPHANED`; [`LeasePool::recover_orphaned`], or a
-//! [`Sentinel`](crate::sentinel::Sentinel) tick, then abandons the handle
-//! (its domain registration becomes ORPHANED, as for a crashed thread),
-//! runs [`LeaseRegistry::adopt_all`], re-registers a fresh handle and
-//! returns the slot to circulation. Nothing takes back a slot whose holder
+//! the slot `ORPHANED`; [`LeasePool::recover_orphaned`] then abandons the
+//! handle (its domain registration becomes ORPHANED, as for a crashed
+//! thread), runs [`LeaseRegistry::adopt_all`], re-registers a fresh handle
+//! and returns the slot to circulation. Whoever wants recovery calls it: a
+//! worker between sessions, a test, or a timer thread
+//! (`wfrc_sim::Supervisor` with `|| { pool.recover_orphaned(); }`). The
+//! call only reads the slot words of a healthy pool, so a frequent timer
+//! costs little. Nothing takes back a slot whose holder
 //! is still running, however slow: the paper's `threadId` is "unique and
 //! fixed", and only the holder writes a `LEASED` word. A leaked guard
 //! (`mem::forget`) therefore keeps its slot, exactly as a leaked domain
@@ -109,7 +112,7 @@ pub trait LeaseRegistry: Sync {
     /// The per-slot handle checked in and out of the pool. `Send` because
     /// the pool is shared: a slot's handle serves whichever thread checks
     /// the slot out next, and recovery abandons it from whichever thread
-    /// runs `recover_orphaned` or the sentinel. Never `Sync` in practice
+    /// runs `recover_orphaned`. Never `Sync` in practice
     /// (one thread id, one user at a time).
     type Handle<'d>: Send
     where
@@ -749,9 +752,9 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
     /// re-register a fresh handle, and recirculate the slot.
     ///
     /// Only a guard dropped while unwinding orphans a slot, so this never
-    /// touches a live holder. Safe under concurrent callers (and sentinel
-    /// ticks): each claim is a generation-checked CAS, so a slot is
-    /// recovered exactly once per orphaning and losers move on.
+    /// touches a live holder. Safe under concurrent callers: each claim is
+    /// a generation-checked CAS, so a slot is recovered exactly once per
+    /// orphaning and losers move on.
     pub fn recover_orphaned(&self) -> RecoverReport {
         let mut report = RecoverReport::default();
         for idx in 0..self.slots.len() {
@@ -761,16 +764,15 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
     }
 
     /// One slot of [`LeasePool::recover_orphaned`]: claim `ORPHANED →
-    /// RECOVERING`, abandon
-    /// the corpse's handle, adopt, re-register, recirculate. The claim CAS
-    /// makes this safe and idempotent under arbitrary concurrency — one
-    /// recoverer per orphaning wins; everyone else no-ops. Returns true if
-    /// this call recovered the slot.
-    fn try_recover_slot(&self, idx: usize, report: &mut RecoverReport) -> bool {
+    /// RECOVERING`, abandon the corpse's handle, adopt, re-register,
+    /// recirculate. The claim CAS makes this safe and idempotent under
+    /// arbitrary concurrency — one recoverer per orphaning wins; everyone
+    /// else no-ops.
+    fn try_recover_slot(&self, idx: usize, report: &mut RecoverReport) {
         let slot = &self.slots[idx];
         let word = slot.state.load_with(Ordering::Acquire);
         if state_of(word) != ORPHANED {
-            return false;
+            return;
         }
         if !slot.state.cas_with(
             word,
@@ -778,7 +780,7 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
             Ordering::Acquire,
             Ordering::Relaxed,
         ) {
-            return false;
+            return;
         }
         // SAFETY: the RECOVERING claim makes us the slot's exclusive
         // owner; the previous holder's guard unwound (only that orphans).
@@ -796,7 +798,6 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
                 report.recovered += 1;
                 LeaseStats::bump(&self.stats.recovered);
                 self.recirculate(idx, freed);
-                true
             }
             Err(RegistryFull) => {
                 // Out of ids (e.g. an unrelated orphan holds ours):
@@ -806,34 +807,8 @@ impl<'d, R: LeaseRegistry> LeasePool<'d, R> {
                     .store_with(pack(gen_of(word) + 1, ORPHANED), Ordering::Release);
                 report.register_failures += 1;
                 LeaseStats::bump(&self.stats.recover_failures);
-                false
             }
         }
-    }
-}
-
-/// The pool's lease slots under supervision (see [`crate::sentinel`]).
-///
-/// * **Obligated**: the slot is `ORPHANED` (a guard dropped while
-///   unwinding).
-/// * **Fingerprint**: the `generation << 3 | state` slot word — it changes
-///   on every checkout, release, handoff, and recovery.
-/// * **Help**: recover the orphaned slot.
-impl<'d, R: LeaseRegistry> crate::sentinel::Supervised for LeasePool<'d, R> {
-    fn watch_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn obligated(&self, slot: usize) -> bool {
-        state_of(self.slots[slot].state.load_with(Ordering::Acquire)) == ORPHANED
-    }
-
-    fn fingerprint(&self, slot: usize) -> u64 {
-        self.slots[slot].state.load_with(Ordering::Acquire) as u64
-    }
-
-    fn help(&self, slot: usize) -> bool {
-        self.try_recover_slot(slot, &mut RecoverReport::default())
     }
 }
 

@@ -96,12 +96,10 @@ pub mod oom;
 pub mod rc;
 pub mod reclaim;
 pub mod scheme;
-pub mod sentinel;
 
 pub use arena::{Growth, CARVE_PAGE, MAX_SEGMENTS};
 pub use class::{geometric_ladder, ClassConfig, ClassLeak, RawBytes, CLASS_SIZES, MAX_CLASSES};
 pub use counters::{LeaseSnapshot, LeaseStats, OpCounters};
-pub use counters::{SentinelSnapshot, SentinelStats};
 pub use domain::{
     census, AdoptReport, Census, Domain, DomainConfig, LeakReport, LeakRoot, RegistryFull,
     WfrcDomain,
@@ -116,7 +114,6 @@ pub use node::{Claim, Node, RcObject};
 pub use oom::OutOfMemory;
 pub use reclaim::{ReclaimOutcome, SnapStats};
 pub use scheme::{Scheme, Wf};
-pub use sentinel::{Sentinel, Stage, Supervised};
 
 /// Hard upper bound on threads per domain.
 ///

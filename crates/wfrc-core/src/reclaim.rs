@@ -20,9 +20,9 @@
 //!    each reader gets the one it needs: the grace period (gate 4 below)
 //!    reads a `SeqCst` FAA, which only a pool that can retire a segment
 //!    pays; a fixed pool (`Growth::Disabled`, slot 0 alone) never runs a
-//!    grace period, so its enter is the owner's plain store, which still
-//!    serves the deferred-drain baseline (through the pin's `fetch_or`)
-//!    and the sentinel's heartbeat.
+//!    grace period, so its enter is the owner's plain store. That store
+//!    stays because the deferred-drain baseline still reads it (through
+//!    the pin's `fetch_or`).
 //! 2. **Occupancy trigger.** Each segment counts how many of its nodes sit
 //!    on *shared* structures (stripes + `annAlloc` gift cells; magazines
 //!    are deliberately uncounted — their fast paths stay free of extra
@@ -117,11 +117,11 @@ type EpochCell = wfrc_primitives::CachePadded<AtomicUsize>;
 ///   epoch or the operation sees the claim.
 /// * **Plain** (a fixed pool, slot 0 alone): the owner-only `Relaxed` load
 ///   and `Release` store that leaving already is. No grace period ever runs
-///   there, so nothing needs the store-load edge. The other two readers
-///   are served as before: the deferred-drain baseline reads an epoch only
-///   after it has seen that slot's pin bit, and the pin's `SeqCst`
-///   `fetch_or` follows the enter in program order (DESIGN.md §4f); the
-///   sentinel's heartbeat still flips on every operation.
+///   there, so nothing needs the store-load edge. The store stays because
+///   the deferred-drain baseline still reads it: that reader loads an
+///   epoch only after it has seen the slot's pin bit, and the pin's
+///   `SeqCst` `fetch_or` follows the enter in program order (DESIGN.md
+///   §4f).
 ///
 /// Leaving is a `Release` store: a reclaimer that observes an even (or
 /// advanced) epoch needs everything the slot did *before* to happen-before
@@ -174,8 +174,8 @@ impl<'a> SlotEpoch<'a> {
         self.0.store(0, Ordering::SeqCst);
     }
 
-    /// Current value (`SeqCst`): the grace period's probe, the deferred
-    /// drain's baseline, and the sentinel's progress heartbeat.
+    /// Current value (`SeqCst`): the grace period's probe and the
+    /// deferred drain's baseline.
     #[inline]
     pub(crate) fn read(self) -> usize {
         self.0.load(Ordering::SeqCst)

@@ -10,12 +10,11 @@
 //! the recovery of what a dead thread left in it. Every tier above the pool
 //! — the registration table and adoption loop ([`crate::Domain`]), the
 //! handle with its raw and guard APIs ([`crate::Handle`]), the byte-class
-//! ladder ([`crate::class`]), leasing and supervision — is written once
-//! over this trait and never asks which scheme it runs on.
+//! ladder ([`crate::class`]), leasing and orphan recovery — is written
+//! once over this trait and never asks which scheme it runs on.
 //!
 //! What only the wait-free scheme has (helping, the quiescence bracket,
-//! snapshot pins, online segment retirement, progress for the sentinel) is a
-//! *defaulted hook*: an empty `#[inline]` body that a scheme without the
+//! snapshot pins, online segment retirement) is a *defaulted hook*: an empty `#[inline]` body that a scheme without the
 //! mechanism inherits, so the lock-free yardstick executes none of it.
 
 use core::cell::Cell;
@@ -75,18 +74,6 @@ impl Default for Tuning {
             faults: None,
         }
     }
-}
-
-/// What one pool knows about a registration slot's progress, for
-/// [`crate::sentinel`]: the domain folds it over the node pool and every
-/// byte class.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Progress {
-    /// The slot holds something a healthy thread gives up promptly (a live
-    /// announcement, an open operation, a segment-retire claim).
-    pub obligated: bool,
-    /// A word that changes whenever the slot makes progress in this pool.
-    pub heartbeat: u64,
 }
 
 /// One memory pool of a [`Scheme`]: a segmented [`Arena`] plus the scheme's
@@ -226,13 +213,6 @@ pub unsafe trait Pool<T: RcObject>: Send + Sync + Sized {
     /// Slot `tid`'s handle is dropping with no operation in flight.
     #[inline]
     fn slot_retired(&self, _tid: usize) {}
-
-    /// Slot `tid`'s obligations and heartbeat in this pool. Default: a pool
-    /// in which a slot can hold nothing.
-    #[inline]
-    fn progress(&self, _tid: usize) -> Progress {
-        Progress::default()
-    }
 
     /// Online retirement of the trailing segment, beside live traffic.
     /// `is_taken` is the domain's registry probe. Default: the scheme

@@ -14,8 +14,8 @@
 //!   (no allocation on the record path);
 //! * [`stats`] — summaries (mean/percentiles/max) and fixed-width table
 //!   printing, plus JSON export for EXPERIMENTS.md;
-//! * [`supervisor`] — a dedicated thread that ticks a sentinel at a fixed
-//!   period.
+//! * [`supervisor`] — a dedicated thread that calls a recovery helper at
+//!   a fixed period, stopped when its handle drops.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -30,4 +30,4 @@ pub use exec::{run_fixed_ops, run_timed, StopFlag};
 pub use latency::Histogram;
 pub use rng::SmallRng;
 pub use stats::{Summary, Table};
-pub use supervisor::{OwnedSupervisor, Supervisor};
+pub use supervisor::Supervisor;

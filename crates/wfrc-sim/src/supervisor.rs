@@ -1,13 +1,16 @@
-//! Dedicated supervisor thread for `wfrc_core::sentinel`-style tickers.
+//! Dedicated timer thread for the recovery helpers.
 //!
-//! The sentinel is cooperative — any worker can donate a `tick()` — but
-//! most harnesses (and the E10/E12 experiments) want the production shape:
-//! one background thread ticking at a fixed cadence while the workload
-//! threads never think about recovery. This module provides that thread,
-//! closure-based so it works over any ticker (a `Sentinel` over a WFRC
-//! domain, one over a lease pool, one over the LFRC baseline, or several
-//! chained) without this crate depending on `wfrc-core` — which depends on
-//! this crate for its RNG.
+//! Recovery in `wfrc_core` is an idempotent helper that anyone may call —
+//! `Domain::adopt_orphans`, `LeasePool::recover_orphaned`. Most harnesses
+//! (and the E10/E12 experiments) want it on a timer: one background thread
+//! calling the helper at a fixed cadence while the workload threads never
+//! think about recovery. This module provides that thread, closure-based
+//! (`|| { domain.adopt_orphans(); }`) so this crate does not depend on
+//! `wfrc-core`, which depends on this crate for its RNG.
+//!
+//! The thread stops when its [`Supervisor`] is dropped, so a panic that
+//! unwinds out of the enclosing `thread::scope` ends the scope instead of
+//! leaving it joining a thread that never stops.
 //!
 //! ```
 //! use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,7 +18,7 @@
 //!
 //! let ticks = AtomicU64::new(0);
 //! std::thread::scope(|scope| {
-//!     let sup = Supervisor::spawn_scoped(
+//!     let _sup = Supervisor::spawn_scoped(
 //!         scope,
 //!         core::time::Duration::from_micros(50),
 //!         || {
@@ -25,7 +28,6 @@
 //!     while ticks.load(Ordering::Relaxed) < 10 {
 //!         std::thread::yield_now();
 //!     }
-//!     sup.stop();
 //! });
 //! assert!(ticks.load(Ordering::Relaxed) >= 10);
 //! ```
@@ -38,8 +40,9 @@ use std::time::Duration;
 use crate::exec::StopFlag;
 
 /// Handle to a running supervisor thread: stop it, read its tick count.
-/// The thread exits promptly after [`Supervisor::stop`]; scoped spawns
-/// join at scope exit, owned spawns via [`OwnedSupervisor::join`].
+/// The thread exits promptly after [`Supervisor::stop`], which dropping
+/// the handle also calls; the scope joins it.
+#[must_use = "dropping a Supervisor stops its thread"]
 pub struct Supervisor {
     stop: Arc<StopFlag>,
     ticks: Arc<AtomicU64>,
@@ -48,8 +51,7 @@ pub struct Supervisor {
 impl Supervisor {
     /// Spawns a scoped supervisor thread calling `tick` every `period`
     /// (a zero period means back-to-back ticks with only a yield between).
-    /// The scope joins the thread on exit, so call [`Supervisor::stop`]
-    /// before the scope closes or it will tick forever.
+    /// The thread runs until [`Supervisor::stop`] or until the handle drops.
     pub fn spawn_scoped<'scope, 'env, F>(
         scope: &'scope Scope<'scope, 'env>,
         period: Duration,
@@ -65,23 +67,6 @@ impl Supervisor {
         Supervisor { stop, ticks }
     }
 
-    /// Spawns a free-standing supervisor thread (for harnesses without a
-    /// convenient scope). The closure must be `'static`; join via the
-    /// returned [`OwnedSupervisor`].
-    pub fn spawn<F>(period: Duration, tick: F) -> OwnedSupervisor
-    where
-        F: Fn() + Send + 'static,
-    {
-        let stop = Arc::new(StopFlag::new());
-        let ticks = Arc::new(AtomicU64::new(0));
-        let (stop2, ticks2) = (Arc::clone(&stop), Arc::clone(&ticks));
-        let thread = std::thread::spawn(move || run_loop(&stop2, &ticks2, period, tick));
-        OwnedSupervisor {
-            inner: Supervisor { stop, ticks },
-            thread: Some(thread),
-        }
-    }
-
     /// Signals the supervisor thread to exit after its current tick.
     pub fn stop(&self) {
         self.stop.stop();
@@ -94,41 +79,9 @@ impl Supervisor {
     }
 }
 
-/// A [`Supervisor`] owning its thread (non-scoped spawn); stops and joins
-/// on drop.
-pub struct OwnedSupervisor {
-    inner: Supervisor,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl OwnedSupervisor {
-    /// Signals the thread to exit after its current tick.
-    pub fn stop(&self) {
-        self.inner.stop();
-    }
-
-    /// Ticks performed so far.
-    #[must_use]
-    pub fn ticks(&self) -> u64 {
-        self.inner.ticks()
-    }
-
-    /// Stops and joins the thread, returning the total tick count.
-    pub fn join(mut self) -> u64 {
-        self.stop();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        self.ticks()
-    }
-}
-
-impl Drop for OwnedSupervisor {
+impl Drop for Supervisor {
     fn drop(&mut self) {
         self.stop();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
     }
 }
 
@@ -174,13 +127,29 @@ mod tests {
         assert_eq!(count.load(Ordering::Relaxed), at_stop);
     }
 
+    /// A panic after `spawn_scoped` unwinds out of the scope: dropping the
+    /// handle stops the thread the scope then joins. The scope runs on a
+    /// helper thread and its result is awaited with a timeout, so a
+    /// regression fails this test instead of hanging it.
     #[test]
-    fn owned_supervisor_joins_on_drop() {
-        let sup = Supervisor::spawn(Duration::from_micros(10), || {});
-        while sup.ticks() < 3 {
-            std::thread::yield_now();
-        }
-        let total = sup.join();
-        assert!(total >= 3);
+    fn panic_in_scope_stops_the_supervisor() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| {
+                std::thread::scope(|scope| {
+                    let sup = Supervisor::spawn_scoped(scope, Duration::from_micros(50), || {});
+                    while sup.ticks() == 0 {
+                        std::thread::yield_now();
+                    }
+                    std::panic::resume_unwind(Box::new("assertion fired inside the scope"));
+                })
+            });
+            let _ = tx.send(outcome.is_err());
+        });
+        let panicked = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the scope hung joining its supervisor");
+        helper.join().expect("the helper catches the scope's panic");
+        assert!(panicked, "the panic must propagate out of the scope");
     }
 }

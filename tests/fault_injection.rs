@@ -140,8 +140,20 @@ fn run_site_scenario(site: FaultSite, die: bool) {
                 std::thread::yield_now();
             }
             survivor_quota(&survivor, &links, SURVIVOR_QUOTA);
+            // A parked thread is merely slow: its slot is TAKEN, so
+            // however often recovery runs, it never seizes the victim.
+            // Observe before the release, assert after it, so a failure
+            // does not leave the scope joining a parked thread.
+            let mut passes = 0;
+            while plan.parked() > 0 && passes < 8 {
+                domain.adopt_orphans();
+                passes += 1;
+            }
+            let seized = domain.orphans_adopted();
             plan.release();
             vt.join().expect("released victim exits cleanly");
+            assert!(passes > 0, "{site:?}: the victim left its park early");
+            assert_eq!(seized, 0, "{site:?}/Park: a parked thread was seized");
         }
         for l in &links {
             survivor.store(l, None);

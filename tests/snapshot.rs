@@ -4,13 +4,13 @@
 //! The non-gated tests cover the protocol's safety surfaces: snapshots
 //! stay readable across releases that would otherwise free the node, the
 //! occupancy sweep treats a live pin as a retirement veto, deferred
-//! releases are visible in the telemetry and drain on demand, and a
-//! sentinel ticking concurrently with pin/release churn never unbalances
+//! releases are visible in the telemetry and drain on demand, and orphan
+//! adoption running concurrently with pin/release churn never unbalances
 //! the books. The `fault-injection`-gated half kills a thread mid-upgrade
 //! with a non-empty deferred list and asserts adoption recovers every
 //! node.
 
-use wfrc::core::{DomainConfig, Growth, Link, ReclaimOutcome, Sentinel, WfrcDomain};
+use wfrc::core::{DomainConfig, Growth, Link, ReclaimOutcome, WfrcDomain};
 use wfrc::sim::exec::StopFlag;
 
 #[test]
@@ -336,17 +336,18 @@ fn concurrent_pin_release_drain_churn() {
     assert!(d.leak_check().is_clean());
 }
 
-/// Sentinel ticks racing pin sessions, deferred releases, and drains: the
-/// supervisor must coexist with the snapshot machinery without seizing a
-/// merely-pinned thread or unbalancing the node books.
+/// `adopt_orphans` in a loop racing pin sessions, deferred releases, and
+/// drains, while one worker abandons its handle mid-run: the adoption of
+/// that corpse runs beside the other workers' drains, no merely-pinned
+/// thread is seized, and the node books balance.
 #[test]
 fn sentinel_ticks_race_deferred_drains() {
     const LINKS: usize = 4;
     const WORKERS: usize = 3;
+    const OPS: usize = 4_000;
     let d = WfrcDomain::<u64>::new(
         DomainConfig::new(WORKERS + 1, 512).with_growth(Growth::doubling_to(4096)),
     );
-    let sentinel = Sentinel::new(&d);
     let links: Vec<Link<u64>> = (0..LINKS).map(|_| Link::null()).collect();
     let stop = StopFlag::new();
     let main = d.register().unwrap();
@@ -360,7 +361,12 @@ fn sentinel_ticks_race_deferred_drains() {
             .map(|w| {
                 s.spawn(move || {
                     let h = d.register().unwrap();
-                    for i in 0..4_000usize {
+                    for i in 0..OPS {
+                        if w == 0 && i == OPS / 2 {
+                            // A crash mid-run, deferred list and all.
+                            h.abandon();
+                            return;
+                        }
                         if let Ok(g) = h.alloc_with(|v| *v = i as u64) {
                             h.store(&links[(i + w) % LINKS], Some(&g));
                         }
@@ -379,11 +385,15 @@ fn sentinel_ticks_race_deferred_drains() {
                 })
             })
             .collect();
-        let ticker = s.spawn(move || {
-            while !stop.is_stopped() {
-                sentinel.tick();
-                std::thread::yield_now();
+        let ticker = s.spawn(move || loop {
+            // One last pass after the stop is seen: the abandon happened
+            // before it, so that pass cannot miss the corpse.
+            let stopped = stop.is_stopped();
+            d.adopt_orphans();
+            if stopped {
+                break;
             }
+            std::thread::yield_now();
         });
         // Dropped before the join below, and on a worker's panic.
         let stopper = stop.stop_on_drop();
@@ -403,6 +413,11 @@ fn sentinel_ticks_race_deferred_drains() {
     let _ = main.reclaim();
     assert_eq!(d.deferred_len(), 0);
     drop(main);
+    assert_eq!(
+        d.orphans_adopted(),
+        1,
+        "only the abandoned handle is adopted"
+    );
     let r = d.leak_check();
     assert!(r.is_clean(), "{r}");
     assert!(r.deferred_decs > 0, "standing pin never forced a defer");
